@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import LeibnizAlgebra, ValidationReport, Violation, _unit
+from .algebra import LeibnizAlgebra, ValidationReport, Violation, _contract, _unit
 from .fields import InputDataError, Scalar
-from .linalg import Matrix, add_vectors, scale_vector, sub_vectors, zero_vector
+from .linalg import Matrix, sub_vectors, zero_vector
 
 Tensor = tuple[tuple[tuple[Scalar, ...], ...], ...]
 
@@ -62,26 +62,10 @@ class ActionData:
     # -- evaluation ---------------------------------------------------
 
     def act_left(self, pvec: Sequence[Scalar], mvec: Sequence[Scalar]) -> tuple[Scalar, ...]:
-        out = zero_vector(self.target.field, self.target.dim)
-        for a, pa in enumerate(pvec):
-            if not pa:
-                continue
-            for i, mi in enumerate(mvec):
-                if not mi:
-                    continue
-                out = add_vectors(out, scale_vector(pa * mi, self.left[a][i]))
-        return out
+        return _contract(self.target.field, self.left, pvec, mvec, self.target.dim)
 
     def act_right(self, mvec: Sequence[Scalar], pvec: Sequence[Scalar]) -> tuple[Scalar, ...]:
-        out = zero_vector(self.target.field, self.target.dim)
-        for i, mi in enumerate(mvec):
-            if not mi:
-                continue
-            for a, pa in enumerate(pvec):
-                if not pa:
-                    continue
-                out = add_vectors(out, scale_vector(mi * pa, self.right[i][a]))
-        return out
+        return _contract(self.target.field, self.right, mvec, pvec, self.target.dim)
 
     def left_operator(self, pvec: Sequence[Scalar]) -> Matrix:
         """Matrix of m -> [p, m] for a fixed actor element."""

@@ -13,17 +13,15 @@ from dataclasses import dataclass, field as dc_field
 from typing import Mapping, Optional, Sequence
 
 from .fields import Field, InputDataError, Scalar
-from .linalg import (
-    LinearSolveError,
-    Matrix,
-    Subspace,
-    add_vectors,
-    nullspace,
-    scale_vector,
-    zero_vector,
-)
+from .linalg import LinearSolveError, Matrix, Subspace, add_vectors, nullspace
 
 MAX_DIM = 64  # guard against accidentally huge inputs
+
+
+def _check_dim(dim: int) -> None:
+    """Refuse a dimension outside [0, MAX_DIM], before anything is allocated."""
+    if not 0 <= dim <= MAX_DIM:
+        raise InputDataError(f"dimension {dim} outside [0, {MAX_DIM}]")
 
 
 @dataclass(frozen=True)
@@ -34,8 +32,7 @@ class LeibnizAlgebra:
     names: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
-        if not 0 <= self.dim <= MAX_DIM:
-            raise InputDataError(f"dimension {self.dim} outside [0, {MAX_DIM}]")
+        _check_dim(self.dim)
         if len(self.table) != self.dim or any(
             len(row) != self.dim or any(len(v) != self.dim for v in row) for row in self.table
         ):
@@ -54,6 +51,7 @@ class LeibnizAlgebra:
         names: Optional[Sequence[str]] = None,
     ) -> "LeibnizAlgebra":
         """Build from a sparse {(i, j): {k: coefficient}} description."""
+        _check_dim(dim)
         z = field.zero
         tab = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
         for (i, j), terms in brackets.items():
@@ -73,15 +71,7 @@ class LeibnizAlgebra:
     # -- basic operations ---------------------------------------------
 
     def bracket(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> tuple[Scalar, ...]:
-        out = zero_vector(self.field, self.dim)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                out = add_vectors(out, scale_vector(xi * yj, self.table[i][j]))
-        return out
+        return _contract(self.field, self.table, x, y, self.dim)
 
     def left_operator(self, x: Sequence[Scalar]) -> Matrix:
         """Matrix of y -> [x, y]."""
@@ -96,6 +86,25 @@ class LeibnizAlgebra:
 
 def _unit(field: Field, n: int, i: int) -> tuple[Scalar, ...]:
     return tuple(field.one if j == i else field.zero for j in range(n))
+
+
+def _contract(field: Field, tensor, x: Sequence[Scalar], y: Sequence[Scalar], out_dim: int) -> tuple[Scalar, ...]:
+    """The bilinear map sum_{i,j} x[i] y[j] tensor[i][j], skipping zeros.
+
+    The one contraction kernel behind every structure-constant bracket and
+    action in the package.
+    """
+    out = [field.zero] * out_dim
+    for i, xi in enumerate(x):
+        if xi:
+            row = tensor[i]
+            for j, yj in enumerate(y):
+                if yj:
+                    c = xi * yj
+                    for k, t in enumerate(row[j]):
+                        if t:
+                            out[k] = out[k] + c * t
+    return tuple(out)
 
 
 @dataclass(frozen=True)

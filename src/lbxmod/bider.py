@@ -1,17 +1,17 @@
 """Biderivation spaces and the actor crossed module.
 
-Three flavours of solution space are computed here, all as kernels of
-constraint matrices assembled by evaluating the (linear) defining identities
-on unit matrices:
+The spaces are kernels of linear identity systems whose sparse rows
+{unknown: coefficient} are read straight off the structure constants by
+three reusable blocks: ``_pair_rows`` (a biderivation pair through an
+action), ``_boundary_rows`` (maps intertwine the boundary) and
+``_action_rows`` (a quadruple is compatible with the action).
 
-* ``bider_algebra(a)`` — pairs (der, antider) of maps a -> a where ``der``
-  is a derivation, ``antider`` an anti-derivation, and both have the same
-  left brackets: [x, der(y)] = [x, antider(y)].
-* ``bider_qn(x)`` — pairs of maps base -> top of a crossed module, with the
-  same three identities written through the action brackets.
+* ``bider_qn(x)`` — pairs (der, antider) of maps base -> top of a crossed
+  module: the pair block through its action.
+* ``bider_algebra(a)`` — ``bider_qn`` of the identity crossed module on a.
 * ``bider_xmod(x)`` — quadruples (top_der, top_antider, base_der,
-  base_antider) acting on both layers at once, compatible with the boundary
-  and the action.
+  base_antider): the pair block on each layer through its own bracket,
+  plus the boundary and action blocks.
 
 Each space carries an induced Leibniz bracket; ``actor`` assembles the
 crossed module (pair space) -> (quadruple space) whose boundary sends a pair
@@ -21,13 +21,25 @@ to its boundary-composed quadruple.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .action import ActionData
 from .algebra import LeibnizAlgebra, _unit
 from .fields import Field, InputDataError, Scalar
-from .linalg import LinearSolveError, Matrix, Subspace, nullspace, solve_vector, sub_vectors
+from .linalg import (
+    LinearSolveError,
+    Matrix,
+    Number,
+    Subspace,
+    column_space,
+    nullspace,
+    number,
+    rref,
+    solve_vector,
+    sparse_kernel,
+)
 from .xmod import (
     NO_CONDITION_WARNING,
     CrossedModule,
@@ -90,95 +102,139 @@ class MapSpace:
     def coords_of_maps(self, mats: Maps) -> Optional[tuple[Scalar, ...]]:
         return self.space.coords_of(self.flatten(mats))
 
+    def solution_coords(self, mats: Maps, error: str) -> tuple[Scalar, ...]:
+        """Coordinates of a tuple that theory puts in this space; a
+        ``LinearSolveError(error)`` if it is not there."""
+        coords = self.coords_of_maps(mats)
+        if coords is None:
+            raise LinearSolveError(error)
+        return coords
+
     def member_from_coords(self, coords: Sequence[Scalar]) -> Maps:
         return self.unflatten(self.space.linear_combination(coords))
 
 
-def _solve_map_space(
-    field: Field,
-    shapes: tuple[tuple[int, int], ...],
-    constraint_fn: Callable[[Maps], list[Scalar]],
-) -> Subspace:
-    """Nullspace of the linear system `constraint_fn(maps) = 0`."""
-    total = sum(r * c for r, c in shapes)
-    if total == 0:
-        return Subspace.zero(field, 0)
-    columns = []
-    z, o = field.zero, field.one
-    for u in range(total):
-        mats = []
-        pos = 0
-        for r, c in shapes:
-            rows = [[z] * c for _ in range(r)]
-            if pos <= u < pos + r * c:
-                off = u - pos
-                rows[off // c][off % c] = o
-            pos += r * c
-            mats.append(Matrix(field, r, c, tuple(tuple(row) for row in rows)))
-        columns.append(tuple(constraint_fn(tuple(mats))))
-    n_rows = len(columns[0])
-    constraint = Matrix(field, n_rows, total,
-                        tuple(tuple(columns[u][r] for u in range(total)) for r in range(n_rows)))
-    return nullspace(constraint)
+# -- constraint blocks ----------------------------------------------------
+#
+# The unknowns of a system are the entries of a tuple of maps, concatenated
+# row-major.  A map is addressed by (offset of its first entry, rows, cols).
+# Every identity below is linear in the unknowns and vector valued; it is
+# emitted as one sparse row {unknown: coefficient} per output coordinate,
+# read straight off the structure constants.
+
+_Map = tuple[int, int, int]
+_Sparse = tuple[tuple[int, Number], ...]
+_Row = dict[int, Number]
+
+
+def _layout(shapes: tuple[tuple[int, int], ...]) -> list[_Map]:
+    offsets = itertools.accumulate((r * c for r, c in shapes), initial=0)
+    return [(off, r, c) for off, (r, c) in zip(offsets, shapes)]
+
+
+def _sparse(vec: Sequence[Scalar]) -> _Sparse:
+    return tuple((k, number(c)) for k, c in enumerate(vec) if c)
+
+
+def _applied(m: _Map, vec: _Sparse):
+    """Coordinate k of M(v) for a fixed vector v: sum_c v[c] M[k][c]."""
+    off, rows, cols = m
+    return [(k, off + k * cols + c, t) for c, t in vec for k in range(rows)]
+
+
+def _sent(m: _Map, x: int, images: Sequence[_Sparse]):
+    """Coordinate k of T(M(e_x)) for a fixed linear T with T(e_i) = images[i]."""
+    off, _rows, cols = m
+    return [(k, off + i * cols + x, t) for i, img in enumerate(images) for k, t in img]
+
+
+def _collect(size: int, *terms) -> list[_Row]:
+    """The rows of sum(sign * term) = 0, one per output coordinate."""
+    rows: list[_Row] = [{} for _ in range(size)]
+    for sign, contributions in terms:
+        for k, u, t in contributions:
+            row = rows[k]
+            row[u] = row.get(u, 0) + sign * t
+    return [row for row in rows if row]
+
+
+def _pair_rows(act: ActionData, d: _Map, dd: _Map) -> list[_Row]:
+    """(d, dd): actor -> target is a biderivation pair through the action:
+
+    d([a, b]) = [d(a), b] + [a, d(b)],  dd([a, b]) = [dd(a), b] - [dd(b), a],
+    [a, d(b) - dd(b)] = 0.
+    """
+    src, n = act.actor.dim, act.target.dim
+    tab = [[_sparse(v) for v in row] for row in act.actor.table]
+    left_of = [[_sparse(act.left[a][i]) for i in range(n)] for a in range(src)]    # [e_a, e_i]
+    right_by = [[_sparse(act.right[i][b]) for i in range(n)] for b in range(src)]  # [e_i, e_b]
+    rows: list[_Row] = []
+    for a in range(src):
+        for b in range(src):
+            rows += _collect(n, (1, _applied(d, tab[a][b])), (-1, _sent(d, a, right_by[b])),
+                             (-1, _sent(d, b, left_of[a])))
+            rows += _collect(n, (1, _applied(dd, tab[a][b])), (-1, _sent(dd, a, right_by[b])),
+                             (1, _sent(dd, b, right_by[a])))
+            rows += _collect(n, (1, _sent(d, b, left_of[a])), (-1, _sent(dd, b, left_of[a])))
+    return rows
+
+
+def _boundary_rows(mu: Matrix, top: _Map, base: _Map) -> list[_Row]:
+    """The boundary intertwines the maps: mu @ top = base @ mu."""
+    mu_cols = [_sparse(mu.column(i)) for i in range(mu.cols)]
+    rows: list[_Row] = []
+    for j in range(mu.cols):
+        rows += _collect(mu.rows, (1, _sent(top, j, mu_cols)), (-1, _applied(base, mu_cols[j])))
+    return rows
+
+
+def _action_rows(act: ActionData, s1: _Map, t1: _Map, s2: _Map, t2: _Map) -> list[_Row]:
+    """The quadruple is compatible with the action of the base on the top."""
+    q, n = act.actor.dim, act.target.dim
+    left_of = [[_sparse(act.left[a][j]) for j in range(n)] for a in range(q)]    # [e_a, e_j]
+    left_on = [[_sparse(act.left[b][i]) for b in range(q)] for i in range(n)]    # [e_b, e_i]
+    right_by = [[_sparse(act.right[j][a]) for j in range(n)] for a in range(q)]  # [e_j, e_a]
+    right_of = [[_sparse(act.right[i][b]) for b in range(q)] for i in range(n)]  # [e_i, e_b]
+    rows: list[_Row] = []
+    for a in range(q):
+        for i in range(n):
+            la, ra = _sparse(act.left[a][i]), _sparse(act.right[i][a])
+            rows += _collect(n, (1, _applied(s1, la)), (-1, _sent(s2, a, left_on[i])),
+                             (-1, _sent(s1, i, left_of[a])))
+            rows += _collect(n, (1, _applied(s1, ra)), (-1, _sent(s1, i, right_by[a])),
+                             (-1, _sent(s2, a, right_of[i])))
+            rows += _collect(n, (1, _applied(t1, la)), (-1, _sent(t2, a, left_on[i])),
+                             (1, _sent(t1, i, right_by[a])))
+            rows += _collect(n, (1, _applied(t1, ra)), (-1, _sent(t1, i, right_by[a])),
+                             (1, _sent(t2, a, left_on[i])))
+            rows += _collect(n, (1, _sent(s1, i, left_of[a])), (-1, _sent(t1, i, left_of[a])))
+            rows += _collect(n, (1, _sent(s2, a, right_of[i])), (-1, _sent(t2, a, right_of[i])))
+    return rows
 
 
 def _space_with_algebra(
     field: Field,
     shapes: tuple[tuple[int, int], ...],
-    constraint_fn: Callable[[Maps], list[Scalar]],
+    rows: list[_Row],
     bracket_fn: Callable[[Maps, Maps], Maps],
 ) -> MapSpace:
-    space = _solve_map_space(field, shapes, constraint_fn)
+    space = sparse_kernel(field, sum(r * c for r, c in shapes), rows)
     probe = MapSpace(field, shapes, space, LeibnizAlgebra.abelian(field, 0))
-    k = space.dim
-    table = []
-    for s in range(k):
-        row = []
-        for t in range(k):
-            w = bracket_fn(probe.basis_maps(s), probe.basis_maps(t))
-            coords = space.coords_of(probe.flatten(w))
-            if coords is None:
-                raise LinearSolveError("bracket of two solutions left the solution space")
-            row.append(coords)
-        table.append(tuple(row))
-    alg = LeibnizAlgebra(field, k, tuple(table))
-    return MapSpace(field, shapes, space, alg)
+    basis = [probe.basis_maps(t) for t in range(space.dim)]
+    table = tuple(
+        tuple(probe.solution_coords(bracket_fn(u, v), "bracket of two solutions left the solution space")
+              for v in basis)
+        for u in basis
+    )
+    return MapSpace(field, shapes, space, LeibnizAlgebra(field, space.dim, table))
 
 
-# -- pair spaces on a single algebra ------------------------------------
+# -- pair spaces ----------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
 def bider_algebra(a: LeibnizAlgebra) -> MapSpace:
-    n = a.dim
-    units = [_unit(a.field, n, i) for i in range(n)]
-
-    def constraints(mats: Maps) -> list[Scalar]:
-        d, dd = mats
-        out: list[Scalar] = []
-        for i in range(n):
-            for j in range(n):
-                der = sub_vectors(
-                    d.apply(a.table[i][j]),
-                    tuple(x + y for x, y in zip(a.bracket(d.column(i), units[j]),
-                                                a.bracket(units[i], d.column(j)))),
-                )
-                anti = sub_vectors(
-                    dd.apply(a.table[i][j]),
-                    sub_vectors(a.bracket(dd.column(i), units[j]), a.bracket(dd.column(j), units[i])),
-                )
-                mixed = a.bracket(units[i], sub_vectors(d.column(j), dd.column(j)))
-                out.extend(der)
-                out.extend(anti)
-                out.extend(mixed)
-        return out
-
-    def bracket(x: Maps, y: Maps) -> Maps:
-        d1, dd1 = x
-        d2, dd2 = y
-        return (d1 @ d2 - d2 @ d1, dd1 @ d2 - d2 @ dd1)
-
-    return _space_with_algebra(a.field, ((n, n), (n, n)), constraints, bracket)
+    """Biderivation pairs (der, antider) of a, the pair space of a -> a."""
+    return bider_qn(CrossedModule.identity_on(a))
 
 
 def inner_biderivation(a: LeibnizAlgebra, x: Sequence[Scalar]) -> Maps:
@@ -186,36 +242,11 @@ def inner_biderivation(a: LeibnizAlgebra, x: Sequence[Scalar]) -> Maps:
     return (-a.right_operator(x), a.left_operator(x))
 
 
-# -- pair spaces base -> top on a crossed module -------------------------
-
-
 @functools.lru_cache(maxsize=None)
 def bider_qn(x: CrossedModule) -> MapSpace:
-    q, n_alg, act = x.base, x.top, x.action
-    qd, nd = q.dim, n_alg.dim
-    qunits = [_unit(q.field, qd, a) for a in range(qd)]
-
-    def constraints(mats: Maps) -> list[Scalar]:
-        d, dd = mats
-        out: list[Scalar] = []
-        for a in range(qd):
-            for b in range(qd):
-                der = sub_vectors(
-                    d.apply(q.table[a][b]),
-                    tuple(u + v for u, v in zip(act.act_right(d.column(a), qunits[b]),
-                                                act.act_left(qunits[a], d.column(b)))),
-                )
-                anti = sub_vectors(
-                    dd.apply(q.table[a][b]),
-                    sub_vectors(act.act_right(dd.column(a), qunits[b]),
-                                act.act_right(dd.column(b), qunits[a])),
-                )
-                mixed = act.act_left(qunits[a], sub_vectors(d.column(b), dd.column(b)))
-                out.extend(der)
-                out.extend(anti)
-                out.extend(mixed)
-        return out
-
+    """Pairs of maps base -> top satisfying the pair identities through the action."""
+    shapes = ((x.top.dim, x.base.dim),) * 2
+    d, dd = _layout(shapes)
     mu = x.boundary
 
     def bracket(u: Maps, v: Maps) -> Maps:
@@ -223,7 +254,7 @@ def bider_qn(x: CrossedModule) -> MapSpace:
         d2, dd2 = v
         return (d1 @ (mu @ d2) - d2 @ (mu @ d1), dd1 @ (mu @ d2) - d2 @ (mu @ dd1))
 
-    return _space_with_algebra(q.field, ((nd, qd), (nd, qd)), constraints, bracket)
+    return _space_with_algebra(x.top.field, shapes, _pair_rows(x.action, d, dd), bracket)
 
 
 def inner_action_pair(x: CrossedModule, nvec: Sequence[Scalar]) -> Maps:
@@ -240,76 +271,16 @@ def inner_action_pair(x: CrossedModule, nvec: Sequence[Scalar]) -> Maps:
 
 @functools.lru_cache(maxsize=None)
 def bider_xmod(x: CrossedModule) -> MapSpace:
-    n_alg, q, act, mu = x.top, x.base, x.action, x.boundary
-    nd, qd = n_alg.dim, q.dim
-    nunits = [_unit(q.field, nd, i) for i in range(nd)]
-    qunits = [_unit(q.field, qd, a) for a in range(qd)]
-
-    def constraints(mats: Maps) -> list[Scalar]:
-        s1, t1, s2, t2 = mats
-        out: list[Scalar] = []
-        # (s1, t1) is a biderivation pair of the top algebra
-        for i in range(nd):
-            for j in range(nd):
-                out.extend(sub_vectors(
-                    s1.apply(n_alg.table[i][j]),
-                    tuple(u + v for u, v in zip(n_alg.bracket(s1.column(i), nunits[j]),
-                                                n_alg.bracket(nunits[i], s1.column(j)))),
-                ))
-                out.extend(sub_vectors(
-                    t1.apply(n_alg.table[i][j]),
-                    sub_vectors(n_alg.bracket(t1.column(i), nunits[j]),
-                                n_alg.bracket(t1.column(j), nunits[i])),
-                ))
-                out.extend(n_alg.bracket(nunits[i], sub_vectors(s1.column(j), t1.column(j))))
-        # (s2, t2) is a biderivation pair of the base algebra
-        for a in range(qd):
-            for b in range(qd):
-                out.extend(sub_vectors(
-                    s2.apply(q.table[a][b]),
-                    tuple(u + v for u, v in zip(q.bracket(s2.column(a), qunits[b]),
-                                                q.bracket(qunits[a], s2.column(b)))),
-                ))
-                out.extend(sub_vectors(
-                    t2.apply(q.table[a][b]),
-                    sub_vectors(q.bracket(t2.column(a), qunits[b]),
-                                q.bracket(t2.column(b), qunits[a])),
-                ))
-                out.extend(q.bracket(qunits[a], sub_vectors(s2.column(b), t2.column(b))))
-        # boundary compatibility
-        for mat_pair in ((s1, s2), (t1, t2)):
-            top_side, base_side = mat_pair
-            diff = mu @ top_side - base_side @ mu
-            for row in diff.entries:
-                out.extend(row)
-        # action compatibility
-        for a in range(qd):
-            for i in range(nd):
-                la = act.left[a][i]
-                ra = act.right[i][a]
-                out.extend(sub_vectors(
-                    s1.apply(la),
-                    tuple(u + v for u, v in zip(act.act_left(s2.column(a), nunits[i]),
-                                                act.act_left(qunits[a], s1.column(i)))),
-                ))
-                out.extend(sub_vectors(
-                    s1.apply(ra),
-                    tuple(u + v for u, v in zip(act.act_right(s1.column(i), qunits[a]),
-                                                act.act_right(nunits[i], s2.column(a)))),
-                ))
-                out.extend(sub_vectors(
-                    t1.apply(la),
-                    sub_vectors(act.act_left(t2.column(a), nunits[i]),
-                                act.act_right(t1.column(i), qunits[a])),
-                ))
-                out.extend(sub_vectors(
-                    t1.apply(ra),
-                    sub_vectors(act.act_right(t1.column(i), qunits[a]),
-                                act.act_left(t2.column(a), nunits[i])),
-                ))
-                out.extend(act.act_left(qunits[a], sub_vectors(s1.column(i), t1.column(i))))
-                out.extend(act.act_right(nunits[i], sub_vectors(s2.column(a), t2.column(a))))
-        return out
+    """Quadruples (s1, t1, s2, t2): pairs on the top and on the base that
+    intertwine the boundary and are compatible with the action."""
+    nd, qd = x.top.dim, x.base.dim
+    shapes = ((nd, nd), (nd, nd), (qd, qd), (qd, qd))
+    s1, t1, s2, t2 = _layout(shapes)
+    rows = (_pair_rows(ActionData.by_bracket(x.top), s1, t1)
+            + _pair_rows(ActionData.by_bracket(x.base), s2, t2)
+            + _boundary_rows(x.boundary, s1, s2)
+            + _boundary_rows(x.boundary, t1, t2)
+            + _action_rows(x.action, s1, t1, s2, t2))
 
     def bracket(u: Maps, v: Maps) -> Maps:
         s1, t1, s2, t2 = u
@@ -317,7 +288,7 @@ def bider_xmod(x: CrossedModule) -> MapSpace:
         return (s1 @ s1p - s1p @ s1, t1 @ s1p - s1p @ t1,
                 s2 @ s2p - s2p @ s2, t2 @ s2p - s2p @ t2)
 
-    return _space_with_algebra(q.field, ((nd, nd), (nd, nd), (qd, qd), (qd, qd)), constraints, bracket)
+    return _space_with_algebra(x.top.field, shapes, rows, bracket)
 
 
 def inner_quadruple(x: CrossedModule, qvec: Sequence[Scalar]) -> Maps:
@@ -361,11 +332,8 @@ def delta(x: CrossedModule) -> Matrix:
     cols = []
     for t in range(pairs.dim):
         d, dd = pairs.basis_maps(t)
-        quad = (d @ mu, dd @ mu, mu @ d, mu @ dd)
-        coords = quads.coords_of_maps(quad)
-        if coords is None:
-            raise LinearSolveError("boundary-composed pair is not a quadruple solution")
-        cols.append(coords)
+        cols.append(quads.solution_coords((d @ mu, dd @ mu, mu @ d, mu @ dd),
+                                          "boundary-composed pair is not a quadruple solution"))
     return Matrix.from_columns(x.top.field, cols, quads.dim)
 
 
@@ -374,24 +342,13 @@ def actor(x: CrossedModule) -> CrossedModule:
     """The crossed module (pair space) -> (quadruple space)."""
     pairs = bider_qn(x)
     quads = bider_xmod(x)
-    f = x.top.field
-
-    def pair_coords(maps: Maps) -> tuple[Scalar, ...]:
-        coords = pairs.coords_of_maps(maps)
-        if coords is None:
-            raise LinearSolveError("actor action left the pair space")
-        return coords
-
-    left = tuple(
-        tuple(pair_coords(pair_quad_bracket_left(quads.basis_maps(a), pairs.basis_maps(i)))
-              for i in range(pairs.dim))
-        for a in range(quads.dim)
-    )
-    right = tuple(
-        tuple(pair_coords(pair_quad_bracket_right(pairs.basis_maps(i), quads.basis_maps(a)))
-              for a in range(quads.dim))
-        for i in range(pairs.dim)
-    )
+    pair_basis = [pairs.basis_maps(i) for i in range(pairs.dim)]
+    quad_basis = [quads.basis_maps(a) for a in range(quads.dim)]
+    error = "actor action left the pair space"
+    left = tuple(tuple(pairs.solution_coords(pair_quad_bracket_left(quad, pair), error) for pair in pair_basis)
+                 for quad in quad_basis)
+    right = tuple(tuple(pairs.solution_coords(pair_quad_bracket_right(pair, quad), error) for quad in quad_basis)
+                  for pair in pair_basis)
     act = ActionData(quads.algebra, pairs.algebra, left, right)
     return CrossedModule(pairs.algebra, quads.algebra, delta(x), act)
 
@@ -402,18 +359,12 @@ def canonical_morphism(x: CrossedModule) -> XModMorphism:
     pairs = bider_qn(x)
     quads = bider_xmod(x)
     f = x.top.field
-    top_cols = []
-    for i in range(x.top.dim):
-        coords = pairs.coords_of_maps(inner_action_pair(x, _unit(f, x.top.dim, i)))
-        if coords is None:
-            raise LinearSolveError("inner pair is not a pair-space solution")
-        top_cols.append(coords)
-    base_cols = []
-    for a in range(x.base.dim):
-        coords = quads.coords_of_maps(inner_quadruple(x, _unit(f, x.base.dim, a)))
-        if coords is None:
-            raise LinearSolveError("inner quadruple is not a quadruple-space solution")
-        base_cols.append(coords)
+    top_cols = [pairs.solution_coords(inner_action_pair(x, _unit(f, x.top.dim, i)),
+                                      "inner pair is not a pair-space solution")
+                for i in range(x.top.dim)]
+    base_cols = [quads.solution_coords(inner_quadruple(x, _unit(f, x.base.dim, a)),
+                                       "inner quadruple is not a quadruple-space solution")
+                 for a in range(x.base.dim)]
     return XModMorphism(
         x, actor(x),
         Matrix.from_columns(f, top_cols, pairs.dim),
@@ -456,8 +407,6 @@ def sequence_problems(s: ShortExactSequence) -> list[str]:
         problems.append("inclusion is not a morphism")
     if not validate_morphism(s.project).ok:
         problems.append("projection is not a morphism")
-    from .linalg import column_space, rref
-
     for layer, inc, proj, first_dim, last_dim in (
         ("top", s.include.top_map, s.project.top_map, s.first.top.dim, s.last.top.dim),
         ("base", s.include.base_map, s.project.base_map, s.first.base.dim, s.last.base.dim),
@@ -466,9 +415,7 @@ def sequence_problems(s: ShortExactSequence) -> list[str]:
             problems.append(f"{layer} inclusion is not injective")
         if rref(proj).rank != last_dim:
             problems.append(f"{layer} projection is not surjective")
-        from .linalg import nullspace as _ns
-
-        if column_space(inc) != _ns(proj):
+        if column_space(inc) != nullspace(proj):
             problems.append(f"{layer} layer is not exact in the middle")
     return problems
 
@@ -520,10 +467,7 @@ def lift_sequence(s: ShortExactSequence) -> LiftResult:
             dcols.append(tuple(-c for c in _pullback(ft, mid.action.act_left(qa, e))))
             ddcols.append(_pullback(ft, mid.action.act_right(e, qa)))
         pair = (Matrix.from_columns(f, dcols, x.top.dim), Matrix.from_columns(f, ddcols, x.top.dim))
-        coords = pairs.coords_of_maps(pair)
-        if coords is None:
-            raise LinearSolveError("lifted pair is not a pair-space solution")
-        alpha_cols.append(coords)
+        alpha_cols.append(pairs.solution_coords(pair, "lifted pair is not a pair-space solution"))
     alpha = Matrix.from_columns(f, alpha_cols, pairs.dim)
 
     beta_cols = []
@@ -547,10 +491,7 @@ def lift_sequence(s: ShortExactSequence) -> LiftResult:
             Matrix.from_columns(f, s2_cols, x.base.dim),
             Matrix.from_columns(f, t2_cols, x.base.dim),
         )
-        coords = quads.coords_of_maps(quad)
-        if coords is None:
-            raise LinearSolveError("lifted quadruple is not a quadruple-space solution")
-        beta_cols.append(coords)
+        beta_cols.append(quads.solution_coords(quad, "lifted quadruple is not a quadruple-space solution"))
     beta = Matrix.from_columns(f, beta_cols, quads.dim)
 
     morphism = XModMorphism(mid, actor(x), alpha, beta)

@@ -1,18 +1,25 @@
-"""Exact dense linear algebra over a field object.
+"""Exact linear algebra over a field object.
 
 Matrices are immutable row-major tuples; linear maps act on column vectors
 (``apply``), so a map f: k^c -> k^r is an r x c matrix.  Subspaces of k^n are
 stored by their unique reduced-row-echelon basis, which makes equality of
 subspaces plain tuple equality and keeps every downstream report canonical.
+
+Small dense systems go through ``rref``.  Large sparse ones, given as rows
+``{unknown: coefficient}``, go through ``sparse_kernel``, which eliminates on
+the row dicts with plain ``int`` residues over F_p and ``Fraction`` over Q.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from fractions import Fraction
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .fields import Field, InputDataError, Scalar
+from .fields import Field, FpElement, InputDataError, PrimeField, Scalar
+
+# A coefficient of a sparse row: a rational, or an integer read mod p.
+Number = Union[int, Fraction]
 
 
 class LinearSolveError(RuntimeError):
@@ -73,9 +80,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix(self.field, self.cols, self.rows, tuple(self.column(j) for j in range(self.cols)))
 
-    def is_zero(self) -> bool:
-        return all(not x for row in self.entries for x in row)
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -95,20 +99,20 @@ class Matrix:
     def __neg__(self) -> "Matrix":
         return Matrix(self.field, self.rows, self.cols, tuple(tuple(-a for a in row) for row in self.entries))
 
-    def scale(self, c: Scalar) -> "Matrix":
-        return Matrix(self.field, self.rows, self.cols, tuple(tuple(c * a for a in row) for row in self.entries))
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise InputDataError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         z = self.field.zero
+        # skip zero entries on both sides: the structure maps are mostly zero
+        other_rows = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
         out = []
-        for i in range(self.rows):
-            ri = self.entries[i]
-            out.append(tuple(
-                sum((ri[k] * other.entries[k][j] for k in range(self.cols)), z)
-                for j in range(other.cols)
-            ))
+        for ri in self.entries:
+            acc = [z] * other.cols
+            for a, terms in zip(ri, other_rows):
+                if a:
+                    for j, b in terms:
+                        acc[j] = acc[j] + a * b
+            out.append(tuple(acc))
         return Matrix(self.field, self.rows, other.cols, tuple(out))
 
     def apply(self, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
@@ -116,7 +120,16 @@ class Matrix:
         if len(vec) != self.cols:
             raise InputDataError(f"vector of length {len(vec)} for a {self.rows}x{self.cols} matrix")
         z = self.field.zero
-        return tuple(sum((row[k] * vec[k] for k in range(self.cols)), z) for row in self.entries)
+        terms = [(k, v) for k, v in enumerate(vec) if v]
+        out = []
+        for row in self.entries:
+            acc = z
+            for k, v in terms:
+                a = row[k]
+                if a:
+                    acc = acc + a * v
+            out.append(acc)
+        return tuple(out)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
@@ -148,10 +161,6 @@ def add_vectors(a: Sequence[Scalar], b: Sequence[Scalar]) -> tuple[Scalar, ...]:
 
 def sub_vectors(a: Sequence[Scalar], b: Sequence[Scalar]) -> tuple[Scalar, ...]:
     return tuple(x - y for x, y in zip(a, b))
-
-
-def scale_vector(c: Scalar, a: Sequence[Scalar]) -> tuple[Scalar, ...]:
-    return tuple(c * x for x in a)
 
 
 @dataclass(frozen=True)
@@ -227,10 +236,11 @@ class Subspace:
         """Subtract basis rows to zero out the pivot coordinates of vec."""
         v = list(vec)
         for t, p in enumerate(self.pivots):
-            if v[p]:
-                c = v[p]
-                row = self.basis.entries[t]
-                v = [x - c * y for x, y in zip(v, row)]
+            c = v[p]
+            if c:
+                for j, y in enumerate(self.basis.entries[t]):
+                    if y:
+                        v[j] = v[j] - c * y
         return tuple(v)
 
     def contains(self, vec: Sequence[Scalar]) -> bool:
@@ -341,6 +351,75 @@ def solve_vector(a: Matrix, vec: Sequence[Scalar]) -> Optional[tuple[Scalar, ...
     return res.column(0)
 
 
-def all_vectors(field: Field, n: int, elements: Sequence[Scalar]) -> Iterable[tuple[Scalar, ...]]:
-    """Every vector of k^n for a finite scalar list (test/enumeration aid)."""
-    return itertools.product(elements, repeat=n)
+def number(x: Scalar) -> Number:
+    """A scalar as a sparse-row coefficient: the residue of an F_p element."""
+    return x.value if isinstance(x, FpElement) else x
+
+
+def _axpy(dst: dict[int, Number], f: Number, src: Mapping[int, Number], p: int) -> None:
+    """dst += f * src in place, dropping entries that become zero."""
+    get = dst.get
+    for c, v in src.items():
+        x = get(c, 0) + f * v
+        if p:
+            x %= p
+        if x:
+            dst[c] = x
+        else:
+            dst.pop(c, None)
+
+
+def _sparse_rref(rows: Iterable[Mapping[int, Number]], p: int) -> dict[int, dict[int, Number]]:
+    """Reduced row echelon form of sparse rows, over F_p if p else over Q.
+
+    Returns {pivot column: row}; every row has coefficient 1 at its pivot,
+    its first nonzero column, and 0 at every other pivot column.  Rows are
+    taken one at a time and reduced against the pivot rows found so far,
+    which then stay reduced against the new one.
+    """
+    done: dict[int, dict[int, Number]] = {}
+    for src in rows:
+        if p:
+            row = {c: v % p for c, v in src.items() if v % p}
+        else:
+            row = {c: v for c, v in src.items() if v}
+        for c in [c for c in row if c in done]:
+            _axpy(row, -row[c], done[c], p)
+        if not row:
+            continue
+        lead = min(row)
+        inv = pow(row[lead], -1, p) if p else Fraction(1) / row[lead]
+        row = {c: v * inv % p for c, v in row.items()} if p else {c: v * inv for c, v in row.items()}
+        for other in done.values():
+            f = other.get(lead)
+            if f:
+                _axpy(other, -f, row, p)
+        done[lead] = row
+    return done
+
+
+def sparse_kernel(field: Field, ncols: int, rows: Iterable[Mapping[int, Number]]) -> Subspace:
+    """Kernel of the system {sum(c * x[u] for u, c in row.items()) = 0},
+    as a subspace of k^ncols.
+
+    Coefficients are ints or Fractions (see ``number``); over F_p they are
+    read mod p.  The result is the canonical ``Subspace``, the same one
+    ``nullspace`` gives for the dense matrix of the rows.
+    """
+    p = field.p if isinstance(field, PrimeField) else 0
+    red = _sparse_rref(rows, p)
+    gens: dict[int, dict[int, Number]] = {f: {f: 1} for f in range(ncols) if f not in red}
+    for lead, row in red.items():
+        for c, v in row.items():
+            if c != lead:
+                gens[c][lead] = -v
+    basis = _sparse_rref(gens.values(), p)
+    pivots = tuple(sorted(basis))
+    z = field.zero
+    dense = []
+    for lead in pivots:
+        vec = [z] * ncols
+        for c, v in basis[lead].items():
+            vec[c] = field.coerce(v)
+        dense.append(tuple(vec))
+    return Subspace(field, ncols, Matrix(field, len(dense), ncols, tuple(dense)), pivots)

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .action import ActionData, Tensor, semidirect_algebra, validate_action
-from .algebra import LeibnizAlgebra, ValidationReport, Violation, _unit
+from .algebra import LeibnizAlgebra, ValidationReport, Violation, _contract, _unit
 from .fields import Field, InputDataError, Scalar
-from .linalg import LinearSolveError, Matrix, add_vectors, scale_vector, zero_vector
+from .linalg import Matrix, zero_vector
 from .bider import MapSpace, ShortExactSequence, actor, bider_qn, bider_xmod
 from .xmod import (
     ConditionFlags,
@@ -64,18 +64,6 @@ class ConditionsNotMetError(ValueError):
         self.profile = profile
 
 
-def _bilinear(field: Field, tensor: Tensor, x: Sequence[Scalar], y: Sequence[Scalar], out_dim: int):
-    out = zero_vector(field, out_dim)
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        for j, yj in enumerate(y):
-            if not yj:
-                continue
-            out = add_vectors(out, scale_vector(xi * yj, tensor[i][j]))
-    return out
-
-
 @dataclass(frozen=True)
 class XModActionData:
     actor_xmod: CrossedModule   # (m, p, eta)
@@ -103,10 +91,10 @@ class XModActionData:
 
     # bilinear evaluation of the two pairings
     def pair_mq(self, mvec: Sequence[Scalar], qvec: Sequence[Scalar]):
-        return _bilinear(self.field, self.cross_mq, mvec, qvec, self.target_xmod.top.dim)
+        return _contract(self.field, self.cross_mq, mvec, qvec, self.target_xmod.top.dim)
 
     def pair_qm(self, qvec: Sequence[Scalar], mvec: Sequence[Scalar]):
-        return _bilinear(self.field, self.cross_qm, qvec, mvec, self.target_xmod.top.dim)
+        return _contract(self.field, self.cross_qm, qvec, mvec, self.target_xmod.top.dim)
 
     @property
     def field(self) -> Field:
@@ -311,10 +299,7 @@ def morphism_from_action(d: XModActionData) -> ActionToMorphismResult:
             f, [tuple(-c for c in d.cross_qm[a][i]) for a in range(y.base.dim)], y.top.dim)
         ddmat = Matrix.from_columns(
             f, [d.cross_mq[i][a] for a in range(y.base.dim)], y.top.dim)
-        coords = pairs.coords_of_maps((dmat, ddmat))
-        if coords is None:
-            raise LinearSolveError("pairing maps do not form a pair-space solution")
-        top_cols.append(coords)
+        top_cols.append(pairs.solution_coords((dmat, ddmat), "pairing maps do not form a pair-space solution"))
 
     base_cols = []
     for b in range(x.base.dim):
@@ -326,10 +311,8 @@ def morphism_from_action(d: XModActionData) -> ActionToMorphismResult:
             f, [tuple(-c for c in d.act_on_base.right[a][b]) for a in range(y.base.dim)], y.base.dim)
         t2 = Matrix.from_columns(
             f, [d.act_on_base.left[b][a] for a in range(y.base.dim)], y.base.dim)
-        coords = quads.coords_of_maps((s1, t1, s2, t2))
-        if coords is None:
-            raise LinearSolveError("action maps do not form a quadruple-space solution")
-        base_cols.append(coords)
+        base_cols.append(quads.solution_coords((s1, t1, s2, t2),
+                                               "action maps do not form a quadruple-space solution"))
 
     morphism = ActorMorphism(
         x, y,

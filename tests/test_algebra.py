@@ -1,5 +1,6 @@
 """Leibniz algebras: the defining identity, derived subspaces, constructions."""
 import itertools
+import tracemalloc
 
 import pytest
 from oracles import ints_of_table, is_leibniz
@@ -123,3 +124,15 @@ def test_validator_agrees_with_brute_force_on_all_2dim_mod2_tables():
 def test_catalog_tables_match_their_oracle_view():
     l2 = build_entry("l2", GF2)
     assert is_leibniz(ints_of_table(l2), 2)
+
+
+def test_oversized_dimension_is_refused_before_the_table_is_built():
+    # the dim^3 table of dimension 200 would take about 64 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputDataError, match="outside"):
+            LeibnizAlgebra.from_brackets(QQ, 200, {})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

@@ -1,7 +1,9 @@
 """Exact linear algebra: reduction, spans, solving.
 
-The hypothesis blocks generate small rational matrices; the mod-2 block at
-the end grinds through every 3x3 matrix as a no-randomness backstop.
+The hypothesis blocks generate small rational matrices, zero-heavy matrices
+over Q, F2 and F3 for the products, and sparse systems for ``sparse_kernel``;
+the mod-2 block at the end grinds through every 3x3 matrix as a
+no-randomness backstop.
 """
 import itertools
 from fractions import Fraction
@@ -10,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lbxmod import GF2, QQ
-from lbxmod.linalg import Matrix, Subspace, column_space, nullspace, rref, solve_vector
+from lbxmod import GF2, GF3, QQ
+from lbxmod.linalg import Matrix, Subspace, column_space, nullspace, rref, solve_vector, sparse_kernel
 
 entries = st.integers(min_value=-4, max_value=4).map(Fraction)
 
@@ -106,6 +108,74 @@ def test_matrix_shapes_and_composition():
         QQ.zero,
         QQ.zero,
     )
+
+
+FIELDS = (QQ, GF2, GF3)
+
+
+def sparse_entries(field):
+    """Mostly zeros; over Q also proper fractions, over F_p any integer."""
+    nonzero = st.fractions(-3, 3, max_denominator=3) if field == QQ else st.integers(-7, 7)
+    return st.one_of(st.just(0), st.just(0), nonzero)
+
+
+@st.composite
+def zero_heavy_matrix(draw, field, rows, cols):
+    dense = draw(st.booleans())  # half the matrices without forced zeros
+    cell = st.integers(-3, 3) if dense else sparse_entries(field)
+    data = [[field.coerce(draw(cell)) for _ in range(cols)] for _ in range(rows)]
+    return Matrix(field, rows, cols, tuple(tuple(r) for r in data))
+
+
+@st.composite
+def product_case(draw):
+    field = draw(st.sampled_from(FIELDS))
+    r, k, c = (draw(st.integers(0, 4)) for _ in range(3))
+    a = draw(zero_heavy_matrix(field, r, k))
+    b = draw(zero_heavy_matrix(field, k, c))
+    vec = tuple(field.coerce(draw(sparse_entries(field))) for _ in range(k))
+    return a, b, vec
+
+
+def naive_matmul(a, b):
+    out = [[a.field.zero] * b.cols for _ in range(a.rows)]
+    for i in range(a.rows):
+        for j in range(b.cols):
+            for k in range(a.cols):
+                out[i][j] = out[i][j] + a.entries[i][k] * b.entries[k][j]
+    return tuple(tuple(r) for r in out)
+
+
+@given(product_case())
+@settings(max_examples=200)
+def test_zero_skipping_products_match_the_triple_loop(case):
+    a, b, vec = case
+    prod = a @ b
+    assert (prod.rows, prod.cols) == (a.rows, b.cols)
+    assert prod.entries == naive_matmul(a, b)
+    column = Matrix.from_columns(a.field, [vec], a.cols)
+    assert a.apply(vec) == tuple(r[0] for r in naive_matmul(a, column))
+    scalar_type = type(a.field.zero)
+    assert all(type(x) is scalar_type for r in prod.entries for x in r)
+    assert all(type(x) is scalar_type for x in a.apply(vec))
+
+
+@st.composite
+def sparse_system(draw):
+    field = draw(st.sampled_from(FIELDS))
+    ncols = draw(st.integers(0, 6))
+    cell = st.tuples(st.integers(0, max(ncols - 1, 0)), sparse_entries(field))
+    rows = draw(st.lists(st.lists(cell, max_size=4).map(dict), max_size=8)) if ncols else []
+    return field, ncols, rows
+
+
+@given(sparse_system())
+@settings(max_examples=200)
+def test_sparse_kernel_equals_the_dense_nullspace(case):
+    field, ncols, rows = case
+    dense = Matrix(field, len(rows), ncols,
+                   tuple(tuple(field.coerce(row.get(c, 0)) for c in range(ncols)) for row in rows))
+    assert sparse_kernel(field, ncols, rows) == nullspace(dense)
 
 
 def test_every_3x3_mod2_matrix_has_consistent_kernel():
