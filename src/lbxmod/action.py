@@ -10,11 +10,22 @@ The tensors are stored as ``left[a][i]`` = [p_a, m_i] and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Sequence
 
-from .algebra import LeibnizAlgebra, ValidationReport, Violation, _contract, _unit
+from .algebra import (
+    LeibnizAlgebra,
+    SparseTensor,
+    ValidationReport,
+    Violation,
+    _check,
+    _contract,
+    _sparse_tensor,
+    _unit,
+    _units,
+)
 from .fields import InputDataError, Scalar
-from .linalg import Matrix, sub_vectors, zero_vector
+from .linalg import Matrix, zero_vector
 
 Tensor = tuple[tuple[tuple[Scalar, ...], ...], ...]
 
@@ -61,11 +72,19 @@ class ActionData:
 
     # -- evaluation ---------------------------------------------------
 
+    @cached_property
+    def sparse_left(self) -> SparseTensor:
+        return _sparse_tensor(self.left)
+
+    @cached_property
+    def sparse_right(self) -> SparseTensor:
+        return _sparse_tensor(self.right)
+
     def act_left(self, pvec: Sequence[Scalar], mvec: Sequence[Scalar]) -> tuple[Scalar, ...]:
-        return _contract(self.target.field, self.left, pvec, mvec, self.target.dim)
+        return _contract(self.target.field, self.sparse_left, pvec, mvec, self.target.dim)
 
     def act_right(self, mvec: Sequence[Scalar], pvec: Sequence[Scalar]) -> tuple[Scalar, ...]:
-        return _contract(self.target.field, self.right, mvec, pvec, self.target.dim)
+        return _contract(self.target.field, self.sparse_right, mvec, pvec, self.target.dim)
 
     def left_operator(self, pvec: Sequence[Scalar]) -> Matrix:
         """Matrix of m -> [p, m] for a fixed actor element."""
@@ -85,48 +104,31 @@ def validate_action(d: ActionData) -> ValidationReport:
     lists the basis indices in the order the identity quantifies them.
     """
     p, m = d.actor, d.target
-    pu = [_unit(p.field, p.dim, a) for a in range(p.dim)]
-    mu = [_unit(m.field, m.dim, i) for i in range(m.dim)]
+    f, n, pt, mt = m.field, m.dim, p.sparse_table, m.sparse_table
+    left, right = d.sparse_left, d.sparse_right  # [p, m], [m, p]
+    e = _units(max(p.dim, n))
     bad: list[Violation] = []
-
-    def check(label: str, witness: tuple[int, ...], lhs, rhs1, rhs2) -> None:
-        rhs = sub_vectors(rhs1, rhs2)
-        if lhs != rhs:
-            bad.append(Violation(label, witness, tuple(lhs), tuple(rhs)))
-
     for a in range(p.dim):
-        for i in range(m.dim):
-            for j in range(m.dim):
-                check("act1", (a, i, j),
-                      d.act_left(pu[a], m.table[i][j]),
-                      m.bracket(d.left[a][i], mu[j]),
-                      m.bracket(d.left[a][j], mu[i]))
-                check("act2", (i, a, j),
-                      m.bracket(mu[i], d.left[a][j]),
-                      m.bracket(d.right[i][a], mu[j]),
-                      d.act_right(m.table[i][j], pu[a]))
-                check("act3", (i, j, a),
-                      m.bracket(mu[i], d.right[j][a]),
-                      d.act_right(m.table[i][j], pu[a]),
-                      m.bracket(d.right[i][a], mu[j]))
-    for i in range(m.dim):
+        for i in range(n):
+            for j in range(n):
+                _check(bad, f, n, "act1", (a, i, j), [(1, left, e[a], mt[i][j])],
+                       [(1, mt, left[a][i], e[j]), (-1, mt, left[a][j], e[i])])
+                _check(bad, f, n, "act2", (i, a, j), [(1, mt, e[i], left[a][j])],
+                       [(1, mt, right[i][a], e[j]), (-1, right, mt[i][j], e[a])])
+                _check(bad, f, n, "act3", (i, j, a), [(1, mt, e[i], right[j][a])],
+                       [(1, right, mt[i][j], e[a]), (-1, mt, right[i][a], e[j])])
+    for i in range(n):
         for a in range(p.dim):
             for b in range(p.dim):
-                check("act4", (i, a, b),
-                      d.act_right(mu[i], p.table[a][b]),
-                      d.act_right(d.right[i][a], pu[b]),
-                      d.act_right(d.right[i][b], pu[a]))
+                _check(bad, f, n, "act4", (i, a, b), [(1, right, e[i], pt[a][b])],
+                       [(1, right, right[i][a], e[b]), (-1, right, right[i][b], e[a])])
     for a in range(p.dim):
-        for i in range(m.dim):
+        for i in range(n):
             for b in range(p.dim):
-                check("act5", (a, i, b),
-                      d.act_left(pu[a], d.right[i][b]),
-                      d.act_right(d.left[a][i], pu[b]),
-                      d.act_left(p.table[a][b], mu[i]))
-                check("act6", (a, b, i),
-                      d.act_left(pu[a], d.left[b][i]),
-                      d.act_left(p.table[a][b], mu[i]),
-                      d.act_right(d.left[a][i], pu[b]))
+                _check(bad, f, n, "act5", (a, i, b), [(1, left, e[a], right[i][b])],
+                       [(1, right, left[a][i], e[b]), (-1, left, pt[a][b], e[i])])
+                _check(bad, f, n, "act6", (a, b, i), [(1, left, e[a], left[b][i])],
+                       [(1, left, pt[a][b], e[i]), (-1, right, left[a][i], e[b])])
     return ValidationReport(tuple(bad))
 
 

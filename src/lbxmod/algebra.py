@@ -10,18 +10,91 @@ used throughout is the left version
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .fields import Field, InputDataError, Scalar
-from .linalg import LinearSolveError, Matrix, Subspace, add_vectors, nullspace
+from .linalg import LinearSolveError, Matrix, Number, Subspace, nullspace, number
 
 MAX_DIM = 64  # guard against accidentally huge inputs
 
 
 def _check_dim(dim: int) -> None:
-    """Refuse a dimension outside [0, MAX_DIM], before anything is allocated."""
+    """Refuse an input dimension outside [0, MAX_DIM], before anything is
+    allocated.  Spaces derived from an input (pair and quadruple spaces,
+    sums, semidirect products) are not capped."""
     if not 0 <= dim <= MAX_DIM:
         raise InputDataError(f"dimension {dim} outside [0, {MAX_DIM}]")
+
+
+# -- sparse coordinates ---------------------------------------------------
+#
+# A vector is held by its nonzero coordinates {k: c}, each c a
+# ``linalg.number``: an int residue over F_p; over Q an int when integral,
+# else a Fraction.  The sparse view of a structure tensor holds each
+# view[i][j] that way.  ``_accumulate`` is the one contraction kernel: every
+# bracket, action and pairing, and every identity the validators check, is
+# evaluated by it from nonzero terms only.  A linear combination of
+# contractions is a list of terms (sign, view, x, y).
+
+SparseVector = dict[int, Number]
+SparseTensor = tuple[tuple[SparseVector, ...], ...]
+Term = tuple[int, SparseTensor, SparseVector, SparseVector]  # sign * view(x, y)
+_ONE: SparseVector = {0: 1}  # the left argument that turns a ``_sparse_map`` view into its map
+
+
+def _sparse(vec: Sequence[Scalar]) -> SparseVector:
+    return {k: number(c) for k, c in enumerate(vec) if c}
+
+
+def _sparse_tensor(tensor) -> SparseTensor:
+    return tuple(tuple(_sparse(v) for v in row) for row in tensor)
+
+
+def _sparse_map(m: Matrix) -> SparseTensor:
+    """A linear map as the bilinear map (1, v) -> m v, so that the term
+    (sign, view, _ONE, v) is sign * m v; view[0][c] is column c."""
+    return (tuple(_sparse(m.column(c)) for c in range(m.cols)),)
+
+
+def _units(n: int) -> list[SparseVector]:
+    """The sparse unit vectors e_0, ..., e_{n-1}."""
+    return [{i: 1} for i in range(n)]
+
+
+def _accumulate(out: SparseVector, sign: int, view: SparseTensor, x: SparseVector,
+                y: SparseVector) -> None:
+    """out += sign * sum_{i,j} x[i] y[j] view[i][j], from nonzero terms only."""
+    get = out.get
+    for i, a in x.items():
+        row = view[i]
+        for j, b in y.items():
+            ab = sign * a * b
+            for k, t in row[j].items():
+                out[k] = get(k, 0) + ab * t
+
+
+def _evaluate(terms: Sequence[Term], p: int) -> SparseVector:
+    """The sum of the terms, reduced mod p (p = 0 over Q), without zeros."""
+    out: SparseVector = {}
+    for sign, view, x, y in terms:
+        _accumulate(out, sign, view, x, y)
+    if p:
+        return {k: c % p for k, c in out.items() if c % p}
+    return {k: c for k, c in out.items() if c}
+
+
+def _dense(field: Field, dim: int, vec: SparseVector) -> tuple[Scalar, ...]:
+    out = [field.zero] * dim
+    for k, c in vec.items():
+        out[k] = field.coerce(c)
+    return tuple(out)
+
+
+def _contract(field: Field, view: SparseTensor, x: Sequence[Scalar], y: Sequence[Scalar],
+              out_dim: int) -> tuple[Scalar, ...]:
+    """The bilinear map of a sparse view on dense vectors."""
+    return _dense(field, out_dim, _evaluate([(1, view, _sparse(x), _sparse(y))], field.characteristic))
 
 
 @dataclass(frozen=True)
@@ -32,7 +105,6 @@ class LeibnizAlgebra:
     names: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
-        _check_dim(self.dim)
         if len(self.table) != self.dim or any(
             len(row) != self.dim or any(len(v) != self.dim for v in row) for row in self.table
         ):
@@ -70,8 +142,12 @@ class LeibnizAlgebra:
 
     # -- basic operations ---------------------------------------------
 
+    @cached_property
+    def sparse_table(self) -> SparseTensor:
+        return _sparse_tensor(self.table)
+
     def bracket(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> tuple[Scalar, ...]:
-        return _contract(self.field, self.table, x, y, self.dim)
+        return _contract(self.field, self.sparse_table, x, y, self.dim)
 
     def left_operator(self, x: Sequence[Scalar]) -> Matrix:
         """Matrix of y -> [x, y]."""
@@ -86,25 +162,6 @@ class LeibnizAlgebra:
 
 def _unit(field: Field, n: int, i: int) -> tuple[Scalar, ...]:
     return tuple(field.one if j == i else field.zero for j in range(n))
-
-
-def _contract(field: Field, tensor, x: Sequence[Scalar], y: Sequence[Scalar], out_dim: int) -> tuple[Scalar, ...]:
-    """The bilinear map sum_{i,j} x[i] y[j] tensor[i][j], skipping zeros.
-
-    The one contraction kernel behind every structure-constant bracket and
-    action in the package.
-    """
-    out = [field.zero] * out_dim
-    for i, xi in enumerate(x):
-        if xi:
-            row = tensor[i]
-            for j, yj in enumerate(y):
-                if yj:
-                    c = xi * yj
-                    for k, t in enumerate(row[j]):
-                        if t:
-                            out[k] = out[k] + c * t
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -127,17 +184,30 @@ class ValidationReport:
         return tuple(sorted({v.axiom for v in self.violations}))
 
 
+def _check(bad: list, field: Field, dim: int, label: str, witness: tuple[int, ...],
+           lhs: Sequence[Term], rhs: Sequence[Term]) -> None:
+    """Evaluate sum(lhs) - sum(rhs) in one pass; if it is not zero, record
+    a violation with both sides as dense vectors."""
+    p = field.characteristic
+    diff: SparseVector = {}
+    for sign, view, x, y in lhs:
+        _accumulate(diff, sign, view, x, y)
+    for sign, view, x, y in rhs:
+        _accumulate(diff, -sign, view, x, y)
+    if any(c % p for c in diff.values()) if p else any(diff.values()):
+        bad.append(Violation(label, witness, _dense(field, dim, _evaluate(lhs, p)),
+                             _dense(field, dim, _evaluate(rhs, p))))
+
+
 def validate_leibniz(a: LeibnizAlgebra) -> ValidationReport:
     """Check [[x,y],z] = [x,[y,z]] + [[x,z],y] on all basis triples."""
-    bad = []
-    units = [_unit(a.field, a.dim, i) for i in range(a.dim)]
-    for i in range(a.dim):
-        for j in range(a.dim):
-            for k in range(a.dim):
-                lhs = a.bracket(a.table[i][j], units[k])
-                rhs = add_vectors(a.bracket(units[i], a.table[j][k]), a.bracket(a.table[i][k], units[j]))
-                if lhs != rhs:
-                    bad.append(Violation("leibniz", (i, j, k), lhs, rhs))
+    n, t, e = a.dim, a.sparse_table, _units(a.dim)
+    bad: list[Violation] = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                _check(bad, a.field, n, "leibniz", (i, j, k), [(1, t, t[i][j], e[k])],
+                       [(1, t, e[i], t[j][k]), (1, t, t[i][k], e[j])])
     return ValidationReport(tuple(bad))
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .action import ActionData
-from .algebra import LeibnizAlgebra, _unit
+from .algebra import LeibnizAlgebra, SparseVector, _sparse_map, _unit
 from .fields import Field, InputDataError, Scalar
 from .linalg import (
     LinearSolveError,
@@ -35,7 +35,6 @@ from .linalg import (
     Subspace,
     column_space,
     nullspace,
-    number,
     rref,
     solve_vector,
     sparse_kernel,
@@ -120,10 +119,9 @@ class MapSpace:
 # row-major.  A map is addressed by (offset of its first entry, rows, cols).
 # Every identity below is linear in the unknowns and vector valued; it is
 # emitted as one sparse row {unknown: coefficient} per output coordinate,
-# read straight off the structure constants.
+# read straight off the sparse views of the structure constants.
 
 _Map = tuple[int, int, int]
-_Sparse = tuple[tuple[int, Number], ...]
 _Row = dict[int, Number]
 
 
@@ -132,20 +130,16 @@ def _layout(shapes: tuple[tuple[int, int], ...]) -> list[_Map]:
     return [(off, r, c) for off, (r, c) in zip(offsets, shapes)]
 
 
-def _sparse(vec: Sequence[Scalar]) -> _Sparse:
-    return tuple((k, number(c)) for k, c in enumerate(vec) if c)
-
-
-def _applied(m: _Map, vec: _Sparse):
+def _applied(m: _Map, vec: SparseVector):
     """Coordinate k of M(v) for a fixed vector v: sum_c v[c] M[k][c]."""
     off, rows, cols = m
-    return [(k, off + k * cols + c, t) for c, t in vec for k in range(rows)]
+    return [(k, off + k * cols + c, t) for c, t in vec.items() for k in range(rows)]
 
 
-def _sent(m: _Map, x: int, images: Sequence[_Sparse]):
+def _sent(m: _Map, x: int, images: Sequence[SparseVector]):
     """Coordinate k of T(M(e_x)) for a fixed linear T with T(e_i) = images[i]."""
     off, _rows, cols = m
-    return [(k, off + i * cols + x, t) for i, img in enumerate(images) for k, t in img]
+    return [(k, off + i * cols + x, t) for i, img in enumerate(images) for k, t in img.items()]
 
 
 def _collect(size: int, *terms) -> list[_Row]:
@@ -165,9 +159,9 @@ def _pair_rows(act: ActionData, d: _Map, dd: _Map) -> list[_Row]:
     [a, d(b) - dd(b)] = 0.
     """
     src, n = act.actor.dim, act.target.dim
-    tab = [[_sparse(v) for v in row] for row in act.actor.table]
-    left_of = [[_sparse(act.left[a][i]) for i in range(n)] for a in range(src)]    # [e_a, e_i]
-    right_by = [[_sparse(act.right[i][b]) for i in range(n)] for b in range(src)]  # [e_i, e_b]
+    tab = act.actor.sparse_table
+    left_of = act.sparse_left                                                      # [e_a, e_i]
+    right_by = [[act.sparse_right[i][b] for i in range(n)] for b in range(src)]  # [e_i, e_b]
     rows: list[_Row] = []
     for a in range(src):
         for b in range(src):
@@ -181,7 +175,7 @@ def _pair_rows(act: ActionData, d: _Map, dd: _Map) -> list[_Row]:
 
 def _boundary_rows(mu: Matrix, top: _Map, base: _Map) -> list[_Row]:
     """The boundary intertwines the maps: mu @ top = base @ mu."""
-    mu_cols = [_sparse(mu.column(i)) for i in range(mu.cols)]
+    mu_cols = _sparse_map(mu)[0]
     rows: list[_Row] = []
     for j in range(mu.cols):
         rows += _collect(mu.rows, (1, _sent(top, j, mu_cols)), (-1, _applied(base, mu_cols[j])))
@@ -191,14 +185,13 @@ def _boundary_rows(mu: Matrix, top: _Map, base: _Map) -> list[_Row]:
 def _action_rows(act: ActionData, s1: _Map, t1: _Map, s2: _Map, t2: _Map) -> list[_Row]:
     """The quadruple is compatible with the action of the base on the top."""
     q, n = act.actor.dim, act.target.dim
-    left_of = [[_sparse(act.left[a][j]) for j in range(n)] for a in range(q)]    # [e_a, e_j]
-    left_on = [[_sparse(act.left[b][i]) for b in range(q)] for i in range(n)]    # [e_b, e_i]
-    right_by = [[_sparse(act.right[j][a]) for j in range(n)] for a in range(q)]  # [e_j, e_a]
-    right_of = [[_sparse(act.right[i][b]) for b in range(q)] for i in range(n)]  # [e_i, e_b]
+    left_of, right_of = act.sparse_left, act.sparse_right                        # [e_a, e_j], [e_i, e_b]
+    left_on = [[left_of[b][i] for b in range(q)] for i in range(n)]              # [e_b, e_i]
+    right_by = [[right_of[j][a] for j in range(n)] for a in range(q)]            # [e_j, e_a]
     rows: list[_Row] = []
     for a in range(q):
         for i in range(n):
-            la, ra = _sparse(act.left[a][i]), _sparse(act.right[i][a])
+            la, ra = left_of[a][i], right_of[i][a]
             rows += _collect(n, (1, _applied(s1, la)), (-1, _sent(s2, a, left_on[i])),
                              (-1, _sent(s1, i, left_of[a])))
             rows += _collect(n, (1, _applied(s1, ra)), (-1, _sent(s1, i, right_by[a])),

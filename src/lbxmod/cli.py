@@ -7,7 +7,16 @@ prints a single JSON report to stdout, and exits with
 * 1 — the input was well-formed but a check failed or a construction was
       refused (axiom violations, non-ideal quotients, inexact sequences,
       missing support conditions),
-* 2 — the input could not be read or parsed at all.
+* 2 — the input could not be read or parsed at all,
+* 3 — internal error: a result that theory guarantees was not found
+      (``LinearSolveError``), which means a bug in lbxmod.
+
+Commands other than ``validate`` refuse an input crossed module that fails
+``validate_xmod`` before computing anything, with exit 1 and the failing
+axiom labels; so do ``bider`` for an algebra that is not Leibniz,
+``semidirect`` for an invalid action, ``lift`` for a sequence with an
+invalid crossed module, and every command for a morphism into the actor of
+an invalid crossed module.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ from .bider import (
 )
 from .catalog import CATALOG, build_entry
 from .fields import Field, InputDataError, get_field
-from .linalg import rref
+from .linalg import LinearSolveError, rref
 from .xaction import (
     ActionAxiomError,
     ConditionsNotMetError,
@@ -60,6 +69,7 @@ from .xmod import (
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_BAD_INPUT = 2
+EXIT_INTERNAL = 3
 
 #: which input kinds each subcommand accepts
 _ACCEPTS = {
@@ -144,6 +154,33 @@ def _load(spec: str, field: Field, accepted: Sequence[str]):
         raise InputDataError(
             f"this command needs {' or '.join(accepted)} input, got {kind}")
     return kind, obj
+
+
+def _invalid_labels(command: str, kind: str, obj) -> tuple[str, ...]:
+    """Axiom labels that make the input unusable for the command.
+
+    Solved spaces and actors are only defined for valid crossed modules
+    (and pair spaces of an algebra for a Leibniz algebra); ``validate``
+    reports violations instead, except that a morphism into the actor
+    needs a valid crossed module to build that actor from.
+    """
+    if kind == "morphism":
+        checks = [("actor_of:", validate_xmod(obj.around))]
+    elif command == "validate":
+        checks = []
+    elif kind == "xmod":
+        checks = [("", validate_xmod(obj))]
+    elif kind == "algebra" and command == "bider":
+        checks = [("", validate_leibniz(obj))]
+    elif kind == "action" and command == "semidirect":
+        checks = [("actor:", validate_leibniz(obj.actor)), ("target:", validate_leibniz(obj.target)),
+                  ("", validate_action(obj))]
+    elif kind == "sequence" and command == "lift":
+        checks = [(role + ":", validate_xmod(x))
+                  for role, x in (("first", obj.first), ("middle", obj.middle), ("last", obj.last))]
+    else:
+        checks = []
+    return tuple(prefix + label for prefix, report in checks for label in report.labels())
 
 
 def _violations_json(field: Field, report) -> list:
@@ -331,6 +368,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     base["input"] = args.input
     try:
         kind, obj = _load(args.input, field, _ACCEPTS[args.command])
+        invalid = _invalid_labels(args.command, kind, obj)
+        if invalid:
+            _emit({**base, "ok": False,
+                   "error": f"the {kind} input violates " + ", ".join(invalid),
+                   "labels": list(invalid)}, args.out)
+            return EXIT_FAIL
         fragment, ok = _run(args.command, kind, obj, field)
     except ActionAxiomError as exc:
         _emit({**base, "ok": False, "error": str(exc), "hard": list(exc.labels)}, args.out)
@@ -346,6 +389,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InputDataError as exc:
         _emit({**base, "error": str(exc)}, args.out)
         return EXIT_BAD_INPUT
+    except LinearSolveError as exc:
+        _emit({**base, "ok": False, "internal_error": str(exc)}, args.out)
+        return EXIT_INTERNAL
 
     _emit({**base, "ok": ok, **fragment}, args.out)
     return EXIT_OK if ok else EXIT_FAIL

@@ -1,4 +1,4 @@
-"""Exact scalar fields: the rationals and small prime fields.
+"""Exact scalar fields: the rationals and prime fields.
 
 Every linear-algebra and algebra routine in this package is generic over a
 *field object* that knows how to build, combine and serialize its scalars.
@@ -8,9 +8,14 @@ Rationals are plain ``fractions.Fraction`` values; prime-field scalars are
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Union
+
+#: prime fields are supported for p < 2^31; trial division stays cheap below it
+MAX_PRIME = 2**31
 
 
 class InputDataError(ValueError):
@@ -72,14 +77,9 @@ class Rationals:
     """The field Q.  Scalars are ``fractions.Fraction``."""
 
     tag = "q"
-
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+    characteristic = 0
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def coerce(self, v: Any) -> Fraction:
         if isinstance(v, Fraction):
@@ -116,12 +116,14 @@ class Rationals:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """The field Z/p for a small prime p.  Scalars are ``FpElement``."""
+    """The field Z/p for a prime p < 2^31.  Scalars are ``FpElement``."""
 
     p: int
 
     def __post_init__(self) -> None:
-        if self.p < 2 or any(self.p % d == 0 for d in range(2, int(self.p**0.5) + 1)):
+        if self.p >= MAX_PRIME:
+            raise InputDataError(f"F{self.p} is not supported: p must be below 2^31")
+        if self.p < 2 or any(self.p % d == 0 for d in range(2, math.isqrt(self.p) + 1)):
             raise InputDataError(f"{self.p} is not prime")
 
     @property
@@ -129,10 +131,14 @@ class PrimeField:
         return f"f{self.p}"
 
     @property
+    def characteristic(self) -> int:
+        return self.p
+
+    @cached_property
     def zero(self) -> FpElement:
         return FpElement(0, self.p)
 
-    @property
+    @cached_property
     def one(self) -> FpElement:
         return FpElement(1, self.p)
 
@@ -180,10 +186,13 @@ _BUILTIN = {"q": QQ, "f2": GF2, "f3": GF3}
 
 
 def get_field(tag: str) -> Field:
-    """Look up a field by tag: "q" or "f<p>" for a small prime p."""
+    """Look up a field by tag: "q" or "f<p>" for a prime p < 2^31."""
     t = tag.strip().lower()
     if t in _BUILTIN:
         return _BUILTIN[t]
-    if t.startswith("f") and t[1:].isdigit():
-        return PrimeField(int(t[1:]))
+    digits = t[1:]
+    if t.startswith("f") and digits.isascii() and digits.isdigit():
+        if len(digits.lstrip("0")) > len(str(MAX_PRIME)):
+            raise InputDataError(f"field tag {tag!r}: p must be below 2^31")
+        return PrimeField(int(digits))
     raise InputDataError(f"unknown field tag {tag!r}")

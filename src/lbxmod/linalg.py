@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .fields import Field, FpElement, InputDataError, PrimeField, Scalar
+from .fields import Field, FpElement, InputDataError, Scalar
 
-# A coefficient of a sparse row: a rational, or an integer read mod p.
+# A sparse coefficient: a rational (an int when integral), or an int read mod p.
 Number = Union[int, Fraction]
 
 
@@ -153,14 +153,6 @@ def zero_vector(field: Field, n: int) -> tuple[Scalar, ...]:
 
 def unit_vector(field: Field, n: int, i: int) -> tuple[Scalar, ...]:
     return tuple(field.one if j == i else field.zero for j in range(n))
-
-
-def add_vectors(a: Sequence[Scalar], b: Sequence[Scalar]) -> tuple[Scalar, ...]:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def sub_vectors(a: Sequence[Scalar], b: Sequence[Scalar]) -> tuple[Scalar, ...]:
-    return tuple(x - y for x, y in zip(a, b))
 
 
 @dataclass(frozen=True)
@@ -352,8 +344,12 @@ def solve_vector(a: Matrix, vec: Sequence[Scalar]) -> Optional[tuple[Scalar, ...
 
 
 def number(x: Scalar) -> Number:
-    """A scalar as a sparse-row coefficient: the residue of an F_p element."""
-    return x.value if isinstance(x, FpElement) else x
+    """A scalar as a sparse coefficient: the residue of an F_p element; a
+    rational as an int when it is integral, which is much cheaper to
+    multiply than a Fraction."""
+    if isinstance(x, FpElement):
+        return x.value
+    return x.numerator if x.denominator == 1 else x
 
 
 def _axpy(dst: dict[int, Number], f: Number, src: Mapping[int, Number], p: int) -> None:
@@ -406,7 +402,7 @@ def sparse_kernel(field: Field, ncols: int, rows: Iterable[Mapping[int, Number]]
     read mod p.  The result is the canonical ``Subspace``, the same one
     ``nullspace`` gives for the dense matrix of the rows.
     """
-    p = field.p if isinstance(field, PrimeField) else 0
+    p = field.characteristic
     red = _sparse_rref(rows, p)
     gens: dict[int, dict[int, Number]] = {f: {f: 1} for f in range(ncols) if f not in red}
     for lead, row in red.items():

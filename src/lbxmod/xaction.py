@@ -16,10 +16,24 @@ tensors ``cross_mq[i][a]`` and ``cross_qm[a][i]`` with values in n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .action import ActionData, Tensor, semidirect_algebra, validate_action
-from .algebra import LeibnizAlgebra, ValidationReport, Violation, _contract, _unit
+from .algebra import (
+    _ONE,
+    LeibnizAlgebra,
+    SparseTensor,
+    Term,
+    ValidationReport,
+    Violation,
+    _check,
+    _contract,
+    _sparse_map,
+    _sparse_tensor,
+    _unit,
+    _units,
+)
 from .fields import Field, InputDataError, Scalar
 from .linalg import Matrix, zero_vector
 from .bider import MapSpace, ShortExactSequence, actor, bider_qn, bider_xmod
@@ -89,12 +103,20 @@ class XModActionData:
         ):
             raise InputDataError("q-m pairing tensor has the wrong shape")
 
+    @cached_property
+    def sparse_mq(self) -> SparseTensor:
+        return _sparse_tensor(self.cross_mq)
+
+    @cached_property
+    def sparse_qm(self) -> SparseTensor:
+        return _sparse_tensor(self.cross_qm)
+
     # bilinear evaluation of the two pairings
     def pair_mq(self, mvec: Sequence[Scalar], qvec: Sequence[Scalar]):
-        return _contract(self.field, self.cross_mq, mvec, qvec, self.target_xmod.top.dim)
+        return _contract(self.field, self.sparse_mq, mvec, qvec, self.target_xmod.top.dim)
 
     def pair_qm(self, qvec: Sequence[Scalar], mvec: Sequence[Scalar]):
-        return _contract(self.field, self.cross_qm, qvec, mvec, self.target_xmod.top.dim)
+        return _contract(self.field, self.sparse_qm, qvec, mvec, self.target_xmod.top.dim)
 
     @property
     def field(self) -> Field:
@@ -120,132 +142,84 @@ def validate_xmod_action(d: XModActionData, check_components: bool = True) -> Va
                 bad.append(Violation(prefix + v.axiom, v.witness, v.lhs, v.rhs))
 
     x, y = d.actor_xmod, d.target_xmod
-    m, p, eta = x.top, x.base, x.boundary
-    n, q, mu = y.top, y.base, y.boundary
-    pn, pq, yact, xact = d.act_on_top, d.act_on_base, y.action, x.action
-    f = d.field
-    pu = [_unit(f, p.dim, b) for b in range(p.dim)]
-    qu = [_unit(f, q.dim, a) for a in range(q.dim)]
-    nu = [_unit(f, n.dim, j) for j in range(n.dim)]
-    muj = [mu.column(j) for j in range(n.dim)]   # boundary images of n-basis
-    etai = [eta.column(i) for i in range(m.dim)]  # boundary images of m-basis
+    m, p, n, q = x.top, x.base, y.top, y.base
+    mt, qt = m.sparse_table, q.sparse_table
+    pn_l, pn_r = d.act_on_top.sparse_left, d.act_on_top.sparse_right    # p on n
+    pq_l, pq_r = d.act_on_base.sparse_left, d.act_on_base.sparse_right  # p on q
+    y_l, y_r = y.action.sparse_left, y.action.sparse_right              # q on n
+    x_l, x_r = x.action.sparse_left, x.action.sparse_right              # p on m
+    mq, qm = d.sparse_mq, d.sparse_qm
+    mu, eta = _sparse_map(y.boundary), _sparse_map(x.boundary)
+    muj, etai = mu[0], eta[0]  # boundary images of the n- and m-bases
+    e = _units(max(m.dim, p.dim, n.dim, q.dim))
 
-    def check(label, witness, lhs, rhs):
-        if tuple(lhs) != tuple(rhs):
-            bad.append(Violation(label, witness, tuple(lhs), tuple(rhs)))
-
-    def minus(v):
-        return tuple(-c for c in v)
-
-    def diff(u, v):
-        return tuple(a - b for a, b in zip(u, v))
-
-    def plus(u, v):
-        return tuple(a + b for a, b in zip(u, v))
+    # each side is a sum of terms (sign, view, x, y), that is sign * view(x, y)
+    def check(label: str, witness: tuple[int, ...], lhs: Term, *rhs: Term, dim: int = n.dim) -> None:
+        _check(bad, d.field, dim, label, witness, [lhs], rhs)
 
     # boundary equivariance for the p-actions
     for b in range(p.dim):
         for j in range(n.dim):
-            check("LbEQ1", (b, j), mu.apply(pn.left[b][j]), pq.act_left(pu[b], muj[j]))
-            check("LbEQ2", (j, b), mu.apply(pn.right[j][b]), pq.act_right(muj[j], pu[b]))
+            check("LbEQ1", (b, j), (1, mu, _ONE, pn_l[b][j]), (1, pq_l, e[b], muj[j]), dim=q.dim)
+            check("LbEQ2", (j, b), (1, mu, _ONE, pn_r[j][b]), (1, pq_r, muj[j], e[b]), dim=q.dim)
 
     # compatibility of the p- and q-actions on n
     for j in range(n.dim):
         for b in range(p.dim):
             for a in range(q.dim):
-                check("LbCOM1", (j, b, a),
-                      yact.act_right(nu[j], pq.left[b][a]),
-                      diff(yact.act_right(pn.right[j][b], qu[a]),
-                           pn.act_right(yact.act_right(nu[j], qu[a]), pu[b])))
-                check("LbCOM2", (b, j, a),
-                      pn.act_left(pu[b], yact.act_right(nu[j], qu[a])),
-                      diff(yact.act_right(pn.left[b][j], qu[a]),
-                           yact.act_left(pq.left[b][a], nu[j])))
-                check("LbCOM3", (b, a, j),
-                      pn.act_left(pu[b], yact.act_left(qu[a], nu[j])),
-                      diff(yact.act_left(pq.left[b][a], nu[j]),
-                           yact.act_right(pn.left[b][j], qu[a])))
-                check("LbCOM4", (j, a, b),
-                      yact.act_right(nu[j], pq.right[a][b]),
-                      diff(pn.act_right(yact.act_right(nu[j], qu[a]), pu[b]),
-                           yact.act_right(pn.right[j][b], qu[a])))
-                check("LbCOM5", (a, j, b),
-                      yact.act_left(qu[a], pn.right[j][b]),
-                      diff(pn.act_right(yact.act_left(qu[a], nu[j]), pu[b]),
-                           yact.act_left(pq.right[a][b], nu[j])))
-                check("LbCOM6", (a, b, j),
-                      yact.act_left(qu[a], pn.left[b][j]),
-                      diff(yact.act_left(pq.right[a][b], nu[j]),
-                           pn.act_right(yact.act_left(qu[a], nu[j]), pu[b])))
+                check("LbCOM1", (j, b, a), (1, y_r, e[j], pq_l[b][a]),
+                      (1, y_r, pn_r[j][b], e[a]), (-1, pn_r, y_r[j][a], e[b]))
+                check("LbCOM2", (b, j, a), (1, pn_l, e[b], y_r[j][a]),
+                      (1, y_r, pn_l[b][j], e[a]), (-1, y_l, pq_l[b][a], e[j]))
+                check("LbCOM3", (b, a, j), (1, pn_l, e[b], y_l[a][j]),
+                      (1, y_l, pq_l[b][a], e[j]), (-1, y_r, pn_l[b][j], e[a]))
+                check("LbCOM4", (j, a, b), (1, y_r, e[j], pq_r[a][b]),
+                      (1, pn_r, y_r[j][a], e[b]), (-1, y_r, pn_r[j][b], e[a]))
+                check("LbCOM5", (a, j, b), (1, y_l, e[a], pn_r[j][b]),
+                      (1, pn_r, y_l[a][j], e[b]), (-1, y_l, pq_r[a][b], e[j]))
+                check("LbCOM6", (a, b, j), (1, y_l, e[a], pn_l[b][j]),
+                      (1, y_l, pq_r[a][b], e[j]), (-1, pn_r, y_l[a][j], e[b]))
 
     # pairing identities
     for a in range(q.dim):
         for i in range(m.dim):
-            check("LbM1a", (a, i), mu.apply(d.cross_qm[a][i]), pq.act_right(qu[a], etai[i]))
-            check("LbM1b", (i, a), mu.apply(d.cross_mq[i][a]), pq.act_left(etai[i], qu[a]))
+            check("LbM1a", (a, i), (1, mu, _ONE, qm[a][i]), (1, pq_r, e[a], etai[i]), dim=q.dim)
+            check("LbM1b", (i, a), (1, mu, _ONE, mq[i][a]), (1, pq_l, etai[i], e[a]), dim=q.dim)
     for j in range(n.dim):
         for i in range(m.dim):
-            mi = _unit(f, m.dim, i)
-            check("LbM2a", (j, i), d.pair_qm(muj[j], mi), pn.act_right(nu[j], etai[i]))
-            check("LbM2b", (i, j), d.pair_mq(mi, muj[j]), pn.act_left(etai[i], nu[j]))
+            check("LbM2a", (j, i), (1, qm, muj[j], e[i]), (1, pn_r, e[j], etai[i]))
+            check("LbM2b", (i, j), (1, mq, e[i], muj[j]), (1, pn_l, etai[i], e[j]))
     for a in range(q.dim):
         for b in range(p.dim):
             for i in range(m.dim):
-                mi = _unit(f, m.dim, i)
-                check("LbM3a", (a, b, i),
-                      d.pair_qm(qu[a], xact.left[b][i]),
-                      diff(d.pair_qm(pq.act_right(qu[a], pu[b]), mi),
-                           pn.act_right(d.cross_qm[a][i], pu[b])))
-                check("LbM3b", (b, i, a),
-                      d.pair_mq(xact.left[b][i], qu[a]),
-                      diff(d.pair_qm(pq.act_left(pu[b], qu[a]), mi),
-                           pn.act_left(pu[b], d.cross_qm[a][i])))
-                check("LbM3c", (a, i, b),
-                      d.pair_qm(qu[a], xact.right[i][b]),
-                      diff(pn.act_right(d.cross_qm[a][i], pu[b]),
-                           d.pair_qm(pq.act_right(qu[a], pu[b]), mi)))
-                check("LbM3d", (i, b, a),
-                      d.pair_mq(xact.right[i][b], qu[a]),
-                      diff(pn.act_right(d.cross_mq[i][a], pu[b]),
-                           d.pair_mq(mi, pq.act_right(qu[a], pu[b]))))
+                check("LbM3a", (a, b, i), (1, qm, e[a], x_l[b][i]),
+                      (1, qm, pq_r[a][b], e[i]), (-1, pn_r, qm[a][i], e[b]))
+                check("LbM3b", (b, i, a), (1, mq, x_l[b][i], e[a]),
+                      (1, qm, pq_l[b][a], e[i]), (-1, pn_l, e[b], qm[a][i]))
+                check("LbM3c", (a, i, b), (1, qm, e[a], x_r[i][b]),
+                      (1, pn_r, qm[a][i], e[b]), (-1, qm, pq_r[a][b], e[i]))
+                check("LbM3d", (i, b, a), (1, mq, x_r[i][b], e[a]),
+                      (1, pn_r, mq[i][a], e[b]), (-1, mq, e[i], pq_r[a][b]))
     for a in range(q.dim):
         for i in range(m.dim):
             for j in range(m.dim):
-                mi = _unit(f, m.dim, i)
-                mj = _unit(f, m.dim, j)
-                check("LbM4a", (a, i, j),
-                      d.pair_qm(qu[a], m.table[i][j]),
-                      diff(pn.act_right(d.cross_qm[a][i], etai[j]),
-                           pn.act_right(d.cross_qm[a][j], etai[i])))
-                check("LbM4b", (i, j, a),
-                      d.pair_mq(m.table[i][j], qu[a]),
-                      diff(pn.act_right(d.cross_mq[i][a], etai[j]),
-                           pn.act_left(etai[i], d.cross_qm[a][j])))
+                check("LbM4a", (a, i, j), (1, qm, e[a], mt[i][j]),
+                      (1, pn_r, qm[a][i], etai[j]), (-1, pn_r, qm[a][j], etai[i]))
+                check("LbM4b", (i, j, a), (1, mq, mt[i][j], e[a]),
+                      (1, pn_r, mq[i][a], etai[j]), (-1, pn_l, etai[i], qm[a][j]))
     for a in range(q.dim):
         for b in range(q.dim):
             for i in range(m.dim):
-                mi = _unit(f, m.dim, i)
-                check("LbM5a", (a, b, i),
-                      d.pair_qm(q.table[a][b], mi),
-                      plus(yact.act_right(d.cross_qm[a][i], qu[b]),
-                           yact.act_left(qu[a], d.cross_qm[b][i])))
-                check("LbM5b", (i, a, b),
-                      d.pair_mq(mi, q.table[a][b]),
-                      diff(yact.act_right(d.cross_mq[i][a], qu[b]),
-                           yact.act_right(d.cross_mq[i][b], qu[a])))
-                check("LbM5c", (a, i, b),
-                      yact.act_left(qu[a], d.cross_mq[i][b]),
-                      minus(yact.act_left(qu[a], d.cross_qm[b][i])))
+                check("LbM5a", (a, b, i), (1, qm, qt[a][b], e[i]),
+                      (1, y_r, qm[a][i], e[b]), (1, y_l, e[a], qm[b][i]))
+                check("LbM5b", (i, a, b), (1, mq, e[i], qt[a][b]),
+                      (1, y_r, mq[i][a], e[b]), (-1, y_r, mq[i][b], e[a]))
+                check("LbM5c", (a, i, b), (1, y_l, e[a], mq[i][b]), (-1, y_l, e[a], qm[b][i]))
     for i in range(m.dim):
         for b in range(p.dim):
             for a in range(q.dim):
-                mi = _unit(f, m.dim, i)
-                check("LbM6a", (i, b, a),
-                      d.pair_mq(mi, pq.left[b][a]),
-                      minus(d.pair_mq(mi, pq.right[a][b])))
-                check("LbM6b", (b, i, a),
-                      pn.act_left(pu[b], d.cross_mq[i][a]),
-                      minus(pn.act_left(pu[b], d.cross_qm[a][i])))
+                check("LbM6a", (i, b, a), (1, mq, e[i], pq_l[b][a]), (-1, mq, e[i], pq_r[a][b]))
+                check("LbM6b", (b, i, a), (1, pn_l, e[b], mq[i][a]), (-1, pn_l, e[b], qm[a][i]))
     return ValidationReport(tuple(bad))
 
 

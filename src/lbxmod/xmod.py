@@ -15,10 +15,14 @@ from typing import Optional
 
 from .action import ActionData, semidirect_algebra, validate_action
 from .algebra import (
+    _ONE,
     LeibnizAlgebra,
     ValidationReport,
     Violation,
+    _check,
+    _sparse_map,
     _unit,
+    _units,
     annihilator,
     commutator,
     is_ideal,
@@ -89,40 +93,29 @@ def validate_xmod(x: CrossedModule, check_components: bool = True) -> Validation
         for v in validate_action(x.action).violations:
             bad.append(Violation("action:" + v.axiom, v.witness, v.lhs, v.rhs))
 
-    m, p, eta = x.top, x.base, x.boundary
-    mu_cols = [eta.column(i) for i in range(m.dim)]
-    pu = [_unit(p.field, p.dim, a) for a in range(p.dim)]
-    mu_units = [_unit(m.field, m.dim, i) for i in range(m.dim)]
+    m, p = x.top, x.base
+    f, mt, pt = m.field, m.sparse_table, p.sparse_table
+    left, right = x.action.sparse_left, x.action.sparse_right
+    eta = _sparse_map(x.boundary)
+    cols = eta[0]  # boundary images of the top basis
+    e = _units(max(m.dim, p.dim))
 
     # boundary is a homomorphism
     for i in range(m.dim):
         for j in range(m.dim):
-            lhs = eta.apply(m.table[i][j])
-            rhs = p.bracket(mu_cols[i], mu_cols[j])
-            if lhs != rhs:
-                bad.append(Violation("hom", (i, j), lhs, rhs))
+            _check(bad, f, p.dim, "hom", (i, j), [(1, eta, _ONE, mt[i][j])], [(1, pt, cols[i], cols[j])])
 
     # XLb1: the boundary intertwines both action brackets
     for a in range(p.dim):
         for i in range(m.dim):
-            lhs = eta.apply(x.action.left[a][i])
-            rhs = p.bracket(pu[a], mu_cols[i])
-            if lhs != rhs:
-                bad.append(Violation("XLb1-left", (a, i), lhs, rhs))
-            lhs2 = eta.apply(x.action.right[i][a])
-            rhs2 = p.bracket(mu_cols[i], pu[a])
-            if lhs2 != rhs2:
-                bad.append(Violation("XLb1-right", (i, a), lhs2, rhs2))
+            _check(bad, f, p.dim, "XLb1-left", (a, i), [(1, eta, _ONE, left[a][i])], [(1, pt, e[a], cols[i])])
+            _check(bad, f, p.dim, "XLb1-right", (i, a), [(1, eta, _ONE, right[i][a])], [(1, pt, cols[i], e[a])])
 
     # XLb2: boundary images act by the internal bracket (Peiffer)
     for i in range(m.dim):
         for j in range(m.dim):
-            lhs = x.action.act_left(mu_cols[i], mu_units[j])
-            if lhs != m.table[i][j]:
-                bad.append(Violation("XLb2-left", (i, j), lhs, m.table[i][j]))
-            rhs = x.action.act_right(mu_units[i], mu_cols[j])
-            if rhs != m.table[i][j]:
-                bad.append(Violation("XLb2-right", (i, j), rhs, m.table[i][j]))
+            _check(bad, f, m.dim, "XLb2-left", (i, j), [(1, left, cols[i], e[j])], [(1, mt, e[i], e[j])])
+            _check(bad, f, m.dim, "XLb2-right", (i, j), [(1, right, e[i], cols[j])], [(1, mt, e[i], e[j])])
     return ValidationReport(tuple(bad))
 
 
@@ -155,37 +148,32 @@ def validate_morphism(f: XModMorphism) -> ValidationReport:
     """Homomorphism on both layers, boundary square, action equivariance."""
     bad: list[Violation] = []
     s, t = f.source, f.target
-    ft, fb = f.top_map, f.base_map
+    ft, fb = _sparse_map(f.top_map), _sparse_map(f.base_map)
+    top_cols, base_cols = ft[0], fb[0]
 
     for i in range(s.top.dim):
         for j in range(s.top.dim):
-            lhs = ft.apply(s.top.table[i][j])
-            rhs = t.top.bracket(ft.column(i), ft.column(j))
-            if lhs != rhs:
-                bad.append(Violation("top-hom", (i, j), lhs, rhs))
+            _check(bad, t.top.field, t.top.dim, "top-hom", (i, j), [(1, ft, _ONE, s.top.sparse_table[i][j])],
+                   [(1, t.top.sparse_table, top_cols[i], top_cols[j])])
     for a in range(s.base.dim):
         for b in range(s.base.dim):
-            lhs = fb.apply(s.base.table[a][b])
-            rhs = t.base.bracket(fb.column(a), fb.column(b))
-            if lhs != rhs:
-                bad.append(Violation("base-hom", (a, b), lhs, rhs))
+            _check(bad, t.base.field, t.base.dim, "base-hom", (a, b), [(1, fb, _ONE, s.base.sparse_table[a][b])],
+                   [(1, t.base.sparse_table, base_cols[a], base_cols[b])])
 
-    sq_lhs = t.boundary @ ft
-    sq_rhs = fb @ s.boundary
+    sq_lhs = t.boundary @ f.top_map
+    sq_rhs = f.base_map @ s.boundary
     if sq_lhs != sq_rhs:
         bad.append(Violation("boundary-square", (), tuple(x for r in sq_lhs.entries for x in r),
                              tuple(x for r in sq_rhs.entries for x in r)))
 
+    s_left, s_right = s.action.sparse_left, s.action.sparse_right
+    t_left, t_right = t.action.sparse_left, t.action.sparse_right
     for a in range(s.base.dim):
         for i in range(s.top.dim):
-            lhs = ft.apply(s.action.left[a][i])
-            rhs = t.action.act_left(fb.column(a), ft.column(i))
-            if lhs != rhs:
-                bad.append(Violation("action-left", (a, i), lhs, rhs))
-            lhs2 = ft.apply(s.action.right[i][a])
-            rhs2 = t.action.act_right(ft.column(i), fb.column(a))
-            if lhs2 != rhs2:
-                bad.append(Violation("action-right", (i, a), lhs2, rhs2))
+            _check(bad, t.top.field, t.top.dim, "action-left", (a, i), [(1, ft, _ONE, s_left[a][i])],
+                   [(1, t_left, base_cols[a], top_cols[i])])
+            _check(bad, t.top.field, t.top.dim, "action-right", (i, a), [(1, ft, _ONE, s_right[i][a])],
+                   [(1, t_right, top_cols[i], base_cols[a])])
     return ValidationReport(tuple(bad))
 
 

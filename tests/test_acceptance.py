@@ -23,6 +23,7 @@ from conftest import (
 
 from lbxmod import GF2, GF3, QQ
 from lbxmod.action import ActionData, validate_action
+from lbxmod.algebra import LeibnizAlgebra, validate_leibniz
 from lbxmod.bider import (
     actor,
     bider_algebra,
@@ -43,6 +44,7 @@ from lbxmod.xaction import (
 )
 from lbxmod.xmod import (
     NO_CONDITION_WARNING,
+    CrossedModule,
     center,
     check_conditions,
     kernel,
@@ -192,6 +194,32 @@ def test_action_morphism_round_trips_and_refusal():
     assert err.value.flags.failed() == ("con1", "con2", "con3")
 
 
+def _assert_quadruples_match_oracle(x):
+    """Every 0/1 quadruple is in the solved space exactly when the raw laws
+    hold.  The space's members are its 2**dim basis combinations mod 2; a
+    quadruple needs a biderivation pair on the top first, so that part of
+    the oracle is evaluated once per top half."""
+    nd, qd = x.top.dim, x.base.dim
+    ntab, qtab = O.ints_of_table(x.top), O.ints_of_table(x.base)
+    left, right = O.ints_of_action(x.action)
+    mu = O.ints_of_matrix(x.boundary)
+    space = bider_xmod(x)
+    nbits = 2 * nd * nd + 2 * qd * qd
+    basis = [[c.value for c in row] for row in space.space.basis.entries]
+    span = {tuple(sum(c * row[u] for c, row in zip(coeffs, basis)) % 2 for u in range(nbits))
+            for coeffs in itertools.product((0, 1), repeat=len(basis))}
+    members = 0
+    for head in itertools.product((0, 1), repeat=2 * nd * nd):
+        s1, t1 = O.unpack_bits(head, ((nd, nd), (nd, nd)))
+        top_pair = O.is_bider_pair(ntab, s1, t1, nd)
+        for tail in itertools.product((0, 1), repeat=2 * qd * qd):
+            s2, t2 = O.unpack_bits(tail, ((qd, qd), (qd, qd)))
+            expected = top_pair and O.is_quadruple(ntab, qtab, left, right, mu, s1, t1, s2, t2, nd, qd)
+            assert (head + tail in span) == expected, head + tail
+            members += expected
+    assert members == 2 ** space.dim
+
+
 def test_solver_matches_exhaustive_enumeration_over_f2():
     # pair spaces of three small algebras
     for aid in ("a2", "l2", "r2"):
@@ -224,14 +252,17 @@ def test_solver_matches_exhaustive_enumeration_over_f2():
         members += expected
     assert members == 2 ** space.dim
 
-    space = bider_xmod(x)
-    members = 0
-    for bits in itertools.product((0, 1), repeat=2 * nd * nd + 2 * qd * qd):
-        s1, t1, s2, t2 = O.unpack_bits(bits, ((nd, nd), (nd, nd), (qd, qd), (qd, qd)))
-        expected = O.is_quadruple(ntab, qtab, left, right, mu, s1, t1, s2, t2, nd, qd)
-        assert space.space.contains(tuple(GF2.coerce(b) for b in bits)) == expected
-        members += expected
-    assert members == 2 ** space.dim
+    # quadruple spaces of the ideal inclusion and of the identity crossed
+    # module on l2 (2-dimensional top and base: 16 unknown bits).  The
+    # bracket table of l2 is symmetric, so swapping the operands of the
+    # action inside the quadruple laws goes unseen there; the identity
+    # crossed module on the Leibniz algebra [e2, e1] = e2 (all other
+    # brackets zero) sees it.
+    for cid in ("l2-ann-incl", "l2-id"):
+        _assert_quadruples_match_oracle(build_entry(cid, GF2))
+    asym = LeibnizAlgebra.from_brackets(GF2, 2, {(1, 0): {1: 1}})
+    assert validate_leibniz(asym).ok
+    _assert_quadruples_match_oracle(CrossedModule.identity_on(asym))
 
     # the action validator against the raw six laws
     p = build_entry("a1", GF2)

@@ -106,6 +106,12 @@ def test_dimension_cap():
         LeibnizAlgebra.from_brackets(QQ, 65, {})
 
 
+def test_dimension_cap_leaves_derived_algebras_alone():
+    a = LeibnizAlgebra.abelian(GF2, 33)
+    total, _, _ = direct_sum(a, a)
+    assert total.dim == 66
+
+
 def test_validator_agrees_with_brute_force_on_all_2dim_mod2_tables():
     """Exhaustive: every possible dim-2 structure table over F2."""
     cells = list(itertools.product((0, 1), repeat=2))

@@ -2,13 +2,23 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from lbxmod import QQ
+from lbxmod import QQ, cli
+from lbxmod.action import ActionData
 from lbxmod.catalog import CATALOG, build_entry
-from lbxmod.cli import EXIT_BAD_INPUT, EXIT_FAIL, EXIT_OK, main
-from lbxmod.serialize import algebra_to_json, xaction_to_json, xmod_to_json
+from lbxmod.cli import EXIT_BAD_INPUT, EXIT_FAIL, EXIT_INTERNAL, EXIT_OK, main
+from lbxmod.linalg import LinearSolveError, Matrix
+from lbxmod.serialize import (
+    action_to_json,
+    algebra_to_json,
+    sequence_to_json,
+    xaction_to_json,
+    xmod_to_json,
+)
+from lbxmod.xmod import CrossedModule
 
 
 def run(capsys, *args):
@@ -189,3 +199,114 @@ def test_cli_module_runs_as_a_subprocess_deterministically():
     second = subprocess.run(cmd, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert json.loads(first.stdout)["ok"] is True
+
+
+# -- inputs refused up front, internal errors, size bounds -------------------
+
+XMOD_COMMANDS = [cmd for cmd, kinds in cli._ACCEPTS.items() if "xmod" in kinds and cmd != "validate"]
+L2_ID_ZERO_ACTION_LABELS = ["XLb1-left", "XLb1-right", "XLb2-left", "XLb2-right"]
+
+
+def _l2_id_with_zero_action():
+    l2 = build_entry("l2", QQ)
+    return CrossedModule(l2, l2, Matrix.identity(QQ, 2), ActionData.zero(l2, l2))
+
+
+def run_clean(capsys, *args):
+    """Run the CLI; stdout must be one JSON object and stderr empty."""
+    code = main(list(args))
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return code, json.loads(captured.out)
+
+
+@pytest.mark.parametrize("cmd", XMOD_COMMANDS)
+def test_invalid_crossed_module_is_refused_with_its_labels(capsys, tmp_path, cmd):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(xmod_to_json(_l2_id_with_zero_action())))
+    code, report = run_clean(capsys, cmd, str(path))
+    assert code == EXIT_FAIL
+    assert report["ok"] is False
+    assert report["labels"] == L2_ID_ZERO_ACTION_LABELS
+
+
+def test_validate_still_lists_the_violations_of_an_invalid_crossed_module(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(xmod_to_json(_l2_id_with_zero_action())))
+    code, report = run_clean(capsys, "validate", str(path))
+    assert code == EXIT_FAIL
+    assert sorted({v["axiom"] for v in report["violations"]}) == L2_ID_ZERO_ACTION_LABELS
+
+
+def test_morphism_into_the_actor_of_an_invalid_crossed_module_is_refused(capsys, tmp_path):
+    doc = {"source": xmod_to_json(build_entry("zero-into-l2", QQ)),
+           "actor_of": xmod_to_json(_l2_id_with_zero_action()),
+           "top_map": {"rows": 0, "cols": 0, "entries": []},
+           "base_map": {"rows": 0, "cols": 2, "entries": []}}
+    path = tmp_path / "fm.json"
+    path.write_text(json.dumps(doc))
+    for cmd in ("validate", "morphism-to-xaction"):
+        code, report = run_clean(capsys, cmd, str(path))
+        assert code == EXIT_FAIL
+        assert report["labels"] == ["actor_of:" + label for label in L2_ID_ZERO_ACTION_LABELS]
+
+
+@pytest.mark.parametrize("role,dim", [("first", 3), ("middle", 4)])
+def test_lift_refuses_a_sequence_with_an_invalid_crossed_module(capsys, tmp_path, role, dim):
+    doc = sequence_to_json(build_entry("sl2-seq", QQ))
+    zero = [[["0"] * dim] * dim] * dim
+    doc[role]["action"] = {"left": zero, "right": zero}
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_clean(capsys, "lift", str(path))
+    assert code == EXIT_FAIL
+    assert report["labels"] and all(label.startswith(role + ":XLb") for label in report["labels"])
+
+
+def test_bider_refuses_an_algebra_that_is_not_leibniz(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dim": 1, "brackets": [[0, 0, [[0, "1"]]]]}))
+    code, report = run_clean(capsys, "bider", str(path))
+    assert code == EXIT_FAIL
+    assert report["labels"] == ["leibniz"]
+
+
+def test_semidirect_refuses_an_invalid_action(capsys, tmp_path):
+    doc = action_to_json(build_entry("sl2-adjoint", QQ))
+    doc["left"][0][1][2] = "1"  # [e, h] gains an f-coordinate
+    path = tmp_path / "act.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_clean(capsys, "semidirect", str(path))
+    assert code == EXIT_FAIL
+    assert report["labels"] == ["act1", "act2", "act5", "act6"]
+
+
+def test_linear_solve_error_is_an_internal_error(capsys, monkeypatch):
+    def broken(x):
+        raise LinearSolveError("solution left the space")
+
+    monkeypatch.setattr(cli, "actor", broken)
+    code, report = run_clean(capsys, "actor", "catalog:l2-id")
+    assert code == EXIT_INTERNAL == 3
+    assert report["ok"] is False
+    assert report["internal_error"] == "solution left the space"
+
+
+def test_dimension_cap_applies_to_inputs_not_to_derived_spaces(capsys, tmp_path):
+    path = tmp_path / "a6.json"
+    path.write_text(json.dumps({"kind": "algebra", "dim": 6, "brackets": []}))
+    code, report = run_clean(capsys, "bider", str(path))
+    assert code == EXIT_OK
+    assert report["dim"] == 72
+    path.write_text(json.dumps({"dim": 65, "brackets": []}))
+    code, report = run_clean(capsys, "validate", str(path))
+    assert code == EXIT_BAD_INPUT
+    assert "65" in report["error"]
+
+
+def test_a_huge_prime_is_refused_before_any_trial_division(capsys):
+    start = time.perf_counter()
+    code, report = run_clean(capsys, "validate", "catalog:a1", "--field", "f1000000000000000000000000000057")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_BAD_INPUT
+    assert "2^31" in report["error"]

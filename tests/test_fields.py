@@ -76,3 +76,19 @@ def test_field_objects_hash_by_value():
 def test_fp_truthiness():
     assert not FpElement(0, 3)
     assert FpElement(2, 3)
+
+
+def test_primes_are_bounded_before_trial_division():
+    assert PrimeField(2**31 - 1).one.value == 1  # the largest supported prime
+    with pytest.raises(InputDataError, match="2\\^31"):
+        PrimeField(2**31 + 11)
+    with pytest.raises(InputDataError, match="2\\^31"):
+        get_field("f" + "9" * 5000)  # refused before the digits are parsed
+    with pytest.raises(InputDataError):
+        get_field("f\u00b2")  # a digit that int() does not read
+
+
+def test_field_constants_are_shared():
+    assert QQ.zero is QQ.zero and QQ.one is QQ.one
+    assert GF3.zero is GF3.zero and GF3.one is GF3.one
+    assert (QQ.characteristic, GF2.characteristic, GF3.characteristic) == (0, 2, 3)
