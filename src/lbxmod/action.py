@@ -30,9 +30,13 @@ from .linalg import Matrix, zero_vector
 Tensor = tuple[tuple[tuple[Scalar, ...], ...], ...]
 
 
-def _freeze_tensor(field, data, d0: int, d1: int, d2: int) -> Tensor:
+def _check_shape(data, d0: int, d1: int, d2: int) -> None:
     if len(data) != d0 or any(len(r) != d1 or any(len(v) != d2 for v in r) for r in data):
         raise InputDataError(f"action tensor shape is not {d0}x{d1}x{d2}")
+
+
+def _freeze_tensor(field, data, d0: int, d1: int, d2: int) -> Tensor:
+    _check_shape(data, d0, d1, d2)
     return tuple(tuple(tuple(field.coerce(x) for x in v) for v in r) for r in data)
 
 
@@ -45,8 +49,8 @@ class ActionData:
 
     def __post_init__(self) -> None:
         p, m = self.actor.dim, self.target.dim
-        _freeze_tensor(self.actor.field, self.left, p, m, m)
-        _freeze_tensor(self.actor.field, self.right, m, p, m)
+        _check_shape(self.left, p, m, m)
+        _check_shape(self.right, m, p, m)
         if self.actor.field != self.target.field:
             raise InputDataError("actor and target live over different fields")
 

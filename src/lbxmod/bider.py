@@ -16,6 +16,17 @@ action), ``_boundary_rows`` (maps intertwine the boundary) and
 Each space carries an induced Leibniz bracket; ``actor`` assembles the
 crossed module (pair space) -> (quadruple space) whose boundary sends a pair
 to its boundary-composed quadruple.
+
+Every map built from the solved spaces is computed sparsely.
+``MapSpace.sparse_basis`` holds each echelon basis member, once per space,
+as a tuple of maps ``{row: {col: c}}`` with ``linalg.number`` entries.
+``MapSpace.products`` sums signed products of such maps into one flat sparse
+vector, and ``MapSpace.read_coords`` is the one coordinate reader: it takes
+the entries at the pivots, checks that nothing is left once their
+combination of the basis is subtracted (mod p), and only then turns them
+into field scalars.  The bracket tables, the actor's action, ``delta`` and
+every ``solution_coords``/``coords_of_maps`` call (dense maps are made
+sparse on entry) go through these two.
 """
 
 from __future__ import annotations
@@ -23,16 +34,18 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .action import ActionData
-from .algebra import LeibnizAlgebra, SparseVector, _sparse_map, _unit
+from .algebra import LeibnizAlgebra, SparseVector, _sparse, _sparse_map, _unit
 from .fields import Field, InputDataError, Scalar
 from .linalg import (
     LinearSolveError,
     Matrix,
     Number,
     Subspace,
+    _axpy,
     column_space,
     nullspace,
     rref,
@@ -58,6 +71,33 @@ class NotExactError(ValueError):
 
 Maps = tuple[Matrix, ...]
 
+# A map held by its nonzero entries {row: {col: c}}, each c a
+# ``linalg.number``; a member of a map space is a tuple of them.  A product
+# term sign * (a @ b) is the triple (sign, a, b); a tuple of maps built from
+# products is one list of terms per component.
+SparseMatrix = dict[int, SparseVector]
+SparseMaps = tuple[SparseMatrix, ...]
+Product = tuple[int, SparseMatrix, SparseMatrix]
+
+
+def _sparse_matrix(m: Matrix) -> SparseMatrix:
+    return {i: row for i, row in enumerate(map(_sparse, m.entries)) if row}
+
+
+def _compose(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+    """a @ b from nonzero entries only; entries are not reduced mod p, and
+    terms that cancel leave a zero behind."""
+    out: SparseMatrix = {}
+    for i, arow in a.items():
+        acc: SparseVector = {}
+        get = acc.get
+        for j, x in arow.items():
+            for k, y in b.get(j, {}).items():
+                acc[k] = get(k, 0) + x * y
+        if acc:
+            out[i] = acc
+    return out
+
 
 @dataclass(frozen=True)
 class MapSpace:
@@ -77,14 +117,33 @@ class MapSpace:
     def dim(self) -> int:
         return self.space.dim
 
-    def flatten(self, mats: Maps) -> tuple[Scalar, ...]:
-        out: list[Scalar] = []
-        for mat, (r, c) in zip(mats, self.shapes):
-            if (mat.rows, mat.cols) != (r, c):
-                raise InputDataError("map tuple does not match this space's shapes")
-            for row in mat.entries:
-                out.extend(row)
-        return tuple(out)
+    @cached_property
+    def _blocks(self) -> list[_Map]:
+        return _layout(self.shapes)
+
+    @cached_property
+    def _pivot_index(self) -> dict[int, int]:
+        return {u: t for t, u in enumerate(self.space.pivots)}
+
+    @cached_property
+    def _flat_basis(self) -> tuple[SparseVector, ...]:
+        return tuple(map(_sparse, self.space.basis.entries))
+
+    @cached_property
+    def sparse_basis(self) -> tuple[SparseMaps, ...]:
+        """The echelon basis, each member a tuple of sparse maps."""
+        members = []
+        for vec in self._flat_basis:
+            maps: list[SparseMatrix] = []
+            for off, rows, cols in self._blocks:
+                m: SparseMatrix = {}
+                for u in range(off, off + rows * cols):
+                    if u in vec:
+                        i, j = divmod(u - off, cols)
+                        m.setdefault(i, {})[j] = vec[u]
+                maps.append(m)
+            members.append(tuple(maps))
+        return tuple(members)
 
     def unflatten(self, vec: Sequence[Scalar]) -> Maps:
         mats = []
@@ -98,16 +157,65 @@ class MapSpace:
     def basis_maps(self, t: int) -> Maps:
         return self.unflatten(self.space.basis.entries[t])
 
+    def products(self, components: Sequence[Sequence[Product]]) -> SparseVector:
+        """The flat sparse vector of the tuple whose component c is the sum
+        of the signed products listed for it."""
+        out: SparseVector = {}
+        get = out.get
+        for (off, _rows, cols), terms in zip(self._blocks, components):
+            for sign, a, b in terms:
+                for i, arow in a.items():
+                    base = off + i * cols
+                    for j, x in arow.items():
+                        brow = b.get(j)
+                        if brow:
+                            sx = sign * x
+                            for k, y in brow.items():
+                                out[base + k] = get(base + k, 0) + sx * y
+        return out
+
+    def read_coords(self, vec: SparseVector, error: str) -> tuple[Scalar, ...]:
+        """Coordinates of a flat sparse vector in the echelon basis; a
+        ``LinearSolveError(error)`` if the vector is not in this space.
+
+        The coordinates are the entries at the pivots; the vector less
+        their combination of the basis must vanish (mod p).
+        """
+        p = self.field.characteristic
+        at = self._pivot_index
+        coords = {at[u]: c for u, c in vec.items() if u in at}
+        rest = dict(vec)
+        for t, c in coords.items():
+            _axpy(rest, -c, self._flat_basis[t], p)
+        if any(c % p for c in rest.values()) if p else any(rest.values()):
+            raise LinearSolveError(error)
+        out = [self.field.zero] * self.dim
+        for t, c in coords.items():
+            out[t] = self.field.coerce(c)
+        return tuple(out)
+
+    def flatten(self, mats: Maps) -> SparseVector:
+        """A tuple of maps as a flat sparse vector."""
+        if len(mats) != len(self.shapes):
+            raise InputDataError("map tuple does not match this space's shapes")
+        out: SparseVector = {}
+        for mat, (off, r, c) in zip(mats, self._blocks):
+            if (mat.rows, mat.cols) != (r, c):
+                raise InputDataError("map tuple does not match this space's shapes")
+            for i, row in enumerate(map(_sparse, mat.entries)):
+                out.update((off + i * c + j, x) for j, x in row.items())
+        return out
+
     def coords_of_maps(self, mats: Maps) -> Optional[tuple[Scalar, ...]]:
-        return self.space.coords_of(self.flatten(mats))
+        try:
+            return self.solution_coords(mats, "")
+        except LinearSolveError:
+            return None
 
     def solution_coords(self, mats: Maps, error: str) -> tuple[Scalar, ...]:
         """Coordinates of a tuple that theory puts in this space; a
         ``LinearSolveError(error)`` if it is not there."""
-        coords = self.coords_of_maps(mats)
-        if coords is None:
-            raise LinearSolveError(error)
-        return coords
+        return self.read_coords(self.flatten(mats), error)
 
     def member_from_coords(self, coords: Sequence[Scalar]) -> Maps:
         return self.unflatten(self.space.linear_combination(coords))
@@ -209,17 +317,23 @@ def _space_with_algebra(
     field: Field,
     shapes: tuple[tuple[int, int], ...],
     rows: list[_Row],
-    bracket_fn: Callable[[Maps, Maps], Maps],
+    bracket_terms: Callable[[tuple, tuple], list[list[Product]]],
+    prepare: Callable[[SparseMaps], tuple] = lambda member: member,
 ) -> MapSpace:
-    space = sparse_kernel(field, sum(r * c for r, c in shapes), rows)
-    probe = MapSpace(field, shapes, space, LeibnizAlgebra.abelian(field, 0))
-    basis = [probe.basis_maps(t) for t in range(space.dim)]
-    table = tuple(
-        tuple(probe.solution_coords(bracket_fn(u, v), "bracket of two solutions left the solution space")
-              for v in basis)
-        for u in basis
-    )
-    return MapSpace(field, shapes, space, LeibnizAlgebra(field, space.dim, table))
+    """Solve the rows and read the bracket table off the echelon basis:
+    entry (s, t) is the sum of the products ``bracket_terms(u, v)`` lists
+    for the prepared basis members u = prepare(basis[s]), v = prepare(basis[t]).
+    """
+    solved = MapSpace(field, shapes, sparse_kernel(field, sum(r * c for r, c in shapes), rows),
+                      LeibnizAlgebra.abelian(field, 0))
+    members = [prepare(m) for m in solved.sparse_basis]
+    error = "bracket of two solutions left the solution space"
+    table = tuple(tuple(solved.read_coords(solved.products(bracket_terms(u, v)), error) for v in members)
+                  for u in members)
+    out = MapSpace(field, shapes, solved.space, LeibnizAlgebra(field, solved.dim, table))
+    for view in ("_blocks", "_pivot_index", "_flat_basis", "sparse_basis"):  # keep the cached views: built once
+        out.__dict__[view] = getattr(solved, view)
+    return out
 
 
 # -- pair spaces ----------------------------------------------------------
@@ -240,14 +354,18 @@ def bider_qn(x: CrossedModule) -> MapSpace:
     """Pairs of maps base -> top satisfying the pair identities through the action."""
     shapes = ((x.top.dim, x.base.dim),) * 2
     d, dd = _layout(shapes)
-    mu = x.boundary
+    mu = _sparse_matrix(x.boundary)
 
-    def bracket(u: Maps, v: Maps) -> Maps:
-        d1, dd1 = u
-        d2, dd2 = v
-        return (d1 @ (mu @ d2) - d2 @ (mu @ d1), dd1 @ (mu @ d2) - d2 @ (mu @ dd1))
+    def with_mu(pair: SparseMaps) -> tuple:
+        d, dd = pair
+        return d, dd, _compose(mu, d), _compose(mu, dd)
 
-    return _space_with_algebra(x.top.field, shapes, _pair_rows(x.action, d, dd), bracket)
+    def bracket_terms(u: tuple, v: tuple) -> list[list[Product]]:
+        # [(d1, dd1), (d2, dd2)] = (d1 mu d2 - d2 mu d1, dd1 mu d2 - d2 mu dd1)
+        (d1, dd1, mu_d1, mu_dd1), (d2, _dd2, mu_d2, _mu_dd2) = u, v
+        return [[(1, d1, mu_d2), (-1, d2, mu_d1)], [(1, dd1, mu_d2), (-1, d2, mu_dd1)]]
+
+    return _space_with_algebra(x.top.field, shapes, _pair_rows(x.action, d, dd), bracket_terms, with_mu)
 
 
 def inner_action_pair(x: CrossedModule, nvec: Sequence[Scalar]) -> Maps:
@@ -275,13 +393,14 @@ def bider_xmod(x: CrossedModule) -> MapSpace:
             + _boundary_rows(x.boundary, t1, t2)
             + _action_rows(x.action, s1, t1, s2, t2))
 
-    def bracket(u: Maps, v: Maps) -> Maps:
-        s1, t1, s2, t2 = u
-        s1p, t1p, s2p, t2p = v
-        return (s1 @ s1p - s1p @ s1, t1 @ s1p - s1p @ t1,
-                s2 @ s2p - s2p @ s2, t2 @ s2p - s2p @ t2)
+    def bracket_terms(u: tuple, v: tuple) -> list[list[Product]]:
+        # [(s1, t1, s2, t2), (s1', ...)] = (s1 s1' - s1' s1, t1 s1' - s1' t1,
+        #                                   s2 s2' - s2' s2, t2 s2' - s2' t2)
+        (s1, t1, s2, t2), (s1p, _t1p, s2p, _t2p) = u, v
+        return [[(1, s1, s1p), (-1, s1p, s1)], [(1, t1, s1p), (-1, s1p, t1)],
+                [(1, s2, s2p), (-1, s2p, s2)], [(1, t2, s2p), (-1, s2p, t2)]]
 
-    return _space_with_algebra(x.top.field, shapes, rows, bracket)
+    return _space_with_algebra(x.top.field, shapes, rows, bracket_terms)
 
 
 def inner_quadruple(x: CrossedModule, qvec: Sequence[Scalar]) -> Maps:
@@ -321,12 +440,10 @@ def delta(x: CrossedModule) -> Matrix:
     """Boundary of the actor: compose a pair with the boundary on both sides."""
     pairs = bider_qn(x)
     quads = bider_xmod(x)
-    mu = x.boundary
-    cols = []
-    for t in range(pairs.dim):
-        d, dd = pairs.basis_maps(t)
-        cols.append(quads.solution_coords((d @ mu, dd @ mu, mu @ d, mu @ dd),
-                                          "boundary-composed pair is not a quadruple solution"))
+    mu = _sparse_matrix(x.boundary)
+    error = "boundary-composed pair is not a quadruple solution"
+    cols = [quads.read_coords(quads.products([[(1, d, mu)], [(1, dd, mu)], [(1, mu, d)], [(1, mu, dd)]]), error)
+            for d, dd in pairs.sparse_basis]
     return Matrix.from_columns(x.top.field, cols, quads.dim)
 
 
@@ -335,13 +452,18 @@ def actor(x: CrossedModule) -> CrossedModule:
     """The crossed module (pair space) -> (quadruple space)."""
     pairs = bider_qn(x)
     quads = bider_xmod(x)
-    pair_basis = [pairs.basis_maps(i) for i in range(pairs.dim)]
-    quad_basis = [quads.basis_maps(a) for a in range(quads.dim)]
     error = "actor action left the pair space"
-    left = tuple(tuple(pairs.solution_coords(pair_quad_bracket_left(quad, pair), error) for pair in pair_basis)
-                 for quad in quad_basis)
-    right = tuple(tuple(pairs.solution_coords(pair_quad_bracket_right(pair, quad), error) for quad in quad_basis)
-                  for pair in pair_basis)
+
+    def read(components: list[list[Product]]) -> tuple[Scalar, ...]:
+        return pairs.read_coords(pairs.products(components), error)
+
+    # the products of pair_quad_bracket_left and pair_quad_bracket_right
+    left = tuple(tuple(read([[(1, s1, d), (-1, d, s2)], [(1, t1, d), (-1, d, t2)]])
+                       for d, _dd in pairs.sparse_basis)
+                 for s1, t1, s2, t2 in quads.sparse_basis)
+    right = tuple(tuple(read([[(1, d, s2), (-1, s1, d)], [(1, dd, s2), (-1, s1, dd)]])
+                        for s1, _t1, s2, _t2 in quads.sparse_basis)
+                  for d, dd in pairs.sparse_basis)
     act = ActionData(quads.algebra, pairs.algebra, left, right)
     return CrossedModule(pairs.algebra, quads.algebra, delta(x), act)
 

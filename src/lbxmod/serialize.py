@@ -26,6 +26,11 @@ def check_field_tag(obj: Any, field: Field) -> None:
             f"file was written for field {obj['field']!r} but {field.tag!r} was requested")
 
 
+def _is_int(x: Any) -> bool:
+    """A JSON integer: ``bool`` is an ``int`` subclass, but true is not 1 here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 # -- matrices and vectors -----------------------------------------------
 
 
@@ -42,7 +47,7 @@ def matrix_from_json(field: Field, obj: Any) -> Matrix:
     if not isinstance(obj, dict) or not {"rows", "cols", "entries"} <= set(obj):
         raise InputDataError("matrix object needs rows, cols and entries")
     rows, cols = obj["rows"], obj["cols"]
-    if not (isinstance(rows, int) and isinstance(cols, int) and rows >= 0 and cols >= 0):
+    if not (_is_int(rows) and _is_int(cols) and rows >= 0 and cols >= 0):
         raise InputDataError("matrix dimensions must be non-negative integers")
     data = obj["entries"]
     if not isinstance(data, list) or len(data) != rows:
@@ -90,7 +95,7 @@ def algebra_from_json(field: Field, obj: Any) -> LeibnizAlgebra:
     if not isinstance(obj, dict) or "dim" not in obj or "brackets" not in obj:
         raise InputDataError("algebra object needs dim and brackets")
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 0:
+    if not _is_int(dim) or dim < 0:
         raise InputDataError("algebra dim must be a non-negative integer")
     names = obj.get("names")
     if names is not None:
@@ -100,15 +105,15 @@ def algebra_from_json(field: Field, obj: Any) -> LeibnizAlgebra:
     if not isinstance(obj["brackets"], list):
         raise InputDataError("algebra brackets must be a list")
     for item in obj["brackets"]:
-        if not (isinstance(item, list) and len(item) == 3 and isinstance(item[0], int)
-                and isinstance(item[1], int) and isinstance(item[2], list)):
+        if not (isinstance(item, list) and len(item) == 3 and _is_int(item[0])
+                and _is_int(item[1]) and isinstance(item[2], list)):
             raise InputDataError(f"bad bracket entry {item!r}")
         i, j, terms = item
         if (i, j) in sparse:
             raise InputDataError(f"duplicate bracket entry for ({i}, {j})")
         parsed: dict[int, Scalar] = {}
         for term in terms:
-            if not (isinstance(term, list) and len(term) == 2 and isinstance(term[0], int)):
+            if not (isinstance(term, list) and len(term) == 2 and _is_int(term[0])):
                 raise InputDataError(f"bad bracket term {term!r}")
             k, c = term
             if k in parsed:

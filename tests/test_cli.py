@@ -310,3 +310,19 @@ def test_a_huge_prime_is_refused_before_any_trial_division(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_BAD_INPUT
     assert "2^31" in report["error"]
+
+
+@pytest.mark.parametrize("doc", [
+    {"dim": True, "brackets": [[0, 0, [[0, "1"]]]]},
+    {"kind": "algebra", "dim": 2, "brackets": [[False, False, [[1, "1"]]]]},
+    {"dim": 2, "brackets": [[0, 0, [[True, "1"]]]]},
+    {"kind": "xmod", "top": {"dim": 1, "brackets": []}, "base": {"dim": 1, "brackets": []},
+     "boundary": {"rows": True, "cols": 1, "entries": [["0"]]},
+     "action": {"left": [[["0"]]], "right": [[["0"]]]}},
+])
+def test_json_booleans_are_not_read_as_integers(capsys, tmp_path, doc):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_clean(capsys, "validate", str(path))
+    assert code == EXIT_BAD_INPUT
+    assert "integer" in report["error"] or "bad bracket" in report["error"]
