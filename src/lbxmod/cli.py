@@ -145,7 +145,7 @@ def _load(spec: str, field: Field, accepted: Sequence[str]):
         try:
             with open(spec, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or UTF-8, or an integer literal past the digit limit
             raise InputDataError(f"{spec} is not valid JSON: {exc}") from exc
         except OSError as exc:
             raise InputDataError(f"cannot read {spec}: {exc}") from exc

@@ -9,6 +9,7 @@ Rationals are plain ``fractions.Fraction`` values; prime-field scalars are
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -16,6 +17,9 @@ from typing import Any, Union
 
 #: prime fields are supported for p < 2^31; trial division stays cheap below it
 MAX_PRIME = 2**31
+# the rational forms the input format documents, "[-]a" and "[-]a/b"; Fraction()
+# alone would also read "1e5000", "1.5" and "1_0"
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 class InputDataError(ValueError):
@@ -94,7 +98,7 @@ class Rationals:
             raise InputDataError(f"bad rational scalar {v!r}")
         if isinstance(v, int):
             return Fraction(v)
-        if isinstance(v, str):
+        if isinstance(v, str) and _RATIONAL.fullmatch(v):
             try:
                 return Fraction(v)
             except (ValueError, ZeroDivisionError) as exc:

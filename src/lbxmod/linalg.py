@@ -5,15 +5,19 @@ Matrices are immutable row-major tuples; linear maps act on column vectors
 stored by their unique reduced-row-echelon basis, which makes equality of
 subspaces plain tuple equality and keeps every downstream report canonical.
 
-Small dense systems go through ``rref``.  Large sparse ones, given as rows
-``{unknown: coefficient}``, go through ``sparse_kernel``, which eliminates on
-the row dicts with plain ``int`` residues over F_p and ``Fraction`` over Q.
+All elimination runs in one kernel, ``_sparse_rref``, on sparse rows
+``{column: coefficient}``: plain ``int`` residues over F_p, and over Q
+fraction-free steps on primitive integer rows, divided by their pivots only
+once, in the result.  ``rref`` (and with it ``nullspace``, ``solve`` and the
+``Subspace`` operations) hands it the rows of a dense matrix;
+``sparse_kernel`` hands it the sparse constraint rows of the map-space solver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .fields import Field, FpElement, InputDataError, Scalar
@@ -166,28 +170,17 @@ class RrefResult:
 
 
 def rref(m: Matrix) -> RrefResult:
-    """Reduced row echelon form with the first-nonzero pivot rule."""
-    work = [list(row) for row in m.entries]
-    pivots: list[int] = []
-    pr = 0  # next pivot row
-    for col in range(m.cols):
-        # find the first row at or below pr with a nonzero entry in col
-        sel = next((r for r in range(pr, m.rows) if work[r][col]), None)
-        if sel is None:
-            continue
-        work[pr], work[sel] = work[sel], work[pr]
-        inv = m.field.one / work[pr][col]
-        work[pr] = [inv * x for x in work[pr]]
-        for r in range(m.rows):
-            if r != pr and work[r][col]:
-                c = work[r][col]
-                work[r] = [x - c * y for x, y in zip(work[r], work[pr])]
-        pivots.append(col)
-        pr += 1
-        if pr == m.rows:
-            break
-    reduced = Matrix(m.field, m.rows, m.cols, tuple(tuple(row) for row in work))
-    return RrefResult(reduced, tuple(pivots))
+    """Reduced row echelon form with the first-nonzero pivot rule.
+
+    The rows are reduced by ``_sparse_rref``; the pivot rows come first in
+    pivot order, then the zero rows, and every entry is a field scalar.
+    """
+    field = m.field
+    red = _sparse_rref(({c: number(x) for c, x in enumerate(row) if x} for row in m.entries),
+                       field.characteristic)
+    pivots, rows = _dense_rows(field, m.cols, red)
+    rows += ((field.zero,) * m.cols,) * (m.rows - len(pivots))
+    return RrefResult(Matrix(field, m.rows, m.cols, rows), pivots)
 
 
 @dataclass(frozen=True)
@@ -365,6 +358,45 @@ def _axpy(dst: dict[int, Number], f: Number, src: Mapping[int, Number], p: int) 
             dst.pop(c, None)
 
 
+def _primitive(row: dict[int, int]) -> None:
+    """Divide an integer row by the gcd of its entries, in place."""
+    g = gcd(*row.values())
+    if g > 1:
+        for c in row:
+            row[c] //= g
+
+
+def _integer_row(src: Mapping[int, Number]) -> dict[int, int]:
+    """The primitive integer row on the line of a rational row: scaled by the
+    lcm of its denominators, divided by the gcd of its entries."""
+    row = {c: v for c, v in src.items() if v}
+    den = lcm(*(v.denominator for v in row.values()))
+    row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+    _primitive(row)
+    return row
+
+
+def _cancel(row: dict[int, Number], c: int, pivot_row: Mapping[int, Number], p: int) -> None:
+    """Clear column c of row against the pivot row whose pivot is c, in place.
+
+    Over F_p the pivot row has 1 at c.  Over Q both are integer rows and no
+    division happens: with d the pivot entry, f the entry to clear and
+    g = gcd(d, f), row becomes (d/g)*row - (f/g)*pivot_row, made primitive.
+    """
+    f = row[c]
+    if p:
+        _axpy(row, -f, pivot_row, p)
+        return
+    d = pivot_row[c]
+    g = gcd(d, f)
+    d //= g
+    if d != 1:
+        for k in row:
+            row[k] *= d
+    _axpy(row, -(f // g), pivot_row, 0)
+    _primitive(row)
+
+
 def _sparse_rref(rows: Iterable[Mapping[int, Number]], p: int) -> dict[int, dict[int, Number]]:
     """Reduced row echelon form of sparse rows, over F_p if p else over Q.
 
@@ -372,26 +404,47 @@ def _sparse_rref(rows: Iterable[Mapping[int, Number]], p: int) -> dict[int, dict
     its first nonzero column, and 0 at every other pivot column.  Rows are
     taken one at a time and reduced against the pivot rows found so far,
     which then stay reduced against the new one.
+
+    Over F_p the rows hold residues and each pivot row is scaled to 1 at its
+    pivot.  Over Q elimination is fraction-free: every row is held as a
+    primitive integer row, and only the result is divided by its pivot
+    entry, each entry once (an int where the division is exact).
     """
     done: dict[int, dict[int, Number]] = {}
     for src in rows:
-        if p:
-            row = {c: v % p for c, v in src.items() if v % p}
-        else:
-            row = {c: v for c, v in src.items() if v}
+        row = {c: v % p for c, v in src.items() if v % p} if p else _integer_row(src)
         for c in [c for c in row if c in done]:
-            _axpy(row, -row[c], done[c], p)
+            _cancel(row, c, done[c], p)
         if not row:
             continue
         lead = min(row)
-        inv = pow(row[lead], -1, p) if p else Fraction(1) / row[lead]
-        row = {c: v * inv % p for c, v in row.items()} if p else {c: v * inv for c, v in row.items()}
+        if p:
+            inv = pow(row[lead], -1, p)
+            row = {c: v * inv % p for c, v in row.items()}
         for other in done.values():
-            f = other.get(lead)
-            if f:
-                _axpy(other, -f, row, p)
+            if lead in other:
+                _cancel(other, lead, row, p)
         done[lead] = row
+    if not p:
+        for lead, row in done.items():
+            d = row[lead]
+            done[lead] = {c: v // d if v % d == 0 else Fraction(v, d) for c, v in row.items()}
     return done
+
+
+def _dense_rows(field: Field, ncols: int, red: Mapping[int, Mapping[int, Number]]
+                ) -> tuple[tuple[int, ...], tuple[tuple[Scalar, ...], ...]]:
+    """The pivots of a ``_sparse_rref`` result in order, and its rows as
+    dense vectors of field scalars."""
+    pivots = tuple(sorted(red))
+    z = field.zero
+    rows = []
+    for lead in pivots:
+        vec = [z] * ncols
+        for c, v in red[lead].items():
+            vec[c] = field.coerce(v)
+        rows.append(tuple(vec))
+    return pivots, tuple(rows)
 
 
 def sparse_kernel(field: Field, ncols: int, rows: Iterable[Mapping[int, Number]]) -> Subspace:
@@ -409,13 +462,5 @@ def sparse_kernel(field: Field, ncols: int, rows: Iterable[Mapping[int, Number]]
         for c, v in row.items():
             if c != lead:
                 gens[c][lead] = -v
-    basis = _sparse_rref(gens.values(), p)
-    pivots = tuple(sorted(basis))
-    z = field.zero
-    dense = []
-    for lead in pivots:
-        vec = [z] * ncols
-        for c, v in basis[lead].items():
-            vec[c] = field.coerce(v)
-        dense.append(tuple(vec))
-    return Subspace(field, ncols, Matrix(field, len(dense), ncols, tuple(dense)), pivots)
+    pivots, basis = _dense_rows(field, ncols, _sparse_rref(gens.values(), p))
+    return Subspace(field, ncols, Matrix(field, len(basis), ncols, basis), pivots)

@@ -11,6 +11,7 @@ bracket (XLb2, the Peiffer identities).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Optional
 
 from .action import ActionData, semidirect_algebra, validate_action
@@ -51,6 +52,15 @@ class CrossedModule:
             raise InputDataError("action actor is not the base algebra")
         if self.action.target is not self.top and self.action.target != self.top:
             raise InputDataError("action target is not the top algebra")
+
+    # The memos in ``bider`` are keyed on crossed modules; hashing the whole
+    # frozen structure on every lookup cost more than some of the solves.
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.top, self.base, self.boundary, self.action))
 
     @classmethod
     def identity_on(cls, a: LeibnizAlgebra) -> "CrossedModule":

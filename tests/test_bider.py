@@ -36,7 +36,7 @@ from lbxmod.bider import (
 )
 from lbxmod.catalog import build_entry
 from lbxmod.linalg import Matrix
-from lbxmod.xmod import validate_morphism, validate_xmod
+from lbxmod.xmod import CrossedModule, validate_morphism, validate_xmod
 
 
 def flats(space):
@@ -105,6 +105,20 @@ def test_pair_space_of_sl2_is_all_inner():
 
 def test_abelian_pair_space_has_no_constraints():
     assert bider_algebra(build_entry("a2", QQ)).dim == 8
+
+
+@pytest.mark.parametrize("memo", [bider_qn, bider_xmod, actor, delta, canonical_morphism])
+def test_an_equal_crossed_module_hits_the_memo(memo):
+    x = build_entry("l2-ann-incl", QQ)
+    rebuilt = build_entry("l2-ann-incl", QQ)
+    copy = CrossedModule(x.top, x.base, x.boundary, x.action)
+    first = memo(x)
+    for y in (rebuilt, copy):
+        assert y is not x and y == x
+        assert hash(y) == hash(x) == hash((y.top, y.base, y.boundary, y.action))
+        hits = memo.cache_info().hits
+        assert memo(y) is first
+        assert memo.cache_info().hits == hits + 1
 
 
 def test_action_pair_space_of_the_inclusion_fixture():

@@ -326,3 +326,17 @@ def test_json_booleans_are_not_read_as_integers(capsys, tmp_path, doc):
     code, report = run_clean(capsys, "validate", str(path))
     assert code == EXIT_BAD_INPUT
     assert "integer" in report["error"] or "bad bracket" in report["error"]
+
+
+@pytest.mark.parametrize("data, message", [
+    (b'{"dim": 1, "brackets": [[0, 0, [[0, "1e5000"]]]]}', "bad rational scalar"),
+    (b'{"dim": 1, "brackets": [[0, 0, [[0, "1.5"]]]]}', "bad rational scalar"),
+    (b'{"dim": 1, "brackets": [[0, 0, [[0, ' + b"1" * 5001 + b']]]]}', "not valid JSON"),
+    (b'{"dim": 1, "brackets": [\xff]}', "not valid JSON"),
+], ids=["exponent", "decimal", "5001-digit-json-int", "not-utf8"])
+def test_unreadable_scalars_and_json_are_bad_input(capsys, tmp_path, data, message):
+    path = tmp_path / "alg.json"
+    path.write_bytes(data)
+    code, report = run_clean(capsys, "validate", str(path))
+    assert code == EXIT_BAD_INPUT
+    assert message in report["error"]

@@ -15,7 +15,9 @@ def test_rational_parse_and_serialize_round_trip():
     assert QQ.parse_scalar(QQ.scalar_to_json(Fraction(22, 7))) == Fraction(22, 7)
 
 
-@pytest.mark.parametrize("bad", [True, False, "1/0", "abc", 0.5, None, [1]])
+@pytest.mark.parametrize("bad", [True, False, "1/0", "abc", 0.5, None, [1],
+                                 "1e5", "1e5000", "1.5", "1_0", "+5", " 5", "5\n", "1/-2",
+                                 "\u0663", "9" * 5000, "1e1000000"])
 def test_rational_rejects_non_scalars(bad):
     with pytest.raises(InputDataError):
         QQ.parse_scalar(bad)

@@ -1,9 +1,11 @@
 """Exact linear algebra: reduction, spans, solving.
 
 The hypothesis blocks generate small rational matrices, zero-heavy matrices
-over Q, F2 and F3 for the products, and sparse systems for ``sparse_kernel``;
-the mod-2 block at the end grinds through every 3x3 matrix as a
-no-randomness backstop.
+over Q, F2 and F3 for the products, and sparse systems for ``sparse_kernel``.
+``rref``, ``nullspace`` and ``sparse_kernel`` share one elimination kernel,
+so they are checked against ``reference_rref``, a plain dense Gauss-Jordan
+loop on field scalars.  The mod-2 block at the end grinds through every 3x3
+matrix as a no-randomness backstop.
 """
 import itertools
 from fractions import Fraction
@@ -13,7 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lbxmod import GF2, GF3, QQ
-from lbxmod.linalg import Matrix, Subspace, column_space, nullspace, rref, solve_vector, sparse_kernel
+from lbxmod.linalg import (
+    Matrix,
+    RrefResult,
+    Subspace,
+    column_space,
+    nullspace,
+    rref,
+    solve_vector,
+    sparse_kernel,
+)
 
 entries = st.integers(min_value=-4, max_value=4).map(Fraction)
 
@@ -169,13 +180,100 @@ def sparse_system(draw):
     return field, ncols, rows
 
 
+def reference_rref(m):
+    """Dense Gauss-Jordan elimination on field scalars, first-nonzero pivots."""
+    work = [list(row) for row in m.entries]
+    pivots = []
+    pr = 0  # next pivot row
+    for col in range(m.cols):
+        sel = next((r for r in range(pr, m.rows) if work[r][col]), None)
+        if sel is None:
+            continue
+        work[pr], work[sel] = work[sel], work[pr]
+        inv = m.field.one / work[pr][col]
+        work[pr] = [inv * x for x in work[pr]]
+        for r in range(m.rows):
+            if r != pr and work[r][col]:
+                c = work[r][col]
+                work[r] = [x - c * y for x, y in zip(work[r], work[pr])]
+        pivots.append(col)
+        pr += 1
+        if pr == m.rows:
+            break
+    return RrefResult(Matrix(m.field, m.rows, m.cols, tuple(tuple(row) for row in work)), tuple(pivots))
+
+
+def reference_nullspace(m):
+    """The kernel of m from ``reference_rref`` alone, as a canonical Subspace."""
+    field, red = m.field, reference_rref(m)
+    rows = []
+    for f in (j for j in range(m.cols) if j not in red.pivots):
+        v = [field.zero] * m.cols
+        v[f] = field.one
+        for t, p in enumerate(red.pivots):
+            v[p] = -red.matrix.entries[t][f]
+        rows.append(tuple(v))
+    basis = reference_rref(Matrix(field, len(rows), m.cols, tuple(rows)))
+    return Subspace(field, m.cols, Matrix(field, basis.rank, m.cols, basis.matrix.entries[: basis.rank]),
+                    basis.pivots)
+
+
 @given(sparse_system())
 @settings(max_examples=200)
 def test_sparse_kernel_equals_the_dense_nullspace(case):
     field, ncols, rows = case
     dense = Matrix(field, len(rows), ncols,
                    tuple(tuple(field.coerce(row.get(c, 0)) for c in range(ncols)) for row in rows))
-    assert sparse_kernel(field, ncols, rows) == nullspace(dense)
+    expected = reference_nullspace(dense)
+    assert sparse_kernel(field, ncols, rows) == expected
+    assert nullspace(dense) == expected
+
+
+def elimination_entries(field):
+    """Zeros, small values and, over Q, fractions with 30-digit parts."""
+    if field != QQ:
+        return st.one_of(st.just(0), st.integers(-7, 7))
+    huge = st.integers(-10**30, 10**30)
+    return st.one_of(st.just(0), st.integers(-4, 4).map(Fraction),
+                     st.fractions(-3, 3, max_denominator=5),
+                     st.builds(Fraction, huge, st.integers(1, 10**30)))
+
+
+@st.composite
+def elimination_case(draw):
+    """A matrix with 0..5 rows and columns, plus zero rows, duplicate rows and
+    negated rows (negative pivots) placed anywhere."""
+    field = draw(st.sampled_from(FIELDS))
+    nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    cell = elimination_entries(field)
+    data = [[draw(cell) for _ in range(ncols)] for _ in range(nrows)]
+    for kind in draw(st.lists(st.sampled_from(("zero", "duplicate", "negated")), max_size=3)):
+        if kind == "zero":
+            extra = [0] * ncols
+        elif data:
+            src = data[draw(st.integers(0, len(data) - 1))]
+            extra = list(src) if kind == "duplicate" else [-3 * x for x in src]
+        else:
+            continue
+        data.insert(draw(st.integers(0, len(data))), extra)
+    return Matrix(field, len(data), ncols, tuple(tuple(field.coerce(x) for x in row) for row in data))
+
+
+@given(elimination_case())
+@settings(max_examples=300)
+def test_elimination_equals_the_dense_reference(m):
+    red, expected = rref(m), reference_rref(m)
+    assert red.pivots == expected.pivots
+    assert red.matrix == expected.matrix
+    scalar_type = type(m.field.zero)
+    assert all(type(x) is scalar_type for row in red.matrix.entries for x in row)
+    kernel = reference_nullspace(m)
+    rows = [{c: x for c, x in enumerate(row) if x} for row in m.entries]
+    if m.field != QQ:
+        rows = [{c: x.value for c, x in row.items()} for row in rows]
+    for got in (nullspace(m), sparse_kernel(m.field, m.cols, rows)):
+        assert got == kernel
+        assert all(type(x) is scalar_type for row in got.basis.entries for x in row)
 
 
 def test_every_3x3_mod2_matrix_has_consistent_kernel():
