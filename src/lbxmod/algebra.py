@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .fields import Field, InputDataError, Scalar
-from .linalg import LinearSolveError, Matrix, Number, Subspace, nullspace, number
+from .linalg import Matrix, Number, Subspace, _dense, _sparse, sparse_kernel
 
 MAX_DIM = 64  # guard against accidentally huge inputs
 
@@ -41,10 +41,6 @@ SparseVector = dict[int, Number]
 SparseTensor = tuple[tuple[SparseVector, ...], ...]
 Term = tuple[int, SparseTensor, SparseVector, SparseVector]  # sign * view(x, y)
 _ONE: SparseVector = {0: 1}  # the left argument that turns a ``_sparse_map`` view into its map
-
-
-def _sparse(vec: Sequence[Scalar]) -> SparseVector:
-    return {k: number(c) for k, c in enumerate(vec) if c}
 
 
 def _sparse_tensor(tensor) -> SparseTensor:
@@ -82,13 +78,6 @@ def _evaluate(terms: Sequence[Term], p: int) -> SparseVector:
     if p:
         return {k: c % p for k, c in out.items() if c % p}
     return {k: c for k, c in out.items() if c}
-
-
-def _dense(field: Field, dim: int, vec: SparseVector) -> tuple[Scalar, ...]:
-    out = [field.zero] * dim
-    for k, c in vec.items():
-        out[k] = field.coerce(c)
-    return tuple(out)
 
 
 def _contract(field: Field, view: SparseTensor, x: Sequence[Scalar], y: Sequence[Scalar],
@@ -211,18 +200,49 @@ def validate_leibniz(a: LeibnizAlgebra) -> ValidationReport:
     return ValidationReport(tuple(bad))
 
 
+# -- kernels, closure and induced structure on subspaces --------------------
+#
+# A kernel is solved from sparse rows {unknown: coefficient} with
+# ``sparse_kernel``; a value is tested against a subspace, or read in its
+# coordinates, through ``Subspace.residue``.
+
+
+def _image_rows(*maps: Iterable[SparseVector]) -> list[dict[int, Number]]:
+    """The rows of sum_u x[u] * m[u] = 0 for each map m listed by its images
+    m[u] of e_u: one row per (map, output coordinate)."""
+    out: list[dict[int, Number]] = []
+    for images in maps:
+        rows: dict[int, dict[int, Number]] = {}
+        for u, img in enumerate(images):
+            for k, c in img.items():
+                rows.setdefault(k, {})[u] = c
+        out += rows.values()
+    return out
+
+
+def _annihilator_rows(a: LeibnizAlgebra) -> list[dict[int, Number]]:
+    """[e_i, x] = 0 = [x, e_i] for every basis element e_i."""
+    t, n = a.sparse_table, range(a.dim)
+    return _image_rows(*(t[i] for i in n), *([t[u][i] for u in n] for i in n))
+
+
+def _closed(s: Subspace, terms: Iterable[Term]) -> bool:
+    """Whether every term (sign, view, x, y) evaluates into s."""
+    p = s.field.characteristic
+    return not any(s.residue(_evaluate([term], p)) for term in terms)
+
+
+def _restricted(s: Subspace, view: SparseTensor, xs: Sequence[SparseVector], ys: Sequence[SparseVector],
+                error: str) -> tuple[tuple[tuple[Scalar, ...], ...], ...]:
+    """The tensor of view(x, y) for x in xs and y in ys, in the coordinates
+    of s's basis rows; a ``LinearSolveError(error)`` if a value leaves s."""
+    p = s.field.characteristic
+    return tuple(tuple(s.read_coords(_evaluate([(1, view, x, y)], p), error) for y in ys) for x in xs)
+
+
 def annihilator(a: LeibnizAlgebra) -> Subspace:
     """{x : [y, x] = 0 = [x, y] for all y}, the two-sided annihilator."""
-    if a.dim == 0:
-        return Subspace.zero(a.field, 0)
-    blocks = None
-    for i in range(a.dim):
-        li = a.left_operator(_unit(a.field, a.dim, i))
-        ri = a.right_operator(_unit(a.field, a.dim, i))
-        stack = li.vstack(ri)
-        blocks = stack if blocks is None else blocks.vstack(stack)
-    assert blocks is not None
-    return nullspace(blocks)
+    return sparse_kernel(a.field, a.dim, _annihilator_rows(a))
 
 
 def commutator(a: LeibnizAlgebra) -> Subspace:
@@ -234,12 +254,8 @@ def commutator(a: LeibnizAlgebra) -> Subspace:
 def is_ideal(a: LeibnizAlgebra, s: Subspace) -> bool:
     if s.ambient != a.dim:
         raise InputDataError("subspace does not live in the algebra")
-    units = [_unit(a.field, a.dim, i) for i in range(a.dim)]
-    for v in s.basis_vectors():
-        for u in units:
-            if not s.contains(a.bracket(u, v)) or not s.contains(a.bracket(v, u)):
-                return False
-    return True
+    t = a.sparse_table
+    return _closed(s, ((1, t, x, y) for v in s.sparse_rows for u in _units(a.dim) for x, y in ((u, v), (v, u))))
 
 
 def subalgebra_on(a: LeibnizAlgebra, s: Subspace) -> tuple[LeibnizAlgebra, Matrix]:
@@ -248,21 +264,9 @@ def subalgebra_on(a: LeibnizAlgebra, s: Subspace) -> tuple[LeibnizAlgebra, Matri
     Returns the small algebra in the coordinates of s's basis rows together
     with the inclusion matrix (a.dim x s.dim).
     """
-    k = s.dim
-    rows = s.basis_vectors()
-    tab = []
-    for i in range(k):
-        tab_row = []
-        for j in range(k):
-            w = a.bracket(rows[i], rows[j])
-            coords = s.coords_of(w)
-            if coords is None:
-                raise LinearSolveError("subspace is not closed under the bracket")
-            tab_row.append(coords)
-        tab.append(tuple(tab_row))
-    small = LeibnizAlgebra(a.field, k, tuple(tab))
-    incl = Matrix.from_columns(a.field, list(rows), a.dim)
-    return small, incl
+    rows = s.sparse_rows
+    tab = _restricted(s, a.sparse_table, rows, rows, "subspace is not closed under the bracket")
+    return LeibnizAlgebra(a.field, s.dim, tab), Matrix.from_columns(a.field, s.basis_vectors(), a.dim)
 
 
 def quotient_algebra(a: LeibnizAlgebra, ideal: Subspace) -> tuple[LeibnizAlgebra, Matrix]:
@@ -273,13 +277,14 @@ def quotient_algebra(a: LeibnizAlgebra, ideal: Subspace) -> tuple[LeibnizAlgebra
     """
     if not is_ideal(a, ideal):
         raise InputDataError("quotient requested by a subspace that is not an ideal")
-    reps = ideal.complement_indices()
-    proj = ideal.projection_matrix()
-    tab = []
-    for r in reps:
-        tab.append(tuple(proj.apply(a.table[r][s]) for s in reps))
-    small = LeibnizAlgebra(a.field, len(reps), tuple(tab))
-    return small, proj
+    return _quotient(a, ideal)
+
+
+def _quotient(a: LeibnizAlgebra, ideal: Subspace) -> tuple[LeibnizAlgebra, Matrix]:
+    """``quotient_algebra`` by a subspace already known to be an ideal."""
+    t, reps = a.sparse_table, ideal.complement_indices()
+    tab = tuple(tuple(ideal.project(t[r][s]) for s in reps) for r in reps)
+    return LeibnizAlgebra(a.field, len(reps), tab), ideal.projection_matrix()
 
 
 def direct_sum(a: LeibnizAlgebra, b: LeibnizAlgebra) -> tuple[LeibnizAlgebra, Matrix, Matrix]:

@@ -21,12 +21,15 @@ Every map built from the solved spaces is computed sparsely.
 ``MapSpace.sparse_basis`` holds each echelon basis member, once per space,
 as a tuple of maps ``{row: {col: c}}`` with ``linalg.number`` entries.
 ``MapSpace.products`` sums signed products of such maps into one flat sparse
-vector, and ``MapSpace.read_coords`` is the one coordinate reader: it takes
-the entries at the pivots, checks that nothing is left once their
-combination of the basis is subtracted (mod p), and only then turns them
-into field scalars.  The bracket tables, the actor's action, ``delta`` and
-every ``solution_coords``/``coords_of_maps`` call (dense maps are made
-sparse on entry) go through these two.
+vector, and ``MapSpace.read_coords`` is the one coordinate reader
+(``Subspace.read_coords``): it takes the entries at the pivots, checks that
+nothing is left once their combination of the basis is subtracted (mod p),
+and only then turns them into field scalars.  The bracket tables, the
+actor's action and ``delta`` go through these two; the canonical morphism,
+``lift_sequence`` and ``xaction.morphism_from_action`` hand the reader maps
+given by sparse columns (``MapSpace.read_columns``), and every
+``solution_coords``/``coords_of_maps`` call makes its dense maps sparse on
+entry.
 """
 
 from __future__ import annotations
@@ -38,14 +41,15 @@ from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .action import ActionData
-from .algebra import LeibnizAlgebra, SparseVector, _sparse, _sparse_map, _unit
+from .algebra import LeibnizAlgebra, SparseVector, _evaluate, _sparse_map, _unit, _units
 from .fields import Field, InputDataError, Scalar
 from .linalg import (
     LinearSolveError,
     Matrix,
     Number,
     Subspace,
-    _axpy,
+    _dense,
+    _sparse,
     column_space,
     nullspace,
     rref,
@@ -78,6 +82,8 @@ Maps = tuple[Matrix, ...]
 SparseMatrix = dict[int, SparseVector]
 SparseMaps = tuple[SparseMatrix, ...]
 Product = tuple[int, SparseMatrix, SparseMatrix]
+# A map given by its columns, each a sparse vector, and a sign: (sign, columns).
+SignedColumns = tuple[int, Sequence[SparseVector]]
 
 
 def _sparse_matrix(m: Matrix) -> SparseMatrix:
@@ -122,18 +128,10 @@ class MapSpace:
         return _layout(self.shapes)
 
     @cached_property
-    def _pivot_index(self) -> dict[int, int]:
-        return {u: t for t, u in enumerate(self.space.pivots)}
-
-    @cached_property
-    def _flat_basis(self) -> tuple[SparseVector, ...]:
-        return tuple(map(_sparse, self.space.basis.entries))
-
-    @cached_property
     def sparse_basis(self) -> tuple[SparseMaps, ...]:
         """The echelon basis, each member a tuple of sparse maps."""
         members = []
-        for vec in self._flat_basis:
+        for vec in self.space.sparse_rows:
             maps: list[SparseMatrix] = []
             for off, rows, cols in self._blocks:
                 m: SparseMatrix = {}
@@ -176,35 +174,19 @@ class MapSpace:
 
     def read_coords(self, vec: SparseVector, error: str) -> tuple[Scalar, ...]:
         """Coordinates of a flat sparse vector in the echelon basis; a
-        ``LinearSolveError(error)`` if the vector is not in this space.
-
-        The coordinates are the entries at the pivots; the vector less
-        their combination of the basis must vanish (mod p).
-        """
-        p = self.field.characteristic
-        at = self._pivot_index
-        coords = {at[u]: c for u, c in vec.items() if u in at}
-        rest = dict(vec)
-        for t, c in coords.items():
-            _axpy(rest, -c, self._flat_basis[t], p)
-        if any(c % p for c in rest.values()) if p else any(rest.values()):
-            raise LinearSolveError(error)
-        out = [self.field.zero] * self.dim
-        for t, c in coords.items():
-            out[t] = self.field.coerce(c)
-        return tuple(out)
+        ``LinearSolveError(error)`` if the vector is not in this space
+        (``Subspace.read_coords``)."""
+        return self.space.read_coords(vec, error)
 
     def flatten(self, mats: Maps) -> SparseVector:
         """A tuple of maps as a flat sparse vector."""
-        if len(mats) != len(self.shapes):
+        if len(mats) != len(self.shapes) or any((m.rows, m.cols) != s for m, s in zip(mats, self.shapes)):
             raise InputDataError("map tuple does not match this space's shapes")
-        out: SparseVector = {}
-        for mat, (off, r, c) in zip(mats, self._blocks):
-            if (mat.rows, mat.cols) != (r, c):
-                raise InputDataError("map tuple does not match this space's shapes")
-            for i, row in enumerate(map(_sparse, mat.entries)):
-                out.update((off + i * c + j, x) for j, x in row.items())
-        return out
+        return _flat(self._blocks, [(1, [_sparse(m.column(j)) for j in range(m.cols)]) for m in mats])
+
+    def read_columns(self, components: Sequence[SignedColumns], error: str) -> tuple[Scalar, ...]:
+        """``read_coords`` of the tuple of maps given by their signed columns."""
+        return self.read_coords(_flat(self._blocks, components), error)
 
     def coords_of_maps(self, mats: Maps) -> Optional[tuple[Scalar, ...]]:
         try:
@@ -331,7 +313,7 @@ def _space_with_algebra(
     table = tuple(tuple(solved.read_coords(solved.products(bracket_terms(u, v)), error) for v in members)
                   for u in members)
     out = MapSpace(field, shapes, solved.space, LeibnizAlgebra(field, solved.dim, table))
-    for view in ("_blocks", "_pivot_index", "_flat_basis", "sparse_basis"):  # keep the cached views: built once
+    for view in ("_blocks", "sparse_basis"):  # keep the cached views: built once
         out.__dict__[view] = getattr(solved, view)
     return out
 
@@ -346,7 +328,7 @@ def bider_algebra(a: LeibnizAlgebra) -> MapSpace:
 
 def inner_biderivation(a: LeibnizAlgebra, x: Sequence[Scalar]) -> Maps:
     """The pair generated by an element: (y -> -[y, x], y -> [x, y])."""
-    return (-a.right_operator(x), a.left_operator(x))
+    return inner_action_pair(CrossedModule.identity_on(a), x)
 
 
 @functools.lru_cache(maxsize=None)
@@ -368,13 +350,35 @@ def bider_qn(x: CrossedModule) -> MapSpace:
     return _space_with_algebra(x.top.field, shapes, _pair_rows(x.action, d, dd), bracket_terms, with_mu)
 
 
+# The inner pair of a top element and the inner quadruple of a base element
+# are evaluated column by column from the sparse views; ``canonical_morphism``
+# reads them as flat sparse vectors.
+
+
+def _flat(blocks: Sequence[_Map], components: Sequence[SignedColumns]) -> SparseVector:
+    """The flat sparse vector of a tuple of maps, each given by its signed columns."""
+    out: SparseVector = {}
+    for (off, _rows, cols), (sign, columns) in zip(blocks, components):
+        for j, col in enumerate(columns):
+            out.update((off + k * cols + j, sign * c) for k, c in col.items())
+    return out
+
+
+def _as_maps(field: Field, heights: Sequence[int], components: Sequence[SignedColumns]) -> Maps:
+    return tuple(Matrix.from_columns(field, [_dense(field, h, {k: sign * c for k, c in col.items()})
+                                             for col in cols], h)
+                 for h, (sign, cols) in zip(heights, components))
+
+
+def _inner_pair(x: CrossedModule, n: SparseVector) -> list[SignedColumns]:
+    p, e = x.top.field.characteristic, _units(x.base.dim)
+    left, right = x.action.sparse_left, x.action.sparse_right
+    return [(-1, [_evaluate([(1, left, q, n)], p) for q in e]), (1, [_evaluate([(1, right, n, q)], p) for q in e])]
+
+
 def inner_action_pair(x: CrossedModule, nvec: Sequence[Scalar]) -> Maps:
     """The pair generated by a top element: (q -> -[q, n], q -> [n, q])."""
-    f = x.top.field
-    qd = x.base.dim
-    dcols = [tuple(-c for c in x.action.act_left(_unit(f, qd, a), nvec)) for a in range(qd)]
-    ddcols = [x.action.act_right(nvec, _unit(f, qd, a)) for a in range(qd)]
-    return (Matrix.from_columns(f, dcols, x.top.dim), Matrix.from_columns(f, ddcols, x.top.dim))
+    return _as_maps(x.top.field, (x.top.dim,) * 2, _inner_pair(x, _sparse(nvec)))
 
 
 # -- quadruple spaces on a crossed module --------------------------------
@@ -403,19 +407,20 @@ def bider_xmod(x: CrossedModule) -> MapSpace:
     return _space_with_algebra(x.top.field, shapes, rows, bracket_terms)
 
 
+def _inner_quadruple(x: CrossedModule, q: SparseVector) -> list[SignedColumns]:
+    p, tops, bases = x.top.field.characteristic, _units(x.top.dim), _units(x.base.dim)
+    left, right, bt = x.action.sparse_left, x.action.sparse_right, x.base.sparse_table
+    return [(-1, [_evaluate([(1, right, m, q)], p) for m in tops]),
+            (1, [_evaluate([(1, left, q, m)], p) for m in tops]),
+            (-1, [_evaluate([(1, bt, b, q)], p) for b in bases]),
+            (1, [_evaluate([(1, bt, q, b)], p) for b in bases])]
+
+
 def inner_quadruple(x: CrossedModule, qvec: Sequence[Scalar]) -> Maps:
     """The quadruple generated by a base element q: acts by -[., q] and
     [q, .] on both layers."""
-    f = x.top.field
-    nd = x.top.dim
-    s1_cols = [tuple(-c for c in x.action.act_right(_unit(f, nd, i), qvec)) for i in range(nd)]
-    t1_cols = [x.action.act_left(qvec, _unit(f, nd, i)) for i in range(nd)]
-    return (
-        Matrix.from_columns(f, s1_cols, nd),
-        Matrix.from_columns(f, t1_cols, nd),
-        -x.base.right_operator(qvec),
-        x.base.left_operator(qvec),
-    )
+    nd, qd = x.top.dim, x.base.dim
+    return _as_maps(x.top.field, (nd, nd, qd, qd), _inner_quadruple(x, _sparse(qvec)))
 
 
 # -- the actor ----------------------------------------------------------
@@ -473,18 +478,13 @@ def canonical_morphism(x: CrossedModule) -> XModMorphism:
     """x -> actor(x): elements go to the pairs/quadruples they generate."""
     pairs = bider_qn(x)
     quads = bider_xmod(x)
+    top_cols = [pairs.read_columns(_inner_pair(x, n), "inner pair is not a pair-space solution")
+                for n in _units(x.top.dim)]
+    base_cols = [quads.read_columns(_inner_quadruple(x, q), "inner quadruple is not a quadruple-space solution")
+                 for q in _units(x.base.dim)]
     f = x.top.field
-    top_cols = [pairs.solution_coords(inner_action_pair(x, _unit(f, x.top.dim, i)),
-                                      "inner pair is not a pair-space solution")
-                for i in range(x.top.dim)]
-    base_cols = [quads.solution_coords(inner_quadruple(x, _unit(f, x.base.dim, a)),
-                                       "inner quadruple is not a quadruple-space solution")
-                 for a in range(x.base.dim)]
-    return XModMorphism(
-        x, actor(x),
-        Matrix.from_columns(f, top_cols, pairs.dim),
-        Matrix.from_columns(f, base_cols, quads.dim),
-    )
+    return XModMorphism(x, actor(x), Matrix.from_columns(f, top_cols, pairs.dim),
+                        Matrix.from_columns(f, base_cols, quads.dim))
 
 
 def inner_xmod(x: CrossedModule) -> SubXMod:
@@ -572,56 +572,40 @@ def lift_sequence(s: ShortExactSequence) -> LiftResult:
     pairs = bider_qn(x)
     quads = bider_xmod(x)
 
+    act = mid.action
+    qs, ns = [fb.column(a) for a in range(x.base.dim)], [ft.column(i) for i in range(x.top.dim)]
+
+    def back(mat: Matrix, values: list) -> list[SparseVector]:
+        return [_sparse(_pullback(mat, v)) for v in values]
+
     alpha_cols = []
     for i in range(mid.top.dim):
         e = _unit(f, mid.top.dim, i)
-        dcols = []
-        ddcols = []
-        for a in range(x.base.dim):
-            qa = fb.column(a)
-            dcols.append(tuple(-c for c in _pullback(ft, mid.action.act_left(qa, e))))
-            ddcols.append(_pullback(ft, mid.action.act_right(e, qa)))
-        pair = (Matrix.from_columns(f, dcols, x.top.dim), Matrix.from_columns(f, ddcols, x.top.dim))
-        alpha_cols.append(pairs.solution_coords(pair, "lifted pair is not a pair-space solution"))
+        alpha_cols.append(pairs.read_columns([(-1, back(ft, [act.act_left(q, e) for q in qs])),
+                                              (1, back(ft, [act.act_right(e, q) for q in qs]))],
+                                             "lifted pair is not a pair-space solution"))
     alpha = Matrix.from_columns(f, alpha_cols, pairs.dim)
 
     beta_cols = []
     for a in range(mid.base.dim):
         e = _unit(f, mid.base.dim, a)
-        s1_cols = []
-        t1_cols = []
-        for i in range(x.top.dim):
-            ni = ft.column(i)
-            s1_cols.append(tuple(-c for c in _pullback(ft, mid.action.act_right(ni, e))))
-            t1_cols.append(_pullback(ft, mid.action.act_left(e, ni)))
-        s2_cols = []
-        t2_cols = []
-        for b in range(x.base.dim):
-            qb = fb.column(b)
-            s2_cols.append(tuple(-c for c in _pullback(fb, mid.base.bracket(qb, e))))
-            t2_cols.append(_pullback(fb, mid.base.bracket(e, qb)))
-        quad = (
-            Matrix.from_columns(f, s1_cols, x.top.dim),
-            Matrix.from_columns(f, t1_cols, x.top.dim),
-            Matrix.from_columns(f, s2_cols, x.base.dim),
-            Matrix.from_columns(f, t2_cols, x.base.dim),
-        )
-        beta_cols.append(quads.solution_coords(quad, "lifted quadruple is not a quadruple-space solution"))
+        beta_cols.append(quads.read_columns([(-1, back(ft, [act.act_right(n, e) for n in ns])),
+                                             (1, back(ft, [act.act_left(e, n) for n in ns])),
+                                             (-1, back(fb, [mid.base.bracket(q, e) for q in qs])),
+                                             (1, back(fb, [mid.base.bracket(e, q) for q in qs]))],
+                                            "lifted quadruple is not a quadruple-space solution"))
     beta = Matrix.from_columns(f, beta_cols, quads.dim)
 
     morphism = XModMorphism(mid, actor(x), alpha, beta)
     out = outer_xmod(x)
 
-    induced_top_cols = []
-    for r in range(s.last.top.dim):
-        w = _pullback(s.project.top_map, _unit(f, s.last.top.dim, r))
-        induced_top_cols.append(out.top_project.apply(alpha.apply(w)))
-    induced_base_cols = []
-    for r in range(s.last.base.dim):
-        w = _pullback(s.project.base_map, _unit(f, s.last.base.dim, r))
-        induced_base_cols.append(out.base_project.apply(beta.apply(w)))
-    induced_top = Matrix.from_columns(f, induced_top_cols, out.xmod.top.dim)
-    induced_base = Matrix.from_columns(f, induced_base_cols, out.xmod.base.dim)
+    def induced(project: Matrix, lifted: Matrix, onto: Matrix) -> Matrix:
+        """last -> outer: pull each basis element back to the middle, lift it, project it."""
+        ends = [_pullback(project, _unit(f, project.rows, r)) for r in range(project.rows)]
+        return Matrix.from_columns(f, [onto.apply(lifted.apply(w)) for w in ends], onto.rows)
+
+    induced_top = induced(s.project.top_map, alpha, out.top_project)
+    induced_base = induced(s.project.base_map, beta, out.base_project)
 
     warnings = () if check_conditions(x).any_holds else (NO_CONDITION_WARNING,)
     return LiftResult(morphism, out, induced_top, induced_base, warnings)

@@ -7,7 +7,9 @@ prints a single JSON report to stdout, and exits with
 * 1 — the input was well-formed but a check failed or a construction was
       refused (axiom violations, non-ideal quotients, inexact sequences,
       missing support conditions),
-* 2 — the input could not be read or parsed at all,
+* 2 — the input could not be read or parsed at all, or a number in its
+      report is too long to print (past the interpreter's digit limit for
+      int-to-str conversion, which lbxmod leaves as it is),
 * 3 — internal error: a result that theory guarantees was not found
       (``LinearSolveError``), which means a bug in lbxmod.
 
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -343,7 +346,10 @@ def _run(command: str, kind: str, obj, field: Field) -> tuple[dict, bool]:
 
 def _emit(report: dict, out_path: Optional[str]) -> None:
     text = json.dumps(report, indent=2)
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # the reader closed stdout early: send the rest nowhere, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -392,6 +398,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except LinearSolveError as exc:
         _emit({**base, "ok": False, "internal_error": str(exc)}, args.out)
         return EXIT_INTERNAL
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):  # only str(int) past the digit limit is expected
+            raise
+        _emit({**base, "error": f"a number in the report has more than {sys.get_int_max_str_digits()} digits"},
+              args.out)
+        return EXIT_BAD_INPUT
 
     _emit({**base, "ok": ok, **fragment}, args.out)
     return EXIT_OK if ok else EXIT_FAIL

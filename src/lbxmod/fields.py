@@ -17,9 +17,11 @@ from typing import Any, Union
 
 #: prime fields are supported for p < 2^31; trial division stays cheap below it
 MAX_PRIME = 2**31
-# the rational forms the input format documents, "[-]a" and "[-]a/b"; Fraction()
-# alone would also read "1e5000", "1.5" and "1_0"
-_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+# the scalar forms the input format documents, in ASCII digits: residues "[-]a",
+# rationals "[-]a" and "[-]a/b"; int() and Fraction() alone would also read
+# "1_0", " 5", "+5" and other scripts' digits, and Fraction() "1e5000" and "1.5"
+_INTEGER = re.compile(r"-?[0-9]+")
+_RATIONAL = re.compile(rf"{_INTEGER.pattern}(?:/[0-9]+)?")
 
 
 class InputDataError(ValueError):
@@ -166,10 +168,10 @@ class PrimeField:
             raise InputDataError(f"bad F{self.p} scalar {v!r}")
         if isinstance(v, int):
             return FpElement(v % self.p, self.p)
-        if isinstance(v, str):
+        if isinstance(v, str) and _INTEGER.fullmatch(v):
             try:
-                return FpElement(int(v, 10) % self.p, self.p)
-            except ValueError as exc:
+                return FpElement(int(v) % self.p, self.p)
+            except ValueError as exc:  # more digits than int() converts
                 raise InputDataError(f"bad F{self.p} scalar {v!r}") from exc
         raise InputDataError(f"bad F{self.p} scalar {v!r}")
 

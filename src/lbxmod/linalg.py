@@ -9,13 +9,15 @@ All elimination runs in one kernel, ``_sparse_rref``, on sparse rows
 ``{column: coefficient}``: plain ``int`` residues over F_p, and over Q
 fraction-free steps on primitive integer rows, divided by their pivots only
 once, in the result.  ``rref`` (and with it ``nullspace``, ``solve`` and the
-``Subspace`` operations) hands it the rows of a dense matrix;
-``sparse_kernel`` hands it the sparse constraint rows of the map-space solver.
+``Subspace`` constructors) hands it the rows of a dense matrix;
+``sparse_kernel`` hands it sparse constraint rows.  A vector is tested
+against a ``Subspace`` by one sparse ``residue`` modulo its echelon rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -217,26 +219,60 @@ class Subspace:
     def basis_vectors(self) -> tuple[tuple[Scalar, ...], ...]:
         return self.basis.entries
 
+    @cached_property
+    def sparse_rows(self) -> tuple[dict[int, Number], ...]:
+        """The basis rows by their nonzero entries, as ``number``s."""
+        return tuple(map(_sparse, self.basis.entries))
+
+    @cached_property
+    def _pivot_index(self) -> dict[int, int]:
+        return {u: t for t, u in enumerate(self.pivots)}
+
+    def residue(self, vec: Mapping[int, Number]) -> dict[int, Number]:
+        """A sparse vector less the combination of the basis rows given by
+        its pivot entries, reduced mod p, without zeros.
+
+        It is empty exactly when vec lies in the subspace; otherwise it is
+        vec's canonical representative modulo the subspace, supported on
+        ``complement_indices``.  Every membership, coordinate and
+        projection test reads it.
+        """
+        p = self.field.characteristic
+        at, rows = self._pivot_index, self.sparse_rows
+        rest = dict(vec)
+        for u, c in vec.items():
+            if c and u in at:
+                _axpy(rest, -c, rows[at[u]], p)
+        if p:
+            return {k: c % p for k, c in rest.items() if c % p}
+        return {k: c for k, c in rest.items() if c}
+
+    def read_coords(self, vec: Mapping[int, Number], error: str) -> tuple[Scalar, ...]:
+        """Coordinates of a sparse vector in the basis rows, its entries at
+        the pivots; a ``LinearSolveError(error)`` if it is outside."""
+        if self.residue(vec):
+            raise LinearSolveError(error)
+        at = self._pivot_index
+        return _dense(self.field, self.dim, {at[u]: c for u, c in vec.items() if u in at})
+
+    def project(self, vec: Mapping[int, Number]) -> tuple[Scalar, ...]:
+        """A sparse vector's image under ``projection_matrix``."""
+        at = self._rep_index
+        return _dense(self.field, len(at), {at[k]: c for k, c in self.residue(vec).items()})
+
     def reduce(self, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
         """Subtract basis rows to zero out the pivot coordinates of vec."""
-        v = list(vec)
-        for t, p in enumerate(self.pivots):
-            c = v[p]
-            if c:
-                for j, y in enumerate(self.basis.entries[t]):
-                    if y:
-                        v[j] = v[j] - c * y
-        return tuple(v)
+        return _dense(self.field, self.ambient, self.residue(_sparse(vec)))
 
     def contains(self, vec: Sequence[Scalar]) -> bool:
-        return not any(self.reduce(vec))
+        return not self.residue(_sparse(vec))
 
     def coords_of(self, vec: Sequence[Scalar]) -> Optional[tuple[Scalar, ...]]:
         """Coordinates of vec in the basis rows, or None if vec is outside."""
-        coords = tuple(vec[p] for p in self.pivots)
-        if self.contains(vec):
-            return coords
-        return None
+        try:
+            return self.read_coords(_sparse(vec), "")
+        except LinearSolveError:
+            return None
 
     def linear_combination(self, coords: Sequence[Scalar]) -> tuple[Scalar, ...]:
         v = list(zero_vector(self.field, self.ambient))
@@ -262,27 +298,37 @@ class Subspace:
         self._same_ambient(other)
         return all(other.contains(row) for row in self.basis.entries)
 
+    @cached_property
+    def _rep_index(self) -> dict[int, int]:
+        """The non-pivot coordinates, each by its position among them."""
+        piv = self._pivot_index
+        return {j: r for r, j in enumerate(j for j in range(self.ambient) if j not in piv)}
+
     def complement_indices(self) -> tuple[int, ...]:
         """Standard coordinates not used as pivots, in index order.
 
         The matching standard basis vectors represent a basis of
         k^ambient modulo this subspace.
         """
-        piv = set(self.pivots)
-        return tuple(j for j in range(self.ambient) if j not in piv)
+        return tuple(self._rep_index)
 
     def projection_matrix(self) -> Matrix:
         """Map k^ambient onto the span of the complement representatives.
 
         Row r / column j holds the coefficient of representative r in the
-        canonical reduction of e_j modulo this subspace.
+        canonical reduction of e_j modulo this subspace: 1 where j is
+        representative r, and minus row t's entry at representative r where
+        j is the pivot of row t.
         """
-        reps = self.complement_indices()
-        cols = []
-        for j in range(self.ambient):
-            rem = self.reduce(unit_vector(self.field, self.ambient, j))
-            cols.append(tuple(rem[r] for r in reps))
-        return Matrix.from_columns(self.field, cols, len(reps))
+        f, at = self.field, self._rep_index
+        rows = [[f.zero] * self.ambient for _ in at]
+        for j, r in at.items():
+            rows[r][j] = f.one
+        for u, row in zip(self.pivots, self.sparse_rows):
+            for j, c in row.items():
+                if j != u:
+                    rows[at[j]][u] = f.coerce(-c)
+        return Matrix(f, len(at), self.ambient, tuple(map(tuple, rows)))
 
     def _same_ambient(self, other: "Subspace") -> None:
         if self.ambient != other.ambient or self.field != other.field:
@@ -343,6 +389,17 @@ def number(x: Scalar) -> Number:
     if isinstance(x, FpElement):
         return x.value
     return x.numerator if x.denominator == 1 else x
+
+
+def _sparse(vec: Sequence[Scalar]) -> dict[int, Number]:
+    return {k: number(c) for k, c in enumerate(vec) if c}
+
+
+def _dense(field: Field, dim: int, vec: Mapping[int, Number]) -> tuple[Scalar, ...]:
+    out = [field.zero] * dim
+    for k, c in vec.items():
+        out[k] = field.coerce(c)
+    return tuple(out)
 
 
 def _axpy(dst: dict[int, Number], f: Number, src: Mapping[int, Number], p: int) -> None:

@@ -8,7 +8,7 @@ on canonical objects: ``from_json(to_json(x)) == x``.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence
 
 from .action import ActionData, Tensor
 from .algebra import LeibnizAlgebra

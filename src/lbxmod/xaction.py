@@ -22,7 +22,6 @@ from typing import Sequence
 from .action import ActionData, Tensor, semidirect_algebra, validate_action
 from .algebra import (
     _ONE,
-    LeibnizAlgebra,
     SparseTensor,
     Term,
     ValidationReport,
@@ -36,7 +35,7 @@ from .algebra import (
 )
 from .fields import Field, InputDataError, Scalar
 from .linalg import Matrix, zero_vector
-from .bider import MapSpace, ShortExactSequence, actor, bider_qn, bider_xmod
+from .bider import ShortExactSequence, actor, bider_qn, bider_xmod
 from .xmod import (
     ConditionFlags,
     CrossedModule,
@@ -267,26 +266,14 @@ def morphism_from_action(d: XModActionData) -> ActionToMorphismResult:
     pairs = bider_qn(y)
     quads = bider_xmod(y)
 
-    top_cols = []
-    for i in range(x.top.dim):
-        dmat = Matrix.from_columns(
-            f, [tuple(-c for c in d.cross_qm[a][i]) for a in range(y.base.dim)], y.top.dim)
-        ddmat = Matrix.from_columns(
-            f, [d.cross_mq[i][a] for a in range(y.base.dim)], y.top.dim)
-        top_cols.append(pairs.solution_coords((dmat, ddmat), "pairing maps do not form a pair-space solution"))
-
-    base_cols = []
-    for b in range(x.base.dim):
-        s1 = Matrix.from_columns(
-            f, [tuple(-c for c in d.act_on_top.right[j][b]) for j in range(y.top.dim)], y.top.dim)
-        t1 = Matrix.from_columns(
-            f, [d.act_on_top.left[b][j] for j in range(y.top.dim)], y.top.dim)
-        s2 = Matrix.from_columns(
-            f, [tuple(-c for c in d.act_on_base.right[a][b]) for a in range(y.base.dim)], y.base.dim)
-        t2 = Matrix.from_columns(
-            f, [d.act_on_base.left[b][a] for a in range(y.base.dim)], y.base.dim)
-        base_cols.append(quads.solution_coords((s1, t1, s2, t2),
-                                               "action maps do not form a quadruple-space solution"))
+    mq, qm, qs, ns = d.sparse_mq, d.sparse_qm, range(y.base.dim), range(y.top.dim)
+    top_cols = [pairs.read_columns([(-1, [qm[a][i] for a in qs]), (1, mq[i])],
+                                   "pairing maps do not form a pair-space solution") for i in range(x.top.dim)]
+    pn, pq = d.act_on_top, d.act_on_base
+    base_cols = [quads.read_columns([(-1, [pn.sparse_right[j][b] for j in ns]), (1, pn.sparse_left[b]),
+                                     (-1, [pq.sparse_right[a][b] for a in qs]), (1, pq.sparse_left[b])],
+                                    "action maps do not form a quadruple-space solution")
+                 for b in range(x.base.dim)]
 
     morphism = ActorMorphism(
         x, y,

@@ -12,30 +12,35 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from typing import Optional
 
-from .action import ActionData, semidirect_algebra, validate_action
+from .action import ActionData, validate_action
 from .algebra import (
     _ONE,
     LeibnizAlgebra,
     ValidationReport,
     Violation,
+    _annihilator_rows,
     _check,
+    _closed,
+    _image_rows,
+    _quotient,
+    _restricted,
     _sparse_map,
-    _unit,
     _units,
     annihilator,
     commutator,
     is_ideal,
-    quotient_algebra,
     subalgebra_on,
 )
-from .fields import InputDataError, Scalar
-from .linalg import LinearSolveError, Matrix, Subspace, column_space, nullspace
+from .fields import InputDataError
+from .linalg import Matrix, Subspace, column_space, nullspace, sparse_kernel
 
 
 class NotAnIdealError(ValueError):
     """The requested sub-object is not a crossed-module ideal."""
+
+
+_LEFT_SUBSPACE = "vector left the subspace it was supposed to stay in"
 
 
 @dataclass(frozen=True)
@@ -70,24 +75,9 @@ class CrossedModule:
     def inclusion_of_ideal(cls, a: LeibnizAlgebra, s: Subspace) -> "CrossedModule":
         """An ideal of a, included into a, acted on by the bracket of a."""
         sub, incl = subalgebra_on(a, s)
-        rows = s.basis_vectors()
-        left = tuple(
-            tuple(_coords(s, a.bracket(_unit(a.field, a.dim, i), rows[t])) for t in range(s.dim))
-            for i in range(a.dim)
-        )
-        right = tuple(
-            tuple(_coords(s, a.bracket(rows[t], _unit(a.field, a.dim, i))) for i in range(a.dim))
-            for t in range(s.dim)
-        )
-        act = ActionData(a, sub, left, right)
-        return cls(sub, a, incl, act)
-
-
-def _coords(s: Subspace, vec) -> tuple[Scalar, ...]:
-    c = s.coords_of(vec)
-    if c is None:
-        raise LinearSolveError("vector left the subspace it was supposed to stay in")
-    return c
+        t, e, rows = a.sparse_table, _units(a.dim), s.sparse_rows
+        left, right = _restricted(s, t, e, rows, _LEFT_SUBSPACE), _restricted(s, t, rows, e, _LEFT_SUBSPACE)
+        return cls(sub, a, incl, ActionData(a, sub, left, right))
 
 
 def validate_xmod(x: CrossedModule, check_components: bool = True) -> ValidationReport:
@@ -211,18 +201,11 @@ def sub_xmod(x: CrossedModule, top_space: Subspace, base_space: Subspace,
     """Induce a crossed module on bracket/action/boundary-closed subspaces."""
     top_alg, top_incl = subalgebra_on(x.top, top_space)
     base_alg, base_incl = subalgebra_on(x.base, base_space)
-    t_rows = top_space.basis_vectors()
-    b_rows = base_space.basis_vectors()
-    bdy_cols = [_coords(base_space, x.boundary.apply(v)) for v in t_rows]
+    t_rows, b_rows = top_space.sparse_rows, base_space.sparse_rows
+    bdy_cols = _restricted(base_space, _sparse_map(x.boundary), [_ONE], t_rows, _LEFT_SUBSPACE)[0]
     bdy = Matrix.from_columns(x.top.field, bdy_cols, base_space.dim)
-    left = tuple(
-        tuple(_coords(top_space, x.action.act_left(b_rows[a], t_rows[i])) for i in range(top_space.dim))
-        for a in range(base_space.dim)
-    )
-    right = tuple(
-        tuple(_coords(top_space, x.action.act_right(t_rows[i], b_rows[a])) for a in range(base_space.dim))
-        for i in range(top_space.dim)
-    )
+    left = _restricted(top_space, x.action.sparse_left, b_rows, t_rows, _LEFT_SUBSPACE)
+    right = _restricted(top_space, x.action.sparse_right, t_rows, b_rows, _LEFT_SUBSPACE)
     act = ActionData(base_alg, top_alg, left, right)
     small = CrossedModule(top_alg, base_alg, bdy, act)
     return SubXMod(x, small, top_space, base_space, top_incl, base_incl, warnings)
@@ -254,26 +237,15 @@ def check_xmod_ideal(x: CrossedModule, top_space: Subspace, base_space: Subspace
         problems.append("top subspace is not an ideal of the top algebra")
     if not is_ideal(x.base, base_space):
         problems.append("base subspace is not an ideal of the base algebra")
-    for v in top_space.basis_vectors():
-        if not base_space.contains(x.boundary.apply(v)):
-            problems.append("boundary image of the top part leaves the base part")
-            break
-    f = x.top.field
-    base_units = [_unit(f, x.base.dim, a) for a in range(x.base.dim)]
-    top_units = [_unit(f, x.top.dim, i) for i in range(x.top.dim)]
-    ok = True
-    for b in base_space.basis_vectors():
-        for u in top_units:
-            if not (top_space.contains(x.action.act_left(b, u)) and top_space.contains(x.action.act_right(u, b))):
-                ok = False
-    if not ok:
+    left, right, tops = x.action.sparse_left, x.action.sparse_right, top_space.sparse_rows
+    eta = _sparse_map(x.boundary)
+    if not _closed(base_space, ((1, eta, _ONE, v) for v in tops)):
+        problems.append("boundary image of the top part leaves the base part")
+    if not _closed(top_space, (term for b in base_space.sparse_rows for u in _units(x.top.dim)
+                               for term in ((1, left, b, u), (1, right, u, b)))):
         problems.append("base part does not act into the top part")
-    ok = True
-    for v in top_space.basis_vectors():
-        for q in base_units:
-            if not (top_space.contains(x.action.act_left(q, v)) and top_space.contains(x.action.act_right(v, q))):
-                ok = False
-    if not ok:
+    if not _closed(top_space, (term for v in tops for q in _units(x.base.dim)
+                               for term in ((1, left, q, v), (1, right, v, q)))):
         problems.append("top part is not stable under the base action")
     return problems
 
@@ -282,22 +254,13 @@ def quotient_xmod(x: CrossedModule, top_space: Subspace, base_space: Subspace) -
     problems = check_xmod_ideal(x, top_space, base_space)
     if problems:
         raise NotAnIdealError("; ".join(problems))
-    top_q, top_proj = quotient_algebra(x.top, top_space)
-    base_q, base_proj = quotient_algebra(x.base, base_space)
-    t_reps = top_space.complement_indices()
-    b_reps = base_space.complement_indices()
-    f = x.top.field
-    bdy_cols = [base_proj.apply(x.boundary.column(r)) for r in t_reps]
-    bdy = Matrix.from_columns(f, bdy_cols, base_q.dim)
-    left = tuple(
-        tuple(top_proj.apply(x.action.left[a][i]) for i in t_reps)
-        for a in b_reps
-    )
-    right = tuple(
-        tuple(top_proj.apply(x.action.right[i][a]) for a in b_reps)
-        for i in t_reps
-    )
-    act = ActionData(base_q, top_q, left, right)
+    top_q, top_proj = _quotient(x.top, top_space)
+    base_q, base_proj = _quotient(x.base, base_space)
+    t_reps, b_reps = top_space.complement_indices(), base_space.complement_indices()
+    left, right, eta = x.action.sparse_left, x.action.sparse_right, _sparse_map(x.boundary)[0]
+    bdy = Matrix.from_columns(x.top.field, [base_space.project(eta[r]) for r in t_reps], base_q.dim)
+    act = ActionData(base_q, top_q, tuple(tuple(top_space.project(left[a][i]) for i in t_reps) for a in b_reps),
+                     tuple(tuple(top_space.project(right[i][a]) for a in b_reps) for i in t_reps))
     return QuotientXMod(x, CrossedModule(top_q, base_q, bdy, act), top_proj, base_proj)
 
 
@@ -356,37 +319,26 @@ NO_CONDITION_WARNING = (
 
 def invariant_top_subspace(x: CrossedModule) -> Subspace:
     """{v in top : [q, v] = 0 = [v, q] for the whole base}."""
-    f = x.top.field
-    if x.base.dim == 0 or x.top.dim == 0:
-        return Subspace.full(f, x.top.dim)
-    blocks = None
-    for a in range(x.base.dim):
-        u = _unit(f, x.base.dim, a)
-        stack = x.action.left_operator(u).vstack(x.action.right_operator(u))
-        blocks = stack if blocks is None else blocks.vstack(stack)
-    assert blocks is not None
-    return nullspace(blocks)
+    left, right, n, q = x.action.sparse_left, x.action.sparse_right, range(x.top.dim), range(x.base.dim)
+    rows = _image_rows(*(left[a] for a in q), *([right[i][a] for i in n] for a in q))
+    return sparse_kernel(x.top.field, x.top.dim, rows)
+
+
+def _trivially_acting_rows(x: CrossedModule) -> list:
+    """[q, e_i] = 0 = [e_i, q] for every top basis element e_i."""
+    left, right, n, q = x.action.sparse_left, x.action.sparse_right, range(x.top.dim), range(x.base.dim)
+    return _image_rows(*([left[a][i] for a in q] for i in n), *(right[i] for i in n))
 
 
 def trivially_acting_base_subspace(x: CrossedModule) -> Subspace:
     """{q in base : [q, top] = 0 = [top, q]}."""
-    f = x.top.field
-    if x.top.dim == 0:
-        return Subspace.full(f, x.base.dim)
-    blocks = None
-    for i in range(x.top.dim):
-        lcols = [x.action.left[a][i] for a in range(x.base.dim)]
-        rcols = [x.action.right[i][a] for a in range(x.base.dim)]
-        stack = Matrix.from_columns(f, lcols, x.top.dim).vstack(Matrix.from_columns(f, rcols, x.top.dim))
-        blocks = stack if blocks is None else blocks.vstack(stack)
-    assert blocks is not None
-    return nullspace(blocks)
+    return sparse_kernel(x.base.field, x.base.dim, _trivially_acting_rows(x))
 
 
 def center(x: CrossedModule) -> SubXMod:
     """The central sub-crossed-module: invariant top part over the part of
     the base that acts trivially and annihilates the base algebra."""
     top_space = invariant_top_subspace(x)
-    base_space = trivially_acting_base_subspace(x).intersect(annihilator(x.base))
+    base_space = sparse_kernel(x.base.field, x.base.dim, _trivially_acting_rows(x) + _annihilator_rows(x.base))
     warnings = () if check_conditions(x).any_holds else (NO_CONDITION_WARNING,)
     return sub_xmod(x, top_space, base_space, warnings)

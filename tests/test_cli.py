@@ -340,3 +340,35 @@ def test_unreadable_scalars_and_json_are_bad_input(capsys, tmp_path, data, messa
     code, report = run_clean(capsys, "validate", str(path))
     assert code == EXIT_BAD_INPUT
     assert message in report["error"]
+
+
+@pytest.mark.parametrize("spelling", ["\u0663", "1_0", " 5", "+5"],
+                         ids=["arabic-indic-three", "underscore", "leading-space", "plus-sign"])
+def test_loosely_spelled_residues_are_bad_input(capsys, tmp_path, spelling):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"dim": 1, "brackets": [[0, 0, [[0, spelling]]]]}))
+    code, report = run_clean(capsys, "validate", str(path), "--field", "f3")
+    assert code == EXIT_BAD_INPUT
+    assert report["error"] == f"bad F3 scalar {spelling!r}"
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="the interpreter converts ints of any length to str")
+def test_a_number_too_long_to_print_is_a_json_report(capsys, tmp_path):
+    # a 3001-digit coefficient is read; its 6001-digit square in the leibniz
+    # violation is past the interpreter's digit limit for str(int)
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"dim": 1, "brackets": [[0, 0, [[0, "1" + "0" * 3000]]]]}))
+    code, report = run_clean(capsys, "validate", str(path))
+    assert code == EXIT_BAD_INPUT
+    assert report["error"] == f"a number in the report has more than {sys.get_int_max_str_digits()} digits"
+    assert "ok" not in report
+
+
+def test_a_closed_stdout_ends_quietly_with_the_exit_code():
+    proc = subprocess.Popen([sys.executable, "-m", "lbxmod.cli", "actor", "catalog:sl2-id"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # the reader is gone before the report is written, as with `| head -c 0`
+    err = proc.stderr.read()
+    assert proc.wait() == EXIT_OK
+    assert err == b""

@@ -23,6 +23,20 @@ def test_rational_rejects_non_scalars(bad):
         QQ.parse_scalar(bad)
 
 
+def test_prime_field_reads_residues_in_ascii_digits():
+    assert GF3.parse_scalar("5") == FpElement(2, 3)
+    assert GF3.parse_scalar("-4") == FpElement(2, 3)
+    assert GF3.parse_scalar("007") == FpElement(1, 3)
+    assert GF3.parse_scalar(-1) == FpElement(2, 3)
+
+
+@pytest.mark.parametrize("bad", [True, None, 0.5, "", "-", "abc", "1/2", "1e3", "1.0",
+                                 "\u0663", "\u00b2", "\uff15", "1_0", " 5", "5 ", "+5", "5\n", "9" * 5000])
+def test_prime_field_rejects_residues_outside_the_documented_form(bad):
+    with pytest.raises(InputDataError):
+        GF3.parse_scalar(bad)
+
+
 def test_prime_field_arithmetic_matches_int_arithmetic():
     p = 5
     f = PrimeField(p)
