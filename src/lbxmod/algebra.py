@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .fields import Field, InputDataError, Scalar
-from .linalg import Matrix, Number, Subspace, _dense, _sparse, sparse_kernel
+from .linalg import Matrix, Number, ScaledVector, Subspace, _dense, _sparse, sparse_kernel
 
 MAX_DIM = 64  # guard against accidentally huge inputs
 
@@ -232,12 +232,14 @@ def _closed(s: Subspace, terms: Iterable[Term]) -> bool:
     return not any(s.residue(_evaluate([term], p)) for term in terms)
 
 
-def _restricted(s: Subspace, view: SparseTensor, xs: Sequence[SparseVector], ys: Sequence[SparseVector],
+def _restricted(s: Subspace, view: SparseTensor, xs: Sequence[ScaledVector], ys: Sequence[ScaledVector],
                 error: str) -> tuple[tuple[tuple[Scalar, ...], ...], ...]:
-    """The tensor of view(x, y) for x in xs and y in ys, in the coordinates
-    of s's basis rows; a ``LinearSolveError(error)`` if a value leaves s."""
+    """The tensor of view(x / dx, y / dy) for (x, dx) in xs and (y, dy) in
+    ys, in the coordinates of s's basis rows; a ``LinearSolveError(error)``
+    if a value leaves s."""
     p = s.field.characteristic
-    return tuple(tuple(s.read_coords(_evaluate([(1, view, x, y)], p), error) for y in ys) for x in xs)
+    return tuple(tuple(s.read_coords(_evaluate([(1, view, x, y)], p), error, dx * dy) for y, dy in ys)
+                 for x, dx in xs)
 
 
 def annihilator(a: LeibnizAlgebra) -> Subspace:
@@ -255,7 +257,8 @@ def is_ideal(a: LeibnizAlgebra, s: Subspace) -> bool:
     if s.ambient != a.dim:
         raise InputDataError("subspace does not live in the algebra")
     t = a.sparse_table
-    return _closed(s, ((1, t, x, y) for v in s.sparse_rows for u in _units(a.dim) for x, y in ((u, v), (v, u))))
+    rows = [v for v, _d in s.scaled_rows]  # membership does not see the scale
+    return _closed(s, ((1, t, x, y) for v in rows for u in _units(a.dim) for x, y in ((u, v), (v, u))))
 
 
 def subalgebra_on(a: LeibnizAlgebra, s: Subspace) -> tuple[LeibnizAlgebra, Matrix]:
@@ -264,7 +267,7 @@ def subalgebra_on(a: LeibnizAlgebra, s: Subspace) -> tuple[LeibnizAlgebra, Matri
     Returns the small algebra in the coordinates of s's basis rows together
     with the inclusion matrix (a.dim x s.dim).
     """
-    rows = s.sparse_rows
+    rows = s.scaled_rows
     tab = _restricted(s, a.sparse_table, rows, rows, "subspace is not closed under the bracket")
     return LeibnizAlgebra(a.field, s.dim, tab), Matrix.from_columns(a.field, s.basis_vectors(), a.dim)
 

@@ -17,19 +17,17 @@ Each space carries an induced Leibniz bracket; ``actor`` assembles the
 crossed module (pair space) -> (quadruple space) whose boundary sends a pair
 to its boundary-composed quadruple.
 
-Every map built from the solved spaces is computed sparsely.
+Every map built from the solved spaces is computed sparsely, on ints.
 ``MapSpace.sparse_basis`` holds each echelon basis member, once per space,
-as a tuple of maps ``{row: {col: c}}`` with ``linalg.number`` entries.
-``MapSpace.products`` sums signed products of such maps into one flat sparse
-vector, and ``MapSpace.read_coords`` is the one coordinate reader
-(``Subspace.read_coords``): it takes the entries at the pivots, checks that
-nothing is left once their combination of the basis is subtracted (mod p),
-and only then turns them into field scalars.  The bracket tables, the
-actor's action and ``delta`` go through these two; the canonical morphism,
+as integer maps ``{row: {col: c}}`` over the denominator of its
+``Subspace.scaled_rows`` row.  ``MapSpace.products`` sums signed products of
+such maps into one flat integer vector over the lcm of the products'
+denominators, and ``Subspace.read_coords`` is the one coordinate reader: it
+refuses a vector with a nonzero ``Subspace.residue`` and divides each pivot
+entry by the denominator, once.  The bracket tables, the actor's action and
+``delta`` go through ``MapSpace.read_products``; the canonical morphism,
 ``lift_sequence`` and ``xaction.morphism_from_action`` hand the reader maps
-given by sparse columns (``MapSpace.read_columns``), and every
-``solution_coords``/``coords_of_maps`` call makes its dense maps sparse on
-entry.
+given by sparse columns (``MapSpace.read_columns``).
 """
 
 from __future__ import annotations
@@ -38,6 +36,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 from typing import Callable, Optional, Sequence
 
 from .action import ActionData
@@ -47,13 +46,15 @@ from .linalg import (
     LinearSolveError,
     Matrix,
     Number,
+    ScaledVector,
     Subspace,
     _dense,
+    _preimages,
+    _rescale,
     _sparse,
     column_space,
     nullspace,
     rref,
-    solve_vector,
     sparse_kernel,
 )
 from .xmod import (
@@ -76,33 +77,40 @@ class NotExactError(ValueError):
 Maps = tuple[Matrix, ...]
 
 # A map held by its nonzero entries {row: {col: c}}, each c a
-# ``linalg.number``; a member of a map space is a tuple of them.  A product
-# term sign * (a @ b) is the triple (sign, a, b); a tuple of maps built from
-# products is one list of terms per component.
+# ``linalg.number``.  A scaled map (m, den), m with int entries and den > 0,
+# stands for m / den; a member of a map space is a tuple of scaled maps that
+# share one den.  A product term sign * (a @ b) of scaled maps is the triple
+# (sign, a, b); a tuple of maps built from products is one list of terms per
+# component.
 SparseMatrix = dict[int, SparseVector]
-SparseMaps = tuple[SparseMatrix, ...]
-Product = tuple[int, SparseMatrix, SparseMatrix]
+ScaledMap = tuple[SparseMatrix, int]
+ScaledMaps = tuple[ScaledMap, ...]
+Product = tuple[int, ScaledMap, ScaledMap]
 # A map given by its columns, each a sparse vector, and a sign: (sign, columns).
 SignedColumns = tuple[int, Sequence[SparseVector]]
 
 
-def _sparse_matrix(m: Matrix) -> SparseMatrix:
-    return {i: row for i, row in enumerate(map(_sparse, m.entries)) if row}
+def _scaled_matrix(m: Matrix) -> ScaledMap:
+    """A matrix as a scaled map: its entries times the lcm of their denominators."""
+    rows = {i: row for i, row in enumerate(map(_sparse, m.entries)) if row}
+    den = lcm(*(c.denominator for row in rows.values() for c in row.values()))
+    return {i: {j: c.numerator * (den // c.denominator) for j, c in row.items()} for i, row in rows.items()}, den
 
 
-def _compose(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+def _compose(a: ScaledMap, b: ScaledMap) -> ScaledMap:
     """a @ b from nonzero entries only; entries are not reduced mod p, and
     terms that cancel leave a zero behind."""
+    (am, ad), (bm, bd) = a, b
     out: SparseMatrix = {}
-    for i, arow in a.items():
+    for i, arow in am.items():
         acc: SparseVector = {}
         get = acc.get
         for j, x in arow.items():
-            for k, y in b.get(j, {}).items():
+            for k, y in bm.get(j, {}).items():
                 acc[k] = get(k, 0) + x * y
         if acc:
             out[i] = acc
-    return out
+    return out, ad * bd
 
 
 @dataclass(frozen=True)
@@ -128,18 +136,19 @@ class MapSpace:
         return _layout(self.shapes)
 
     @cached_property
-    def sparse_basis(self) -> tuple[SparseMaps, ...]:
-        """The echelon basis, each member a tuple of sparse maps."""
+    def sparse_basis(self) -> tuple[ScaledMaps, ...]:
+        """The echelon basis, each member a tuple of integer maps over the
+        one denominator of its scaled row (1 over F_p)."""
         members = []
-        for vec in self.space.sparse_rows:
-            maps: list[SparseMatrix] = []
+        for vec, den in self.space.scaled_rows:
+            maps: list[ScaledMap] = []
             for off, rows, cols in self._blocks:
                 m: SparseMatrix = {}
                 for u in range(off, off + rows * cols):
                     if u in vec:
                         i, j = divmod(u - off, cols)
                         m.setdefault(i, {})[j] = vec[u]
-                maps.append(m)
+                maps.append((m, den))
             members.append(tuple(maps))
         return tuple(members)
 
@@ -155,28 +164,36 @@ class MapSpace:
     def basis_maps(self, t: int) -> Maps:
         return self.unflatten(self.space.basis.entries[t])
 
-    def products(self, components: Sequence[Sequence[Product]]) -> SparseVector:
-        """The flat sparse vector of the tuple whose component c is the sum
-        of the signed products listed for it."""
+    def products(self, components: Sequence[Sequence[Product]]) -> ScaledVector:
+        """The flat vector of the tuple whose component c is the sum of the
+        signed products listed for it, as integers over one denominator:
+        a product's denominator is the product of its factors', and the sum
+        is held over the lcm of them all."""
         out: SparseVector = {}
-        get = out.get
+        get, den = out.get, 1
         for (off, _rows, cols), terms in zip(self._blocks, components):
-            for sign, a, b in terms:
+            for sign, (a, ad), (b, bd) in terms:
+                if not (a and b):
+                    continue
+                scale = ad * bd
+                if scale != den:
+                    if den % scale:
+                        den = _rescale(out, den, scale)
+                    sign *= den // scale
                 for i, arow in a.items():
                     base = off + i * cols
                     for j, x in arow.items():
                         brow = b.get(j)
                         if brow:
-                            sx = sign * x
+                            fx = sign * x
                             for k, y in brow.items():
-                                out[base + k] = get(base + k, 0) + sx * y
-        return out
+                                out[base + k] = get(base + k, 0) + fx * y
+        return out, den
 
-    def read_coords(self, vec: SparseVector, error: str) -> tuple[Scalar, ...]:
-        """Coordinates of a flat sparse vector in the echelon basis; a
-        ``LinearSolveError(error)`` if the vector is not in this space
-        (``Subspace.read_coords``)."""
-        return self.space.read_coords(vec, error)
+    def read_products(self, components: Sequence[Sequence[Product]], error: str) -> tuple[Scalar, ...]:
+        """``read_coords`` of ``products(components)``."""
+        vec, den = self.products(components)
+        return self.space.read_coords(vec, error, den)
 
     def flatten(self, mats: Maps) -> SparseVector:
         """A tuple of maps as a flat sparse vector."""
@@ -186,7 +203,7 @@ class MapSpace:
 
     def read_columns(self, components: Sequence[SignedColumns], error: str) -> tuple[Scalar, ...]:
         """``read_coords`` of the tuple of maps given by their signed columns."""
-        return self.read_coords(_flat(self._blocks, components), error)
+        return self.space.read_coords(_flat(self._blocks, components), error)
 
     def coords_of_maps(self, mats: Maps) -> Optional[tuple[Scalar, ...]]:
         try:
@@ -197,7 +214,7 @@ class MapSpace:
     def solution_coords(self, mats: Maps, error: str) -> tuple[Scalar, ...]:
         """Coordinates of a tuple that theory puts in this space; a
         ``LinearSolveError(error)`` if it is not there."""
-        return self.read_coords(self.flatten(mats), error)
+        return self.space.read_coords(self.flatten(mats), error)
 
     def member_from_coords(self, coords: Sequence[Scalar]) -> Maps:
         return self.unflatten(self.space.linear_combination(coords))
@@ -300,7 +317,7 @@ def _space_with_algebra(
     shapes: tuple[tuple[int, int], ...],
     rows: list[_Row],
     bracket_terms: Callable[[tuple, tuple], list[list[Product]]],
-    prepare: Callable[[SparseMaps], tuple] = lambda member: member,
+    prepare: Callable[[ScaledMaps], tuple] = lambda member: member,
 ) -> MapSpace:
     """Solve the rows and read the bracket table off the echelon basis:
     entry (s, t) is the sum of the products ``bracket_terms(u, v)`` lists
@@ -310,8 +327,7 @@ def _space_with_algebra(
                       LeibnizAlgebra.abelian(field, 0))
     members = [prepare(m) for m in solved.sparse_basis]
     error = "bracket of two solutions left the solution space"
-    table = tuple(tuple(solved.read_coords(solved.products(bracket_terms(u, v)), error) for v in members)
-                  for u in members)
+    table = tuple(tuple(solved.read_products(bracket_terms(u, v), error) for v in members) for u in members)
     out = MapSpace(field, shapes, solved.space, LeibnizAlgebra(field, solved.dim, table))
     for view in ("_blocks", "sparse_basis"):  # keep the cached views: built once
         out.__dict__[view] = getattr(solved, view)
@@ -336,9 +352,9 @@ def bider_qn(x: CrossedModule) -> MapSpace:
     """Pairs of maps base -> top satisfying the pair identities through the action."""
     shapes = ((x.top.dim, x.base.dim),) * 2
     d, dd = _layout(shapes)
-    mu = _sparse_matrix(x.boundary)
+    mu = _scaled_matrix(x.boundary)
 
-    def with_mu(pair: SparseMaps) -> tuple:
+    def with_mu(pair: ScaledMaps) -> tuple:
         d, dd = pair
         return d, dd, _compose(mu, d), _compose(mu, dd)
 
@@ -445,9 +461,9 @@ def delta(x: CrossedModule) -> Matrix:
     """Boundary of the actor: compose a pair with the boundary on both sides."""
     pairs = bider_qn(x)
     quads = bider_xmod(x)
-    mu = _sparse_matrix(x.boundary)
+    mu = _scaled_matrix(x.boundary)
     error = "boundary-composed pair is not a quadruple solution"
-    cols = [quads.read_coords(quads.products([[(1, d, mu)], [(1, dd, mu)], [(1, mu, d)], [(1, mu, dd)]]), error)
+    cols = [quads.read_products([[(1, d, mu)], [(1, dd, mu)], [(1, mu, d)], [(1, mu, dd)]], error)
             for d, dd in pairs.sparse_basis]
     return Matrix.from_columns(x.top.field, cols, quads.dim)
 
@@ -460,7 +476,7 @@ def actor(x: CrossedModule) -> CrossedModule:
     error = "actor action left the pair space"
 
     def read(components: list[list[Product]]) -> tuple[Scalar, ...]:
-        return pairs.read_coords(pairs.products(components), error)
+        return pairs.read_products(components, error)
 
     # the products of pair_quad_bracket_left and pair_quad_bracket_right
     left = tuple(tuple(read([[(1, s1, d), (-1, d, s2)], [(1, t1, d), (-1, d, t2)]])
@@ -546,13 +562,6 @@ class LiftResult:
     warnings: tuple[str, ...]
 
 
-def _pullback(mat: Matrix, vec) -> tuple[Scalar, ...]:
-    c = solve_vector(mat, vec)
-    if c is None:
-        raise LinearSolveError("value has no preimage though exactness promises one")
-    return c
-
-
 def lift_sequence(s: ShortExactSequence) -> LiftResult:
     """Extend the sequence's first part to its actor along the middle.
 
@@ -560,7 +569,8 @@ def lift_sequence(s: ShortExactSequence) -> LiftResult:
     module; pulling that action back through the (injective) inclusion gives
     the pair/quadruple the element generates, and passing to the quotient by
     the inner part yields the induced maps from the last crossed module into
-    the outer one.
+    the outer one.  Each map is eliminated once, whatever the number of
+    values pulled back through it.
     """
     problems = sequence_problems(s)
     if problems:
@@ -574,25 +584,23 @@ def lift_sequence(s: ShortExactSequence) -> LiftResult:
 
     act = mid.action
     qs, ns = [fb.column(a) for a in range(x.base.dim)], [ft.column(i) for i in range(x.top.dim)]
-
-    def back(mat: Matrix, values: list) -> list[SparseVector]:
-        return [_sparse(_pullback(mat, v)) for v in values]
+    top, base = _preimages(ft), _preimages(fb)
 
     alpha_cols = []
     for i in range(mid.top.dim):
         e = _unit(f, mid.top.dim, i)
-        alpha_cols.append(pairs.read_columns([(-1, back(ft, [act.act_left(q, e) for q in qs])),
-                                              (1, back(ft, [act.act_right(e, q) for q in qs]))],
+        alpha_cols.append(pairs.read_columns([(-1, [top(act.act_left(q, e)) for q in qs]),
+                                              (1, [top(act.act_right(e, q)) for q in qs])],
                                              "lifted pair is not a pair-space solution"))
     alpha = Matrix.from_columns(f, alpha_cols, pairs.dim)
 
     beta_cols = []
     for a in range(mid.base.dim):
         e = _unit(f, mid.base.dim, a)
-        beta_cols.append(quads.read_columns([(-1, back(ft, [act.act_right(n, e) for n in ns])),
-                                             (1, back(ft, [act.act_left(e, n) for n in ns])),
-                                             (-1, back(fb, [mid.base.bracket(q, e) for q in qs])),
-                                             (1, back(fb, [mid.base.bracket(e, q) for q in qs]))],
+        beta_cols.append(quads.read_columns([(-1, [top(act.act_right(n, e)) for n in ns]),
+                                             (1, [top(act.act_left(e, n)) for n in ns]),
+                                             (-1, [base(mid.base.bracket(q, e)) for q in qs]),
+                                             (1, [base(mid.base.bracket(e, q)) for q in qs])],
                                             "lifted quadruple is not a quadruple-space solution"))
     beta = Matrix.from_columns(f, beta_cols, quads.dim)
 
@@ -601,7 +609,8 @@ def lift_sequence(s: ShortExactSequence) -> LiftResult:
 
     def induced(project: Matrix, lifted: Matrix, onto: Matrix) -> Matrix:
         """last -> outer: pull each basis element back to the middle, lift it, project it."""
-        ends = [_pullback(project, _unit(f, project.rows, r)) for r in range(project.rows)]
+        pull = _preimages(project)
+        ends = [_dense(f, project.cols, pull(_unit(f, project.rows, r))) for r in range(project.rows)]
         return Matrix.from_columns(f, [onto.apply(lifted.apply(w)) for w in ends], onto.rows)
 
     induced_top = induced(s.project.top_map, alpha, out.top_project)

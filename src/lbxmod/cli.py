@@ -150,6 +150,8 @@ def _load(spec: str, field: Field, accepted: Sequence[str]):
                 data = json.load(fh)
         except ValueError as exc:  # bad JSON or UTF-8, or an integer literal past the digit limit
             raise InputDataError(f"{spec} is not valid JSON: {exc}") from exc
+        except RecursionError as exc:  # the decoder recurses once per level of nesting
+            raise InputDataError(f"{spec} is not valid JSON: nested too deeply to read") from exc
         except OSError as exc:
             raise InputDataError(f"cannot read {spec}: {exc}") from exc
         kind, obj = ser.load_any(field, data)

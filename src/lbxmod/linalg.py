@@ -7,11 +7,14 @@ subspaces plain tuple equality and keeps every downstream report canonical.
 
 All elimination runs in one kernel, ``_sparse_rref``, on sparse rows
 ``{column: coefficient}``: plain ``int`` residues over F_p, and over Q
-fraction-free steps on primitive integer rows, divided by their pivots only
-once, in the result.  ``rref`` (and with it ``nullspace``, ``solve`` and the
-``Subspace`` constructors) hands it the rows of a dense matrix;
-``sparse_kernel`` hands it sparse constraint rows.  A vector is tested
-against a ``Subspace`` by one sparse ``residue`` modulo its echelon rows.
+fraction-free steps on primitive integer rows.  ``rref``, ``nullspace``,
+``solve`` and the ``Subspace`` constructors hand it dense rows;
+``sparse_kernel`` hands it sparse constraint rows.  The kernel never
+divides: each echelon row ``I`` leaves it with a positive pivot entry ``d``
+(1 over F_p), and stands for ``I / d``.  A ``Subspace`` keeps these
+``scaled_rows`` beside its dense basis, and every membership, coordinate and
+projection test is one sparse ``residue`` on them, computed on ints and
+divided only where something is left.
 """
 
 from __future__ import annotations
@@ -20,12 +23,15 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .fields import Field, FpElement, InputDataError, Scalar
 
 # A sparse coefficient: a rational (an int when integral), or an int read mod p.
 Number = Union[int, Fraction]
+# A sparse vector held as integer entries over one positive denominator:
+# (I, d) stands for I / d.
+ScaledVector = tuple[dict[int, int], int]
 
 
 class LinearSolveError(RuntimeError):
@@ -177,12 +183,9 @@ def rref(m: Matrix) -> RrefResult:
     The rows are reduced by ``_sparse_rref``; the pivot rows come first in
     pivot order, then the zero rows, and every entry is a field scalar.
     """
-    field = m.field
-    red = _sparse_rref(({c: number(x) for c, x in enumerate(row) if x} for row in m.entries),
-                       field.characteristic)
-    pivots, rows = _dense_rows(field, m.cols, red)
-    rows += ((field.zero,) * m.cols,) * (m.rows - len(pivots))
-    return RrefResult(Matrix(field, m.rows, m.cols, rows), pivots)
+    s = Subspace.from_rows(m.field, m.cols, m.entries)
+    rows = s.basis.entries + ((m.field.zero,) * m.cols,) * (m.rows - s.dim)
+    return RrefResult(Matrix(m.field, m.rows, m.cols, rows), s.pivots)
 
 
 @dataclass(frozen=True)
@@ -196,13 +199,7 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, field: Field, ambient: int, rows: Iterable[Sequence[Scalar]]) -> "Subspace":
-        mat = Matrix(field, 0, ambient, ())
-        data = tuple(tuple(r) for r in rows)
-        if data:
-            mat = Matrix(field, len(data), ambient, data)
-        red = rref(mat)
-        keep = red.matrix.entries[: red.rank]
-        return cls(field, ambient, Matrix(field, red.rank, ambient, keep), red.pivots)
+        return _echelon_subspace(field, ambient, _sparse_rref(map(_sparse, rows), field.characteristic))
 
     @classmethod
     def zero(cls, field: Field, ambient: int) -> "Subspace":
@@ -220,9 +217,14 @@ class Subspace:
         return self.basis.entries
 
     @cached_property
-    def sparse_rows(self) -> tuple[dict[int, Number], ...]:
-        """The basis rows by their nonzero entries, as ``number``s."""
-        return tuple(map(_sparse, self.basis.entries))
+    def scaled_rows(self) -> tuple[ScaledVector, ...]:
+        """The basis rows as ``(I, d)``: row t is ``I / d``, with ``I`` the
+        primitive integer row on its line and ``d > 0`` its entry at
+        ``pivots[t]`` (over F_p, the residues and 1).  Kernel results come
+        with them; other subspaces derive them from the dense basis."""
+        p = self.field.characteristic
+        rows = (_sparse(r) if p else _integer_row(_sparse(r)) for r in self.basis.entries)
+        return tuple((row, row[u]) for row, u in zip(rows, self.pivots))
 
     @cached_property
     def _pivot_index(self) -> dict[int, int]:
@@ -235,25 +237,41 @@ class Subspace:
         It is empty exactly when vec lies in the subspace; otherwise it is
         vec's canonical representative modulo the subspace, supported on
         ``complement_indices``.  Every membership, coordinate and
-        projection test reads it.
+        projection test reads it.  It is computed as ``L * vec`` less
+        ``vec[u] * (L / d)`` times each scaled row ``(I, d)`` with pivot u,
+        ``L`` the lcm of the d used (built up one row at a time), so
+        integer vectors stay integers; only the entries left over are
+        divided by ``L``.
         """
         p = self.field.characteristic
-        at, rows = self._pivot_index, self.sparse_rows
-        rest = dict(vec)
+        at, rows = self._pivot_index, self.scaled_rows
+        rest, scale = dict(vec), 1
         for u, c in vec.items():
             if c and u in at:
-                _axpy(rest, -c, rows[at[u]], p)
+                row, d = rows[at[u]]
+                if d != scale:
+                    if scale % d:
+                        scale = _rescale(rest, scale, d)
+                    c *= scale // d
+                _axpy(rest, -c, row, p)
         if p:
             return {k: c % p for k, c in rest.items() if c % p}
+        if scale != 1:
+            return {k: Fraction(c, scale) for k, c in rest.items() if c}
         return {k: c for k, c in rest.items() if c}
 
-    def read_coords(self, vec: Mapping[int, Number], error: str) -> tuple[Scalar, ...]:
-        """Coordinates of a sparse vector in the basis rows, its entries at
-        the pivots; a ``LinearSolveError(error)`` if it is outside."""
+    def read_coords(self, vec: Mapping[int, Number], error: str, den: int = 1) -> tuple[Scalar, ...]:
+        """Coordinates of the sparse vector ``vec / den`` in the basis rows,
+        its entries at the pivots; a ``LinearSolveError(error)`` if it is
+        outside."""
         if self.residue(vec):
             raise LinearSolveError(error)
-        at = self._pivot_index
-        return _dense(self.field, self.dim, {at[u]: c for u, c in vec.items() if u in at})
+        at, coerce = self._pivot_index, self.field.coerce
+        out = [self.field.zero] * self.dim
+        for u, c in vec.items():
+            if u in at:
+                out[at[u]] = coerce(c if den == 1 else Fraction(c, den))
+        return tuple(out)
 
     def project(self, vec: Mapping[int, Number]) -> tuple[Scalar, ...]:
         """A sparse vector's image under ``projection_matrix``."""
@@ -320,15 +338,8 @@ class Subspace:
         representative r, and minus row t's entry at representative r where
         j is the pivot of row t.
         """
-        f, at = self.field, self._rep_index
-        rows = [[f.zero] * self.ambient for _ in at]
-        for j, r in at.items():
-            rows[r][j] = f.one
-        for u, row in zip(self.pivots, self.sparse_rows):
-            for j, c in row.items():
-                if j != u:
-                    rows[at[j]][u] = f.coerce(-c)
-        return Matrix(f, len(at), self.ambient, tuple(map(tuple, rows)))
+        cols = [self.project({j: 1}) for j in range(self.ambient)]
+        return Matrix.from_columns(self.field, cols, len(self._rep_index))
 
     def _same_ambient(self, other: "Subspace") -> None:
         if self.ambient != other.ambient or self.field != other.field:
@@ -337,22 +348,30 @@ class Subspace:
 
 def nullspace(m: Matrix) -> Subspace:
     """Kernel of m acting on column vectors, as a subspace of k^cols."""
-    red = rref(m)
-    piv = red.pivots
-    pivset = set(piv)
-    free = [j for j in range(m.cols) if j not in pivset]
-    rows = []
-    for f in free:
-        v = [m.field.zero] * m.cols
-        v[f] = m.field.one
-        for t, p in enumerate(piv):
-            v[p] = -red.matrix.entries[t][f]
-        rows.append(tuple(v))
-    return Subspace.from_rows(m.field, m.cols, rows)
+    return sparse_kernel(m.field, m.cols, map(_sparse, m.entries))
 
 
 def column_space(m: Matrix) -> Subspace:
     return Subspace.from_rows(m.field, m.rows, m.transpose().entries)
+
+
+def _preimages(a: Matrix) -> Callable[[Sequence[Scalar]], dict[int, Number]]:
+    """Solve a @ x = v for any v, sparsely, from one echelon pass of [a | 1],
+    which reduces a to E by an invertible R: a @ x = v is E @ x = R v.  x
+    has its free variables zero; where R v is not zero below E's pivot rows
+    there is no x, and a ``LinearSolveError``."""
+    k = a.cols
+    red = rref(a.hstack(Matrix.identity(a.field, a.rows)))
+    pivots = [u for u in red.pivots if u < k]
+    r = Matrix(a.field, a.rows, a.rows, tuple(row[k:] for row in red.matrix.entries))
+
+    def back(vec: Sequence[Scalar]) -> dict[int, Number]:
+        rv = r.apply(vec)
+        if any(rv[len(pivots):]):
+            raise LinearSolveError("value has no preimage though exactness promises one")
+        return {u: number(rv[t]) for t, u in enumerate(pivots) if rv[t]}
+
+    return back
 
 
 def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
@@ -363,16 +382,12 @@ def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
     """
     if a.rows != b.rows:
         raise InputDataError("solve: row mismatch")
-    red = rref(a.hstack(b))
-    for t, p in enumerate(red.pivots):
-        if p >= a.cols:  # a pivot inside the right-hand block
-            return None
-    z = a.field.zero
-    out = [[z] * b.cols for _ in range(a.cols)]
-    for t, p in enumerate(red.pivots):
-        for c in range(b.cols):
-            out[p][c] = red.matrix.entries[t][a.cols + c]
-    return Matrix(a.field, a.cols, b.cols, tuple(tuple(r) for r in out))
+    back = _preimages(a)
+    try:
+        cols = [_dense(a.field, a.cols, back(b.column(c))) for c in range(b.cols)]
+    except LinearSolveError:
+        return None
+    return Matrix.from_columns(a.field, cols, a.cols)
 
 
 def solve_vector(a: Matrix, vec: Sequence[Scalar]) -> Optional[tuple[Scalar, ...]]:
@@ -395,7 +410,10 @@ def _sparse(vec: Sequence[Scalar]) -> dict[int, Number]:
     return {k: number(c) for k, c in enumerate(vec) if c}
 
 
-def _dense(field: Field, dim: int, vec: Mapping[int, Number]) -> tuple[Scalar, ...]:
+def _dense(field: Field, dim: int, vec: Mapping[int, Number], den: int = 1) -> tuple[Scalar, ...]:
+    """The dense vector vec / den."""
+    if den != 1:
+        vec = {k: Fraction(c, den) for k, c in vec.items()}
     out = [field.zero] * dim
     for k, c in vec.items():
         out[k] = field.coerce(c)
@@ -413,6 +431,15 @@ def _axpy(dst: dict[int, Number], f: Number, src: Mapping[int, Number], p: int) 
             dst[c] = x
         else:
             dst.pop(c, None)
+
+
+def _rescale(vec: dict[int, Number], scale: int, d: int) -> int:
+    """Multiply vec, a vector held as integers over scale, in place so that
+    it is held over lcm(scale, d) instead; returns that lcm."""
+    grow = lcm(scale, d) // scale
+    for k in vec:
+        vec[k] *= grow
+    return scale * grow
 
 
 def _primitive(row: dict[int, int]) -> None:
@@ -454,20 +481,20 @@ def _cancel(row: dict[int, Number], c: int, pivot_row: Mapping[int, Number], p: 
     _primitive(row)
 
 
-def _sparse_rref(rows: Iterable[Mapping[int, Number]], p: int) -> dict[int, dict[int, Number]]:
+def _sparse_rref(rows: Iterable[Mapping[int, Number]], p: int) -> dict[int, dict[int, int]]:
     """Reduced row echelon form of sparse rows, over F_p if p else over Q.
 
-    Returns {pivot column: row}; every row has coefficient 1 at its pivot,
-    its first nonzero column, and 0 at every other pivot column.  Rows are
-    taken one at a time and reduced against the pivot rows found so far,
-    which then stay reduced against the new one.
+    Returns {pivot column: row}; a row's pivot is its first nonzero column,
+    and it is 0 at every other pivot column.  Rows are taken one at a time
+    and reduced against the pivot rows found so far, which then stay
+    reduced against the new one.
 
     Over F_p the rows hold residues and each pivot row is scaled to 1 at its
     pivot.  Over Q elimination is fraction-free: every row is held as a
-    primitive integer row, and only the result is divided by its pivot
-    entry, each entry once (an int where the division is exact).
+    primitive integer row, and is returned that way, with a positive entry
+    d at its pivot; the reduced echelon row is the row divided by d.
     """
-    done: dict[int, dict[int, Number]] = {}
+    done: dict[int, dict[int, int]] = {}
     for src in rows:
         row = {c: v % p for c, v in src.items() if v % p} if p else _integer_row(src)
         for c in [c for c in row if c in done]:
@@ -482,26 +509,10 @@ def _sparse_rref(rows: Iterable[Mapping[int, Number]], p: int) -> dict[int, dict
             if lead in other:
                 _cancel(other, lead, row, p)
         done[lead] = row
-    if not p:
-        for lead, row in done.items():
-            d = row[lead]
-            done[lead] = {c: v // d if v % d == 0 else Fraction(v, d) for c, v in row.items()}
+    for lead, row in done.items():
+        if row[lead] < 0:
+            done[lead] = {c: -v for c, v in row.items()}
     return done
-
-
-def _dense_rows(field: Field, ncols: int, red: Mapping[int, Mapping[int, Number]]
-                ) -> tuple[tuple[int, ...], tuple[tuple[Scalar, ...], ...]]:
-    """The pivots of a ``_sparse_rref`` result in order, and its rows as
-    dense vectors of field scalars."""
-    pivots = tuple(sorted(red))
-    z = field.zero
-    rows = []
-    for lead in pivots:
-        vec = [z] * ncols
-        for c, v in red[lead].items():
-            vec[c] = field.coerce(v)
-        rows.append(tuple(vec))
-    return pivots, tuple(rows)
 
 
 def sparse_kernel(field: Field, ncols: int, rows: Iterable[Mapping[int, Number]]) -> Subspace:
@@ -514,10 +525,22 @@ def sparse_kernel(field: Field, ncols: int, rows: Iterable[Mapping[int, Number]]
     """
     p = field.characteristic
     red = _sparse_rref(rows, p)
+    # the generator of free column f is e_f - sum(I[f] / d * e_lead) over the
+    # echelon rows (I, d); the kernel clears its denominators again
     gens: dict[int, dict[int, Number]] = {f: {f: 1} for f in range(ncols) if f not in red}
     for lead, row in red.items():
+        d = row[lead]
         for c, v in row.items():
             if c != lead:
-                gens[c][lead] = -v
-    pivots, basis = _dense_rows(field, ncols, _sparse_rref(gens.values(), p))
-    return Subspace(field, ncols, Matrix(field, len(basis), ncols, basis), pivots)
+                gens[c][lead] = -v if d == 1 else Fraction(-v, d)
+    return _echelon_subspace(field, ncols, _sparse_rref(gens.values(), p))
+
+
+def _echelon_subspace(field: Field, ncols: int, red: Mapping[int, dict[int, int]]) -> Subspace:
+    """The ``Subspace`` of a ``_sparse_rref`` result, which hands over its
+    rows as the ``scaled_rows``."""
+    pivots = tuple(sorted(red))
+    basis = tuple(_dense(field, ncols, red[u], red[u][u]) for u in pivots)
+    out = Subspace(field, ncols, Matrix(field, len(basis), ncols, basis), pivots)
+    out.__dict__["scaled_rows"] = tuple((red[u], red[u][u]) for u in pivots)  # the cached view, built once
+    return out

@@ -75,7 +75,7 @@ class CrossedModule:
     def inclusion_of_ideal(cls, a: LeibnizAlgebra, s: Subspace) -> "CrossedModule":
         """An ideal of a, included into a, acted on by the bracket of a."""
         sub, incl = subalgebra_on(a, s)
-        t, e, rows = a.sparse_table, _units(a.dim), s.sparse_rows
+        t, e, rows = a.sparse_table, [(u, 1) for u in _units(a.dim)], s.scaled_rows
         left, right = _restricted(s, t, e, rows, _LEFT_SUBSPACE), _restricted(s, t, rows, e, _LEFT_SUBSPACE)
         return cls(sub, a, incl, ActionData(a, sub, left, right))
 
@@ -201,8 +201,8 @@ def sub_xmod(x: CrossedModule, top_space: Subspace, base_space: Subspace,
     """Induce a crossed module on bracket/action/boundary-closed subspaces."""
     top_alg, top_incl = subalgebra_on(x.top, top_space)
     base_alg, base_incl = subalgebra_on(x.base, base_space)
-    t_rows, b_rows = top_space.sparse_rows, base_space.sparse_rows
-    bdy_cols = _restricted(base_space, _sparse_map(x.boundary), [_ONE], t_rows, _LEFT_SUBSPACE)[0]
+    t_rows, b_rows = top_space.scaled_rows, base_space.scaled_rows
+    bdy_cols = _restricted(base_space, _sparse_map(x.boundary), [(_ONE, 1)], t_rows, _LEFT_SUBSPACE)[0]
     bdy = Matrix.from_columns(x.top.field, bdy_cols, base_space.dim)
     left = _restricted(top_space, x.action.sparse_left, b_rows, t_rows, _LEFT_SUBSPACE)
     right = _restricted(top_space, x.action.sparse_right, t_rows, b_rows, _LEFT_SUBSPACE)
@@ -237,11 +237,12 @@ def check_xmod_ideal(x: CrossedModule, top_space: Subspace, base_space: Subspace
         problems.append("top subspace is not an ideal of the top algebra")
     if not is_ideal(x.base, base_space):
         problems.append("base subspace is not an ideal of the base algebra")
-    left, right, tops = x.action.sparse_left, x.action.sparse_right, top_space.sparse_rows
+    left, right = x.action.sparse_left, x.action.sparse_right
+    tops = [v for v, _d in top_space.scaled_rows]  # membership does not see the scale
     eta = _sparse_map(x.boundary)
     if not _closed(base_space, ((1, eta, _ONE, v) for v in tops)):
         problems.append("boundary image of the top part leaves the base part")
-    if not _closed(top_space, (term for b in base_space.sparse_rows for u in _units(x.top.dim)
+    if not _closed(top_space, (term for b, _d in base_space.scaled_rows for u in _units(x.top.dim)
                                for term in ((1, left, b, u), (1, right, u, b)))):
         problems.append("base part does not act into the top part")
     if not _closed(top_space, (term for v in tops for q in _units(x.base.dim)

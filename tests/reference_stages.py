@@ -7,6 +7,11 @@ here are the dense ones those replaced: brackets of dense unit vectors,
 operators built column by column, ``Matrix.vstack`` chains handed to
 ``nullspace``, and a plain Gauss-Jordan reduction of dense vectors modulo a
 subspace's echelon basis.  ``test_sparse_stages.py`` compares the two.
+
+``lbxmod`` reads solved bases as integer rows over one denominator per
+member.  The sparse readers and map products they replaced, on the reduced
+echelon rows with ``Fraction`` entries, are kept below as ``fraction_*``;
+``test_scaled_rows.py`` compares them with the integer-backed ones.
 """
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ from lbxmod.action import ActionData
 from lbxmod.algebra import LeibnizAlgebra
 from lbxmod.bider import bider_qn, bider_xmod
 from lbxmod.fields import InputDataError
-from lbxmod.linalg import LinearSolveError, Matrix, Subspace, nullspace
+from lbxmod.linalg import LinearSolveError, Matrix, Subspace, number, nullspace
 from lbxmod.xmod import CrossedModule, NotAnIdealError
 
 
@@ -291,3 +296,123 @@ def rebase_xmod(x: CrossedModule, rng: random.Random) -> CrossedModule:
                      _rebase_tensor(f, x.action.right, pt, pb, pti))
     return CrossedModule(top, base, pbi @ x.boundary @ pt, act)
 
+
+
+# -- sparse readers on Fraction rows -----------------------------------------------
+
+
+def fraction_rows(s: Subspace):
+    """The reduced echelon rows by their nonzero entries, as ``number``s."""
+    return tuple({k: number(c) for k, c in enumerate(row) if c} for row in s.basis.entries)
+
+
+def _axpy(dst, f, src, p):
+    for c, v in src.items():
+        x = dst.get(c, 0) + f * v
+        if p:
+            x %= p
+        if x:
+            dst[c] = x
+        else:
+            dst.pop(c, None)
+
+
+def fraction_residue(s: Subspace, vec):
+    """vec less the combination of the reduced rows given by its pivot entries."""
+    p = s.field.characteristic
+    at, rows = {u: t for t, u in enumerate(s.pivots)}, fraction_rows(s)
+    rest = dict(vec)
+    for u, c in vec.items():
+        if c and u in at:
+            _axpy(rest, -c, rows[at[u]], p)
+    if p:
+        return {k: c % p for k, c in rest.items() if c % p}
+    return {k: c for k, c in rest.items() if c}
+
+
+def _dense_of(field, dim, vec):
+    out = [field.zero] * dim
+    for k, c in vec.items():
+        out[k] = field.coerce(c)
+    return tuple(out)
+
+
+def fraction_read_coords(s: Subspace, vec, error):
+    if fraction_residue(s, vec):
+        raise LinearSolveError(error)
+    at = {u: t for t, u in enumerate(s.pivots)}
+    return _dense_of(s.field, s.dim, {at[u]: c for u, c in vec.items() if u in at})
+
+
+def fraction_project(s: Subspace, vec):
+    at = {j: r for r, j in enumerate(complement_indices(s))}
+    return _dense_of(s.field, len(at), {at[k]: c for k, c in fraction_residue(s, vec).items()})
+
+
+def fraction_basis(space):
+    """A map space's echelon basis, each member a tuple of maps {row: {col: c}}."""
+    members = []
+    for vec in fraction_rows(space.space):
+        maps, off = [], 0
+        for rows, cols in space.shapes:
+            m = {}
+            for u, c in vec.items():
+                if off <= u < off + rows * cols:
+                    i, j = divmod(u - off, cols)
+                    m.setdefault(i, {})[j] = c
+            maps.append(m)
+            off += rows * cols
+        members.append(tuple(maps))
+    return members
+
+
+def fraction_products(space, components):
+    """The flat sparse vector of the tuple whose component c is the sum of
+    the signed products (sign, a, b) of maps listed for it."""
+    out, off = {}, 0
+    for (rows, cols), terms in zip(space.shapes, components):
+        for sign, a, b in terms:
+            for i, arow in a.items():
+                for j, x in arow.items():
+                    for k, y in b.get(j, {}).items():
+                        out[off + i * cols + k] = out.get(off + i * cols + k, 0) + sign * x * y
+        off += rows * cols
+    return out
+
+
+def _compose(a, b):
+    out = {}
+    for i, arow in a.items():
+        row = out.setdefault(i, {})
+        for j, x in arow.items():
+            for k, y in b.get(j, {}).items():
+                row[k] = row.get(k, 0) + x * y
+    return out
+
+
+def _matrix_map(m: Matrix):
+    return {i: {j: number(c) for j, c in enumerate(row) if c} for i, row in enumerate(m.entries)}
+
+
+def fraction_bracket_tables(x: CrossedModule):
+    """The bracket tables of the pair and the quadruple space, the actor's
+    left and right action and delta, from Fraction-row products."""
+    pairs, quads = bider_qn(x), bider_xmod(x)
+    mu = _matrix_map(x.boundary)
+    pb, qb = fraction_basis(pairs), fraction_basis(quads)
+
+    def read(space, components, error="left the space"):
+        return fraction_read_coords(space.space, fraction_products(space, components), error)
+
+    pair_table = tuple(tuple(read(pairs, [[(1, d1, _compose(mu, d2)), (-1, d2, _compose(mu, d1))],
+                                          [(1, dd1, _compose(mu, d2)), (-1, d2, _compose(mu, dd1))]])
+                             for d2, _dd2 in pb) for d1, dd1 in pb)
+    quad_table = tuple(tuple(read(quads, [[(1, s1, s1p), (-1, s1p, s1)], [(1, t1, s1p), (-1, s1p, t1)],
+                                          [(1, s2, s2p), (-1, s2p, s2)], [(1, t2, s2p), (-1, s2p, t2)]])
+                             for s1p, _t1p, s2p, _t2p in qb) for s1, t1, s2, t2 in qb)
+    left = tuple(tuple(read(pairs, [[(1, s1, d), (-1, d, s2)], [(1, t1, d), (-1, d, t2)]]) for d, _dd in pb)
+                 for s1, t1, s2, t2 in qb)
+    right = tuple(tuple(read(pairs, [[(1, d, s2), (-1, s1, d)], [(1, dd, s2), (-1, s1, dd)]])
+                        for s1, _t1, s2, _t2 in qb) for d, dd in pb)
+    delta_cols = [read(quads, [[(1, d, mu)], [(1, dd, mu)], [(1, mu, d)], [(1, mu, dd)]]) for d, dd in pb]
+    return pair_table, quad_table, left, right, Matrix.from_columns(x.top.field, delta_cols, quads.dim)

@@ -35,8 +35,9 @@ from lbxmod.bider import (
     sequence_problems,
 )
 from lbxmod.catalog import build_entry
+from lbxmod import linalg
 from lbxmod.linalg import Matrix
-from lbxmod.xmod import CrossedModule, validate_morphism, validate_xmod
+from lbxmod.xmod import CrossedModule, check_conditions, validate_morphism, validate_xmod
 
 
 def flats(space):
@@ -243,6 +244,33 @@ def test_lift_along_the_direct_sum_sequence():
     # the zero maps out of the quotient's one-dimensional layers
     assert (lifted.induced_top.rows, lifted.induced_top.cols) == (0, 1)
     assert (lifted.induced_base.rows, lifted.induced_base.cols) == (0, 1)
+
+
+def _eliminations(monkeypatch, run) -> int:
+    """How many times ``run`` enters the one elimination kernel."""
+    count, kernel = [0], linalg._sparse_rref
+
+    def counted(rows, p):
+        count[0] += 1
+        return kernel(rows, p)
+
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "_sparse_rref", counted)
+        run()
+    return count[0]
+
+
+def test_lift_sequence_eliminates_each_map_once(monkeypatch):
+    """Pulling values back through the two inclusions and the two
+    projections costs one elimination per map, however many values there
+    are; the rest is the exactness check, the outer part and the support
+    conditions."""
+    s = build_entry("sl2-seq", QQ)
+    lift_sequence(s)  # fills the memos of the actor and its spaces
+    total = _eliminations(monkeypatch, lambda: lift_sequence(s))
+    x = s.first
+    rest = _eliminations(monkeypatch, lambda: (sequence_problems(s), outer_xmod(x), check_conditions(x)))
+    assert total - rest == 4
 
 
 def test_sequence_problems_flags_a_broken_projection():

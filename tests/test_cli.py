@@ -333,7 +333,8 @@ def test_json_booleans_are_not_read_as_integers(capsys, tmp_path, doc):
     (b'{"dim": 1, "brackets": [[0, 0, [[0, "1.5"]]]]}', "bad rational scalar"),
     (b'{"dim": 1, "brackets": [[0, 0, [[0, ' + b"1" * 5001 + b']]]]}', "not valid JSON"),
     (b'{"dim": 1, "brackets": [\xff]}', "not valid JSON"),
-], ids=["exponent", "decimal", "5001-digit-json-int", "not-utf8"])
+    (b"[" * 100000 + b"]" * 100000, "not valid JSON: nested too deeply"),
+], ids=["exponent", "decimal", "5001-digit-json-int", "not-utf8", "nested-100000-deep"])
 def test_unreadable_scalars_and_json_are_bad_input(capsys, tmp_path, data, message):
     path = tmp_path / "alg.json"
     path.write_bytes(data)

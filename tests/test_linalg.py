@@ -16,9 +16,11 @@ from hypothesis import strategies as st
 
 from lbxmod import GF2, GF3, QQ
 from lbxmod.linalg import (
+    LinearSolveError,
     Matrix,
     RrefResult,
     Subspace,
+    _preimages,
     column_space,
     nullspace,
     rref,
@@ -73,6 +75,34 @@ def test_solve_recovers_consistent_systems(m, coeffs):
 def test_solve_reports_inconsistency():
     m = Matrix.from_rows(QQ, [[1, 0], [1, 0]])
     assert solve_vector(m, (QQ.one, -QQ.one)) is None
+
+
+def reference_solve(a, vec):
+    """The solution of a @ x = vec with free variables zero, read off
+    ``reference_rref`` of [a | vec]; None when there is none."""
+    red = reference_rref(a.hstack(Matrix.from_columns(a.field, [vec], a.rows)))
+    if any(p >= a.cols for p in red.pivots):
+        return None
+    x = [a.field.zero] * a.cols
+    for t, p in enumerate(red.pivots):
+        x[p] = red.matrix.entries[t][a.cols]
+    return tuple(x)
+
+
+@given(q_matrix(), st.lists(entries, min_size=4, max_size=4), st.booleans())
+@settings(max_examples=150)
+def test_preimages_and_solve_equal_the_dense_reference(m, coeffs, consistent):
+    """One echelon pass of [m | 1] solves every right-hand side: a value in
+    the image gets the reference solution, any other a LinearSolveError."""
+    vec = m.apply(tuple(coeffs[: m.cols])) if consistent else tuple(coeffs[: m.rows]) + (QQ.zero,) * (m.rows - 4)
+    expected = reference_solve(m, vec)
+    assert solve_vector(m, vec) == expected
+    back = _preimages(m)
+    if expected is None:
+        with pytest.raises(LinearSolveError, match="no preimage"):
+            back(vec)
+    else:
+        assert tuple(QQ.coerce(back(vec).get(j, 0)) for j in range(m.cols)) == expected
 
 
 def test_subspace_canonical_basis_is_order_independent():

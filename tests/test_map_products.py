@@ -107,7 +107,7 @@ def test_a_product_outside_the_space_is_refused(field):
     coordinate reader refuses it, whether it comes from products or from
     dense maps."""
     pairs = bider_qn(build_entry("sl2-id", field))
-    d, dd = pairs.sparse_basis[0]
+    (d, den), dd = pairs.sparse_basis[0]
     flat = pairs.flatten(pairs.basis_maps(0))
     rows, cols = pairs.shapes[0]
     # an entry of d that is zero and not a pivot: a member is fixed by its pivot entries
@@ -115,9 +115,9 @@ def test_a_product_outside_the_space_is_refused(field):
     i, j = divmod(u, cols)
     bumped = {r: dict(v) for r, v in d.items()}
     bumped.setdefault(i, {})[j] = 1
-    ident = {k: {k: 1} for k in range(rows)}
+    ident = ({k: {k: 1} for k in range(rows)}, 1)
     with pytest.raises(LinearSolveError, match="left the space"):
-        pairs.read_coords(pairs.products([[(1, ident, bumped)], [(1, ident, dd)]]), "left the space")
+        pairs.read_products([[(1, ident, (bumped, den))], [(1, ident, dd)]], "left the space")
     d_mat, dd_mat = pairs.basis_maps(0)
     entries = [list(r) for r in d_mat.entries]
     entries[i][j] = field.one
@@ -125,5 +125,5 @@ def test_a_product_outside_the_space_is_refused(field):
     with pytest.raises(LinearSolveError, match="not a member"):
         pairs.solution_coords(bumped_mats, "not a member")
     assert pairs.coords_of_maps(bumped_mats) is None
-    assert pairs.read_coords(pairs.products([[(1, ident, d)], [(1, ident, dd)]]), "") == _coords(
+    assert pairs.read_products([[(1, ident, (d, den))], [(1, ident, dd)]], "") == _coords(
         pairs, pairs.basis_maps(0))
