@@ -17,12 +17,10 @@ from .algebra import (
     LeibnizAlgebra,
     SparseTensor,
     ValidationReport,
-    Violation,
-    _check,
     _contract,
     _sparse_tensor,
     _unit,
-    _units,
+    _violations,
 )
 from .fields import InputDataError, Scalar
 from .linalg import Matrix, zero_vector
@@ -105,35 +103,26 @@ def validate_action(d: ActionData) -> ValidationReport:
     """Check the six mixed identities on all basis triples.
 
     Labels act1..act6 pick out which identity failed; the witness tuple
-    lists the basis indices in the order the identity quantifies them.
+    lists the basis indices in the order the identity quantifies them
+    (a, b index the actor, i, j the target).
     """
     p, m = d.actor, d.target
-    f, n, pt, mt = m.field, m.dim, p.sparse_table, m.sparse_table
+    n, pt, mt = m.dim, p.sparse_table, m.sparse_table
     left, right = d.sparse_left, d.sparse_right  # [p, m], [m, p]
-    e = _units(max(p.dim, n))
-    bad: list[Violation] = []
-    for a in range(p.dim):
-        for i in range(n):
-            for j in range(n):
-                _check(bad, f, n, "act1", (a, i, j), [(1, left, e[a], mt[i][j])],
-                       [(1, mt, left[a][i], e[j]), (-1, mt, left[a][j], e[i])])
-                _check(bad, f, n, "act2", (i, a, j), [(1, mt, e[i], left[a][j])],
-                       [(1, mt, right[i][a], e[j]), (-1, right, mt[i][j], e[a])])
-                _check(bad, f, n, "act3", (i, j, a), [(1, mt, e[i], right[j][a])],
-                       [(1, right, mt[i][j], e[a]), (-1, mt, right[i][a], e[j])])
-    for i in range(n):
-        for a in range(p.dim):
-            for b in range(p.dim):
-                _check(bad, f, n, "act4", (i, a, b), [(1, right, e[i], pt[a][b])],
-                       [(1, right, right[i][a], e[b]), (-1, right, right[i][b], e[a])])
-    for a in range(p.dim):
-        for i in range(n):
-            for b in range(p.dim):
-                _check(bad, f, n, "act5", (a, i, b), [(1, left, e[a], right[i][b])],
-                       [(1, right, left[a][i], e[b]), (-1, left, pt[a][b], e[i])])
-                _check(bad, f, n, "act6", (a, b, i), [(1, left, e[a], left[b][i])],
-                       [(1, left, pt[a][b], e[i]), (-1, right, left[a][i], e[b])])
-    return ValidationReport(tuple(bad))
+    return ValidationReport(tuple(_violations(m.field, {"a": p.dim, "b": p.dim, "i": n, "j": n}, [
+        ("act1", "aij", "aij", n, [(1, left, "a", (mt, "ij"))],
+         [(1, mt, (left, "ai"), "j"), (-1, mt, (left, "aj"), "i")]),
+        ("act2", "iaj", "aij", n, [(1, mt, "i", (left, "aj"))],
+         [(1, mt, (right, "ia"), "j"), (-1, right, (mt, "ij"), "a")]),
+        ("act3", "ija", "aij", n, [(1, mt, "i", (right, "ja"))],
+         [(1, right, (mt, "ij"), "a"), (-1, mt, (right, "ia"), "j")]),
+        ("act4", "iab", "iab", n, [(1, right, "i", (pt, "ab"))],
+         [(1, right, (right, "ia"), "b"), (-1, right, (right, "ib"), "a")]),
+        ("act5", "aib", "aib", n, [(1, left, "a", (right, "ib"))],
+         [(1, right, (left, "ai"), "b"), (-1, left, (pt, "ab"), "i")]),
+        ("act6", "abi", "aib", n, [(1, left, "a", (left, "bi"))],
+         [(1, left, (pt, "ab"), "i"), (-1, right, (left, "ai"), "b")]),
+    ])))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .fields import Field, InputDataError, Scalar
@@ -33,9 +35,10 @@ def _check_dim(dim: int) -> None:
 # ``linalg.number``: an int residue over F_p; over Q an int when integral,
 # else a Fraction.  The sparse view of a structure tensor holds each
 # view[i][j] that way.  ``_accumulate`` is the one contraction kernel: every
-# bracket, action and pairing, and every identity the validators check, is
-# evaluated by it from nonzero terms only.  A linear combination of
-# contractions is a list of terms (sign, view, x, y).
+# bracket, action and pairing is evaluated by it from nonzero terms only.  A
+# linear combination of contractions is a list of terms (sign, view, x, y).
+# The validators evaluate each identity at all its witnesses at once instead
+# (``_violations`` below), and the kernel only writes out a violated one.
 
 SparseVector = dict[int, Number]
 SparseTensor = tuple[tuple[SparseVector, ...], ...]
@@ -173,31 +176,132 @@ class ValidationReport:
         return tuple(sorted({v.axiom for v in self.violations}))
 
 
-def _check(bad: list, field: Field, dim: int, label: str, witness: tuple[int, ...],
-           lhs: Sequence[Term], rhs: Sequence[Term]) -> None:
-    """Evaluate sum(lhs) - sum(rhs) in one pass; if it is not zero, record
-    a violation with both sides as dense vectors."""
-    p = field.characteristic
-    diff: SparseVector = {}
-    for sign, view, x, y in lhs:
-        _accumulate(diff, sign, view, x, y)
-    for sign, view, x, y in rhs:
-        _accumulate(diff, -sign, view, x, y)
-    if any(c % p for c in diff.values()) if p else any(diff.values()):
-        bad.append(Violation(label, witness, _dense(field, dim, _evaluate(lhs, p)),
-                             _dense(field, dim, _evaluate(rhs, p))))
+# -- identities over all witnesses -------------------------------------------
+#
+# A validator declares each identity as (label, witness, loop, dim, lhs, rhs):
+# witness and loop order the same variable letters, each a basis index over
+# the range given for it, and dim is the dimension of the values.  A side is
+# a list of terms (sign, view, x, y) whose arguments are families (entries,
+# vars) of sparse vectors entries[v1][v2]... indexed by the letters in vars:
+# (_ONE, "") is the constant, (columns, "i") a map's column i, and a bare
+# letter v the unit vectors e_v.  Every term uses each loop variable once.
+# ``_violations`` sums a term at every witness from the nonzero products
+# x[c] view[c][d] y[d] alone, one value of the outermost loop variable at a
+# time.  A witness is numbered in the mixed radix of the loop order, so the
+# numbers sort as nested loops run.  Identities declared in a row with one
+# loop order form a block whose violations come in loop order and, at one
+# witness, in declaration order: the order of nested loops over basis
+# elements.
+
+Identity = tuple[str, str, str, int, Sequence[tuple], Sequence[tuple]]
+
+
+def _members(entries, strides: tuple[int, ...]) -> Iterable[tuple[int, SparseVector]]:
+    """(number, vector) for each nonzero vector of a family of depth 0, 1 or 2;
+    its number is the sum of its indices times the strides."""
+    if not strides:
+        yield from [(0, entries)] if entries else []
+    elif len(strides) == 1:
+        yield from ((a * strides[0], vec) for a, vec in enumerate(entries) if vec)
+    else:
+        s, t = strides
+        yield from ((a * s + b * t, vec) for a, row in enumerate(entries) for b, vec in enumerate(row) if vec)
+
+
+def _grouped(memo: dict, key: tuple, pairs: Iterable[tuple]) -> dict:
+    """The values v of the pairs (k, v) listed by k, made once per key."""
+    if key not in memo:
+        out = memo[key] = {}
+        for k, v in pairs:
+            out.setdefault(k, []).append(v)
+    return memo[key]
+
+
+def _plan(sign: int, term: tuple, loop: str, units: Mapping[str, list], strides: Mapping[str, int],
+          memo: dict) -> tuple:
+    """A term split at the outermost loop variable: the members of the
+    argument that holds it by the variable's value, the other argument's
+    members by coordinate, and the view's nonzero entries along the first
+    argument.  A member carries its part of the witness number."""
+    t_sign, view, x, y = term
+    (xe, xv), (ye, yv) = ((units[a], a) if isinstance(a, str) else a for a in (x, y))
+    assert len(loop) > 1 and sorted(xv + yv) == sorted(loop) and len(set(loop)) == len(loop), (xv, yv, loop)
+    left = loop[0] in xv
+    (fe, fv), (oe, ov) = ((xe, xv), (ye, yv)) if left else ((ye, yv), (xe, xv))
+    f_strides, o_strides = tuple(strides[v] for v in fv), tuple(strides[v] for v in ov)
+    outer = strides[loop[0]]
+    groups = _grouped(memo, (id(fe), f_strides, outer),
+                      ((k // outer, (k, vec)) for k, vec in _members(fe, f_strides)))
+    index = _grouped(memo, (id(oe), o_strides),
+                     ((d, (k, c)) for k, vec in _members(oe, o_strides) for d, c in vec.items()))
+    lines = _grouped(memo, (id(view), "rows" if left else "columns"),
+                     ((c, (d, t)) if left else (d, (c, t))
+                      for c, row in enumerate(view) for d, t in enumerate(row) if t))
+    return sign * t_sign, groups, index, lines
+
+
+def _add_slice(out: dict, v: int, dim: int, sign: int, groups: dict, index: dict, lines: dict) -> None:
+    """out[witness * dim + r] += coordinate r of the term, at every witness
+    whose outermost index is v."""
+    get = out.get
+    for kf, f in groups.get(v, ()):
+        for c, fc in f.items():
+            fc *= sign
+            for d, t in lines.get(c, ()):
+                for ko, oc in index.get(d, ()):
+                    at, s = (kf + ko) * dim, fc * oc
+                    for r, tr in t.items():
+                        out[at + r] = get(at + r, 0) + s * tr
+
+
+def _member(arg, at: Mapping[str, int]) -> SparseVector:
+    entries, names = ({at[arg]: 1}, "") if isinstance(arg, str) else arg
+    for v in names:
+        entries = entries[at[v]]
+    return entries
+
+
+def _violations(field: Field, dims: Mapping[str, int], identities: Sequence[Identity]) -> list[Violation]:
+    """The violations of the identities, both sides as dense vectors."""
+    p, bad, memo = field.characteristic, [], {}
+    units = {v: _units(n) for v, n in dims.items()}
+    for loop, block in groupby(identities, key=itemgetter(2)):
+        block, strides, size = list(block), {}, 1
+        for w in reversed(loop):
+            strides[w], size = size, size * dims[w]
+        if not size:
+            continue
+        plans = [(dim, [_plan(s, term, loop, units, strides, memo) for s, side in ((1, lhs), (-1, rhs))
+                        for term in side]) for _label, _witness, _loop, dim, lhs, rhs in block]
+        for v in range(dims[loop[0]]):
+            found = []
+            for idx, (dim, terms) in enumerate(plans):
+                diff: dict = {}
+                for plan in terms:
+                    _add_slice(diff, v, dim, *plan)
+                found += {(k // dim, idx) for k, c in diff.items() if (c % p if p else c)}
+            for k, idx in sorted(found):
+                label, witness, _loop, dim, lhs, rhs = block[idx]
+                at = {}
+                for w in reversed(loop):
+                    k, at[w] = divmod(k, dims[w])
+                sides = ([(s, view, _member(x, at), _member(y, at)) for s, view, x, y in side] for side in (lhs, rhs))
+                bad.append(Violation(label, tuple(at[w] for w in witness),
+                                     *(_dense(field, dim, _evaluate(side, p)) for side in sides)))
+    return bad
+
+
+def _prefixed(*reports: tuple[str, ValidationReport]) -> list[Violation]:
+    """The violations of each report, their labels prefixed."""
+    return [Violation(prefix + v.axiom, v.witness, v.lhs, v.rhs) for prefix, rep in reports for v in rep.violations]
 
 
 def validate_leibniz(a: LeibnizAlgebra) -> ValidationReport:
     """Check [[x,y],z] = [x,[y,z]] + [[x,z],y] on all basis triples."""
-    n, t, e = a.dim, a.sparse_table, _units(a.dim)
-    bad: list[Violation] = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                _check(bad, a.field, n, "leibniz", (i, j, k), [(1, t, t[i][j], e[k])],
-                       [(1, t, e[i], t[j][k]), (1, t, t[i][k], e[j])])
-    return ValidationReport(tuple(bad))
+    t = a.sparse_table
+    return ValidationReport(tuple(_violations(a.field, dict.fromkeys("ijk", a.dim), [
+        ("leibniz", "ijk", "ijk", a.dim, [(1, t, (t, "ij"), "k")], [(1, t, "i", (t, "jk")), (1, t, (t, "ik"), "j")]),
+    ])))
 
 
 # -- kernels, closure and induced structure on subspaces --------------------

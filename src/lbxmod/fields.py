@@ -101,8 +101,9 @@ class Rationals:
         if isinstance(v, int):
             return Fraction(v)
         if isinstance(v, str) and _RATIONAL.fullmatch(v):
+            num, _, den = v.partition("/")  # int() is cheaper than Fraction's own parser
             try:
-                return Fraction(v)
+                return Fraction(int(num), int(den)) if den else Fraction(int(num))
             except (ValueError, ZeroDivisionError) as exc:
                 raise InputDataError(f"bad rational scalar {v!r}") from exc
         raise InputDataError(f"bad rational scalar {v!r}")

@@ -23,15 +23,13 @@ from .action import ActionData, Tensor, semidirect_algebra, validate_action
 from .algebra import (
     _ONE,
     SparseTensor,
-    Term,
     ValidationReport,
-    Violation,
-    _check,
     _contract,
+    _prefixed,
     _sparse_map,
     _sparse_tensor,
     _unit,
-    _units,
+    _violations,
 )
 from .fields import Field, InputDataError, Scalar
 from .linalg import Matrix, zero_vector
@@ -129,16 +127,9 @@ def validate_xmod_action(d: XModActionData, check_components: bool = True) -> Va
     prefixed labels; the mixed identities use their own labels LbEQ*,
     LbCOM*, LbM*.
     """
-    bad: list[Violation] = []
-    if check_components:
-        for prefix, rep in (
-            ("x:", validate_xmod(d.actor_xmod)),
-            ("y:", validate_xmod(d.target_xmod)),
-            ("p_on_n:", validate_action(d.act_on_top)),
-            ("p_on_q:", validate_action(d.act_on_base)),
-        ):
-            for v in rep.violations:
-                bad.append(Violation(prefix + v.axiom, v.witness, v.lhs, v.rhs))
+    bad = _prefixed(("x:", validate_xmod(d.actor_xmod)), ("y:", validate_xmod(d.target_xmod)),
+                    ("p_on_n:", validate_action(d.act_on_top)),
+                    ("p_on_q:", validate_action(d.act_on_base))) if check_components else []
 
     x, y = d.actor_xmod, d.target_xmod
     m, p, n, q = x.top, x.base, y.top, y.base
@@ -149,76 +140,52 @@ def validate_xmod_action(d: XModActionData, check_components: bool = True) -> Va
     x_l, x_r = x.action.sparse_left, x.action.sparse_right              # p on m
     mq, qm = d.sparse_mq, d.sparse_qm
     mu, eta = _sparse_map(y.boundary), _sparse_map(x.boundary)
-    muj, etai = mu[0], eta[0]  # boundary images of the n- and m-bases
-    e = _units(max(m.dim, p.dim, n.dim, q.dim))
-
-    # each side is a sum of terms (sign, view, x, y), that is sign * view(x, y)
-    def check(label: str, witness: tuple[int, ...], lhs: Term, *rhs: Term, dim: int = n.dim) -> None:
-        _check(bad, d.field, dim, label, witness, [lhs], rhs)
-
-    # boundary equivariance for the p-actions
-    for b in range(p.dim):
-        for j in range(n.dim):
-            check("LbEQ1", (b, j), (1, mu, _ONE, pn_l[b][j]), (1, pq_l, e[b], muj[j]), dim=q.dim)
-            check("LbEQ2", (j, b), (1, mu, _ONE, pn_r[j][b]), (1, pq_r, muj[j], e[b]), dim=q.dim)
-
-    # compatibility of the p- and q-actions on n
-    for j in range(n.dim):
-        for b in range(p.dim):
-            for a in range(q.dim):
-                check("LbCOM1", (j, b, a), (1, y_r, e[j], pq_l[b][a]),
-                      (1, y_r, pn_r[j][b], e[a]), (-1, pn_r, y_r[j][a], e[b]))
-                check("LbCOM2", (b, j, a), (1, pn_l, e[b], y_r[j][a]),
-                      (1, y_r, pn_l[b][j], e[a]), (-1, y_l, pq_l[b][a], e[j]))
-                check("LbCOM3", (b, a, j), (1, pn_l, e[b], y_l[a][j]),
-                      (1, y_l, pq_l[b][a], e[j]), (-1, y_r, pn_l[b][j], e[a]))
-                check("LbCOM4", (j, a, b), (1, y_r, e[j], pq_r[a][b]),
-                      (1, pn_r, y_r[j][a], e[b]), (-1, y_r, pn_r[j][b], e[a]))
-                check("LbCOM5", (a, j, b), (1, y_l, e[a], pn_r[j][b]),
-                      (1, pn_r, y_l[a][j], e[b]), (-1, y_l, pq_r[a][b], e[j]))
-                check("LbCOM6", (a, b, j), (1, y_l, e[a], pn_l[b][j]),
-                      (1, y_l, pq_r[a][b], e[j]), (-1, pn_r, y_l[a][j], e[b]))
-
-    # pairing identities
-    for a in range(q.dim):
-        for i in range(m.dim):
-            check("LbM1a", (a, i), (1, mu, _ONE, qm[a][i]), (1, pq_r, e[a], etai[i]), dim=q.dim)
-            check("LbM1b", (i, a), (1, mu, _ONE, mq[i][a]), (1, pq_l, etai[i], e[a]), dim=q.dim)
-    for j in range(n.dim):
-        for i in range(m.dim):
-            check("LbM2a", (j, i), (1, qm, muj[j], e[i]), (1, pn_r, e[j], etai[i]))
-            check("LbM2b", (i, j), (1, mq, e[i], muj[j]), (1, pn_l, etai[i], e[j]))
-    for a in range(q.dim):
-        for b in range(p.dim):
-            for i in range(m.dim):
-                check("LbM3a", (a, b, i), (1, qm, e[a], x_l[b][i]),
-                      (1, qm, pq_r[a][b], e[i]), (-1, pn_r, qm[a][i], e[b]))
-                check("LbM3b", (b, i, a), (1, mq, x_l[b][i], e[a]),
-                      (1, qm, pq_l[b][a], e[i]), (-1, pn_l, e[b], qm[a][i]))
-                check("LbM3c", (a, i, b), (1, qm, e[a], x_r[i][b]),
-                      (1, pn_r, qm[a][i], e[b]), (-1, qm, pq_r[a][b], e[i]))
-                check("LbM3d", (i, b, a), (1, mq, x_r[i][b], e[a]),
-                      (1, pn_r, mq[i][a], e[b]), (-1, mq, e[i], pq_r[a][b]))
-    for a in range(q.dim):
-        for i in range(m.dim):
-            for j in range(m.dim):
-                check("LbM4a", (a, i, j), (1, qm, e[a], mt[i][j]),
-                      (1, pn_r, qm[a][i], etai[j]), (-1, pn_r, qm[a][j], etai[i]))
-                check("LbM4b", (i, j, a), (1, mq, mt[i][j], e[a]),
-                      (1, pn_r, mq[i][a], etai[j]), (-1, pn_l, etai[i], qm[a][j]))
-    for a in range(q.dim):
-        for b in range(q.dim):
-            for i in range(m.dim):
-                check("LbM5a", (a, b, i), (1, qm, qt[a][b], e[i]),
-                      (1, y_r, qm[a][i], e[b]), (1, y_l, e[a], qm[b][i]))
-                check("LbM5b", (i, a, b), (1, mq, e[i], qt[a][b]),
-                      (1, y_r, mq[i][a], e[b]), (-1, y_r, mq[i][b], e[a]))
-                check("LbM5c", (a, i, b), (1, y_l, e[a], mq[i][b]), (-1, y_l, e[a], qm[b][i]))
-    for i in range(m.dim):
-        for b in range(p.dim):
-            for a in range(q.dim):
-                check("LbM6a", (i, b, a), (1, mq, e[i], pq_l[b][a]), (-1, mq, e[i], pq_r[a][b]))
-                check("LbM6b", (b, i, a), (1, pn_l, e[b], mq[i][a]), (-1, pn_l, e[b], qm[a][i]))
+    one = (_ONE, "")
+    muj, etai, etak = (mu[0], "j"), (eta[0], "i"), (eta[0], "k")  # boundary images of the n- and m-bases
+    # i, k index m; b indexes p; j indexes n; a, c index q
+    dims = {"i": m.dim, "k": m.dim, "b": p.dim, "j": n.dim, "a": q.dim, "c": q.dim}
+    bad += _violations(d.field, dims, [
+        # boundary equivariance for the p-actions
+        ("LbEQ1", "bj", "bj", q.dim, [(1, mu, one, (pn_l, "bj"))], [(1, pq_l, "b", muj)]),
+        ("LbEQ2", "jb", "bj", q.dim, [(1, mu, one, (pn_r, "jb"))], [(1, pq_r, muj, "b")]),
+        # compatibility of the p- and q-actions on n
+        ("LbCOM1", "jba", "jba", n.dim, [(1, y_r, "j", (pq_l, "ba"))],
+         [(1, y_r, (pn_r, "jb"), "a"), (-1, pn_r, (y_r, "ja"), "b")]),
+        ("LbCOM2", "bja", "jba", n.dim, [(1, pn_l, "b", (y_r, "ja"))],
+         [(1, y_r, (pn_l, "bj"), "a"), (-1, y_l, (pq_l, "ba"), "j")]),
+        ("LbCOM3", "baj", "jba", n.dim, [(1, pn_l, "b", (y_l, "aj"))],
+         [(1, y_l, (pq_l, "ba"), "j"), (-1, y_r, (pn_l, "bj"), "a")]),
+        ("LbCOM4", "jab", "jba", n.dim, [(1, y_r, "j", (pq_r, "ab"))],
+         [(1, pn_r, (y_r, "ja"), "b"), (-1, y_r, (pn_r, "jb"), "a")]),
+        ("LbCOM5", "ajb", "jba", n.dim, [(1, y_l, "a", (pn_r, "jb"))],
+         [(1, pn_r, (y_l, "aj"), "b"), (-1, y_l, (pq_r, "ab"), "j")]),
+        ("LbCOM6", "abj", "jba", n.dim, [(1, y_l, "a", (pn_l, "bj"))],
+         [(1, y_l, (pq_r, "ab"), "j"), (-1, pn_r, (y_l, "aj"), "b")]),
+        # pairing identities
+        ("LbM1a", "ai", "ai", q.dim, [(1, mu, one, (qm, "ai"))], [(1, pq_r, "a", etai)]),
+        ("LbM1b", "ia", "ai", q.dim, [(1, mu, one, (mq, "ia"))], [(1, pq_l, etai, "a")]),
+        ("LbM2a", "ji", "ji", n.dim, [(1, qm, muj, "i")], [(1, pn_r, "j", etai)]),
+        ("LbM2b", "ij", "ji", n.dim, [(1, mq, "i", muj)], [(1, pn_l, etai, "j")]),
+        ("LbM3a", "abi", "abi", n.dim, [(1, qm, "a", (x_l, "bi"))],
+         [(1, qm, (pq_r, "ab"), "i"), (-1, pn_r, (qm, "ai"), "b")]),
+        ("LbM3b", "bia", "abi", n.dim, [(1, mq, (x_l, "bi"), "a")],
+         [(1, qm, (pq_l, "ba"), "i"), (-1, pn_l, "b", (qm, "ai"))]),
+        ("LbM3c", "aib", "abi", n.dim, [(1, qm, "a", (x_r, "ib"))],
+         [(1, pn_r, (qm, "ai"), "b"), (-1, qm, (pq_r, "ab"), "i")]),
+        ("LbM3d", "iba", "abi", n.dim, [(1, mq, (x_r, "ib"), "a")],
+         [(1, pn_r, (mq, "ia"), "b"), (-1, mq, "i", (pq_r, "ab"))]),
+        ("LbM4a", "aik", "aik", n.dim, [(1, qm, "a", (mt, "ik"))],
+         [(1, pn_r, (qm, "ai"), etak), (-1, pn_r, (qm, "ak"), etai)]),
+        ("LbM4b", "ika", "aik", n.dim, [(1, mq, (mt, "ik"), "a")],
+         [(1, pn_r, (mq, "ia"), etak), (-1, pn_l, etai, (qm, "ak"))]),
+        ("LbM5a", "aci", "aci", n.dim, [(1, qm, (qt, "ac"), "i")],
+         [(1, y_r, (qm, "ai"), "c"), (1, y_l, "a", (qm, "ci"))]),
+        ("LbM5b", "iac", "aci", n.dim, [(1, mq, "i", (qt, "ac"))],
+         [(1, y_r, (mq, "ia"), "c"), (-1, y_r, (mq, "ic"), "a")]),
+        ("LbM5c", "aic", "aci", n.dim, [(1, y_l, "a", (mq, "ic"))], [(-1, y_l, "a", (qm, "ci"))]),
+        ("LbM6a", "iba", "iba", n.dim, [(1, mq, "i", (pq_l, "ba"))], [(-1, mq, "i", (pq_r, "ab"))]),
+        ("LbM6b", "bia", "iba", n.dim, [(1, pn_l, "b", (mq, "ia"))], [(-1, pn_l, "b", (qm, "ai"))]),
+    ])
     return ValidationReport(tuple(bad))
 
 

@@ -20,17 +20,19 @@ from .algebra import (
     ValidationReport,
     Violation,
     _annihilator_rows,
-    _check,
     _closed,
     _image_rows,
+    _prefixed,
     _quotient,
     _restricted,
     _sparse_map,
     _units,
+    _violations,
     annihilator,
     commutator,
     is_ideal,
     subalgebra_on,
+    validate_leibniz,
 )
 from .fields import InputDataError
 from .linalg import Matrix, Subspace, column_space, nullspace, sparse_kernel
@@ -82,40 +84,24 @@ class CrossedModule:
 
 def validate_xmod(x: CrossedModule, check_components: bool = True) -> ValidationReport:
     """Full validity check; labels are prefixed with the failing layer."""
-    from .algebra import validate_leibniz
-
-    bad: list[Violation] = []
-    if check_components:
-        for v in validate_leibniz(x.top).violations:
-            bad.append(Violation("top:" + v.axiom, v.witness, v.lhs, v.rhs))
-        for v in validate_leibniz(x.base).violations:
-            bad.append(Violation("base:" + v.axiom, v.witness, v.lhs, v.rhs))
-        for v in validate_action(x.action).violations:
-            bad.append(Violation("action:" + v.axiom, v.witness, v.lhs, v.rhs))
+    bad = _prefixed(("top:", validate_leibniz(x.top)), ("base:", validate_leibniz(x.base)),
+                    ("action:", validate_action(x.action))) if check_components else []
 
     m, p = x.top, x.base
-    f, mt, pt = m.field, m.sparse_table, p.sparse_table
+    mt, pt = m.sparse_table, p.sparse_table
     left, right = x.action.sparse_left, x.action.sparse_right
     eta = _sparse_map(x.boundary)
-    cols = eta[0]  # boundary images of the top basis
-    e = _units(max(m.dim, p.dim))
-
-    # boundary is a homomorphism
-    for i in range(m.dim):
-        for j in range(m.dim):
-            _check(bad, f, p.dim, "hom", (i, j), [(1, eta, _ONE, mt[i][j])], [(1, pt, cols[i], cols[j])])
-
-    # XLb1: the boundary intertwines both action brackets
-    for a in range(p.dim):
-        for i in range(m.dim):
-            _check(bad, f, p.dim, "XLb1-left", (a, i), [(1, eta, _ONE, left[a][i])], [(1, pt, e[a], cols[i])])
-            _check(bad, f, p.dim, "XLb1-right", (i, a), [(1, eta, _ONE, right[i][a])], [(1, pt, cols[i], e[a])])
-
-    # XLb2: boundary images act by the internal bracket (Peiffer)
-    for i in range(m.dim):
-        for j in range(m.dim):
-            _check(bad, f, m.dim, "XLb2-left", (i, j), [(1, left, cols[i], e[j])], [(1, mt, e[i], e[j])])
-            _check(bad, f, m.dim, "XLb2-right", (i, j), [(1, right, e[i], cols[j])], [(1, mt, e[i], e[j])])
+    cols = eta[0]  # boundary images of the top basis; i, j index the top, a the base
+    bad += _violations(m.field, {"i": m.dim, "j": m.dim, "a": p.dim}, [
+        # boundary is a homomorphism
+        ("hom", "ij", "ij", p.dim, [(1, eta, (_ONE, ""), (mt, "ij"))], [(1, pt, (cols, "i"), (cols, "j"))]),
+        # XLb1: the boundary intertwines both action brackets
+        ("XLb1-left", "ai", "ai", p.dim, [(1, eta, (_ONE, ""), (left, "ai"))], [(1, pt, "a", (cols, "i"))]),
+        ("XLb1-right", "ia", "ai", p.dim, [(1, eta, (_ONE, ""), (right, "ia"))], [(1, pt, (cols, "i"), "a")]),
+        # XLb2: boundary images act by the internal bracket (Peiffer)
+        ("XLb2-left", "ij", "ij", m.dim, [(1, left, (cols, "i"), "j")], [(1, mt, "i", "j")]),
+        ("XLb2-right", "ij", "ij", m.dim, [(1, right, "i", (cols, "j"))], [(1, mt, "i", "j")]),
+    ])
     return ValidationReport(tuple(bad))
 
 
@@ -146,19 +132,18 @@ def compose_morphisms(g: XModMorphism, f: XModMorphism) -> XModMorphism:
 
 def validate_morphism(f: XModMorphism) -> ValidationReport:
     """Homomorphism on both layers, boundary square, action equivariance."""
-    bad: list[Violation] = []
     s, t = f.source, f.target
     ft, fb = _sparse_map(f.top_map), _sparse_map(f.base_map)
-    top_cols, base_cols = ft[0], fb[0]
-
-    for i in range(s.top.dim):
-        for j in range(s.top.dim):
-            _check(bad, t.top.field, t.top.dim, "top-hom", (i, j), [(1, ft, _ONE, s.top.sparse_table[i][j])],
-                   [(1, t.top.sparse_table, top_cols[i], top_cols[j])])
-    for a in range(s.base.dim):
-        for b in range(s.base.dim):
-            _check(bad, t.base.field, t.base.dim, "base-hom", (a, b), [(1, fb, _ONE, s.base.sparse_table[a][b])],
-                   [(1, t.base.sparse_table, base_cols[a], base_cols[b])])
+    top, base = (ft[0], "i"), (fb[0], "a")  # images of the source bases
+    top2, base2 = (ft[0], "j"), (fb[0], "b")
+    dims = {"i": s.top.dim, "j": s.top.dim, "a": s.base.dim, "b": s.base.dim}
+    field, one = t.top.field, (_ONE, "")
+    bad = _violations(field, dims, [
+        ("top-hom", "ij", "ij", t.top.dim, [(1, ft, one, (s.top.sparse_table, "ij"))],
+         [(1, t.top.sparse_table, top, top2)]),
+        ("base-hom", "ab", "ab", t.base.dim, [(1, fb, one, (s.base.sparse_table, "ab"))],
+         [(1, t.base.sparse_table, base, base2)]),
+    ])
 
     sq_lhs = t.boundary @ f.top_map
     sq_rhs = f.base_map @ s.boundary
@@ -166,14 +151,12 @@ def validate_morphism(f: XModMorphism) -> ValidationReport:
         bad.append(Violation("boundary-square", (), tuple(x for r in sq_lhs.entries for x in r),
                              tuple(x for r in sq_rhs.entries for x in r)))
 
-    s_left, s_right = s.action.sparse_left, s.action.sparse_right
-    t_left, t_right = t.action.sparse_left, t.action.sparse_right
-    for a in range(s.base.dim):
-        for i in range(s.top.dim):
-            _check(bad, t.top.field, t.top.dim, "action-left", (a, i), [(1, ft, _ONE, s_left[a][i])],
-                   [(1, t_left, base_cols[a], top_cols[i])])
-            _check(bad, t.top.field, t.top.dim, "action-right", (i, a), [(1, ft, _ONE, s_right[i][a])],
-                   [(1, t_right, top_cols[i], base_cols[a])])
+    bad += _violations(field, dims, [
+        ("action-left", "ai", "ai", t.top.dim, [(1, ft, one, (s.action.sparse_left, "ai"))],
+         [(1, t.action.sparse_left, base, top)]),
+        ("action-right", "ia", "ai", t.top.dim, [(1, ft, one, (s.action.sparse_right, "ia"))],
+         [(1, t.action.sparse_right, top, base)]),
+    ])
     return ValidationReport(tuple(bad))
 
 

@@ -12,17 +12,31 @@ subspace's echelon basis.  ``test_sparse_stages.py`` compares the two.
 member.  The sparse readers and map products they replaced, on the reduced
 echelon rows with ``Fraction`` entries, are kept below as ``fraction_*``;
 ``test_scaled_rows.py`` compares them with the integer-backed ones.
+
+The validators evaluate each identity over all its witnesses at once.  The
+per-witness loops they replaced are kept at the end as ``validate_*``;
+``test_validators.py`` compares the full reports.
 """
 from __future__ import annotations
 
 import random
 
 from lbxmod.action import ActionData
-from lbxmod.algebra import LeibnizAlgebra
+from lbxmod.algebra import (
+    _ONE,
+    LeibnizAlgebra,
+    ValidationReport,
+    Violation,
+    _accumulate,
+    _evaluate,
+    _sparse_map,
+    _units,
+)
 from lbxmod.bider import bider_qn, bider_xmod
 from lbxmod.fields import InputDataError
-from lbxmod.linalg import LinearSolveError, Matrix, Subspace, number, nullspace
-from lbxmod.xmod import CrossedModule, NotAnIdealError
+from lbxmod.linalg import LinearSolveError, Matrix, Subspace, _dense, number, nullspace
+from lbxmod.xaction import XModActionData
+from lbxmod.xmod import CrossedModule, NotAnIdealError, XModMorphism
 
 
 def unit(field, n, i):
@@ -416,3 +430,207 @@ def fraction_bracket_tables(x: CrossedModule):
                         for s1, _t1, s2, _t2 in qb) for d, dd in pb)
     delta_cols = [read(quads, [[(1, d, mu)], [(1, dd, mu)], [(1, mu, d)], [(1, mu, dd)]]) for d, dd in pb]
     return pair_table, quad_table, left, right, Matrix.from_columns(x.top.field, delta_cols, quads.dim)
+
+
+# -- per-witness validators ---------------------------------------------------------
+#
+# ``lbxmod`` evaluates each identity over all its witnesses at once, from the
+# nonzero entries of the sparse views.  These are the loops it replaced: one
+# ``check`` per identity per basis triple (or pair), each summing its terms
+# (sign, view, x, y) with the contraction kernel.
+
+
+def _check(bad, field, dim, label, witness, lhs, rhs):
+    """Record a violation if sum(lhs) - sum(rhs) is not zero."""
+    p = field.characteristic
+    diff = {}
+    for sign, view, x, y in lhs:
+        _accumulate(diff, sign, view, x, y)
+    for sign, view, x, y in rhs:
+        _accumulate(diff, -sign, view, x, y)
+    if any(c % p for c in diff.values()) if p else any(diff.values()):
+        bad.append(Violation(label, witness, _dense(field, dim, _evaluate(lhs, p)),
+                             _dense(field, dim, _evaluate(rhs, p))))
+
+
+def validate_leibniz(a: LeibnizAlgebra) -> ValidationReport:
+    n, t, e = a.dim, a.sparse_table, _units(a.dim)
+    bad = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                _check(bad, a.field, n, "leibniz", (i, j, k), [(1, t, t[i][j], e[k])],
+                       [(1, t, e[i], t[j][k]), (1, t, t[i][k], e[j])])
+    return ValidationReport(tuple(bad))
+
+
+def validate_action(d: ActionData) -> ValidationReport:
+    p, m = d.actor, d.target
+    f, n, pt, mt = m.field, m.dim, p.sparse_table, m.sparse_table
+    left, right = d.sparse_left, d.sparse_right
+    e = _units(max(p.dim, n))
+    bad = []
+    for a in range(p.dim):
+        for i in range(n):
+            for j in range(n):
+                _check(bad, f, n, "act1", (a, i, j), [(1, left, e[a], mt[i][j])],
+                       [(1, mt, left[a][i], e[j]), (-1, mt, left[a][j], e[i])])
+                _check(bad, f, n, "act2", (i, a, j), [(1, mt, e[i], left[a][j])],
+                       [(1, mt, right[i][a], e[j]), (-1, right, mt[i][j], e[a])])
+                _check(bad, f, n, "act3", (i, j, a), [(1, mt, e[i], right[j][a])],
+                       [(1, right, mt[i][j], e[a]), (-1, mt, right[i][a], e[j])])
+    for i in range(n):
+        for a in range(p.dim):
+            for b in range(p.dim):
+                _check(bad, f, n, "act4", (i, a, b), [(1, right, e[i], pt[a][b])],
+                       [(1, right, right[i][a], e[b]), (-1, right, right[i][b], e[a])])
+    for a in range(p.dim):
+        for i in range(n):
+            for b in range(p.dim):
+                _check(bad, f, n, "act5", (a, i, b), [(1, left, e[a], right[i][b])],
+                       [(1, right, left[a][i], e[b]), (-1, left, pt[a][b], e[i])])
+                _check(bad, f, n, "act6", (a, b, i), [(1, left, e[a], left[b][i])],
+                       [(1, left, pt[a][b], e[i]), (-1, right, left[a][i], e[b])])
+    return ValidationReport(tuple(bad))
+
+
+def _prefixed(prefix, report):
+    return [Violation(prefix + v.axiom, v.witness, v.lhs, v.rhs) for v in report.violations]
+
+
+def validate_xmod(x: CrossedModule, check_components: bool = True) -> ValidationReport:
+    bad = []
+    if check_components:
+        bad += _prefixed("top:", validate_leibniz(x.top))
+        bad += _prefixed("base:", validate_leibniz(x.base))
+        bad += _prefixed("action:", validate_action(x.action))
+    m, p = x.top, x.base
+    f, mt, pt = m.field, m.sparse_table, p.sparse_table
+    left, right = x.action.sparse_left, x.action.sparse_right
+    eta = _sparse_map(x.boundary)
+    cols = eta[0]
+    e = _units(max(m.dim, p.dim))
+    for i in range(m.dim):
+        for j in range(m.dim):
+            _check(bad, f, p.dim, "hom", (i, j), [(1, eta, _ONE, mt[i][j])], [(1, pt, cols[i], cols[j])])
+    for a in range(p.dim):
+        for i in range(m.dim):
+            _check(bad, f, p.dim, "XLb1-left", (a, i), [(1, eta, _ONE, left[a][i])], [(1, pt, e[a], cols[i])])
+            _check(bad, f, p.dim, "XLb1-right", (i, a), [(1, eta, _ONE, right[i][a])], [(1, pt, cols[i], e[a])])
+    for i in range(m.dim):
+        for j in range(m.dim):
+            _check(bad, f, m.dim, "XLb2-left", (i, j), [(1, left, cols[i], e[j])], [(1, mt, e[i], e[j])])
+            _check(bad, f, m.dim, "XLb2-right", (i, j), [(1, right, e[i], cols[j])], [(1, mt, e[i], e[j])])
+    return ValidationReport(tuple(bad))
+
+
+def validate_morphism(f: XModMorphism) -> ValidationReport:
+    bad = []
+    s, t = f.source, f.target
+    ft, fb = _sparse_map(f.top_map), _sparse_map(f.base_map)
+    top_cols, base_cols = ft[0], fb[0]
+    for i in range(s.top.dim):
+        for j in range(s.top.dim):
+            _check(bad, t.top.field, t.top.dim, "top-hom", (i, j), [(1, ft, _ONE, s.top.sparse_table[i][j])],
+                   [(1, t.top.sparse_table, top_cols[i], top_cols[j])])
+    for a in range(s.base.dim):
+        for b in range(s.base.dim):
+            _check(bad, t.base.field, t.base.dim, "base-hom", (a, b), [(1, fb, _ONE, s.base.sparse_table[a][b])],
+                   [(1, t.base.sparse_table, base_cols[a], base_cols[b])])
+    sq_lhs = t.boundary @ f.top_map
+    sq_rhs = f.base_map @ s.boundary
+    if sq_lhs != sq_rhs:
+        bad.append(Violation("boundary-square", (), tuple(x for r in sq_lhs.entries for x in r),
+                             tuple(x for r in sq_rhs.entries for x in r)))
+    s_left, s_right = s.action.sparse_left, s.action.sparse_right
+    t_left, t_right = t.action.sparse_left, t.action.sparse_right
+    for a in range(s.base.dim):
+        for i in range(s.top.dim):
+            _check(bad, t.top.field, t.top.dim, "action-left", (a, i), [(1, ft, _ONE, s_left[a][i])],
+                   [(1, t_left, base_cols[a], top_cols[i])])
+            _check(bad, t.top.field, t.top.dim, "action-right", (i, a), [(1, ft, _ONE, s_right[i][a])],
+                   [(1, t_right, top_cols[i], base_cols[a])])
+    return ValidationReport(tuple(bad))
+
+
+def validate_xmod_action(d: XModActionData, check_components: bool = True) -> ValidationReport:
+    bad = []
+    if check_components:
+        bad += _prefixed("x:", validate_xmod(d.actor_xmod))
+        bad += _prefixed("y:", validate_xmod(d.target_xmod))
+        bad += _prefixed("p_on_n:", validate_action(d.act_on_top))
+        bad += _prefixed("p_on_q:", validate_action(d.act_on_base))
+    x, y = d.actor_xmod, d.target_xmod
+    m, p, n, q = x.top, x.base, y.top, y.base
+    mt, qt = m.sparse_table, q.sparse_table
+    pn_l, pn_r = d.act_on_top.sparse_left, d.act_on_top.sparse_right
+    pq_l, pq_r = d.act_on_base.sparse_left, d.act_on_base.sparse_right
+    y_l, y_r = y.action.sparse_left, y.action.sparse_right
+    x_l, x_r = x.action.sparse_left, x.action.sparse_right
+    mq, qm = d.sparse_mq, d.sparse_qm
+    mu, eta = _sparse_map(y.boundary), _sparse_map(x.boundary)
+    muj, etai = mu[0], eta[0]
+    e = _units(max(m.dim, p.dim, n.dim, q.dim))
+
+    def check(label, witness, lhs, *rhs, dim=n.dim):
+        _check(bad, d.field, dim, label, witness, [lhs], rhs)
+
+    for b in range(p.dim):
+        for j in range(n.dim):
+            check("LbEQ1", (b, j), (1, mu, _ONE, pn_l[b][j]), (1, pq_l, e[b], muj[j]), dim=q.dim)
+            check("LbEQ2", (j, b), (1, mu, _ONE, pn_r[j][b]), (1, pq_r, muj[j], e[b]), dim=q.dim)
+    for j in range(n.dim):
+        for b in range(p.dim):
+            for a in range(q.dim):
+                check("LbCOM1", (j, b, a), (1, y_r, e[j], pq_l[b][a]),
+                      (1, y_r, pn_r[j][b], e[a]), (-1, pn_r, y_r[j][a], e[b]))
+                check("LbCOM2", (b, j, a), (1, pn_l, e[b], y_r[j][a]),
+                      (1, y_r, pn_l[b][j], e[a]), (-1, y_l, pq_l[b][a], e[j]))
+                check("LbCOM3", (b, a, j), (1, pn_l, e[b], y_l[a][j]),
+                      (1, y_l, pq_l[b][a], e[j]), (-1, y_r, pn_l[b][j], e[a]))
+                check("LbCOM4", (j, a, b), (1, y_r, e[j], pq_r[a][b]),
+                      (1, pn_r, y_r[j][a], e[b]), (-1, y_r, pn_r[j][b], e[a]))
+                check("LbCOM5", (a, j, b), (1, y_l, e[a], pn_r[j][b]),
+                      (1, pn_r, y_l[a][j], e[b]), (-1, y_l, pq_r[a][b], e[j]))
+                check("LbCOM6", (a, b, j), (1, y_l, e[a], pn_l[b][j]),
+                      (1, y_l, pq_r[a][b], e[j]), (-1, pn_r, y_l[a][j], e[b]))
+    for a in range(q.dim):
+        for i in range(m.dim):
+            check("LbM1a", (a, i), (1, mu, _ONE, qm[a][i]), (1, pq_r, e[a], etai[i]), dim=q.dim)
+            check("LbM1b", (i, a), (1, mu, _ONE, mq[i][a]), (1, pq_l, etai[i], e[a]), dim=q.dim)
+    for j in range(n.dim):
+        for i in range(m.dim):
+            check("LbM2a", (j, i), (1, qm, muj[j], e[i]), (1, pn_r, e[j], etai[i]))
+            check("LbM2b", (i, j), (1, mq, e[i], muj[j]), (1, pn_l, etai[i], e[j]))
+    for a in range(q.dim):
+        for b in range(p.dim):
+            for i in range(m.dim):
+                check("LbM3a", (a, b, i), (1, qm, e[a], x_l[b][i]),
+                      (1, qm, pq_r[a][b], e[i]), (-1, pn_r, qm[a][i], e[b]))
+                check("LbM3b", (b, i, a), (1, mq, x_l[b][i], e[a]),
+                      (1, qm, pq_l[b][a], e[i]), (-1, pn_l, e[b], qm[a][i]))
+                check("LbM3c", (a, i, b), (1, qm, e[a], x_r[i][b]),
+                      (1, pn_r, qm[a][i], e[b]), (-1, qm, pq_r[a][b], e[i]))
+                check("LbM3d", (i, b, a), (1, mq, x_r[i][b], e[a]),
+                      (1, pn_r, mq[i][a], e[b]), (-1, mq, e[i], pq_r[a][b]))
+    for a in range(q.dim):
+        for i in range(m.dim):
+            for j in range(m.dim):
+                check("LbM4a", (a, i, j), (1, qm, e[a], mt[i][j]),
+                      (1, pn_r, qm[a][i], etai[j]), (-1, pn_r, qm[a][j], etai[i]))
+                check("LbM4b", (i, j, a), (1, mq, mt[i][j], e[a]),
+                      (1, pn_r, mq[i][a], etai[j]), (-1, pn_l, etai[i], qm[a][j]))
+    for a in range(q.dim):
+        for b in range(q.dim):
+            for i in range(m.dim):
+                check("LbM5a", (a, b, i), (1, qm, qt[a][b], e[i]),
+                      (1, y_r, qm[a][i], e[b]), (1, y_l, e[a], qm[b][i]))
+                check("LbM5b", (i, a, b), (1, mq, e[i], qt[a][b]),
+                      (1, y_r, mq[i][a], e[b]), (-1, y_r, mq[i][b], e[a]))
+                check("LbM5c", (a, i, b), (1, y_l, e[a], mq[i][b]), (-1, y_l, e[a], qm[b][i]))
+    for i in range(m.dim):
+        for b in range(p.dim):
+            for a in range(q.dim):
+                check("LbM6a", (i, b, a), (1, mq, e[i], pq_l[b][a]), (-1, mq, e[i], pq_r[a][b]))
+                check("LbM6b", (b, i, a), (1, pn_l, e[b], mq[i][a]), (-1, pn_l, e[b], qm[a][i]))
+    return ValidationReport(tuple(bad))

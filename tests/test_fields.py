@@ -2,9 +2,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lbxmod import GF2, GF3, QQ, InputDataError
-from lbxmod.fields import FpElement, PrimeField, get_field
+from lbxmod.fields import _RATIONAL, FpElement, PrimeField, get_field
 
 
 def test_rational_parse_and_serialize_round_trip():
@@ -17,10 +19,30 @@ def test_rational_parse_and_serialize_round_trip():
 
 @pytest.mark.parametrize("bad", [True, False, "1/0", "abc", 0.5, None, [1],
                                  "1e5", "1e5000", "1.5", "1_0", "+5", " 5", "5\n", "1/-2",
-                                 "\u0663", "9" * 5000, "1e1000000"])
+                                 "\u0663", "9" * 5000, "1/" + "9" * 5000, "-0/0", "1e1000000"])
 def test_rational_rejects_non_scalars(bad):
     with pytest.raises(InputDataError):
         QQ.parse_scalar(bad)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.from_regex(r"-?[0-9]{1,40}(/[0-9]{1,40})?", fullmatch=True),
+                 st.from_regex(r"[-+ 0-9/._e\u0663]{0,8}", fullmatch=True), st.text(max_size=8)))
+def test_rational_reader_agrees_with_fraction(v):
+    """The reader builds the Fraction from int() parts; on every string of
+    the documented form it gives what Fraction(v) gives, and it refuses
+    every other string."""
+    if _RATIONAL.fullmatch(v):
+        try:
+            want = Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            want = None
+        if want is not None:
+            got = QQ.parse_scalar(v)
+            assert type(got) is Fraction and (got.numerator, got.denominator) == (want.numerator, want.denominator)
+            return
+    with pytest.raises(InputDataError):
+        QQ.parse_scalar(v)
 
 
 def test_prime_field_reads_residues_in_ascii_digits():
