@@ -4,7 +4,8 @@
 Re-runs the enumerations behind the acceptance suite and prints the counts:
 for each solved space, every candidate bit vector is tested against the raw
 defining identities (implemented independently in tests/oracles.py) and the
-verdict is compared with subspace membership.
+verdict is compared with subspace membership.  Exits 1 if any count of
+disagreements is nonzero, so CI can run it as a check.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from lbxmod.bider import bider_algebra, bider_qn, bider_xmod  # noqa: E402
 from lbxmod.catalog import build_entry  # noqa: E402
 
 
-def check_pairs(aid: str) -> None:
+def check_pairs(aid: str) -> int:
     alg = build_entry(aid, GF2)
     space = bider_algebra(alg)
     table = O.ints_of_table(alg)
@@ -37,9 +38,10 @@ def check_pairs(aid: str) -> None:
     total = 4 ** (n * n)
     print(f"pairs({aid}): {members}/{total} solutions, solver dim {space.dim}, "
           f"{disagreements} disagreements")
+    return disagreements
 
 
-def check_inclusion_spaces() -> None:
+def check_inclusion_spaces() -> int:
     x = build_entry("l2-ann-incl", GF2)
     nd, qd = x.top.dim, x.base.dim
     ntab, qtab = O.ints_of_table(x.top), O.ints_of_table(x.base)
@@ -57,6 +59,7 @@ def check_inclusion_spaces() -> None:
     print(f"action pairs(l2-ann-incl): {members}/{2 ** (2 * nd * qd)} solutions, "
           f"solver dim {space.dim}, {disagreements} disagreements")
 
+    total_disagreements = disagreements
     space = bider_xmod(x)
     members = disagreements = 0
     width = 2 * nd * nd + 2 * qd * qd
@@ -68,9 +71,10 @@ def check_inclusion_spaces() -> None:
         members += expected
     print(f"quadruples(l2-ann-incl): {members}/{2 ** width} solutions, "
           f"solver dim {space.dim}, {disagreements} disagreements")
+    return total_disagreements + disagreements
 
 
-def check_action_validator() -> None:
+def check_action_validator() -> int:
     p = build_entry("a1", GF2)
     m = build_entry("l2", GF2)
     ptab, mtab = O.ints_of_table(p), O.ints_of_table(m)
@@ -88,10 +92,10 @@ def check_action_validator() -> None:
         disagreements += got != O.is_action(mtab, ptab, left, right, 2, 1)
         valid += got
     print(f"actions(a1 on l2): {valid}/256 valid fillings, {disagreements} disagreements")
+    return disagreements
 
 
 if __name__ == "__main__":
-    for aid in ("a2", "l2", "r2"):
-        check_pairs(aid)
-    check_inclusion_spaces()
-    check_action_validator()
+    disagreements = sum(check_pairs(aid) for aid in ("a2", "l2", "r2"))
+    disagreements += check_inclusion_spaces() + check_action_validator()
+    sys.exit(1 if disagreements else 0)

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 from . import serialize as ser
 from .action import validate_action
-from .algebra import annihilator, commutator, validate_leibniz
+from .algebra import ValidationReport, _prefixed, annihilator, commutator, validate_leibniz
 from .action import semidirect_algebra
 from .bider import (
     NotExactError,
@@ -161,6 +161,12 @@ def _load(spec: str, field: Field, accepted: Sequence[str]):
     return kind, obj
 
 
+def _action_checks(d) -> list:
+    """What an algebra action must satisfy: both algebras Leibniz, then act1..act6."""
+    return [("actor:", validate_leibniz(d.actor)), ("target:", validate_leibniz(d.target)),
+            ("", validate_action(d))]
+
+
 def _invalid_labels(command: str, kind: str, obj) -> tuple[str, ...]:
     """Axiom labels that make the input unusable for the command.
 
@@ -178,8 +184,7 @@ def _invalid_labels(command: str, kind: str, obj) -> tuple[str, ...]:
     elif kind == "algebra" and command == "bider":
         checks = [("", validate_leibniz(obj))]
     elif kind == "action" and command == "semidirect":
-        checks = [("actor:", validate_leibniz(obj.actor)), ("target:", validate_leibniz(obj.target)),
-                  ("", validate_action(obj))]
+        checks = _action_checks(obj)
     elif kind == "sequence" and command == "lift":
         checks = [(role + ":", validate_xmod(x))
                   for role, x in (("first", obj.first), ("middle", obj.middle), ("last", obj.last))]
@@ -217,7 +222,7 @@ def _run(command: str, kind: str, obj, field: Field) -> tuple[dict, bool]:
         elif kind == "xmod":
             rep = validate_xmod(obj)
         elif kind == "action":
-            rep = validate_action(obj)
+            rep = ValidationReport(tuple(_prefixed(*_action_checks(obj))))
         else:
             rep = validate_xmod_action(obj)
         return {"kind": kind, "violations": _violations_json(field, rep)}, rep.ok

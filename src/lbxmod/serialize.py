@@ -8,7 +8,7 @@ on canonical objects: ``from_json(to_json(x)) == x``.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .action import ActionData, Tensor
 from .algebra import LeibnizAlgebra
@@ -31,6 +31,23 @@ def _is_int(x: Any) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _reader(field: Field) -> Callable[[Any], Scalar]:
+    """One document's scalar reader: ``field.parse_scalar`` once per distinct
+    JSON string or integer, typed first (true and 1.0 equal 1); anything else,
+    and a failed parse, is never kept.  Each top-level reader makes its own."""
+    parse, seen = field.parse_scalar, {}
+
+    def read(x: Any) -> Scalar:
+        if type(x) is not str and type(x) is not int:
+            return parse(x)
+        v = seen.get(x)
+        if v is None:
+            v = seen[x] = parse(x)
+        return v
+
+    return read
+
+
 # -- matrices and vectors -----------------------------------------------
 
 
@@ -44,6 +61,10 @@ def matrix_to_json(m: Matrix) -> dict:
 
 
 def matrix_from_json(field: Field, obj: Any) -> Matrix:
+    return _matrix(field, _reader(field), obj)
+
+
+def _matrix(field: Field, read: Callable, obj: Any) -> Matrix:
     if not isinstance(obj, dict) or not {"rows", "cols", "entries"} <= set(obj):
         raise InputDataError("matrix object needs rows, cols and entries")
     rows, cols = obj["rows"], obj["cols"]
@@ -56,7 +77,7 @@ def matrix_from_json(field: Field, obj: Any) -> Matrix:
     for row in data:
         if not isinstance(row, list) or len(row) != cols:
             raise InputDataError("matrix entries do not match the declared column count")
-        parsed.append(tuple(field.parse_scalar(x) for x in row))
+        parsed.append(tuple(map(read, row)))
     return Matrix(field, rows, cols, tuple(parsed))
 
 
@@ -92,6 +113,10 @@ def algebra_to_json(a: LeibnizAlgebra) -> dict:
 
 
 def algebra_from_json(field: Field, obj: Any) -> LeibnizAlgebra:
+    return _algebra(field, _reader(field), obj)
+
+
+def _algebra(field: Field, read: Callable, obj: Any) -> LeibnizAlgebra:
     if not isinstance(obj, dict) or "dim" not in obj or "brackets" not in obj:
         raise InputDataError("algebra object needs dim and brackets")
     dim = obj["dim"]
@@ -118,7 +143,7 @@ def algebra_from_json(field: Field, obj: Any) -> LeibnizAlgebra:
             k, c = term
             if k in parsed:
                 raise InputDataError(f"duplicate bracket target {k} in entry ({i}, {j})")
-            parsed[k] = field.parse_scalar(c)
+            parsed[k] = read(c)
         sparse[(i, j)] = parsed
     return LeibnizAlgebra.from_brackets(field, dim, sparse, names)
 
@@ -131,6 +156,10 @@ def tensor_to_json(field: Field, t: Tensor) -> list:
 
 
 def tensor_from_json(field: Field, obj: Any, d0: int, d1: int, d2: int) -> Tensor:
+    return _tensor(_reader(field), obj, d0, d1, d2)
+
+
+def _tensor(read: Callable, obj: Any, d0: int, d1: int, d2: int) -> Tensor:
     if not isinstance(obj, list) or len(obj) != d0:
         raise InputDataError(f"tensor must have {d0} outer entries")
     out = []
@@ -141,7 +170,7 @@ def tensor_from_json(field: Field, obj: Any, d0: int, d1: int, d2: int) -> Tenso
         for vec in row:
             if not isinstance(vec, list) or len(vec) != d2:
                 raise InputDataError(f"tensor vectors must have {d2} entries")
-            new_row.append(tuple(field.parse_scalar(x) for x in vec))
+            new_row.append(tuple(map(read, vec)))
         out.append(tuple(new_row))
     return tuple(out)
 
@@ -151,12 +180,11 @@ def action_block_to_json(d: ActionData) -> dict:
     return {"left": tensor_to_json(f, d.left), "right": tensor_to_json(f, d.right)}
 
 
-def _action_block_from_json(field: Field, obj: Any, actor: LeibnizAlgebra,
-                            target: LeibnizAlgebra) -> ActionData:
+def _action_block(read: Callable, obj: Any, actor: LeibnizAlgebra, target: LeibnizAlgebra) -> ActionData:
     if not isinstance(obj, dict) or "left" not in obj or "right" not in obj:
         raise InputDataError("action block needs left and right tensors")
-    left = tensor_from_json(field, obj["left"], actor.dim, target.dim, target.dim)
-    right = tensor_from_json(field, obj["right"], target.dim, actor.dim, target.dim)
+    left = _tensor(read, obj["left"], actor.dim, target.dim, target.dim)
+    right = _tensor(read, obj["right"], target.dim, actor.dim, target.dim)
     return ActionData(actor, target, left, right)
 
 
@@ -173,11 +201,8 @@ def action_to_json(d: ActionData) -> dict:
 def action_from_json(field: Field, obj: Any) -> ActionData:
     if not isinstance(obj, dict) or not {"actor", "target", "left", "right"} <= set(obj):
         raise InputDataError("action object needs actor, target, left, right")
-    actor = algebra_from_json(field, obj["actor"])
-    target = algebra_from_json(field, obj["target"])
-    left = tensor_from_json(field, obj["left"], actor.dim, target.dim, target.dim)
-    right = tensor_from_json(field, obj["right"], target.dim, actor.dim, target.dim)
-    return ActionData(actor, target, left, right)
+    read = _reader(field)
+    return _action_block(read, obj, _algebra(field, read, obj["actor"]), _algebra(field, read, obj["target"]))
 
 
 # -- crossed modules -------------------------------------------------------
@@ -193,12 +218,16 @@ def xmod_to_json(x: CrossedModule) -> dict:
 
 
 def xmod_from_json(field: Field, obj: Any) -> CrossedModule:
+    return _xmod(field, _reader(field), obj)
+
+
+def _xmod(field: Field, read: Callable, obj: Any) -> CrossedModule:
     if not isinstance(obj, dict) or not {"top", "base", "boundary", "action"} <= set(obj):
         raise InputDataError("crossed module object needs top, base, boundary, action")
-    top = algebra_from_json(field, obj["top"])
-    base = algebra_from_json(field, obj["base"])
-    boundary = matrix_from_json(field, obj["boundary"])
-    act = _action_block_from_json(field, obj["action"], base, top)
+    top = _algebra(field, read, obj["top"])
+    base = _algebra(field, read, obj["base"])
+    boundary = _matrix(field, read, obj["boundary"])
+    act = _action_block(read, obj["action"], base, top)
     return CrossedModule(top, base, boundary, act)
 
 
@@ -221,12 +250,13 @@ def xaction_from_json(field: Field, obj: Any) -> XModActionData:
     needed = {"actor_xmod", "target_xmod", "p_on_n", "p_on_q", "xi1", "xi2"}
     if not isinstance(obj, dict) or not needed <= set(obj):
         raise InputDataError("crossed-module action object needs " + ", ".join(sorted(needed)))
-    x = xmod_from_json(field, obj["actor_xmod"])
-    y = xmod_from_json(field, obj["target_xmod"])
-    pn = _action_block_from_json(field, obj["p_on_n"], x.base, y.top)
-    pq = _action_block_from_json(field, obj["p_on_q"], x.base, y.base)
-    cross_mq = tensor_from_json(field, obj["xi1"], x.top.dim, y.base.dim, y.top.dim)
-    cross_qm = tensor_from_json(field, obj["xi2"], y.base.dim, x.top.dim, y.top.dim)
+    read = _reader(field)
+    x = _xmod(field, read, obj["actor_xmod"])
+    y = _xmod(field, read, obj["target_xmod"])
+    pn = _action_block(read, obj["p_on_n"], x.base, y.top)
+    pq = _action_block(read, obj["p_on_q"], x.base, y.base)
+    cross_mq = _tensor(read, obj["xi1"], x.top.dim, y.base.dim, y.top.dim)
+    cross_qm = _tensor(read, obj["xi2"], y.base.dim, x.top.dim, y.top.dim)
     return XModActionData(x, y, pn, pq, cross_mq, cross_qm)
 
 
@@ -246,10 +276,11 @@ def actor_morphism_from_json(field: Field, obj: Any) -> ActorMorphism:
     needed = {"source", "actor_of", "top_map", "base_map"}
     if not isinstance(obj, dict) or not needed <= set(obj):
         raise InputDataError("morphism object needs " + ", ".join(sorted(needed)))
-    source = xmod_from_json(field, obj["source"])
-    around = xmod_from_json(field, obj["actor_of"])
-    top_map = matrix_from_json(field, obj["top_map"])
-    base_map = matrix_from_json(field, obj["base_map"])
+    read = _reader(field)
+    source = _xmod(field, read, obj["source"])
+    around = _xmod(field, read, obj["actor_of"])
+    top_map = _matrix(field, read, obj["top_map"])
+    base_map = _matrix(field, read, obj["base_map"])
     return ActorMorphism(source, around, top_map, base_map)
 
 
@@ -271,16 +302,16 @@ def sequence_from_json(field: Field, obj: Any) -> ShortExactSequence:
     needed = {"first", "middle", "last", "include", "project"}
     if not isinstance(obj, dict) or not needed <= set(obj):
         raise InputDataError("sequence object needs " + ", ".join(sorted(needed)))
-    first = xmod_from_json(field, obj["first"])
-    middle = xmod_from_json(field, obj["middle"])
-    last = xmod_from_json(field, obj["last"])
+    read = _reader(field)
+    first = _xmod(field, read, obj["first"])
+    middle = _xmod(field, read, obj["middle"])
+    last = _xmod(field, read, obj["last"])
 
     def maps(sub: Any, source: CrossedModule, target: CrossedModule) -> XModMorphism:
         if not isinstance(sub, dict) or "top_map" not in sub or "base_map" not in sub:
             raise InputDataError("sequence morphisms need top_map and base_map")
         return XModMorphism(source, target,
-                            matrix_from_json(field, sub["top_map"]),
-                            matrix_from_json(field, sub["base_map"]))
+                            _matrix(field, read, sub["top_map"]), _matrix(field, read, sub["base_map"]))
 
     return ShortExactSequence(first, middle, last,
                               maps(obj["include"], first, middle),

@@ -125,11 +125,22 @@ def validate_xmod_action(d: XModActionData, check_components: bool = True) -> Va
 
     Component checks (both crossed modules and both algebra actions) get
     prefixed labels; the mixed identities use their own labels LbEQ*,
-    LbCOM*, LbM*.
+    LbCOM*, LbM*.  A component shared by several roles (as in a crossed
+    module acting on itself) is checked once and reported under each.
     """
-    bad = _prefixed(("x:", validate_xmod(d.actor_xmod)), ("y:", validate_xmod(d.target_xmod)),
-                    ("p_on_n:", validate_action(d.act_on_top)),
-                    ("p_on_q:", validate_action(d.act_on_base))) if check_components else []
+    reports: dict[int, ValidationReport] = {}  # this call's, by identity: one validator per object
+
+    def once(validate, obj) -> ValidationReport:
+        if id(obj) not in reports:
+            reports[id(obj)] = validate(obj)
+        return reports[id(obj)]
+
+    def xmod_report(c: CrossedModule) -> ValidationReport:
+        return validate_xmod(c, check=once)
+
+    bad = _prefixed(("x:", once(xmod_report, d.actor_xmod)), ("y:", once(xmod_report, d.target_xmod)),
+                    ("p_on_n:", once(validate_action, d.act_on_top)),
+                    ("p_on_q:", once(validate_action, d.act_on_base))) if check_components else []
 
     x, y = d.actor_xmod, d.target_xmod
     m, p, n, q = x.top, x.base, y.top, y.base

@@ -82,10 +82,12 @@ class CrossedModule:
         return cls(sub, a, incl, ActionData(a, sub, left, right))
 
 
-def validate_xmod(x: CrossedModule, check_components: bool = True) -> ValidationReport:
-    """Full validity check; labels are prefixed with the failing layer."""
-    bad = _prefixed(("top:", validate_leibniz(x.top)), ("base:", validate_leibniz(x.base)),
-                    ("action:", validate_action(x.action))) if check_components else []
+def validate_xmod(x: CrossedModule, check_components: bool = True,
+                  check=lambda validate, obj: validate(obj)) -> ValidationReport:
+    """Full validity check; labels are prefixed with the failing layer.
+    Components are checked by ``check(validator, component)``."""
+    bad = _prefixed(("top:", check(validate_leibniz, x.top)), ("base:", check(validate_leibniz, x.base)),
+                    ("action:", check(validate_action, x.action))) if check_components else []
 
     m, p = x.top, x.base
     mt, pt = m.sparse_table, p.sparse_table

@@ -1,0 +1,63 @@
+"""Hypothesis strategies for generated objects, valid or not: structure
+tables, actions, matrices, crossed modules, morphisms and crossed-module
+actions over Q, F2 and F3, with entries drawn from a few small values so
+that most of them are zero."""
+from fractions import Fraction
+
+from hypothesis import strategies as st
+
+from lbxmod.action import ActionData
+from lbxmod.algebra import LeibnizAlgebra
+from lbxmod.linalg import Matrix
+from lbxmod.xaction import XModActionData
+from lbxmod.xmod import CrossedModule, XModMorphism
+
+VALUES = {"q": (0, 0, 0, 1, -1, 2, Fraction(1, 2)), "f2": (0, 0, 1), "f3": (0, 0, 0, 1, 2)}
+DIMS = st.integers(0, 3)
+
+
+@st.composite
+def tensors(draw, field, d0, d1, d2):
+    values = VALUES[field.tag]
+    flat = iter(draw(st.binary(min_size=d0 * d1 * d2, max_size=d0 * d1 * d2)))
+    return tuple(tuple(tuple(field.coerce(values[next(flat) % len(values)]) for _ in range(d2)) for _ in range(d1))
+                 for _ in range(d0))
+
+
+@st.composite
+def algebras(draw, field):
+    n = draw(DIMS)
+    return LeibnizAlgebra(field, n, draw(tensors(field, n, n, n)))
+
+
+@st.composite
+def actions(draw, field, actor_alg=None, target=None):
+    p = actor_alg or draw(algebras(field))
+    m = target or draw(algebras(field))
+    return ActionData(p, m, draw(tensors(field, p.dim, m.dim, m.dim)), draw(tensors(field, m.dim, p.dim, m.dim)))
+
+
+@st.composite
+def matrices(draw, field, rows, cols):
+    return Matrix(field, rows, cols, draw(tensors(field, 1, rows, cols))[0] if rows else ())
+
+
+@st.composite
+def xmods(draw, field):
+    d = draw(actions(field))
+    return CrossedModule(d.target, d.actor, draw(matrices(field, d.actor.dim, d.target.dim)), d)
+
+
+@st.composite
+def morphisms(draw, field):
+    s, t = draw(xmods(field)), draw(xmods(field))
+    return XModMorphism(s, t, draw(matrices(field, t.top.dim, s.top.dim)),
+                        draw(matrices(field, t.base.dim, s.base.dim)))
+
+
+@st.composite
+def xactions(draw, field):
+    x, y = draw(xmods(field)), draw(xmods(field))
+    m, p, n, q = x.top.dim, x.base.dim, y.top.dim, y.base.dim
+    return XModActionData(x, y, draw(actions(field, x.base, y.top)), draw(actions(field, x.base, y.base)),
+                          draw(tensors(field, m, q, n)), draw(tensors(field, q, m, n)))

@@ -281,6 +281,24 @@ def test_semidirect_refuses_an_invalid_action(capsys, tmp_path):
     assert report["labels"] == ["act1", "act2", "act5", "act6"]
 
 
+@pytest.mark.parametrize("role", ["actor", "target"])
+def test_validate_and_semidirect_check_an_action_alike(capsys, tmp_path, role):
+    """The zero action of a 2-dimensional algebra that is not Leibniz
+    ([e0, e1] = e0, [e1, e0] = e1) in one role, the 1-dimensional abelian
+    algebra in the other: validate reports what semidirect refuses."""
+    bad, abelian = {"dim": 2, "brackets": [[0, 1, [[0, "1"]]], [1, 0, [[1, "1"]]]]}, {"dim": 1, "brackets": []}
+    p, m = (2, 1) if role == "actor" else (1, 2)
+    doc = {"actor": bad if role == "actor" else abelian, "target": abelian if role == "actor" else bad,
+           "left": [[["0"] * m] * m] * p, "right": [[["0"] * m] * p] * m}
+    path = tmp_path / "act.json"
+    path.write_text(json.dumps(doc))
+    code, refused = run_clean(capsys, "semidirect", str(path))
+    assert code == EXIT_FAIL and refused["labels"] == [role + ":leibniz"]
+    code, report = run_clean(capsys, "validate", str(path))
+    assert code == EXIT_FAIL and report["ok"] is False
+    assert sorted({v["axiom"] for v in report["violations"]}) == refused["labels"]
+
+
 def test_linear_solve_error_is_an_internal_error(capsys, monkeypatch):
     def broken(x):
         raise LinearSolveError("solution left the space")

@@ -1,11 +1,22 @@
-"""JSON round trips for every object kind, plus rejection of bad payloads."""
+"""JSON round trips for every object kind, plus rejection of bad payloads.
+
+Each document is read through one scalar memo; the tests at the end check
+that it reads generated documents in any spelling as per-entry parsing
+does, and still refuses near misses of a scalar it has already read."""
 import json
+import random
+from unittest import mock
 
 import pytest
-from conftest import FIELDS
+from conftest import FIELDS, XMOD_IDS
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import actions, algebras, xactions, xmods
 
 from lbxmod import InputDataError
+from lbxmod import serialize as ser
 from lbxmod.catalog import CATALOG, build_entry
+from lbxmod.cli import EXIT_BAD_INPUT, EXIT_OK, main
 from lbxmod.fields import GF3, QQ
 from lbxmod.serialize import (
     action_from_json,
@@ -134,3 +145,95 @@ def test_algebra_names_survive_the_round_trip():
 
     nameless = LeibnizAlgebra.from_brackets(QQ, 2, {})
     assert "names" not in algebra_to_json(nameless)
+
+
+# -- one scalar reader per document ----------------------------------------------
+#
+# Each top-level reader parses every distinct JSON string or integer once and
+# reuses the scalar; the memo must not let a near miss through.
+
+NEAR_MISSES = (True, 1.0, "1_0", "+1", " 1", "\u0663")  # the last: ARABIC-INDIC DIGIT THREE
+
+
+def _xmod_doc(site: str, value) -> dict:
+    """A crossed-module document that reads 1 and "1" in its top algebra and
+    in the first entries of its boundary and action, then ``value`` at one
+    later site: a bracket term, a matrix entry or a dense tensor entry."""
+    def at(here, other=0):
+        return value if site == here else other
+
+    return {
+        "top": {"dim": 2, "brackets": [[0, 0, [[0, 1], [1, "1"]]]]},
+        "base": {"dim": 2, "brackets": [[0, 0, [[0, "1"]]], [1, 1, [[1, at("bracket", 1)]]]]},
+        "boundary": {"rows": 2, "cols": 2, "entries": [[1, "1"], [0, at("matrix")]]},
+        "action": {"left": [[[1, "1"], [0, 0]], [[0, 0], [0, at("tensor")]]],
+                   "right": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]},
+    }
+
+
+@pytest.mark.parametrize("site", ("bracket", "matrix", "tensor"))
+@pytest.mark.parametrize("bad", NEAR_MISSES, ids=repr)
+def test_a_document_that_read_1_still_refuses_near_misses(field, site, bad, tmp_path, capsys):
+    x = xmod_from_json(field, _xmod_doc(site, 1))
+    one = field.one
+    assert x.top.table[0][0] == (one, one) and x.boundary.entries[0] == (one, one)
+    assert x.action.left[0][0] == (one, one) and x.base.table[0][0] == (one, field.zero)
+    with pytest.raises(InputDataError):
+        xmod_from_json(field, _xmod_doc(site, bad))
+    path = tmp_path / "near-miss.json"
+    path.write_text(json.dumps(_xmod_doc(site, bad)), encoding="utf-8")
+    assert main(["validate", str(path), "--field", field.tag]) == EXIT_BAD_INPUT
+    assert "error" in json.loads(capsys.readouterr().out)
+
+
+def _respelled(doc: dict, field, rng: random.Random) -> dict:
+    """doc with each scalar in one of its equivalent spellings: Q integers as
+    JSON strings or integers, fractions unreduced; residues as integers or
+    strings, reduced or not."""
+    def alt(v):
+        if field.characteristic == 0:
+            num, _, den = v.partition("/")
+            return rng.choice((v, f"{2 * int(num)}/{2 * int(den)}") if den else (v, int(v)))
+        return rng.choice((v, str(v), v + field.p, str(v - field.p)))
+
+    def leaves(t):
+        return [leaves(c) for c in t] if isinstance(t, list) else alt(t)
+
+    out = {}
+    for key, val in doc.items():
+        if key in ("left", "right", "xi1", "xi2", "entries"):
+            out[key] = leaves(val)
+        elif key == "brackets":
+            out[key] = [[i, j, [[k, alt(c)] for k, c in terms]] for i, j, terms in val]
+        else:
+            out[key] = _respelled(val, field, rng) if isinstance(val, dict) else val
+    return out
+
+
+GENERATED = {"algebra": algebras, "action": actions, "xmod": xmods, "xaction": xactions}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=[f.tag for f in FIELDS])
+@pytest.mark.parametrize("kind", sorted(GENERATED))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_generated_documents_read_as_entry_by_entry(field, kind, data):
+    obj = data.draw(GENERATED[kind](field))
+    text = json.dumps(TO_JSON[kind](obj))
+    assert FROM_JSON[kind](field, json.loads(text)) == obj
+    doc = _respelled(json.loads(text), field, random.Random(data.draw(st.integers(0, 2**16))))
+    with mock.patch.object(ser, "_reader", lambda f: f.parse_scalar):
+        expected = FROM_JSON[kind](field, doc)
+    assert FROM_JSON[kind](field, doc) == expected == obj
+
+
+@pytest.mark.parametrize("cid", XMOD_IDS)
+def test_actor_reports_read_back_as_valid_crossed_modules(cid, field, tmp_path, capsys):
+    out = tmp_path / "actor-report.json"
+    assert main(["actor", f"catalog:{cid}", "--field", field.tag, "--out", str(out)]) == EXIT_OK
+    path = tmp_path / "actor.json"
+    path.write_text(json.dumps(json.loads(out.read_text(encoding="utf-8"))["actor"]), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["validate", str(path), "--field", field.tag]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["kind"] == "xmod" and report["violations"] == []

@@ -11,7 +11,6 @@ and abelian algebras, in seeded integer bases) must pass every validator,
 and so must their actor and canonical morphism.
 """
 import random
-from fractions import Fraction
 
 import pytest
 from conftest import FIELDS
@@ -19,68 +18,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_stages as ref
+from strategies import actions, algebras, matrices, morphisms, tensors, xactions, xmods
 from lbxmod.action import ActionData, validate_action
 from lbxmod.algebra import _ONE, LeibnizAlgebra, _violations, annihilator, commutator, direct_sum, validate_leibniz
 from lbxmod.bider import actor, canonical_morphism
 from lbxmod.catalog import build_entry
-from lbxmod.linalg import Matrix, Subspace
+from lbxmod.linalg import Subspace
 from lbxmod.xaction import XModActionData, validate_xmod_action
-from lbxmod.xmod import CrossedModule, XModMorphism, identity_morphism, validate_morphism, validate_xmod
+from lbxmod.xmod import CrossedModule, identity_morphism, validate_morphism, validate_xmod
 
-VALUES = {"q": (0, 0, 0, 1, -1, 2, Fraction(1, 2)), "f2": (0, 0, 1), "f3": (0, 0, 0, 1, 2)}
-DIMS = st.integers(0, 3)
 BY_FIELD = pytest.mark.parametrize("field", FIELDS, ids=[f.tag for f in FIELDS])
 RANDOM = settings(max_examples=25, deadline=None)
-
-
-# -- generated objects, valid or not ------------------------------------------------
-
-
-@st.composite
-def tensors(draw, field, d0, d1, d2):
-    values = VALUES[field.tag]
-    flat = iter(draw(st.binary(min_size=d0 * d1 * d2, max_size=d0 * d1 * d2)))
-    return tuple(tuple(tuple(field.coerce(values[next(flat) % len(values)]) for _ in range(d2)) for _ in range(d1))
-                 for _ in range(d0))
-
-
-@st.composite
-def algebras(draw, field):
-    n = draw(DIMS)
-    return LeibnizAlgebra(field, n, draw(tensors(field, n, n, n)))
-
-
-@st.composite
-def actions(draw, field, actor_alg=None, target=None):
-    p = actor_alg or draw(algebras(field))
-    m = target or draw(algebras(field))
-    return ActionData(p, m, draw(tensors(field, p.dim, m.dim, m.dim)), draw(tensors(field, m.dim, p.dim, m.dim)))
-
-
-@st.composite
-def matrices(draw, field, rows, cols):
-    return Matrix(field, rows, cols, draw(tensors(field, 1, rows, cols))[0] if rows else ())
-
-
-@st.composite
-def xmods(draw, field):
-    d = draw(actions(field))
-    return CrossedModule(d.target, d.actor, draw(matrices(field, d.actor.dim, d.target.dim)), d)
-
-
-@st.composite
-def morphisms(draw, field):
-    s, t = draw(xmods(field)), draw(xmods(field))
-    return XModMorphism(s, t, draw(matrices(field, t.top.dim, s.top.dim)),
-                        draw(matrices(field, t.base.dim, s.base.dim)))
-
-
-@st.composite
-def xactions(draw, field):
-    x, y = draw(xmods(field)), draw(xmods(field))
-    m, p, n, q = x.top.dim, x.base.dim, y.top.dim, y.base.dim
-    return XModActionData(x, y, draw(actions(field, x.base, y.top)), draw(actions(field, x.base, y.base)),
-                          draw(tensors(field, m, q, n)), draw(tensors(field, q, m, n)))
 
 
 # -- reports equal the per-witness reference ----------------------------------------
@@ -126,6 +74,63 @@ def test_xaction_reports_match_reference(field, data):
     d = data.draw(xactions(field))
     assert validate_xmod_action(d) == ref.validate_xmod_action(d)
     assert validate_xmod_action(d, check_components=False) == ref.validate_xmod_action(d, check_components=False)
+
+
+# -- one object in several roles ----------------------------------------------------
+#
+# validate_xmod_action checks a component shared by several roles once and
+# reports it under each prefix; the reference checks every role on its own.
+
+
+@st.composite
+def self_actions(draw, field):
+    """A crossed module on one algebra acting on itself, its action shared by
+    x, y, p_on_n and p_on_q."""
+    a = draw(algebras(field))
+    d = draw(actions(field, a, a))
+    x = CrossedModule(a, a, draw(matrices(field, a.dim, a.dim)), d)
+    return XModActionData(x, x, d, d, draw(tensors(field, a.dim, a.dim, a.dim)),
+                          draw(tensors(field, a.dim, a.dim, a.dim)))
+
+
+@BY_FIELD
+@RANDOM
+@given(data=st.data())
+def test_self_action_reports_match_reference(field, data):
+    d = data.draw(self_actions(field))
+    assert d.actor_xmod is d.target_xmod and d.act_on_top is d.actor_xmod.action is d.act_on_base
+    assert validate_xmod_action(d) == ref.validate_xmod_action(d)
+
+
+@BY_FIELD
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_mutated_self_actions_match_reference(field, data):
+    """The valid self action of an identity crossed module (the pairings are
+    the bracket), with one constant of the algebra or of the shared action
+    changed."""
+    a = SUMMANDS[data.draw(st.sampled_from(sorted(SUMMANDS)))](field)
+    n = a.dim
+    i, j, k = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+    one = field.one
+
+    def bump(t):
+        return tuple(tuple(tuple(c + one if (r, s, u) == (i, j, k) else c for u, c in enumerate(vec))
+                           for s, vec in enumerate(row)) for r, row in enumerate(t))
+
+    where = data.draw(st.sampled_from(("algebra", "action left", "action right", "none")))
+    if where == "algebra":
+        a = LeibnizAlgebra(field, n, bump(a.table))
+    x = CrossedModule.identity_on(a)
+    if where.startswith("action"):
+        act = x.action
+        act = ActionData(a, a, bump(act.left), act.right) if where == "action left" else \
+            ActionData(a, a, act.left, bump(act.right))
+        x = CrossedModule(a, a, x.boundary, act)
+    d = XModActionData(x, x, x.action, x.action, a.table, a.table)
+    got = validate_xmod_action(d)
+    assert got == ref.validate_xmod_action(d)
+    assert got.ok or where != "none"
 
 
 def test_a_term_must_use_every_loop_variable_once():
