@@ -83,11 +83,7 @@ def check_action_validator() -> int:
         lb, rb = bits[:4], bits[4:]
         left = (((lb[0], lb[1]), (lb[2], lb[3])),)
         right = (((rb[0], rb[1]),), ((rb[2], rb[3]),))
-        act = ActionData.build(
-            p, m,
-            left=[[[lb[0], lb[1]], [lb[2], lb[3]]]],
-            right=[[[rb[0], rb[1]]], [[rb[2], rb[3]]]],
-        )
+        act = ActionData(p, m, left, right)
         got = validate_action(act).ok
         disagreements += got != O.is_action(mtab, ptab, left, right, 2, 1)
         valid += got

@@ -1,0 +1,114 @@
+#!/usr/bin/env python3
+"""Time and memory of the actor and the outer crossed module at scale.
+
+Each subject is the identity crossed module of one algebra, named on the
+command line:
+
+* ``A<n>``    the abelian algebra of dimension n;
+* ``NF<n>``   the null-filiform algebra, [e_i, e_1] = e_{i+1};
+* ``sl2^<k>`` the direct sum of k copies of sl2.
+
+For each subject and field the script prints the wall time of a cold
+``actor`` and then of ``outer_xmod``, and the ``tracemalloc`` peak of each
+in a second cold run.  It exits 1 if ``validate_xmod`` fails on the actor or
+a dimension differs from the known one:
+
+* ``A_n``: the actor and the outer part both have layers of dimension 2n^2
+  (every map is a biderivation and the inner part is zero);
+* ``NF_n``: the actor has layers of dimension 2n - 1 and the outer part n;
+* ``sl2^k`` over Q: the actor has layers of dimension 3k, all of it inner.
+
+Times are for reading, not gated.  Example::
+
+    PYTHONPATH=src python3 scripts/scale_check.py A6 --field q --field f3
+"""
+from __future__ import annotations
+
+import argparse
+import re
+import sys
+import time
+import tracemalloc
+
+from lbxmod import bider
+from lbxmod.algebra import LeibnizAlgebra
+from lbxmod.bider import actor, outer_xmod
+from lbxmod.fields import get_field
+from lbxmod.xmod import CrossedModule, validate_xmod
+
+SL2 = {(0, 1): {0: -2}, (1, 0): {0: 2}, (0, 2): {1: 1}, (2, 0): {1: -1}, (1, 2): {2: -2}, (2, 1): {2: 2}}
+
+
+def subject(spec: str, field) -> tuple[LeibnizAlgebra, tuple[int, int] | None]:
+    """The algebra a spec names, with the (actor, outer) layer dimension
+    theory gives for it, or None where none is pinned."""
+    m = re.fullmatch(r"A(\d+)|NF(\d+)|sl2\^(\d+)", spec)
+    if m is None:
+        raise SystemExit(f"unknown subject {spec!r}: use A<n>, NF<n> or sl2^<k>")
+    if m[1]:
+        n = int(m[1])
+        return LeibnizAlgebra.abelian(field, n), (2 * n * n, 2 * n * n)
+    if m[2]:
+        n = int(m[2])
+        return LeibnizAlgebra.from_brackets(field, n, {(i, 0): {i + 1: 1} for i in range(n - 1)}), (2 * n - 1, n)
+    k = int(m[3])
+    blocks = {(3 * c + i, 3 * c + j): {3 * c + t: v for t, v in terms.items()}
+              for c in range(k) for (i, j), terms in SL2.items()}
+    return LeibnizAlgebra.from_brackets(field, 3 * k, blocks), ((3 * k, 0) if field.characteristic == 0 else None)
+
+
+def clear_memos() -> None:
+    for memo in vars(bider).values():
+        if callable(getattr(memo, "cache_clear", None)):
+            memo.cache_clear()
+
+
+def run(x: CrossedModule, measure) -> tuple:
+    """actor(x) and then outer_xmod(x), cold, each under measure."""
+    clear_memos()
+    act, t_actor = measure(lambda: actor(x))
+    out, t_outer = measure(lambda: outer_xmod(x))
+    return act, out, t_actor, t_outer
+
+
+def timed(fn):
+    t0 = time.perf_counter()
+    out = fn()
+    return out, time.perf_counter() - t0
+
+
+def peak(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("subjects", nargs="+", help="A<n>, NF<n> or sl2^<k>")
+    ap.add_argument("--field", action="append", help="q, f2, f3 or f<p> (repeatable; default q)")
+    args = ap.parse_args(argv)
+    failed = False
+    for spec in args.subjects:
+        for tag in args.field or ["q"]:
+            field = get_field(tag)
+            alg, dims = subject(spec, field)
+            x = CrossedModule.identity_on(alg)
+            act, out, t_actor, t_outer = run(x, timed)
+            _, _, m_actor, m_outer = run(x, peak)
+            problems = [] if validate_xmod(act).ok else ["validate_xmod(actor) failed"]
+            got = ((act.top.dim, act.base.dim), (out.xmod.top.dim, out.xmod.base.dim))
+            if dims is not None and got != ((dims[0],) * 2, (dims[1],) * 2):
+                problems.append(f"dimensions {got}, expected actor {dims[0]} and outer {dims[1]}")
+            print(f"{spec} {tag}: actor {got[0]} {t_actor:.3f} s {m_actor / 1e6:.1f} MB peak; "
+                  f"outer {got[1]} {t_outer:.3f} s {m_outer / 1e6:.1f} MB peak; "
+                  + ("; ".join(problems) or "ok"), flush=True)
+            failed |= bool(problems)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

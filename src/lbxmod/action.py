@@ -1,86 +1,63 @@
 """Actions of one Leibniz algebra on another, and semidirect products.
 
 An action of ``actor`` on ``target`` is a pair of bilinear brackets
-[p, m] (``left``) and [m, p] (``right``) with values in the target, subject
-to six compatibility identities mixing them with the two algebra brackets.
-The tensors are stored as ``left[a][i]`` = [p_a, m_i] and
-``right[i][a]`` = [m_i, p_a], each a target coordinate vector.
+[p, m] (``sparse_left``) and [m, p] (``sparse_right``) with values in the
+target, subject to six compatibility identities mixing them with the two
+algebra brackets.  They are stored as ``sparse_left[a][i]`` = [p_a, m_i] and
+``sparse_right[i][a]`` = [m_i, p_a], each the nonzero target coordinates;
+``left`` and ``right`` are the dense views.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 from .algebra import (
     LeibnizAlgebra,
     SparseTensor,
     ValidationReport,
+    _blocks,
     _contract,
-    _sparse_tensor,
+    _dense_view,
+    _store,
+    _stored_hash,
     _unit,
     _violations,
 )
 from .fields import InputDataError, Scalar
-from .linalg import Matrix, zero_vector
-
-Tensor = tuple[tuple[tuple[Scalar, ...], ...], ...]
-
-
-def _check_shape(data, d0: int, d1: int, d2: int) -> None:
-    if len(data) != d0 or any(len(r) != d1 or any(len(v) != d2 for v in r) for r in data):
-        raise InputDataError(f"action tensor shape is not {d0}x{d1}x{d2}")
-
-
-def _freeze_tensor(field, data, d0: int, d1: int, d2: int) -> Tensor:
-    _check_shape(data, d0, d1, d2)
-    return tuple(tuple(tuple(field.coerce(x) for x in v) for v in r) for r in data)
+from .linalg import Matrix
 
 
 @dataclass(frozen=True)
 class ActionData:
     actor: LeibnizAlgebra
     target: LeibnizAlgebra
-    left: Tensor   # left[a][i]  = [p_a, m_i], a vector in the target
-    right: Tensor  # right[i][a] = [m_i, p_a]
+    sparse_left: SparseTensor   # sparse_left[a][i]  = [p_a, m_i], a vector in the target
+    sparse_right: SparseTensor  # sparse_right[i][a] = [m_i, p_a]; both dense or sparse on input
 
     def __post_init__(self) -> None:
-        p, m = self.actor.dim, self.target.dim
-        _check_shape(self.left, p, m, m)
-        _check_shape(self.right, m, p, m)
-        if self.actor.field != self.target.field:
+        p, m, f = self.actor.dim, self.target.dim, self.actor.field
+        if f != self.target.field:
             raise InputDataError("actor and target live over different fields")
+        _store(self, "sparse_left", f, (p, m, m), "action tensor")
+        _store(self, "sparse_right", f, (m, p, m), "action tensor")
 
-    @classmethod
-    def build(cls, actor: LeibnizAlgebra, target: LeibnizAlgebra, left, right) -> "ActionData":
-        f = actor.field
-        lf = _freeze_tensor(f, left, actor.dim, target.dim, target.dim)
-        rf = _freeze_tensor(f, right, target.dim, actor.dim, target.dim)
-        return cls(actor, target, lf, rf)
+    __hash__ = _stored_hash("sparse_left", "sparse_right")
+    left = _dense_view("sparse_left", lambda d: (d.target.field, d.target.dim))
+    right = _dense_view("sparse_right", lambda d: (d.target.field, d.target.dim))
 
     @classmethod
     def zero(cls, actor: LeibnizAlgebra, target: LeibnizAlgebra) -> "ActionData":
-        z = zero_vector(actor.field, target.dim)
-        left = tuple(tuple(z for _ in range(target.dim)) for _ in range(actor.dim))
-        right = tuple(tuple(z for _ in range(actor.dim)) for _ in range(target.dim))
-        return cls(actor, target, left, right)
+        return cls(actor, target, [[{}] * target.dim] * actor.dim, [[{}] * actor.dim] * target.dim)
 
     @classmethod
     def by_bracket(cls, a: LeibnizAlgebra) -> "ActionData":
-        """An algebra acting on itself through its own bracket."""
-        left = tuple(tuple(a.table[i][j] for j in range(a.dim)) for i in range(a.dim))
-        return cls(a, a, left, left)
+        """An algebra acting on itself through its own bracket: both sides
+        share the algebra's stored view."""
+        return cls(a, a, a.sparse_table, a.sparse_table)
 
     # -- evaluation ---------------------------------------------------
-
-    @cached_property
-    def sparse_left(self) -> SparseTensor:
-        return _sparse_tensor(self.left)
-
-    @cached_property
-    def sparse_right(self) -> SparseTensor:
-        return _sparse_tensor(self.right)
 
     def act_left(self, pvec: Sequence[Scalar], mvec: Sequence[Scalar]) -> tuple[Scalar, ...]:
         return _contract(self.target.field, self.sparse_left, pvec, mvec, self.target.dim)
@@ -138,29 +115,11 @@ def semidirect_algebra(d: ActionData) -> SemidirectAlgebra:
     Basis order is the target block first, then the actor block:
     [(m, p), (m', p')] = ([m, m'] + [p, m'] + [m, p'], [p, p']).
     """
-    m, p = d.target, d.actor
+    m, p, f = d.target, d.actor, d.target.field
     n = m.dim + p.dim
-    f = m.field
-    z = f.zero
-
-    def pad_m(v):
-        return tuple(v) + tuple(z for _ in range(p.dim))
-
-    def pad_p(v):
-        return tuple(z for _ in range(m.dim)) + tuple(v)
-
-    tab = [[None] * n for _ in range(n)]
-    for i in range(m.dim):
-        for j in range(m.dim):
-            tab[i][j] = pad_m(m.table[i][j])
-        for b in range(p.dim):
-            tab[i][m.dim + b] = pad_m(d.right[i][b])
-    for a in range(p.dim):
-        for j in range(m.dim):
-            tab[m.dim + a][j] = pad_m(d.left[a][j])
-        for b in range(p.dim):
-            tab[m.dim + a][m.dim + b] = pad_p(p.table[a][b])
-    alg = LeibnizAlgebra(f, n, tuple(tuple(row) for row in tab))
+    tab = _blocks((m.dim, p.dim), (m.dim, p.dim),
+                  [[(m.sparse_table, 0), (d.sparse_right, 0)], [(d.sparse_left, 0), (p.sparse_table, m.dim)]])
+    alg = LeibnizAlgebra(f, n, tab)
     inc_m = Matrix.from_columns(f, [_unit(f, n, i) for i in range(m.dim)], n)
     inc_p = Matrix.from_columns(f, [_unit(f, n, m.dim + a) for a in range(p.dim)], n)
     return SemidirectAlgebra(alg, inc_m, inc_p)

@@ -1,22 +1,23 @@
 """Finite-dimensional Leibniz (Loday) algebras via structure-constant tables.
 
-An algebra of dimension n over a field k is the table of basis brackets
-``table[i][j]`` = the coordinate vector of [e_i, e_j].  The defining identity
-used throughout is the left version
+An algebra of dimension n over a field k is the table of basis brackets:
+``sparse_table[i][j]`` holds the nonzero coordinates of [e_i, e_j].  The
+defining identity used throughout is the left version
 
     [[x, y], z] = [x, [y, z]] + [[x, z], y].
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from functools import cached_property
 from itertools import groupby
-from operator import itemgetter
+from operator import is_, itemgetter
+from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .fields import Field, InputDataError, Scalar
-from .linalg import Matrix, Number, ScaledVector, Subspace, _dense, _sparse, sparse_kernel
+from .linalg import Matrix, Number, ScaledVector, Subspace, _dense, _sparse, number, sparse_kernel
 
 MAX_DIM = 64  # guard against accidentally huge inputs
 
@@ -32,22 +33,116 @@ def _check_dim(dim: int) -> None:
 # -- sparse coordinates ---------------------------------------------------
 #
 # A vector is held by its nonzero coordinates {k: c}, each c a
-# ``linalg.number``: an int residue over F_p; over Q an int when integral,
-# else a Fraction.  The sparse view of a structure tensor holds each
-# view[i][j] that way.  ``_accumulate`` is the one contraction kernel: every
-# bracket, action and pairing is evaluated by it from nonzero terms only.  A
-# linear combination of contractions is a list of terms (sign, view, x, y).
-# The validators evaluate each identity at all its witnesses at once instead
+# ``linalg.number``: an int residue in [0, p) over F_p; over Q an int when
+# integral, else a Fraction.  Every structure tensor (an algebra's table, an
+# action's two brackets, a pairing) is stored that way, as its sparse view:
+# view[i][j] is such a vector.  ``_stored`` makes that form from a dense or a
+# sparse tensor; the dense tensors are derived from it only on request.
+# ``_accumulate`` is the one contraction kernel: every bracket, action and
+# pairing is evaluated by it from nonzero terms only.  A linear combination
+# of contractions is a list of terms (sign, view, x, y).  The validators
+# evaluate each identity at all its witnesses at once instead
 # (``_violations`` below), and the kernel only writes out a violated one.
 
 SparseVector = dict[int, Number]
 SparseTensor = tuple[tuple[SparseVector, ...], ...]
+Tensor = tuple[tuple[tuple[Scalar, ...], ...], ...]  # a dense view
 Term = tuple[int, SparseTensor, SparseVector, SparseVector]  # sign * view(x, y)
 _ONE: SparseVector = {0: 1}  # the left argument that turns a ``_sparse_map`` view into its map
 
 
-def _sparse_tensor(tensor) -> SparseTensor:
-    return tuple(tuple(_sparse(v) for v in row) for row in tensor)
+def _stored(field: Field, tensor, shape: tuple[int, int, int], what: str) -> SparseTensor:
+    """A d0 x d1 x d2 tensor in stored form: no zero entries, each entry a
+    ``linalg.number`` of the field.  Each vector tensor[a][b] is given dense
+    (d2 scalars) or sparse (a dict {k: c}); a scalar of another field is a
+    TypeError, as in ``field.coerce``.  A tensor already in stored form is
+    returned as it is, so a view handed on is shared, not copied."""
+    d0, d1, d2 = shape
+    bad_shape = f"{what} shape is not {d0}x{d1}x{d2}"
+    if len(tensor) != d0 or any(len(row) != d1 for row in tensor):
+        raise InputDataError(bad_shape)
+    p, coerce, scalar = field.characteristic, field.coerce, type(field.zero)
+
+    def kept(c) -> bool:  # an entry already in stored form
+        return type(c) is int and (0 < c < p if p else c != 0) or not p and type(c) is Fraction and c.denominator != 1
+
+    def vector(v) -> SparseVector:
+        if not isinstance(v, dict):
+            if len(v) != d2:
+                raise InputDataError(bad_shape)
+            items = enumerate(v)
+        elif type(v) is dict and (not v or all(type(k) is int and 0 <= k < d2 and kept(c) for k, c in v.items())):
+            return v
+        elif all(type(k) is int and 0 <= k < d2 for k in v):
+            items = v.items()
+        else:
+            raise InputDataError(f"{what} has an index outside [0, {d2})")
+        out: SparseVector = {}
+        for k, c in items:
+            if type(c) is not int:
+                if type(c) is not scalar or p and c.p != p:
+                    c = coerce(c)  # a scalar of another field is refused
+                c = number(c) if c else 0
+            if p:
+                c %= p
+            if c:
+                out[k] = c
+        return out
+
+    rows = tuple(tuple(map(vector, row)) for row in tensor)
+    same = type(tensor) is tuple and all(type(r) is tuple and all(map(is_, a, r)) for a, r in zip(rows, tensor))
+    return tensor if same else rows
+
+
+def _store(obj, name: str, field: Field, shape: tuple[int, int, int], what: str) -> None:
+    """Replace a tensor field of a frozen dataclass by its stored form."""
+    object.__setattr__(obj, name, _stored(field, getattr(obj, name), shape, what))
+
+
+def _stored_hash(*views: str):
+    """The ``__hash__`` of a frozen dataclass holding stored views (dicts):
+    its fields, each view by ``_frozen``, hashed once and cached."""
+    def __hash__(self) -> int:
+        if "_hash" not in self.__dict__:
+            self.__dict__["_hash"] = hash(tuple(_frozen(getattr(self, f.name)) if f.name in views
+                                                else getattr(self, f.name) for f in fields(self)))
+        return self.__dict__["_hash"]
+
+    return __hash__
+
+
+def _dense_view(view: str, field_and_dim) -> cached_property:
+    """The dense tensor of a stored view, derived on first request;
+    field_and_dim(obj) gives the field and the length of its vectors."""
+    def dense(self) -> Tensor:
+        field, dim = field_and_dim(self)
+        return tuple(tuple(_dense(field, dim, v) for v in row) for row in getattr(self, view))
+
+    return cached_property(dense)
+
+
+def _frozen(view: SparseTensor) -> tuple:
+    """A hashable key of a stored view: equal views give equal keys."""
+    return tuple((a, b, frozenset(v.items())) for a, row in enumerate(view) for b, v in enumerate(row) if v)
+
+
+def _blocks(sizes0: Sequence[int], sizes1: Sequence[int], grid) -> SparseTensor:
+    """A tensor assembled from blocks: grid[r][c] fills the rows of block r
+    (sizes0[r] of them) and the columns of block c (sizes1[c]).  It is None
+    for a zero block, or (view, shift) for a view whose coordinates move up
+    by shift."""
+    out = []
+    for d0, blocks in zip(sizes0, grid):
+        for a in range(d0):
+            row: list[SparseVector] = []
+            for d1, block in zip(sizes1, blocks):
+                if block is None:
+                    row += [{}] * d1
+                else:
+                    view, shift = block
+                    row += view[a] if not shift else [{k + shift: c for k, c in v.items()} for v in view[a]]
+            out.append(tuple(row))
+    return tuple(out)
 
 
 def _sparse_map(m: Matrix) -> SparseTensor:
@@ -93,16 +188,16 @@ def _contract(field: Field, view: SparseTensor, x: Sequence[Scalar], y: Sequence
 class LeibnizAlgebra:
     field: Field
     dim: int
-    table: tuple[tuple[tuple[Scalar, ...], ...], ...]
+    sparse_table: SparseTensor  # dense or sparse on input; stored by ``_stored``
     names: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
-        if len(self.table) != self.dim or any(
-            len(row) != self.dim or any(len(v) != self.dim for v in row) for row in self.table
-        ):
-            raise InputDataError("structure table shape does not match dimension")
+        _store(self, "sparse_table", self.field, (self.dim,) * 3, "structure table")
         if self.names is not None and len(self.names) != self.dim:
             raise InputDataError("basis name list does not match dimension")
+
+    __hash__ = _stored_hash("sparse_table")  # the memos in ``bider`` hash algebras often
+    table = _dense_view("sparse_table", lambda a: (a.field, a.dim))  # table[i][j] = [e_i, e_j], dense
 
     # -- construction -------------------------------------------------
 
@@ -116,27 +211,18 @@ class LeibnizAlgebra:
     ) -> "LeibnizAlgebra":
         """Build from a sparse {(i, j): {k: coefficient}} description."""
         _check_dim(dim)
-        z = field.zero
-        tab = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
+        tab = [[{}] * dim for _ in range(dim)]
         for (i, j), terms in brackets.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise InputDataError(f"bracket index ({i}, {j}) out of range")
-            for k, c in terms.items():
-                if not 0 <= k < dim:
-                    raise InputDataError(f"bracket target index {k} out of range")
-                tab[i][j][k] = field.coerce(c)
-        frozen = tuple(tuple(tuple(v) for v in row) for row in tab)
-        return cls(field, dim, frozen, tuple(names) if names is not None else None)
+            tab[i][j] = dict(terms)
+        return cls(field, dim, tab, tuple(names) if names is not None else None)
 
     @classmethod
     def abelian(cls, field: Field, dim: int, names: Optional[Sequence[str]] = None) -> "LeibnizAlgebra":
         return cls.from_brackets(field, dim, {}, names)
 
     # -- basic operations ---------------------------------------------
-
-    @cached_property
-    def sparse_table(self) -> SparseTensor:
-        return _sparse_tensor(self.table)
 
     def bracket(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> tuple[Scalar, ...]:
         return _contract(self.field, self.sparse_table, x, y, self.dim)
@@ -337,10 +423,10 @@ def _closed(s: Subspace, terms: Iterable[Term]) -> bool:
 
 
 def _restricted(s: Subspace, view: SparseTensor, xs: Sequence[ScaledVector], ys: Sequence[ScaledVector],
-                error: str) -> tuple[tuple[tuple[Scalar, ...], ...], ...]:
-    """The tensor of view(x / dx, y / dy) for (x, dx) in xs and (y, dy) in
-    ys, in the coordinates of s's basis rows; a ``LinearSolveError(error)``
-    if a value leaves s."""
+                error: str) -> SparseTensor:
+    """The view of (x / dx, y / dy) -> view(x / dx, y / dy) for (x, dx) in
+    xs and (y, dy) in ys, in the coordinates of s's basis rows; a
+    ``LinearSolveError(error)`` if a value leaves s."""
     p = s.field.characteristic
     return tuple(tuple(s.read_coords(_evaluate([(1, view, x, y)], p), error, dx * dy) for y, dy in ys)
                  for x, dx in xs)
@@ -353,8 +439,7 @@ def annihilator(a: LeibnizAlgebra) -> Subspace:
 
 def commutator(a: LeibnizAlgebra) -> Subspace:
     """Span of all basis brackets [e_i, e_j]."""
-    rows = [a.table[i][j] for i in range(a.dim) for j in range(a.dim)]
-    return Subspace.from_rows(a.field, a.dim, rows)
+    return Subspace.from_rows(a.field, a.dim, (v for row in a.sparse_table for v in row))
 
 
 def is_ideal(a: LeibnizAlgebra, s: Subspace) -> bool:
@@ -399,17 +484,8 @@ def direct_sum(a: LeibnizAlgebra, b: LeibnizAlgebra) -> tuple[LeibnizAlgebra, Ma
     if a.field != b.field:
         raise InputDataError("direct sum over different fields")
     n = a.dim + b.dim
-    z = a.field.zero
-    tab = [[[z] * n for _ in range(n)] for _ in range(n)]
-    for i in range(a.dim):
-        for j in range(a.dim):
-            for k in range(a.dim):
-                tab[i][j][k] = a.table[i][j][k]
-    for i in range(b.dim):
-        for j in range(b.dim):
-            for k in range(b.dim):
-                tab[a.dim + i][a.dim + j][a.dim + k] = b.table[i][j][k]
-    alg = LeibnizAlgebra(a.field, n, tuple(tuple(tuple(v) for v in row) for row in tab))
+    tab = _blocks((a.dim, b.dim), (a.dim, b.dim), [[(a.sparse_table, 0), None], [None, (b.sparse_table, a.dim)]])
+    alg = LeibnizAlgebra(a.field, n, tab)
     incl_a = Matrix.from_columns(a.field, [_unit(a.field, n, i) for i in range(a.dim)], n)
     incl_b = Matrix.from_columns(a.field, [_unit(a.field, n, a.dim + i) for i in range(b.dim)], n)
     return alg, incl_a, incl_b

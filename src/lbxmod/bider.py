@@ -190,7 +190,7 @@ class MapSpace:
                                 out[base + k] = get(base + k, 0) + fx * y
         return out, den
 
-    def read_products(self, components: Sequence[Sequence[Product]], error: str) -> tuple[Scalar, ...]:
+    def read_products(self, components: Sequence[Sequence[Product]], error: str) -> SparseVector:
         """``read_coords`` of ``products(components)``."""
         vec, den = self.products(components)
         return self.space.read_coords(vec, error, den)
@@ -201,7 +201,7 @@ class MapSpace:
             raise InputDataError("map tuple does not match this space's shapes")
         return _flat(self._blocks, [(1, [_sparse(m.column(j)) for j in range(m.cols)]) for m in mats])
 
-    def read_columns(self, components: Sequence[SignedColumns], error: str) -> tuple[Scalar, ...]:
+    def read_columns(self, components: Sequence[SignedColumns], error: str) -> SparseVector:
         """``read_coords`` of the tuple of maps given by their signed columns."""
         return self.space.read_coords(_flat(self._blocks, components), error)
 
@@ -214,7 +214,7 @@ class MapSpace:
     def solution_coords(self, mats: Maps, error: str) -> tuple[Scalar, ...]:
         """Coordinates of a tuple that theory puts in this space; a
         ``LinearSolveError(error)`` if it is not there."""
-        return self.space.read_coords(self.flatten(mats), error)
+        return _dense(self.field, self.dim, self.space.read_coords(self.flatten(mats), error))
 
     def member_from_coords(self, coords: Sequence[Scalar]) -> Maps:
         return self.unflatten(self.space.linear_combination(coords))
@@ -465,7 +465,7 @@ def delta(x: CrossedModule) -> Matrix:
     error = "boundary-composed pair is not a quadruple solution"
     cols = [quads.read_products([[(1, d, mu)], [(1, dd, mu)], [(1, mu, d)], [(1, mu, dd)]], error)
             for d, dd in pairs.sparse_basis]
-    return Matrix.from_columns(x.top.field, cols, quads.dim)
+    return Matrix.from_sparse_columns(x.top.field, cols, quads.dim)
 
 
 @functools.lru_cache(maxsize=None)
@@ -475,7 +475,7 @@ def actor(x: CrossedModule) -> CrossedModule:
     quads = bider_xmod(x)
     error = "actor action left the pair space"
 
-    def read(components: list[list[Product]]) -> tuple[Scalar, ...]:
+    def read(components: list[list[Product]]) -> SparseVector:
         return pairs.read_products(components, error)
 
     # the products of pair_quad_bracket_left and pair_quad_bracket_right
@@ -499,8 +499,8 @@ def canonical_morphism(x: CrossedModule) -> XModMorphism:
     base_cols = [quads.read_columns(_inner_quadruple(x, q), "inner quadruple is not a quadruple-space solution")
                  for q in _units(x.base.dim)]
     f = x.top.field
-    return XModMorphism(x, actor(x), Matrix.from_columns(f, top_cols, pairs.dim),
-                        Matrix.from_columns(f, base_cols, quads.dim))
+    return XModMorphism(x, actor(x), Matrix.from_sparse_columns(f, top_cols, pairs.dim),
+                        Matrix.from_sparse_columns(f, base_cols, quads.dim))
 
 
 def inner_xmod(x: CrossedModule) -> SubXMod:
@@ -592,7 +592,7 @@ def lift_sequence(s: ShortExactSequence) -> LiftResult:
         alpha_cols.append(pairs.read_columns([(-1, [top(act.act_left(q, e)) for q in qs]),
                                               (1, [top(act.act_right(e, q)) for q in qs])],
                                              "lifted pair is not a pair-space solution"))
-    alpha = Matrix.from_columns(f, alpha_cols, pairs.dim)
+    alpha = Matrix.from_sparse_columns(f, alpha_cols, pairs.dim)
 
     beta_cols = []
     for a in range(mid.base.dim):
@@ -602,7 +602,7 @@ def lift_sequence(s: ShortExactSequence) -> LiftResult:
                                              (-1, [base(mid.base.bracket(q, e)) for q in qs]),
                                              (1, [base(mid.base.bracket(e, q)) for q in qs])],
                                             "lifted quadruple is not a quadruple-space solution"))
-    beta = Matrix.from_columns(f, beta_cols, quads.dim)
+    beta = Matrix.from_sparse_columns(f, beta_cols, quads.dim)
 
     morphism = XModMorphism(mid, actor(x), alpha, beta)
     out = outer_xmod(x)

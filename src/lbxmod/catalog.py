@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .action import ActionData, _freeze_tensor
+from .action import ActionData
 from .algebra import LeibnizAlgebra, direct_sum
 from .bider import ShortExactSequence
 from .fields import Field, InputDataError
@@ -53,7 +53,7 @@ def _l2_ann_incl(field: Field) -> CrossedModule:
 def _self_action(field: Field) -> XModActionData:
     x = CrossedModule.identity_on(_sl2(field))
     adjoint = ActionData.by_bracket(x.base)
-    bracket_tensor = x.base.table
+    bracket_tensor = x.base.sparse_table
     return XModActionData(x, x, adjoint, adjoint, bracket_tensor, bracket_tensor)
 
 
@@ -70,15 +70,9 @@ def _mixed_pair_break(field: Field) -> XModActionData:
     q = LeibnizAlgebra.abelian(field, 1, ("w",))
     y = CrossedModule(n, q, Matrix.zeros(field, 1, 1), ActionData.zero(q, n))
 
-    p_on_n = ActionData.build(p, n,
-                              left=(((0,),), ((-1,),)),
-                              right=(((0,), (1,)),))
-    p_on_q = ActionData.build(p, q,
-                              left=(((0,),), ((0,),)),
-                              right=(((0,), (1,)),))
-    xi1 = _freeze_tensor(field, (((1,),),), 1, 1, 1)
-    xi2 = _freeze_tensor(field, (((0,),),), 1, 1, 1)
-    return XModActionData(x, y, p_on_n, p_on_q, xi1, xi2)
+    p_on_n = ActionData(p, n, (((0,),), ((-1,),)), (((0,), (1,)),))
+    p_on_q = ActionData(p, q, (((0,),), ((0,),)), (((0,), (1,)),))
+    return XModActionData(x, y, p_on_n, p_on_q, (((1,),),), (((0,),),))
 
 
 def _sl2_sequence(field: Field) -> ShortExactSequence:

@@ -81,6 +81,10 @@ class Matrix:
     def from_columns(cls, field: Field, columns: Sequence[Sequence[Scalar]], rows: int) -> "Matrix":
         return cls(field, rows, len(columns), tuple(tuple(col[i] for col in columns) for i in range(rows)))
 
+    @classmethod
+    def from_sparse_columns(cls, field: Field, columns: Sequence[Mapping[int, Number]], rows: int) -> "Matrix":
+        return cls.from_columns(field, [_dense(field, rows, col) for col in columns], rows)
+
     # -- accessors ----------------------------------------------------
 
     def row(self, i: int) -> tuple[Scalar, ...]:
@@ -198,8 +202,10 @@ class Subspace:
     pivots: tuple[int, ...]
 
     @classmethod
-    def from_rows(cls, field: Field, ambient: int, rows: Iterable[Sequence[Scalar]]) -> "Subspace":
-        return _echelon_subspace(field, ambient, _sparse_rref(map(_sparse, rows), field.characteristic))
+    def from_rows(cls, field: Field, ambient: int, rows: Iterable) -> "Subspace":
+        """The span of rows, each dense or sparse ({column: coefficient})."""
+        sparse = (row if isinstance(row, dict) else _sparse(row) for row in rows)
+        return _echelon_subspace(field, ambient, _sparse_rref(sparse, field.characteristic))
 
     @classmethod
     def zero(cls, field: Field, ambient: int) -> "Subspace":
@@ -260,23 +266,27 @@ class Subspace:
             return {k: Fraction(c, scale) for k, c in rest.items() if c}
         return {k: c for k, c in rest.items() if c}
 
-    def read_coords(self, vec: Mapping[int, Number], error: str, den: int = 1) -> tuple[Scalar, ...]:
-        """Coordinates of the sparse vector ``vec / den`` in the basis rows,
-        its entries at the pivots; a ``LinearSolveError(error)`` if it is
-        outside."""
+    def read_coords(self, vec: Mapping[int, Number], error: str, den: int = 1) -> dict[int, Number]:
+        """Sparse coordinates of the sparse vector ``vec / den`` in the basis
+        rows, its nonzero entries at the pivots as ``number``s; a
+        ``LinearSolveError(error)`` if it is outside."""
         if self.residue(vec):
             raise LinearSolveError(error)
-        at, coerce = self._pivot_index, self.field.coerce
-        out = [self.field.zero] * self.dim
+        at, p, out = self._pivot_index, self.field.characteristic, {}
         for u, c in vec.items():
             if u in at:
-                out[at[u]] = coerce(c if den == 1 else Fraction(c, den))
-        return tuple(out)
+                if p:
+                    c = c % p if den == 1 else c * pow(den, -1, p) % p
+                elif den != 1 or type(c) is not int:
+                    c = number(Fraction(c, den))
+                if c:
+                    out[at[u]] = c
+        return out
 
-    def project(self, vec: Mapping[int, Number]) -> tuple[Scalar, ...]:
-        """A sparse vector's image under ``projection_matrix``."""
+    def project(self, vec: Mapping[int, Number]) -> dict[int, Number]:
+        """A sparse vector's image under ``projection_matrix``, sparse."""
         at = self._rep_index
-        return _dense(self.field, len(at), {at[k]: c for k, c in self.residue(vec).items()})
+        return {at[k]: c for k, c in self.residue(vec).items()}
 
     def reduce(self, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
         """Subtract basis rows to zero out the pivot coordinates of vec."""
@@ -288,7 +298,7 @@ class Subspace:
     def coords_of(self, vec: Sequence[Scalar]) -> Optional[tuple[Scalar, ...]]:
         """Coordinates of vec in the basis rows, or None if vec is outside."""
         try:
-            return self.read_coords(_sparse(vec), "")
+            return _dense(self.field, self.dim, self.read_coords(_sparse(vec), ""))
         except LinearSolveError:
             return None
 
@@ -339,7 +349,7 @@ class Subspace:
         j is the pivot of row t.
         """
         cols = [self.project({j: 1}) for j in range(self.ambient)]
-        return Matrix.from_columns(self.field, cols, len(self._rep_index))
+        return Matrix.from_sparse_columns(self.field, cols, len(self._rep_index))
 
     def _same_ambient(self, other: "Subspace") -> None:
         if self.ambient != other.ambient or self.field != other.field:

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from typing import Any, Callable, Sequence
 
-from .action import ActionData, Tensor
-from .algebra import LeibnizAlgebra
+from .action import ActionData
+from .algebra import LeibnizAlgebra, SparseTensor
 from .bider import ShortExactSequence
 from .fields import Field, InputDataError, Scalar
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Number, Subspace, _sparse
 from .xaction import ActorMorphism, XModActionData
 from .xmod import CrossedModule, XModMorphism
 
@@ -46,6 +46,12 @@ def _reader(field: Field) -> Callable[[Any], Scalar]:
         return v
 
     return read
+
+
+def _number_to_json(field: Field) -> Callable[[Number], Any]:
+    """The JSON form of a stored coefficient (see ``linalg.number``): a
+    rational's canonical string, or the residue itself."""
+    return int if field.characteristic else str
 
 
 # -- matrices and vectors -----------------------------------------------
@@ -98,13 +104,9 @@ def subspace_to_json(s: Subspace) -> dict:
 
 
 def algebra_to_json(a: LeibnizAlgebra) -> dict:
-    f = a.field
-    brackets = []
-    for i in range(a.dim):
-        for j in range(a.dim):
-            terms = [[k, f.scalar_to_json(c)] for k, c in enumerate(a.table[i][j]) if c]
-            if terms:
-                brackets.append([i, j, terms])
+    to_json = _number_to_json(a.field)
+    brackets = [[i, j, [[k, to_json(v[k])] for k in sorted(v)]]
+                for i, row in enumerate(a.sparse_table) for j, v in enumerate(row) if v]
     out: dict = {"dim": a.dim}
     if a.names is not None:
         out["names"] = list(a.names)
@@ -151,15 +153,27 @@ def _algebra(field: Field, read: Callable, obj: Any) -> LeibnizAlgebra:
 # -- action tensors --------------------------------------------------------
 
 
-def tensor_to_json(field: Field, t: Tensor) -> list:
-    return [[[field.scalar_to_json(x) for x in vec] for vec in row] for row in t]
+def tensor_to_json(field: Field, view: SparseTensor, dim: int) -> list:
+    """A stored tensor as dense JSON: each vector lists all dim coordinates."""
+    zero, to_json, out = field.scalar_to_json(field.zero), _number_to_json(field), []
+    for row in view:
+        out_row = []
+        for v in row:
+            vec = [zero] * dim
+            for k, c in v.items():
+                vec[k] = to_json(c)
+            out_row.append(vec)
+        out.append(out_row)
+    return out
 
 
-def tensor_from_json(field: Field, obj: Any, d0: int, d1: int, d2: int) -> Tensor:
+def tensor_from_json(field: Field, obj: Any, d0: int, d1: int, d2: int) -> SparseTensor:
     return _tensor(_reader(field), obj, d0, d1, d2)
 
 
-def _tensor(read: Callable, obj: Any, d0: int, d1: int, d2: int) -> Tensor:
+def _tensor(read: Callable, obj: Any, d0: int, d1: int, d2: int) -> SparseTensor:
+    """A dense JSON tensor read into a sparse view; every entry, zeros
+    included, goes through the reader."""
     if not isinstance(obj, list) or len(obj) != d0:
         raise InputDataError(f"tensor must have {d0} outer entries")
     out = []
@@ -170,14 +184,14 @@ def _tensor(read: Callable, obj: Any, d0: int, d1: int, d2: int) -> Tensor:
         for vec in row:
             if not isinstance(vec, list) or len(vec) != d2:
                 raise InputDataError(f"tensor vectors must have {d2} entries")
-            new_row.append(tuple(map(read, vec)))
+            new_row.append(_sparse(map(read, vec)))
         out.append(tuple(new_row))
     return tuple(out)
 
 
 def action_block_to_json(d: ActionData) -> dict:
-    f = d.actor.field
-    return {"left": tensor_to_json(f, d.left), "right": tensor_to_json(f, d.right)}
+    f, n = d.actor.field, d.target.dim
+    return {"left": tensor_to_json(f, d.sparse_left, n), "right": tensor_to_json(f, d.sparse_right, n)}
 
 
 def _action_block(read: Callable, obj: Any, actor: LeibnizAlgebra, target: LeibnizAlgebra) -> ActionData:
@@ -193,8 +207,8 @@ def action_to_json(d: ActionData) -> dict:
     return {
         "actor": algebra_to_json(d.actor),
         "target": algebra_to_json(d.target),
-        "left": tensor_to_json(f, d.left),
-        "right": tensor_to_json(f, d.right),
+        "left": tensor_to_json(f, d.sparse_left, d.target.dim),
+        "right": tensor_to_json(f, d.sparse_right, d.target.dim),
     }
 
 
@@ -241,8 +255,8 @@ def xaction_to_json(d: XModActionData) -> dict:
         "target_xmod": xmod_to_json(d.target_xmod),
         "p_on_n": action_block_to_json(d.act_on_top),
         "p_on_q": action_block_to_json(d.act_on_base),
-        "xi1": tensor_to_json(f, d.cross_mq),
-        "xi2": tensor_to_json(f, d.cross_qm),
+        "xi1": tensor_to_json(f, d.sparse_mq, d.target_xmod.top.dim),
+        "xi2": tensor_to_json(f, d.sparse_qm, d.target_xmod.top.dim),
     }
 
 

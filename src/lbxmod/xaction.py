@@ -9,26 +9,32 @@ the actor, and forming the semidirect product crossed module all live here.
 
 Bracket conventions inside the identities: brackets of m with n or q go
 through eta (so [m, n] means [eta(m), n] and so on); [q, n]-style brackets are
-the target crossed module's own action.  The two pairings are written as
-tensors ``cross_mq[i][a]`` and ``cross_qm[a][i]`` with values in n.
+the target crossed module's own action.  The two pairings are stored as
+sparse views ``sparse_mq[i][a]`` and ``sparse_qm[a][i]`` with values in n;
+``cross_mq`` and ``cross_qm`` are their dense views.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
-from .action import ActionData, Tensor, semidirect_algebra, validate_action
+from .action import ActionData, semidirect_algebra, validate_action
 from .algebra import (
     _ONE,
     SparseTensor,
+    SparseVector,
     ValidationReport,
+    _blocks,
     _contract,
+    _dense_view,
+    _evaluate,
     _prefixed,
     _sparse_map,
-    _sparse_tensor,
+    _store,
+    _stored_hash,
     _unit,
+    _units,
     _violations,
 )
 from .fields import Field, InputDataError, Scalar
@@ -81,8 +87,8 @@ class XModActionData:
     target_xmod: CrossedModule  # (n, q, mu)
     act_on_top: ActionData      # p acting on n
     act_on_base: ActionData     # p acting on q
-    cross_mq: Tensor            # cross_mq[i][a] = the pairing of m_i with q_a, in n
-    cross_qm: Tensor            # cross_qm[a][i] = the pairing of q_a with m_i, in n
+    sparse_mq: SparseTensor     # sparse_mq[i][a] = the pairing of m_i with q_a, in n
+    sparse_qm: SparseTensor     # sparse_qm[a][i] = the pairing of q_a with m_i, in n
 
     def __post_init__(self) -> None:
         m, p = self.actor_xmod.top, self.actor_xmod.base
@@ -91,22 +97,12 @@ class XModActionData:
             raise InputDataError("p-on-n action endpoints do not match the crossed modules")
         if self.act_on_base.actor != p or self.act_on_base.target != q:
             raise InputDataError("p-on-q action endpoints do not match the crossed modules")
-        if len(self.cross_mq) != m.dim or any(
-            len(r) != q.dim or any(len(v) != n.dim for v in r) for r in self.cross_mq
-        ):
-            raise InputDataError("m-q pairing tensor has the wrong shape")
-        if len(self.cross_qm) != q.dim or any(
-            len(r) != m.dim or any(len(v) != n.dim for v in r) for r in self.cross_qm
-        ):
-            raise InputDataError("q-m pairing tensor has the wrong shape")
+        _store(self, "sparse_mq", n.field, (m.dim, q.dim, n.dim), "m-q pairing tensor")
+        _store(self, "sparse_qm", n.field, (q.dim, m.dim, n.dim), "q-m pairing tensor")
 
-    @cached_property
-    def sparse_mq(self) -> SparseTensor:
-        return _sparse_tensor(self.cross_mq)
-
-    @cached_property
-    def sparse_qm(self) -> SparseTensor:
-        return _sparse_tensor(self.cross_qm)
+    __hash__ = _stored_hash("sparse_mq", "sparse_qm")
+    cross_mq = _dense_view("sparse_mq", lambda d: (d.field, d.target_xmod.top.dim))
+    cross_qm = _dense_view("sparse_qm", lambda d: (d.field, d.target_xmod.top.dim))
 
     # bilinear evaluation of the two pairings
     def pair_mq(self, mvec: Sequence[Scalar], qvec: Sequence[Scalar]):
@@ -255,8 +251,8 @@ def morphism_from_action(d: XModActionData) -> ActionToMorphismResult:
 
     morphism = ActorMorphism(
         x, y,
-        Matrix.from_columns(f, top_cols, pairs.dim),
-        Matrix.from_columns(f, base_cols, quads.dim),
+        Matrix.from_sparse_columns(f, top_cols, pairs.dim),
+        Matrix.from_sparse_columns(f, base_cols, quads.dim),
     )
     return ActionToMorphismResult(morphism, relaxed)
 
@@ -277,42 +273,20 @@ def action_from_morphism(fm: ActorMorphism) -> XModActionData:
             "the given maps are not a morphism into the actor: " + ", ".join(rep.labels()))
 
     x = fm.source
-    f = y.top.field
-    pairs = bider_qn(y)
-    quads = bider_xmod(y)
-    n_dim, q_dim = y.top.dim, y.base.dim
+    quads = [[_sparse_map(m)[0] for m in bider_xmod(y).member_from_coords(fm.base_map.column(b))]
+             for b in range(x.base.dim)]  # (s1, t1, s2, t2), each map as its sparse columns
+    pairs = [[_sparse_map(m)[0] for m in bider_qn(y).member_from_coords(fm.top_map.column(i))]
+             for i in range(x.top.dim)]   # (d, dd)
 
-    pn_left = []
-    pn_right = [[None] * x.base.dim for _ in range(n_dim)]
-    pq_left = []
-    pq_right = [[None] * x.base.dim for _ in range(q_dim)]
-    for b in range(x.base.dim):
-        s1, t1, s2, t2 = quads.member_from_coords(fm.base_map.column(b))
-        pn_left.append(tuple(t1.column(j) for j in range(n_dim)))
-        for j in range(n_dim):
-            pn_right[j][b] = tuple(-c for c in s1.column(j))
-        pq_left.append(tuple(t2.column(a) for a in range(q_dim)))
-        for a in range(q_dim):
-            pq_right[a][b] = tuple(-c for c in s2.column(a))
+    def minus(v: SparseVector) -> SparseVector:
+        return {k: -c for k, c in v.items()}
 
-    act_on_top = ActionData(x.base, y.top, tuple(pn_left),
-                            tuple(tuple(row) for row in pn_right))
-    act_on_base = ActionData(x.base, y.base, tuple(pq_left),
-                             tuple(tuple(row) for row in pq_right))
-
-    cross_mq = [[None] * q_dim for _ in range(x.top.dim)]
-    cross_qm = [[None] * x.top.dim for _ in range(q_dim)]
-    for i in range(x.top.dim):
-        dmat, ddmat = pairs.member_from_coords(fm.top_map.column(i))
-        for a in range(q_dim):
-            cross_mq[i][a] = ddmat.column(a)
-            cross_qm[a][i] = tuple(-c for c in dmat.column(a))
-
-    return XModActionData(
-        x, y, act_on_top, act_on_base,
-        tuple(tuple(row) for row in cross_mq),
-        tuple(tuple(row) for row in cross_qm),
-    )
+    act_on_top = ActionData(x.base, y.top, [t1 for _s1, t1, _s2, _t2 in quads],
+                            [[minus(member[0][j]) for member in quads] for j in range(y.top.dim)])
+    act_on_base = ActionData(x.base, y.base, [t2 for _s1, _t1, _s2, t2 in quads],
+                             [[minus(member[2][a]) for member in quads] for a in range(y.base.dim)])
+    return XModActionData(x, y, act_on_top, act_on_base, [dd for _d, dd in pairs],
+                          [[minus(d[a]) for d, _dd in pairs] for a in range(y.base.dim)])
 
 
 # -- semidirect product of crossed modules --------------------------------
@@ -341,59 +315,22 @@ def semidirect_xmod(d: XModActionData) -> SemidirectXMod:
     f = d.field
 
     # action of m on n through the boundary, for the top-layer product
-    m_on_n = ActionData(
-        m, n,
-        tuple(tuple(d.act_on_top.act_left(eta.column(i), _unit(f, n.dim, j))
-                    for j in range(n.dim)) for i in range(m.dim)),
-        tuple(tuple(d.act_on_top.act_right(_unit(f, n.dim, j), eta.column(i))
-                    for i in range(m.dim)) for j in range(n.dim)),
-    )
+    char, pn, etas, units = f.characteristic, d.act_on_top, _sparse_map(eta)[0], _units(n.dim)
+    m_on_n = ActionData(m, n, [[_evaluate([(1, pn.sparse_left, e, u)], char) for u in units] for e in etas],
+                        [[_evaluate([(1, pn.sparse_right, u, e)], char) for e in etas] for u in units])
     top_semi = semidirect_algebra(m_on_n)
-    base_semi = semidirect_algebra(ActionData(p, q, d.act_on_base.left, d.act_on_base.right))
+    base_semi = semidirect_algebra(d.act_on_base)
 
-    top_dim = n.dim + m.dim
-    base_dim = q.dim + p.dim
     z = f.zero
-
-    def pad_n(v):
-        return tuple(v) + tuple(z for _ in range(m.dim))
-
-    def pad_m(v):
-        return tuple(z for _ in range(n.dim)) + tuple(v)
-
     bdy_cols = [tuple(mu.column(j)) + tuple(z for _ in range(p.dim)) for j in range(n.dim)]
     bdy_cols += [tuple(z for _ in range(q.dim)) + tuple(eta.column(i)) for i in range(m.dim)]
-    boundary = Matrix.from_columns(f, bdy_cols, base_dim)
+    boundary = Matrix.from_columns(f, bdy_cols, q.dim + p.dim)
 
-    yact = y.action
-    left = []
-    for A in range(base_dim):
-        row = []
-        for I in range(top_dim):
-            if A < q.dim and I < n.dim:
-                row.append(pad_n(yact.left[A][I]))
-            elif A < q.dim:
-                row.append(pad_n(d.cross_qm[A][I - n.dim]))
-            elif I < n.dim:
-                row.append(pad_n(d.act_on_top.left[A - q.dim][I]))
-            else:
-                row.append(pad_m(x.action.left[A - q.dim][I - n.dim]))
-        left.append(tuple(row))
-    right = []
-    for I in range(top_dim):
-        row = []
-        for A in range(base_dim):
-            if I < n.dim and A < q.dim:
-                row.append(pad_n(yact.right[I][A]))
-            elif I < n.dim:
-                row.append(pad_n(d.act_on_top.right[I][A - q.dim]))
-            elif A < q.dim:
-                row.append(pad_n(d.cross_mq[I - n.dim][A]))
-            else:
-                row.append(pad_m(x.action.right[I - n.dim][A - q.dim]))
-        right.append(tuple(row))
-
-    act = ActionData(base_semi.algebra, top_semi.algebra, tuple(left), tuple(right))
+    left = _blocks((q.dim, p.dim), (n.dim, m.dim), [[(y.action.sparse_left, 0), (d.sparse_qm, 0)],
+                                                    [(pn.sparse_left, 0), (x.action.sparse_left, n.dim)]])
+    right = _blocks((n.dim, m.dim), (q.dim, p.dim), [[(y.action.sparse_right, 0), (pn.sparse_right, 0)],
+                                                     [(d.sparse_mq, 0), (x.action.sparse_right, n.dim)]])
+    act = ActionData(base_semi.algebra, top_semi.algebra, left, right)
     semi = CrossedModule(top_semi.algebra, base_semi.algebra, boundary, act)
 
     include = XModMorphism(y, semi, top_semi.include_target, base_semi.include_target)

@@ -188,7 +188,7 @@ def sub_xmod(x: CrossedModule, top_space: Subspace, base_space: Subspace,
     base_alg, base_incl = subalgebra_on(x.base, base_space)
     t_rows, b_rows = top_space.scaled_rows, base_space.scaled_rows
     bdy_cols = _restricted(base_space, _sparse_map(x.boundary), [(_ONE, 1)], t_rows, _LEFT_SUBSPACE)[0]
-    bdy = Matrix.from_columns(x.top.field, bdy_cols, base_space.dim)
+    bdy = Matrix.from_sparse_columns(x.top.field, bdy_cols, base_space.dim)
     left = _restricted(top_space, x.action.sparse_left, b_rows, t_rows, _LEFT_SUBSPACE)
     right = _restricted(top_space, x.action.sparse_right, t_rows, b_rows, _LEFT_SUBSPACE)
     act = ActionData(base_alg, top_alg, left, right)
@@ -244,7 +244,7 @@ def quotient_xmod(x: CrossedModule, top_space: Subspace, base_space: Subspace) -
     base_q, base_proj = _quotient(x.base, base_space)
     t_reps, b_reps = top_space.complement_indices(), base_space.complement_indices()
     left, right, eta = x.action.sparse_left, x.action.sparse_right, _sparse_map(x.boundary)[0]
-    bdy = Matrix.from_columns(x.top.field, [base_space.project(eta[r]) for r in t_reps], base_q.dim)
+    bdy = Matrix.from_sparse_columns(x.top.field, [base_space.project(eta[r]) for r in t_reps], base_q.dim)
     act = ActionData(base_q, top_q, tuple(tuple(top_space.project(left[a][i]) for i in t_reps) for a in b_reps),
                      tuple(tuple(top_space.project(right[i][a]) for a in b_reps) for i in t_reps))
     return QuotientXMod(x, CrossedModule(top_q, base_q, bdy, act), top_proj, base_proj)

@@ -14,8 +14,13 @@ echelon rows with ``Fraction`` entries, are kept below as ``fraction_*``;
 ``test_scaled_rows.py`` compares them with the integer-backed ones.
 
 The validators evaluate each identity over all its witnesses at once.  The
-per-witness loops they replaced are kept at the end as ``validate_*``;
+per-witness loops they replaced are kept as ``validate_*``;
 ``test_validators.py`` compares the full reports.
+
+Direct sums and semidirect products assemble their stored tensors from the
+views of their parts, block by block.  The dense loops they replaced, which
+padded each dense vector by hand, are kept at the end as ``*_tensors``;
+``test_sparse_stages.py`` compares them with the dense views of the new ones.
 """
 from __future__ import annotations
 
@@ -634,3 +639,105 @@ def validate_xmod_action(d: XModActionData, check_components: bool = True) -> Va
                 check("LbM6a", (i, b, a), (1, mq, e[i], pq_l[b][a]), (-1, mq, e[i], pq_r[a][b]))
                 check("LbM6b", (b, i, a), (1, pn_l, e[b], mq[i][a]), (-1, pn_l, e[b], qm[a][i]))
     return ValidationReport(tuple(bad))
+
+
+# -- dense block assembly --------------------------------------------------------
+
+
+def direct_sum_table(a: LeibnizAlgebra, b: LeibnizAlgebra):
+    """The dense table of ``direct_sum(a, b)``."""
+    n = a.dim + b.dim
+    z = a.field.zero
+    tab = [[[z] * n for _ in range(n)] for _ in range(n)]
+    for i in range(a.dim):
+        for j in range(a.dim):
+            for k in range(a.dim):
+                tab[i][j][k] = a.table[i][j][k]
+    for i in range(b.dim):
+        for j in range(b.dim):
+            for k in range(b.dim):
+                tab[a.dim + i][a.dim + j][a.dim + k] = b.table[i][j][k]
+    return tuple(tuple(tuple(v) for v in row) for row in tab)
+
+
+def semidirect_algebra_table(d: ActionData):
+    """The dense table of ``semidirect_algebra(d).algebra``."""
+    m, p = d.target, d.actor
+    n = m.dim + p.dim
+    z = m.field.zero
+
+    def pad_m(v):
+        return tuple(v) + tuple(z for _ in range(p.dim))
+
+    def pad_p(v):
+        return tuple(z for _ in range(m.dim)) + tuple(v)
+
+    tab = [[None] * n for _ in range(n)]
+    for i in range(m.dim):
+        for j in range(m.dim):
+            tab[i][j] = pad_m(m.table[i][j])
+        for b in range(p.dim):
+            tab[i][m.dim + b] = pad_m(d.right[i][b])
+    for a in range(p.dim):
+        for j in range(m.dim):
+            tab[m.dim + a][j] = pad_m(d.left[a][j])
+        for b in range(p.dim):
+            tab[m.dim + a][m.dim + b] = pad_p(p.table[a][b])
+    return tuple(tuple(row) for row in tab)
+
+
+def semidirect_xmod_tensors(d: XModActionData):
+    """The dense top table, base table and action (left, right) of
+    ``semidirect_xmod(d).xmod``."""
+    x, y = d.actor_xmod, d.target_xmod
+    m, p, eta = x.top, x.base, x.boundary
+    n, q = y.top, y.base
+    f = d.field
+
+    # action of m on n through the boundary, for the top-layer product
+    m_on_n = ActionData(
+        m, n,
+        tuple(tuple(contract(f, d.act_on_top.left, eta.column(i), unit(f, n.dim, j), n.dim)
+                    for j in range(n.dim)) for i in range(m.dim)),
+        tuple(tuple(contract(f, d.act_on_top.right, unit(f, n.dim, j), eta.column(i), n.dim)
+                    for i in range(m.dim)) for j in range(n.dim)),
+    )
+    top_dim = n.dim + m.dim
+    base_dim = q.dim + p.dim
+    z = f.zero
+
+    def pad_n(v):
+        return tuple(v) + tuple(z for _ in range(m.dim))
+
+    def pad_m(v):
+        return tuple(z for _ in range(n.dim)) + tuple(v)
+
+    yact = y.action
+    left = []
+    for A in range(base_dim):
+        row = []
+        for I in range(top_dim):
+            if A < q.dim and I < n.dim:
+                row.append(pad_n(yact.left[A][I]))
+            elif A < q.dim:
+                row.append(pad_n(d.cross_qm[A][I - n.dim]))
+            elif I < n.dim:
+                row.append(pad_n(d.act_on_top.left[A - q.dim][I]))
+            else:
+                row.append(pad_m(x.action.left[A - q.dim][I - n.dim]))
+        left.append(tuple(row))
+    right = []
+    for I in range(top_dim):
+        row = []
+        for A in range(base_dim):
+            if I < n.dim and A < q.dim:
+                row.append(pad_n(yact.right[I][A]))
+            elif I < n.dim:
+                row.append(pad_n(d.act_on_top.right[I][A - q.dim]))
+            elif A < q.dim:
+                row.append(pad_n(d.cross_mq[I - n.dim][A]))
+            else:
+                row.append(pad_m(x.action.right[I - n.dim][A - q.dim]))
+        right.append(tuple(row))
+    return (semidirect_algebra_table(m_on_n), semidirect_algebra_table(d.act_on_base),
+            tuple(left), tuple(right))

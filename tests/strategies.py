@@ -1,7 +1,8 @@
 """Hypothesis strategies for generated objects, valid or not: structure
 tables, actions, matrices, crossed modules, morphisms and crossed-module
 actions over Q, F2 and F3, with entries drawn from a few small values so
-that most of them are zero."""
+that most of them are zero.  ``respelled`` gives a tensor as sparse dicts
+whose entries are spelled in ways the stored form must normalize."""
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -61,3 +62,30 @@ def xactions(draw, field):
     m, p, n, q = x.top.dim, x.base.dim, y.top.dim, y.base.dim
     return XModActionData(x, y, draw(actions(field, x.base, y.top)), draw(actions(field, x.base, y.base)),
                           draw(tensors(field, m, q, n)), draw(tensors(field, q, m, n)))
+
+
+def spellings(field, c) -> tuple:
+    """Scalars the stored form must read as c: over F_p the element and
+    residues off [0, p); over Q the Fraction, Fraction(2a, 2b) (an integral
+    one is a Fraction such as Fraction(4, 2)) and, when integral, the int."""
+    x = field.coerce(c)
+    if field.characteristic:
+        p, v = field.p, x.value
+        return x, v, v + p, v - p, v + 3 * p
+    return (x, Fraction(2 * x.numerator, 2 * x.denominator)) + ((x.numerator,) if x.denominator == 1 else ())
+
+
+@st.composite
+def respelled(draw, field, tensor):
+    """A dense tensor as sparse dicts, each entry in a drawn spelling and
+    some zero entries kept explicitly."""
+    return tuple(tuple({k: draw(st.sampled_from(spellings(field, c)))
+                        for k, c in enumerate(v) if c or draw(st.booleans())} for v in row) for row in tensor)
+
+
+def is_stored(field, view) -> bool:
+    """No zero entries; residues in [0, p) over F_p; over Q an int when integral."""
+    p = field.characteristic
+    return all((type(c) is int and 0 < c < p) if p else
+               (type(c) is int and c != 0) or (type(c) is Fraction and c.denominator != 1)
+               for row in view for v in row for c in v.values())

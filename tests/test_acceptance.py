@@ -273,11 +273,7 @@ def test_solver_matches_exhaustive_enumeration_over_f2():
         lb, rb = bits[:4], bits[4:]
         left = (((lb[0], lb[1]), (lb[2], lb[3])),)
         right = (((rb[0], rb[1]),), ((rb[2], rb[3]),))
-        act = ActionData.build(
-            p, m,
-            left=[[[lb[0], lb[1]], [lb[2], lb[3]]]],
-            right=[[[rb[0], rb[1]]], [[rb[2], rb[3]]]],
-        )
+        act = ActionData(p, m, left, right)
         got = validate_action(act).ok
         assert got == O.is_action(mtab, ptab, left, right, 2, 1), bits
         valid += got

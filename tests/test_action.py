@@ -1,13 +1,20 @@
-"""Algebra actions: the six laws, self-actions, and the semidirect sum."""
+"""Algebra actions: the six laws, self-actions, the semidirect sum, and the
+one stored form of the two action tensors."""
 import itertools
+import json
 
 import pytest
+from conftest import FIELDS
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import ints_of_table, is_action
+from strategies import algebras, is_stored, respelled, tensors
 
-from lbxmod import GF2, QQ
+from lbxmod import GF2, GF3, QQ, FpElement, InputDataError
 from lbxmod.action import ActionData, semidirect_algebra, validate_action
 from lbxmod.algebra import validate_leibniz
 from lbxmod.catalog import build_entry
+from lbxmod.serialize import action_from_json, action_to_json
 
 
 @pytest.mark.parametrize("cid", ["a2", "l2", "r2", "sl2"])
@@ -31,7 +38,7 @@ def test_validator_pinpoints_a_broken_law():
     # damage one right-action value: [e, e] picks up a spurious h term
     rows = [list(map(list, row)) for row in good.right]
     rows[0][0][1] = QQ.one
-    bad = ActionData.build(sl2, sl2, left=[[list(c) for c in r] for r in good.left], right=rows)
+    bad = ActionData(sl2, sl2, [[list(c) for c in r] for r in good.left], rows)
     report = validate_action(bad)
     assert not report.ok
     labels = set(report.labels())
@@ -76,12 +83,47 @@ def test_validator_agrees_with_brute_force_for_line_acting_on_l2():
         lb, rb = bits[:4], bits[4:]
         left = (((lb[0], lb[1]), (lb[2], lb[3])),)
         right = (((rb[0], rb[1]),), ((rb[2], rb[3]),))
-        act = ActionData.build(
-            p, m,
-            left=[[[lb[0], lb[1]], [lb[2], lb[3]]]],
-            right=[[[rb[0], rb[1]]], [[rb[2], rb[3]]]],
-        )
+        act = ActionData(p, m, left, right)
         solver = validate_action(act).ok
         assert solver == is_action(mtab, ptab, left, right, 2, 1)
         valid += solver
     assert valid == 6  # pinned by the enumeration itself
+
+
+# -- the stored form ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=[f.tag for f in FIELDS])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_dense_sparse_and_read_back_actions_are_one_stored_form(field, data):
+    p, m = data.draw(algebras(field)), data.draw(algebras(field))
+    left, right = data.draw(tensors(field, p.dim, m.dim, m.dim)), data.draw(tensors(field, m.dim, p.dim, m.dim))
+    d = ActionData(p, m, left, right)
+    assert is_stored(field, d.sparse_left) and is_stored(field, d.sparse_right)
+    assert (d.left, d.right) == (left, right)
+    same = (ActionData(p, m, d.sparse_left, d.sparse_right),
+            ActionData(p, m, data.draw(respelled(field, left)), data.draw(respelled(field, right))),
+            action_from_json(field, json.loads(json.dumps(action_to_json(d)))))
+    for e in same:
+        assert e == d and hash(e) == hash(d) and (e.left, e.right) == (left, right)
+
+
+def test_the_self_action_shares_the_algebra_view(field):
+    a = build_entry("sl2", field)
+    d = ActionData.by_bracket(a)
+    assert d.sparse_left is a.sparse_table and d.sparse_right is a.sparse_table
+    assert d.left == a.table == d.right
+
+
+def test_action_tensors_are_normalized_and_checked():
+    p, m = build_entry("a1", GF3), build_entry("l2", GF3)
+    d = ActionData(p, m, [[{0: 4, 1: 0}, {1: -2}]], [[{0: FpElement(1, 3)}], [{}]])
+    assert d.sparse_left == (({0: 1}, {1: 1}),) and d.sparse_right == (({0: 1},), ({},))
+    with pytest.raises(TypeError):
+        ActionData(p, m, [[{0: FpElement(1, 2)}, {}]], [[{}], [{}]])
+    for left, right in (([[{}, {}]], [[{}]]), ([[{2: 1}, {}]], [[{}], [{}]]), ([[[0], [0]]], [[{}], [{}]])):
+        with pytest.raises(InputDataError):
+            ActionData(p, m, left, right)
+    with pytest.raises(InputDataError):
+        ActionData(p, build_entry("l2", QQ), [[{}, {}]], [[{}], [{}]])

@@ -1,11 +1,18 @@
-"""Leibniz algebras: the defining identity, derived subspaces, constructions."""
+"""Leibniz algebras: the defining identity, derived subspaces, constructions,
+and the one stored form of a structure table."""
 import itertools
+import json
 import tracemalloc
+from fractions import Fraction
 
 import pytest
+from conftest import FIELDS
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import ints_of_table, is_leibniz
+from strategies import DIMS, is_stored, respelled, tensors
 
-from lbxmod import GF2, QQ, InputDataError
+from lbxmod import GF2, GF3, QQ, FpElement, InputDataError
 from lbxmod.algebra import (
     LeibnizAlgebra,
     annihilator,
@@ -18,6 +25,7 @@ from lbxmod.algebra import (
 )
 from lbxmod.catalog import build_entry
 from lbxmod.linalg import LinearSolveError, Subspace
+from lbxmod.serialize import algebra_from_json, algebra_to_json
 
 
 @pytest.mark.parametrize("cid", ["a1", "a2", "l2", "r2", "sl2"])
@@ -142,3 +150,53 @@ def test_oversized_dimension_is_refused_before_the_table_is_built():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+# -- the stored form ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=[f.tag for f in FIELDS])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_dense_sparse_and_read_back_tables_are_one_stored_form(field, data):
+    n = data.draw(DIMS)
+    dense = data.draw(tensors(field, n, n, n))
+    a = LeibnizAlgebra(field, n, dense)
+    assert is_stored(field, a.sparse_table) and a.table == dense
+    same = (LeibnizAlgebra(field, n, a.sparse_table), LeibnizAlgebra(field, n, data.draw(respelled(field, dense))),
+            algebra_from_json(field, json.loads(json.dumps(algebra_to_json(a)))))
+    for b in same:
+        assert b == a and hash(b) == hash(a) and b.table == dense
+    assert same[0].sparse_table is a.sparse_table  # a stored view is handed on, not copied
+
+
+def test_the_stored_form_drops_zeros_reduces_residues_and_makes_integral_rationals_ints():
+    q = LeibnizAlgebra(QQ, 1, [[{0: Fraction(4, 2)}]])
+    assert q.sparse_table == (({0: 2},),) and type(q.sparse_table[0][0][0]) is int
+    assert LeibnizAlgebra(QQ, 1, [[[Fraction(0)]]]).sparse_table == (({},),)
+    assert LeibnizAlgebra(QQ, 1, [[{0: Fraction(1, 2)}]]).table == (((Fraction(1, 2),),),)
+    f3 = LeibnizAlgebra(GF3, 2, [[{0: 4, 1: -1}, {0: 3}], [{1: 0}, {0: FpElement(2, 3)}]])
+    assert f3.sparse_table == (({0: 1, 1: 2}, {}), ({}, {0: 2}))
+    dense = LeibnizAlgebra(GF3, 2, [[[1, 2], [0, 0]], [[0, 0], [2, 0]]])
+    assert f3 == dense and hash(f3) == hash(dense)
+
+
+def test_a_scalar_of_another_field_is_a_type_error():
+    for field, entry in ((GF3, FpElement(1, 2)), (QQ, FpElement(1, 3)), (GF3, 0.5)):
+        with pytest.raises(TypeError):
+            LeibnizAlgebra(field, 1, [[{0: entry}]])
+        with pytest.raises(TypeError):
+            LeibnizAlgebra(field, 1, [[[entry]]])
+
+
+@pytest.mark.parametrize("table", [
+    [[[1], [0]], [[0], [0]]],       # vectors of length 1 in dimension 2
+    [[{}, {}]],                      # one row of two
+    [[{}], [{}]],                    # rows of one entry
+    [[{2: 1}, {}], [{}, {}]],        # target index past the end
+    [[{-1: 1}, {}], [{}, {}]],       # negative target index
+    [[{"0": 1}, {}], [{}, {}]],      # a target index that is not an int
+], ids=["short-vectors", "short-table", "short-rows", "index-2", "index-minus-1", "index-str"])
+def test_wrong_shapes_and_indices_are_input_errors(table):
+    with pytest.raises(InputDataError):
+        LeibnizAlgebra(QQ, 2, table)

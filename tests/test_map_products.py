@@ -16,7 +16,7 @@ from lbxmod.bider import (
     pair_quad_bracket_right,
 )
 from lbxmod.catalog import build_entry
-from lbxmod.linalg import LinearSolveError, Matrix, Subspace
+from lbxmod.linalg import LinearSolveError, Matrix, Subspace, _dense
 from lbxmod.xmod import CrossedModule
 
 
@@ -125,5 +125,5 @@ def test_a_product_outside_the_space_is_refused(field):
     with pytest.raises(LinearSolveError, match="not a member"):
         pairs.solution_coords(bumped_mats, "not a member")
     assert pairs.coords_of_maps(bumped_mats) is None
-    assert pairs.read_products([[(1, ident, (d, den))], [(1, ident, dd)]], "") == _coords(
-        pairs, pairs.basis_maps(0))
+    coords = pairs.read_products([[(1, ident, (d, den))], [(1, ident, dd)]], "")
+    assert _dense(field, pairs.dim, coords) == _coords(pairs, pairs.basis_maps(0))

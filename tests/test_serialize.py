@@ -186,6 +186,25 @@ def test_a_document_that_read_1_still_refuses_near_misses(field, site, bad, tmp_
     assert "error" in json.loads(capsys.readouterr().out)
 
 
+# Dense action tensors are read into sparse views, but every entry still goes
+# through the reader: a malformed zero is refused, not skipped as a zero.
+ZERO_NEAR_MISSES = ("0_0", True, 0.0, "\u0660")  # the last: ARABIC-INDIC DIGIT ZERO
+
+
+@pytest.mark.parametrize("tensor", ("left", "right"))
+@pytest.mark.parametrize("bad", ZERO_NEAR_MISSES, ids=repr)
+def test_a_malformed_zero_in_a_dense_action_tensor_is_refused(field, tensor, bad, tmp_path, capsys):
+    doc = _xmod_doc("tensor", 0)
+    assert xmod_from_json(field, doc).action.sparse_right[0][1] == {}
+    doc["action"][tensor][0][1][0] = bad  # a zero of both tensors
+    with pytest.raises(InputDataError):
+        xmod_from_json(field, doc)
+    path = tmp_path / "malformed-zero.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(path), "--field", field.tag]) == EXIT_BAD_INPUT
+    assert "error" in json.loads(capsys.readouterr().out)
+
+
 def _respelled(doc: dict, field, rng: random.Random) -> dict:
     """doc with each scalar in one of its equivalent spellings: Q integers as
     JSON strings or integers, fractions unreduced; residues as integers or

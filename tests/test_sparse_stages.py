@@ -9,34 +9,66 @@ builds, on null-filiform examples with many ideals, and on seeded integer
 changes of basis of all of them, over Q, F2 and F3.  The subspaces tried
 include ones that are not ideals, so refusals and problem lists are compared
 too.
+
+Direct sums and semidirect products, assembled block by block from stored
+views, are compared with the dense padding loops they replaced on generated
+algebras, actions and crossed-module actions.  At the end, the hot paths run
+with every dense view patched to raise: none of them may derive one.
 """
+import json
 import random
 
 import pytest
 from conftest import FIELDS
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import actions, algebras, xactions
 
 import reference_stages as ref
+from lbxmod import bider
+from lbxmod import serialize as ser
+from lbxmod.action import ActionData, semidirect_algebra, validate_action
 from lbxmod.algebra import (
     LeibnizAlgebra,
     annihilator,
     commutator,
+    direct_sum,
     is_ideal,
     quotient_algebra,
     subalgebra_on,
+    validate_leibniz,
 )
-from lbxmod.bider import actor, canonical_morphism, inner_action_pair, inner_quadruple, inner_xmod
+from lbxmod.bider import (
+    actor,
+    canonical_morphism,
+    inner_action_pair,
+    inner_quadruple,
+    inner_xmod,
+    lift_sequence,
+    outer_xmod,
+)
 from lbxmod.catalog import CATALOG, build_entry
 from lbxmod.fields import InputDataError
 from lbxmod.linalg import LinearSolveError, Subspace, nullspace
+from lbxmod.xaction import (
+    XModActionData,
+    action_from_morphism,
+    morphism_from_action,
+    semidirect_xmod,
+    validate_xmod_action,
+)
 from lbxmod.xmod import (
     CrossedModule,
     NotAnIdealError,
     center,
+    check_conditions,
     check_xmod_ideal,
     invariant_top_subspace,
     quotient_xmod,
     sub_xmod,
     trivially_acting_base_subspace,
+    validate_morphism,
+    validate_xmod,
 )
 
 
@@ -170,3 +202,86 @@ def test_canonical_morphism_and_outer_quotient_match_the_dense_reference(case):
     for top, base in pairs:
         assert check_xmod_ideal(act, top, base) == ref.check_xmod_ideal(act, top, base)
         assert _outcome(_quotient_parts, act, top, base) == _outcome(ref.quotient_xmod_parts, act, top, base)
+
+
+# -- block assembly ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=[f.tag for f in FIELDS])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_direct_sums_and_semidirect_algebras_match_the_dense_loops(field, data):
+    a, b = data.draw(algebras(field)), data.draw(algebras(field))
+    assert direct_sum(a, b)[0].table == ref.direct_sum_table(a, b)
+    d = data.draw(actions(field))
+    assert semidirect_algebra(d).algebra.table == ref.semidirect_algebra_table(d)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=[f.tag for f in FIELDS])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_semidirect_crossed_modules_match_the_dense_loops(field, data):
+    d = data.draw(xactions(field))
+    semi = semidirect_xmod(d).xmod
+    assert (semi.top.table, semi.base.table, semi.action.left, semi.action.right) == ref.semidirect_xmod_tensors(d)
+
+
+def test_semidirect_crossed_modules_of_the_catalog_match_the_dense_loops(field):
+    for cid in ("sl2-self", "mixed-pair-break"):
+        d = build_entry(cid, field)
+        semi = semidirect_xmod(d).xmod
+        assert (semi.top.table, semi.base.table, semi.action.left, semi.action.right) == \
+            ref.semidirect_xmod_tensors(d)
+
+
+# -- no dense view on the hot paths -------------------------------------------------
+
+DENSE_VIEWS = ((LeibnizAlgebra, "table"), (ActionData, "left"), (ActionData, "right"),
+               (XModActionData, "cross_mq"), (XModActionData, "cross_qm"))
+
+
+@pytest.fixture
+def no_dense_views(monkeypatch):
+    """Every dense view raises, and the memos in ``bider`` start cold."""
+    def refused(cls, name):
+        def view(self):
+            raise AssertionError(f"{cls.__name__}.{name} was derived")
+        return property(view)
+
+    for cls, name in DENSE_VIEWS:
+        monkeypatch.setattr(cls, name, refused(cls, name))
+    for memo in vars(bider).values():
+        if callable(getattr(memo, "cache_clear", None)):
+            memo.cache_clear()
+
+
+def _round_trip(to_json, from_json, field, obj):
+    assert from_json(field, json.loads(json.dumps(to_json(obj)))) == obj
+
+
+def test_no_dense_view_is_derived_on_the_hot_paths(field, no_dense_views):
+    for cid, entry in CATALOG.items():
+        obj = build_entry(cid, field)
+        if entry.kind == "algebra":
+            validate_leibniz(obj)
+            _round_trip(ser.algebra_to_json, ser.algebra_from_json, field, obj)
+        elif entry.kind == "action":
+            validate_action(obj)
+            _round_trip(ser.action_to_json, ser.action_from_json, field, obj)
+        elif entry.kind == "xmod":
+            act = actor(obj)
+            assert validate_xmod(act).ok
+            assert validate_morphism(canonical_morphism(obj)).ok
+            center(obj)
+            outer_xmod(obj)
+            validate_xmod(obj)
+            _round_trip(ser.xmod_to_json, ser.xmod_from_json, field, obj)
+            _round_trip(ser.xmod_to_json, ser.xmod_from_json, field, act)
+        elif entry.kind == "xaction":
+            validate_xmod_action(obj)
+            _round_trip(ser.xaction_to_json, ser.xaction_from_json, field, obj)
+            semidirect_xmod(obj)
+            if check_conditions(obj.target_xmod).any_holds:  # sl2-self, except over F2
+                assert action_from_morphism(morphism_from_action(obj).morphism) == obj
+        elif entry.kind == "sequence":
+            lift_sequence(obj)

@@ -1,8 +1,15 @@
-"""Crossed-module actions: the labeled laws, the morphism dictionary, and
-the semidirect extension."""
-import pytest
+"""Crossed-module actions: the labeled laws, the morphism dictionary, the
+semidirect extension, and the one stored form of the two pairings."""
+import json
 
-from lbxmod import QQ, InputDataError
+import pytest
+from conftest import FIELDS
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import actions, is_stored, respelled, tensors, xmods
+
+from lbxmod import GF3, QQ, FpElement, InputDataError
+from lbxmod.serialize import xaction_from_json, xaction_to_json
 from lbxmod.bider import actor, sequence_problems
 from lbxmod.catalog import build_entry
 from lbxmod.linalg import Matrix, rref
@@ -175,3 +182,36 @@ def test_semidirect_mixed_brackets_use_the_pairings():
     )
     assert out[:n_dim] == inner
     assert all(not c for c in out[n_dim:])
+
+
+# -- the stored form ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=[f.tag for f in FIELDS])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_dense_sparse_and_read_back_pairings_are_one_stored_form(field, data):
+    x, y = data.draw(xmods(field)), data.draw(xmods(field))
+    m, q, n = x.top.dim, y.base.dim, y.top.dim
+    pn, pq = data.draw(actions(field, x.base, y.top)), data.draw(actions(field, x.base, y.base))
+    mq, qm = data.draw(tensors(field, m, q, n)), data.draw(tensors(field, q, m, n))
+    d = XModActionData(x, y, pn, pq, mq, qm)
+    assert is_stored(field, d.sparse_mq) and is_stored(field, d.sparse_qm)
+    assert (d.cross_mq, d.cross_qm) == (mq, qm)
+    same = (XModActionData(x, y, pn, pq, d.sparse_mq, d.sparse_qm),
+            XModActionData(x, y, pn, pq, data.draw(respelled(field, mq)), data.draw(respelled(field, qm))),
+            xaction_from_json(field, json.loads(json.dumps(xaction_to_json(d)))))
+    for e in same:
+        assert e == d and hash(e) == hash(d) and (e.cross_mq, e.cross_qm) == (mq, qm)
+
+
+def test_pairings_are_normalized_and_checked():
+    d = build_entry("mixed-pair-break", GF3)
+    parts = (d.actor_xmod, d.target_xmod, d.act_on_top, d.act_on_base)
+    e = XModActionData(*parts, [[{0: 7}]], [[{0: 0}]])
+    assert (e.sparse_mq, e.sparse_qm) == (d.sparse_mq, d.sparse_qm) == ((({0: 1},),), (({},),))
+    with pytest.raises(TypeError):
+        XModActionData(*parts, [[{0: FpElement(1, 2)}]], [[{}]])
+    for mq in ([[{1: 1}]], [[[0, 0]]], [[{}, {}]]):
+        with pytest.raises(InputDataError):
+            XModActionData(*parts, mq, [[{}]])
