@@ -32,7 +32,7 @@ def check_pairs(aid: str) -> int:
     for bits in itertools.product((0, 1), repeat=2 * n * n):
         d, dd = O.unpack_bits(bits, ((n, n), (n, n)))
         expected = O.is_bider_pair(table, d, dd, n)
-        got = space.space.contains(tuple(GF2.coerce(b) for b in bits))
+        got = not space.space.residue({k: b for k, b in enumerate(bits) if b})
         disagreements += got != expected
         members += expected
     total = 4 ** (n * n)
@@ -53,7 +53,7 @@ def check_inclusion_spaces() -> int:
     for bits in itertools.product((0, 1), repeat=2 * nd * qd):
         d, dd = O.unpack_bits(bits, ((nd, qd), (nd, qd)))
         expected = O.is_action_pair(qtab, left, right, d, dd, qd, nd)
-        got = space.space.contains(tuple(GF2.coerce(b) for b in bits))
+        got = not space.space.residue({k: b for k, b in enumerate(bits) if b})
         disagreements += got != expected
         members += expected
     print(f"action pairs(l2-ann-incl): {members}/{2 ** (2 * nd * qd)} solutions, "
@@ -66,7 +66,7 @@ def check_inclusion_spaces() -> int:
     for bits in itertools.product((0, 1), repeat=width):
         s1, t1, s2, t2 = O.unpack_bits(bits, ((nd, nd), (nd, nd), (qd, qd), (qd, qd)))
         expected = O.is_quadruple(ntab, qtab, left, right, mu, s1, t1, s2, t2, nd, qd)
-        got = space.space.contains(tuple(GF2.coerce(b) for b in bits))
+        got = not space.space.residue({k: b for k, b in enumerate(bits) if b})
         disagreements += got != expected
         members += expected
     print(f"quadruples(l2-ann-incl): {members}/{2 ** width} solutions, "

@@ -22,8 +22,6 @@ from .linalg import (
     column_space,
     nullspace,
     rref,
-    solve,
-    solve_vector,
     sparse_kernel,
     unit_vector,
     zero_vector,
@@ -81,14 +79,9 @@ from .bider import (
     bider_xmod,
     canonical_morphism,
     delta,
-    inner_action_pair,
-    inner_biderivation,
-    inner_quadruple,
     inner_xmod,
     lift_sequence,
     outer_xmod,
-    pair_quad_bracket_left,
-    pair_quad_bracket_right,
     sequence_problems,
 )
 from .xaction import (
@@ -111,7 +104,7 @@ __all__ = [
     "Field", "FpElement", "GF2", "GF3", "InputDataError", "PrimeField", "QQ",
     "Rationals", "get_field",
     "LinearSolveError", "Matrix", "Subspace", "column_space", "nullspace",
-    "rref", "solve", "solve_vector", "sparse_kernel", "unit_vector", "zero_vector",
+    "rref", "sparse_kernel", "unit_vector", "zero_vector",
     "MAX_DIM", "LeibnizAlgebra", "ValidationReport", "Violation", "annihilator",
     "commutator", "direct_sum", "is_ideal", "quotient_algebra", "subalgebra_on",
     "validate_leibniz",
@@ -124,9 +117,9 @@ __all__ = [
     "validate_morphism", "validate_xmod",
     "LiftResult", "MapSpace", "NotExactError", "ShortExactSequence", "actor",
     "bider_algebra", "bider_qn", "bider_xmod", "canonical_morphism", "delta",
-    "inner_action_pair", "inner_biderivation", "inner_quadruple", "inner_xmod",
-    "lift_sequence", "outer_xmod", "pair_quad_bracket_left",
-    "pair_quad_bracket_right", "sequence_problems",
+    "inner_xmod",
+    "lift_sequence", "outer_xmod",
+    "sequence_problems",
     "ActionAxiomError", "ActorMorphism", "ConditionsNotMetError",
     "InvalidMorphismError", "RELAXABLE_LABELS", "SemidirectXMod",
     "XModActionData", "action_from_morphism", "morphism_from_action",

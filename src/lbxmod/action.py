@@ -22,11 +22,10 @@ from .algebra import (
     _dense_view,
     _store,
     _stored_hash,
-    _unit,
     _violations,
 )
 from .fields import InputDataError, Scalar
-from .linalg import Matrix
+from .linalg import Matrix, unit_vector
 
 
 @dataclass(frozen=True)
@@ -64,16 +63,6 @@ class ActionData:
 
     def act_right(self, mvec: Sequence[Scalar], pvec: Sequence[Scalar]) -> tuple[Scalar, ...]:
         return _contract(self.target.field, self.sparse_right, mvec, pvec, self.target.dim)
-
-    def left_operator(self, pvec: Sequence[Scalar]) -> Matrix:
-        """Matrix of m -> [p, m] for a fixed actor element."""
-        cols = [self.act_left(pvec, _unit(self.target.field, self.target.dim, i)) for i in range(self.target.dim)]
-        return Matrix.from_columns(self.target.field, cols, self.target.dim)
-
-    def right_operator(self, pvec: Sequence[Scalar]) -> Matrix:
-        """Matrix of m -> [m, p] for a fixed actor element."""
-        cols = [self.act_right(_unit(self.target.field, self.target.dim, i), pvec) for i in range(self.target.dim)]
-        return Matrix.from_columns(self.target.field, cols, self.target.dim)
 
 
 def validate_action(d: ActionData) -> ValidationReport:
@@ -120,6 +109,6 @@ def semidirect_algebra(d: ActionData) -> SemidirectAlgebra:
     tab = _blocks((m.dim, p.dim), (m.dim, p.dim),
                   [[(m.sparse_table, 0), (d.sparse_right, 0)], [(d.sparse_left, 0), (p.sparse_table, m.dim)]])
     alg = LeibnizAlgebra(f, n, tab)
-    inc_m = Matrix.from_columns(f, [_unit(f, n, i) for i in range(m.dim)], n)
-    inc_p = Matrix.from_columns(f, [_unit(f, n, m.dim + a) for a in range(p.dim)], n)
+    inc_m = Matrix.from_columns(f, [unit_vector(f, n, i) for i in range(m.dim)], n)
+    inc_p = Matrix.from_columns(f, [unit_vector(f, n, m.dim + a) for a in range(p.dim)], n)
     return SemidirectAlgebra(alg, inc_m, inc_p)

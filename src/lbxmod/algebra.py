@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .fields import Field, InputDataError, Scalar
-from .linalg import Matrix, Number, ScaledVector, Subspace, _dense, _sparse, number, sparse_kernel
+from .linalg import Matrix, Number, ScaledVector, Subspace, _dense, _sparse, number, sparse_kernel, unit_vector
 
 MAX_DIM = 64  # guard against accidentally huge inputs
 
@@ -226,20 +226,6 @@ class LeibnizAlgebra:
 
     def bracket(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> tuple[Scalar, ...]:
         return _contract(self.field, self.sparse_table, x, y, self.dim)
-
-    def left_operator(self, x: Sequence[Scalar]) -> Matrix:
-        """Matrix of y -> [x, y]."""
-        cols = [self.bracket(x, _unit(self.field, self.dim, j)) for j in range(self.dim)]
-        return Matrix.from_columns(self.field, cols, self.dim)
-
-    def right_operator(self, x: Sequence[Scalar]) -> Matrix:
-        """Matrix of y -> [y, x]."""
-        cols = [self.bracket(_unit(self.field, self.dim, j), x) for j in range(self.dim)]
-        return Matrix.from_columns(self.field, cols, self.dim)
-
-
-def _unit(field: Field, n: int, i: int) -> tuple[Scalar, ...]:
-    return tuple(field.one if j == i else field.zero for j in range(n))
 
 
 @dataclass(frozen=True)
@@ -458,7 +444,7 @@ def subalgebra_on(a: LeibnizAlgebra, s: Subspace) -> tuple[LeibnizAlgebra, Matri
     """
     rows = s.scaled_rows
     tab = _restricted(s, a.sparse_table, rows, rows, "subspace is not closed under the bracket")
-    return LeibnizAlgebra(a.field, s.dim, tab), Matrix.from_columns(a.field, s.basis_vectors(), a.dim)
+    return LeibnizAlgebra(a.field, s.dim, tab), Matrix.from_columns(a.field, s.basis.entries, a.dim)
 
 
 def quotient_algebra(a: LeibnizAlgebra, ideal: Subspace) -> tuple[LeibnizAlgebra, Matrix]:
@@ -486,6 +472,6 @@ def direct_sum(a: LeibnizAlgebra, b: LeibnizAlgebra) -> tuple[LeibnizAlgebra, Ma
     n = a.dim + b.dim
     tab = _blocks((a.dim, b.dim), (a.dim, b.dim), [[(a.sparse_table, 0), None], [None, (b.sparse_table, a.dim)]])
     alg = LeibnizAlgebra(a.field, n, tab)
-    incl_a = Matrix.from_columns(a.field, [_unit(a.field, n, i) for i in range(a.dim)], n)
-    incl_b = Matrix.from_columns(a.field, [_unit(a.field, n, a.dim + i) for i in range(b.dim)], n)
+    incl_a = Matrix.from_columns(a.field, [unit_vector(a.field, n, i) for i in range(a.dim)], n)
+    incl_b = Matrix.from_columns(a.field, [unit_vector(a.field, n, a.dim + i) for i in range(b.dim)], n)
     return alg, incl_a, incl_b

@@ -37,13 +37,12 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .action import ActionData
-from .algebra import LeibnizAlgebra, SparseVector, _evaluate, _sparse_map, _unit, _units
-from .fields import Field, InputDataError, Scalar
+from .algebra import LeibnizAlgebra, SparseVector, _evaluate, _sparse_map, _units
+from .fields import Field
 from .linalg import (
-    LinearSolveError,
     Matrix,
     Number,
     ScaledVector,
@@ -56,6 +55,7 @@ from .linalg import (
     nullspace,
     rref,
     sparse_kernel,
+    unit_vector,
 )
 from .xmod import (
     NO_CONDITION_WARNING,
@@ -73,8 +73,6 @@ from .xmod import (
 class NotExactError(ValueError):
     """A claimed short exact sequence fails one of its checks."""
 
-
-Maps = tuple[Matrix, ...]
 
 # A map held by its nonzero entries {row: {col: c}}, each c a
 # ``linalg.number``.  A scaled map (m, den), m with int entries and den > 0,
@@ -152,18 +150,6 @@ class MapSpace:
             members.append(tuple(maps))
         return tuple(members)
 
-    def unflatten(self, vec: Sequence[Scalar]) -> Maps:
-        mats = []
-        pos = 0
-        for r, c in self.shapes:
-            rows = tuple(tuple(vec[pos + i * c + j] for j in range(c)) for i in range(r))
-            pos += r * c
-            mats.append(Matrix(self.field, r, c, rows))
-        return tuple(mats)
-
-    def basis_maps(self, t: int) -> Maps:
-        return self.unflatten(self.space.basis.entries[t])
-
     def products(self, components: Sequence[Sequence[Product]]) -> ScaledVector:
         """The flat vector of the tuple whose component c is the sum of the
         signed products listed for it, as integers over one denominator:
@@ -195,29 +181,9 @@ class MapSpace:
         vec, den = self.products(components)
         return self.space.read_coords(vec, error, den)
 
-    def flatten(self, mats: Maps) -> SparseVector:
-        """A tuple of maps as a flat sparse vector."""
-        if len(mats) != len(self.shapes) or any((m.rows, m.cols) != s for m, s in zip(mats, self.shapes)):
-            raise InputDataError("map tuple does not match this space's shapes")
-        return _flat(self._blocks, [(1, [_sparse(m.column(j)) for j in range(m.cols)]) for m in mats])
-
     def read_columns(self, components: Sequence[SignedColumns], error: str) -> SparseVector:
         """``read_coords`` of the tuple of maps given by their signed columns."""
         return self.space.read_coords(_flat(self._blocks, components), error)
-
-    def coords_of_maps(self, mats: Maps) -> Optional[tuple[Scalar, ...]]:
-        try:
-            return self.solution_coords(mats, "")
-        except LinearSolveError:
-            return None
-
-    def solution_coords(self, mats: Maps, error: str) -> tuple[Scalar, ...]:
-        """Coordinates of a tuple that theory puts in this space; a
-        ``LinearSolveError(error)`` if it is not there."""
-        return _dense(self.field, self.dim, self.space.read_coords(self.flatten(mats), error))
-
-    def member_from_coords(self, coords: Sequence[Scalar]) -> Maps:
-        return self.unflatten(self.space.linear_combination(coords))
 
 
 # -- constraint blocks ----------------------------------------------------
@@ -342,11 +308,6 @@ def bider_algebra(a: LeibnizAlgebra) -> MapSpace:
     return bider_qn(CrossedModule.identity_on(a))
 
 
-def inner_biderivation(a: LeibnizAlgebra, x: Sequence[Scalar]) -> Maps:
-    """The pair generated by an element: (y -> -[y, x], y -> [x, y])."""
-    return inner_action_pair(CrossedModule.identity_on(a), x)
-
-
 @functools.lru_cache(maxsize=None)
 def bider_qn(x: CrossedModule) -> MapSpace:
     """Pairs of maps base -> top satisfying the pair identities through the action."""
@@ -380,21 +341,10 @@ def _flat(blocks: Sequence[_Map], components: Sequence[SignedColumns]) -> Sparse
     return out
 
 
-def _as_maps(field: Field, heights: Sequence[int], components: Sequence[SignedColumns]) -> Maps:
-    return tuple(Matrix.from_columns(field, [_dense(field, h, {k: sign * c for k, c in col.items()})
-                                             for col in cols], h)
-                 for h, (sign, cols) in zip(heights, components))
-
-
 def _inner_pair(x: CrossedModule, n: SparseVector) -> list[SignedColumns]:
     p, e = x.top.field.characteristic, _units(x.base.dim)
     left, right = x.action.sparse_left, x.action.sparse_right
     return [(-1, [_evaluate([(1, left, q, n)], p) for q in e]), (1, [_evaluate([(1, right, n, q)], p) for q in e])]
-
-
-def inner_action_pair(x: CrossedModule, nvec: Sequence[Scalar]) -> Maps:
-    """The pair generated by a top element: (q -> -[q, n], q -> [n, q])."""
-    return _as_maps(x.top.field, (x.top.dim,) * 2, _inner_pair(x, _sparse(nvec)))
 
 
 # -- quadruple spaces on a crossed module --------------------------------
@@ -432,28 +382,7 @@ def _inner_quadruple(x: CrossedModule, q: SparseVector) -> list[SignedColumns]:
             (1, [_evaluate([(1, bt, q, b)], p) for b in bases])]
 
 
-def inner_quadruple(x: CrossedModule, qvec: Sequence[Scalar]) -> Maps:
-    """The quadruple generated by a base element q: acts by -[., q] and
-    [q, .] on both layers."""
-    nd, qd = x.top.dim, x.base.dim
-    return _as_maps(x.top.field, (nd, nd, qd, qd), _inner_quadruple(x, _sparse(qvec)))
-
-
 # -- the actor ----------------------------------------------------------
-
-
-def pair_quad_bracket_left(quad: Maps, pair: Maps) -> Maps:
-    """[quadruple, pair] inside the actor's top layer."""
-    s1, t1, s2, _t2 = quad
-    d, dd = pair
-    return (s1 @ d - d @ s2, t1 @ d - d @ _t2)
-
-
-def pair_quad_bracket_right(pair: Maps, quad: Maps) -> Maps:
-    """[pair, quadruple]."""
-    s1, _t1, s2, _t2 = quad
-    d, dd = pair
-    return (d @ s2 - s1 @ d, dd @ s2 - s1 @ dd)
 
 
 @functools.lru_cache(maxsize=None)
@@ -478,7 +407,7 @@ def actor(x: CrossedModule) -> CrossedModule:
     def read(components: list[list[Product]]) -> SparseVector:
         return pairs.read_products(components, error)
 
-    # the products of pair_quad_bracket_left and pair_quad_bracket_right
+    # [quadruple, pair] and [pair, quadruple] inside the actor's top layer
     left = tuple(tuple(read([[(1, s1, d), (-1, d, s2)], [(1, t1, d), (-1, d, t2)]])
                        for d, _dd in pairs.sparse_basis)
                  for s1, t1, s2, t2 in quads.sparse_basis)
@@ -588,7 +517,7 @@ def lift_sequence(s: ShortExactSequence) -> LiftResult:
 
     alpha_cols = []
     for i in range(mid.top.dim):
-        e = _unit(f, mid.top.dim, i)
+        e = unit_vector(f, mid.top.dim, i)
         alpha_cols.append(pairs.read_columns([(-1, [top(act.act_left(q, e)) for q in qs]),
                                               (1, [top(act.act_right(e, q)) for q in qs])],
                                              "lifted pair is not a pair-space solution"))
@@ -596,7 +525,7 @@ def lift_sequence(s: ShortExactSequence) -> LiftResult:
 
     beta_cols = []
     for a in range(mid.base.dim):
-        e = _unit(f, mid.base.dim, a)
+        e = unit_vector(f, mid.base.dim, a)
         beta_cols.append(quads.read_columns([(-1, [top(act.act_right(n, e)) for n in ns]),
                                              (1, [top(act.act_left(e, n)) for n in ns]),
                                              (-1, [base(mid.base.bracket(q, e)) for q in qs]),
@@ -610,7 +539,7 @@ def lift_sequence(s: ShortExactSequence) -> LiftResult:
     def induced(project: Matrix, lifted: Matrix, onto: Matrix) -> Matrix:
         """last -> outer: pull each basis element back to the middle, lift it, project it."""
         pull = _preimages(project)
-        ends = [_dense(f, project.cols, pull(_unit(f, project.rows, r))) for r in range(project.rows)]
+        ends = [_dense(f, project.cols, pull(unit_vector(f, project.rows, r))) for r in range(project.rows)]
         return Matrix.from_columns(f, [onto.apply(lifted.apply(w)) for w in ends], onto.rows)
 
     induced_top = induced(s.project.top_map, alpha, out.top_project)

@@ -7,8 +7,8 @@ subspaces plain tuple equality and keeps every downstream report canonical.
 
 All elimination runs in one kernel, ``_sparse_rref``, on sparse rows
 ``{column: coefficient}``: plain ``int`` residues over F_p, and over Q
-fraction-free steps on primitive integer rows.  ``rref``, ``nullspace``,
-``solve`` and the ``Subspace`` constructors hand it dense rows;
+fraction-free steps on primitive integer rows.  ``rref``, ``nullspace``
+and the ``Subspace`` constructors hand it dense rows;
 ``sparse_kernel`` hands it sparse constraint rows.  The kernel never
 divides: each echelon row ``I`` leaves it with a positive pivot entry ``d``
 (1 over F_p), and stands for ``I / d``.  A ``Subspace`` keeps these
@@ -87,9 +87,6 @@ class Matrix:
 
     # -- accessors ----------------------------------------------------
 
-    def row(self, i: int) -> tuple[Scalar, ...]:
-        return self.entries[i]
-
     def column(self, j: int) -> tuple[Scalar, ...]:
         return tuple(self.entries[i][j] for i in range(self.rows))
 
@@ -97,23 +94,6 @@ class Matrix:
         return Matrix(self.field, self.cols, self.rows, tuple(self.column(j) for j in range(self.cols)))
 
     # -- arithmetic ---------------------------------------------------
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix(
-            self.field, self.rows, self.cols,
-            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries)),
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix(
-            self.field, self.rows, self.cols,
-            tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries)),
-        )
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(self.field, self.rows, self.cols, tuple(tuple(-a for a in row) for row in self.entries))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -152,15 +132,6 @@ class Matrix:
             raise InputDataError("hstack row mismatch")
         return Matrix(self.field, self.rows, self.cols + other.cols,
                       tuple(ra + rb for ra, rb in zip(self.entries, other.entries)))
-
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols:
-            raise InputDataError("vstack col mismatch")
-        return Matrix(self.field, self.rows + other.rows, self.cols, self.entries + other.entries)
-
-    def _same_shape(self, other: "Matrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise InputDataError(f"shape mismatch {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
 
 def zero_vector(field: Field, n: int) -> tuple[Scalar, ...]:
@@ -218,9 +189,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.rows
-
-    def basis_vectors(self) -> tuple[tuple[Scalar, ...], ...]:
-        return self.basis.entries
 
     @cached_property
     def scaled_rows(self) -> tuple[ScaledVector, ...]:
@@ -288,44 +256,6 @@ class Subspace:
         at = self._rep_index
         return {at[k]: c for k, c in self.residue(vec).items()}
 
-    def reduce(self, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
-        """Subtract basis rows to zero out the pivot coordinates of vec."""
-        return _dense(self.field, self.ambient, self.residue(_sparse(vec)))
-
-    def contains(self, vec: Sequence[Scalar]) -> bool:
-        return not self.residue(_sparse(vec))
-
-    def coords_of(self, vec: Sequence[Scalar]) -> Optional[tuple[Scalar, ...]]:
-        """Coordinates of vec in the basis rows, or None if vec is outside."""
-        try:
-            return _dense(self.field, self.dim, self.read_coords(_sparse(vec), ""))
-        except LinearSolveError:
-            return None
-
-    def linear_combination(self, coords: Sequence[Scalar]) -> tuple[Scalar, ...]:
-        v = list(zero_vector(self.field, self.ambient))
-        for c, row in zip(coords, self.basis.entries):
-            if c:
-                v = [x + c * y for x, y in zip(v, row)]
-        return tuple(v)
-
-    def sum_with(self, other: "Subspace") -> "Subspace":
-        self._same_ambient(other)
-        return Subspace.from_rows(self.field, self.ambient, self.basis.entries + other.basis.entries)
-
-    def perp_generators(self) -> Matrix:
-        """Rows spanning {z : v . z = 0 for all v in this subspace}."""
-        return nullspace(self.basis).basis
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        self._same_ambient(other)
-        stacked = self.perp_generators().vstack(other.perp_generators())
-        return nullspace(stacked)
-
-    def is_subspace_of(self, other: "Subspace") -> bool:
-        self._same_ambient(other)
-        return all(other.contains(row) for row in self.basis.entries)
-
     @cached_property
     def _rep_index(self) -> dict[int, int]:
         """The non-pivot coordinates, each by its position among them."""
@@ -350,10 +280,6 @@ class Subspace:
         """
         cols = [self.project({j: 1}) for j in range(self.ambient)]
         return Matrix.from_sparse_columns(self.field, cols, len(self._rep_index))
-
-    def _same_ambient(self, other: "Subspace") -> None:
-        if self.ambient != other.ambient or self.field != other.field:
-            raise InputDataError("subspaces live in different ambient spaces")
 
 
 def nullspace(m: Matrix) -> Subspace:
@@ -382,29 +308,6 @@ def _preimages(a: Matrix) -> Callable[[Sequence[Scalar]], dict[int, Number]]:
         return {u: number(rv[t]) for t, u in enumerate(pivots) if rv[t]}
 
     return back
-
-
-def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
-    """One exact solution X of a @ X = b (free variables set to zero).
-
-    Returns None when the system is inconsistent.  b may have several
-    columns; they are solved against a single echelon pass.
-    """
-    if a.rows != b.rows:
-        raise InputDataError("solve: row mismatch")
-    back = _preimages(a)
-    try:
-        cols = [_dense(a.field, a.cols, back(b.column(c))) for c in range(b.cols)]
-    except LinearSolveError:
-        return None
-    return Matrix.from_columns(a.field, cols, a.cols)
-
-
-def solve_vector(a: Matrix, vec: Sequence[Scalar]) -> Optional[tuple[Scalar, ...]]:
-    res = solve(a, Matrix.from_columns(a.field, [tuple(vec)], a.rows))
-    if res is None:
-        return None
-    return res.column(0)
 
 
 def number(x: Scalar) -> Number:

@@ -26,20 +26,18 @@ from .algebra import (
     SparseVector,
     ValidationReport,
     _blocks,
-    _contract,
     _dense_view,
     _evaluate,
     _prefixed,
     _sparse_map,
     _store,
     _stored_hash,
-    _unit,
     _units,
     _violations,
 )
 from .fields import Field, InputDataError, Scalar
-from .linalg import Matrix, zero_vector
-from .bider import ShortExactSequence, actor, bider_qn, bider_xmod
+from .linalg import Matrix, number, unit_vector, zero_vector
+from .bider import MapSpace, ShortExactSequence, actor, bider_qn, bider_xmod
 from .xmod import (
     ConditionFlags,
     CrossedModule,
@@ -103,13 +101,6 @@ class XModActionData:
     __hash__ = _stored_hash("sparse_mq", "sparse_qm")
     cross_mq = _dense_view("sparse_mq", lambda d: (d.field, d.target_xmod.top.dim))
     cross_qm = _dense_view("sparse_qm", lambda d: (d.field, d.target_xmod.top.dim))
-
-    # bilinear evaluation of the two pairings
-    def pair_mq(self, mvec: Sequence[Scalar], qvec: Sequence[Scalar]):
-        return _contract(self.field, self.sparse_mq, mvec, qvec, self.target_xmod.top.dim)
-
-    def pair_qm(self, qvec: Sequence[Scalar], mvec: Sequence[Scalar]):
-        return _contract(self.field, self.sparse_qm, qvec, mvec, self.target_xmod.top.dim)
 
     @property
     def field(self) -> Field:
@@ -257,6 +248,22 @@ def morphism_from_action(d: XModActionData) -> ActionToMorphismResult:
     return ActionToMorphismResult(morphism, relaxed)
 
 
+def _member_columns(space: MapSpace, coords: Sequence[Scalar]) -> list[list[SparseVector]]:
+    """The member of a map space with the given coordinates, each map as its
+    sparse columns: the sum of coords[t] / den times basis member t, read off
+    ``sparse_basis``.  Entries are left unreduced, for ``ActionData`` and
+    ``XModActionData`` to store."""
+    maps: list[list[SparseVector]] = [[{} for _ in range(cols)] for _rows, cols in space.shapes]
+    for c, member in zip(coords, space.sparse_basis):
+        if c:
+            for columns, (m, den) in zip(maps, member):
+                f = number(c) if den == 1 else number(c / den)
+                for i, row in m.items():
+                    for j, v in row.items():
+                        columns[j][i] = columns[j].get(i, 0) + f * v
+    return maps
+
+
 def action_from_morphism(fm: ActorMorphism) -> XModActionData:
     """Recover action data from a morphism into the actor.
 
@@ -273,9 +280,9 @@ def action_from_morphism(fm: ActorMorphism) -> XModActionData:
             "the given maps are not a morphism into the actor: " + ", ".join(rep.labels()))
 
     x = fm.source
-    quads = [[_sparse_map(m)[0] for m in bider_xmod(y).member_from_coords(fm.base_map.column(b))]
+    quads = [_member_columns(bider_xmod(y), fm.base_map.column(b))
              for b in range(x.base.dim)]  # (s1, t1, s2, t2), each map as its sparse columns
-    pairs = [[_sparse_map(m)[0] for m in bider_qn(y).member_from_coords(fm.top_map.column(i))]
+    pairs = [_member_columns(bider_qn(y), fm.top_map.column(i))
              for i in range(x.top.dim)]   # (d, dd)
 
     def minus(v: SparseVector) -> SparseVector:
@@ -335,9 +342,9 @@ def semidirect_xmod(d: XModActionData) -> SemidirectXMod:
 
     include = XModMorphism(y, semi, top_semi.include_target, base_semi.include_target)
     proj_top = Matrix.from_columns(
-        f, [zero_vector(f, m.dim) for _ in range(n.dim)] + [_unit(f, m.dim, i) for i in range(m.dim)], m.dim)
+        f, [zero_vector(f, m.dim) for _ in range(n.dim)] + [unit_vector(f, m.dim, i) for i in range(m.dim)], m.dim)
     proj_base = Matrix.from_columns(
-        f, [zero_vector(f, p.dim) for _ in range(q.dim)] + [_unit(f, p.dim, b) for b in range(p.dim)], p.dim)
+        f, [zero_vector(f, p.dim) for _ in range(q.dim)] + [unit_vector(f, p.dim, b) for b in range(p.dim)], p.dim)
     project = XModMorphism(semi, x, proj_top, proj_base)
     section = XModMorphism(x, semi, top_semi.include_actor, base_semi.include_actor)
     return SemidirectXMod(semi, include, project, section)

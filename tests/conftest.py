@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import pytest
+from reference_stages import member_maps
 
 from lbxmod import GF2, GF3, QQ
 from lbxmod.bider import bider_algebra, bider_qn, bider_xmod
 from lbxmod.catalog import CATALOG, build_entry
+from lbxmod.linalg import number, unit_vector
 
 FIELDS = (QQ, GF2, GF3)
 XMOD_IDS = tuple(cid for cid, e in CATALOG.items() if e.kind == "xmod")
@@ -29,7 +31,20 @@ def xmods_q():
 
 
 def _basis(space):
-    return [space.basis_maps(t) for t in range(space.dim)]
+    """The echelon basis of a map space, each member a tuple of dense matrices."""
+    return [member_maps(space, unit_vector(space.field, space.dim, t)) for t in range(space.dim)]
+
+
+def flat(mats):
+    """A tuple of dense maps as the sparse vector of their row-major entries."""
+    return {k: number(c) for k, c in enumerate(c for m in mats for row in m.entries for c in row) if c}
+
+
+def difference(*pairs):
+    """The row-major entries of a - b for each pair (a, b) of dense maps,
+    concatenated, as a sparse vector."""
+    return {k: number(c) for k, c in enumerate(x - y for a, b in pairs for ra, rb in zip(a.entries, b.entries)
+                                               for x, y in zip(ra, rb)) if c}
 
 
 def pair_composites_land_in_layer_spaces(x) -> bool:
@@ -38,15 +53,11 @@ def pair_composites_land_in_layer_spaces(x) -> bool:
     top_space = bider_algebra(x.top)
     base_space = bider_algebra(x.base)
     for d, dd in _basis(bider_qn(x)):
-        if top_space.coords_of_maps((d @ mu, dd @ mu)) is None:
+        if top_space.space.residue(flat((d @ mu, dd @ mu))):
             return False
-        if base_space.coords_of_maps((mu @ d, mu @ dd)) is None:
+        if base_space.space.residue(flat((mu @ d, mu @ dd))):
             return False
     return True
-
-
-def _unit(field, n, i):
-    return tuple(field.one if j == i else field.zero for j in range(n))
 
 
 def pair_pair_composites_agree_under_brackets(x) -> bool:
@@ -54,7 +65,7 @@ def pair_pair_composites_agree_under_brackets(x) -> bool:
     elements through the action."""
     act, mu = x.action, x.boundary
     qd = x.base.dim
-    qunits = [_unit(x.base.field, qd, a) for a in range(qd)]
+    qunits = [unit_vector(x.base.field, qd, a) for a in range(qd)]
     pairs = _basis(bider_qn(x))
     for d1, dd1 in pairs:
         for d2, dd2 in pairs:
@@ -74,8 +85,8 @@ def _indistinguishable_q_to_n(x, m, mm) -> bool:
     """Maps base -> top that agree after bracketing with base and top elements."""
     act = x.action
     nd, qd = x.top.dim, x.base.dim
-    qunits = [_unit(x.base.field, qd, a) for a in range(qd)]
-    nunits = [_unit(x.top.field, nd, i) for i in range(nd)]
+    qunits = [unit_vector(x.base.field, qd, a) for a in range(qd)]
+    nunits = [unit_vector(x.top.field, nd, i) for i in range(nd)]
     for a in range(qd):
         ca, cb = m.column(a), mm.column(a)
         for b in range(qd):
@@ -95,8 +106,8 @@ def quad_pair_and_quad_quad_composites_agree(x) -> bool:
     """The twelve composite identities mixing pairs with quadruples."""
     act = x.action
     nd, qd = x.top.dim, x.base.dim
-    qunits = [_unit(x.base.field, qd, a) for a in range(qd)]
-    nunits = [_unit(x.top.field, nd, i) for i in range(nd)]
+    qunits = [unit_vector(x.base.field, qd, a) for a in range(qd)]
+    nunits = [unit_vector(x.top.field, nd, i) for i in range(nd)]
     pairs = _basis(bider_qn(x))
     quads = _basis(bider_xmod(x))
     for s1, t1, s2, t2 in quads:

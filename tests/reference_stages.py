@@ -4,9 +4,14 @@
 checks, sub-objects, quotients, projections and the canonical morphism are
 computed in ``lbxmod`` from sparse rows and one sparse residue.  The versions
 here are the dense ones those replaced: brackets of dense unit vectors,
-operators built column by column, ``Matrix.vstack`` chains handed to
-``nullspace``, and a plain Gauss-Jordan reduction of dense vectors modulo a
-subspace's echelon basis.  ``test_sparse_stages.py`` compares the two.
+operators built column by column, stacks of their rows (``vstack``) handed
+to ``nullspace``, and a plain Gauss-Jordan reduction of dense vectors modulo
+a subspace's echelon basis.  ``test_sparse_stages.py`` compares the two.
+
+``action_from_morphism`` reads the maps of each actor element off
+``MapSpace.sparse_basis``, summed over the members' denominators.  The dense
+version it replaced, which combined the dense basis rows and cut the result
+into matrices, is kept here under the same name.
 
 ``lbxmod`` reads solved bases as integer rows over one denominator per
 member.  The sparse readers and map products they replaced, on the reduced
@@ -40,8 +45,8 @@ from lbxmod.algebra import (
 from lbxmod.bider import bider_qn, bider_xmod
 from lbxmod.fields import InputDataError
 from lbxmod.linalg import LinearSolveError, Matrix, Subspace, _dense, number, nullspace
-from lbxmod.xaction import XModActionData
-from lbxmod.xmod import CrossedModule, NotAnIdealError, XModMorphism
+from lbxmod.xaction import ActorMorphism, ConditionsNotMetError, InvalidMorphismError, XModActionData
+from lbxmod.xmod import CrossedModule, NotAnIdealError, XModMorphism, check_conditions, condition_profile
 
 
 def unit(field, n, i):
@@ -59,6 +64,15 @@ def contract(field, tensor, x, y, dim):
                         if t:
                             out[k] = out[k] + a * b * t
     return tuple(out)
+
+
+def vstack(a: Matrix, b: Matrix) -> Matrix:
+    """The rows of a, then those of b."""
+    return Matrix(a.field, a.rows + b.rows, a.cols, a.entries + b.entries)
+
+
+def negated(m: Matrix) -> Matrix:
+    return Matrix(m.field, m.rows, m.cols, tuple(tuple(-c for c in row) for row in m.entries))
 
 
 def operator(field, tensor, fixed, n, fixed_left):
@@ -115,8 +129,8 @@ def annihilator(a: LeibnizAlgebra) -> Subspace:
     blocks = None
     for i in range(a.dim):
         u = unit(a.field, a.dim, i)
-        stack = operator(a.field, a.table, u, a.dim, True).vstack(operator(a.field, a.table, u, a.dim, False))
-        blocks = stack if blocks is None else blocks.vstack(stack)
+        stack = vstack(operator(a.field, a.table, u, a.dim, True), operator(a.field, a.table, u, a.dim, False))
+        blocks = stack if blocks is None else vstack(blocks, stack)
     return nullspace(blocks)
 
 
@@ -124,7 +138,7 @@ def is_ideal(a: LeibnizAlgebra, s: Subspace) -> bool:
     if s.ambient != a.dim:
         raise InputDataError("subspace does not live in the algebra")
     units = [unit(a.field, a.dim, i) for i in range(a.dim)]
-    for v in s.basis_vectors():
+    for v in s.basis.entries:
         for u in units:
             if not contains(s, contract(a.field, a.table, u, v, a.dim)):
                 return False
@@ -134,7 +148,7 @@ def is_ideal(a: LeibnizAlgebra, s: Subspace) -> bool:
 
 
 def subalgebra_on(a: LeibnizAlgebra, s: Subspace):
-    rows = s.basis_vectors()
+    rows = s.basis.entries
     tab = tuple(tuple(coords(s, contract(a.field, a.table, rows[i], rows[j], a.dim),
                              "subspace is not closed under the bracket") for j in range(s.dim))
                 for i in range(s.dim))
@@ -152,7 +166,7 @@ def quotient_algebra(a: LeibnizAlgebra, ideal: Subspace):
 
 def inclusion_of_ideal(a: LeibnizAlgebra, s: Subspace) -> CrossedModule:
     sub, incl = subalgebra_on(a, s)
-    rows = s.basis_vectors()
+    rows = s.basis.entries
     units = [unit(a.field, a.dim, i) for i in range(a.dim)]
     left = tuple(tuple(coords(s, contract(a.field, a.table, u, v, a.dim)) for v in rows) for u in units)
     right = tuple(tuple(coords(s, contract(a.field, a.table, v, u, a.dim)) for u in units) for v in rows)
@@ -174,7 +188,7 @@ def sub_xmod_parts(x: CrossedModule, top_space: Subspace, base_space: Subspace):
     """The crossed module ``sub_xmod`` induces, and its two inclusions."""
     top_alg, top_incl = subalgebra_on(x.top, top_space)
     base_alg, base_incl = subalgebra_on(x.base, base_space)
-    t_rows, b_rows = top_space.basis_vectors(), base_space.basis_vectors()
+    t_rows, b_rows = top_space.basis.entries, base_space.basis.entries
     bdy = Matrix.from_columns(x.top.field, [coords(base_space, x.boundary.apply(v)) for v in t_rows],
                               base_space.dim)
     left = tuple(tuple(coords(top_space, act_left(x, b, v)) for v in t_rows) for b in b_rows)
@@ -189,7 +203,7 @@ def check_xmod_ideal(x: CrossedModule, top_space: Subspace, base_space: Subspace
         problems.append("top subspace is not an ideal of the top algebra")
     if not is_ideal(x.base, base_space):
         problems.append("base subspace is not an ideal of the base algebra")
-    for v in top_space.basis_vectors():
+    for v in top_space.basis.entries:
         if not contains(base_space, x.boundary.apply(v)):
             problems.append("boundary image of the top part leaves the base part")
             break
@@ -197,10 +211,10 @@ def check_xmod_ideal(x: CrossedModule, top_space: Subspace, base_space: Subspace
     base_units = [unit(f, x.base.dim, a) for a in range(x.base.dim)]
     top_units = [unit(f, x.top.dim, i) for i in range(x.top.dim)]
     if not all(contains(top_space, act_left(x, b, u)) and contains(top_space, act_right(x, u, b))
-               for b in base_space.basis_vectors() for u in top_units):
+               for b in base_space.basis.entries for u in top_units):
         problems.append("base part does not act into the top part")
     if not all(contains(top_space, act_left(x, q, v)) and contains(top_space, act_right(x, v, q))
-               for v in top_space.basis_vectors() for q in base_units):
+               for v in top_space.basis.entries for q in base_units):
         problems.append("top part is not stable under the base action")
     return problems
 
@@ -228,8 +242,8 @@ def invariant_top_subspace(x: CrossedModule) -> Subspace:
         u = unit(f, x.base.dim, a)
         lop = Matrix.from_columns(f, [act_left(x, u, unit(f, x.top.dim, i)) for i in range(x.top.dim)], x.top.dim)
         rop = Matrix.from_columns(f, [act_right(x, unit(f, x.top.dim, i), u) for i in range(x.top.dim)], x.top.dim)
-        stack = lop.vstack(rop)
-        blocks = stack if blocks is None else blocks.vstack(stack)
+        stack = vstack(lop, rop)
+        blocks = stack if blocks is None else vstack(blocks, stack)
     return nullspace(blocks)
 
 
@@ -241,13 +255,18 @@ def trivially_acting_base_subspace(x: CrossedModule) -> Subspace:
     for i in range(x.top.dim):
         lcols = [x.action.left[a][i] for a in range(x.base.dim)]
         rcols = [x.action.right[i][a] for a in range(x.base.dim)]
-        stack = Matrix.from_columns(f, lcols, x.top.dim).vstack(Matrix.from_columns(f, rcols, x.top.dim))
-        blocks = stack if blocks is None else blocks.vstack(stack)
+        stack = vstack(Matrix.from_columns(f, lcols, x.top.dim), Matrix.from_columns(f, rcols, x.top.dim))
+        blocks = stack if blocks is None else vstack(blocks, stack)
     return nullspace(blocks)
 
 
+def intersect(s: Subspace, t: Subspace) -> Subspace:
+    """s ∩ t: the kernel of the rows that span the perpendicular spaces of s and t."""
+    return nullspace(vstack(nullspace(s.basis).basis, nullspace(t.basis).basis))
+
+
 def center_spaces(x: CrossedModule) -> tuple[Subspace, Subspace]:
-    return invariant_top_subspace(x), trivially_acting_base_subspace(x).intersect(annihilator(x.base))
+    return invariant_top_subspace(x), intersect(trivially_acting_base_subspace(x), annihilator(x.base))
 
 
 # -- the canonical morphism --------------------------------------------------------
@@ -265,7 +284,7 @@ def inner_quadruple(x: CrossedModule, qvec):
     s1_cols = [tuple(-c for c in act_right(x, unit(f, nd, i), qvec)) for i in range(nd)]
     t1_cols = [act_left(x, qvec, unit(f, nd, i)) for i in range(nd)]
     return (Matrix.from_columns(f, s1_cols, nd), Matrix.from_columns(f, t1_cols, nd),
-            -operator(f, x.base.table, qvec, qd, False), operator(f, x.base.table, qvec, qd, True))
+            negated(operator(f, x.base.table, qvec, qd, False)), operator(f, x.base.table, qvec, qd, True))
 
 
 def _flat(mats):
@@ -280,6 +299,51 @@ def canonical_maps(x: CrossedModule) -> tuple[Matrix, Matrix]:
     base_cols = [coords(quads.space, _flat(inner_quadruple(x, unit(f, x.base.dim, a))))
                  for a in range(x.base.dim)]
     return Matrix.from_columns(f, top_cols, pairs.dim), Matrix.from_columns(f, base_cols, quads.dim)
+
+
+# -- action data from a morphism into the actor ------------------------------------
+
+
+def member_maps(space, coords):
+    """The member of a map space with the given coordinates, from the dense
+    basis rows, as a tuple of dense matrices."""
+    f = space.field
+    vec = [f.zero] * space.space.ambient
+    for c, row in zip(coords, space.space.basis.entries):
+        if c:
+            vec = [x + c * y for x, y in zip(vec, row)]
+    mats, pos = [], 0
+    for r, c in space.shapes:
+        mats.append(Matrix(f, r, c, tuple(tuple(vec[pos + i * c:pos + (i + 1) * c]) for i in range(r))))
+        pos += r * c
+    return tuple(mats)
+
+
+def action_from_morphism(fm: ActorMorphism) -> XModActionData:
+    y = fm.around
+    flags = check_conditions(y)
+    if not flags.any_holds:
+        raise ConditionsNotMetError(flags, condition_profile(y))
+    rep = validate_morphism(fm.as_xmod_morphism())
+    if not rep.ok:
+        raise InvalidMorphismError(
+            "the given maps are not a morphism into the actor: " + ", ".join(rep.labels()))
+
+    x = fm.source
+    quads = [[_sparse_map(m)[0] for m in member_maps(bider_xmod(y), fm.base_map.column(b))]
+             for b in range(x.base.dim)]  # (s1, t1, s2, t2), each map as its sparse columns
+    pairs = [[_sparse_map(m)[0] for m in member_maps(bider_qn(y), fm.top_map.column(i))]
+             for i in range(x.top.dim)]   # (d, dd)
+
+    def minus(v):
+        return {k: -c for k, c in v.items()}
+
+    act_on_top = ActionData(x.base, y.top, [t1 for _s1, t1, _s2, _t2 in quads],
+                            [[minus(member[0][j]) for member in quads] for j in range(y.top.dim)])
+    act_on_base = ActionData(x.base, y.base, [t2 for _s1, _t1, _s2, t2 in quads],
+                             [[minus(member[2][a]) for member in quads] for a in range(y.base.dim)])
+    return XModActionData(x, y, act_on_top, act_on_base, [dd for _d, dd in pairs],
+                          [[minus(d[a]) for d, _dd in pairs] for a in range(y.base.dim)])
 
 
 # -- seeded changes of basis --------------------------------------------------------

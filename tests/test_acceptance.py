@@ -12,8 +12,10 @@ from fractions import Fraction
 
 import oracles as O
 import pytest
+import reference_stages as ref
 from conftest import (
     XMOD_IDS,
+    _basis,
     nondegenerate_pair_composites_coincide,
     nondegenerate_quad_pair_composites_coincide,
     pair_composites_land_in_layer_spaces,
@@ -31,7 +33,6 @@ from lbxmod.bider import (
     bider_xmod,
     canonical_morphism,
     delta,
-    inner_biderivation,
     sequence_problems,
 )
 from lbxmod.catalog import build_entry
@@ -96,10 +97,9 @@ def test_actor_dimensions_and_image_restriction_characterizations():
     # pairs of the inclusion = pairs of the big algebra that send
     # everything into the ideal line (first row of both matrices zero)
     into_line = Subspace.from_rows(QQ, 8, [unit(2), unit(3), unit(6), unit(7)])
-    restricted = big.space.intersect(into_line)
+    restricted = ref.intersect(big.space, into_line)
     pushed = []
-    for t in range(pairs.dim):
-        d, dd = pairs.basis_maps(t)
+    for d, dd in _basis(pairs):
         pushed.append(
             (QQ.zero, QQ.zero, d.entries[0][0], d.entries[0][1],
              QQ.zero, QQ.zero, dd.entries[0][0], dd.entries[0][1])
@@ -112,10 +112,9 @@ def test_actor_dimensions_and_image_restriction_characterizations():
     preserving = Subspace.from_rows(
         QQ, 8, [unit(0), unit(2), unit(3), unit(4), unit(6), unit(7)]
     )
-    stable = big.space.intersect(preserving)
+    stable = ref.intersect(big.space, preserving)
     halves = []
-    for t in range(quads.dim):
-        _s1, _t1, s2, t2 = quads.basis_maps(t)
+    for _s1, _t1, s2, t2 in _basis(quads):
         halves.append(tuple(s2.entries[0]) + tuple(s2.entries[1])
                       + tuple(t2.entries[0]) + tuple(t2.entries[1]))
     half_space = Subspace.from_rows(QQ, 8, halves)
@@ -231,7 +230,7 @@ def test_solver_matches_exhaustive_enumeration_over_f2():
         for bits in itertools.product((0, 1), repeat=2 * n * n):
             d, dd = O.unpack_bits(bits, ((n, n), (n, n)))
             expected = O.is_bider_pair(table, d, dd, n)
-            got = space.space.contains(tuple(GF2.coerce(b) for b in bits))
+            got = not space.space.residue({k: b for k, b in enumerate(bits) if b})
             assert got == expected, (aid, bits)
             members += expected
         assert members == 2 ** space.dim, aid
@@ -248,7 +247,7 @@ def test_solver_matches_exhaustive_enumeration_over_f2():
     for bits in itertools.product((0, 1), repeat=2 * nd * qd):
         d, dd = O.unpack_bits(bits, ((nd, qd), (nd, qd)))
         expected = O.is_action_pair(qtab, left, right, d, dd, qd, nd)
-        assert space.space.contains(tuple(GF2.coerce(b) for b in bits)) == expected
+        assert (not space.space.residue({k: b for k, b in enumerate(bits) if b})) == expected
         members += expected
     assert members == 2 ** space.dim
 
@@ -285,8 +284,7 @@ def test_lie_fixture_gives_antisymmetric_bider_with_equal_components():
     space = bider_algebra(a)
     assert space.dim == 2
     # each solution has identical derivation and twisted halves
-    for t in range(space.dim):
-        d, dd = space.basis_maps(t)
+    for d, dd in _basis(space):
         assert d == dd
     # the solved structure table is antisymmetric
     tab = space.algebra.table
@@ -294,11 +292,11 @@ def test_lie_fixture_gives_antisymmetric_bider_with_equal_components():
         for j in range(2):
             assert tuple(tab[i][j]) == tuple(-c for c in tab[j][i])
         assert all(not c for c in tab[i][i])
-    # and everything is inner
-    assert space.coords_of_maps(inner_biderivation(a, (QQ.one, QQ.zero))) == (
-        Fraction(0), Fraction(1))
-    assert space.coords_of_maps(inner_biderivation(a, (QQ.zero, QQ.one))) == (
-        Fraction(-1), Fraction(0))
+    # and everything is inner: the inner biderivations of e1 and e2 are the
+    # columns of the canonical morphism of the identity crossed module
+    inner = canonical_morphism(CrossedModule.identity_on(a)).top_map
+    assert inner.column(0) == (Fraction(0), Fraction(1))
+    assert inner.column(1) == (Fraction(-1), Fraction(0))
 
 
 def test_cli_reports_are_deterministic_across_runs():

@@ -54,8 +54,6 @@ def test_action_evaluation_is_bilinear():
     lhs = act.act_left(a, tuple(u + v for u, v in zip(x, y)))
     rhs = tuple(u + v for u, v in zip(act.act_left(a, x), act.act_left(a, y)))
     assert lhs == rhs
-    assert act.left_operator(a).apply(x) == act.act_left(a, x)
-    assert act.right_operator(a).apply(x) == act.act_right(x, a)
 
 
 def test_semidirect_sum_of_the_self_action():

@@ -56,14 +56,6 @@ def test_annihilator_and_commutator_of_fixtures():
     assert commutator(sl2).dim == 3  # perfect
 
 
-def test_left_and_right_operators_agree_with_bracket():
-    sl2 = build_entry("sl2", QQ)
-    e = (QQ.one, QQ.zero, QQ.zero)
-    h = (QQ.zero, QQ.one, QQ.zero)
-    assert sl2.left_operator(e).apply(h) == sl2.bracket(e, h)
-    assert sl2.right_operator(h).apply(e) == sl2.bracket(e, h)
-
-
 def test_quotient_by_the_annihilator_of_l2():
     l2 = build_entry("l2", QQ)
     small, proj = quotient_algebra(l2, annihilator(l2))

@@ -6,9 +6,12 @@ and double-checked against the mod-2 enumerations in test_acceptance.
 from fractions import Fraction
 
 import pytest
+import reference_stages as ref
 from conftest import (
     XMOD_IDS,
     _basis,
+    difference,
+    flat,
     pair_composites_land_in_layer_spaces,
     pair_pair_composites_agree_under_brackets,
     quad_pair_and_quad_quad_composites_agree,
@@ -26,9 +29,6 @@ from lbxmod.bider import (
     bider_xmod,
     canonical_morphism,
     delta,
-    inner_action_pair,
-    inner_biderivation,
-    inner_quadruple,
     inner_xmod,
     lift_sequence,
     outer_xmod,
@@ -36,12 +36,18 @@ from lbxmod.bider import (
 )
 from lbxmod.catalog import build_entry
 from lbxmod import linalg
-from lbxmod.linalg import Matrix
+from lbxmod.linalg import Matrix, _dense
 from lbxmod.xmod import CrossedModule, check_conditions, validate_morphism, validate_xmod
 
 
 def flats(space):
-    return [tuple(v) for v in space.space.basis_vectors()]
+    return [tuple(v) for v in space.space.basis.entries]
+
+
+def inner_coords(a, i):
+    """The coordinates of the inner biderivation of e_i in the pair space of
+    a: column i of the canonical morphism of the identity on a."""
+    return canonical_morphism(CrossedModule.identity_on(a)).top_map.column(i)
 
 
 def q(*vals):
@@ -83,22 +89,15 @@ def test_pair_space_of_r2_is_antisymmetric_and_inner():
     # the two halves of every member coincide, and every member is inner
     for d, dd in _basis(space):
         assert d == dd
-    assert space.coords_of_maps(inner_biderivation(a, (QQ.one, QQ.zero))) == q(0, 1)
-    assert space.coords_of_maps(inner_biderivation(a, (QQ.zero, QQ.one))) == q(-1, 0)
+    assert inner_coords(a, 0) == q(0, 1)
+    assert inner_coords(a, 1) == q(-1, 0)
 
 
 def test_pair_space_of_sl2_is_all_inner():
     a = build_entry("sl2", QQ)
     space = bider_algebra(a)
     assert space.dim == 3
-    units = [
-        (QQ.one, QQ.zero, QQ.zero),
-        (QQ.zero, QQ.one, QQ.zero),
-        (QQ.zero, QQ.zero, QQ.one),
-    ]
-    coords = [space.coords_of_maps(inner_biderivation(a, u)) for u in units]
-    assert all(c is not None for c in coords)
-    m = Matrix.from_columns(QQ, coords, 3)
+    m = Matrix.from_columns(QQ, [inner_coords(a, i) for i in range(3)], 3)
     from lbxmod.linalg import rref
 
     assert rref(m).rank == 3  # inner pairs already fill the space
@@ -193,8 +192,8 @@ def test_inner_members_solve_the_defining_systems():
     pairs, quads = bider_qn(x), bider_xmod(x)
     for i in range(x.top.dim):
         u = tuple(QQ.one if j == i else QQ.zero for j in range(x.top.dim))
-        assert pairs.coords_of_maps(inner_action_pair(x, u)) is not None
-        assert quads.coords_of_maps(inner_quadruple(x, u)) is not None
+        assert not pairs.space.residue(flat(ref.inner_action_pair(x, u)))
+        assert not quads.space.residue(flat(ref.inner_quadruple(x, u)))
 
 
 @pytest.mark.parametrize("cid", XMOD_IDS)
@@ -215,13 +214,10 @@ small = st.integers(min_value=-3, max_value=3)
 @given(st.lists(small, min_size=3, max_size=3), st.lists(small, min_size=3, max_size=3))
 def test_pair_brackets_follow_the_solved_table(cu, cv):
     space = bider_algebra(build_entry("l2", QQ))
-    u = space.member_from_coords([Fraction(c) for c in cu])
-    v = space.member_from_coords([Fraction(c) for c in cv])
-    d1, dd1 = u
-    d2, dd2 = v
-    w = (d1 @ d2 - d2 @ d1, dd1 @ d2 - d2 @ dd1)
-    coords = space.coords_of_maps(w)
-    assert coords is not None
+    d1, dd1 = ref.member_maps(space, [Fraction(c) for c in cu])
+    d2, dd2 = ref.member_maps(space, [Fraction(c) for c in cv])
+    w = difference((d1 @ d2, d2 @ d1), (dd1 @ d2, d2 @ dd1))
+    coords = _dense(QQ, space.dim, space.space.read_coords(w, "bracket left the space"))
     # bilinear expansion of the structure table gives the same coordinates
     tab = space.algebra.table
     expect = [QQ.zero] * 3

@@ -29,7 +29,7 @@ from lbxmod import QQ
 from lbxmod.algebra import LeibnizAlgebra
 from lbxmod.bider import MapSpace, actor, bider_qn, bider_xmod, delta
 from lbxmod.catalog import build_entry
-from lbxmod.linalg import LinearSolveError, Subspace, _dense, number, sparse_kernel
+from lbxmod.linalg import LinearSolveError, Subspace, _dense, nullspace, number, sparse_kernel
 
 
 def scalars(field):
@@ -99,7 +99,7 @@ def test_the_kernel_hands_over_the_scaled_rows_of_the_dense_basis(case):
     """``from_rows`` and ``sparse_kernel`` keep the kernel's own rows; they
     equal the ones a ``Subspace`` derives from its dense basis alone."""
     s, _vec = case
-    equations = [{k: number(c) for k, c in enumerate(z) if c} for z in s.perp_generators().entries]
+    equations = [{k: number(c) for k, c in enumerate(z) if c} for z in nullspace(s.basis).basis.entries]
     k = sparse_kernel(s.field, s.ambient, equations)
     derived = Subspace(s.field, s.ambient, s.basis, s.pivots)
     assert k == s == derived
@@ -131,14 +131,14 @@ def test_a_member_with_one_bumped_non_pivot_entry_is_refused(case, data):
     s, _vec = case
     free = s.complement_indices()
     assume(s.dim and free)
-    member = {k: number(c) for k, c in enumerate(s.linear_combination([s.field.one] * s.dim)) if c}
+    member = {k: number(c) for k, c in enumerate(sum(col, s.field.zero) for col in zip(*s.basis.entries)) if c}
     assert dense_coords(s)(member, "") == tuple(s.field.one for _ in range(s.dim))
     j = data.draw(st.sampled_from(free))
     bump = data.draw(scalars(s.field).filter(lambda c: s.field.coerce(c)))
     member[j] = member.get(j, 0) + bump
     with pytest.raises(LinearSolveError, match="bumped"):
         s.read_coords(member, "bumped")
-    assert s.coords_of(tuple(s.field.coerce(member.get(k, 0)) for k in range(s.ambient))) is None
+    assert s.residue(member)
 
 
 # -- map products --------------------------------------------------------------

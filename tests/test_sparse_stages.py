@@ -10,6 +10,11 @@ changes of basis of all of them, over Q, F2 and F3.  The subspaces tried
 include ones that are not ideals, so refusals and problem lists are compared
 too.
 
+The action data ``action_from_morphism`` recovers from a morphism into the
+actor is summed from the sparse basis members; it is compared with the dense
+combination of basis rows on those canonical morphisms, the morphisms of
+the catalog's actions and the lift of its sequence.
+
 Direct sums and semidirect products, assembled block by block from stored
 views, are compared with the dense padding loops they replaced on generated
 algebras, actions and crossed-module actions.  At the end, the hot paths run
@@ -22,7 +27,7 @@ import pytest
 from conftest import FIELDS
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import actions, algebras, xactions
+from strategies import actions, algebras, is_stored, xactions
 
 import reference_stages as ref
 from lbxmod import bider
@@ -41,16 +46,17 @@ from lbxmod.algebra import (
 from lbxmod.bider import (
     actor,
     canonical_morphism,
-    inner_action_pair,
-    inner_quadruple,
     inner_xmod,
     lift_sequence,
     outer_xmod,
 )
 from lbxmod.catalog import CATALOG, build_entry
 from lbxmod.fields import InputDataError
-from lbxmod.linalg import LinearSolveError, Subspace, nullspace
+from lbxmod.linalg import LinearSolveError, Subspace, _dense, _sparse, nullspace
 from lbxmod.xaction import (
+    ActorMorphism,
+    ConditionsNotMetError,
+    InvalidMorphismError,
     XModActionData,
     action_from_morphism,
     morphism_from_action,
@@ -136,7 +142,7 @@ def _outcome(fn, *args):
     """The value of fn(*args), or the type and message of what it raised."""
     try:
         return fn(*args)
-    except (LinearSolveError, NotAnIdealError, InputDataError) as exc:
+    except (LinearSolveError, NotAnIdealError, InputDataError, ConditionsNotMetError, InvalidMorphismError) as exc:
         return type(exc), str(exc)
 
 
@@ -158,9 +164,10 @@ def test_algebra_stages_match_the_dense_reference(case):
         for s in subspaces(a, rng):
             assert s.projection_matrix() == ref.projection_matrix(s)
             assert s.complement_indices() == ref.complement_indices(s)
-            for v in s.basis_vectors() + tuple(ref.unit(field, a.dim, i) for i in range(a.dim)):
-                assert s.reduce(v) == ref.reduce(s, v)
-                assert s.contains(v) == ref.contains(s, v)
+            for v in s.basis.entries + tuple(ref.unit(field, a.dim, i) for i in range(a.dim)):
+                rest = s.residue(_sparse(v))
+                assert _dense(field, a.dim, rest) == ref.reduce(s, v)
+                assert (not rest) == ref.contains(s, v)
             assert is_ideal(a, s) == ref.is_ideal(a, s)
             assert _outcome(quotient_algebra, a, s) == _outcome(ref.quotient_algebra, a, s)
             assert _outcome(subalgebra_on, a, s) == _outcome(ref.subalgebra_on, a, s)
@@ -194,14 +201,61 @@ def test_canonical_morphism_and_outer_quotient_match_the_dense_reference(case):
     assert (nullspace(can.top_map), nullspace(can.base_map)) == ref.center_spaces(x)
     rng = random.Random(f"inner/{field.tag}/{name}")
     vecs = [[field.coerce(rng.choice((-1, 0, 1, 2))) for _ in range(n)] for n in (x.top.dim, x.base.dim)]
-    assert inner_action_pair(x, vecs[0]) == ref.inner_action_pair(x, vecs[0])
-    assert inner_quadruple(x, vecs[1]) == ref.inner_quadruple(x, vecs[1])
+    # an element goes to the coordinates of the pair or quadruple it generates
+    pair_space, quad_space = bider.bider_qn(x).space, bider.bider_xmod(x).space
+    assert can.top_map.apply(vecs[0]) == ref.coords(pair_space, ref._flat(ref.inner_action_pair(x, vecs[0])))
+    assert can.base_map.apply(vecs[1]) == ref.coords(quad_space, ref._flat(ref.inner_quadruple(x, vecs[1])))
     act, inn = actor(x), inner_xmod(x)
     pairs = [(inn.top_space, inn.base_space),
              (_random_subspace(act.top, rng, 1), _random_subspace(act.base, rng, 2))]
     for top, base in pairs:
         assert check_xmod_ideal(act, top, base) == ref.check_xmod_ideal(act, top, base)
         assert _outcome(_quotient_parts, act, top, base) == _outcome(ref.quotient_xmod_parts, act, top, base)
+
+
+# -- action data from a morphism into the actor -----------------------------------
+
+
+def test_action_from_canonical_morphisms_matches_the_dense_reference(case):
+    """The canonical morphism x -> actor(x) gives back action data exactly
+    as the dense combination of basis rows does, or the same refusal."""
+    _field, _name, x = case
+    can = canonical_morphism(x)
+    fm = ActorMorphism(x, x, can.top_map, can.base_map)
+    got = _outcome(action_from_morphism, fm)
+    assert got == _outcome(ref.action_from_morphism, fm)
+    assert isinstance(got, XModActionData) == check_conditions(x).any_holds
+
+
+def _catalog_actor_morphisms(field):
+    """The morphisms into an actor that the catalog gives: the canonical one
+    of each crossed module, the one of each crossed-module action and the
+    lift of each sequence, each with whether its target meets a condition."""
+    out = []
+    for cid, entry in CATALOG.items():
+        obj = build_entry(cid, field)
+        if entry.kind == "xmod":
+            can = canonical_morphism(obj)
+            out.append((cid, ActorMorphism(obj, obj, can.top_map, can.base_map)))
+        elif entry.kind == "xaction":
+            out.append((cid, morphism_from_action(obj).morphism))
+        elif entry.kind == "sequence":
+            lifted = lift_sequence(obj).morphism
+            out.append((cid, ActorMorphism(obj.middle, obj.first, lifted.top_map, lifted.base_map)))
+    return [(cid, fm, check_conditions(fm.around).any_holds) for cid, fm in out]
+
+
+def test_action_from_morphism_of_the_catalog_matches_the_dense_reference(field):
+    found = _catalog_actor_morphisms(field)
+    assert any(holds for _cid, _fm, holds in found)
+    for cid, fm, holds in found:
+        got = _outcome(action_from_morphism, fm)
+        assert got == _outcome(ref.action_from_morphism, fm), cid
+        assert isinstance(got, XModActionData) == holds, cid
+        if holds:
+            assert all(is_stored(field, view) for view in (
+                got.act_on_top.sparse_left, got.act_on_top.sparse_right, got.act_on_base.sparse_left,
+                got.act_on_base.sparse_right, got.sparse_mq, got.sparse_qm)), cid
 
 
 # -- block assembly ----------------------------------------------------------------
