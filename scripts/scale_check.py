@@ -20,7 +20,7 @@ a dimension differs from the known one:
 
 Times are for reading, not gated.  Example::
 
-    PYTHONPATH=src python3 scripts/scale_check.py A6 --field q --field f3
+    PYTHONPATH=src python3 scripts/scale_check.py A6 NF12 --field q --field f3
 """
 from __future__ import annotations
 

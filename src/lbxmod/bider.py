@@ -25,9 +25,11 @@ such maps into one flat integer vector over the lcm of the products'
 denominators, and ``Subspace.read_coords`` is the one coordinate reader: it
 refuses a vector with a nonzero ``Subspace.residue`` and divides each pivot
 entry by the denominator, once.  The bracket tables, the actor's action and
-``delta`` go through ``MapSpace.read_products``; the canonical morphism,
-``lift_sequence`` and ``xaction.morphism_from_action`` hand the reader maps
-given by sparse columns (``MapSpace.read_columns``).
+``delta`` go through ``MapSpace.read_products``.  Action data on a crossed
+module induces a morphism into its actor: ``_induced_maps`` reads each
+element's pair or quadruple, given by sparse columns, through
+``MapSpace.read_columns``.  The canonical morphism, ``lift_sequence`` and
+``xaction.morphism_from_action`` only build the action they hand it.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from math import lcm
 from typing import Callable, Sequence
 
 from .action import ActionData
-from .algebra import LeibnizAlgebra, SparseVector, _evaluate, _sparse_map, _units
+from .algebra import LeibnizAlgebra, SparseTensor, SparseVector, _evaluate, _sparse_map, _units
 from .fields import Field
 from .linalg import (
     Matrix,
@@ -55,7 +57,6 @@ from .linalg import (
     nullspace,
     rref,
     sparse_kernel,
-    unit_vector,
 )
 from .xmod import (
     NO_CONDITION_WARNING,
@@ -327,11 +328,6 @@ def bider_qn(x: CrossedModule) -> MapSpace:
     return _space_with_algebra(x.top.field, shapes, _pair_rows(x.action, d, dd), bracket_terms, with_mu)
 
 
-# The inner pair of a top element and the inner quadruple of a base element
-# are evaluated column by column from the sparse views; ``canonical_morphism``
-# reads them as flat sparse vectors.
-
-
 def _flat(blocks: Sequence[_Map], components: Sequence[SignedColumns]) -> SparseVector:
     """The flat sparse vector of a tuple of maps, each given by its signed columns."""
     out: SparseVector = {}
@@ -339,12 +335,6 @@ def _flat(blocks: Sequence[_Map], components: Sequence[SignedColumns]) -> Sparse
         for j, col in enumerate(columns):
             out.update((off + k * cols + j, sign * c) for k, c in col.items())
     return out
-
-
-def _inner_pair(x: CrossedModule, n: SparseVector) -> list[SignedColumns]:
-    p, e = x.top.field.characteristic, _units(x.base.dim)
-    left, right = x.action.sparse_left, x.action.sparse_right
-    return [(-1, [_evaluate([(1, left, q, n)], p) for q in e]), (1, [_evaluate([(1, right, n, q)], p) for q in e])]
 
 
 # -- quadruple spaces on a crossed module --------------------------------
@@ -373,19 +363,9 @@ def bider_xmod(x: CrossedModule) -> MapSpace:
     return _space_with_algebra(x.top.field, shapes, rows, bracket_terms)
 
 
-def _inner_quadruple(x: CrossedModule, q: SparseVector) -> list[SignedColumns]:
-    p, tops, bases = x.top.field.characteristic, _units(x.top.dim), _units(x.base.dim)
-    left, right, bt = x.action.sparse_left, x.action.sparse_right, x.base.sparse_table
-    return [(-1, [_evaluate([(1, right, m, q)], p) for m in tops]),
-            (1, [_evaluate([(1, left, q, m)], p) for m in tops]),
-            (-1, [_evaluate([(1, bt, b, q)], p) for b in bases]),
-            (1, [_evaluate([(1, bt, q, b)], p) for b in bases])]
-
-
 # -- the actor ----------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
 def delta(x: CrossedModule) -> Matrix:
     """Boundary of the actor: compose a pair with the boundary on both sides."""
     pairs = bider_qn(x)
@@ -418,18 +398,34 @@ def actor(x: CrossedModule) -> CrossedModule:
     return CrossedModule(pairs.algebra, quads.algebra, delta(x), act)
 
 
+def _induced_maps(y: CrossedModule, p_on_n: ActionData, p_on_q: ActionData, mq: SparseTensor,
+                  qm: SparseTensor) -> tuple[Matrix, Matrix]:
+    """The morphism into actor(y) induced by action data on y, as its
+    (top_map, base_map): p_on_n and p_on_q are actions of P on y's top and
+    base, mq[i][a] = [m_i, q_a] and qm[a][i] = [q_a, m_i] the pairings with
+    values in y's top.  m_i goes to the pair (-qm[.][i], mq[i]), p_b to the
+    quadruple (-right[.][b], left[b]) of p_on_n, then the same two of p_on_q."""
+    pairs = bider_qn(y)
+    quads = bider_xmod(y)
+    ns, qs = range(y.top.dim), range(y.base.dim)
+    top_cols = [pairs.read_columns([(-1, [qm[a][i] for a in qs]), (1, mq[i])],
+                                   "induced pair is not a pair-space solution") for i in range(len(mq))]
+    base_cols = [quads.read_columns([(-1, [p_on_n.sparse_right[j][b] for j in ns]), (1, p_on_n.sparse_left[b]),
+                                     (-1, [p_on_q.sparse_right[a][b] for a in qs]), (1, p_on_q.sparse_left[b])],
+                                    "induced quadruple is not a quadruple-space solution")
+                 for b in range(p_on_n.actor.dim)]
+    f = y.top.field
+    return (Matrix.from_sparse_columns(f, top_cols, pairs.dim),
+            Matrix.from_sparse_columns(f, base_cols, quads.dim))
+
+
 @functools.lru_cache(maxsize=None)
 def canonical_morphism(x: CrossedModule) -> XModMorphism:
-    """x -> actor(x): elements go to the pairs/quadruples they generate."""
-    pairs = bider_qn(x)
-    quads = bider_xmod(x)
-    top_cols = [pairs.read_columns(_inner_pair(x, n), "inner pair is not a pair-space solution")
-                for n in _units(x.top.dim)]
-    base_cols = [quads.read_columns(_inner_quadruple(x, q), "inner quadruple is not a quadruple-space solution")
-                 for q in _units(x.base.dim)]
-    f = x.top.field
-    return XModMorphism(x, actor(x), Matrix.from_sparse_columns(f, top_cols, pairs.dim),
-                        Matrix.from_sparse_columns(f, base_cols, quads.dim))
+    """x -> actor(x), induced by the action of x on itself: elements go to
+    the pairs/quadruples they generate."""
+    act = x.action
+    top_map, base_map = _induced_maps(x, act, ActionData.by_bracket(x.base), act.sparse_right, act.sparse_left)
+    return XModMorphism(x, actor(x), top_map, base_map)
 
 
 def inner_xmod(x: CrossedModule) -> SubXMod:
@@ -507,31 +503,20 @@ def lift_sequence(s: ShortExactSequence) -> LiftResult:
     x = s.first
     mid = s.middle
     f = x.top.field
-    ft, fb = s.include.top_map, s.include.base_map
-    pairs = bider_qn(x)
-    quads = bider_xmod(x)
+    top, base = _preimages(s.include.top_map), _preimages(s.include.base_map)
+    ns, qs = _sparse_map(s.include.top_map)[0], _sparse_map(s.include.base_map)[0]
+    ms, ps = _units(mid.top.dim), _units(mid.base.dim)
 
-    act = mid.action
-    qs, ns = [fb.column(a) for a in range(x.base.dim)], [ft.column(i) for i in range(x.top.dim)]
-    top, base = _preimages(ft), _preimages(fb)
+    def pulled(back: Callable, view: SparseTensor, us: Sequence[SparseVector], vs: Sequence[SparseVector]):
+        """view(u, v) for u in us and v in vs, pulled back through an inclusion."""
+        return [[back(_evaluate([(1, view, u, v)], f.characteristic)) for v in vs] for u in us]
 
-    alpha_cols = []
-    for i in range(mid.top.dim):
-        e = unit_vector(f, mid.top.dim, i)
-        alpha_cols.append(pairs.read_columns([(-1, [top(act.act_left(q, e)) for q in qs]),
-                                              (1, [top(act.act_right(e, q)) for q in qs])],
-                                             "lifted pair is not a pair-space solution"))
-    alpha = Matrix.from_sparse_columns(f, alpha_cols, pairs.dim)
-
-    beta_cols = []
-    for a in range(mid.base.dim):
-        e = unit_vector(f, mid.base.dim, a)
-        beta_cols.append(quads.read_columns([(-1, [top(act.act_right(n, e)) for n in ns]),
-                                             (1, [top(act.act_left(e, n)) for n in ns]),
-                                             (-1, [base(mid.base.bracket(q, e)) for q in qs]),
-                                             (1, [base(mid.base.bracket(e, q)) for q in qs])],
-                                            "lifted quadruple is not a quadruple-space solution"))
-    beta = Matrix.from_sparse_columns(f, beta_cols, quads.dim)
+    # the middle's action on the embedded first crossed module, pulled back
+    act, bt = mid.action, mid.base.sparse_table
+    p_on_n = ActionData(mid.base, x.top, pulled(top, act.sparse_left, ps, ns), pulled(top, act.sparse_right, ns, ps))
+    p_on_q = ActionData(mid.base, x.base, pulled(base, bt, ps, qs), pulled(base, bt, qs, ps))
+    alpha, beta = _induced_maps(x, p_on_n, p_on_q, pulled(top, act.sparse_right, ms, qs),
+                                pulled(top, act.sparse_left, qs, ms))
 
     morphism = XModMorphism(mid, actor(x), alpha, beta)
     out = outer_xmod(x)
@@ -539,7 +524,7 @@ def lift_sequence(s: ShortExactSequence) -> LiftResult:
     def induced(project: Matrix, lifted: Matrix, onto: Matrix) -> Matrix:
         """last -> outer: pull each basis element back to the middle, lift it, project it."""
         pull = _preimages(project)
-        ends = [_dense(f, project.cols, pull(unit_vector(f, project.rows, r))) for r in range(project.rows)]
+        ends = [_dense(f, project.cols, pull({r: 1})) for r in range(project.rows)]
         return Matrix.from_columns(f, [onto.apply(lifted.apply(w)) for w in ends], onto.rows)
 
     induced_top = induced(s.project.top_map, alpha, out.top_project)

@@ -291,21 +291,23 @@ def column_space(m: Matrix) -> Subspace:
     return Subspace.from_rows(m.field, m.rows, m.transpose().entries)
 
 
-def _preimages(a: Matrix) -> Callable[[Sequence[Scalar]], dict[int, Number]]:
-    """Solve a @ x = v for any v, sparsely, from one echelon pass of [a | 1],
-    which reduces a to E by an invertible R: a @ x = v is E @ x = R v.  x
-    has its free variables zero; where R v is not zero below E's pivot rows
-    there is no x, and a ``LinearSolveError``."""
-    k = a.cols
+def _preimages(a: Matrix) -> Callable[[Mapping[int, Number]], dict[int, Number]]:
+    """Solve a @ x = v for any sparse v, sparsely, from one echelon pass of
+    [a | 1], which reduces a to E by an invertible R: a @ x = v is
+    E @ x = R v.  x has its free variables zero; where R v is not zero below
+    E's pivot rows there is no x, and a ``LinearSolveError``."""
+    k, p = a.cols, a.field.characteristic
     red = rref(a.hstack(Matrix.identity(a.field, a.rows)))
     pivots = [u for u in red.pivots if u < k]
-    r = Matrix(a.field, a.rows, a.rows, tuple(row[k:] for row in red.matrix.entries))
+    r = [_sparse(row[k:]) for row in red.matrix.entries]
 
-    def back(vec: Sequence[Scalar]) -> dict[int, Number]:
-        rv = r.apply(vec)
+    def back(vec: Mapping[int, Number]) -> dict[int, Number]:
+        rv = [sum(row[j] * c for j, c in vec.items() if j in row) for row in r]
+        if p:
+            rv = [c % p for c in rv]
         if any(rv[len(pivots):]):
             raise LinearSolveError("value has no preimage though exactness promises one")
-        return {u: number(rv[t]) for t, u in enumerate(pivots) if rv[t]}
+        return {u: number(c) for u, c in zip(pivots, rv) if c}
 
     return back
 

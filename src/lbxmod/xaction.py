@@ -37,7 +37,7 @@ from .algebra import (
 )
 from .fields import Field, InputDataError, Scalar
 from .linalg import Matrix, number, unit_vector, zero_vector
-from .bider import MapSpace, ShortExactSequence, actor, bider_qn, bider_xmod
+from .bider import MapSpace, ShortExactSequence, _induced_maps, actor, bider_qn, bider_xmod
 from .xmod import (
     ConditionFlags,
     CrossedModule,
@@ -227,24 +227,8 @@ def morphism_from_action(d: XModActionData) -> ActionToMorphismResult:
     relaxed = tuple(sorted({v.axiom for v in report.violations} & set(RELAXABLE_LABELS)))
 
     x, y = d.actor_xmod, d.target_xmod
-    f = d.field
-    pairs = bider_qn(y)
-    quads = bider_xmod(y)
-
-    mq, qm, qs, ns = d.sparse_mq, d.sparse_qm, range(y.base.dim), range(y.top.dim)
-    top_cols = [pairs.read_columns([(-1, [qm[a][i] for a in qs]), (1, mq[i])],
-                                   "pairing maps do not form a pair-space solution") for i in range(x.top.dim)]
-    pn, pq = d.act_on_top, d.act_on_base
-    base_cols = [quads.read_columns([(-1, [pn.sparse_right[j][b] for j in ns]), (1, pn.sparse_left[b]),
-                                     (-1, [pq.sparse_right[a][b] for a in qs]), (1, pq.sparse_left[b])],
-                                    "action maps do not form a quadruple-space solution")
-                 for b in range(x.base.dim)]
-
-    morphism = ActorMorphism(
-        x, y,
-        Matrix.from_sparse_columns(f, top_cols, pairs.dim),
-        Matrix.from_sparse_columns(f, base_cols, quads.dim),
-    )
+    top_map, base_map = _induced_maps(y, d.act_on_top, d.act_on_base, d.sparse_mq, d.sparse_qm)
+    morphism = ActorMorphism(x, y, top_map, base_map)
     return ActionToMorphismResult(morphism, relaxed)
 
 

@@ -13,6 +13,11 @@ a subspace's echelon basis.  ``test_sparse_stages.py`` compares the two.
 version it replaced, which combined the dense basis rows and cut the result
 into matrices, is kept here under the same name.
 
+``lift_sequence`` pulls the middle's action back through the inclusion and
+hands it to the one builder of morphisms into the actor.  The dense version
+it replaced, which pulled back every bracket of dense vectors on its own,
+is kept here under the same name.
+
 ``lbxmod`` reads solved bases as integer rows over one denominator per
 member.  The sparse readers and map products they replaced, on the reduced
 echelon rows with ``Fraction`` entries, are kept below as ``fraction_*``;
@@ -42,11 +47,27 @@ from lbxmod.algebra import (
     _sparse_map,
     _units,
 )
-from lbxmod.bider import bider_qn, bider_xmod
+from lbxmod.bider import (
+    LiftResult,
+    NotExactError,
+    ShortExactSequence,
+    actor,
+    bider_qn,
+    bider_xmod,
+    outer_xmod,
+    sequence_problems,
+)
 from lbxmod.fields import InputDataError
-from lbxmod.linalg import LinearSolveError, Matrix, Subspace, _dense, number, nullspace
+from lbxmod.linalg import LinearSolveError, Matrix, Subspace, _dense, _preimages, _sparse, number, nullspace
 from lbxmod.xaction import ActorMorphism, ConditionsNotMetError, InvalidMorphismError, XModActionData
-from lbxmod.xmod import CrossedModule, NotAnIdealError, XModMorphism, check_conditions, condition_profile
+from lbxmod.xmod import (
+    NO_CONDITION_WARNING,
+    CrossedModule,
+    NotAnIdealError,
+    XModMorphism,
+    check_conditions,
+    condition_profile,
+)
 
 
 def unit(field, n, i):
@@ -344,6 +365,61 @@ def action_from_morphism(fm: ActorMorphism) -> XModActionData:
                              [[minus(member[2][a]) for member in quads] for a in range(y.base.dim)])
     return XModActionData(x, y, act_on_top, act_on_base, [dd for _d, dd in pairs],
                           [[minus(d[a]) for d, _dd in pairs] for a in range(y.base.dim)])
+
+
+# -- lifting a short exact sequence ------------------------------------------------
+
+
+def lift_sequence(s: ShortExactSequence) -> LiftResult:
+    """The lift from dense brackets: each value ``act_left``, ``act_right``
+    or ``bracket`` gives on dense vectors is pulled back through the
+    inclusion on its own, and each middle element's pair and quadruple are
+    assembled column by column."""
+    problems = sequence_problems(s)
+    if problems:
+        raise NotExactError("; ".join(problems))
+    x, mid, f = s.first, s.middle, s.first.top.field
+    ft, fb = s.include.top_map, s.include.base_map
+    pairs, quads = bider_qn(x), bider_xmod(x)
+    act = mid.action
+    qs, ns = [fb.column(a) for a in range(x.base.dim)], [ft.column(i) for i in range(x.top.dim)]
+    top_back, base_back = _preimages(ft), _preimages(fb)
+
+    def top(v):
+        return top_back(_sparse(v))
+
+    def base(v):
+        return base_back(_sparse(v))
+
+    alpha_cols = []
+    for i in range(mid.top.dim):
+        e = unit(f, mid.top.dim, i)
+        alpha_cols.append(pairs.read_columns([(-1, [top(act.act_left(q, e)) for q in qs]),
+                                              (1, [top(act.act_right(e, q)) for q in qs])],
+                                             "lifted pair is not a pair-space solution"))
+    alpha = Matrix.from_sparse_columns(f, alpha_cols, pairs.dim)
+
+    beta_cols = []
+    for a in range(mid.base.dim):
+        e = unit(f, mid.base.dim, a)
+        beta_cols.append(quads.read_columns([(-1, [top(act.act_right(n, e)) for n in ns]),
+                                             (1, [top(act.act_left(e, n)) for n in ns]),
+                                             (-1, [base(mid.base.bracket(q, e)) for q in qs]),
+                                             (1, [base(mid.base.bracket(e, q)) for q in qs])],
+                                            "lifted quadruple is not a quadruple-space solution"))
+    beta = Matrix.from_sparse_columns(f, beta_cols, quads.dim)
+
+    morphism = XModMorphism(mid, actor(x), alpha, beta)
+    out = outer_xmod(x)
+
+    def induced(project: Matrix, lifted: Matrix, onto: Matrix) -> Matrix:
+        pull = _preimages(project)
+        ends = [_dense(f, project.cols, pull({r: 1})) for r in range(project.rows)]
+        return Matrix.from_columns(f, [onto.apply(lifted.apply(w)) for w in ends], onto.rows)
+
+    warnings = () if check_conditions(x).any_holds else (NO_CONDITION_WARNING,)
+    return LiftResult(morphism, out, induced(s.project.top_map, alpha, out.top_project),
+                      induced(s.project.base_map, beta, out.base_project), warnings)
 
 
 # -- seeded changes of basis --------------------------------------------------------

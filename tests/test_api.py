@@ -1,9 +1,11 @@
-"""The package surface: the public names resolve, and no module keeps an
-import it never uses.
+"""The package surface: the public names resolve, no module keeps an
+import it never uses, and no private module-level name goes unused.
 
-No linter is installed, so the import check walks each module's syntax tree
-with ``ast``: a name an import binds counts as used when the module loads it
-anywhere (string annotations included) or lists it in its ``__all__``.
+No linter is installed, so both checks walk the modules' syntax trees with
+``ast``: a name counts as used when a module loads it anywhere (string
+annotations included) or lists it in its ``__all__``.  An import must be
+used by its own module; a private name (one underscore) that a module
+defines at top level must be used by some module of the package.
 """
 import ast
 from collections import Counter
@@ -37,7 +39,7 @@ def _imported(tree: ast.Module) -> dict[str, int]:
 
 def _used(tree: ast.Module) -> set[str]:
     """The names the module loads, in code, in string annotations and in ``__all__``."""
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     for node in ast.walk(tree):
         if isinstance(node, (ast.arg, ast.AnnAssign)):
             notes = [node.annotation]
@@ -65,3 +67,39 @@ def test_the_import_check_sees_an_unused_name():
     tree = ast.parse("from typing import Optional, Sequence\nimport os.path\n"
                      "def f(x: 'Sequence[int]') -> None:\n    return None\n")
     assert set(_imported(tree)) - _used(tree) == {"Optional", "os"}
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each private name the module defines at top level, with its line."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            names = []
+        out.update((name, node.lineno) for name in names if name.startswith("_") and not name.startswith("__"))
+    return out
+
+
+def _unused_private(trees: dict[str, ast.Module]) -> dict[str, int]:
+    """The private top-level names no module loads, as "module:name" with the line."""
+    used = set().union(*map(_used, trees.values()))
+    return {f"{module}:{name}": line for module, tree in trees.items()
+            for name, line in _private_definitions(tree).items() if name not in used}
+
+
+def test_every_private_module_level_name_is_used():
+    trees = {module: ast.parse((SRC / module).read_text(), module) for module in MODULES}
+    assert _unused_private(trees) == {}
+
+
+def test_the_private_name_check_sees_an_unused_name():
+    trees = {"a.py": ast.parse("_LIMIT = 3\n_Pair = tuple[int, int]\n"
+                               "def _orphan(): return _LIMIT\n"
+                               "def _shared(x: '_Pair'): return x\n"),
+             "b.py": ast.parse("from .a import _shared\n_cache = {}\n_cache[1] = _shared(2)\n")}
+    assert _unused_private(trees) == {"a.py:_orphan": 3}

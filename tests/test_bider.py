@@ -107,7 +107,7 @@ def test_abelian_pair_space_has_no_constraints():
     assert bider_algebra(build_entry("a2", QQ)).dim == 8
 
 
-@pytest.mark.parametrize("memo", [bider_qn, bider_xmod, actor, delta, canonical_morphism])
+@pytest.mark.parametrize("memo", [bider_qn, bider_xmod, actor, canonical_morphism])
 def test_an_equal_crossed_module_hits_the_memo(memo):
     x = build_entry("l2-ann-incl", QQ)
     rebuilt = build_entry("l2-ann-incl", QQ)

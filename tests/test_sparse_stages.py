@@ -15,6 +15,11 @@ actor is summed from the sparse basis members; it is compared with the dense
 combination of basis rows on those canonical morphisms, the morphisms of
 the catalog's actions and the lift of its sequence.
 
+``lift_sequence`` reads each middle element's pair and quadruple off the
+action pulled back through the inclusion.  It is compared with the dense
+lift on the catalog's sequence and, for every crossed module above, on its
+center sequence and on the split sequence of its action on itself.
+
 Direct sums and semidirect products, assembled block by block from stored
 views, are compared with the dense padding loops they replaced on generated
 algebras, actions and crossed-module actions.  At the end, the hot paths run
@@ -44,6 +49,8 @@ from lbxmod.algebra import (
     validate_leibniz,
 )
 from lbxmod.bider import (
+    NotExactError,
+    ShortExactSequence,
     actor,
     canonical_morphism,
     inner_xmod,
@@ -142,7 +149,8 @@ def _outcome(fn, *args):
     """The value of fn(*args), or the type and message of what it raised."""
     try:
         return fn(*args)
-    except (LinearSolveError, NotAnIdealError, InputDataError, ConditionsNotMetError, InvalidMorphismError) as exc:
+    except (LinearSolveError, NotAnIdealError, NotExactError, InputDataError, ConditionsNotMetError,
+            InvalidMorphismError) as exc:
         return type(exc), str(exc)
 
 
@@ -256,6 +264,41 @@ def test_action_from_morphism_of_the_catalog_matches_the_dense_reference(field):
             assert all(is_stored(field, view) for view in (
                 got.act_on_top.sparse_left, got.act_on_top.sparse_right, got.act_on_base.sparse_left,
                 got.act_on_base.sparse_right, got.sparse_mq, got.sparse_qm)), cid
+
+
+# -- lifting short exact sequences --------------------------------------------------
+
+
+def _sequences(x):
+    """The center sequence Z(x) -> x -> x/Z(x) and the split sequence of the
+    semidirect product of x's action on itself."""
+    cen = center(x)
+    quo = quotient_xmod(x, cen.top_space, cen.base_space)
+    self_action = XModActionData(x, x, x.action, ActionData.by_bracket(x.base),
+                                 x.action.sparse_right, x.action.sparse_left)
+    return [ShortExactSequence(cen.xmod, x, quo.xmod, cen.inclusion(), quo.projection()),
+            semidirect_xmod(self_action).sequence()]
+
+
+def _lift_parts(lift, s):
+    got = lift(s)
+    return got.morphism, got.induced_top, got.induced_base, got.warnings
+
+
+def test_lifts_of_center_and_semidirect_sequences_match_the_dense_reference(case):
+    """Every middle element's pair and quadruple, read off the pulled-back
+    action, equal the dense lift's, and so do the induced maps, the
+    warnings and any refusal."""
+    _field, _name, x = case
+    for s in _sequences(x):
+        assert _outcome(_lift_parts, lift_sequence, s) == _outcome(_lift_parts, ref.lift_sequence, s)
+
+
+def test_lift_of_the_catalog_sequence_matches_the_dense_reference(field):
+    s = build_entry("sl2-seq", field)
+    got = _lift_parts(lift_sequence, s)
+    assert got == _lift_parts(ref.lift_sequence, s)
+    assert validate_morphism(got[0]).ok
 
 
 # -- block assembly ----------------------------------------------------------------
