@@ -10,8 +10,11 @@ command line:
 
 For each subject and field the script prints the wall time of a cold
 ``actor`` and then of ``outer_xmod``, and the ``tracemalloc`` peak of each
-in a second cold run.  It exits 1 if ``validate_xmod`` fails on the actor or
-a dimension differs from the known one:
+in a second cold run.  It then checks the canonical morphism x -> Act(x),
+whose maps are held as sparse columns like every map: it must pass
+``validate_morphism``, and its kernel must have the layer dimensions of
+``center(x)``.  It exits 1 if a check fails, if ``validate_xmod`` fails on
+the actor or if a dimension differs from the known one:
 
 * ``A_n``: the actor and the outer part both have layers of dimension 2n^2
   (every map is a biderivation and the inner part is zero);
@@ -32,9 +35,9 @@ import tracemalloc
 
 from lbxmod import bider
 from lbxmod.algebra import LeibnizAlgebra
-from lbxmod.bider import actor, outer_xmod
+from lbxmod.bider import actor, canonical_morphism, outer_xmod
 from lbxmod.fields import get_field
-from lbxmod.xmod import CrossedModule, validate_xmod
+from lbxmod.xmod import CrossedModule, center, kernel, validate_morphism, validate_xmod
 
 SL2 = {(0, 1): {0: -2}, (1, 0): {0: 2}, (0, 2): {1: 1}, (2, 0): {1: -1}, (1, 2): {2: -2}, (2, 1): {2: 2}}
 
@@ -100,6 +103,12 @@ def main(argv=None) -> int:
             act, out, t_actor, t_outer = run(x, timed)
             _, _, m_actor, m_outer = run(x, peak)
             problems = [] if validate_xmod(act).ok else ["validate_xmod(actor) failed"]
+            can = canonical_morphism(x)
+            if not validate_morphism(can).ok:
+                problems.append("validate_morphism(canonical) failed")
+            ker, cen = kernel(can), center(x)
+            if (ker.top_space.dim, ker.base_space.dim) != (cen.top_space.dim, cen.base_space.dim):
+                problems.append("the kernel of the canonical morphism is not the center")
             got = ((act.top.dim, act.base.dim), (out.xmod.top.dim, out.xmod.base.dim))
             if dims is not None and got != ((dims[0],) * 2, (dims[1],) * 2):
                 problems.append(f"dimensions {got}, expected actor {dims[0]} and outer {dims[1]}")

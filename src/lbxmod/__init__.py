@@ -23,8 +23,6 @@ from .linalg import (
     nullspace,
     rref,
     sparse_kernel,
-    unit_vector,
-    zero_vector,
 )
 from .algebra import (
     MAX_DIM,
@@ -104,7 +102,7 @@ __all__ = [
     "Field", "FpElement", "GF2", "GF3", "InputDataError", "PrimeField", "QQ",
     "Rationals", "get_field",
     "LinearSolveError", "Matrix", "Subspace", "column_space", "nullspace",
-    "rref", "sparse_kernel", "unit_vector", "zero_vector",
+    "rref", "sparse_kernel",
     "MAX_DIM", "LeibnizAlgebra", "ValidationReport", "Violation", "annihilator",
     "commutator", "direct_sum", "is_ideal", "quotient_algebra", "subalgebra_on",
     "validate_leibniz",

@@ -22,10 +22,11 @@ from .algebra import (
     _dense_view,
     _store,
     _stored_hash,
+    _units,
     _violations,
 )
 from .fields import InputDataError, Scalar
-from .linalg import Matrix, unit_vector
+from .linalg import Matrix
 
 
 @dataclass(frozen=True)
@@ -109,6 +110,6 @@ def semidirect_algebra(d: ActionData) -> SemidirectAlgebra:
     tab = _blocks((m.dim, p.dim), (m.dim, p.dim),
                   [[(m.sparse_table, 0), (d.sparse_right, 0)], [(d.sparse_left, 0), (p.sparse_table, m.dim)]])
     alg = LeibnizAlgebra(f, n, tab)
-    inc_m = Matrix.from_columns(f, [unit_vector(f, n, i) for i in range(m.dim)], n)
-    inc_p = Matrix.from_columns(f, [unit_vector(f, n, m.dim + a) for a in range(p.dim)], n)
+    inc_m = Matrix(f, n, m.dim, tuple(_units(m.dim)))
+    inc_p = Matrix(f, n, p.dim, tuple({m.dim + a: 1} for a in range(p.dim)))
     return SemidirectAlgebra(alg, inc_m, inc_p)

@@ -12,12 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field, fields
 from functools import cached_property
 from itertools import groupby
-from operator import is_, itemgetter
-from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .fields import Field, InputDataError, Scalar
-from .linalg import Matrix, Number, ScaledVector, Subspace, _dense, _sparse, number, sparse_kernel, unit_vector
+from .linalg import Matrix, Number, ScaledVector, Subspace, _dense, _sparse, _stored, sparse_kernel
 
 MAX_DIM = 64  # guard against accidentally huge inputs
 
@@ -36,8 +35,9 @@ def _check_dim(dim: int) -> None:
 # ``linalg.number``: an int residue in [0, p) over F_p; over Q an int when
 # integral, else a Fraction.  Every structure tensor (an algebra's table, an
 # action's two brackets, a pairing) is stored that way, as its sparse view:
-# view[i][j] is such a vector.  ``_stored`` makes that form from a dense or a
-# sparse tensor; the dense tensors are derived from it only on request.
+# view[i][j] is such a vector.  ``linalg._stored`` makes that form from a
+# dense or a sparse tensor; the dense tensors are derived from it only on
+# request.  A matrix m is the view (m.sparse_columns,) of (1, v) -> m v.
 # ``_accumulate`` is the one contraction kernel: every bracket, action and
 # pairing is evaluated by it from nonzero terms only.  A linear combination
 # of contractions is a list of terms (sign, view, x, y).  The validators
@@ -48,50 +48,7 @@ SparseVector = dict[int, Number]
 SparseTensor = tuple[tuple[SparseVector, ...], ...]
 Tensor = tuple[tuple[tuple[Scalar, ...], ...], ...]  # a dense view
 Term = tuple[int, SparseTensor, SparseVector, SparseVector]  # sign * view(x, y)
-_ONE: SparseVector = {0: 1}  # the left argument that turns a ``_sparse_map`` view into its map
-
-
-def _stored(field: Field, tensor, shape: tuple[int, int, int], what: str) -> SparseTensor:
-    """A d0 x d1 x d2 tensor in stored form: no zero entries, each entry a
-    ``linalg.number`` of the field.  Each vector tensor[a][b] is given dense
-    (d2 scalars) or sparse (a dict {k: c}); a scalar of another field is a
-    TypeError, as in ``field.coerce``.  A tensor already in stored form is
-    returned as it is, so a view handed on is shared, not copied."""
-    d0, d1, d2 = shape
-    bad_shape = f"{what} shape is not {d0}x{d1}x{d2}"
-    if len(tensor) != d0 or any(len(row) != d1 for row in tensor):
-        raise InputDataError(bad_shape)
-    p, coerce, scalar = field.characteristic, field.coerce, type(field.zero)
-
-    def kept(c) -> bool:  # an entry already in stored form
-        return type(c) is int and (0 < c < p if p else c != 0) or not p and type(c) is Fraction and c.denominator != 1
-
-    def vector(v) -> SparseVector:
-        if not isinstance(v, dict):
-            if len(v) != d2:
-                raise InputDataError(bad_shape)
-            items = enumerate(v)
-        elif type(v) is dict and (not v or all(type(k) is int and 0 <= k < d2 and kept(c) for k, c in v.items())):
-            return v
-        elif all(type(k) is int and 0 <= k < d2 for k in v):
-            items = v.items()
-        else:
-            raise InputDataError(f"{what} has an index outside [0, {d2})")
-        out: SparseVector = {}
-        for k, c in items:
-            if type(c) is not int:
-                if type(c) is not scalar or p and c.p != p:
-                    c = coerce(c)  # a scalar of another field is refused
-                c = number(c) if c else 0
-            if p:
-                c %= p
-            if c:
-                out[k] = c
-        return out
-
-    rows = tuple(tuple(map(vector, row)) for row in tensor)
-    same = type(tensor) is tuple and all(type(r) is tuple and all(map(is_, a, r)) for a, r in zip(rows, tensor))
-    return tensor if same else rows
+_ONE: SparseVector = {0: 1}  # the left argument that turns the view (m.sparse_columns,) into the map m
 
 
 def _store(obj, name: str, field: Field, shape: tuple[int, int, int], what: str) -> None:
@@ -143,12 +100,6 @@ def _blocks(sizes0: Sequence[int], sizes1: Sequence[int], grid) -> SparseTensor:
                     row += view[a] if not shift else [{k + shift: c for k, c in v.items()} for v in view[a]]
             out.append(tuple(row))
     return tuple(out)
-
-
-def _sparse_map(m: Matrix) -> SparseTensor:
-    """A linear map as the bilinear map (1, v) -> m v, so that the term
-    (sign, view, _ONE, v) is sign * m v; view[0][c] is column c."""
-    return (tuple(_sparse(m.column(c)) for c in range(m.cols)),)
 
 
 def _units(n: int) -> list[SparseVector]:
@@ -444,7 +395,7 @@ def subalgebra_on(a: LeibnizAlgebra, s: Subspace) -> tuple[LeibnizAlgebra, Matri
     """
     rows = s.scaled_rows
     tab = _restricted(s, a.sparse_table, rows, rows, "subspace is not closed under the bracket")
-    return LeibnizAlgebra(a.field, s.dim, tab), Matrix.from_columns(a.field, s.basis.entries, a.dim)
+    return LeibnizAlgebra(a.field, s.dim, tab), s.inclusion()
 
 
 def quotient_algebra(a: LeibnizAlgebra, ideal: Subspace) -> tuple[LeibnizAlgebra, Matrix]:
@@ -472,6 +423,6 @@ def direct_sum(a: LeibnizAlgebra, b: LeibnizAlgebra) -> tuple[LeibnizAlgebra, Ma
     n = a.dim + b.dim
     tab = _blocks((a.dim, b.dim), (a.dim, b.dim), [[(a.sparse_table, 0), None], [None, (b.sparse_table, a.dim)]])
     alg = LeibnizAlgebra(a.field, n, tab)
-    incl_a = Matrix.from_columns(a.field, [unit_vector(a.field, n, i) for i in range(a.dim)], n)
-    incl_b = Matrix.from_columns(a.field, [unit_vector(a.field, n, a.dim + i) for i in range(b.dim)], n)
+    incl_a = Matrix(a.field, n, a.dim, tuple(_units(a.dim)))
+    incl_b = Matrix(a.field, n, b.dim, tuple({a.dim + i: 1} for i in range(b.dim)))
     return alg, incl_a, incl_b

@@ -42,19 +42,15 @@ from math import lcm
 from typing import Callable, Sequence
 
 from .action import ActionData
-from .algebra import LeibnizAlgebra, SparseTensor, SparseVector, _evaluate, _sparse_map, _units
+from .algebra import LeibnizAlgebra, SparseTensor, SparseVector, _evaluate, _units
 from .fields import Field
 from .linalg import (
     Matrix,
     Number,
     ScaledVector,
     Subspace,
-    _dense,
     _preimages,
     _rescale,
-    _sparse,
-    column_space,
-    nullspace,
     rref,
     sparse_kernel,
 )
@@ -91,7 +87,7 @@ SignedColumns = tuple[int, Sequence[SparseVector]]
 
 def _scaled_matrix(m: Matrix) -> ScaledMap:
     """A matrix as a scaled map: its entries times the lcm of their denominators."""
-    rows = {i: row for i, row in enumerate(map(_sparse, m.entries)) if row}
+    rows = {i: row for i, row in enumerate(m.transpose().sparse_columns) if row}
     den = lcm(*(c.denominator for row in rows.values() for c in row.values()))
     return {i: {j: c.numerator * (den // c.denominator) for j, c in row.items()} for i, row in rows.items()}, den
 
@@ -249,7 +245,7 @@ def _pair_rows(act: ActionData, d: _Map, dd: _Map) -> list[_Row]:
 
 def _boundary_rows(mu: Matrix, top: _Map, base: _Map) -> list[_Row]:
     """The boundary intertwines the maps: mu @ top = base @ mu."""
-    mu_cols = _sparse_map(mu)[0]
+    mu_cols = mu.sparse_columns
     rows: list[_Row] = []
     for j in range(mu.cols):
         rows += _collect(mu.rows, (1, _sent(top, j, mu_cols)), (-1, _applied(base, mu_cols[j])))
@@ -374,7 +370,7 @@ def delta(x: CrossedModule) -> Matrix:
     error = "boundary-composed pair is not a quadruple solution"
     cols = [quads.read_products([[(1, d, mu)], [(1, dd, mu)], [(1, mu, d)], [(1, mu, dd)]], error)
             for d, dd in pairs.sparse_basis]
-    return Matrix.from_sparse_columns(x.top.field, cols, quads.dim)
+    return Matrix(x.top.field, quads.dim, pairs.dim, tuple(cols))
 
 
 @functools.lru_cache(maxsize=None)
@@ -415,8 +411,8 @@ def _induced_maps(y: CrossedModule, p_on_n: ActionData, p_on_q: ActionData, mq: 
                                     "induced quadruple is not a quadruple-space solution")
                  for b in range(p_on_n.actor.dim)]
     f = y.top.field
-    return (Matrix.from_sparse_columns(f, top_cols, pairs.dim),
-            Matrix.from_sparse_columns(f, base_cols, quads.dim))
+    return (Matrix(f, pairs.dim, len(top_cols), tuple(top_cols)),
+            Matrix(f, quads.dim, len(base_cols), tuple(base_cols)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -467,11 +463,13 @@ def sequence_problems(s: ShortExactSequence) -> list[str]:
         ("top", s.include.top_map, s.project.top_map, s.first.top.dim, s.last.top.dim),
         ("base", s.include.base_map, s.project.base_map, s.first.base.dim, s.last.base.dim),
     ):
-        if rref(inc).rank != first_dim:
+        inc_rank, proj_rank = rref(inc).rank, rref(proj).rank
+        if inc_rank != first_dim:
             problems.append(f"{layer} inclusion is not injective")
-        if rref(proj).rank != last_dim:
+        if proj_rank != last_dim:
             problems.append(f"{layer} projection is not surjective")
-        if column_space(inc) != nullspace(proj):
+        # image = kernel: the image lies in the kernel, and the two have one dimension
+        if any((proj @ inc).sparse_columns) or inc_rank + proj_rank != inc.rows:
             problems.append(f"{layer} layer is not exact in the middle")
     return problems
 
@@ -504,7 +502,7 @@ def lift_sequence(s: ShortExactSequence) -> LiftResult:
     mid = s.middle
     f = x.top.field
     top, base = _preimages(s.include.top_map), _preimages(s.include.base_map)
-    ns, qs = _sparse_map(s.include.top_map)[0], _sparse_map(s.include.base_map)[0]
+    ns, qs = s.include.top_map.sparse_columns, s.include.base_map.sparse_columns
     ms, ps = _units(mid.top.dim), _units(mid.base.dim)
 
     def pulled(back: Callable, view: SparseTensor, us: Sequence[SparseVector], vs: Sequence[SparseVector]):
@@ -524,8 +522,8 @@ def lift_sequence(s: ShortExactSequence) -> LiftResult:
     def induced(project: Matrix, lifted: Matrix, onto: Matrix) -> Matrix:
         """last -> outer: pull each basis element back to the middle, lift it, project it."""
         pull = _preimages(project)
-        ends = [_dense(f, project.cols, pull({r: 1})) for r in range(project.rows)]
-        return Matrix.from_columns(f, [onto.apply(lifted.apply(w)) for w in ends], onto.rows)
+        return Matrix(f, onto.rows, project.rows, tuple(onto.apply(lifted.apply(pull({r: 1})))
+                                                        for r in range(project.rows)))
 
     induced_top = induced(s.project.top_map, alpha, out.top_project)
     induced_base = induced(s.project.base_map, beta, out.base_project)

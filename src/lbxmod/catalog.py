@@ -13,7 +13,7 @@ from .action import ActionData
 from .algebra import LeibnizAlgebra, direct_sum
 from .bider import ShortExactSequence
 from .fields import Field, InputDataError
-from .linalg import Matrix, Subspace, unit_vector
+from .linalg import Matrix, Subspace
 from .xaction import XModActionData
 from .xmod import CrossedModule, XModMorphism
 
@@ -46,7 +46,7 @@ def _zero_into_l2(field: Field) -> CrossedModule:
 
 def _l2_ann_incl(field: Field) -> CrossedModule:
     a = _l2(field)
-    span_e2 = Subspace.from_rows(field, 2, [unit_vector(field, 2, 1)])
+    span_e2 = Subspace.from_rows(field, 2, [{1: 1}])
     return CrossedModule.inclusion_of_ideal(a, span_e2)
 
 
@@ -63,7 +63,7 @@ def _mixed_pair_break(field: Field) -> XModActionData:
     once those are relaxed."""
     m = LeibnizAlgebra.abelian(field, 1, ("u",))
     p = LeibnizAlgebra.abelian(field, 2, ("p1", "p2"))
-    eta = Matrix.from_columns(field, [unit_vector(field, 2, 0)], 2)
+    eta = Matrix(field, 2, 1, ({0: 1},))
     x = CrossedModule(m, p, eta, ActionData.zero(p, m))
 
     n = LeibnizAlgebra.abelian(field, 1, ("v",))
@@ -83,7 +83,7 @@ def _sl2_sequence(field: Field) -> ShortExactSequence:
     middle = CrossedModule.identity_on(total)
     last = CrossedModule.identity_on(line)
     include = XModMorphism(first, middle, inc_s, inc_s)
-    proj = Matrix.from_rows(field, [unit_vector(field, 4, 3)])
+    proj = Matrix(field, 1, 4, ({}, {}, {}, {0: 1}))
     project = XModMorphism(middle, last, proj, proj)
     return ShortExactSequence(first, middle, last, include, project)
 

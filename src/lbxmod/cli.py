@@ -237,7 +237,7 @@ def _run(command: str, kind: str, obj, field: Field) -> tuple[dict, bool]:
         return {
             "dim": space.dim,
             "shapes": [list(s) for s in space.shapes],
-            "basis": [ser.vector_to_json(field, row) for row in space.space.basis.entries],
+            "basis": ser.subspace_to_json(space.space)["basis"],
             "algebra": ser.algebra_to_json(space.algebra),
         }, True
 

@@ -1,20 +1,26 @@
 """Exact linear algebra over a field object.
 
-Matrices are immutable row-major tuples; linear maps act on column vectors
-(``apply``), so a map f: k^c -> k^r is an r x c matrix.  Subspaces of k^n are
-stored by their unique reduced-row-echelon basis, which makes equality of
-subspaces plain tuple equality and keeps every downstream report canonical.
+A linear map f: k^c -> k^r is an r x c ``Matrix`` acting on column vectors,
+held by its sparse columns: column j is the image of e_j,
+``{row: coefficient}``.  Subspaces of k^n are held by their unique reduced
+echelon basis, which makes equality of subspaces plain equality and keeps
+every downstream report canonical.  Both store only that sparse form; the
+dense rows (``Matrix.entries``) and the dense echelon basis
+(``Subspace.basis``) are views, built on request.
 
 All elimination runs in one kernel, ``_sparse_rref``, on sparse rows
 ``{column: coefficient}``: plain ``int`` residues over F_p, and over Q
-fraction-free steps on primitive integer rows.  ``rref``, ``nullspace``
-and the ``Subspace`` constructors hand it dense rows;
-``sparse_kernel`` hands it sparse constraint rows.  The kernel never
-divides: each echelon row ``I`` leaves it with a positive pivot entry ``d``
-(1 over F_p), and stands for ``I / d``.  A ``Subspace`` keeps these
-``scaled_rows`` beside its dense basis, and every membership, coordinate and
-projection test is one sparse ``residue`` on them, computed on ints and
-divided only where something is left.
+fraction-free steps on primitive integer rows.  The kernel never divides:
+each echelon row ``I`` leaves it with a positive pivot entry ``d`` (1 over
+F_p), and stands for ``I / d``.  A ``Subspace`` keeps these ``scaled_rows``
+as its basis, and every membership, coordinate and projection test is one
+sparse ``residue`` on them, computed on ints and divided only where
+something is left.
+
+A coefficient is stored as a ``number``: an int residue in [0, p) over F_p;
+over Q an int when integral, else a Fraction, never zero.  ``_stored`` makes
+that form from dense or sparse input, for matrices here and for the
+structure tensors of ``algebra``.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
+from operator import is_
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .fields import Field, FpElement, InputDataError, Scalar
@@ -42,25 +49,91 @@ class LinearSolveError(RuntimeError):
     """
 
 
+def _stored(field: Field, tensor, shape: tuple[int, int, int], what: str) -> tuple:
+    """A d0 x d1 x d2 tensor in stored form: no zero entries, each entry a
+    ``number`` of the field.  Each vector tensor[a][b] is given dense (d2
+    scalars) or sparse (a dict {k: c}); a scalar of another field is a
+    TypeError, as in ``field.coerce``.  A tensor already in stored form is
+    returned as it is, so a view handed on is shared, not copied."""
+    d0, d1, d2 = shape
+    bad_shape = f"{what} shape is not {d0}x{d1}x{d2}"
+    if len(tensor) != d0 or any(len(row) != d1 for row in tensor):
+        raise InputDataError(bad_shape)
+    p, coerce, scalar = field.characteristic, field.coerce, type(field.zero)
+
+    def kept(c) -> bool:  # an entry already in stored form
+        return type(c) is int and (0 < c < p if p else c != 0) or not p and type(c) is Fraction and c.denominator != 1
+
+    def vector(v) -> dict[int, Number]:
+        if not isinstance(v, dict):
+            if len(v) != d2:
+                raise InputDataError(bad_shape)
+            items = enumerate(v)
+        elif type(v) is dict and (not v or all(type(k) is int and 0 <= k < d2 and kept(c) for k, c in v.items())):
+            return v
+        elif all(type(k) is int and 0 <= k < d2 for k in v):
+            items = v.items()
+        else:
+            raise InputDataError(f"{what} has an index outside [0, {d2})")
+        out: dict[int, Number] = {}
+        for k, c in items:
+            if type(c) is not int:
+                if type(c) is not scalar or p and c.p != p:
+                    c = coerce(c)  # a scalar of another field is refused
+                c = number(c) if c else 0
+            if p:
+                c %= p
+            if c:
+                out[k] = c
+        return out
+
+    rows = tuple(tuple(map(vector, row)) for row in tensor)
+    same = type(tensor) is tuple and all(type(r) is tuple and all(map(is_, a, r)) for a, r in zip(rows, tensor))
+    return tensor if same else rows
+
+
+def _frozen_vectors(vectors: Iterable[Mapping[int, Number]]) -> tuple:
+    """A hashable key of sparse vectors: equal vectors give equal keys."""
+    return tuple(frozenset(v.items()) for v in vectors)
+
+
 @dataclass(frozen=True)
 class Matrix:
+    """An r x c matrix held by its c sparse columns ``{row: number}``.
+
+    The constructor also takes the dense rows in the same place (r rows of
+    c scalars); both are brought to the stored form by ``_stored``."""
+
     field: Field
     rows: int
     cols: int
-    entries: tuple[tuple[Scalar, ...], ...]
+    sparse_columns: tuple[dict[int, Number], ...]
 
     def __post_init__(self) -> None:
-        if len(self.entries) != self.rows:
-            raise InputDataError(f"expected {self.rows} rows, got {len(self.entries)}")
-        for r in self.entries:
-            if len(r) != self.cols:
-                raise InputDataError(f"expected {self.cols} cols, got {len(r)}")
+        data = self.sparse_columns
+        if len(data) != self.cols or not all(isinstance(v, dict) for v in data):  # dense rows
+            if len(data) != self.rows:
+                raise InputDataError(f"expected {self.rows} rows, got {len(data)}")
+            for r in data:
+                if len(r) != self.cols:
+                    raise InputDataError(f"expected {self.cols} cols, got {len(r)}")
+            data = tuple(tuple(r[j] for r in data) for j in range(self.cols))
+        stored = _stored(self.field, (data,), (1, self.cols, self.rows), "matrix")[0]
+        object.__setattr__(self, "sparse_columns", stored)
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.rows, self.cols, _frozen_vectors(self.sparse_columns)))
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Scalar, ...], ...]:
+        """The dense rows, a view built on first request."""
+        return tuple(_dense(self.field, self.cols, row) for row in self.transpose().sparse_columns)
 
     # -- construction -------------------------------------------------
 
     @classmethod
     def from_rows(cls, field: Field, rows: Sequence[Sequence[object]], cols: Optional[int] = None) -> "Matrix":
-        data = tuple(tuple(field.coerce(x) for x in row) for row in rows)
+        data = tuple(map(tuple, rows))
         if cols is None:
             if not data:
                 raise InputDataError("cannot infer column count of an empty matrix")
@@ -69,77 +142,38 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        z = field.zero
-        return cls(field, rows, cols, tuple(tuple(z for _ in range(cols)) for _ in range(rows)))
+        return cls(field, rows, cols, ({},) * cols)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        z, o = field.zero, field.one
-        return cls(field, n, n, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)))
+        return cls(field, n, n, tuple({i: 1} for i in range(n)))
 
     @classmethod
-    def from_columns(cls, field: Field, columns: Sequence[Sequence[Scalar]], rows: int) -> "Matrix":
-        return cls(field, rows, len(columns), tuple(tuple(col[i] for col in columns) for i in range(rows)))
-
-    @classmethod
-    def from_sparse_columns(cls, field: Field, columns: Sequence[Mapping[int, Number]], rows: int) -> "Matrix":
-        return cls.from_columns(field, [_dense(field, rows, col) for col in columns], rows)
-
-    # -- accessors ----------------------------------------------------
-
-    def column(self, j: int) -> tuple[Scalar, ...]:
-        return tuple(self.entries[i][j] for i in range(self.rows))
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.cols, self.rows, tuple(self.column(j) for j in range(self.cols)))
+    def from_columns(cls, field: Field, columns: Sequence, rows: int) -> "Matrix":
+        """The matrix of the given columns, each dense or sparse."""
+        return cls(field, rows, len(columns), tuple(c if isinstance(c, dict) else dict(enumerate(c)) for c in columns))
 
     # -- arithmetic ---------------------------------------------------
+
+    def transpose(self) -> "Matrix":
+        rows: list[dict[int, Number]] = [{} for _ in range(self.rows)]
+        for j, col in enumerate(self.sparse_columns):
+            for i, c in col.items():
+                rows[i][j] = c
+        return Matrix(self.field, self.cols, self.rows, tuple(rows))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise InputDataError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        z = self.field.zero
-        # skip zero entries on both sides: the structure maps are mostly zero
-        other_rows = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
-        out = []
-        for ri in self.entries:
-            acc = [z] * other.cols
-            for a, terms in zip(ri, other_rows):
-                if a:
-                    for j, b in terms:
-                        acc[j] = acc[j] + a * b
-            out.append(tuple(acc))
-        return Matrix(self.field, self.rows, other.cols, tuple(out))
+        return Matrix(self.field, self.rows, other.cols, tuple(map(self.apply, other.sparse_columns)))
 
-    def apply(self, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
-        """Matrix times column vector."""
-        if len(vec) != self.cols:
-            raise InputDataError(f"vector of length {len(vec)} for a {self.rows}x{self.cols} matrix")
-        z = self.field.zero
-        terms = [(k, v) for k, v in enumerate(vec) if v]
-        out = []
-        for row in self.entries:
-            acc = z
-            for k, v in terms:
-                a = row[k]
-                if a:
-                    acc = acc + a * v
-            out.append(acc)
-        return tuple(out)
-
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows:
-            raise InputDataError("hstack row mismatch")
-        return Matrix(self.field, self.rows, self.cols + other.cols,
-                      tuple(ra + rb for ra, rb in zip(self.entries, other.entries)))
-
-
-def zero_vector(field: Field, n: int) -> tuple[Scalar, ...]:
-    return tuple(field.zero for _ in range(n))
-
-
-def unit_vector(field: Field, n: int, i: int) -> tuple[Scalar, ...]:
-    return tuple(field.one if j == i else field.zero for j in range(n))
+    def apply(self, vec: Mapping[int, Number]) -> dict[int, Number]:
+        """Matrix times a sparse column vector, sparse: the combination of
+        the columns given by vec's entries."""
+        p, cols, out = self.field.characteristic, self.sparse_columns, {}
+        for k, c in vec.items():
+            _axpy(out, c, cols[k], p)
+        return out if p else {k: number(c) for k, c in out.items()}
 
 
 @dataclass(frozen=True)
@@ -156,21 +190,26 @@ def rref(m: Matrix) -> RrefResult:
     """Reduced row echelon form with the first-nonzero pivot rule.
 
     The rows are reduced by ``_sparse_rref``; the pivot rows come first in
-    pivot order, then the zero rows, and every entry is a field scalar.
-    """
-    s = Subspace.from_rows(m.field, m.cols, m.entries)
-    rows = s.basis.entries + ((m.field.zero,) * m.cols,) * (m.rows - s.dim)
-    return RrefResult(Matrix(m.field, m.rows, m.cols, rows), s.pivots)
+    pivot order, then the zero rows."""
+    s = Subspace.from_rows(m.field, m.cols, m.transpose().sparse_columns)
+    rows = tuple(_divided(row, d) for row, d in s.scaled_rows) + ({},) * (m.rows - s.dim)
+    return RrefResult(Matrix(m.field, m.cols, m.rows, rows).transpose(), s.pivots)
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of k^ambient, held by its unique RREF basis (rows)."""
+    """A subspace of k^ambient, held by its unique reduced echelon basis:
+    row t is ``I / d`` for ``(I, d) = scaled_rows[t]``, with ``I`` the
+    primitive integer row on its line and ``d > 0`` its entry at
+    ``pivots[t]`` (over F_p, the residues and 1)."""
 
     field: Field
     ambient: int
-    basis: Matrix  # dim x ambient, in reduced row echelon form, full row rank
+    scaled_rows: tuple[ScaledVector, ...]
     pivots: tuple[int, ...]
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.ambient, self.pivots, _frozen_vectors(row for row, _d in self.scaled_rows)))
 
     @classmethod
     def from_rows(cls, field: Field, ambient: int, rows: Iterable) -> "Subspace":
@@ -180,25 +219,24 @@ class Subspace:
 
     @classmethod
     def zero(cls, field: Field, ambient: int) -> "Subspace":
-        return cls(field, ambient, Matrix(field, 0, ambient, ()), ())
+        return cls(field, ambient, (), ())
 
     @classmethod
     def full(cls, field: Field, ambient: int) -> "Subspace":
-        return cls(field, ambient, Matrix.identity(field, ambient), tuple(range(ambient)))
+        return cls(field, ambient, tuple(({i: 1}, 1) for i in range(ambient)), tuple(range(ambient)))
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.pivots)
+
+    def inclusion(self) -> Matrix:
+        """The map k^dim -> k^ambient sending e_t to basis row t."""
+        return Matrix(self.field, self.ambient, self.dim, tuple(_divided(row, d) for row, d in self.scaled_rows))
 
     @cached_property
-    def scaled_rows(self) -> tuple[ScaledVector, ...]:
-        """The basis rows as ``(I, d)``: row t is ``I / d``, with ``I`` the
-        primitive integer row on its line and ``d > 0`` its entry at
-        ``pivots[t]`` (over F_p, the residues and 1).  Kernel results come
-        with them; other subspaces derive them from the dense basis."""
-        p = self.field.characteristic
-        rows = (_sparse(r) if p else _integer_row(_sparse(r)) for r in self.basis.entries)
-        return tuple((row, row[u]) for row, u in zip(rows, self.pivots))
+    def basis(self) -> Matrix:
+        """The dense echelon basis (dim x ambient), a view built on first request."""
+        return self.inclusion().transpose()
 
     @cached_property
     def _pivot_index(self) -> dict[int, int]:
@@ -278,36 +316,42 @@ class Subspace:
         representative r, and minus row t's entry at representative r where
         j is the pivot of row t.
         """
-        cols = [self.project({j: 1}) for j in range(self.ambient)]
-        return Matrix.from_sparse_columns(self.field, cols, len(self._rep_index))
+        cols = tuple(self.project({j: 1}) for j in range(self.ambient))
+        return Matrix(self.field, len(self._rep_index), self.ambient, cols)
 
 
 def nullspace(m: Matrix) -> Subspace:
     """Kernel of m acting on column vectors, as a subspace of k^cols."""
-    return sparse_kernel(m.field, m.cols, map(_sparse, m.entries))
+    return sparse_kernel(m.field, m.cols, m.transpose().sparse_columns)
 
 
 def column_space(m: Matrix) -> Subspace:
-    return Subspace.from_rows(m.field, m.rows, m.transpose().entries)
+    return Subspace.from_rows(m.field, m.rows, m.sparse_columns)
 
 
 def _preimages(a: Matrix) -> Callable[[Mapping[int, Number]], dict[int, Number]]:
     """Solve a @ x = v for any sparse v, sparsely, from one echelon pass of
-    [a | 1], which reduces a to E by an invertible R: a @ x = v is
-    E @ x = R v.  x has its free variables zero; where R v is not zero below
-    E's pivot rows there is no x, and a ``LinearSolveError``."""
+    the rows of [a | 1], which reduces a to E by an invertible R: a @ x = v
+    is E @ x = R v.  Each echelon row (I, d) with pivot u holds its row of
+    E and of d * R; x has its free variables zero, and x[u] = (R v)[u] for
+    u < a.cols.  Where R v is not zero at a pivot u >= a.cols there is no
+    x, and a ``LinearSolveError``."""
     k, p = a.cols, a.field.characteristic
-    red = rref(a.hstack(Matrix.identity(a.field, a.rows)))
-    pivots = [u for u in red.pivots if u < k]
-    r = [_sparse(row[k:]) for row in red.matrix.entries]
+    red = _sparse_rref(({**row, k + i: 1} for i, row in enumerate(a.transpose().sparse_columns)), p)
+    solved = [(u, {j - k: c for j, c in row.items() if j >= k}, row[u]) for u, row in sorted(red.items())]
 
     def back(vec: Mapping[int, Number]) -> dict[int, Number]:
-        rv = [sum(row[j] * c for j, c in vec.items() if j in row) for row in r]
-        if p:
-            rv = [c % p for c in rv]
-        if any(rv[len(pivots):]):
-            raise LinearSolveError("value has no preimage though exactness promises one")
-        return {u: number(c) for u, c in zip(pivots, rv) if c}
+        out = {}
+        for u, r, d in solved:
+            c = sum(r[j] * v for j, v in vec.items() if j in r)
+            if p:
+                c %= p
+            if not c:
+                continue
+            if u >= k:
+                raise LinearSolveError("value has no preimage though exactness promises one")
+            out[u] = c if p else number(Fraction(c, d))
+        return out
 
     return back
 
@@ -325,14 +369,17 @@ def _sparse(vec: Sequence[Scalar]) -> dict[int, Number]:
     return {k: number(c) for k, c in enumerate(vec) if c}
 
 
-def _dense(field: Field, dim: int, vec: Mapping[int, Number], den: int = 1) -> tuple[Scalar, ...]:
-    """The dense vector vec / den."""
-    if den != 1:
-        vec = {k: Fraction(c, den) for k, c in vec.items()}
+def _dense(field: Field, dim: int, vec: Mapping[int, Number]) -> tuple[Scalar, ...]:
+    """A sparse vector as a dense one of dim field scalars."""
     out = [field.zero] * dim
     for k, c in vec.items():
         out[k] = field.coerce(c)
     return tuple(out)
+
+
+def _divided(vec: dict[int, Number], d: int) -> dict[int, Number]:
+    """The sparse vector vec / d."""
+    return vec if d == 1 else {k: number(Fraction(c, d)) for k, c in vec.items()}
 
 
 def _axpy(dst: dict[int, Number], f: Number, src: Mapping[int, Number], p: int) -> None:
@@ -452,10 +499,6 @@ def sparse_kernel(field: Field, ncols: int, rows: Iterable[Mapping[int, Number]]
 
 
 def _echelon_subspace(field: Field, ncols: int, red: Mapping[int, dict[int, int]]) -> Subspace:
-    """The ``Subspace`` of a ``_sparse_rref`` result, which hands over its
-    rows as the ``scaled_rows``."""
+    """The ``Subspace`` of a ``_sparse_rref`` result, whose rows are its ``scaled_rows``."""
     pivots = tuple(sorted(red))
-    basis = tuple(_dense(field, ncols, red[u], red[u][u]) for u in pivots)
-    out = Subspace(field, ncols, Matrix(field, len(basis), ncols, basis), pivots)
-    out.__dict__["scaled_rows"] = tuple((red[u], red[u][u]) for u in pivots)  # the cached view, built once
-    return out
+    return Subspace(field, ncols, tuple((red[u], red[u][u]) for u in pivots), pivots)

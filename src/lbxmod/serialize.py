@@ -8,13 +8,14 @@ on canonical objects: ``from_json(to_json(x)) == x``.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Any, Callable, Sequence
 
 from .action import ActionData
 from .algebra import LeibnizAlgebra, SparseTensor
 from .bider import ShortExactSequence
 from .fields import Field, InputDataError, Scalar
-from .linalg import Matrix, Number, Subspace, _sparse
+from .linalg import Matrix, Number, Subspace, _sparse, number
 from .xaction import ActorMorphism, XModActionData
 from .xmod import CrossedModule, XModMorphism
 
@@ -54,16 +55,20 @@ def _number_to_json(field: Field) -> Callable[[Number], Any]:
     return int if field.characteristic else str
 
 
+def _dense_json(field: Field, dim: int, vec: dict[int, Number], den: int = 1) -> list:
+    """The sparse vector vec / den as a dense JSON list of dim scalars."""
+    to_json, out = _number_to_json(field), [field.scalar_to_json(field.zero)] * dim
+    for k, c in vec.items():
+        out[k] = to_json(c if den == 1 else Fraction(c, den))
+    return out
+
+
 # -- matrices and vectors -----------------------------------------------
 
 
 def matrix_to_json(m: Matrix) -> dict:
-    f = m.field
-    return {
-        "rows": m.rows,
-        "cols": m.cols,
-        "entries": [[f.scalar_to_json(x) for x in row] for row in m.entries],
-    }
+    rows = m.transpose().sparse_columns
+    return {"rows": m.rows, "cols": m.cols, "entries": [_dense_json(m.field, m.cols, row) for row in rows]}
 
 
 def matrix_from_json(field: Field, obj: Any) -> Matrix:
@@ -79,12 +84,15 @@ def _matrix(field: Field, read: Callable, obj: Any) -> Matrix:
     data = obj["entries"]
     if not isinstance(data, list) or len(data) != rows:
         raise InputDataError("matrix entries do not match the declared row count")
-    parsed = []
-    for row in data:
+    columns: tuple[dict[int, Number], ...] = tuple({} for _ in range(cols))
+    for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != cols:
             raise InputDataError("matrix entries do not match the declared column count")
-        parsed.append(tuple(map(read, row)))
-    return Matrix(field, rows, cols, tuple(parsed))
+        for j, x in enumerate(row):
+            c = read(x)
+            if c:
+                columns[j][i] = number(c)
+    return Matrix(field, rows, cols, columns)
 
 
 def vector_to_json(field: Field, v: Sequence[Scalar]) -> list:
@@ -92,12 +100,8 @@ def vector_to_json(field: Field, v: Sequence[Scalar]) -> list:
 
 
 def subspace_to_json(s: Subspace) -> dict:
-    f = s.field
-    return {
-        "ambient_dim": s.ambient,
-        "dim": s.dim,
-        "basis": [[f.scalar_to_json(x) for x in row] for row in s.basis.entries],
-    }
+    basis = [_dense_json(s.field, s.ambient, row, d) for row, d in s.scaled_rows]
+    return {"ambient_dim": s.ambient, "dim": s.dim, "basis": basis}
 
 
 # -- algebras -------------------------------------------------------------
@@ -155,16 +159,7 @@ def _algebra(field: Field, read: Callable, obj: Any) -> LeibnizAlgebra:
 
 def tensor_to_json(field: Field, view: SparseTensor, dim: int) -> list:
     """A stored tensor as dense JSON: each vector lists all dim coordinates."""
-    zero, to_json, out = field.scalar_to_json(field.zero), _number_to_json(field), []
-    for row in view:
-        out_row = []
-        for v in row:
-            vec = [zero] * dim
-            for k, c in v.items():
-                vec[k] = to_json(c)
-            out_row.append(vec)
-        out.append(out_row)
-    return out
+    return [[_dense_json(field, dim, v) for v in row] for row in view]
 
 
 def tensor_from_json(field: Field, obj: Any, d0: int, d1: int, d2: int) -> SparseTensor:

@@ -17,6 +17,7 @@ sparse views ``sparse_mq[i][a]`` and ``sparse_qm[a][i]`` with values in n;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .action import ActionData, semidirect_algebra, validate_action
@@ -29,14 +30,13 @@ from .algebra import (
     _dense_view,
     _evaluate,
     _prefixed,
-    _sparse_map,
     _store,
     _stored_hash,
     _units,
     _violations,
 )
-from .fields import Field, InputDataError, Scalar
-from .linalg import Matrix, number, unit_vector, zero_vector
+from .fields import Field, InputDataError
+from .linalg import Matrix, number
 from .bider import MapSpace, ShortExactSequence, _induced_maps, actor, bider_qn, bider_xmod
 from .xmod import (
     ConditionFlags,
@@ -137,7 +137,7 @@ def validate_xmod_action(d: XModActionData, check_components: bool = True) -> Va
     y_l, y_r = y.action.sparse_left, y.action.sparse_right              # q on n
     x_l, x_r = x.action.sparse_left, x.action.sparse_right              # p on m
     mq, qm = d.sparse_mq, d.sparse_qm
-    mu, eta = _sparse_map(y.boundary), _sparse_map(x.boundary)
+    mu, eta = (y.boundary.sparse_columns,), (x.boundary.sparse_columns,)
     one = (_ONE, "")
     muj, etai, etak = (mu[0], "j"), (eta[0], "i"), (eta[0], "k")  # boundary images of the n- and m-bases
     # i, k index m; b indexes p; j indexes n; a, c index q
@@ -232,19 +232,18 @@ def morphism_from_action(d: XModActionData) -> ActionToMorphismResult:
     return ActionToMorphismResult(morphism, relaxed)
 
 
-def _member_columns(space: MapSpace, coords: Sequence[Scalar]) -> list[list[SparseVector]]:
-    """The member of a map space with the given coordinates, each map as its
-    sparse columns: the sum of coords[t] / den times basis member t, read off
-    ``sparse_basis``.  Entries are left unreduced, for ``ActionData`` and
-    ``XModActionData`` to store."""
+def _member_columns(space: MapSpace, coords: SparseVector) -> list[list[SparseVector]]:
+    """The member of a map space with the given sparse coordinates, each map
+    as its sparse columns: the sum of coords[t] / den times basis member t,
+    read off ``sparse_basis``.  Entries are left unreduced, for
+    ``ActionData`` and ``XModActionData`` to store."""
     maps: list[list[SparseVector]] = [[{} for _ in range(cols)] for _rows, cols in space.shapes]
-    for c, member in zip(coords, space.sparse_basis):
-        if c:
-            for columns, (m, den) in zip(maps, member):
-                f = number(c) if den == 1 else number(c / den)
-                for i, row in m.items():
-                    for j, v in row.items():
-                        columns[j][i] = columns[j].get(i, 0) + f * v
+    for t, c in coords.items():
+        for columns, (m, den) in zip(maps, space.sparse_basis[t]):
+            f = c if den == 1 else number(Fraction(c, den))
+            for i, row in m.items():
+                for j, v in row.items():
+                    columns[j][i] = columns[j].get(i, 0) + f * v
     return maps
 
 
@@ -264,10 +263,9 @@ def action_from_morphism(fm: ActorMorphism) -> XModActionData:
             "the given maps are not a morphism into the actor: " + ", ".join(rep.labels()))
 
     x = fm.source
-    quads = [_member_columns(bider_xmod(y), fm.base_map.column(b))
-             for b in range(x.base.dim)]  # (s1, t1, s2, t2), each map as its sparse columns
-    pairs = [_member_columns(bider_qn(y), fm.top_map.column(i))
-             for i in range(x.top.dim)]   # (d, dd)
+    # (s1, t1, s2, t2) and (d, dd), each map as its sparse columns
+    quads = [_member_columns(bider_xmod(y), col) for col in fm.base_map.sparse_columns]
+    pairs = [_member_columns(bider_qn(y), col) for col in fm.top_map.sparse_columns]
 
     def minus(v: SparseVector) -> SparseVector:
         return {k: -c for k, c in v.items()}
@@ -306,16 +304,14 @@ def semidirect_xmod(d: XModActionData) -> SemidirectXMod:
     f = d.field
 
     # action of m on n through the boundary, for the top-layer product
-    char, pn, etas, units = f.characteristic, d.act_on_top, _sparse_map(eta)[0], _units(n.dim)
+    char, pn, etas, units = f.characteristic, d.act_on_top, eta.sparse_columns, _units(n.dim)
     m_on_n = ActionData(m, n, [[_evaluate([(1, pn.sparse_left, e, u)], char) for u in units] for e in etas],
                         [[_evaluate([(1, pn.sparse_right, u, e)], char) for e in etas] for u in units])
     top_semi = semidirect_algebra(m_on_n)
     base_semi = semidirect_algebra(d.act_on_base)
 
-    z = f.zero
-    bdy_cols = [tuple(mu.column(j)) + tuple(z for _ in range(p.dim)) for j in range(n.dim)]
-    bdy_cols += [tuple(z for _ in range(q.dim)) + tuple(eta.column(i)) for i in range(m.dim)]
-    boundary = Matrix.from_columns(f, bdy_cols, q.dim + p.dim)
+    bdy_cols = mu.sparse_columns + tuple({q.dim + k: c for k, c in col.items()} for col in etas)
+    boundary = Matrix(f, q.dim + p.dim, n.dim + m.dim, bdy_cols)
 
     left = _blocks((q.dim, p.dim), (n.dim, m.dim), [[(y.action.sparse_left, 0), (d.sparse_qm, 0)],
                                                     [(pn.sparse_left, 0), (x.action.sparse_left, n.dim)]])
@@ -325,10 +321,8 @@ def semidirect_xmod(d: XModActionData) -> SemidirectXMod:
     semi = CrossedModule(top_semi.algebra, base_semi.algebra, boundary, act)
 
     include = XModMorphism(y, semi, top_semi.include_target, base_semi.include_target)
-    proj_top = Matrix.from_columns(
-        f, [zero_vector(f, m.dim) for _ in range(n.dim)] + [unit_vector(f, m.dim, i) for i in range(m.dim)], m.dim)
-    proj_base = Matrix.from_columns(
-        f, [zero_vector(f, p.dim) for _ in range(q.dim)] + [unit_vector(f, p.dim, b) for b in range(p.dim)], p.dim)
+    proj_top = Matrix(f, m.dim, n.dim + m.dim, ({},) * n.dim + tuple(_units(m.dim)))
+    proj_base = Matrix(f, p.dim, q.dim + p.dim, ({},) * q.dim + tuple(_units(p.dim)))
     project = XModMorphism(semi, x, proj_top, proj_base)
     section = XModMorphism(x, semi, top_semi.include_actor, base_semi.include_actor)
     return SemidirectXMod(semi, include, project, section)

@@ -25,7 +25,6 @@ from .algebra import (
     _prefixed,
     _quotient,
     _restricted,
-    _sparse_map,
     _units,
     _violations,
     annihilator,
@@ -92,8 +91,8 @@ def validate_xmod(x: CrossedModule, check_components: bool = True,
     m, p = x.top, x.base
     mt, pt = m.sparse_table, p.sparse_table
     left, right = x.action.sparse_left, x.action.sparse_right
-    eta = _sparse_map(x.boundary)
-    cols = eta[0]  # boundary images of the top basis; i, j index the top, a the base
+    cols = x.boundary.sparse_columns  # boundary images of the top basis; i, j index the top, a the base
+    eta = (cols,)
     bad += _violations(m.field, {"i": m.dim, "j": m.dim, "a": p.dim}, [
         # boundary is a homomorphism
         ("hom", "ij", "ij", p.dim, [(1, eta, (_ONE, ""), (mt, "ij"))], [(1, pt, (cols, "i"), (cols, "j"))]),
@@ -135,7 +134,7 @@ def compose_morphisms(g: XModMorphism, f: XModMorphism) -> XModMorphism:
 def validate_morphism(f: XModMorphism) -> ValidationReport:
     """Homomorphism on both layers, boundary square, action equivariance."""
     s, t = f.source, f.target
-    ft, fb = _sparse_map(f.top_map), _sparse_map(f.base_map)
+    ft, fb = (f.top_map.sparse_columns,), (f.base_map.sparse_columns,)
     top, base = (ft[0], "i"), (fb[0], "a")  # images of the source bases
     top2, base2 = (ft[0], "j"), (fb[0], "b")
     dims = {"i": s.top.dim, "j": s.top.dim, "a": s.base.dim, "b": s.base.dim}
@@ -187,8 +186,8 @@ def sub_xmod(x: CrossedModule, top_space: Subspace, base_space: Subspace,
     top_alg, top_incl = subalgebra_on(x.top, top_space)
     base_alg, base_incl = subalgebra_on(x.base, base_space)
     t_rows, b_rows = top_space.scaled_rows, base_space.scaled_rows
-    bdy_cols = _restricted(base_space, _sparse_map(x.boundary), [(_ONE, 1)], t_rows, _LEFT_SUBSPACE)[0]
-    bdy = Matrix.from_sparse_columns(x.top.field, bdy_cols, base_space.dim)
+    bdy_cols = _restricted(base_space, (x.boundary.sparse_columns,), [(_ONE, 1)], t_rows, _LEFT_SUBSPACE)[0]
+    bdy = Matrix(x.top.field, base_space.dim, top_space.dim, bdy_cols)
     left = _restricted(top_space, x.action.sparse_left, b_rows, t_rows, _LEFT_SUBSPACE)
     right = _restricted(top_space, x.action.sparse_right, t_rows, b_rows, _LEFT_SUBSPACE)
     act = ActionData(base_alg, top_alg, left, right)
@@ -224,7 +223,7 @@ def check_xmod_ideal(x: CrossedModule, top_space: Subspace, base_space: Subspace
         problems.append("base subspace is not an ideal of the base algebra")
     left, right = x.action.sparse_left, x.action.sparse_right
     tops = [v for v, _d in top_space.scaled_rows]  # membership does not see the scale
-    eta = _sparse_map(x.boundary)
+    eta = (x.boundary.sparse_columns,)
     if not _closed(base_space, ((1, eta, _ONE, v) for v in tops)):
         problems.append("boundary image of the top part leaves the base part")
     if not _closed(top_space, (term for b, _d in base_space.scaled_rows for u in _units(x.top.dim)
@@ -243,8 +242,8 @@ def quotient_xmod(x: CrossedModule, top_space: Subspace, base_space: Subspace) -
     top_q, top_proj = _quotient(x.top, top_space)
     base_q, base_proj = _quotient(x.base, base_space)
     t_reps, b_reps = top_space.complement_indices(), base_space.complement_indices()
-    left, right, eta = x.action.sparse_left, x.action.sparse_right, _sparse_map(x.boundary)[0]
-    bdy = Matrix.from_sparse_columns(x.top.field, [base_space.project(eta[r]) for r in t_reps], base_q.dim)
+    left, right, eta = x.action.sparse_left, x.action.sparse_right, x.boundary.sparse_columns
+    bdy = Matrix(x.top.field, base_q.dim, top_q.dim, tuple(base_space.project(eta[r]) for r in t_reps))
     act = ActionData(base_q, top_q, tuple(tuple(top_space.project(left[a][i]) for i in t_reps) for a in b_reps),
                      tuple(tuple(top_space.project(right[i][a]) for a in b_reps) for i in t_reps))
     return QuotientXMod(x, CrossedModule(top_q, base_q, bdy, act), top_proj, base_proj)

@@ -2,12 +2,12 @@
 from __future__ import annotations
 
 import pytest
-from reference_stages import member_maps
+from reference_stages import column, member_maps, unit
 
 from lbxmod import GF2, GF3, QQ
 from lbxmod.bider import bider_algebra, bider_qn, bider_xmod
 from lbxmod.catalog import CATALOG, build_entry
-from lbxmod.linalg import number, unit_vector
+from lbxmod.linalg import number
 
 FIELDS = (QQ, GF2, GF3)
 XMOD_IDS = tuple(cid for cid, e in CATALOG.items() if e.kind == "xmod")
@@ -32,7 +32,7 @@ def xmods_q():
 
 def _basis(space):
     """The echelon basis of a map space, each member a tuple of dense matrices."""
-    return [member_maps(space, unit_vector(space.field, space.dim, t)) for t in range(space.dim)]
+    return [member_maps(space, unit(space.field, space.dim, t)) for t in range(space.dim)]
 
 
 def flat(mats):
@@ -65,14 +65,14 @@ def pair_pair_composites_agree_under_brackets(x) -> bool:
     elements through the action."""
     act, mu = x.action, x.boundary
     qd = x.base.dim
-    qunits = [unit_vector(x.base.field, qd, a) for a in range(qd)]
+    qunits = [unit(x.base.field, qd, a) for a in range(qd)]
     pairs = _basis(bider_qn(x))
     for d1, dd1 in pairs:
         for d2, dd2 in pairs:
             m = dd1 @ (mu @ d2)
             mm = dd1 @ (mu @ dd2)
             for a in range(qd):
-                ca, cb = m.column(a), mm.column(a)
+                ca, cb = column(m, a), column(mm, a)
                 for b in range(qd):
                     if act.act_right(ca, qunits[b]) != act.act_right(cb, qunits[b]):
                         return False
@@ -85,10 +85,10 @@ def _indistinguishable_q_to_n(x, m, mm) -> bool:
     """Maps base -> top that agree after bracketing with base and top elements."""
     act = x.action
     nd, qd = x.top.dim, x.base.dim
-    qunits = [unit_vector(x.base.field, qd, a) for a in range(qd)]
-    nunits = [unit_vector(x.top.field, nd, i) for i in range(nd)]
+    qunits = [unit(x.base.field, qd, a) for a in range(qd)]
+    nunits = [unit(x.top.field, nd, i) for i in range(nd)]
     for a in range(qd):
-        ca, cb = m.column(a), mm.column(a)
+        ca, cb = column(m, a), column(mm, a)
         for b in range(qd):
             if act.act_right(ca, qunits[b]) != act.act_right(cb, qunits[b]):
                 return False
@@ -106,8 +106,8 @@ def quad_pair_and_quad_quad_composites_agree(x) -> bool:
     """The twelve composite identities mixing pairs with quadruples."""
     act = x.action
     nd, qd = x.top.dim, x.base.dim
-    qunits = [unit_vector(x.base.field, qd, a) for a in range(qd)]
-    nunits = [unit_vector(x.top.field, nd, i) for i in range(nd)]
+    qunits = [unit(x.base.field, qd, a) for a in range(qd)]
+    nunits = [unit(x.top.field, nd, i) for i in range(nd)]
     pairs = _basis(bider_qn(x))
     quads = _basis(bider_xmod(x))
     for s1, t1, s2, t2 in quads:
@@ -119,7 +119,7 @@ def quad_pair_and_quad_quad_composites_agree(x) -> bool:
         for s1p, t1p, s2p, t2p in quads:
             m, mm = t1 @ s1p, t1 @ t1p  # top -> top
             for i in range(nd):
-                ca, cb = m.column(i), mm.column(i)
+                ca, cb = column(m, i), column(mm, i)
                 for a in range(qd):
                     if act.act_right(ca, qunits[a]) != act.act_right(cb, qunits[a]):
                         return False
@@ -127,7 +127,7 @@ def quad_pair_and_quad_quad_composites_agree(x) -> bool:
                         return False
             m, mm = t2 @ s2p, t2 @ t2p  # base -> base
             for a in range(qd):
-                ca, cb = m.column(a), mm.column(a)
+                ca, cb = column(m, a), column(mm, a)
                 for i in range(nd):
                     if act.act_left(ca, nunits[i]) != act.act_left(cb, nunits[i]):
                         return False

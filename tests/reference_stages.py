@@ -44,7 +44,6 @@ from lbxmod.algebra import (
     Violation,
     _accumulate,
     _evaluate,
-    _sparse_map,
     _units,
 )
 from lbxmod.bider import (
@@ -58,7 +57,18 @@ from lbxmod.bider import (
     sequence_problems,
 )
 from lbxmod.fields import InputDataError
-from lbxmod.linalg import LinearSolveError, Matrix, Subspace, _dense, _preimages, _sparse, number, nullspace
+from lbxmod.linalg import (
+    LinearSolveError,
+    Matrix,
+    RrefResult,
+    Subspace,
+    _dense,
+    _preimages,
+    _sparse,
+    column_space,
+    number,
+    nullspace,
+)
 from lbxmod.xaction import ActorMorphism, ConditionsNotMetError, InvalidMorphismError, XModActionData
 from lbxmod.xmod import (
     NO_CONDITION_WARNING,
@@ -72,6 +82,16 @@ from lbxmod.xmod import (
 
 def unit(field, n, i):
     return tuple(field.one if j == i else field.zero for j in range(n))
+
+
+def apply(m: Matrix, vec):
+    """m times a dense column vector, on its dense rows."""
+    return tuple(sum((a * v for a, v in zip(row, vec)), m.field.zero) for row in m.entries)
+
+
+def column(m: Matrix, j: int):
+    """Column j of m, dense."""
+    return tuple(row[j] for row in m.entries)
 
 
 def contract(field, tensor, x, y, dim):
@@ -101,6 +121,29 @@ def operator(field, tensor, fixed, n, fixed_left):
     cols = [contract(field, tensor, fixed, unit(field, n, j), n) if fixed_left
             else contract(field, tensor, unit(field, n, j), fixed, n) for j in range(n)]
     return Matrix.from_columns(field, cols, n)
+
+
+def reference_rref(m):
+    """Dense Gauss-Jordan elimination on field scalars, first-nonzero pivots."""
+    work = [list(row) for row in m.entries]
+    pivots = []
+    pr = 0  # next pivot row
+    for col in range(m.cols):
+        sel = next((r for r in range(pr, m.rows) if work[r][col]), None)
+        if sel is None:
+            continue
+        work[pr], work[sel] = work[sel], work[pr]
+        inv = m.field.one / work[pr][col]
+        work[pr] = [inv * x for x in work[pr]]
+        for r in range(m.rows):
+            if r != pr and work[r][col]:
+                c = work[r][col]
+                work[r] = [x - c * y for x, y in zip(work[r], work[pr])]
+        pivots.append(col)
+        pr += 1
+        if pr == m.rows:
+            break
+    return RrefResult(Matrix(m.field, m.rows, m.cols, tuple(tuple(row) for row in work)), tuple(pivots))
 
 
 # -- reduction modulo a subspace -------------------------------------------
@@ -181,7 +224,7 @@ def quotient_algebra(a: LeibnizAlgebra, ideal: Subspace):
         raise InputDataError("quotient requested by a subspace that is not an ideal")
     reps = complement_indices(ideal)
     proj = projection_matrix(ideal)
-    tab = tuple(tuple(proj.apply(a.table[r][s]) for s in reps) for r in reps)
+    tab = tuple(tuple(apply(proj, a.table[r][s]) for s in reps) for r in reps)
     return LeibnizAlgebra(a.field, len(reps), tab), proj
 
 
@@ -210,7 +253,7 @@ def sub_xmod_parts(x: CrossedModule, top_space: Subspace, base_space: Subspace):
     top_alg, top_incl = subalgebra_on(x.top, top_space)
     base_alg, base_incl = subalgebra_on(x.base, base_space)
     t_rows, b_rows = top_space.basis.entries, base_space.basis.entries
-    bdy = Matrix.from_columns(x.top.field, [coords(base_space, x.boundary.apply(v)) for v in t_rows],
+    bdy = Matrix.from_columns(x.top.field, [coords(base_space, apply(x.boundary, v)) for v in t_rows],
                               base_space.dim)
     left = tuple(tuple(coords(top_space, act_left(x, b, v)) for v in t_rows) for b in b_rows)
     right = tuple(tuple(coords(top_space, act_right(x, v, b)) for b in b_rows) for v in t_rows)
@@ -225,7 +268,7 @@ def check_xmod_ideal(x: CrossedModule, top_space: Subspace, base_space: Subspace
     if not is_ideal(x.base, base_space):
         problems.append("base subspace is not an ideal of the base algebra")
     for v in top_space.basis.entries:
-        if not contains(base_space, x.boundary.apply(v)):
+        if not contains(base_space, apply(x.boundary, v)):
             problems.append("boundary image of the top part leaves the base part")
             break
     f = x.top.field
@@ -248,9 +291,9 @@ def quotient_xmod_parts(x: CrossedModule, top_space: Subspace, base_space: Subsp
     top_q, top_proj = quotient_algebra(x.top, top_space)
     base_q, base_proj = quotient_algebra(x.base, base_space)
     t_reps, b_reps = complement_indices(top_space), complement_indices(base_space)
-    bdy = Matrix.from_columns(x.top.field, [base_proj.apply(x.boundary.column(r)) for r in t_reps], base_q.dim)
-    left = tuple(tuple(top_proj.apply(x.action.left[a][i]) for i in t_reps) for a in b_reps)
-    right = tuple(tuple(top_proj.apply(x.action.right[i][a]) for a in b_reps) for i in t_reps)
+    bdy = Matrix.from_columns(x.top.field, [apply(base_proj, column(x.boundary, r)) for r in t_reps], base_q.dim)
+    left = tuple(tuple(apply(top_proj, x.action.left[a][i]) for i in t_reps) for a in b_reps)
+    right = tuple(tuple(apply(top_proj, x.action.right[i][a]) for a in b_reps) for i in t_reps)
     return CrossedModule(top_q, base_q, bdy, ActionData(base_q, top_q, left, right)), top_proj, base_proj
 
 
@@ -351,9 +394,9 @@ def action_from_morphism(fm: ActorMorphism) -> XModActionData:
             "the given maps are not a morphism into the actor: " + ", ".join(rep.labels()))
 
     x = fm.source
-    quads = [[_sparse_map(m)[0] for m in member_maps(bider_xmod(y), fm.base_map.column(b))]
+    quads = [[m.sparse_columns for m in member_maps(bider_xmod(y), column(fm.base_map, b))]
              for b in range(x.base.dim)]  # (s1, t1, s2, t2), each map as its sparse columns
-    pairs = [[_sparse_map(m)[0] for m in member_maps(bider_qn(y), fm.top_map.column(i))]
+    pairs = [[m.sparse_columns for m in member_maps(bider_qn(y), column(fm.top_map, i))]
              for i in range(x.top.dim)]   # (d, dd)
 
     def minus(v):
@@ -382,7 +425,7 @@ def lift_sequence(s: ShortExactSequence) -> LiftResult:
     ft, fb = s.include.top_map, s.include.base_map
     pairs, quads = bider_qn(x), bider_xmod(x)
     act = mid.action
-    qs, ns = [fb.column(a) for a in range(x.base.dim)], [ft.column(i) for i in range(x.top.dim)]
+    qs, ns = [column(fb, a) for a in range(x.base.dim)], [column(ft, i) for i in range(x.top.dim)]
     top_back, base_back = _preimages(ft), _preimages(fb)
 
     def top(v):
@@ -397,7 +440,7 @@ def lift_sequence(s: ShortExactSequence) -> LiftResult:
         alpha_cols.append(pairs.read_columns([(-1, [top(act.act_left(q, e)) for q in qs]),
                                               (1, [top(act.act_right(e, q)) for q in qs])],
                                              "lifted pair is not a pair-space solution"))
-    alpha = Matrix.from_sparse_columns(f, alpha_cols, pairs.dim)
+    alpha = Matrix.from_columns(f, alpha_cols, pairs.dim)
 
     beta_cols = []
     for a in range(mid.base.dim):
@@ -407,7 +450,7 @@ def lift_sequence(s: ShortExactSequence) -> LiftResult:
                                              (-1, [base(mid.base.bracket(q, e)) for q in qs]),
                                              (1, [base(mid.base.bracket(e, q)) for q in qs])],
                                             "lifted quadruple is not a quadruple-space solution"))
-    beta = Matrix.from_sparse_columns(f, beta_cols, quads.dim)
+    beta = Matrix.from_columns(f, beta_cols, quads.dim)
 
     morphism = XModMorphism(mid, actor(x), alpha, beta)
     out = outer_xmod(x)
@@ -415,11 +458,38 @@ def lift_sequence(s: ShortExactSequence) -> LiftResult:
     def induced(project: Matrix, lifted: Matrix, onto: Matrix) -> Matrix:
         pull = _preimages(project)
         ends = [_dense(f, project.cols, pull({r: 1})) for r in range(project.rows)]
-        return Matrix.from_columns(f, [onto.apply(lifted.apply(w)) for w in ends], onto.rows)
+        return Matrix.from_columns(f, [apply(onto, apply(lifted, w)) for w in ends], onto.rows)
 
     warnings = () if check_conditions(x).any_holds else (NO_CONDITION_WARNING,)
     return LiftResult(morphism, out, induced(s.project.top_map, alpha, out.top_project),
                       induced(s.project.base_map, beta, out.base_project), warnings)
+
+
+def sequence_problems(s: ShortExactSequence) -> list[str]:
+    """The exactness check that compared the column space of each inclusion
+    with the nullspace of its projection."""
+    problems = []
+    if s.include.source != s.first or s.include.target != s.middle:
+        problems.append("inclusion endpoints do not match the sequence")
+    if s.project.source != s.middle or s.project.target != s.last:
+        problems.append("projection endpoints do not match the sequence")
+    if problems:
+        return problems
+    if not validate_morphism(s.include).ok:
+        problems.append("inclusion is not a morphism")
+    if not validate_morphism(s.project).ok:
+        problems.append("projection is not a morphism")
+    for layer, inc, proj, first_dim, last_dim in (
+        ("top", s.include.top_map, s.project.top_map, s.first.top.dim, s.last.top.dim),
+        ("base", s.include.base_map, s.project.base_map, s.first.base.dim, s.last.base.dim),
+    ):
+        if reference_rref(inc).rank != first_dim:
+            problems.append(f"{layer} inclusion is not injective")
+        if reference_rref(proj).rank != last_dim:
+            problems.append(f"{layer} projection is not surjective")
+        if column_space(inc) != nullspace(proj):
+            problems.append(f"{layer} layer is not exact in the middle")
+    return problems
 
 
 # -- seeded changes of basis --------------------------------------------------------
@@ -439,9 +509,9 @@ def change_of_basis(field, rng: random.Random, n: int) -> tuple[Matrix, Matrix]:
 
 
 def _rebase_tensor(field, tensor, pa: Matrix, pb: Matrix, inv: Matrix):
-    ca = [pa.column(i) for i in range(pa.cols)]
-    cb = [pb.column(j) for j in range(pb.cols)]
-    return tuple(tuple(inv.apply(contract(field, tensor, x, y, inv.cols)) for y in cb) for x in ca)
+    ca = [column(pa, i) for i in range(pa.cols)]
+    cb = [column(pb, j) for j in range(pb.cols)]
+    return tuple(tuple(apply(inv, contract(field, tensor, x, y, inv.cols)) for y in cb) for x in ca)
 
 
 def rebase_xmod(x: CrossedModule, rng: random.Random) -> CrossedModule:
@@ -652,7 +722,7 @@ def validate_xmod(x: CrossedModule, check_components: bool = True) -> Validation
     m, p = x.top, x.base
     f, mt, pt = m.field, m.sparse_table, p.sparse_table
     left, right = x.action.sparse_left, x.action.sparse_right
-    eta = _sparse_map(x.boundary)
+    eta = (x.boundary.sparse_columns,)
     cols = eta[0]
     e = _units(max(m.dim, p.dim))
     for i in range(m.dim):
@@ -672,7 +742,7 @@ def validate_xmod(x: CrossedModule, check_components: bool = True) -> Validation
 def validate_morphism(f: XModMorphism) -> ValidationReport:
     bad = []
     s, t = f.source, f.target
-    ft, fb = _sparse_map(f.top_map), _sparse_map(f.base_map)
+    ft, fb = (f.top_map.sparse_columns,), (f.base_map.sparse_columns,)
     top_cols, base_cols = ft[0], fb[0]
     for i in range(s.top.dim):
         for j in range(s.top.dim):
@@ -713,7 +783,7 @@ def validate_xmod_action(d: XModActionData, check_components: bool = True) -> Va
     y_l, y_r = y.action.sparse_left, y.action.sparse_right
     x_l, x_r = x.action.sparse_left, x.action.sparse_right
     mq, qm = d.sparse_mq, d.sparse_qm
-    mu, eta = _sparse_map(y.boundary), _sparse_map(x.boundary)
+    mu, eta = (y.boundary.sparse_columns,), (x.boundary.sparse_columns,)
     muj, etai = mu[0], eta[0]
     e = _units(max(m.dim, p.dim, n.dim, q.dim))
 
@@ -837,9 +907,9 @@ def semidirect_xmod_tensors(d: XModActionData):
     # action of m on n through the boundary, for the top-layer product
     m_on_n = ActionData(
         m, n,
-        tuple(tuple(contract(f, d.act_on_top.left, eta.column(i), unit(f, n.dim, j), n.dim)
+        tuple(tuple(contract(f, d.act_on_top.left, column(eta, i), unit(f, n.dim, j), n.dim)
                     for j in range(n.dim)) for i in range(m.dim)),
-        tuple(tuple(contract(f, d.act_on_top.right, unit(f, n.dim, j), eta.column(i), n.dim)
+        tuple(tuple(contract(f, d.act_on_top.right, unit(f, n.dim, j), column(eta, i), n.dim)
                     for i in range(m.dim)) for j in range(n.dim)),
     )
     top_dim = n.dim + m.dim

@@ -295,8 +295,8 @@ def test_lie_fixture_gives_antisymmetric_bider_with_equal_components():
     # and everything is inner: the inner biderivations of e1 and e2 are the
     # columns of the canonical morphism of the identity crossed module
     inner = canonical_morphism(CrossedModule.identity_on(a)).top_map
-    assert inner.column(0) == (Fraction(0), Fraction(1))
-    assert inner.column(1) == (Fraction(-1), Fraction(0))
+    assert ref.column(inner, 0) == (Fraction(0), Fraction(1))
+    assert ref.column(inner, 1) == (Fraction(-1), Fraction(0))
 
 
 def test_cli_reports_are_deterministic_across_runs():

@@ -8,6 +8,7 @@ from conftest import FIELDS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import ints_of_table, is_action
+from reference_stages import apply
 from strategies import algebras, is_stored, respelled, tensors
 
 from lbxmod import GF2, GF3, QQ, FpElement, InputDataError
@@ -63,8 +64,8 @@ def test_semidirect_sum_of_the_self_action():
     assert big.dim == 4
     assert validate_leibniz(big).ok
     # block layout: target coordinates first, actor second
-    m1 = sd.include_target.apply((QQ.one, QQ.zero))
-    p1 = sd.include_actor.apply((QQ.one, QQ.zero))
+    m1 = apply(sd.include_target, (QQ.one, QQ.zero))
+    p1 = apply(sd.include_actor, (QQ.one, QQ.zero))
     # [(m,0),(0,p)] = ([m,p], 0) lands in the target block
     v = big.bracket(m1, p1)
     assert v[:2] == l2.bracket((QQ.one, QQ.zero), (QQ.one, QQ.zero))

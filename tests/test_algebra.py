@@ -10,6 +10,7 @@ from conftest import FIELDS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import ints_of_table, is_leibniz
+from reference_stages import apply
 from strategies import DIMS, is_stored, respelled, tensors
 
 from lbxmod import GF2, GF3, QQ, FpElement, InputDataError
@@ -88,8 +89,8 @@ def test_direct_sum_blocks():
     both, inc_a, inc_b = direct_sum(l2, r2)
     assert both.dim == 4
     assert validate_leibniz(both).ok
-    x = inc_a.apply((QQ.one, QQ.zero))
-    y = inc_b.apply((QQ.one, QQ.zero))
+    x = apply(inc_a, (QQ.one, QQ.zero))
+    y = apply(inc_b, (QQ.one, QQ.zero))
     assert all(not c for c in both.bracket(x, y))  # blocks do not talk
     assert annihilator(both).dim == 1  # e2 of l2 survives, r2 contributes none
 

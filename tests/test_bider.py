@@ -47,7 +47,7 @@ def flats(space):
 def inner_coords(a, i):
     """The coordinates of the inner biderivation of e_i in the pair space of
     a: column i of the canonical morphism of the identity on a."""
-    return canonical_morphism(CrossedModule.identity_on(a)).top_map.column(i)
+    return ref.column(canonical_morphism(CrossedModule.identity_on(a)).top_map, i)
 
 
 def q(*vals):
@@ -285,3 +285,26 @@ def test_sequence_problems_flags_a_broken_projection():
     )
     problems = sequence_problems(broken)
     assert any("surjective" in p for p in problems)
+
+
+def test_sequence_problems_eliminates_each_map_once(monkeypatch):
+    """Exactness is read off the two ranks and one product, so the check
+    eliminates each of the four maps once; a warm lift adds the outer part,
+    the support conditions and its four pull-backs."""
+    s = build_entry("sl2-seq", QQ)
+    lift_sequence(s)  # fills the memos of the actor and its spaces
+    assert _eliminations(monkeypatch, lambda: sequence_problems(s)) == 4
+    assert _eliminations(monkeypatch, lambda: lift_sequence(s)) == 16
+
+
+def test_a_nonzero_composite_is_not_exact_though_the_ranks_add_up():
+    """The projection (x0 + x3) is onto and its rank and the inclusion's add
+    up to the middle dimension, but it does not vanish on the image of the
+    inclusion, so neither layer is exact in the middle."""
+    s = build_entry("sl2-seq", QQ)
+    skew = Matrix(QQ, 1, 4, ({0: 1}, {}, {}, {0: 1}))
+    broken = ShortExactSequence(s.first, s.middle, s.last, s.include, type(s.project)(s.middle, s.last, skew, skew))
+    problems = sequence_problems(broken)
+    assert [p for p in problems if "exact" in p or "jective" in p] == [
+        "top layer is not exact in the middle", "base layer is not exact in the middle"]
+    assert problems == ref.sequence_problems(broken)

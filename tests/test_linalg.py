@@ -3,18 +3,23 @@
 The hypothesis blocks generate small rational matrices, zero-heavy matrices
 over Q, F2 and F3 for the products, and sparse systems for ``sparse_kernel``.
 ``rref``, ``nullspace`` and ``sparse_kernel`` share one elimination kernel,
-so they are checked against ``reference_rref``, a plain dense Gauss-Jordan
-loop on field scalars.  The mod-2 block at the end grinds through every 3x3
-matrix as a no-randomness backstop.
+so they are checked against ``reference_stages.reference_rref``, a plain
+dense Gauss-Jordan loop on field scalars.  The mod-2 block at the end
+grinds through every 3x3 matrix as a no-randomness backstop.
 """
 import itertools
 from fractions import Fraction
 
 import pytest
+from conftest import XMOD_IDS
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_stages import apply, reference_rref
+from strategies import VALUES, is_stored, matrices, respelled
 
-from lbxmod import GF2, GF3, QQ
+from lbxmod import GF2, GF3, QQ, bider
+from lbxmod import serialize as ser
+from lbxmod.catalog import build_entry
 from lbxmod.linalg import (
     LinearSolveError,
     Matrix,
@@ -27,6 +32,7 @@ from lbxmod.linalg import (
     rref,
     sparse_kernel,
 )
+from lbxmod.xmod import center
 
 entries = st.integers(min_value=-4, max_value=4).map(Fraction)
 
@@ -57,18 +63,16 @@ def test_rank_nullity(m):
 @given(q_matrix())
 def test_nullspace_vectors_are_annihilated(m):
     ns = nullspace(m)
-    for v in ns.basis.entries:
-        assert all(not c for c in m.apply(v))
+    for row, _d in ns.scaled_rows:
+        assert not m.apply(row)
     assert column_space(m).dim == rref(m).rank
 
 
 @given(q_matrix(), st.lists(entries, min_size=1, max_size=4))
 @settings(max_examples=60)
 def test_preimages_recover_consistent_systems(m, coeffs):
-    x0 = tuple(coeffs[: m.cols]) + (QQ.zero,) * max(0, m.cols - len(coeffs))
-    b = m.apply(x0)
-    x = _preimages(m)(_sparse(b))
-    assert m.apply(tuple(QQ.coerce(x.get(j, 0)) for j in range(m.cols))) == tuple(b)
+    b = m.apply(_sparse(coeffs[: m.cols]))
+    assert m.apply(_preimages(m)(b)) == b
 
 
 def test_preimages_report_inconsistency():
@@ -80,7 +84,7 @@ def test_preimages_report_inconsistency():
 def reference_solve(a, vec):
     """The solution of a @ x = vec with free variables zero, read off
     ``reference_rref`` of [a | vec]; None when there is none."""
-    red = reference_rref(a.hstack(Matrix.from_columns(a.field, [vec], a.rows)))
+    red = reference_rref(Matrix.from_rows(a.field, [row + (v,) for row, v in zip(a.entries, vec)], a.cols + 1))
     if any(p >= a.cols for p in red.pivots):
         return None
     x = [a.field.zero] * a.cols
@@ -94,7 +98,7 @@ def reference_solve(a, vec):
 def test_preimages_equal_the_dense_reference(m, coeffs, consistent):
     """One echelon pass of [m | 1] solves every right-hand side: a value in
     the image gets the reference solution, any other a LinearSolveError."""
-    vec = m.apply(tuple(coeffs[: m.cols])) if consistent else tuple(coeffs[: m.rows]) + (QQ.zero,) * (m.rows - 4)
+    vec = apply(m, tuple(coeffs[: m.cols])) if consistent else tuple(coeffs[: m.rows]) + (QQ.zero,) * (m.rows - 4)
     expected = reference_solve(m, vec)
     back = _preimages(m)
     if expected is None:
@@ -126,20 +130,16 @@ def test_projection_matrix_collapses_the_subspace():
     s = Subspace.from_rows(QQ, 3, [[1, 1, 0]])
     proj = s.projection_matrix()
     assert proj.rows == 2  # complement of a 1-dim subspace of Q^3
-    for v in s.basis.entries:
-        assert all(not c for c in proj.apply(v))
+    for row, _d in s.scaled_rows:
+        assert not proj.apply(row)
 
 
 def test_matrix_shapes_and_composition():
     a = Matrix.from_rows(QQ, [[1, 2], [3, 4]])
     b = Matrix.from_rows(QQ, [[0, 1], [1, 0]])
     assert (a @ b).entries == Matrix.from_rows(QQ, [[2, 1], [4, 3]]).entries
-    assert a.transpose().column(0) == a.entries[0]
-    assert Matrix.identity(QQ, 3).apply((QQ.one, QQ.zero, QQ.zero)) == (
-        QQ.one,
-        QQ.zero,
-        QQ.zero,
-    )
+    assert a.transpose().entries == tuple(zip(*a.entries))
+    assert Matrix.identity(QQ, 3).apply({0: 1}) == {0: 1}
 
 
 FIELDS = (QQ, GF2, GF3)
@@ -186,10 +186,10 @@ def test_zero_skipping_products_match_the_triple_loop(case):
     assert (prod.rows, prod.cols) == (a.rows, b.cols)
     assert prod.entries == naive_matmul(a, b)
     column = Matrix.from_columns(a.field, [vec], a.cols)
-    assert a.apply(vec) == tuple(r[0] for r in naive_matmul(a, column))
+    assert a.apply(_sparse(vec)) == _sparse(r[0] for r in naive_matmul(a, column))
     scalar_type = type(a.field.zero)
     assert all(type(x) is scalar_type for r in prod.entries for x in r)
-    assert all(type(x) is scalar_type for x in a.apply(vec))
+    assert is_stored(a.field, [[a.apply(_sparse(vec))]]) and is_stored(a.field, [prod.sparse_columns])
 
 
 @st.composite
@@ -201,31 +201,9 @@ def sparse_system(draw):
     return field, ncols, rows
 
 
-def reference_rref(m):
-    """Dense Gauss-Jordan elimination on field scalars, first-nonzero pivots."""
-    work = [list(row) for row in m.entries]
-    pivots = []
-    pr = 0  # next pivot row
-    for col in range(m.cols):
-        sel = next((r for r in range(pr, m.rows) if work[r][col]), None)
-        if sel is None:
-            continue
-        work[pr], work[sel] = work[sel], work[pr]
-        inv = m.field.one / work[pr][col]
-        work[pr] = [inv * x for x in work[pr]]
-        for r in range(m.rows):
-            if r != pr and work[r][col]:
-                c = work[r][col]
-                work[r] = [x - c * y for x, y in zip(work[r], work[pr])]
-        pivots.append(col)
-        pr += 1
-        if pr == m.rows:
-            break
-    return RrefResult(Matrix(m.field, m.rows, m.cols, tuple(tuple(row) for row in work)), tuple(pivots))
-
-
 def reference_nullspace(m):
-    """The kernel of m from ``reference_rref`` alone, as a canonical Subspace."""
+    """The canonical basis of the kernel of m from ``reference_rref`` alone,
+    with its pivots, as an ``RrefResult`` of full row rank."""
     field, red = m.field, reference_rref(m)
     rows = []
     for f in (j for j in range(m.cols) if j not in red.pivots):
@@ -235,8 +213,13 @@ def reference_nullspace(m):
             v[p] = -red.matrix.entries[t][f]
         rows.append(tuple(v))
     basis = reference_rref(Matrix(field, len(rows), m.cols, tuple(rows)))
-    return Subspace(field, m.cols, Matrix(field, basis.rank, m.cols, basis.matrix.entries[: basis.rank]),
-                    basis.pivots)
+    return RrefResult(Matrix(field, basis.rank, m.cols, basis.matrix.entries[: basis.rank]), basis.pivots)
+
+
+def agrees(got, expected) -> bool:
+    """A ``Subspace`` has the dense echelon basis and the pivots of a
+    reference ``RrefResult``."""
+    return got.basis == expected.matrix and got.pivots == expected.pivots
 
 
 @given(sparse_system())
@@ -246,8 +229,9 @@ def test_sparse_kernel_equals_the_dense_nullspace(case):
     dense = Matrix(field, len(rows), ncols,
                    tuple(tuple(field.coerce(row.get(c, 0)) for c in range(ncols)) for row in rows))
     expected = reference_nullspace(dense)
-    assert sparse_kernel(field, ncols, rows) == expected
-    assert nullspace(dense) == expected
+    got = sparse_kernel(field, ncols, rows)
+    assert agrees(got, expected) and agrees(nullspace(dense), expected)
+    assert nullspace(dense) == got and nullspace(dense).scaled_rows == got.scaled_rows
 
 
 def elimination_entries(field):
@@ -293,7 +277,7 @@ def test_elimination_equals_the_dense_reference(m):
     if m.field != QQ:
         rows = [{c: x.value for c, x in row.items()} for row in rows]
     for got in (nullspace(m), sparse_kernel(m.field, m.cols, rows)):
-        assert got == kernel
+        assert agrees(got, kernel)
         assert all(type(x) is scalar_type for row in got.basis.entries for x in row)
 
 
@@ -304,5 +288,68 @@ def test_every_3x3_mod2_matrix_has_consistent_kernel():
         ns = nullspace(m)
         assert ns.dim == 3 - rref(m).rank
         for v in vecs:
-            killed = all(not c for c in m.apply(v))
-            assert (not ns.residue(_sparse(v))) == killed
+            assert (not ns.residue(_sparse(v))) == (not m.apply(_sparse(v)))
+
+
+# -- the stored form ------------------------------------------------------------
+
+
+@given(st.sampled_from(FIELDS).flatmap(
+    lambda f: st.tuples(st.just(f), st.integers(0, 3), st.integers(0, 3)).flatmap(
+        lambda c: st.tuples(st.just(c[0]), matrices(*c), st.data()))))
+@settings(max_examples=150)
+def test_dense_rows_and_sparse_columns_give_one_matrix(case):
+    """A matrix built from its dense rows and one built from its columns as
+    sparse dicts, their entries spelled any way the field reads them and
+    some zeros kept, compare and hash equal and store the same columns."""
+    field, m, data = case
+    dense = Matrix(field, m.rows, m.cols, m.entries)
+    columns = data.draw(respelled(field, [[column for column in zip(*m.entries)] or [()] * m.cols]))[0]
+    sparse = Matrix(field, m.rows, m.cols, columns)
+    assert dense == sparse == m and hash(dense) == hash(sparse) == hash(m)
+    assert is_stored(field, [sparse.sparse_columns]) and sparse.sparse_columns == dense.sparse_columns
+    assert Subspace.from_rows(field, m.cols, m.entries) == Subspace.from_rows(field, m.cols, m.transpose().sparse_columns)
+
+
+def dense_transpose(m):
+    return tuple(tuple(row[j] for row in m.entries) for j in range(m.cols))
+
+
+@given(st.sampled_from(FIELDS).flatmap(
+    lambda f: st.tuples(*(st.integers(0, 4) for _ in range(3))).flatmap(
+        lambda d: st.tuples(matrices(f, d[0], d[1]), matrices(f, d[1], d[2]),
+                            st.lists(st.sampled_from(VALUES[f.tag]), min_size=d[1], max_size=d[1])))))
+@settings(max_examples=200)
+def test_sparse_operations_equal_the_dense_references(case):
+    """``@``, ``apply``, ``transpose`` and ``rref`` on the stored columns give
+    the dense triple loop, the dense product with a vector, the dense
+    transpose and ``reference_rref``."""
+    a, b, coeffs = case
+    vec = tuple(a.field.coerce(c) for c in coeffs)
+    assert (a @ b).entries == naive_matmul(a, b)
+    assert a.apply(_sparse(vec)) == _sparse(apply(a, vec))
+    assert a.transpose().entries == dense_transpose(a) and a.transpose().transpose() == a
+    red, expected = rref(a), reference_rref(a)
+    assert (red.matrix.entries, red.pivots) == (expected.matrix.entries, expected.pivots)
+    assert column_space(a).dim == red.rank == a.cols - nullspace(a).dim
+
+
+def test_a_cold_actor_job_derives_no_dense_view(field):
+    """``actor``, ``canonical_morphism``, ``center`` and ``outer_xmod`` on
+    cold memos, and the reports written from them, leave no dense view
+    behind: no matrix holds its ``entries`` and no subspace its ``basis``."""
+    for memo in (bider.bider_qn, bider.bider_xmod, bider.actor, bider.canonical_morphism):
+        memo.cache_clear()
+    for cid in XMOD_IDS:
+        x = build_entry(cid, field)
+        act, can, cen, out = bider.actor(x), bider.canonical_morphism(x), center(x), bider.outer_xmod(x)
+        for obj in (act, cen.xmod, out.xmod):
+            ser.xmod_to_json(obj)
+        for s in (cen.top_space, cen.base_space):
+            ser.subspace_to_json(s)
+        ser.morphism_maps_to_json(can)
+        maps = (x.boundary, act.boundary, can.top_map, can.base_map, bider.delta(x), cen.xmod.boundary,
+                cen.top_include, cen.base_include, out.xmod.boundary, out.top_project, out.base_project)
+        spaces = (bider.bider_qn(x).space, bider.bider_xmod(x).space, cen.top_space, cen.base_space)
+        assert [m for m in maps if "entries" in vars(m)] == []
+        assert [s for s in spaces if "basis" in vars(s)] == []

@@ -23,13 +23,14 @@ from reference_stages import (
     fraction_project,
     fraction_read_coords,
     fraction_residue,
+    reference_rref,
 )
 
 from lbxmod import QQ
 from lbxmod.algebra import LeibnizAlgebra
 from lbxmod.bider import MapSpace, actor, bider_qn, bider_xmod, delta
 from lbxmod.catalog import build_entry
-from lbxmod.linalg import LinearSolveError, Subspace, _dense, nullspace, number, sparse_kernel
+from lbxmod.linalg import LinearSolveError, Matrix, Subspace, _dense, nullspace, number, sparse_kernel
 
 
 def scalars(field):
@@ -42,13 +43,25 @@ def scalars(field):
 
 
 @st.composite
-def subspace_and_vector(draw, fields=FIELDS):
-    """A subspace of k^n spanned by drawn rows, and a sparse vector that is a
-    drawn combination of its basis rows plus, maybe, an arbitrary part."""
+def spanning_rows(draw, fields=FIELDS):
+    """A field, a dimension n and up to four drawn dense rows of k^n."""
     field = draw(st.sampled_from(fields))
     n = draw(st.integers(1, 6))
     cell = scalars(field)
-    rows = [[field.coerce(draw(cell)) for _ in range(n)] for _ in range(draw(st.integers(0, 4)))]
+    return field, n, [tuple(field.coerce(draw(cell)) for _ in range(n)) for _ in range(draw(st.integers(0, 4)))]
+
+
+def reference_span(field, n, rows):
+    """``reference_rref`` of the drawn rows."""
+    return reference_rref(Matrix(field, len(rows), n, tuple(rows)))
+
+
+@st.composite
+def subspace_and_vector(draw, fields=FIELDS):
+    """A subspace of k^n spanned by drawn rows, and a sparse vector that is a
+    drawn combination of its basis rows plus, maybe, an arbitrary part."""
+    field, n, rows = draw(spanning_rows(fields))
+    cell = scalars(field)
     s = Subspace.from_rows(field, n, rows)
     vec = [field.zero] * n
     for row in s.basis.entries:
@@ -77,12 +90,15 @@ def dense_coords(s: Subspace):
     return read
 
 
-@given(subspace_and_vector())
+@given(spanning_rows())
 @settings(max_examples=150)
 def test_scaled_rows_are_primitive_integer_rows_over_their_pivot_entry(case):
-    s, _vec = case
+    """Each scaled row of a span is the primitive integer row on the line of
+    the dense reference echelon row, over its pivot entry."""
+    s, expected = Subspace.from_rows(*case), reference_span(*case)
+    assert s.pivots == expected.pivots
     p = s.field.characteristic
-    for (row, d), u, dense in zip(s.scaled_rows, s.pivots, s.basis.entries):
+    for (row, d), u, dense in zip(s.scaled_rows, s.pivots, expected.matrix.entries):
         assert all(type(c) is int and c for c in row.values())
         assert row[u] == d > 0
         if p:
@@ -93,17 +109,20 @@ def test_scaled_rows_are_primitive_integer_rows_over_their_pivot_entry(case):
             k: c for k, c in enumerate(dense) if c}
 
 
-@given(subspace_and_vector())
+@given(spanning_rows())
 @settings(max_examples=100)
-def test_the_kernel_hands_over_the_scaled_rows_of_the_dense_basis(case):
-    """``from_rows`` and ``sparse_kernel`` keep the kernel's own rows; they
-    equal the ones a ``Subspace`` derives from its dense basis alone."""
-    s, _vec = case
-    equations = [{k: number(c) for k, c in enumerate(z) if c} for z in nullspace(s.basis).basis.entries]
-    k = sparse_kernel(s.field, s.ambient, equations)
-    derived = Subspace(s.field, s.ambient, s.basis, s.pivots)
-    assert k == s == derived
-    assert k.scaled_rows == s.scaled_rows == derived.scaled_rows
+def test_the_kernel_and_the_span_hand_over_one_echelon_basis(case):
+    """``from_rows`` and ``sparse_kernel`` keep the kernel's own rows: the span
+    of the drawn rows and the kernel of its equations hold the same scaled
+    rows, and their dense basis and pivots are those of ``reference_rref``."""
+    field, n, _rows = case
+    s, expected = Subspace.from_rows(*case), reference_span(*case)
+    equations = [row for row, _d in nullspace(s.basis).scaled_rows]
+    k = sparse_kernel(field, n, equations)
+    assert k == s and k.scaled_rows == s.scaled_rows
+    for got in (s, k):
+        assert got.basis.entries == expected.matrix.entries[: expected.rank]
+        assert got.pivots == expected.pivots
 
 
 @given(subspace_and_vector())

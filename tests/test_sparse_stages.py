@@ -56,10 +56,11 @@ from lbxmod.bider import (
     inner_xmod,
     lift_sequence,
     outer_xmod,
+    sequence_problems,
 )
 from lbxmod.catalog import CATALOG, build_entry
 from lbxmod.fields import InputDataError
-from lbxmod.linalg import LinearSolveError, Subspace, _dense, _sparse, nullspace
+from lbxmod.linalg import LinearSolveError, Matrix, Subspace, _dense, _sparse, nullspace
 from lbxmod.xaction import (
     ActorMorphism,
     ConditionsNotMetError,
@@ -211,8 +212,8 @@ def test_canonical_morphism_and_outer_quotient_match_the_dense_reference(case):
     vecs = [[field.coerce(rng.choice((-1, 0, 1, 2))) for _ in range(n)] for n in (x.top.dim, x.base.dim)]
     # an element goes to the coordinates of the pair or quadruple it generates
     pair_space, quad_space = bider.bider_qn(x).space, bider.bider_xmod(x).space
-    assert can.top_map.apply(vecs[0]) == ref.coords(pair_space, ref._flat(ref.inner_action_pair(x, vecs[0])))
-    assert can.base_map.apply(vecs[1]) == ref.coords(quad_space, ref._flat(ref.inner_quadruple(x, vecs[1])))
+    assert ref.apply(can.top_map, vecs[0]) == ref.coords(pair_space, ref._flat(ref.inner_action_pair(x, vecs[0])))
+    assert ref.apply(can.base_map, vecs[1]) == ref.coords(quad_space, ref._flat(ref.inner_quadruple(x, vecs[1])))
     act, inn = actor(x), inner_xmod(x)
     pairs = [(inn.top_space, inn.base_space),
              (_random_subspace(act.top, rng, 1), _random_subspace(act.base, rng, 2))]
@@ -294,6 +295,28 @@ def test_lifts_of_center_and_semidirect_sequences_match_the_dense_reference(case
         assert _outcome(_lift_parts, lift_sequence, s) == _outcome(_lift_parts, ref.lift_sequence, s)
 
 
+def _bumped(m: Matrix) -> Matrix:
+    """m plus 1 at row 0, column 0 (m itself when it has no entry there)."""
+    if not (m.rows and m.cols):
+        return m
+    first = m.sparse_columns[0]
+    return Matrix(m.field, m.rows, m.cols, ({**first, 0: first.get(0, 0) + 1},) + m.sparse_columns[1:])
+
+
+def test_exactness_problems_match_the_subspace_comparison(case):
+    """Exactness read off two ranks and one product gives the problems, in
+    order, of comparing the inclusion's column space with the projection's
+    nullspace: on each sequence, and with either map of a layer bumped."""
+    _field, _name, x = case
+    for s in _sequences(x):
+        inc, proj = s.include, s.project
+        for bad in (s, ShortExactSequence(s.first, s.middle, s.last, inc, type(proj)(
+                        s.middle, s.last, _bumped(proj.top_map), proj.base_map)),
+                    ShortExactSequence(s.first, s.middle, s.last, type(inc)(
+                        s.first, s.middle, inc.top_map, _bumped(inc.base_map)), proj)):
+            assert sequence_problems(bad) == ref.sequence_problems(bad)
+
+
 def test_lift_of_the_catalog_sequence_matches_the_dense_reference(field):
     s = build_entry("sl2-seq", field)
     got = _lift_parts(lift_sequence, s)
@@ -334,7 +357,7 @@ def test_semidirect_crossed_modules_of_the_catalog_match_the_dense_loops(field):
 # -- no dense view on the hot paths -------------------------------------------------
 
 DENSE_VIEWS = ((LeibnizAlgebra, "table"), (ActionData, "left"), (ActionData, "right"),
-               (XModActionData, "cross_mq"), (XModActionData, "cross_qm"))
+               (XModActionData, "cross_mq"), (XModActionData, "cross_qm"), (Matrix, "entries"), (Subspace, "basis"))
 
 
 @pytest.fixture

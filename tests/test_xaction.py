@@ -6,6 +6,7 @@ import pytest
 from conftest import FIELDS
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_stages import column
 from strategies import actions, is_stored, respelled, tensors, xmods
 
 from lbxmod import GF3, QQ, FpElement, InputDataError
@@ -174,8 +175,8 @@ def test_semidirect_mixed_brackets_use_the_pairings():
     n_dim = d.target_xmod.top.dim
     # [(n,0),(0,m)] picks up the m-q pairing through the boundary: with
     # everything identity on sl2 this is just the bracket
-    v = sd.include.top_map.column(0)  # embed n-basis e
-    w = sd.section.top_map.column(1)  # embed m-basis h
+    v = column(sd.include.top_map, 0)  # embed n-basis e
+    w = column(sd.section.top_map, 1)  # embed m-basis h
     out = big.bracket(v, w)
     inner = d.target_xmod.top.bracket(
         (QQ.one, QQ.zero, QQ.zero), (QQ.zero, QQ.one, QQ.zero)

@@ -1,6 +1,7 @@
 """Crossed modules: validity, morphisms, subobjects, conditions, center."""
 import pytest
 from conftest import XMOD_IDS
+from reference_stages import column
 
 from lbxmod import GF2, QQ, InputDataError
 from lbxmod.action import ActionData
@@ -59,7 +60,7 @@ def test_boundary_shape_is_checked_up_front():
 def test_ideal_inclusion_fixture_shape():
     x = build_entry("l2-ann-incl", QQ)
     assert x.top.dim == 1 and x.base.dim == 2
-    assert x.boundary.column(0) == (QQ.zero, QQ.one)  # the line through e2
+    assert column(x.boundary, 0) == (QQ.zero, QQ.one)  # the line through e2
     assert validate_xmod(x).ok
 
 
