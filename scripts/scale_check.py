@@ -10,7 +10,9 @@ command line:
 
 For each subject and field the script prints the wall time of a cold
 ``actor`` and then of ``outer_xmod``, and the ``tracemalloc`` peak of each
-in a second cold run.  It then checks the canonical morphism x -> Act(x),
+in a second cold run.  A third cold run splits the actor's time into its
+stages: the pair space (``bider_qn``), the quadruple space (``bider_xmod``)
+and the actor's action tables.  It then checks the canonical morphism x -> Act(x),
 whose maps are held as sparse columns like every map: it must pass
 ``validate_morphism``, and its kernel must have the layer dimensions of
 ``center(x)``.  It exits 1 if a check fails, if ``validate_xmod`` fails on
@@ -35,7 +37,7 @@ import tracemalloc
 
 from lbxmod import bider
 from lbxmod.algebra import LeibnizAlgebra
-from lbxmod.bider import actor, canonical_morphism, outer_xmod
+from lbxmod.bider import actor, bider_qn, bider_xmod, canonical_morphism, outer_xmod
 from lbxmod.fields import get_field
 from lbxmod.xmod import CrossedModule, center, kernel, validate_morphism, validate_xmod
 
@@ -74,6 +76,12 @@ def run(x: CrossedModule, measure) -> tuple:
     return act, out, t_actor, t_outer
 
 
+def stages(x: CrossedModule) -> tuple[float, float, float]:
+    """Cold times of bider_qn(x), then bider_xmod(x), then the rest of actor(x)."""
+    clear_memos()
+    return tuple(timed(fn)[1] for fn in (lambda: bider_qn(x), lambda: bider_xmod(x), lambda: actor(x)))
+
+
 def timed(fn):
     t0 = time.perf_counter()
     out = fn()
@@ -102,6 +110,7 @@ def main(argv=None) -> int:
             x = CrossedModule.identity_on(alg)
             act, out, t_actor, t_outer = run(x, timed)
             _, _, m_actor, m_outer = run(x, peak)
+            t_qn, t_xmod, t_tables = stages(x)
             problems = [] if validate_xmod(act).ok else ["validate_xmod(actor) failed"]
             can = canonical_morphism(x)
             if not validate_morphism(can).ok:
@@ -112,7 +121,8 @@ def main(argv=None) -> int:
             got = ((act.top.dim, act.base.dim), (out.xmod.top.dim, out.xmod.base.dim))
             if dims is not None and got != ((dims[0],) * 2, (dims[1],) * 2):
                 problems.append(f"dimensions {got}, expected actor {dims[0]} and outer {dims[1]}")
-            print(f"{spec} {tag}: actor {got[0]} {t_actor:.3f} s {m_actor / 1e6:.1f} MB peak; "
+            print(f"{spec} {tag}: actor {got[0]} {t_actor:.3f} s {m_actor / 1e6:.1f} MB peak "
+                  f"(bider_qn {t_qn:.3f} s, bider_xmod {t_xmod:.3f} s, tables {t_tables:.3f} s); "
                   f"outer {got[1]} {t_outer:.3f} s {m_outer / 1e6:.1f} MB peak; "
                   + ("; ".join(problems) or "ok"), flush=True)
             failed |= bool(problems)

@@ -40,8 +40,9 @@ class ActionData:
         p, m, f = self.actor.dim, self.target.dim, self.actor.field
         if f != self.target.field:
             raise InputDataError("actor and target live over different fields")
-        _store(self, "sparse_left", f, (p, m, m), "action tensor")
-        _store(self, "sparse_right", f, (m, p, m), "action tensor")
+        for view, shape in (("sparse_left", (p, m, m)), ("sparse_right", (m, p, m))):
+            if p != m or getattr(self, view) is not self.target.sparse_table:  # by_bracket's is stored
+                _store(self, view, f, shape, "action tensor")
 
     __hash__ = _stored_hash("sparse_left", "sparse_right")
     left = _dense_view("sparse_left", lambda d: (d.target.field, d.target.dim))

@@ -10,8 +10,8 @@ action), ``_boundary_rows`` (maps intertwine the boundary) and
   module: the pair block through its action.
 * ``bider_algebra(a)`` — ``bider_qn`` of the identity crossed module on a.
 * ``bider_xmod(x)`` — quadruples (top_der, top_antider, base_der,
-  base_antider): the pair block on each layer through its own bracket,
-  plus the boundary and action blocks.
+  base_antider): a pair on each layer through its own bracket, solved first,
+  then the boundary and action blocks on the two pair spaces' coordinates.
 
 Each space carries an induced Leibniz bracket; ``actor`` assembles the
 crossed module (pair space) -> (quadruple space) whose boundary sends a pair
@@ -49,9 +49,9 @@ from .linalg import (
     Number,
     ScaledVector,
     Subspace,
-    _preimages,
+    _echelon_subspace,
+    _Preimages,
     _rescale,
-    rref,
     sparse_kernel,
 )
 from .xmod import (
@@ -235,11 +235,11 @@ def _pair_rows(act: ActionData, d: _Map, dd: _Map) -> list[_Row]:
     rows: list[_Row] = []
     for a in range(src):
         for b in range(src):
-            rows += _collect(n, (1, _applied(d, tab[a][b])), (-1, _sent(d, a, right_by[b])),
-                             (-1, _sent(d, b, left_of[a])))
+            d_b = _sent(d, b, left_of[a])
+            rows += _collect(n, (1, _applied(d, tab[a][b])), (-1, _sent(d, a, right_by[b])), (-1, d_b))
             rows += _collect(n, (1, _applied(dd, tab[a][b])), (-1, _sent(dd, a, right_by[b])),
                              (1, _sent(dd, b, right_by[a])))
-            rows += _collect(n, (1, _sent(d, b, left_of[a])), (-1, _sent(dd, b, left_of[a])))
+            rows += _collect(n, (1, d_b), (-1, _sent(dd, b, left_of[a])))
     return rows
 
 
@@ -262,36 +262,33 @@ def _action_rows(act: ActionData, s1: _Map, t1: _Map, s2: _Map, t2: _Map) -> lis
     for a in range(q):
         for i in range(n):
             la, ra = left_of[a][i], right_of[i][a]
-            rows += _collect(n, (1, _applied(s1, la)), (-1, _sent(s2, a, left_on[i])),
-                             (-1, _sent(s1, i, left_of[a])))
-            rows += _collect(n, (1, _applied(s1, ra)), (-1, _sent(s1, i, right_by[a])),
-                             (-1, _sent(s2, a, right_of[i])))
-            rows += _collect(n, (1, _applied(t1, la)), (-1, _sent(t2, a, left_on[i])),
-                             (1, _sent(t1, i, right_by[a])))
-            rows += _collect(n, (1, _applied(t1, ra)), (-1, _sent(t1, i, right_by[a])),
-                             (1, _sent(t2, a, left_on[i])))
-            rows += _collect(n, (1, _sent(s1, i, left_of[a])), (-1, _sent(t1, i, left_of[a])))
-            rows += _collect(n, (1, _sent(s2, a, right_of[i])), (-1, _sent(t2, a, right_of[i])))
+            s1_i, s2_a = _sent(s1, i, left_of[a]), _sent(s2, a, right_of[i])
+            t1_i, t2_a = _sent(t1, i, right_by[a]), _sent(t2, a, left_on[i])
+            rows += _collect(n, (1, _applied(s1, la)), (-1, _sent(s2, a, left_on[i])), (-1, s1_i))
+            rows += _collect(n, (1, _applied(s1, ra)), (-1, _sent(s1, i, right_by[a])), (-1, s2_a))
+            rows += _collect(n, (1, _applied(t1, la)), (-1, t2_a), (1, t1_i))
+            rows += _collect(n, (1, _applied(t1, ra)), (-1, t1_i), (1, t2_a))
+            rows += _collect(n, (1, s1_i), (-1, _sent(t1, i, left_of[a])))
+            rows += _collect(n, (1, s2_a), (-1, _sent(t2, a, right_of[i])))
     return rows
 
 
 def _space_with_algebra(
-    field: Field,
     shapes: tuple[tuple[int, int], ...],
-    rows: list[_Row],
+    space: Subspace,
     bracket_terms: Callable[[tuple, tuple], list[list[Product]]],
     prepare: Callable[[ScaledMaps], tuple] = lambda member: member,
 ) -> MapSpace:
-    """Solve the rows and read the bracket table off the echelon basis:
+    """The solved space with the bracket table read off its echelon basis:
     entry (s, t) is the sum of the products ``bracket_terms(u, v)`` lists
     for the prepared basis members u = prepare(basis[s]), v = prepare(basis[t]).
     """
-    solved = MapSpace(field, shapes, sparse_kernel(field, sum(r * c for r, c in shapes), rows),
-                      LeibnizAlgebra.abelian(field, 0))
+    field = space.field
+    solved = MapSpace(field, shapes, space, LeibnizAlgebra.abelian(field, 0))
     members = [prepare(m) for m in solved.sparse_basis]
     error = "bracket of two solutions left the solution space"
     table = tuple(tuple(solved.read_products(bracket_terms(u, v), error) for v in members) for u in members)
-    out = MapSpace(field, shapes, solved.space, LeibnizAlgebra(field, solved.dim, table))
+    out = MapSpace(field, shapes, space, LeibnizAlgebra(field, solved.dim, table))
     for view in ("_blocks", "sparse_basis"):  # keep the cached views: built once
         out.__dict__[view] = getattr(solved, view)
     return out
@@ -309,7 +306,6 @@ def bider_algebra(a: LeibnizAlgebra) -> MapSpace:
 def bider_qn(x: CrossedModule) -> MapSpace:
     """Pairs of maps base -> top satisfying the pair identities through the action."""
     shapes = ((x.top.dim, x.base.dim),) * 2
-    d, dd = _layout(shapes)
     mu = _scaled_matrix(x.boundary)
 
     def with_mu(pair: ScaledMaps) -> tuple:
@@ -321,7 +317,8 @@ def bider_qn(x: CrossedModule) -> MapSpace:
         (d1, dd1, mu_d1, mu_dd1), (d2, _dd2, mu_d2, _mu_dd2) = u, v
         return [[(1, d1, mu_d2), (-1, d2, mu_d1)], [(1, dd1, mu_d2), (-1, d2, mu_dd1)]]
 
-    return _space_with_algebra(x.top.field, shapes, _pair_rows(x.action, d, dd), bracket_terms, with_mu)
+    space = sparse_kernel(x.top.field, 2 * x.top.dim * x.base.dim, _pair_rows(x.action, *_layout(shapes)))
+    return _space_with_algebra(shapes, space, bracket_terms, with_mu)
 
 
 def _flat(blocks: Sequence[_Map], components: Sequence[SignedColumns]) -> SparseVector:
@@ -339,15 +336,43 @@ def _flat(blocks: Sequence[_Map], components: Sequence[SignedColumns]) -> Sparse
 @functools.lru_cache(maxsize=None)
 def bider_xmod(x: CrossedModule) -> MapSpace:
     """Quadruples (s1, t1, s2, t2): pairs on the top and on the base that
-    intertwine the boundary and are compatible with the action."""
+    intertwine the boundary and are compatible with the action.
+
+    They are solved inside Bider(top) x Bider(base).  The pair spaces of
+    the two layers come first: on an identity crossed module the top's is
+    ``bider_qn(x)``'s, one algebra on both layers shares one, and otherwise
+    one kernel solves both.  The boundary and action rows, pulled back to
+    the stacked echelon rows (members) of the two, leave a small system on
+    dim Bider(top) + dim Bider(base) unknowns.  The members have increasing
+    pivots and vanish at each other's, so each reduced kernel row times them
+    is already a reduced echelon row; it is only made primitive over Q.
+    """
     nd, qd = x.top.dim, x.base.dim
     shapes = ((nd, nd), (nd, nd), (qd, qd), (qd, qd))
     s1, t1, s2, t2 = _layout(shapes)
-    rows = (_pair_rows(ActionData.by_bracket(x.top), s1, t1)
-            + _pair_rows(ActionData.by_bracket(x.base), s2, t2)
-            + _boundary_rows(x.boundary, s1, s2)
+    off, f = 2 * nd * nd, x.top.field
+    by_top = ActionData.by_bracket(x.top)
+    if x.base == x.top:
+        # bider_qn's table goes through the boundary, and off a crossed module it need not close
+        identity = x.action == by_top and x.boundary == Matrix.identity(f, nd)
+        top = bider_qn(x).space if identity else sparse_kernel(f, off, _pair_rows(by_top, s1, t1))
+        members = [row for row, _d in top.scaled_rows]
+        members += [{off + u: c for u, c in row.items()} for row in members]
+        pivots = top.pivots + tuple(off + u for u in top.pivots)
+    else:
+        pairs = sparse_kernel(f, off + 2 * qd * qd, _pair_rows(by_top, s1, t1)
+                              + _pair_rows(ActionData.by_bracket(x.base), s2, t2))
+        members, pivots = [row for row, _d in pairs.scaled_rows], pairs.pivots
+    rows = (_boundary_rows(x.boundary, s1, s2)
             + _boundary_rows(x.boundary, t1, t2)
             + _action_rows(x.action, s1, t1, s2, t2))
+    on_members: SparseMatrix = {}  # unknown u -> {t: members[t][u]}
+    for t, member in enumerate(members):
+        for u, c in member.items():
+            on_members.setdefault(u, {})[t] = c
+    small = sparse_kernel(f, len(members), _compose((dict(enumerate(rows)), 1), (on_members, 1))[0].values())
+    combos, _ = _compose((dict(enumerate(row for row, _e in small.scaled_rows)), 1), (dict(enumerate(members)), 1))
+    space = _echelon_subspace(f, off + 2 * qd * qd, combos.values(), tuple(pivots[t] for t in small.pivots))
 
     def bracket_terms(u: tuple, v: tuple) -> list[list[Product]]:
         # [(s1, t1, s2, t2), (s1', ...)] = (s1 s1' - s1' s1, t1 s1' - s1' t1,
@@ -356,7 +381,7 @@ def bider_xmod(x: CrossedModule) -> MapSpace:
         return [[(1, s1, s1p), (-1, s1p, s1)], [(1, t1, s1p), (-1, s1p, t1)],
                 [(1, s2, s2p), (-1, s2p, s2)], [(1, t2, s2p), (-1, s2p, t2)]]
 
-    return _space_with_algebra(x.top.field, shapes, rows, bracket_terms)
+    return _space_with_algebra(shapes, space, bracket_terms)
 
 
 # -- the actor ----------------------------------------------------------
@@ -448,30 +473,37 @@ class ShortExactSequence:
 
 
 def sequence_problems(s: ShortExactSequence) -> list[str]:
+    return _checked(s)[0]
+
+
+def _checked(s: ShortExactSequence) -> tuple[list[str], dict[str, tuple[_Preimages, _Preimages]]]:
+    """The problems, and the preimage solvers of each layer's inclusion and
+    projection, which give their ranks (none if the endpoints do not match)."""
     problems = []
     if s.include.source != s.first or s.include.target != s.middle:
         problems.append("inclusion endpoints do not match the sequence")
     if s.project.source != s.middle or s.project.target != s.last:
         problems.append("projection endpoints do not match the sequence")
     if problems:
-        return problems
+        return problems, {}
     if not validate_morphism(s.include).ok:
         problems.append("inclusion is not a morphism")
     if not validate_morphism(s.project).ok:
         problems.append("projection is not a morphism")
+    solvers = {}
     for layer, inc, proj, first_dim, last_dim in (
         ("top", s.include.top_map, s.project.top_map, s.first.top.dim, s.last.top.dim),
         ("base", s.include.base_map, s.project.base_map, s.first.base.dim, s.last.base.dim),
     ):
-        inc_rank, proj_rank = rref(inc).rank, rref(proj).rank
-        if inc_rank != first_dim:
+        back, pull = solvers[layer] = _Preimages(inc), _Preimages(proj)
+        if back.rank != first_dim:
             problems.append(f"{layer} inclusion is not injective")
-        if proj_rank != last_dim:
+        if pull.rank != last_dim:
             problems.append(f"{layer} projection is not surjective")
         # image = kernel: the image lies in the kernel, and the two have one dimension
-        if any((proj @ inc).sparse_columns) or inc_rank + proj_rank != inc.rows:
+        if any((proj @ inc).sparse_columns) or back.rank + pull.rank != inc.rows:
             problems.append(f"{layer} layer is not exact in the middle")
-    return problems
+    return problems, solvers
 
 
 @dataclass(frozen=True)
@@ -492,16 +524,16 @@ def lift_sequence(s: ShortExactSequence) -> LiftResult:
     module; pulling that action back through the (injective) inclusion gives
     the pair/quadruple the element generates, and passing to the quotient by
     the inner part yields the induced maps from the last crossed module into
-    the outer one.  Each map is eliminated once, whatever the number of
-    values pulled back through it.
+    the outer one.  Each map is eliminated once, for the exactness check,
+    whatever the number of values pulled back through it.
     """
-    problems = sequence_problems(s)
+    problems, solvers = _checked(s)
     if problems:
         raise NotExactError("; ".join(problems))
     x = s.first
     mid = s.middle
     f = x.top.field
-    top, base = _preimages(s.include.top_map), _preimages(s.include.base_map)
+    (top, pull_top), (base, pull_base) = solvers["top"], solvers["base"]
     ns, qs = s.include.top_map.sparse_columns, s.include.base_map.sparse_columns
     ms, ps = _units(mid.top.dim), _units(mid.base.dim)
 
@@ -519,14 +551,12 @@ def lift_sequence(s: ShortExactSequence) -> LiftResult:
     morphism = XModMorphism(mid, actor(x), alpha, beta)
     out = outer_xmod(x)
 
-    def induced(project: Matrix, lifted: Matrix, onto: Matrix) -> Matrix:
+    def induced(pull: _Preimages, lifted: Matrix, onto: Matrix, rows: int) -> Matrix:
         """last -> outer: pull each basis element back to the middle, lift it, project it."""
-        pull = _preimages(project)
-        return Matrix(f, onto.rows, project.rows, tuple(onto.apply(lifted.apply(pull({r: 1})))
-                                                        for r in range(project.rows)))
+        return Matrix(f, onto.rows, rows, tuple(onto.apply(lifted.apply(pull({r: 1}))) for r in range(rows)))
 
-    induced_top = induced(s.project.top_map, alpha, out.top_project)
-    induced_base = induced(s.project.base_map, beta, out.base_project)
+    induced_top = induced(pull_top, alpha, out.top_project, s.project.top_map.rows)
+    induced_base = induced(pull_base, beta, out.base_project, s.project.base_map.rows)
 
     warnings = () if check_conditions(x).any_holds else (NO_CONDITION_WARNING,)
     return LiftResult(morphism, out, induced_top, induced_base, warnings)

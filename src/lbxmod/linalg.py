@@ -30,7 +30,7 @@ from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from operator import is_
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .fields import Field, FpElement, InputDataError, Scalar
 
@@ -214,8 +214,9 @@ class Subspace:
     @classmethod
     def from_rows(cls, field: Field, ambient: int, rows: Iterable) -> "Subspace":
         """The span of rows, each dense or sparse ({column: coefficient})."""
-        sparse = (row if isinstance(row, dict) else _sparse(row) for row in rows)
-        return _echelon_subspace(field, ambient, _sparse_rref(sparse, field.characteristic))
+        red = _sparse_rref((row if isinstance(row, dict) else _sparse(row) for row in rows), field.characteristic)
+        pivots = tuple(sorted(red))
+        return cls(field, ambient, tuple((red[u], red[u][u]) for u in pivots), pivots)
 
     @classmethod
     def zero(cls, field: Field, ambient: int) -> "Subspace":
@@ -329,20 +330,25 @@ def column_space(m: Matrix) -> Subspace:
     return Subspace.from_rows(m.field, m.rows, m.sparse_columns)
 
 
-def _preimages(a: Matrix) -> Callable[[Mapping[int, Number]], dict[int, Number]]:
+class _Preimages:
     """Solve a @ x = v for any sparse v, sparsely, from one echelon pass of
     the rows of [a | 1], which reduces a to E by an invertible R: a @ x = v
     is E @ x = R v.  Each echelon row (I, d) with pivot u holds its row of
     E and of d * R; x has its free variables zero, and x[u] = (R v)[u] for
     u < a.cols.  Where R v is not zero at a pivot u >= a.cols there is no
-    x, and a ``LinearSolveError``."""
-    k, p = a.cols, a.field.characteristic
-    red = _sparse_rref(({**row, k + i: 1} for i, row in enumerate(a.transpose().sparse_columns)), p)
-    solved = [(u, {j - k: c for j, c in row.items() if j >= k}, row[u]) for u, row in sorted(red.items())]
+    x, and a ``LinearSolveError``.  The pivots u < a.cols are those of E,
+    so their number is the rank of a."""
 
-    def back(vec: Mapping[int, Number]) -> dict[int, Number]:
-        out = {}
-        for u, r, d in solved:
+    def __init__(self, a: Matrix) -> None:
+        k, p = a.cols, a.field.characteristic
+        red = _sparse_rref(({**row, k + i: 1} for i, row in enumerate(a.transpose().sparse_columns)), p)
+        self._cols, self._p = k, p
+        self._solved = [(u, {j - k: c for j, c in row.items() if j >= k}, row[u]) for u, row in sorted(red.items())]
+        self.rank = sum(u < k for u in red)
+
+    def __call__(self, vec: Mapping[int, Number]) -> dict[int, Number]:
+        k, p, out = self._cols, self._p, {}
+        for u, r, d in self._solved:
             c = sum(r[j] * v for j, v in vec.items() if j in r)
             if p:
                 c %= p
@@ -352,8 +358,6 @@ def _preimages(a: Matrix) -> Callable[[Mapping[int, Number]], dict[int, Number]]
                 raise LinearSolveError("value has no preimage though exactness promises one")
             out[u] = c if p else number(Fraction(c, d))
         return out
-
-    return back
 
 
 def number(x: Scalar) -> Number:
@@ -416,8 +420,9 @@ def _integer_row(src: Mapping[int, Number]) -> dict[int, int]:
     """The primitive integer row on the line of a rational row: scaled by the
     lcm of its denominators, divided by the gcd of its entries."""
     row = {c: v for c, v in src.items() if v}
-    den = lcm(*(v.denominator for v in row.values()))
-    row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+    if not all(type(v) is int for v in row.values()):
+        den = lcm(*(v.denominator for v in row.values()))
+        row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
     _primitive(row)
     return row
 
@@ -443,13 +448,13 @@ def _cancel(row: dict[int, Number], c: int, pivot_row: Mapping[int, Number], p: 
     _primitive(row)
 
 
-def _sparse_rref(rows: Iterable[Mapping[int, Number]], p: int) -> dict[int, dict[int, int]]:
+def _sparse_rref(rows: Iterable[Mapping[int, Number]], p: int, pivot=min) -> dict[int, dict[int, int]]:
     """Reduced row echelon form of sparse rows, over F_p if p else over Q.
 
-    Returns {pivot column: row}; a row's pivot is its first nonzero column,
-    and it is 0 at every other pivot column.  Rows are taken one at a time
-    and reduced against the pivot rows found so far, which then stay
-    reduced against the new one.
+    Returns {pivot column: row}; a row's pivot is its first nonzero column
+    (its last with ``pivot=max``), and it is 0 at every other pivot column.
+    Rows are taken one at a time and reduced against the pivot rows found so
+    far, which then stay reduced against the new one.
 
     Over F_p the rows hold residues and each pivot row is scaled to 1 at its
     pivot.  Over Q elimination is fraction-free: every row is held as a
@@ -463,7 +468,7 @@ def _sparse_rref(rows: Iterable[Mapping[int, Number]], p: int) -> dict[int, dict
             _cancel(row, c, done[c], p)
         if not row:
             continue
-        lead = min(row)
+        lead = pivot(row)
         if p:
             inv = pow(row[lead], -1, p)
             row = {c: v * inv % p for c, v in row.items()}
@@ -483,22 +488,27 @@ def sparse_kernel(field: Field, ncols: int, rows: Iterable[Mapping[int, Number]]
 
     Coefficients are ints or Fractions (see ``number``); over F_p they are
     read mod p.  The result is the canonical ``Subspace``, the same one
-    ``nullspace`` gives for the dense matrix of the rows.
+    ``nullspace`` gives for the dense matrix of the rows.  With each echelon
+    row (I, d) pivoted at its last nonzero column, the generator
+    e_f - sum(I[f] / d * e_lead) of free column f has its other entries after
+    f, so the generators are already the kernel's reduced echelon rows.
     """
     p = field.characteristic
-    red = _sparse_rref(rows, p)
-    # the generator of free column f is e_f - sum(I[f] / d * e_lead) over the
-    # echelon rows (I, d); the kernel clears its denominators again
+    red = _sparse_rref(rows, p, max)
     gens: dict[int, dict[int, Number]] = {f: {f: 1} for f in range(ncols) if f not in red}
     for lead, row in red.items():
         d = row[lead]
         for c, v in row.items():
             if c != lead:
                 gens[c][lead] = -v if d == 1 else Fraction(-v, d)
-    return _echelon_subspace(field, ncols, _sparse_rref(gens.values(), p))
+    return _echelon_subspace(field, ncols, gens.values(), tuple(gens))
 
 
-def _echelon_subspace(field: Field, ncols: int, red: Mapping[int, dict[int, int]]) -> Subspace:
-    """The ``Subspace`` of a ``_sparse_rref`` result, whose rows are its ``scaled_rows``."""
-    pivots = tuple(sorted(red))
-    return Subspace(field, ncols, tuple((red[u], red[u][u]) for u in pivots), pivots)
+def _echelon_subspace(field: Field, ncols: int, rows: Iterable[Mapping[int, Number]],
+                      pivots: tuple[int, ...]) -> Subspace:
+    """The ``Subspace`` whose reduced echelon rows lie on the lines of rows,
+    with the pivots given in increasing order; over F_p each row must be 1
+    at its pivot already, over Q it is made a primitive integer row."""
+    p = field.characteristic
+    rows = [{u: c % p for u, c in row.items() if c % p} if p else _integer_row(row) for row in rows]
+    return Subspace(field, ncols, tuple((row, row[u]) for row, u in zip(rows, pivots)), pivots)

@@ -18,6 +18,12 @@ hands it to the one builder of morphisms into the actor.  The dense version
 it replaced, which pulled back every bracket of dense vectors on its own,
 is kept here under the same name.
 
+``bider_xmod`` solves the quadruples inside the product of the two pair
+spaces, on the pair-space coordinates.  The one system it replaced, the pair
+rows of both layers beside the boundary and action rows on all 2n^2 + 2q^2
+map entries, is kept as ``one_system_bider_xmod``; ``test_bider.py``
+compares the two.
+
 ``lbxmod`` reads solved bases as integer rows over one denominator per
 member.  The sparse readers and map products they replaced, on the reduced
 echelon rows with ``Fraction`` entries, are kept below as ``fraction_*``;
@@ -48,8 +54,14 @@ from lbxmod.algebra import (
 )
 from lbxmod.bider import (
     LiftResult,
+    MapSpace,
     NotExactError,
     ShortExactSequence,
+    _action_rows,
+    _boundary_rows,
+    _layout,
+    _pair_rows,
+    _space_with_algebra,
     actor,
     bider_qn,
     bider_xmod,
@@ -62,12 +74,13 @@ from lbxmod.linalg import (
     Matrix,
     RrefResult,
     Subspace,
+    _Preimages,
     _dense,
-    _preimages,
     _sparse,
     column_space,
     number,
     nullspace,
+    sparse_kernel,
 )
 from lbxmod.xaction import ActorMorphism, ConditionsNotMetError, InvalidMorphismError, XModActionData
 from lbxmod.xmod import (
@@ -426,7 +439,7 @@ def lift_sequence(s: ShortExactSequence) -> LiftResult:
     pairs, quads = bider_qn(x), bider_xmod(x)
     act = mid.action
     qs, ns = [column(fb, a) for a in range(x.base.dim)], [column(ft, i) for i in range(x.top.dim)]
-    top_back, base_back = _preimages(ft), _preimages(fb)
+    top_back, base_back = _Preimages(ft), _Preimages(fb)
 
     def top(v):
         return top_back(_sparse(v))
@@ -456,7 +469,7 @@ def lift_sequence(s: ShortExactSequence) -> LiftResult:
     out = outer_xmod(x)
 
     def induced(project: Matrix, lifted: Matrix, onto: Matrix) -> Matrix:
-        pull = _preimages(project)
+        pull = _Preimages(project)
         ends = [_dense(f, project.cols, pull({r: 1})) for r in range(project.rows)]
         return Matrix.from_columns(f, [apply(onto, apply(lifted, w)) for w in ends], onto.rows)
 
@@ -525,6 +538,29 @@ def rebase_xmod(x: CrossedModule, rng: random.Random) -> CrossedModule:
                      _rebase_tensor(f, x.action.right, pt, pb, pti))
     return CrossedModule(top, base, pbi @ x.boundary @ pt, act)
 
+
+
+# -- the quadruple space as one system ----------------------------------------------
+
+
+def one_system_bider_xmod(x: CrossedModule) -> MapSpace:
+    """The quadruple space from one system on every map entry: both layers'
+    pair rows through their own brackets, the boundary rows and the action rows."""
+    nd, qd = x.top.dim, x.base.dim
+    shapes = ((nd, nd), (nd, nd), (qd, qd), (qd, qd))
+    s1, t1, s2, t2 = _layout(shapes)
+    rows = (_pair_rows(ActionData.by_bracket(x.top), s1, t1)
+            + _pair_rows(ActionData.by_bracket(x.base), s2, t2)
+            + _boundary_rows(x.boundary, s1, s2)
+            + _boundary_rows(x.boundary, t1, t2)
+            + _action_rows(x.action, s1, t1, s2, t2))
+
+    def bracket_terms(u, v):
+        (s1, t1, s2, t2), (s1p, _t1p, s2p, _t2p) = u, v
+        return [[(1, s1, s1p), (-1, s1p, s1)], [(1, t1, s1p), (-1, s1p, t1)],
+                [(1, s2, s2p), (-1, s2p, s2)], [(1, t2, s2p), (-1, s2p, t2)]]
+
+    return _space_with_algebra(shapes, sparse_kernel(x.top.field, 2 * nd * nd + 2 * qd * qd, rows), bracket_terms)
 
 
 # -- sparse readers on Fraction rows -----------------------------------------------

@@ -1,14 +1,16 @@
 """Hypothesis strategies for generated objects, valid or not: structure
 tables, actions, matrices, crossed modules, morphisms and crossed-module
 actions over Q, F2 and F3, with entries drawn from a few small values so
-that most of them are zero.  ``respelled`` gives a tensor as sparse dicts
-whose entries are spelled in ways the stored form must normalize."""
+that most of them are zero.  ``quadruple_inputs`` draws crossed modules of
+each shape the quadruple solver tells apart.  ``respelled`` gives a tensor
+as sparse dicts whose entries are spelled in ways the stored form must
+normalize."""
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
 from lbxmod.action import ActionData
-from lbxmod.algebra import LeibnizAlgebra
+from lbxmod.algebra import LeibnizAlgebra, annihilator, commutator
 from lbxmod.linalg import Matrix
 from lbxmod.xaction import XModActionData
 from lbxmod.xmod import CrossedModule, XModMorphism
@@ -47,6 +49,40 @@ def matrices(draw, field, rows, cols):
 def xmods(draw, field):
     d = draw(actions(field))
     return CrossedModule(d.target, d.actor, draw(matrices(field, d.actor.dim, d.target.dim)), d)
+
+
+def null_filiform(field, n: int) -> LeibnizAlgebra:
+    """NF_n: [e_i, e_0] = e_{i+1}."""
+    return LeibnizAlgebra.from_brackets(field, n, {(i, 0): {i + 1: 1} for i in range(n - 1)})
+
+
+def sl2(field) -> LeibnizAlgebra:
+    return LeibnizAlgebra.from_brackets(field, 3, {(0, 1): {0: -2}, (1, 0): {0: 2}, (0, 2): {1: 1}, (2, 0): {1: -1},
+                                                   (1, 2): {2: -2}, (2, 1): {2: 2}})
+
+
+@st.composite
+def quadruple_inputs(draw, field):
+    """The identity on an algebra, the inclusion of its commutator or
+    annihilator ideal, a drawn action with a zero boundary, one algebra on
+    both layers acting on itself by a drawn action other than its bracket,
+    or any drawn crossed module.  The algebra of the first two is drawn, or
+    one of sl2 and NF_2 to NF_4, whose pair spaces are larger."""
+    kind = draw(st.sampled_from(("identity", "ideal", "zero boundary", "one algebra", "any")))
+    if kind in ("identity", "ideal"):
+        a = draw(algebras(field) | st.sampled_from((2, 3, 4)).map(lambda n: null_filiform(field, n))
+                 | st.just(sl2(field)))
+        if kind == "identity":
+            return CrossedModule.identity_on(a)
+        return CrossedModule.inclusion_of_ideal(a, draw(st.sampled_from((commutator, annihilator)))(a))
+    if kind == "zero boundary":
+        d = draw(actions(field))
+        return CrossedModule(d.target, d.actor, Matrix.zeros(field, d.actor.dim, d.target.dim), d)
+    if kind == "one algebra":
+        a = draw(algebras(field))
+        act = draw(actions(field, a, a).filter(lambda d: d != ActionData.by_bracket(a)))
+        return CrossedModule(a, a, draw(matrices(field, a.dim, a.dim)), act)
+    return draw(xmods(field))
 
 
 @st.composite

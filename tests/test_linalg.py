@@ -25,7 +25,7 @@ from lbxmod.linalg import (
     Matrix,
     RrefResult,
     Subspace,
-    _preimages,
+    _Preimages,
     _sparse,
     column_space,
     nullspace,
@@ -72,13 +72,13 @@ def test_nullspace_vectors_are_annihilated(m):
 @settings(max_examples=60)
 def test_preimages_recover_consistent_systems(m, coeffs):
     b = m.apply(_sparse(coeffs[: m.cols]))
-    assert m.apply(_preimages(m)(b)) == b
+    assert m.apply(_Preimages(m)(b)) == b
 
 
 def test_preimages_report_inconsistency():
     m = Matrix.from_rows(QQ, [[1, 0], [1, 0]])
     with pytest.raises(LinearSolveError, match="no preimage"):
-        _preimages(m)({0: 1, 1: -1})
+        _Preimages(m)({0: 1, 1: -1})
 
 
 def reference_solve(a, vec):
@@ -100,7 +100,7 @@ def test_preimages_equal_the_dense_reference(m, coeffs, consistent):
     the image gets the reference solution, any other a LinearSolveError."""
     vec = apply(m, tuple(coeffs[: m.cols])) if consistent else tuple(coeffs[: m.rows]) + (QQ.zero,) * (m.rows - 4)
     expected = reference_solve(m, vec)
-    back = _preimages(m)
+    back = _Preimages(m)
     if expected is None:
         with pytest.raises(LinearSolveError, match="no preimage"):
             back(_sparse(vec))
