@@ -339,23 +339,22 @@ def bider_xmod(x: CrossedModule) -> MapSpace:
     intertwine the boundary and are compatible with the action.
 
     They are solved inside Bider(top) x Bider(base).  The pair spaces of
-    the two layers come first: on an identity crossed module the top's is
-    ``bider_qn(x)``'s, one algebra on both layers shares one, and otherwise
-    one kernel solves both.  The boundary and action rows, pulled back to
-    the stacked echelon rows (members) of the two, leave a small system on
-    dim Bider(top) + dim Bider(base) unknowns.  The members have increasing
-    pivots and vanish at each other's, so each reduced kernel row times them
-    is already a reduced echelon row; it is only made primitive over Q.
+    the two layers come first: on an identity crossed module both are
+    ``bider_qn(x)``'s, and otherwise one kernel solves both.  The boundary
+    and action rows, pulled back to the stacked echelon rows (members) of
+    the two, leave a small system on dim Bider(top) + dim Bider(base)
+    unknowns.  The members have increasing pivots and vanish at each
+    other's, so each reduced kernel row times them is already a reduced
+    echelon row; it is only made primitive over Q.
     """
     nd, qd = x.top.dim, x.base.dim
     shapes = ((nd, nd), (nd, nd), (qd, qd), (qd, qd))
     s1, t1, s2, t2 = _layout(shapes)
     off, f = 2 * nd * nd, x.top.field
     by_top = ActionData.by_bracket(x.top)
-    if x.base == x.top:
-        # bider_qn's table goes through the boundary, and off a crossed module it need not close
-        identity = x.action == by_top and x.boundary == Matrix.identity(f, nd)
-        top = bider_qn(x).space if identity else sparse_kernel(f, off, _pair_rows(by_top, s1, t1))
+    # bider_qn's table goes through the boundary, and off a crossed module it need not close
+    if x.base == x.top and x.action == by_top and x.boundary == Matrix.identity(f, nd):
+        top = bider_qn(x).space
         members = [row for row, _d in top.scaled_rows]
         members += [{off + u: c for u, c in row.items()} for row in members]
         pivots = top.pivots + tuple(off + u for u in top.pivots)

@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 from strategies import null_filiform, quadruple_inputs, sl2
 
 from lbxmod import QQ
-from lbxmod.algebra import commutator, validate_leibniz
+from lbxmod.action import ActionData
+from lbxmod.algebra import LeibnizAlgebra, commutator, validate_leibniz
 from lbxmod.bider import (
     ShortExactSequence,
     actor,
@@ -325,12 +326,24 @@ def _staged_equals_one_system(x):
 @settings(max_examples=200, deadline=None)
 def test_staged_quadruples_equal_the_one_system(field, data):
     """The quadruples solved inside the two pair spaces are the one system's
-    solutions, to the echelon row and the bracket table, whether the top's
-    pair space is the pair space's memo (identity), shared with the base
-    (one algebra) or solved beside the base's, and in seeded bases too."""
+    solutions, to the echelon row and the bracket table, whether the pair
+    spaces are the pair space's memo (identity) or solved in one kernel
+    (one algebra or two), and in seeded bases too."""
     x = data.draw(quadruple_inputs(field))
     seed = data.draw(st.none() | st.integers(0, 2**16))
     _staged_equals_one_system(x if seed is None else ref.rebase_xmod(x, random.Random(seed)))
+
+
+def test_staged_quadruples_of_one_algebra_by_its_bracket_off_the_identity_boundary(field):
+    """[e0, e1] = e0 acting on itself by its bracket, with boundary e0 -> e1,
+    is no crossed module: its pair space's table does not close, so the
+    quadruples may not start from it, though its action is the bracket."""
+    a = LeibnizAlgebra.from_brackets(field, 2, {(0, 1): {0: 1}})
+    x = CrossedModule(a, a, Matrix.from_rows(field, [[0, 0], [1, 0]]), ActionData.by_bracket(a))
+    assert not validate_xmod(x).ok
+    with pytest.raises(linalg.LinearSolveError):
+        bider_qn(x)
+    _staged_equals_one_system(x)
 
 
 @pytest.mark.parametrize("seed", range(5))
