@@ -13,6 +13,8 @@ prints a single JSON report to stdout, and exits with
 * 3 — internal error: a result that theory guarantees was not found
       (``LinearSolveError``), which means a bug in lbxmod.
 
+Each command is declared once, as a row of ``_COMMANDS``: its help text, the
+input kinds it accepts, the checks each kind must pass first, and its report.
 Commands other than ``validate`` refuse an input crossed module that fails
 ``validate_xmod`` before computing anything, with exit 1 and the failing
 axiom labels; so do ``bider`` for an algebra that is not Leibniz,
@@ -27,98 +29,224 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from . import serialize as ser
-from .action import validate_action
+from .action import semidirect_algebra, validate_action
 from .algebra import ValidationReport, _prefixed, annihilator, commutator, validate_leibniz
-from .action import semidirect_algebra
-from .bider import (
-    NotExactError,
-    actor,
-    bider_algebra,
-    bider_qn,
-    bider_xmod,
-    canonical_morphism,
-    delta,
-    inner_xmod,
-    lift_sequence,
-    outer_xmod,
-    sequence_problems,
-)
+from .bider import (NotExactError, actor, bider_algebra, bider_qn, bider_xmod, canonical_morphism, delta, inner_xmod,
+                    lift_sequence, outer_xmod, sequence_problems)
 from .catalog import CATALOG, build_entry
 from .fields import Field, InputDataError, get_field
 from .linalg import LinearSolveError, rref
-from .xaction import (
-    ActionAxiomError,
-    ConditionsNotMetError,
-    InvalidMorphismError,
-    RELAXABLE_LABELS,
-    action_from_morphism,
-    morphism_from_action,
-    semidirect_xmod,
-    validate_xmod_action,
-)
-from .xmod import (
-    NotAnIdealError,
-    center,
-    check_conditions,
-    condition_profile,
-    kernel,
-    validate_morphism,
-    validate_xmod,
-)
+from .xaction import (RELAXABLE_LABELS, ActionAxiomError, ConditionsNotMetError, InvalidMorphismError,
+                      action_from_morphism, morphism_from_action, semidirect_xmod, validate_xmod_action)
+from .xmod import (ConditionFlags, NotAnIdealError, center, condition_profile, kernel, validate_morphism,
+                   validate_xmod)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_BAD_INPUT = 2
 EXIT_INTERNAL = 3
 
-#: which input kinds each subcommand accepts
-_ACCEPTS = {
-    "validate": ("algebra", "xmod", "action", "xaction", "morphism", "sequence"),
-    "ann": ("algebra",),
-    "comm": ("algebra",),
-    "bider": ("algebra",),
-    "bider-qn": ("xmod",),
-    "bider-xmod": ("xmod",),
-    "actor": ("xmod",),
-    "delta": ("xmod",),
-    "canonical": ("xmod",),
-    "inner": ("xmod",),
-    "outer": ("xmod",),
-    "center": ("xmod",),
-    "conditions": ("xmod",),
-    "semidirect": ("action",),
-    "semidirect-xmod": ("xaction",),
-    "xaction-validate": ("xaction",),
-    "xaction-to-morphism": ("xaction",),
-    "morphism-to-xaction": ("morphism",),
-    "lift": ("sequence",),
+
+class _Command(NamedTuple):
+    """One subcommand.  ``inputs`` maps each input kind it accepts to the
+    check that input must pass first: None, or a function giving (label
+    prefix, report) pairs, whose labels refuse the input with exit 1.
+    ``report(kind, input, field)`` builds the report fragment; one without
+    ``"ok"`` reports success."""
+
+    help: str
+    inputs: dict
+    report: Callable[[Optional[str], Any, Field], dict]
+
+
+#: what ``validate`` checks on each input kind but a sequence, as (label
+#: prefix, report) pairs; the commands that refuse an invalid input reuse them
+_CHECKS = {
+    "algebra": lambda a: [("", validate_leibniz(a))],
+    "xmod": lambda x: [("", validate_xmod(x))],
+    # both algebras Leibniz, then act1..act6
+    "action": lambda d: [("actor:", validate_leibniz(d.actor)), ("target:", validate_leibniz(d.target)),
+                         ("", validate_action(d))],
+    "xaction": lambda d: [("", validate_xmod_action(d))],
+    "morphism": lambda fm: [("", validate_morphism(fm.as_xmod_morphism()))],
 }
 
-_HELP = {
-    "validate": "check every defining identity of the input object",
-    "ann": "two-sided annihilator of an algebra",
-    "comm": "derived (commutator) subspace of an algebra",
-    "bider": "biderivation pair space of an algebra",
-    "bider-qn": "pair space base->top of a crossed module",
-    "bider-xmod": "quadruple space of a crossed module",
-    "actor": "the actor crossed module",
-    "delta": "boundary matrix of the actor, pairs to quadruples",
-    "canonical": "canonical morphism of a crossed module into its actor",
-    "inner": "image of the canonical morphism inside the actor",
-    "outer": "actor modulo the inner part",
-    "center": "central sub-crossed-module",
-    "conditions": "support-condition flags con1/con2/con3 and their profile",
-    "semidirect": "semidirect algebra of an algebra action",
-    "semidirect-xmod": "semidirect crossed module of a crossed-module action",
-    "xaction-validate": "check the labeled identities of a crossed-module action",
-    "xaction-to-morphism": "turn action data into a morphism into the actor",
-    "morphism-to-xaction": "recover action data from a morphism into the actor",
-    "lift": "extend a short exact sequence by the actor of its first part",
-    "catalog": "list the built-in examples",
+
+def _actor_of_checks(fm) -> list:
+    """A morphism into the actor needs a valid crossed module to build that actor from."""
+    return [("actor_of:", validate_xmod(fm.around))]
+
+
+def _sequence_checks(s) -> list:
+    return [(role + ":", validate_xmod(x)) for role, x in (("first", s.first), ("middle", s.middle), ("last", s.last))]
+
+
+def _violations_json(field: Field, report) -> list:
+    return [{"axiom": v.axiom, "witness": list(v.witness), "lhs": ser.vector_to_json(field, v.lhs),
+             "rhs": ser.vector_to_json(field, v.rhs)} for v in report.violations]
+
+
+def _validate_report(kind: str, obj, field: Field) -> dict:
+    if kind == "sequence":
+        problems = sequence_problems(obj)
+        return {"ok": not problems, "kind": kind, "problems": problems}
+    rep = ValidationReport(tuple(_prefixed(*_CHECKS[kind](obj))))
+    return {"ok": rep.ok, "kind": kind, "violations": _violations_json(field, rep)}
+
+
+def _map_space_report(space) -> dict:
+    """A solved pair or quadruple space: ``bider``, ``bider-qn``, ``bider-xmod``."""
+    return {"dim": space.dim, "shapes": [list(s) for s in space.shapes],
+            "basis": ser.subspace_to_json(space.space)["basis"], "algebra": ser.algebra_to_json(space.algebra)}
+
+
+def _sub_xmod_report(sub, warnings: bool) -> dict:
+    """A sub-crossed-module: ``inner``, and ``center`` with its warnings."""
+    report = {
+        "top": ser.subspace_to_json(sub.top_space),
+        "base": ser.subspace_to_json(sub.base_space),
+        "xmod": ser.xmod_to_json(sub.xmod),
+    }
+    if warnings:
+        report["warnings"] = list(sub.warnings)
+    return report
+
+
+def _actor_report(_kind, x, _field) -> dict:
+    act = actor(x)
+    return {"top_dim": act.top.dim, "base_dim": act.base.dim, "actor": ser.xmod_to_json(act)}
+
+
+def _delta_report(_kind, x, _field) -> dict:
+    mat = delta(x)
+    return {"matrix": ser.matrix_to_json(mat), "bijective": rref(mat).rank == mat.rows and mat.rows == mat.cols}
+
+
+def _canonical_report(_kind, x, _field) -> dict:
+    f = canonical_morphism(x)
+    ker = kernel(f)
+    return {**ser.morphism_maps_to_json(f), "kernel_top_dim": ker.top_space.dim,
+            "kernel_base_dim": ker.base_space.dim}
+
+
+def _outer_report(_kind, x, _field) -> dict:
+    quo = outer_xmod(x)
+    return {"xmod": ser.xmod_to_json(quo.xmod), "top_project": ser.matrix_to_json(quo.top_project),
+            "base_project": ser.matrix_to_json(quo.base_project)}
+
+
+def _conditions_report(_kind, x, _field) -> dict:
+    profile = condition_profile(x)
+    flags = ConditionFlags.from_profile(profile)
+    report = {"con1": flags.con1, "con2": flags.con2, "con3": flags.con3, "any": flags.any_holds,
+              "profile": profile}
+    if not flags.any_holds and profile["top_perfect"] and profile["ann_base_dim"] == 0:
+        report["note"] = ("the remaining combination (perfect top, trivial "
+                          "base annihilator) holds but is not one of the "
+                          "supported conditions")
+    return report
+
+
+def _semidirect_report(_kind, d, _field) -> dict:
+    sd = semidirect_algebra(d)
+    return {"algebra": ser.algebra_to_json(sd.algebra), "include_target": ser.matrix_to_json(sd.include_target),
+            "include_actor": ser.matrix_to_json(sd.include_actor)}
+
+
+def _semidirect_xmod_report(_kind, d, field: Field) -> dict:
+    rep = validate_xmod_action(d)
+    if not rep.ok:
+        return {"ok": False, "violations": _violations_json(field, rep)}
+    sd = semidirect_xmod(d)
+    problems = sequence_problems(sd.sequence())
+    return {
+        "ok": not problems,
+        "xmod": ser.xmod_to_json(sd.xmod),
+        "include": ser.morphism_maps_to_json(sd.include),
+        "project": ser.morphism_maps_to_json(sd.project),
+        "section": ser.morphism_maps_to_json(sd.section),
+        "sequence_problems": problems,
+    }
+
+
+def _xaction_validate_report(_kind, d, field: Field) -> dict:
+    rep = validate_xmod_action(d)
+    labels = rep.labels()
+    return {
+        "ok": rep.ok,
+        "violations": _violations_json(field, rep),
+        "hard": [l for l in labels if l not in RELAXABLE_LABELS],
+        "relaxed": [l for l in labels if l in RELAXABLE_LABELS],
+    }
+
+
+def _xaction_to_morphism_report(_kind, d, _field) -> dict:
+    res = morphism_from_action(d)
+    return {"morphism": ser.actor_morphism_to_json(res.morphism), "relaxed_failures": list(res.relaxed_failures)}
+
+
+def _lift_report(_kind, s, _field) -> dict:
+    res = lift_sequence(s)
+    return {
+        **ser.morphism_maps_to_json(res.morphism),
+        "outer": ser.xmod_to_json(res.outer.xmod),
+        "induced_top": ser.matrix_to_json(res.induced_top),
+        "induced_base": ser.matrix_to_json(res.induced_base),
+        "warnings": list(res.warnings),
+    }
+
+
+#: a crossed-module input, refused unless valid
+_VALID_XMOD = {"xmod": _CHECKS["xmod"]}
+
+_COMMANDS = {
+    "validate": _Command(
+        "check every defining identity of the input object",
+        {"algebra": None, "xmod": None, "action": None, "xaction": None, "morphism": _actor_of_checks,
+         "sequence": None},
+        _validate_report),
+    "ann": _Command("two-sided annihilator of an algebra", {"algebra": None},
+                    lambda _kind, a, _field: {"annihilator": ser.subspace_to_json(annihilator(a))}),
+    "comm": _Command("derived (commutator) subspace of an algebra", {"algebra": None},
+                     lambda _kind, a, _field: {"commutator": ser.subspace_to_json(commutator(a))}),
+    "bider": _Command("biderivation pair space of an algebra", {"algebra": _CHECKS["algebra"]},
+                      lambda _kind, a, _field: _map_space_report(bider_algebra(a))),
+    "bider-qn": _Command("pair space base->top of a crossed module", _VALID_XMOD,
+                         lambda _kind, x, _field: _map_space_report(bider_qn(x))),
+    "bider-xmod": _Command("quadruple space of a crossed module", _VALID_XMOD,
+                           lambda _kind, x, _field: _map_space_report(bider_xmod(x))),
+    "actor": _Command("the actor crossed module", _VALID_XMOD, _actor_report),
+    "delta": _Command("boundary matrix of the actor, pairs to quadruples", _VALID_XMOD, _delta_report),
+    "canonical": _Command("canonical morphism of a crossed module into its actor", _VALID_XMOD, _canonical_report),
+    "inner": _Command("image of the canonical morphism inside the actor", _VALID_XMOD,
+                      lambda _kind, x, _field: _sub_xmod_report(inner_xmod(x), warnings=False)),
+    "outer": _Command("actor modulo the inner part", _VALID_XMOD, _outer_report),
+    "center": _Command("central sub-crossed-module", _VALID_XMOD,
+                       lambda _kind, x, _field: _sub_xmod_report(center(x), warnings=True)),
+    "conditions": _Command("support-condition flags con1/con2/con3 and their profile", _VALID_XMOD,
+                           _conditions_report),
+    "semidirect": _Command("semidirect algebra of an algebra action", {"action": _CHECKS["action"]},
+                           _semidirect_report),
+    "semidirect-xmod": _Command("semidirect crossed module of a crossed-module action", {"xaction": None},
+                                _semidirect_xmod_report),
+    "xaction-validate": _Command("check the labeled identities of a crossed-module action", {"xaction": None},
+                                 _xaction_validate_report),
+    "xaction-to-morphism": _Command("turn action data into a morphism into the actor", {"xaction": None},
+                                    _xaction_to_morphism_report),
+    "morphism-to-xaction": _Command(
+        "recover action data from a morphism into the actor", {"morphism": _actor_of_checks},
+        lambda _kind, fm, _field: {"xaction": ser.xaction_to_json(action_from_morphism(fm))}),
+    "lift": _Command("extend a short exact sequence by the actor of its first part",
+                     {"sequence": _sequence_checks}, _lift_report),
+    "catalog": _Command("list the built-in examples", {}, lambda _kind, _obj, _field: {
+        "entries": [{"id": e.id, "kind": e.kind, "summary": e.summary} for e in CATALOG.values()]}),
 }
+
+#: which input kinds each subcommand that reads an input accepts
+_ACCEPTS = {name: tuple(command.inputs) for name, command in _COMMANDS.items() if command.inputs}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -128,9 +256,9 @@ def _parser() -> argparse.ArgumentParser:
                     "modules, and actors",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name, help_text in _HELP.items():
-        sp = sub.add_parser(name, help=help_text, description=help_text)
-        if name != "catalog":
+    for name, command in _COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help, description=command.help)
+        if command.inputs:
             sp.add_argument("input", help="JSON file path or catalog:<id>")
         sp.add_argument("--field", default="q",
                         help="scalar field tag: q or f<p> (default: q)")
@@ -161,194 +289,9 @@ def _load(spec: str, field: Field, accepted: Sequence[str]):
     return kind, obj
 
 
-def _action_checks(d) -> list:
-    """What an algebra action must satisfy: both algebras Leibniz, then act1..act6."""
-    return [("actor:", validate_leibniz(d.actor)), ("target:", validate_leibniz(d.target)),
-            ("", validate_action(d))]
-
-
-def _invalid_labels(command: str, kind: str, obj) -> tuple[str, ...]:
-    """Axiom labels that make the input unusable for the command.
-
-    Solved spaces and actors are only defined for valid crossed modules
-    (and pair spaces of an algebra for a Leibniz algebra); ``validate``
-    reports violations instead, except that a morphism into the actor
-    needs a valid crossed module to build that actor from.
-    """
-    if kind == "morphism":
-        checks = [("actor_of:", validate_xmod(obj.around))]
-    elif command == "validate":
-        checks = []
-    elif kind == "xmod":
-        checks = [("", validate_xmod(obj))]
-    elif kind == "algebra" and command == "bider":
-        checks = [("", validate_leibniz(obj))]
-    elif kind == "action" and command == "semidirect":
-        checks = _action_checks(obj)
-    elif kind == "sequence" and command == "lift":
-        checks = [(role + ":", validate_xmod(x))
-                  for role, x in (("first", obj.first), ("middle", obj.middle), ("last", obj.last))]
-    else:
-        checks = []
-    return tuple(prefix + label for prefix, report in checks for label in report.labels())
-
-
-def _violations_json(field: Field, report) -> list:
-    return [
-        {
-            "axiom": v.axiom,
-            "witness": list(v.witness),
-            "lhs": ser.vector_to_json(field, v.lhs),
-            "rhs": ser.vector_to_json(field, v.rhs),
-        }
-        for v in report.violations
-    ]
-
-
-def _maps_json(top_map, base_map) -> dict:
-    return {"top_map": ser.matrix_to_json(top_map), "base_map": ser.matrix_to_json(base_map)}
-
-
-def _run(command: str, kind: str, obj, field: Field) -> tuple[dict, bool]:
-    """Returns (report fragment, ok)."""
-    if command == "validate":
-        if kind == "sequence":
-            problems = sequence_problems(obj)
-            return {"kind": kind, "problems": problems}, not problems
-        if kind == "morphism":
-            rep = validate_morphism(obj.as_xmod_morphism())
-        elif kind == "algebra":
-            rep = validate_leibniz(obj)
-        elif kind == "xmod":
-            rep = validate_xmod(obj)
-        elif kind == "action":
-            rep = ValidationReport(tuple(_prefixed(*_action_checks(obj))))
-        else:
-            rep = validate_xmod_action(obj)
-        return {"kind": kind, "violations": _violations_json(field, rep)}, rep.ok
-
-    if command == "ann":
-        return {"annihilator": ser.subspace_to_json(annihilator(obj))}, True
-    if command == "comm":
-        return {"commutator": ser.subspace_to_json(commutator(obj))}, True
-
-    if command in ("bider", "bider-qn", "bider-xmod"):
-        space = {"bider": bider_algebra, "bider-qn": bider_qn, "bider-xmod": bider_xmod}[command](obj)
-        return {
-            "dim": space.dim,
-            "shapes": [list(s) for s in space.shapes],
-            "basis": ser.subspace_to_json(space.space)["basis"],
-            "algebra": ser.algebra_to_json(space.algebra),
-        }, True
-
-    if command == "actor":
-        act = actor(obj)
-        return {
-            "top_dim": act.top.dim,
-            "base_dim": act.base.dim,
-            "actor": ser.xmod_to_json(act),
-        }, True
-    if command == "delta":
-        mat = delta(obj)
-        bij = rref(mat).rank == mat.rows and mat.rows == mat.cols
-        return {"matrix": ser.matrix_to_json(mat), "bijective": bij}, True
-    if command == "canonical":
-        f = canonical_morphism(obj)
-        ker = kernel(f)
-        return {
-            **_maps_json(f.top_map, f.base_map),
-            "kernel_top_dim": ker.top_space.dim,
-            "kernel_base_dim": ker.base_space.dim,
-        }, True
-    if command == "inner":
-        sub = inner_xmod(obj)
-        return {
-            "top": ser.subspace_to_json(sub.top_space),
-            "base": ser.subspace_to_json(sub.base_space),
-            "xmod": ser.xmod_to_json(sub.xmod),
-        }, True
-    if command == "outer":
-        quo = outer_xmod(obj)
-        return {
-            "xmod": ser.xmod_to_json(quo.xmod),
-            "top_project": ser.matrix_to_json(quo.top_project),
-            "base_project": ser.matrix_to_json(quo.base_project),
-        }, True
-    if command == "center":
-        sub = center(obj)
-        return {
-            "top": ser.subspace_to_json(sub.top_space),
-            "base": ser.subspace_to_json(sub.base_space),
-            "xmod": ser.xmod_to_json(sub.xmod),
-            "warnings": list(sub.warnings),
-        }, True
-    if command == "conditions":
-        flags = check_conditions(obj)
-        profile = condition_profile(obj)
-        report = {
-            "con1": flags.con1,
-            "con2": flags.con2,
-            "con3": flags.con3,
-            "any": flags.any_holds,
-            "profile": profile,
-        }
-        if (not flags.any_holds and profile["top_perfect"]
-                and profile["ann_base_dim"] == 0):
-            report["note"] = ("the remaining combination (perfect top, trivial "
-                              "base annihilator) holds but is not one of the "
-                              "supported conditions")
-        return report, True
-
-    if command == "semidirect":
-        sd = semidirect_algebra(obj)
-        return {
-            "algebra": ser.algebra_to_json(sd.algebra),
-            "include_target": ser.matrix_to_json(sd.include_target),
-            "include_actor": ser.matrix_to_json(sd.include_actor),
-        }, True
-    if command == "semidirect-xmod":
-        rep = validate_xmod_action(obj)
-        if not rep.ok:
-            return {"violations": _violations_json(field, rep)}, False
-        sd = semidirect_xmod(obj)
-        problems = sequence_problems(sd.sequence())
-        return {
-            "xmod": ser.xmod_to_json(sd.xmod),
-            "include": _maps_json(sd.include.top_map, sd.include.base_map),
-            "project": _maps_json(sd.project.top_map, sd.project.base_map),
-            "section": _maps_json(sd.section.top_map, sd.section.base_map),
-            "sequence_problems": problems,
-        }, not problems
-
-    if command == "xaction-validate":
-        rep = validate_xmod_action(obj)
-        labels = rep.labels()
-        return {
-            "violations": _violations_json(field, rep),
-            "hard": [l for l in labels if l not in RELAXABLE_LABELS],
-            "relaxed": [l for l in labels if l in RELAXABLE_LABELS],
-        }, rep.ok
-    if command == "xaction-to-morphism":
-        res = morphism_from_action(obj)
-        return {
-            "morphism": ser.actor_morphism_to_json(res.morphism),
-            "relaxed_failures": list(res.relaxed_failures),
-        }, True
-    if command == "morphism-to-xaction":
-        data = action_from_morphism(obj)
-        return {"xaction": ser.xaction_to_json(data)}, True
-
-    if command == "lift":
-        res = lift_sequence(obj)
-        return {
-            **_maps_json(res.morphism.top_map, res.morphism.base_map),
-            "outer": ser.xmod_to_json(res.outer.xmod),
-            "induced_top": ser.matrix_to_json(res.induced_top),
-            "induced_base": ser.matrix_to_json(res.induced_base),
-            "warnings": list(res.warnings),
-        }, True
-
-    raise InputDataError(f"unknown command {command!r}")
+def _invalid_labels(check, obj) -> tuple[str, ...]:
+    """The labels of the input's failed checks, each with its report's prefix."""
+    return tuple(prefix + label for prefix, report in (check(obj) if check else ()) for label in report.labels())
 
 
 def _emit(report: dict, out_path: Optional[str]) -> None:
@@ -372,22 +315,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _emit({**base, "error": str(exc)}, args.out)
         return EXIT_BAD_INPUT
 
-    if args.command == "catalog":
-        entries = [{"id": e.id, "kind": e.kind, "summary": e.summary}
-                   for e in CATALOG.values()]
-        _emit({**base, "ok": True, "entries": entries}, args.out)
+    command = _COMMANDS[args.command]
+    if not command.inputs:  # catalog
+        _emit({**base, "ok": True, **command.report(None, None, field)}, args.out)
         return EXIT_OK
 
     base["input"] = args.input
     try:
         kind, obj = _load(args.input, field, _ACCEPTS[args.command])
-        invalid = _invalid_labels(args.command, kind, obj)
+        invalid = _invalid_labels(command.inputs[kind], obj)
         if invalid:
             _emit({**base, "ok": False,
                    "error": f"the {kind} input violates " + ", ".join(invalid),
                    "labels": list(invalid)}, args.out)
             return EXIT_FAIL
-        fragment, ok = _run(args.command, kind, obj, field)
+        report = {**base, "ok": True, **command.report(kind, obj, field)}
     except ActionAxiomError as exc:
         _emit({**base, "ok": False, "error": str(exc), "hard": list(exc.labels)}, args.out)
         return EXIT_FAIL
@@ -412,8 +354,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               args.out)
         return EXIT_BAD_INPUT
 
-    _emit({**base, "ok": ok, **fragment}, args.out)
-    return EXIT_OK if ok else EXIT_FAIL
+    _emit(report, args.out)
+    return EXIT_OK if report["ok"] else EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -162,10 +162,6 @@ def tensor_to_json(field: Field, view: SparseTensor, dim: int) -> list:
     return [[_dense_json(field, dim, v) for v in row] for row in view]
 
 
-def tensor_from_json(field: Field, obj: Any, d0: int, d1: int, d2: int) -> SparseTensor:
-    return _tensor(_reader(field), obj, d0, d1, d2)
-
-
 def _tensor(read: Callable, obj: Any, d0: int, d1: int, d2: int) -> SparseTensor:
     """A dense JSON tensor read into a sparse view; every entry, zeros
     included, goes through the reader."""
@@ -198,13 +194,7 @@ def _action_block(read: Callable, obj: Any, actor: LeibnizAlgebra, target: Leibn
 
 
 def action_to_json(d: ActionData) -> dict:
-    f = d.actor.field
-    return {
-        "actor": algebra_to_json(d.actor),
-        "target": algebra_to_json(d.target),
-        "left": tensor_to_json(f, d.sparse_left, d.target.dim),
-        "right": tensor_to_json(f, d.sparse_right, d.target.dim),
-    }
+    return {"actor": algebra_to_json(d.actor), "target": algebra_to_json(d.target), **action_block_to_json(d)}
 
 
 def action_from_json(field: Field, obj: Any) -> ActionData:

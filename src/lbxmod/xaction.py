@@ -42,7 +42,6 @@ from .xmod import (
     ConditionFlags,
     CrossedModule,
     XModMorphism,
-    check_conditions,
     condition_profile,
     validate_morphism,
     validate_xmod,
@@ -107,7 +106,7 @@ class XModActionData:
         return self.actor_xmod.top.field
 
 
-def validate_xmod_action(d: XModActionData, check_components: bool = True) -> ValidationReport:
+def validate_xmod_action(d: XModActionData) -> ValidationReport:
     """Check every labeled identity of a crossed-module action.
 
     Component checks (both crossed modules and both algebra actions) get
@@ -127,7 +126,7 @@ def validate_xmod_action(d: XModActionData, check_components: bool = True) -> Va
 
     bad = _prefixed(("x:", once(xmod_report, d.actor_xmod)), ("y:", once(xmod_report, d.target_xmod)),
                     ("p_on_n:", once(validate_action, d.act_on_top)),
-                    ("p_on_q:", once(validate_action, d.act_on_base))) if check_components else []
+                    ("p_on_q:", once(validate_action, d.act_on_base)))
 
     x, y = d.actor_xmod, d.target_xmod
     m, p, n, q = x.top, x.base, y.top, y.base
@@ -220,7 +219,7 @@ def morphism_from_action(d: XModActionData) -> ActionToMorphismResult:
     pairings; base elements go to the quadruples built from the two algebra
     actions.  All identities except the relaxable ones must hold.
     """
-    report = validate_xmod_action(d, check_components=True)
+    report = validate_xmod_action(d)
     hard = tuple(sorted({v.axiom for v in report.violations} - set(RELAXABLE_LABELS)))
     if hard:
         raise ActionAxiomError(hard)
@@ -254,9 +253,10 @@ def action_from_morphism(fm: ActorMorphism) -> XModActionData:
     refuses otherwise, naming the failed conditions.
     """
     y = fm.around
-    flags = check_conditions(y)
+    profile = condition_profile(y)
+    flags = ConditionFlags.from_profile(profile)
     if not flags.any_holds:
-        raise ConditionsNotMetError(flags, condition_profile(y))
+        raise ConditionsNotMetError(flags, profile)
     rep = validate_morphism(fm.as_xmod_morphism())
     if not rep.ok:
         raise InvalidMorphismError(

@@ -81,12 +81,11 @@ class CrossedModule:
         return cls(sub, a, incl, ActionData(a, sub, left, right))
 
 
-def validate_xmod(x: CrossedModule, check_components: bool = True,
-                  check=lambda validate, obj: validate(obj)) -> ValidationReport:
+def validate_xmod(x: CrossedModule, check=lambda validate, obj: validate(obj)) -> ValidationReport:
     """Full validity check; labels are prefixed with the failing layer.
     Components are checked by ``check(validator, component)``."""
     bad = _prefixed(("top:", check(validate_leibniz, x.top)), ("base:", check(validate_leibniz, x.base)),
-                    ("action:", check(validate_action, x.action))) if check_components else []
+                    ("action:", check(validate_action, x.action)))
 
     m, p = x.top, x.base
     mt, pt = m.sparse_table, p.sparse_table
@@ -270,6 +269,13 @@ class ConditionFlags:
     def failed(self) -> tuple[str, ...]:
         return tuple(name for name, v in (("con1", self.con1), ("con2", self.con2), ("con3", self.con3)) if not v)
 
+    @classmethod
+    def from_profile(cls, prof: dict) -> "ConditionFlags":
+        """The flags read off a ``condition_profile``."""
+        ann_top0 = prof["ann_top_dim"] == 0
+        return cls(con1=ann_top0 and prof["ann_base_dim"] == 0, con2=ann_top0 and prof["base_perfect"],
+                   con3=prof["top_perfect"] and prof["base_perfect"])
+
 
 def condition_profile(x: CrossedModule) -> dict:
     """Raw facts behind the flags, convenient for reports."""
@@ -286,14 +292,7 @@ def condition_profile(x: CrossedModule) -> dict:
 
 
 def check_conditions(x: CrossedModule) -> ConditionFlags:
-    prof = condition_profile(x)
-    ann_top0 = prof["ann_top_dim"] == 0
-    ann_base0 = prof["ann_base_dim"] == 0
-    return ConditionFlags(
-        con1=ann_top0 and ann_base0,
-        con2=ann_top0 and prof["base_perfect"],
-        con3=prof["top_perfect"] and prof["base_perfect"],
-    )
+    return ConditionFlags.from_profile(condition_profile(x))
 
 
 NO_CONDITION_WARNING = (

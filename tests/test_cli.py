@@ -1,23 +1,28 @@
 """The command-line surface: reports, exit codes, determinism."""
+import itertools
 import json
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from lbxmod import QQ, cli
+from lbxmod import QQ, algebra, cli
 from lbxmod.action import ActionData
 from lbxmod.catalog import CATALOG, build_entry
 from lbxmod.cli import EXIT_BAD_INPUT, EXIT_FAIL, EXIT_INTERNAL, EXIT_OK, main
 from lbxmod.linalg import LinearSolveError, Matrix
 from lbxmod.serialize import (
     action_to_json,
+    actor_morphism_to_json,
     algebra_to_json,
     sequence_to_json,
     xaction_to_json,
     xmod_to_json,
 )
+from lbxmod.xaction import morphism_from_action
 from lbxmod.xmod import CrossedModule
 
 
@@ -199,6 +204,32 @@ def test_cli_module_runs_as_a_subprocess_deterministically():
     second = subprocess.run(cmd, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert json.loads(first.stdout)["ok"] is True
+
+
+def count_calls(monkeypatch, module, name):
+    """Count the calls of an lbxmod function, in every lbxmod module that binds it."""
+    calls, original = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for mod in [m for key, m in sys.modules.items() if key.startswith("lbxmod")]:
+        if getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_the_support_conditions_are_computed_once_per_report(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "fm.json"  # a morphism into the actor of l2-id, where no condition holds
+    path.write_text(json.dumps(actor_morphism_to_json(
+        morphism_from_action(build_entry("mixed-pair-break", QQ)).morphism)))
+    for args, code in [(("conditions", "catalog:l2-ann-incl"), EXIT_OK),
+                       (("morphism-to-xaction", str(path)), EXIT_FAIL)]:
+        ann, comm = count_calls(monkeypatch, algebra, "annihilator"), count_calls(monkeypatch, algebra, "commutator")
+        assert run(capsys, *args)[0] == code
+        assert (len(ann), len(comm)) == (2, 2)  # one per layer
+        monkeypatch.undo()
 
 
 # -- inputs refused up front, internal errors, size bounds -------------------
@@ -391,3 +422,62 @@ def test_a_closed_stdout_ends_quietly_with_the_exit_code():
     err = proc.stderr.read()
     assert proc.wait() == EXIT_OK
     assert err == b""
+
+
+# -- the command list: help text and README ------------------------------------
+
+#: every subcommand and its help text, in the order ``lbxmod --help`` lists them
+HELP = [
+    ("validate", "check every defining identity of the input object"),
+    ("ann", "two-sided annihilator of an algebra"),
+    ("comm", "derived (commutator) subspace of an algebra"),
+    ("bider", "biderivation pair space of an algebra"),
+    ("bider-qn", "pair space base->top of a crossed module"),
+    ("bider-xmod", "quadruple space of a crossed module"),
+    ("actor", "the actor crossed module"),
+    ("delta", "boundary matrix of the actor, pairs to quadruples"),
+    ("canonical", "canonical morphism of a crossed module into its actor"),
+    ("inner", "image of the canonical morphism inside the actor"),
+    ("outer", "actor modulo the inner part"),
+    ("center", "central sub-crossed-module"),
+    ("conditions", "support-condition flags con1/con2/con3 and their profile"),
+    ("semidirect", "semidirect algebra of an algebra action"),
+    ("semidirect-xmod", "semidirect crossed module of a crossed-module action"),
+    ("xaction-validate", "check the labeled identities of a crossed-module action"),
+    ("xaction-to-morphism", "turn action data into a morphism into the actor"),
+    ("morphism-to-xaction", "recover action data from a morphism into the actor"),
+    ("lift", "extend a short exact sequence by the actor of its first part"),
+    ("catalog", "list the built-in examples"),
+]
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def help_text(capsys, monkeypatch, *args):
+    monkeypatch.setenv("COLUMNS", "200")  # argparse wraps to the terminal width
+    with pytest.raises(SystemExit) as stop:
+        main([*args, "--help"])
+    assert stop.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_help_lists_every_command_with_its_help_text_in_order(capsys, monkeypatch):
+    assert [*cli._ACCEPTS, "catalog"] == [name for name, _ in HELP]
+    out = help_text(capsys, monkeypatch)
+    assert "{" + ",".join(name for name, _ in HELP) + "}" in out
+    listed = re.findall(r"^    (\S+)\s+(\S.*)$", out.split("positional arguments:")[1], re.M)
+    assert listed == HELP
+
+
+@pytest.mark.parametrize("name, text", HELP, ids=[name for name, _ in HELP])
+def test_each_command_help_shows_its_help_text(capsys, monkeypatch, name, text):
+    out = help_text(capsys, monkeypatch, name)
+    usage = f"usage: lbxmod {name} [-h] [--field FIELD] [--out OUT]" + ("" if name == "catalog" else " input")
+    assert out.startswith(f"{usage}\n\n{text}\n\n")
+
+
+def test_the_readme_cli_table_names_every_command_once():
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| command | input | result |")
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2:])
+    names = [name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    assert sorted(names) == sorted([*cli._ACCEPTS, "catalog"])

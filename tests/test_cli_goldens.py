@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +45,14 @@ def test_cli_report_matches_golden(goldens, cmd, cid, tag):
         code = cli.main([cmd, f"catalog:{cid}", "--field", tag])
     digest = f"{code}:{hashlib.sha256(buf.getvalue().encode()).hexdigest()}"
     assert digest == goldens[f"{cmd} {cid} {tag}"]
+
+
+def test_the_golden_capture_tool_reads_the_accepted_kinds(monkeypatch):
+    """``perfbench/capture_goldens.py`` lists its CLI triples from ``cli._ACCEPTS``;
+    loading it as a module must still find that name."""
+    tool = GOLDENS.parent / "capture_goldens.py"
+    monkeypatch.setattr(sys, "path", [str(tool.parent), *sys.path])  # it imports its sibling modules
+    spec = importlib.util.spec_from_file_location("capture_goldens", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module._ACCEPTS is cli._ACCEPTS

@@ -153,7 +153,10 @@ def test_a_member_with_one_bumped_non_pivot_entry_is_refused(case, data):
     member = {k: number(c) for k, c in enumerate(sum(col, s.field.zero) for col in zip(*s.basis.entries)) if c}
     assert dense_coords(s)(member, "") == tuple(s.field.one for _ in range(s.dim))
     j = data.draw(st.sampled_from(free))
-    bump = data.draw(scalars(s.field).filter(lambda c: s.field.coerce(c)))
+    # zero is mapped to 1, not filtered: a filter discards the whole zero branch of
+    # ``scalars``, and with the assume above that failed HealthCheck.filter_too_much
+    # for about 2 % of random seeds
+    bump = data.draw(scalars(s.field).map(lambda c: c if s.field.coerce(c) else 1))
     member[j] = member.get(j, 0) + bump
     with pytest.raises(LinearSolveError, match="bumped"):
         s.read_coords(member, "bumped")
