@@ -1,31 +1,35 @@
 #!/usr/bin/env python3
 """Time and memory of the actor and the outer crossed module at scale.
 
-Each subject is the identity crossed module of one algebra, named on the
+Each subject is a crossed module built from one algebra, named on the
 command line:
 
-* ``A<n>``    the abelian algebra of dimension n;
-* ``NF<n>``   the null-filiform algebra, [e_i, e_1] = e_{i+1};
-* ``sl2^<k>`` the direct sum of k copies of sl2.
+* ``A<n>``    the identity on the abelian algebra of dimension n;
+* ``NF<n>``   the identity on the null-filiform algebra, [e_i, e_1] = e_{i+1};
+* ``sl2^<k>`` the identity on the direct sum of k copies of sl2;
+* ``NF<n>c``  the inclusion of the ideal [NF_n, NF_n] into NF_n.
 
 For each subject and field the script prints the wall time of a cold
 ``actor`` and then of ``outer_xmod``, and the ``tracemalloc`` peak of each
 in a second cold run.  A third cold run splits the actor's time into its
 stages: the pair space (``bider_qn``), the quadruple space (``bider_xmod``)
-and the actor's action tables.  It then checks the canonical morphism x -> Act(x),
-whose maps are held as sparse columns like every map: it must pass
-``validate_morphism``, and its kernel must have the layer dimensions of
-``center(x)``.  It exits 1 if a check fails, if ``validate_xmod`` fails on
-the actor or if a dimension differs from the known one:
+and the actor's action tables.  On an identity the last two are taken from
+the pair space, with no solve and no table, and are printed as one time.
+It then checks the canonical morphism x -> Act(x), whose maps are held as
+sparse columns like every map: it must pass ``validate_morphism``, and its
+kernel must have the layer dimensions of ``center(x)``.  It exits 1 if a
+check fails, if ``validate_xmod`` fails on the actor or if a dimension
+differs from the known one:
 
 * ``A_n``: the actor and the outer part both have layers of dimension 2n^2
   (every map is a biderivation and the inner part is zero);
 * ``NF_n``: the actor has layers of dimension 2n - 1 and the outer part n;
 * ``sl2^k`` over Q: the actor has layers of dimension 3k, all of it inner.
 
-Times are for reading, not gated.  Example::
+``NF<n>c`` has no pinned dimensions; it keeps the general quadruple solve
+and the actor's tables in view.  Times are for reading, not gated.  Example::
 
-    PYTHONPATH=src python3 scripts/scale_check.py A6 NF12 --field q --field f3
+    PYTHONPATH=src python3 scripts/scale_check.py A6 NF12 NF8c --field q --field f3
 """
 from __future__ import annotations
 
@@ -36,7 +40,7 @@ import time
 import tracemalloc
 
 from lbxmod import bider
-from lbxmod.algebra import LeibnizAlgebra
+from lbxmod.algebra import LeibnizAlgebra, commutator
 from lbxmod.bider import actor, bider_qn, bider_xmod, canonical_morphism, outer_xmod
 from lbxmod.fields import get_field
 from lbxmod.xmod import CrossedModule, center, kernel, validate_morphism, validate_xmod
@@ -44,22 +48,26 @@ from lbxmod.xmod import CrossedModule, center, kernel, validate_morphism, valida
 SL2 = {(0, 1): {0: -2}, (1, 0): {0: 2}, (0, 2): {1: 1}, (2, 0): {1: -1}, (1, 2): {2: -2}, (2, 1): {2: 2}}
 
 
-def subject(spec: str, field) -> tuple[LeibnizAlgebra, tuple[int, int] | None]:
-    """The algebra a spec names, with the (actor, outer) layer dimension
-    theory gives for it, or None where none is pinned."""
-    m = re.fullmatch(r"A(\d+)|NF(\d+)|sl2\^(\d+)", spec)
+def subject(spec: str, field) -> tuple[CrossedModule, tuple[int, int] | None]:
+    """The crossed module a spec names, with the (actor, outer) layer
+    dimension theory gives for it, or None where none is pinned."""
+    m = re.fullmatch(r"A(\d+)|NF(\d+)(c?)|sl2\^(\d+)", spec)
     if m is None:
-        raise SystemExit(f"unknown subject {spec!r}: use A<n>, NF<n> or sl2^<k>")
+        raise SystemExit(f"unknown subject {spec!r}: use A<n>, NF<n>, NF<n>c or sl2^<k>")
     if m[1]:
         n = int(m[1])
-        return LeibnizAlgebra.abelian(field, n), (2 * n * n, 2 * n * n)
+        return CrossedModule.identity_on(LeibnizAlgebra.abelian(field, n)), (2 * n * n, 2 * n * n)
     if m[2]:
         n = int(m[2])
-        return LeibnizAlgebra.from_brackets(field, n, {(i, 0): {i + 1: 1} for i in range(n - 1)}), (2 * n - 1, n)
-    k = int(m[3])
+        a = LeibnizAlgebra.from_brackets(field, n, {(i, 0): {i + 1: 1} for i in range(n - 1)})
+        if m[3]:
+            return CrossedModule.inclusion_of_ideal(a, commutator(a)), None
+        return CrossedModule.identity_on(a), (2 * n - 1, n)
+    k = int(m[4])
     blocks = {(3 * c + i, 3 * c + j): {3 * c + t: v for t, v in terms.items()}
               for c in range(k) for (i, j), terms in SL2.items()}
-    return LeibnizAlgebra.from_brackets(field, 3 * k, blocks), ((3 * k, 0) if field.characteristic == 0 else None)
+    a = LeibnizAlgebra.from_brackets(field, 3 * k, blocks)
+    return CrossedModule.identity_on(a), ((3 * k, 0) if field.characteristic == 0 else None)
 
 
 def clear_memos() -> None:
@@ -99,15 +107,14 @@ def peak(fn):
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("subjects", nargs="+", help="A<n>, NF<n> or sl2^<k>")
+    ap.add_argument("subjects", nargs="+", help="A<n>, NF<n>, NF<n>c or sl2^<k>")
     ap.add_argument("--field", action="append", help="q, f2, f3 or f<p> (repeatable; default q)")
     args = ap.parse_args(argv)
     failed = False
     for spec in args.subjects:
         for tag in args.field or ["q"]:
             field = get_field(tag)
-            alg, dims = subject(spec, field)
-            x = CrossedModule.identity_on(alg)
+            x, dims = subject(spec, field)
             act, out, t_actor, t_outer = run(x, timed)
             _, _, m_actor, m_outer = run(x, peak)
             t_qn, t_xmod, t_tables = stages(x)
@@ -121,8 +128,10 @@ def main(argv=None) -> int:
             got = ((act.top.dim, act.base.dim), (out.xmod.top.dim, out.xmod.base.dim))
             if dims is not None and got != ((dims[0],) * 2, (dims[1],) * 2):
                 problems.append(f"dimensions {got}, expected actor {dims[0]} and outer {dims[1]}")
+            split = (f"bider_xmod and tables from the pair space {t_xmod + t_tables:.3f} s" if x.is_identity()
+                     else f"bider_xmod {t_xmod:.3f} s, tables {t_tables:.3f} s")
             print(f"{spec} {tag}: actor {got[0]} {t_actor:.3f} s {m_actor / 1e6:.1f} MB peak "
-                  f"(bider_qn {t_qn:.3f} s, bider_xmod {t_xmod:.3f} s, tables {t_tables:.3f} s); "
+                  f"(bider_qn {t_qn:.3f} s, {split}); "
                   f"outer {got[1]} {t_outer:.3f} s {m_outer / 1e6:.1f} MB peak; "
                   + ("; ".join(problems) or "ok"), flush=True)
             failed |= bool(problems)

@@ -11,11 +11,12 @@ action), ``_boundary_rows`` (maps intertwine the boundary) and
 * ``bider_algebra(a)`` — ``bider_qn`` of the identity crossed module on a.
 * ``bider_xmod(x)`` — quadruples (top_der, top_antider, base_der,
   base_antider): a pair on each layer through its own bracket, solved first,
-  then the boundary and action blocks on the two pair spaces' coordinates.
+  then the boundary and action blocks on the two pair spaces' coordinates;
+  on an identity crossed module, ``bider_qn(x)``'s pairs repeated, unsolved.
 
 Each space carries an induced Leibniz bracket; ``actor`` assembles the
 crossed module (pair space) -> (quadruple space) whose boundary sends a pair
-to its boundary-composed quadruple.
+to its boundary-composed quadruple (on an identity, the identity on Bider).
 
 Every map built from the solved spaces is computed sparsely, on ints.
 ``MapSpace.sparse_basis`` holds each echelon basis member, once per space,
@@ -338,30 +339,33 @@ def bider_xmod(x: CrossedModule) -> MapSpace:
     """Quadruples (s1, t1, s2, t2): pairs on the top and on the base that
     intertwine the boundary and are compatible with the action.
 
-    They are solved inside Bider(top) x Bider(base).  The pair spaces of
-    the two layers come first: on an identity crossed module both are
-    ``bider_qn(x)``'s, and otherwise one kernel solves both.  The boundary
-    and action rows, pulled back to the stacked echelon rows (members) of
-    the two, leave a small system on dim Bider(top) + dim Bider(base)
-    unknowns.  The members have increasing pivots and vanish at each
-    other's, so each reduced kernel row times them is already a reduced
-    echelon row; it is only made primitive over Q.
+    On an identity crossed module they are read off ``bider_qn(x)``: mu = id
+    forces s1 = s2 and t1 = t2, the action rows are then the pair rows of
+    (s1, t1) through the bracket action, and the quadruple bracket is the
+    pair bracket.  So each pair's scaled row is repeated at offset 2n^2, on
+    the same pivots, with the pair space's algebra: no solve and no table.
+
+    Otherwise they are solved inside Bider(top) x Bider(base): one kernel
+    solves the pair spaces of the two layers, and the boundary and action
+    rows, pulled back to the stacked echelon rows (members) of the two,
+    leave a small system on dim Bider(top) + dim Bider(base) unknowns.  The
+    members have increasing pivots and vanish at each other's, so each
+    reduced kernel row times them is already a reduced echelon row; it is
+    only made primitive over Q.
     """
     nd, qd = x.top.dim, x.base.dim
     shapes = ((nd, nd), (nd, nd), (qd, qd), (qd, qd))
     s1, t1, s2, t2 = _layout(shapes)
     off, f = 2 * nd * nd, x.top.field
-    by_top = ActionData.by_bracket(x.top)
-    # bider_qn's table goes through the boundary, and off a crossed module it need not close
-    if x.base == x.top and x.action == by_top and x.boundary == Matrix.identity(f, nd):
-        top = bider_qn(x).space
-        members = [row for row, _d in top.scaled_rows]
-        members += [{off + u: c for u, c in row.items()} for row in members]
-        pivots = top.pivots + tuple(off + u for u in top.pivots)
-    else:
-        pairs = sparse_kernel(f, off + 2 * qd * qd, _pair_rows(by_top, s1, t1)
-                              + _pair_rows(ActionData.by_bracket(x.base), s2, t2))
-        members, pivots = [row for row, _d in pairs.scaled_rows], pairs.pivots
+    if x.is_identity():
+        pairs = bider_qn(x)
+        rows = tuple((row | {off + u: c for u, c in row.items()}, d) for row, d in pairs.space.scaled_rows)
+        quads = MapSpace(f, shapes, Subspace(f, 2 * off, rows, pairs.space.pivots), pairs.algebra)
+        quads.__dict__["sparse_basis"] = tuple(m + m for m in pairs.sparse_basis)  # the cached view, prefilled
+        return quads
+    pairs = sparse_kernel(f, off + 2 * qd * qd, _pair_rows(ActionData.by_bracket(x.top), s1, t1)
+                          + _pair_rows(ActionData.by_bracket(x.base), s2, t2))
+    members, pivots = [row for row, _d in pairs.scaled_rows], pairs.pivots
     rows = (_boundary_rows(x.boundary, s1, s2)
             + _boundary_rows(x.boundary, t1, t2)
             + _action_rows(x.action, s1, t1, s2, t2))
@@ -399,7 +403,13 @@ def delta(x: CrossedModule) -> Matrix:
 
 @functools.lru_cache(maxsize=None)
 def actor(x: CrossedModule) -> CrossedModule:
-    """The crossed module (pair space) -> (quadruple space)."""
+    """The crossed module (pair space) -> (quadruple space).  On an identity
+    crossed module it is the identity on Bider(x): the quadruples are the
+    repeated pairs (``bider_xmod``), so ``delta``, a pair composed with
+    mu = id, is the identity, and [quadruple, pair] and [pair, quadruple]
+    are the pair bracket, so the action is the bracket."""
+    if x.is_identity():
+        return CrossedModule.identity_on(bider_qn(x).algebra)
     pairs = bider_qn(x)
     quads = bider_xmod(x)
     error = "actor action left the pair space"

@@ -68,6 +68,12 @@ class CrossedModule:
     def _hash(self) -> int:
         return hash((self.top, self.base, self.boundary, self.action))
 
+    def is_identity(self) -> bool:
+        """The base is the top, acting on itself by its bracket, and the
+        boundary is the identity; evaluated on every call, never cached."""
+        return (self.base == self.top and self.action == ActionData.by_bracket(self.top)
+                and self.boundary == Matrix.identity(self.top.field, self.top.dim))
+
     @classmethod
     def identity_on(cls, a: LeibnizAlgebra) -> "CrossedModule":
         return cls(a, a, Matrix.identity(a.field, a.dim), ActionData.by_bracket(a))
@@ -213,25 +219,32 @@ class QuotientXMod:
         return XModMorphism(self.parent, self.xmod, self.top_project, self.base_project)
 
 
+_IDEAL_PROBLEMS = (
+    "top subspace is not an ideal of the top algebra", "base subspace is not an ideal of the base algebra",
+    "boundary image of the top part leaves the base part", "base part does not act into the top part",
+    "top part is not stable under the base action")
+
+
 def check_xmod_ideal(x: CrossedModule, top_space: Subspace, base_space: Subspace) -> list[str]:
-    """Reasons the pair fails to be a crossed-module ideal (empty = fine)."""
-    problems = []
-    if not is_ideal(x.top, top_space):
-        problems.append("top subspace is not an ideal of the top algebra")
-    if not is_ideal(x.base, base_space):
-        problems.append("base subspace is not an ideal of the base algebra")
-    left, right = x.action.sparse_left, x.action.sparse_right
-    tops = [v for v, _d in top_space.scaled_rows]  # membership does not see the scale
-    eta = (x.boundary.sparse_columns,)
-    if not _closed(base_space, ((1, eta, _ONE, v) for v in tops)):
-        problems.append("boundary image of the top part leaves the base part")
-    if not _closed(top_space, (term for b, _d in base_space.scaled_rows for u in _units(x.top.dim)
-                               for term in ((1, left, b, u), (1, right, u, b)))):
-        problems.append("base part does not act into the top part")
-    if not _closed(top_space, (term for v in tops for q in _units(x.base.dim)
-                               for term in ((1, left, q, v), (1, right, v, q)))):
-        problems.append("top part is not stable under the base action")
-    return problems
+    """Reasons the pair fails to be a crossed-module ideal (empty = fine).
+
+    On an identity crossed module with one subspace S on both layers, the
+    boundary check holds trivially and each of the other four says that S
+    is an ideal of the algebra, so that is checked once."""
+    if top_space == base_space and x.is_identity():
+        ideal = is_ideal(x.top, top_space)
+        checks = (ideal, ideal, True, ideal, ideal)
+    else:
+        left, right = x.action.sparse_left, x.action.sparse_right
+        tops = [v for v, _d in top_space.scaled_rows]  # membership does not see the scale
+        eta = (x.boundary.sparse_columns,)
+        checks = (is_ideal(x.top, top_space), is_ideal(x.base, base_space),
+                  _closed(base_space, ((1, eta, _ONE, v) for v in tops)),
+                  _closed(top_space, (term for b, _d in base_space.scaled_rows for u in _units(x.top.dim)
+                                      for term in ((1, left, b, u), (1, right, u, b)))),
+                  _closed(top_space, (term for v in tops for q in _units(x.base.dim)
+                                      for term in ((1, left, q, v), (1, right, v, q)))))
+    return [problem for problem, ok in zip(_IDEAL_PROBLEMS, checks) if not ok]
 
 
 def quotient_xmod(x: CrossedModule, top_space: Subspace, base_space: Subspace) -> QuotientXMod:
@@ -278,14 +291,13 @@ class ConditionFlags:
 
 
 def condition_profile(x: CrossedModule) -> dict:
-    """Raw facts behind the flags, convenient for reports."""
-    ann_top = annihilator(x.top)
-    ann_base = annihilator(x.base)
-    top_perfect = commutator(x.top).dim == x.top.dim
-    base_perfect = commutator(x.base).dim == x.base.dim
+    """Raw facts behind the flags, convenient for reports; when both layers
+    are one algebra, its facts are computed once."""
+    facts = [(annihilator(a).dim, commutator(a).dim == a.dim) for a in dict.fromkeys((x.top, x.base))]
+    (ann_top, top_perfect), (ann_base, base_perfect) = facts[0], facts[-1]
     return {
-        "ann_top_dim": ann_top.dim,
-        "ann_base_dim": ann_base.dim,
+        "ann_top_dim": ann_top,
+        "ann_base_dim": ann_base,
         "top_perfect": top_perfect,
         "base_perfect": base_perfect,
     }

@@ -22,7 +22,9 @@ is kept here under the same name.
 spaces, on the pair-space coordinates.  The one system it replaced, the pair
 rows of both layers beside the boundary and action rows on all 2n^2 + 2q^2
 map entries, is kept as ``one_system_bider_xmod``; ``test_bider.py``
-compares the two.
+compares the two.  On an identity crossed module ``bider_xmod`` and
+``actor`` read their results off the pair space; the actor as built on any
+crossed module, on the one-system quadruples, is kept as ``general_actor``.
 
 ``lbxmod`` reads solved bases as integer rows over one denominator per
 member.  The sparse readers and map products they replaced, on the reduced
@@ -61,6 +63,7 @@ from lbxmod.bider import (
     _boundary_rows,
     _layout,
     _pair_rows,
+    _scaled_matrix,
     _space_with_algebra,
     actor,
     bider_qn,
@@ -527,11 +530,13 @@ def _rebase_tensor(field, tensor, pa: Matrix, pb: Matrix, inv: Matrix):
     return tuple(tuple(apply(inv, contract(field, tensor, x, y, inv.cols)) for y in cb) for x in ca)
 
 
-def rebase_xmod(x: CrossedModule, rng: random.Random) -> CrossedModule:
-    """The same crossed module in seeded integer bases of its two layers."""
+def rebase_xmod(x: CrossedModule, rng: random.Random, same_basis: bool = False) -> CrossedModule:
+    """The same crossed module in seeded integer bases of its two layers;
+    ``same_basis`` takes one change of basis for both (the layers must have
+    one dimension), so an identity crossed module stays an identity."""
     f = x.top.field
     pt, pti = change_of_basis(f, rng, x.top.dim)
-    pb, pbi = change_of_basis(f, rng, x.base.dim)
+    pb, pbi = (pt, pti) if same_basis else change_of_basis(f, rng, x.base.dim)
     top = LeibnizAlgebra(f, x.top.dim, _rebase_tensor(f, x.top.table, pt, pt, pti))
     base = LeibnizAlgebra(f, x.base.dim, _rebase_tensor(f, x.base.table, pb, pb, pbi))
     act = ActionData(base, top, _rebase_tensor(f, x.action.left, pb, pt, pti),
@@ -561,6 +566,29 @@ def one_system_bider_xmod(x: CrossedModule) -> MapSpace:
                 [(1, s2, s2p), (-1, s2p, s2)], [(1, t2, s2p), (-1, s2p, t2)]]
 
     return _space_with_algebra(shapes, sparse_kernel(x.top.field, 2 * nd * nd + 2 * qd * qd, rows), bracket_terms)
+
+
+def general_actor(x: CrossedModule) -> CrossedModule:
+    """The actor built as on any crossed module, from ``one_system_bider_xmod``:
+    ``delta`` composes each pair with the boundary on both sides, and the
+    action tables read [quadruple, pair] and [pair, quadruple] back in the
+    pair space."""
+    pairs, quads = bider_qn(x), one_system_bider_xmod(x)
+    mu = _scaled_matrix(x.boundary)
+    cols = [quads.read_products([[(1, d, mu)], [(1, dd, mu)], [(1, mu, d)], [(1, mu, dd)]], "not a quadruple")
+            for d, dd in pairs.sparse_basis]
+    bdy = Matrix(x.top.field, quads.dim, pairs.dim, tuple(cols))
+
+    def read(components):
+        return pairs.read_products(components, "actor action left the pair space")
+
+    left = tuple(tuple(read([[(1, s1, d), (-1, d, s2)], [(1, t1, d), (-1, d, t2)]])
+                       for d, _dd in pairs.sparse_basis)
+                 for s1, t1, s2, t2 in quads.sparse_basis)
+    right = tuple(tuple(read([[(1, d, s2), (-1, s1, d)], [(1, dd, s2), (-1, s1, dd)]])
+                        for s1, _t1, s2, _t2 in quads.sparse_basis)
+                  for d, dd in pairs.sparse_basis)
+    return CrossedModule(pairs.algebra, quads.algebra, bdy, ActionData(quads.algebra, pairs.algebra, left, right))
 
 
 # -- sparse readers on Fraction rows -----------------------------------------------

@@ -61,14 +61,18 @@ def sl2(field) -> LeibnizAlgebra:
                                                    (1, 2): {2: -2}, (2, 1): {2: 2}})
 
 
+QUADRUPLE_KINDS = ("identity", "ideal", "zero boundary", "one algebra", "any")
+
+
 @st.composite
-def quadruple_inputs(draw, field):
+def quadruple_inputs(draw, field, kinds=QUADRUPLE_KINDS):
     """The identity on an algebra, the inclusion of its commutator or
     annihilator ideal, a drawn action with a zero boundary, one algebra on
     both layers acting on itself by a drawn action other than its bracket,
-    or any drawn crossed module.  The algebra of the first two is drawn, or
-    one of sl2 and NF_2 to NF_4, whose pair spaces are larger."""
-    kind = draw(st.sampled_from(("identity", "ideal", "zero boundary", "one algebra", "any")))
+    or any drawn crossed module, of one of the kinds named.  The algebra of
+    the first two is drawn, or one of sl2 and NF_2 to NF_4, whose pair
+    spaces are larger."""
+    kind = draw(st.sampled_from(kinds))
     if kind in ("identity", "ideal"):
         a = draw(algebras(field) | st.sampled_from((2, 3, 4)).map(lambda n: null_filiform(field, n))
                  | st.just(sl2(field)))

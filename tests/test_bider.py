@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import null_filiform, quadruple_inputs, sl2
 
-from lbxmod import QQ
+from lbxmod import GF3, QQ, bider
 from lbxmod.action import ActionData
 from lbxmod.algebra import LeibnizAlgebra, commutator, validate_leibniz
 from lbxmod.bider import (
@@ -295,11 +295,13 @@ def test_sequence_problems_flags_a_broken_projection():
 def test_sequence_problems_eliminates_each_map_once(monkeypatch):
     """Exactness is read off the two ranks and one product, so the check
     eliminates each of the four maps once; a warm lift adds the outer part
-    and the support conditions, and pulls back through the check's solvers."""
+    and the support conditions, and pulls back through the check's solvers.
+    The first crossed module is the identity on sl2, so the conditions
+    solve one layer's annihilator and commutator, not two of each."""
     s = build_entry("sl2-seq", QQ)
     lift_sequence(s)  # fills the memos of the actor and its spaces
     assert _eliminations(monkeypatch, lambda: sequence_problems(s)) == 4
-    assert _eliminations(monkeypatch, lambda: lift_sequence(s)) == 10
+    assert _eliminations(monkeypatch, lambda: lift_sequence(s)) == 8
 
 
 def test_a_nonzero_composite_is_not_exact_though_the_ranks_add_up():
@@ -320,29 +322,31 @@ def _staged_equals_one_system(x):
     assert staged.space.scaled_rows == one.space.scaled_rows
     assert staged.space.pivots == one.space.pivots
     assert staged.algebra.sparse_table == one.algebra.sparse_table
+    assert staged.sparse_basis == one.sparse_basis
 
 
 @given(st.sampled_from(FIELDS), st.data())
 @settings(max_examples=200, deadline=None)
 def test_staged_quadruples_equal_the_one_system(field, data):
-    """The quadruples solved inside the two pair spaces are the one system's
-    solutions, to the echelon row and the bracket table, whether the pair
-    spaces are the pair space's memo (identity) or solved in one kernel
-    (one algebra or two), and in seeded bases too."""
+    """The quadruples are the one system's solutions, to the echelon row and
+    the bracket table, whether read off the pair space (identity) or solved
+    inside the two pair spaces (one algebra or two), and in seeded bases too."""
     x = data.draw(quadruple_inputs(field))
     seed = data.draw(st.none() | st.integers(0, 2**16))
     _staged_equals_one_system(x if seed is None else ref.rebase_xmod(x, random.Random(seed)))
 
 
-def test_staged_quadruples_of_one_algebra_by_its_bracket_off_the_identity_boundary(field):
+def test_staged_quadruples_of_one_algebra_by_its_bracket_off_the_identity_boundary(field, monkeypatch):
     """[e0, e1] = e0 acting on itself by its bracket, with boundary e0 -> e1,
     is no crossed module: its pair space's table does not close, so the
-    quadruples may not start from it, though its action is the bracket."""
+    quadruples may not start from it, though its action is the bracket.
+    It is no identity crossed module, and its quadruples are solved."""
     a = LeibnizAlgebra.from_brackets(field, 2, {(0, 1): {0: 1}})
     x = CrossedModule(a, a, Matrix.from_rows(field, [[0, 0], [1, 0]]), ActionData.by_bracket(a))
     assert not validate_xmod(x).ok
     with pytest.raises(linalg.LinearSolveError):
         bider_qn(x)
+    assert not x.is_identity() and _solves_its_quadruples(x, monkeypatch)
     _staged_equals_one_system(x)
 
 
@@ -353,3 +357,83 @@ def test_staged_quadruples_in_seeded_bases_of_sl2_and_nf3(field, seed):
     for a in (null_filiform(field, 3), sl2(field)):
         for x in (CrossedModule.identity_on(a), CrossedModule.inclusion_of_ideal(a, commutator(a))):
             _staged_equals_one_system(ref.rebase_xmod(x, random.Random(seed)))
+
+
+# -- the identity crossed module: quadruples and actor read off the pair space --
+
+
+@given(st.sampled_from(FIELDS), st.data())
+@settings(max_examples=100, deadline=None)
+def test_identity_quadruples_and_actor_equal_the_general_construction(field, data):
+    """On an identity crossed module, in the standard basis or rebased by
+    one change of basis of both layers (which keeps it an identity), the
+    quadruples read off the pair space are the one system's, the actor
+    built as the identity on Bider(x) is the general construction's, and
+    delta is the identity."""
+    x = data.draw(quadruple_inputs(field, kinds=("identity",)))
+    seed = data.draw(st.none() | st.integers(0, 2**16))
+    if seed is not None:
+        x = ref.rebase_xmod(x, random.Random(seed), same_basis=True)
+    assert x.is_identity()
+    _staged_equals_one_system(x)
+    assert actor(x) == ref.general_actor(x)
+    assert delta(x) == Matrix.identity(field, bider_qn(x).dim)
+
+
+def _calls(monkeypatch, fn):
+    """The sparse_kernel calls and MapSpace.products calls of fn(), in order."""
+    calls = []
+    kernel, products = bider.sparse_kernel, bider.MapSpace.products
+
+    def counted_kernel(*args):
+        calls.append("sparse_kernel")
+        return kernel(*args)
+
+    def counted_products(self, components):
+        calls.append("products")
+        return products(self, components)
+
+    with monkeypatch.context() as m:
+        m.setattr(bider, "sparse_kernel", counted_kernel)
+        m.setattr(bider.MapSpace, "products", counted_products)
+        fn()
+    return calls
+
+
+def _clear_memos():
+    for memo in (bider_qn, bider_xmod, actor, canonical_morphism):
+        memo.cache_clear()
+
+
+@pytest.mark.parametrize("make", [lambda f: null_filiform(f, 4), sl2], ids=["nf4", "sl2"])
+def test_a_cold_identity_actor_solves_and_multiplies_only_for_its_pair_space(field, make, monkeypatch):
+    """A cold actor of an identity crossed module makes exactly the kernel
+    and product calls of its pair space, and none once that is solved."""
+    x = CrossedModule.identity_on(make(field))
+    _clear_memos()
+    pair_calls = _calls(monkeypatch, lambda: bider_qn(x))
+    assert pair_calls.count("sparse_kernel") == 1
+    _clear_memos()
+    assert _calls(monkeypatch, lambda: actor(x)) == pair_calls
+    _clear_memos()
+    bider_qn(x)
+    assert _calls(monkeypatch, lambda: (actor(x), bider_xmod(x))) == []
+    assert actor(x).top is actor(x).base is bider_qn(x).algebra is bider_xmod(x).algebra
+
+
+def _solves_its_quadruples(x, monkeypatch) -> bool:
+    """Whether a cold bider_xmod(x) solves the pair spaces and the small system."""
+    _clear_memos()
+    return _calls(monkeypatch, lambda: bider_xmod(x)).count("sparse_kernel") == 2
+
+
+@pytest.mark.parametrize("field", [QQ, GF3], ids=["q", "f3"])
+@pytest.mark.parametrize("seed", range(5))
+def test_two_basis_rebases_of_an_identity_take_the_general_path(field, seed, monkeypatch):
+    """Rebased by two changes of basis that differ, the identity on NF_3 or
+    sl2 is no identity crossed module: its quadruples are solved.  (Over F2
+    the signs vanish, and the two changes of basis can coincide.)"""
+    for a in (null_filiform(field, 3), sl2(field)):
+        x = ref.rebase_xmod(CrossedModule.identity_on(a), random.Random(seed))
+        assert x.top != x.base and not x.is_identity()
+        assert _solves_its_quadruples(x, monkeypatch)

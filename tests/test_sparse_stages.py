@@ -35,7 +35,7 @@ from hypothesis import strategies as st
 from strategies import actions, algebras, is_stored, xactions
 
 import reference_stages as ref
-from lbxmod import bider
+from lbxmod import bider, xmod
 from lbxmod import serialize as ser
 from lbxmod.action import ActionData, semidirect_algebra, validate_action
 from lbxmod.algebra import (
@@ -200,6 +200,43 @@ def test_ideal_checks_sub_objects_and_quotients_match_the_dense_reference(case):
         assert check_xmod_ideal(x, top, base) == ref.check_xmod_ideal(x, top, base)
         assert _outcome(_quotient_parts, x, top, base) == _outcome(ref.quotient_xmod_parts, x, top, base)
         assert _outcome(_sub_parts, x, top, base) == _outcome(ref.sub_xmod_parts, x, top, base)
+
+
+IDENTITY_CASES = [c for c in CASES if c[2].is_identity()]
+
+
+@pytest.fixture(params=IDENTITY_CASES, ids=[f"{f.tag}-{name}" for f, name, _x in IDENTITY_CASES])
+def identity_case(request):
+    return request.param
+
+
+def test_one_subspace_of_an_identity_is_checked_once_as_an_ideal(identity_case, monkeypatch):
+    """One subspace on both layers of an identity crossed module is a
+    crossed-module ideal exactly when it is an ideal of the algebra: one
+    ``is_ideal`` call gives the dense check's problems, on ideals and on
+    subspaces that are not, and on the inner part of the actor."""
+    field, name, x = identity_case
+    rng = random.Random(f"identity/{field.tag}/{name}")
+    inn = inner_xmod(x)
+    cases = [(x, s) for s in subspaces(x.top, rng)] + [(actor(x), inn.top_space)]
+    assert inn.top_space == inn.base_space
+    calls = []
+    monkeypatch.setattr(xmod, "is_ideal", lambda a, s: calls.append(s) or is_ideal(a, s))
+    for y, s in cases:
+        calls.clear()
+        assert check_xmod_ideal(y, s, s) == ref.check_xmod_ideal(y, s, s)
+        assert calls == [s]
+
+
+def test_a_line_of_sl2_fails_all_four_ideal_checks_of_its_identity(field):
+    """The line of e0 is no ideal of sl2 over any field, as [e0, e2] = e1
+    leaves it, so every check but the boundary's fails, in the dense check's
+    order."""
+    x = CrossedModule.identity_on(build_entry("sl2", field))
+    s = Subspace.from_rows(field, 3, [[1, 0, 0]])
+    problems = check_xmod_ideal(x, s, s)
+    assert problems == ref.check_xmod_ideal(x, s, s)
+    assert len(problems) == 4 and "boundary image of the top part leaves the base part" not in problems
 
 
 def test_canonical_morphism_and_outer_quotient_match_the_dense_reference(case):

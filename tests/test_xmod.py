@@ -5,11 +5,13 @@ from reference_stages import column
 
 from lbxmod import GF2, QQ, InputDataError
 from lbxmod.action import ActionData
-from lbxmod.algebra import LeibnizAlgebra, annihilator
+from lbxmod import xmod
+from lbxmod.algebra import LeibnizAlgebra, annihilator, commutator
 from lbxmod.catalog import build_entry
 from lbxmod.linalg import Matrix, Subspace
 from lbxmod.xmod import (
     NO_CONDITION_WARNING,
+    ConditionFlags,
     CrossedModule,
     NotAnIdealError,
     center,
@@ -155,6 +157,22 @@ def test_condition_profile_of_the_inclusion_fixture():
         "base_perfect": False,
     }
     assert check_conditions(x).failed() == ("con1", "con2", "con3")
+
+
+@pytest.mark.parametrize("cid", ["l2-id", "sl2-id"])
+def test_condition_profile_of_an_identity_solves_its_one_layer_once(cid, monkeypatch):
+    """Both layers are one algebra: its annihilator and commutator are
+    solved once, and the profile and flags are its facts on both layers."""
+    x = build_entry(cid, QQ)
+    a = x.top
+    expected = {"ann_top_dim": annihilator(a).dim, "ann_base_dim": annihilator(a).dim,
+                "top_perfect": commutator(a).dim == a.dim, "base_perfect": commutator(a).dim == a.dim}
+    calls = []
+    for name, fn in (("annihilator", annihilator), ("commutator", commutator)):
+        monkeypatch.setattr(xmod, name, lambda alg, name=name, fn=fn: calls.append(name) or fn(alg))
+    assert condition_profile(x) == expected
+    assert sorted(calls) == ["annihilator", "commutator"]
+    assert check_conditions(x) == ConditionFlags.from_profile(expected)
 
 
 def test_center_of_identity_on_sl2_is_zero():
