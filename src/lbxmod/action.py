@@ -21,12 +21,11 @@ from .algebra import (
     _contract,
     _dense_view,
     _store,
-    _stored_hash,
     _units,
     _violations,
 )
 from .fields import InputDataError, Scalar
-from .linalg import Matrix
+from .linalg import Matrix, _stored_hash
 
 
 @dataclass(frozen=True)

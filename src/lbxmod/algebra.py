@@ -9,14 +9,14 @@ defining identity used throughout is the left version
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, fields
+from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .fields import Field, InputDataError, Scalar
-from .linalg import Matrix, Number, ScaledVector, Subspace, _dense, _sparse, _stored, sparse_kernel
+from .linalg import Matrix, Number, ScaledVector, Subspace, _dense, _sparse, _stored, _stored_hash, sparse_kernel
 
 MAX_DIM = 64  # guard against accidentally huge inputs
 
@@ -56,18 +56,6 @@ def _store(obj, name: str, field: Field, shape: tuple[int, int, int], what: str)
     object.__setattr__(obj, name, _stored(field, getattr(obj, name), shape, what))
 
 
-def _stored_hash(*views: str):
-    """The ``__hash__`` of a frozen dataclass holding stored views (dicts):
-    its fields, each view by ``_frozen``, hashed once and cached."""
-    def __hash__(self) -> int:
-        if "_hash" not in self.__dict__:
-            self.__dict__["_hash"] = hash(tuple(_frozen(getattr(self, f.name)) if f.name in views
-                                                else getattr(self, f.name) for f in fields(self)))
-        return self.__dict__["_hash"]
-
-    return __hash__
-
-
 def _dense_view(view: str, field_and_dim) -> cached_property:
     """The dense tensor of a stored view, derived on first request;
     field_and_dim(obj) gives the field and the length of its vectors."""
@@ -76,11 +64,6 @@ def _dense_view(view: str, field_and_dim) -> cached_property:
         return tuple(tuple(_dense(field, dim, v) for v in row) for row in getattr(self, view))
 
     return cached_property(dense)
-
-
-def _frozen(view: SparseTensor) -> tuple:
-    """A hashable key of a stored view: equal views give equal keys."""
-    return tuple((a, b, frozenset(v.items())) for a, row in enumerate(view) for b, v in enumerate(row) if v)
 
 
 def _blocks(sizes0: Sequence[int], sizes1: Sequence[int], grid) -> SparseTensor:
@@ -147,7 +130,7 @@ class LeibnizAlgebra:
         if self.names is not None and len(self.names) != self.dim:
             raise InputDataError("basis name list does not match dimension")
 
-    __hash__ = _stored_hash("sparse_table")  # the memos in ``bider`` hash algebras often
+    __hash__ = _stored_hash("sparse_table")
     table = _dense_view("sparse_table", lambda a: (a.field, a.dim))  # table[i][j] = [e_i, e_j], dense
 
     # -- construction -------------------------------------------------

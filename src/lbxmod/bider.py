@@ -181,7 +181,11 @@ class MapSpace:
 
     def read_columns(self, components: Sequence[SignedColumns], error: str) -> SparseVector:
         """``read_coords`` of the tuple of maps given by their signed columns."""
-        return self.space.read_coords(_flat(self._blocks, components), error)
+        out: SparseVector = {}
+        for (off, _rows, cols), (sign, columns) in zip(self._blocks, components):
+            for j, col in enumerate(columns):
+                out.update((off + k * cols + j, sign * c) for k, c in col.items())
+        return self.space.read_coords(out, error)
 
 
 # -- constraint blocks ----------------------------------------------------
@@ -320,15 +324,6 @@ def bider_qn(x: CrossedModule) -> MapSpace:
 
     space = sparse_kernel(x.top.field, 2 * x.top.dim * x.base.dim, _pair_rows(x.action, *_layout(shapes)))
     return _space_with_algebra(shapes, space, bracket_terms, with_mu)
-
-
-def _flat(blocks: Sequence[_Map], components: Sequence[SignedColumns]) -> SparseVector:
-    """The flat sparse vector of a tuple of maps, each given by its signed columns."""
-    out: SparseVector = {}
-    for (off, _rows, cols), (sign, columns) in zip(blocks, components):
-        for j, col in enumerate(columns):
-            out.update((off + k * cols + j, sign * c) for k, c in col.items())
-    return out
 
 
 # -- quadruple spaces on a crossed module --------------------------------

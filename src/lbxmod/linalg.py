@@ -20,12 +20,13 @@ something is left.
 A coefficient is stored as a ``number``: an int residue in [0, p) over F_p;
 over Q an int when integral, else a Fraction, never zero.  ``_stored`` makes
 that form from dense or sparse input, for matrices here and for the
-structure tensors of ``algebra``.
+structure tensors of ``algebra``; ``_stored_hash`` hashes every class that
+holds it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
@@ -92,9 +93,32 @@ def _stored(field: Field, tensor, shape: tuple[int, int, int], what: str) -> tup
     return tensor if same else rows
 
 
-def _frozen_vectors(vectors: Iterable[Mapping[int, Number]]) -> tuple:
-    """A hashable key of sparse vectors: equal vectors give equal keys."""
-    return tuple(frozenset(v.items()) for v in vectors)
+_EMPTY = frozenset()  # one key for every empty vector: most vectors of a sparse tensor are empty
+
+
+def _frozen(value):
+    """A hashable key of a stored value: a dict becomes the frozenset of its
+    items, a tuple the tuple of its parts' keys.  Equal values give equal keys."""
+    if isinstance(value, dict):
+        return frozenset(value.items()) if value else _EMPTY
+    if isinstance(value, tuple):
+        return tuple(map(_frozen, value))
+    return value
+
+
+def _stored_hash(*views: str):
+    """The ``__hash__`` of a frozen dataclass: the hash of its fields, each
+    named view (a stored value) by its ``_frozen`` key, built once and cached.
+    The memos in ``bider`` hash these objects, crossed modules above all, on
+    every lookup; rebuilding the keys each time cost more than some solves."""
+    def __hash__(self) -> int:
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = self.__dict__["_hash"] = hash(tuple(
+                _frozen(getattr(self, f.name)) if f.name in views else getattr(self, f.name) for f in fields(self)))
+        return cached
+
+    return __hash__
 
 
 @dataclass(frozen=True)
@@ -121,8 +145,7 @@ class Matrix:
         stored = _stored(self.field, (data,), (1, self.cols, self.rows), "matrix")[0]
         object.__setattr__(self, "sparse_columns", stored)
 
-    def __hash__(self) -> int:
-        return hash((self.field, self.rows, self.cols, _frozen_vectors(self.sparse_columns)))
+    __hash__ = _stored_hash("sparse_columns")
 
     @cached_property
     def entries(self) -> tuple[tuple[Scalar, ...], ...]:
@@ -208,8 +231,7 @@ class Subspace:
     scaled_rows: tuple[ScaledVector, ...]
     pivots: tuple[int, ...]
 
-    def __hash__(self) -> int:
-        return hash((self.field, self.ambient, self.pivots, _frozen_vectors(row for row, _d in self.scaled_rows)))
+    __hash__ = _stored_hash("scaled_rows")
 
     @classmethod
     def from_rows(cls, field: Field, ambient: int, rows: Iterable) -> "Subspace":

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Any, Callable, Sequence
 
 from .action import ActionData
-from .algebra import LeibnizAlgebra, SparseTensor
+from .algebra import LeibnizAlgebra, SparseTensor, _check_dim
 from .bider import ShortExactSequence
 from .fields import Field, InputDataError, Scalar
 from .linalg import Matrix, Number, Subspace, _sparse, number
@@ -81,6 +81,7 @@ def _matrix(field: Field, read: Callable, obj: Any) -> Matrix:
     rows, cols = obj["rows"], obj["cols"]
     if not (_is_int(rows) and _is_int(cols) and rows >= 0 and cols >= 0):
         raise InputDataError("matrix dimensions must be non-negative integers")
+    _check_dim(cols)  # every input matrix's columns index the basis of an input algebra
     data = obj["entries"]
     if not isinstance(data, list) or len(data) != rows:
         raise InputDataError("matrix entries do not match the declared row count")
@@ -320,22 +321,25 @@ def sequence_from_json(field: Field, obj: Any) -> ShortExactSequence:
 # -- kind sniffing --------------------------------------------------------------
 
 
+# Each input kind with the keys that mark it and its reader, in the order
+# they are tried: a document is of the first kind whose keys it has.
+_KINDS = {
+    "xaction": (("xi1",), xaction_from_json),
+    "sequence": (("middle",), sequence_from_json),
+    "morphism": (("actor_of",), actor_morphism_from_json),
+    "xmod": (("boundary",), xmod_from_json),
+    "action": (("actor", "left"), action_from_json),
+    "algebra": (("brackets",), algebra_from_json),
+}
+
+
 def sniff_kind(obj: Any) -> str:
     """Classify an input object by its structural keys."""
     if not isinstance(obj, dict):
         raise InputDataError("input must be a JSON object")
-    if "xi1" in obj:
-        return "xaction"
-    if "middle" in obj:
-        return "sequence"
-    if "actor_of" in obj:
-        return "morphism"
-    if "boundary" in obj:
-        return "xmod"
-    if "actor" in obj and "left" in obj:
-        return "action"
-    if "brackets" in obj:
-        return "algebra"
+    for kind, (keys, _read) in _KINDS.items():
+        if all(key in obj for key in keys):
+            return kind
     raise InputDataError("cannot recognize the input object kind from its keys")
 
 
@@ -343,12 +347,4 @@ def load_any(field: Field, obj: Any):
     """Sniff and parse; returns (kind, parsed object)."""
     check_field_tag(obj, field)
     kind = sniff_kind(obj)
-    parser = {
-        "algebra": algebra_from_json,
-        "xmod": xmod_from_json,
-        "action": action_from_json,
-        "xaction": xaction_from_json,
-        "morphism": actor_morphism_from_json,
-        "sequence": sequence_from_json,
-    }[kind]
-    return kind, parser(field, obj)
+    return kind, _KINDS[kind][1](field, obj)

@@ -31,12 +31,11 @@ from .algebra import (
     _evaluate,
     _prefixed,
     _store,
-    _stored_hash,
     _units,
     _violations,
 )
 from .fields import Field, InputDataError
-from .linalg import Matrix, number
+from .linalg import Matrix, _stored_hash, number
 from .bider import MapSpace, ShortExactSequence, _induced_maps, actor, bider_qn, bider_xmod
 from .xmod import (
     ConditionFlags,

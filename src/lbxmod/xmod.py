@@ -11,7 +11,6 @@ bracket (XLb2, the Peiffer identities).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
 
 from .action import ActionData, validate_action
 from .algebra import (
@@ -34,7 +33,7 @@ from .algebra import (
     validate_leibniz,
 )
 from .fields import InputDataError
-from .linalg import Matrix, Subspace, column_space, nullspace, sparse_kernel
+from .linalg import Matrix, Subspace, _stored_hash, column_space, nullspace, sparse_kernel
 
 
 class NotAnIdealError(ValueError):
@@ -59,14 +58,7 @@ class CrossedModule:
         if self.action.target is not self.top and self.action.target != self.top:
             raise InputDataError("action target is not the top algebra")
 
-    # The memos in ``bider`` are keyed on crossed modules; hashing the whole
-    # frozen structure on every lookup cost more than some of the solves.
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.top, self.base, self.boundary, self.action))
+    __hash__ = _stored_hash()  # the memos in ``bider`` are keyed on crossed modules
 
     def is_identity(self) -> bool:
         """The base is the top, acting on itself by its bracket, and the

@@ -5,6 +5,7 @@ that it reads generated documents in any spelling as per-entry parsing
 does, and still refuses near misses of a scalar it has already read."""
 import json
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -119,6 +120,35 @@ def test_bad_scalar_strings_are_rejected():
     blob["brackets"][0][2][0][1] = "one half"
     with pytest.raises(InputDataError):
         algebra_from_json(QQ, blob)
+
+
+def test_a_matrix_wider_than_max_dim_is_refused_before_its_columns_are_built(capsys, tmp_path):
+    """A matrix's columns index the basis of an input algebra, so a width past
+    ``MAX_DIM`` is refused before a column is allocated."""
+    doc = xmod_to_json(build_entry("l2-ann-incl", QQ))
+    doc["boundary"] = {"rows": 0, "cols": 10 ** 9, "entries": []}
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputDataError, match="outside"):
+            xmod_from_json(QQ, doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    code = main(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_BAD_INPUT and captured.err == ""
+    assert json.loads(captured.out)["error"] == "dimension 1000000000 outside [0, 64]"
+
+
+@pytest.mark.parametrize("doc, kind", [
+    ({"xi1": [], "boundary": {}}, "xaction"),
+    ({"actor": {}, "brackets": []}, "algebra"),
+], ids=["xi1-with-boundary", "actor-without-left"])
+def test_a_document_with_two_markers_is_the_first_kind_in_order(doc, kind):
+    assert sniff_kind(doc) == kind
 
 
 def test_unrecognizable_payloads_are_rejected():
