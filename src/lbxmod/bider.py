@@ -31,6 +31,8 @@ module induces a morphism into its actor: ``_induced_maps`` reads each
 element's pair or quadruple, given by sparse columns, through
 ``MapSpace.read_columns``.  The canonical morphism, ``lift_sequence`` and
 ``xaction.morphism_from_action`` only build the action they hand it.
+``outer_xmod`` divides the actor by the column spaces of its maps, the inner
+part; only ``inner_xmod`` builds the crossed module on them.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .linalg import (
     _echelon_subspace,
     _Preimages,
     _rescale,
+    column_space,
     sparse_kernel,
 )
 from .xmod import (
@@ -459,9 +462,10 @@ def inner_xmod(x: CrossedModule) -> SubXMod:
 
 
 def outer_xmod(x: CrossedModule) -> QuotientXMod:
-    """Actor modulo the inner part."""
-    inn = inner_xmod(x)
-    return quotient_xmod(actor(x), inn.top_space, inn.base_space)
+    """Actor modulo the inner part: the column spaces of the canonical
+    morphism's maps, an ideal as ``quotient_xmod`` checks."""
+    can = canonical_morphism(x)
+    return quotient_xmod(actor(x), column_space(can.top_map), column_space(can.base_map))
 
 
 # -- short exact sequences and lifting -----------------------------------

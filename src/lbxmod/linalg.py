@@ -106,19 +106,25 @@ def _frozen(value):
     return value
 
 
-def _stored_hash(*views: str):
-    """The ``__hash__`` of a frozen dataclass: the hash of its fields, each
-    named view (a stored value) by its ``_frozen`` key, built once and cached.
-    The memos in ``bider`` hash these objects, crossed modules above all, on
-    every lookup; rebuilding the keys each time cost more than some solves."""
-    def __hash__(self) -> int:
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = self.__dict__["_hash"] = hash(tuple(
-                _frozen(getattr(self, f.name)) if f.name in views else getattr(self, f.name) for f in fields(self)))
-        return cached
+class _stored_hash:
+    """A frozen dataclass's ``__hash__``: the hash of its fields, each named
+    view (a stored value) by its ``_frozen`` key, built once and cached, as
+    the memos in ``bider`` hash these objects on every lookup.  The class
+    also gets a ``__getstate__`` without the cache: ``str`` hashes (as in an
+    algebra's ``names``) differ between processes."""
 
-    return __hash__
+    def __init__(self, *views: str) -> None:
+        self.views = views
+
+    def __set_name__(self, owner: type, _name: str) -> None:
+        def __hash__(obj) -> int:
+            cached = obj.__dict__.get("_hash")
+            if cached is None:
+                cached = obj.__dict__["_hash"] = hash(tuple(_frozen(getattr(obj, f.name)) if f.name in self.views
+                                                            else getattr(obj, f.name) for f in fields(obj)))
+            return cached
+
+        owner.__hash__, owner.__getstate__ = __hash__, lambda obj: {k: v for k, v in vars(obj).items() if k != "_hash"}
 
 
 @dataclass(frozen=True)

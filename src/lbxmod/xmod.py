@@ -181,6 +181,8 @@ def sub_xmod(x: CrossedModule, top_space: Subspace, base_space: Subspace,
              warnings: tuple[str, ...] = ()) -> SubXMod:
     """Induce a crossed module on bracket/action/boundary-closed subspaces."""
     top_alg, top_incl = subalgebra_on(x.top, top_space)
+    if top_space == base_space and x.is_identity():  # the restrictions would repeat that closure check
+        return SubXMod(x, CrossedModule.identity_on(top_alg), top_space, base_space, top_incl, top_incl, warnings)
     base_alg, base_incl = subalgebra_on(x.base, base_space)
     t_rows, b_rows = top_space.scaled_rows, base_space.scaled_rows
     bdy_cols = _restricted(base_space, (x.boundary.sparse_columns,), [(_ONE, 1)], t_rows, _LEFT_SUBSPACE)[0]
@@ -244,6 +246,8 @@ def quotient_xmod(x: CrossedModule, top_space: Subspace, base_space: Subspace) -
     if problems:
         raise NotAnIdealError("; ".join(problems))
     top_q, top_proj = _quotient(x.top, top_space)
+    if top_space == base_space and x.is_identity():  # one quotient algebra on both layers
+        return QuotientXMod(x, CrossedModule.identity_on(top_q), top_proj, top_proj)
     base_q, base_proj = _quotient(x.base, base_space)
     t_reps, b_reps = top_space.complement_indices(), base_space.complement_indices()
     left, right, eta = x.action.sparse_left, x.action.sparse_right, x.boundary.sparse_columns

@@ -26,6 +26,16 @@ compares the two.  On an identity crossed module ``bider_xmod`` and
 ``actor`` read their results off the pair space; the actor as built on any
 crossed module, on the one-system quadruples, is kept as ``general_actor``.
 
+On an identity crossed module with one subspace on both layers,
+``sub_xmod`` and ``quotient_xmod`` return the identity on the subalgebra or
+the quotient algebra, and ``outer_xmod`` divides the actor by the column
+spaces of the canonical morphism without building the inner crossed module.
+The sparse constructions they replaced, which restrict or project the
+boundary and both action tensors on any crossed module, are kept as
+``general_sub_xmod`` and ``general_quotient_xmod``, and the outer part
+built through them on the inner crossed module as ``outer_via_inner``;
+``test_outer_xmod.py`` compares them.
+
 ``lbxmod`` reads solved bases as integer rows over one denominator per
 member.  The sparse readers and map products they replaced, on the reduced
 echelon rows with ``Fraction`` entries, are kept below as ``fraction_*``;
@@ -44,6 +54,7 @@ from __future__ import annotations
 
 import random
 
+from lbxmod import algebra, xmod
 from lbxmod.action import ActionData
 from lbxmod.algebra import (
     _ONE,
@@ -52,6 +63,8 @@ from lbxmod.algebra import (
     Violation,
     _accumulate,
     _evaluate,
+    _quotient,
+    _restricted,
     _units,
 )
 from lbxmod.bider import (
@@ -68,6 +81,7 @@ from lbxmod.bider import (
     actor,
     bider_qn,
     bider_xmod,
+    canonical_morphism,
     outer_xmod,
     sequence_problems,
 )
@@ -90,6 +104,8 @@ from lbxmod.xmod import (
     NO_CONDITION_WARNING,
     CrossedModule,
     NotAnIdealError,
+    QuotientXMod,
+    SubXMod,
     XModMorphism,
     check_conditions,
     condition_profile,
@@ -589,6 +605,49 @@ def general_actor(x: CrossedModule) -> CrossedModule:
                         for s1, _t1, s2, _t2 in quads.sparse_basis)
                   for d, dd in pairs.sparse_basis)
     return CrossedModule(pairs.algebra, quads.algebra, bdy, ActionData(quads.algebra, pairs.algebra, left, right))
+
+
+# -- sub and quotient crossed modules as on any crossed module ---------------------
+
+
+def general_sub_xmod(x: CrossedModule, top_space: Subspace, base_space: Subspace,
+                     warnings: tuple[str, ...] = ()) -> SubXMod:
+    """Both subalgebras, with the boundary and both action tensors restricted
+    to the two subspaces."""
+    top_alg, top_incl = algebra.subalgebra_on(x.top, top_space)
+    base_alg, base_incl = algebra.subalgebra_on(x.base, base_space)
+    t_rows, b_rows = top_space.scaled_rows, base_space.scaled_rows
+    left_error = xmod._LEFT_SUBSPACE
+    bdy_cols = _restricted(base_space, (x.boundary.sparse_columns,), [(_ONE, 1)], t_rows, left_error)[0]
+    bdy = Matrix(x.top.field, base_space.dim, top_space.dim, bdy_cols)
+    left = _restricted(top_space, x.action.sparse_left, b_rows, t_rows, left_error)
+    right = _restricted(top_space, x.action.sparse_right, t_rows, b_rows, left_error)
+    small = CrossedModule(top_alg, base_alg, bdy, ActionData(base_alg, top_alg, left, right))
+    return SubXMod(x, small, top_space, base_space, top_incl, base_incl, warnings)
+
+
+def general_quotient_xmod(x: CrossedModule, top_space: Subspace, base_space: Subspace) -> QuotientXMod:
+    """Both quotient algebras, with the boundary and both action tensors
+    projected entry by entry at the complement representatives."""
+    problems = xmod.check_xmod_ideal(x, top_space, base_space)
+    if problems:
+        raise NotAnIdealError("; ".join(problems))
+    top_q, top_proj = _quotient(x.top, top_space)
+    base_q, base_proj = _quotient(x.base, base_space)
+    t_reps, b_reps = top_space.complement_indices(), base_space.complement_indices()
+    left, right, eta = x.action.sparse_left, x.action.sparse_right, x.boundary.sparse_columns
+    bdy = Matrix(x.top.field, base_q.dim, top_q.dim, tuple(base_space.project(eta[r]) for r in t_reps))
+    act = ActionData(base_q, top_q, tuple(tuple(top_space.project(left[a][i]) for i in t_reps) for a in b_reps),
+                     tuple(tuple(top_space.project(right[i][a]) for a in b_reps) for i in t_reps))
+    return QuotientXMod(x, CrossedModule(top_q, base_q, bdy, act), top_proj, base_proj)
+
+
+def outer_via_inner(x: CrossedModule) -> QuotientXMod:
+    """The actor modulo the inner crossed module, built in full on the
+    column spaces of the canonical morphism's maps first."""
+    can = canonical_morphism(x)
+    inn = general_sub_xmod(can.target, column_space(can.top_map), column_space(can.base_map))
+    return general_quotient_xmod(actor(x), inn.top_space, inn.base_space)
 
 
 # -- sparse readers on Fraction rows -----------------------------------------------

@@ -1,5 +1,12 @@
 """Every stored class hashes through ``linalg._stored_hash``: equal objects
-hash equal however they were spelled, and each object builds its key once."""
+hash equal however they were spelled, each object builds its key once, and
+the cached hash is not pickled, so an object loaded in a process with
+another hash seed hashes as one built there."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from conftest import FIELDS
 
@@ -77,3 +84,39 @@ def test_each_key_is_built_once_per_object(make, monkeypatch):
     built = len(calls)
     hash(fresh)
     assert built > 0 and len(calls) == built
+
+
+# Built and hashed in the first process, pickled, and loaded in the second,
+# where every object must hash as a fresh build and be found as a dict key.
+_OBJECTS = """
+from lbxmod import QQ
+from lbxmod.action import ActionData
+from lbxmod.catalog import build_entry
+from lbxmod.linalg import Matrix, Subspace
+from lbxmod.xmod import CrossedModule
+a = build_entry("sl2", QQ)  # its names are strs, whose hashes depend on the seed
+objects = (a, ActionData.by_bracket(a), CrossedModule.identity_on(a), Matrix.identity(QQ, 3), Subspace.full(QQ, 3))
+"""
+_DUMP = _OBJECTS + """
+import pickle, sys
+for o in objects:
+    hash(o)  # caches it
+sys.stdout.buffer.write(pickle.dumps(objects))
+"""
+_LOAD = _OBJECTS + """
+import pickle, sys
+for old, new in zip(pickle.loads(sys.stdin.buffer.read()), objects):
+    print(old == new, hash(old) == hash(new), old in {new: 1})
+"""
+
+
+def test_a_pickled_object_hashes_as_a_fresh_build_under_another_hash_seed():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+
+    def run(code, seed, data=b""):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        return subprocess.run([sys.executable, "-c", code], input=data, env=env, capture_output=True,
+                              check=True).stdout
+
+    out = run(_LOAD, "2", run(_DUMP, "1")).decode().split("\n")
+    assert out == ["True True True"] * 5 + [""]
