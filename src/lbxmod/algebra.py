@@ -394,6 +394,8 @@ def quotient_algebra(a: LeibnizAlgebra, ideal: Subspace) -> tuple[LeibnizAlgebra
 
 def _quotient(a: LeibnizAlgebra, ideal: Subspace) -> tuple[LeibnizAlgebra, Matrix]:
     """``quotient_algebra`` by a subspace already known to be an ideal."""
+    if not ideal.dim:  # the algebra itself, without its names
+        return LeibnizAlgebra(a.field, a.dim, a.sparse_table), Matrix.identity(a.field, a.dim)
     t, reps = a.sparse_table, ideal.complement_indices()
     tab = tuple(tuple(ideal.project(t[r][s]) for s in reps) for r in reps)
     return LeibnizAlgebra(a.field, len(reps), tab), ideal.projection_matrix()

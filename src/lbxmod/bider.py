@@ -14,32 +14,38 @@ action), ``_boundary_rows`` (maps intertwine the boundary) and
   then the boundary and action blocks on the two pair spaces' coordinates;
   on an identity crossed module, ``bider_qn(x)``'s pairs repeated, unsolved.
 
-Each space carries an induced Leibniz bracket; ``actor`` assembles the
-crossed module (pair space) -> (quadruple space) whose boundary sends a pair
-to its boundary-composed quadruple (on an identity, the identity on Bider).
+Each space carries an induced Leibniz bracket, the one ``_pair_bracket``
+taken on each pair of components: a quadruple's is the pair bracket on each
+layer with mu = id.  ``actor`` assembles the crossed module (pair space) ->
+(quadruple space) whose boundary sends a pair to its boundary-composed
+quadruple (on an identity, the identity on Bider).
 
-Every map built from the solved spaces is computed sparsely, on ints.
-``MapSpace.sparse_basis`` holds each echelon basis member, once per space,
-as integer maps ``{row: {col: c}}`` over the denominator of its
-``Subspace.scaled_rows`` row.  ``MapSpace.products`` sums signed products of
-such maps into one flat integer vector over the lcm of the products'
-denominators, and ``Subspace.read_coords`` is the one coordinate reader: it
-refuses a vector with a nonzero ``Subspace.residue`` and divides each pivot
-entry by the denominator, once.  The bracket tables, the actor's action and
-``delta`` go through ``MapSpace.read_products``.  Action data on a crossed
-module induces a morphism into its actor: ``_induced_maps`` reads each
-element's pair or quadruple, given by sparse columns, through
-``MapSpace.read_columns``.  The canonical morphism, ``lift_sequence`` and
-``xaction.morphism_from_action`` only build the action they hand it.
-``outer_xmod`` divides the actor by the column spaces of its maps, the inner
-part; only ``inner_xmod`` builds the crossed module on them.
+Every map built from the solved spaces is computed sparsely, on ints, and
+only ``MapSpace`` knows how a member is laid out as maps.
+``MapSpace.sparse_basis`` holds each echelon basis member as integer maps
+``{row: {col: c}}`` over the denominator of its ``Subspace.scaled_rows``
+row, read off the row's nonzero entries.  ``MapSpace.products`` sums signed
+products of such maps into one flat integer vector over the lcm of the
+products' denominators, and ``Subspace.read_coords`` is the one coordinate
+reader: it refuses a vector with a nonzero ``Subspace.residue`` and divides
+each pivot entry by the denominator, once.  The bracket tables, the actor's
+action and ``delta`` go through ``MapSpace.read_products``.  Action data on
+a crossed module induces a morphism into its actor: ``_induced_maps`` reads
+each element's pair or quadruple, given by sparse columns, through
+``MapSpace.read_columns``; ``MapSpace.member_columns``, its inverse, gives
+``xaction.action_from_morphism`` the columns back.  The canonical morphism,
+``lift_sequence`` and ``xaction.morphism_from_action`` only build the action
+they hand it.  ``outer_xmod`` divides the actor by the column spaces of its
+maps, the inner part; only ``inner_xmod`` builds the crossed module on them.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from typing import Callable, Sequence
@@ -56,6 +62,7 @@ from .linalg import (
     _Preimages,
     _rescale,
     column_space,
+    number,
     sparse_kernel,
 )
 from .xmod import (
@@ -137,18 +144,17 @@ class MapSpace:
     @cached_property
     def sparse_basis(self) -> tuple[ScaledMaps, ...]:
         """The echelon basis, each member a tuple of integer maps over the
-        one denominator of its scaled row (1 over F_p)."""
+        one denominator of its scaled row (1 over F_p): each nonzero entry
+        goes to the map of the last block starting at or before it."""
+        starts = [off for off, _rows, _cols in self._blocks]
         members = []
         for vec, den in self.space.scaled_rows:
-            maps: list[ScaledMap] = []
-            for off, rows, cols in self._blocks:
-                m: SparseMatrix = {}
-                for u in range(off, off + rows * cols):
-                    if u in vec:
-                        i, j = divmod(u - off, cols)
-                        m.setdefault(i, {})[j] = vec[u]
-                maps.append((m, den))
-            members.append(tuple(maps))
+            maps: list[SparseMatrix] = [{} for _ in starts]
+            for u, c in vec.items():
+                b = bisect_right(starts, u) - 1
+                i, j = divmod(u - starts[b], self.shapes[b][1])
+                maps[b].setdefault(i, {})[j] = c
+            members.append(tuple((m, den) for m in maps))
         return tuple(members)
 
     def products(self, components: Sequence[Sequence[Product]]) -> ScaledVector:
@@ -189,6 +195,19 @@ class MapSpace:
             for j, col in enumerate(columns):
                 out.update((off + k * cols + j, sign * c) for k, c in col.items())
         return self.space.read_coords(out, error)
+
+    def member_columns(self, coords: SparseVector) -> list[list[SparseVector]]:
+        """The inverse of ``read_columns``: the sum of coords[t] / den times
+        basis member t, each map as its sparse columns, entries unreduced
+        for ``ActionData`` and ``XModActionData`` to store."""
+        maps: list[list[SparseVector]] = [[{} for _ in range(cols)] for _rows, cols in self.shapes]
+        for t, c in coords.items():
+            for columns, (m, den) in zip(maps, self.sparse_basis[t]):
+                f = c if den == 1 else number(Fraction(c, den))
+                for i, row in m.items():
+                    for j, v in row.items():
+                        columns[j][i] = columns[j].get(i, 0) + f * v
+        return maps
 
 
 # -- constraint blocks ----------------------------------------------------
@@ -281,25 +300,26 @@ def _action_rows(act: ActionData, s1: _Map, t1: _Map, s2: _Map, t2: _Map) -> lis
     return rows
 
 
-def _space_with_algebra(
-    shapes: tuple[tuple[int, int], ...],
-    space: Subspace,
-    bracket_terms: Callable[[tuple, tuple], list[list[Product]]],
-    prepare: Callable[[ScaledMaps], tuple] = lambda member: member,
-) -> MapSpace:
+def _pair_bracket(u: Sequence[tuple], v: Sequence[tuple]) -> list[list[Product]]:
+    """The bracket of two members given by their pairs, each as (d, dd, mu d,
+    mu dd), taken pair by pair, as products per component:
+    [(d1, dd1), (d2, dd2)] = (d1 mu d2 - d2 mu d1, dd1 mu d2 - d2 mu dd1)."""
+    (d1, dd1, mu_d1, mu_dd1), (d2, _dd2, mu_d2, _mu_dd2) = u[0], v[0]
+    terms = [[(1, d1, mu_d2), (-1, d2, mu_d1)], [(1, dd1, mu_d2), (-1, d2, mu_dd1)]]
+    return terms + _pair_bracket(u[1:], v[1:]) if len(u) > 1 else terms
+
+
+def _space_with_algebra(shapes: tuple[tuple[int, int], ...], space: Subspace,
+                        prepare: Callable[[ScaledMaps], tuple]) -> MapSpace:
     """The solved space with the bracket table read off its echelon basis:
-    entry (s, t) is the sum of the products ``bracket_terms(u, v)`` lists
-    for the prepared basis members u = prepare(basis[s]), v = prepare(basis[t]).
-    """
+    entry (s, t) is ``_pair_bracket`` of prepare(basis[s]) and
+    prepare(basis[t]), which list one pair (d, dd, mu d, mu dd) per layer."""
     field = space.field
     solved = MapSpace(field, shapes, space, LeibnizAlgebra.abelian(field, 0))
     members = [prepare(m) for m in solved.sparse_basis]
     error = "bracket of two solutions left the solution space"
-    table = tuple(tuple(solved.read_products(bracket_terms(u, v), error) for v in members) for u in members)
-    out = MapSpace(field, shapes, space, LeibnizAlgebra(field, solved.dim, table))
-    for view in ("_blocks", "sparse_basis"):  # keep the cached views: built once
-        out.__dict__[view] = getattr(solved, view)
-    return out
+    table = tuple(tuple(solved.read_products(_pair_bracket(u, v), error) for v in members) for u in members)
+    return replace(solved, algebra=LeibnizAlgebra(field, solved.dim, table))
 
 
 # -- pair spaces ----------------------------------------------------------
@@ -315,18 +335,8 @@ def bider_qn(x: CrossedModule) -> MapSpace:
     """Pairs of maps base -> top satisfying the pair identities through the action."""
     shapes = ((x.top.dim, x.base.dim),) * 2
     mu = _scaled_matrix(x.boundary)
-
-    def with_mu(pair: ScaledMaps) -> tuple:
-        d, dd = pair
-        return d, dd, _compose(mu, d), _compose(mu, dd)
-
-    def bracket_terms(u: tuple, v: tuple) -> list[list[Product]]:
-        # [(d1, dd1), (d2, dd2)] = (d1 mu d2 - d2 mu d1, dd1 mu d2 - d2 mu dd1)
-        (d1, dd1, mu_d1, mu_dd1), (d2, _dd2, mu_d2, _mu_dd2) = u, v
-        return [[(1, d1, mu_d2), (-1, d2, mu_d1)], [(1, dd1, mu_d2), (-1, d2, mu_dd1)]]
-
     space = sparse_kernel(x.top.field, 2 * x.top.dim * x.base.dim, _pair_rows(x.action, *_layout(shapes)))
-    return _space_with_algebra(shapes, space, bracket_terms, with_mu)
+    return _space_with_algebra(shapes, space, lambda pair: [(*pair, _compose(mu, pair[0]), _compose(mu, pair[1]))])
 
 
 # -- quadruple spaces on a crossed module --------------------------------
@@ -358,9 +368,7 @@ def bider_xmod(x: CrossedModule) -> MapSpace:
     if x.is_identity():
         pairs = bider_qn(x)
         rows = tuple((row | {off + u: c for u, c in row.items()}, d) for row, d in pairs.space.scaled_rows)
-        quads = MapSpace(f, shapes, Subspace(f, 2 * off, rows, pairs.space.pivots), pairs.algebra)
-        quads.__dict__["sparse_basis"] = tuple(m + m for m in pairs.sparse_basis)  # the cached view, prefilled
-        return quads
+        return MapSpace(f, shapes, Subspace(f, 2 * off, rows, pairs.space.pivots), pairs.algebra)
     pairs = sparse_kernel(f, off + 2 * qd * qd, _pair_rows(ActionData.by_bracket(x.top), s1, t1)
                           + _pair_rows(ActionData.by_bracket(x.base), s2, t2))
     members, pivots = [row for row, _d in pairs.scaled_rows], pairs.pivots
@@ -375,14 +383,8 @@ def bider_xmod(x: CrossedModule) -> MapSpace:
     combos, _ = _compose((dict(enumerate(row for row, _e in small.scaled_rows)), 1), (dict(enumerate(members)), 1))
     space = _echelon_subspace(f, off + 2 * qd * qd, combos.values(), tuple(pivots[t] for t in small.pivots))
 
-    def bracket_terms(u: tuple, v: tuple) -> list[list[Product]]:
-        # [(s1, t1, s2, t2), (s1', ...)] = (s1 s1' - s1' s1, t1 s1' - s1' t1,
-        #                                   s2 s2' - s2' s2, t2 s2' - s2' t2)
-        (s1, t1, s2, t2), (s1p, _t1p, s2p, _t2p) = u, v
-        return [[(1, s1, s1p), (-1, s1p, s1)], [(1, t1, s1p), (-1, s1p, t1)],
-                [(1, s2, s2p), (-1, s2p, s2)], [(1, t2, s2p), (-1, s2p, t2)]]
-
-    return _space_with_algebra(shapes, space, bracket_terms)
+    # mu = id on each layer, so its pair (s, t) is given as (s, t, s, t)
+    return _space_with_algebra(shapes, space, lambda quad: [quad[:2] * 2, quad[2:] * 2])
 
 
 # -- the actor ----------------------------------------------------------

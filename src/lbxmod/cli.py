@@ -7,9 +7,11 @@ prints a single JSON report to stdout, and exits with
 * 1 — the input was well-formed but a check failed or a construction was
       refused (axiom violations, non-ideal quotients, inexact sequences,
       missing support conditions),
-* 2 — the input could not be read or parsed at all, or a number in its
+* 2 — the input could not be read or parsed at all, a number in its
       report is too long to print (past the interpreter's digit limit for
-      int-to-str conversion, which lbxmod leaves as it is),
+      int-to-str conversion, which lbxmod leaves as it is), or the ``--out``
+      file cannot be opened for appending; that is tried first, truncates
+      nothing (the input may be the same file), and writes no file on failure,
 * 3 — internal error: a result that theory guarantees was not found
       (``LinearSolveError``), which means a bug in lbxmod.
 
@@ -308,6 +310,12 @@ def _emit(report: dict, out_path: Optional[str]) -> None:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     base = {"command": args.command, "field": args.field}
+    if args.out:
+        try:
+            open(args.out, "a", encoding="utf-8").close()
+        except OSError as exc:
+            _emit({**base, "error": f"cannot write {args.out}: {exc}"}, None)
+            return EXIT_BAD_INPUT
 
     try:
         field = get_field(args.field)

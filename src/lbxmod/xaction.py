@@ -17,7 +17,6 @@ sparse views ``sparse_mq[i][a]`` and ``sparse_qm[a][i]`` with values in n;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .action import ActionData, semidirect_algebra, validate_action
@@ -35,8 +34,8 @@ from .algebra import (
     _violations,
 )
 from .fields import Field, InputDataError
-from .linalg import Matrix, _stored_hash, number
-from .bider import MapSpace, ShortExactSequence, _induced_maps, actor, bider_qn, bider_xmod
+from .linalg import Matrix, _stored_hash
+from .bider import ShortExactSequence, _induced_maps, actor, bider_qn, bider_xmod
 from .xmod import (
     ConditionFlags,
     CrossedModule,
@@ -230,21 +229,6 @@ def morphism_from_action(d: XModActionData) -> ActionToMorphismResult:
     return ActionToMorphismResult(morphism, relaxed)
 
 
-def _member_columns(space: MapSpace, coords: SparseVector) -> list[list[SparseVector]]:
-    """The member of a map space with the given sparse coordinates, each map
-    as its sparse columns: the sum of coords[t] / den times basis member t,
-    read off ``sparse_basis``.  Entries are left unreduced, for
-    ``ActionData`` and ``XModActionData`` to store."""
-    maps: list[list[SparseVector]] = [[{} for _ in range(cols)] for _rows, cols in space.shapes]
-    for t, c in coords.items():
-        for columns, (m, den) in zip(maps, space.sparse_basis[t]):
-            f = c if den == 1 else number(Fraction(c, den))
-            for i, row in m.items():
-                for j, v in row.items():
-                    columns[j][i] = columns[j].get(i, 0) + f * v
-    return maps
-
-
 def action_from_morphism(fm: ActorMorphism) -> XModActionData:
     """Recover action data from a morphism into the actor.
 
@@ -263,8 +247,8 @@ def action_from_morphism(fm: ActorMorphism) -> XModActionData:
 
     x = fm.source
     # (s1, t1, s2, t2) and (d, dd), each map as its sparse columns
-    quads = [_member_columns(bider_xmod(y), col) for col in fm.base_map.sparse_columns]
-    pairs = [_member_columns(bider_qn(y), col) for col in fm.top_map.sparse_columns]
+    quads = [bider_xmod(y).member_columns(col) for col in fm.base_map.sparse_columns]
+    pairs = [bider_qn(y).member_columns(col) for col in fm.top_map.sparse_columns]
 
     def minus(v: SparseVector) -> SparseVector:
         return {k: -c for k, c in v.items()}

@@ -8,8 +8,11 @@ operators built column by column, stacks of their rows (``vstack``) handed
 to ``nullspace``, and a plain Gauss-Jordan reduction of dense vectors modulo
 a subspace's echelon basis.  ``test_sparse_stages.py`` compares the two.
 
-``action_from_morphism`` reads the maps of each actor element off
-``MapSpace.sparse_basis``, summed over the members' denominators.  The dense
+``MapSpace.sparse_basis`` reads each scaled row's nonzero entries into the
+maps of its member; the range-walking version it replaced is kept as
+``range_walking_sparse_basis``, and ``test_member_layout.py`` compares the
+two.  ``action_from_morphism`` reads the maps of each actor element with
+``MapSpace.member_columns``, summed over the members' denominators.  The dense
 version it replaced, which combined the dense basis rows and cut the result
 into matrices, is kept here under the same name.
 
@@ -52,6 +55,7 @@ padded each dense vector by hand, are kept at the end as ``*_tensors``;
 """
 from __future__ import annotations
 
+import dataclasses
 import random
 
 from lbxmod import algebra, xmod
@@ -77,7 +81,6 @@ from lbxmod.bider import (
     _layout,
     _pair_rows,
     _scaled_matrix,
-    _space_with_algebra,
     actor,
     bider_qn,
     bider_xmod,
@@ -397,6 +400,26 @@ def canonical_maps(x: CrossedModule) -> tuple[Matrix, Matrix]:
     return Matrix.from_columns(f, top_cols, pairs.dim), Matrix.from_columns(f, base_cols, quads.dim)
 
 
+# -- the member layout of a map space ----------------------------------------------
+
+
+def range_walking_sparse_basis(space: MapSpace):
+    """``MapSpace.sparse_basis`` as it was built before: every coordinate of
+    each map's range in the flat space tested against every member's row."""
+    members = []
+    for vec, den in space.space.scaled_rows:
+        maps = []
+        for off, rows, cols in _layout(space.shapes):
+            m = {}
+            for u in range(off, off + rows * cols):
+                if u in vec:
+                    i, j = divmod(u - off, cols)
+                    m.setdefault(i, {})[j] = vec[u]
+            maps.append((m, den))
+        members.append(tuple(maps))
+    return tuple(members)
+
+
 # -- action data from a morphism into the actor ------------------------------------
 
 
@@ -566,7 +589,9 @@ def rebase_xmod(x: CrossedModule, rng: random.Random, same_basis: bool = False) 
 
 def one_system_bider_xmod(x: CrossedModule) -> MapSpace:
     """The quadruple space from one system on every map entry: both layers'
-    pair rows through their own brackets, the boundary rows and the action rows."""
+    pair rows through their own brackets, the boundary rows and the action
+    rows.  Its table is read with the four-component quadruple bracket, the
+    reference for ``bider._pair_bracket`` taken layer by layer."""
     nd, qd = x.top.dim, x.base.dim
     shapes = ((nd, nd), (nd, nd), (qd, qd), (qd, qd))
     s1, t1, s2, t2 = _layout(shapes)
@@ -581,7 +606,12 @@ def one_system_bider_xmod(x: CrossedModule) -> MapSpace:
         return [[(1, s1, s1p), (-1, s1p, s1)], [(1, t1, s1p), (-1, s1p, t1)],
                 [(1, s2, s2p), (-1, s2p, s2)], [(1, t2, s2p), (-1, s2p, t2)]]
 
-    return _space_with_algebra(shapes, sparse_kernel(x.top.field, 2 * nd * nd + 2 * qd * qd, rows), bracket_terms)
+    f = x.top.field
+    solved = MapSpace(f, shapes, sparse_kernel(f, 2 * nd * nd + 2 * qd * qd, rows), LeibnizAlgebra.abelian(f, 0))
+    members = solved.sparse_basis
+    table = tuple(tuple(solved.read_products(bracket_terms(u, v), "bracket left the quadruples") for v in members)
+                  for u in members)
+    return dataclasses.replace(solved, algebra=LeibnizAlgebra(f, solved.dim, table))
 
 
 def general_actor(x: CrossedModule) -> CrossedModule:

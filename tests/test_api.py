@@ -1,11 +1,14 @@
 """The package surface: the public names resolve, no module keeps an
-import it never uses, and no private module-level name goes unused.
+import it never uses, no private module-level name goes unused, and only
+the stored form's hash writes into an object's ``__dict__``.
 
-No linter is installed, so both checks walk the modules' syntax trees with
+No linter is installed, so the checks walk the modules' syntax trees with
 ``ast``: a name counts as used when a module loads it anywhere (string
 annotations included) or lists it in its ``__all__``.  An import must be
 used by its own module; a private name (one underscore) that a module
-defines at top level must be used by some module of the package.
+defines at top level must be used by some module of the package.  Cached
+views are ``cached_property``s that each object fills for itself; the one
+hand-filled entry is the cached hash of ``linalg._stored_hash``.
 """
 import ast
 from collections import Counter
@@ -103,3 +106,45 @@ def test_the_private_name_check_sees_an_unused_name():
                                "def _shared(x: '_Pair'): return x\n"),
              "b.py": ast.parse("from .a import _shared\n_cache = {}\n_cache[1] = _shared(2)\n")}
     assert _unused_private(trees) == {"a.py:_orphan": 3}
+
+
+def _writes_into_dict(tree: ast.Module, module: str) -> dict[str, int]:
+    """Each top-level definition that writes into an object's ``__dict__``
+    (or ``vars()``), as "module:name" with the line: an item assigned,
+    augmented or deleted, or a method called on it that changes it."""
+    def is_dict(node) -> bool:
+        return (isinstance(node, ast.Attribute) and node.attr == "__dict__"
+                or isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "vars")
+
+    out = {}
+    for top in tree.body:
+        name = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                targets = []
+            written = any(isinstance(t, ast.Subscript) and is_dict(t.value) for t in targets)
+            called = (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and is_dict(node.func.value)
+                      and node.func.attr in ("update", "setdefault", "pop", "popitem", "clear"))
+            if written or called:
+                out.setdefault(f"{module}:{name}", node.lineno)
+    return out
+
+
+def test_only_the_stored_hash_writes_into_an_object_dict():
+    writes = {}
+    for module in MODULES:
+        writes.update(_writes_into_dict(ast.parse((SRC / module).read_text(), module), module))
+    assert set(writes) == {"linalg.py:_stored_hash"}
+
+
+def test_the_dict_write_check_sees_each_kind_of_write():
+    tree = ast.parse("def f(o):\n    o.__dict__['a'] = 1\n"
+                     "def g(o):\n    vars(o)['a'] += 1\n"
+                     "class C:\n    def h(self, o):\n        o.__dict__.update(a=1)\n"
+                     "def k(o):\n    del o.__dict__['a']\n"
+                     "def read(o):\n    return o.__dict__.get('a'), vars(o)['a']\n")
+    assert _writes_into_dict(tree, "m.py") == {"m.py:f": 2, "m.py:g": 4, "m.py:C": 7, "m.py:k": 9}

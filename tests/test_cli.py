@@ -198,6 +198,40 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     assert report["warnings"]  # no support condition holds here
 
 
+def test_an_out_path_that_cannot_be_written_is_refused_first(capsys, tmp_path, monkeypatch):
+    """The --out file is opened for appending before any work: a path in a
+    missing directory gets one report naming it, exit 2 and no file; the
+    report is not computed at all."""
+    out = tmp_path / "missing" / "r.json"
+    calls = count_calls(monkeypatch, cli, "_load")
+    code, report = run(capsys, "conditions", "catalog:sl2-id", "--out", str(out))
+    assert code == EXIT_BAD_INPUT
+    assert report == {"command": "conditions", "field": "q",
+                      "error": f"cannot write {out}: [Errno 2] No such file or directory: '{out}'"}
+    assert calls == [] and not out.parent.exists()
+
+
+def test_an_out_path_that_cannot_be_written_prints_no_traceback(tmp_path):
+    out = tmp_path / "missing" / "r.json"
+    proc = subprocess.run([sys.executable, "-m", "lbxmod.cli", "conditions", "catalog:sl2-id", "--out", str(out)],
+                          capture_output=True, text=True)
+    assert proc.returncode == EXIT_BAD_INPUT
+    assert proc.stderr == ""
+    assert str(out) in json.loads(proc.stdout)["error"]
+    assert not out.parent.exists()
+
+
+def test_the_out_file_may_be_the_input(capsys, tmp_path):
+    """Opening --out for appending truncates nothing, so the input is read
+    whole before the report replaces it."""
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(xmod_to_json(build_entry("sl2-id", QQ))))
+    code = main(["validate", str(path), "--out", str(path)])
+    printed = capsys.readouterr().out
+    assert code == EXIT_OK and json.loads(printed)["ok"] is True
+    assert path.read_text() == printed
+
+
 def test_cli_module_runs_as_a_subprocess_deterministically():
     cmd = [sys.executable, "-m", "lbxmod.cli", "actor", "catalog:l2-ann-incl"]
     first = subprocess.run(cmd, capture_output=True, check=True)
