@@ -17,8 +17,11 @@ and the actor's action tables.  On an identity the last two are taken from
 the pair space, with no solve and no table, and are printed as one time.
 It then checks the canonical morphism x -> Act(x), whose maps are held as
 sparse columns like every map: it must pass ``validate_morphism``, and its
-kernel must have the layer dimensions of ``center(x)``.  It exits 1 if a
-check fails, if ``validate_xmod`` fails on the actor or if a dimension
+kernel must have the layer dimensions of ``center(x)``.  When both layers
+of the actor are at most ``MAX_DIM`` (larger ones are refused on read), it
+times the actor's JSON round trip, ``xmod_to_json``, JSON text and
+``xmod_from_json``, and checks that the copy equals the actor.  It exits 1
+if a check fails, if ``validate_xmod`` fails on the actor or if a dimension
 differs from the known one:
 
 * ``A_n``: the actor and the outer part both have layers of dimension 2n^2
@@ -34,15 +37,17 @@ and the actor's tables in view.  Times are for reading, not gated.  Example::
 from __future__ import annotations
 
 import argparse
+import json
 import re
 import sys
 import time
 import tracemalloc
 
 from lbxmod import bider
-from lbxmod.algebra import LeibnizAlgebra, commutator
+from lbxmod.algebra import MAX_DIM, LeibnizAlgebra, commutator
 from lbxmod.bider import actor, bider_qn, bider_xmod, canonical_morphism, outer_xmod
 from lbxmod.fields import get_field
+from lbxmod.serialize import xmod_from_json, xmod_to_json
 from lbxmod.xmod import CrossedModule, center, kernel, validate_morphism, validate_xmod
 
 SL2 = {(0, 1): {0: -2}, (1, 0): {0: 2}, (0, 2): {1: 1}, (2, 0): {1: -1}, (1, 2): {2: -2}, (2, 1): {2: 2}}
@@ -125,6 +130,13 @@ def main(argv=None) -> int:
             ker, cen = kernel(can), center(x)
             if (ker.top_space.dim, ker.base_space.dim) != (cen.top_space.dim, cen.base_space.dim):
                 problems.append("the kernel of the canonical morphism is not the center")
+            if max(act.top.dim, act.base.dim) <= MAX_DIM:
+                copy, t_json = timed(lambda: xmod_from_json(field, json.loads(json.dumps(xmod_to_json(act)))))
+                trip = f"JSON round trip {t_json:.3f} s"
+                if copy != act:
+                    problems.append("the actor read back from JSON differs from the actor")
+            else:
+                trip = f"no JSON round trip (layers over MAX_DIM = {MAX_DIM})"
             got = ((act.top.dim, act.base.dim), (out.xmod.top.dim, out.xmod.base.dim))
             if dims is not None and got != ((dims[0],) * 2, (dims[1],) * 2):
                 problems.append(f"dimensions {got}, expected actor {dims[0]} and outer {dims[1]}")
@@ -132,7 +144,7 @@ def main(argv=None) -> int:
                      else f"bider_xmod {t_xmod:.3f} s, tables {t_tables:.3f} s")
             print(f"{spec} {tag}: actor {got[0]} {t_actor:.3f} s {m_actor / 1e6:.1f} MB peak "
                   f"(bider_qn {t_qn:.3f} s, {split}); "
-                  f"outer {got[1]} {t_outer:.3f} s {m_outer / 1e6:.1f} MB peak; "
+                  f"outer {got[1]} {t_outer:.3f} s {m_outer / 1e6:.1f} MB peak; {trip}; "
                   + ("; ".join(problems) or "ok"), flush=True)
             failed |= bool(problems)
     return 1 if failed else 0

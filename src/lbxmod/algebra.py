@@ -150,7 +150,7 @@ class LeibnizAlgebra:
             if not (0 <= i < dim and 0 <= j < dim):
                 raise InputDataError(f"bracket index ({i}, {j}) out of range")
             tab[i][j] = dict(terms)
-        return cls(field, dim, tab, tuple(names) if names is not None else None)
+        return cls(field, dim, tuple(map(tuple, tab)), tuple(names) if names is not None else None)
 
     @classmethod
     def abelian(cls, field: Field, dim: int, names: Optional[Sequence[str]] = None) -> "LeibnizAlgebra":

@@ -20,8 +20,9 @@ something is left.
 A coefficient is stored as a ``number``: an int residue in [0, p) over F_p;
 over Q an int when integral, else a Fraction, never zero.  ``_stored`` makes
 that form from dense or sparse input, for matrices here and for the
-structure tensors of ``algebra``; ``_stored_hash`` hashes every class that
-holds it.
+structure tensors of ``algebra``; a tensor already in that form (as the
+JSON readers and most stages build it) is recognised by whole-tensor passes
+and kept as it is.  ``_stored_hash`` hashes every class that holds it.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from functools import cached_property
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
-from operator import is_
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .fields import Field, FpElement, InputDataError, Scalar
@@ -50,12 +52,41 @@ class LinearSolveError(RuntimeError):
     """
 
 
+def _is_stored(tensor, shape: tuple[int, int, int], p: int) -> bool:
+    """Whether a tensor is in stored form: a tuple of d0 tuples of d1 dicts,
+    each key an int in [0, d2) and each value a ``number`` other than 0.
+    Checked over the whole tensor at once, one pass per property."""
+    d0, d1, d2 = shape
+    if not (type(tensor) is tuple and len(tensor) == d0
+            and set(map(type, tensor)) <= {tuple} and set(map(len, tensor)) <= {d1}):
+        return False
+    vecs = list(chain.from_iterable(tensor))
+    if not set(map(type, vecs)) <= {dict}:
+        return False
+    keys = list(chain.from_iterable(vecs))
+    if not keys:
+        return True
+    if set(map(type, keys)) != {int} or min(keys) < 0 or max(keys) >= d2:
+        return False
+    values = list(chain.from_iterable(map(dict.values, vecs)))
+    kinds = list(map(type, values))
+    if p:
+        return set(kinds) == {int} and min(values) > 0 and max(values) < p
+    # ints are never 0, and a Fraction is never integral: of the values only
+    # the ints have denominator 1
+    return (set(kinds) <= {int, Fraction} and 0 not in values
+            and list(map(attrgetter("denominator"), values)).count(1) == kinds.count(int))
+
+
 def _stored(field: Field, tensor, shape: tuple[int, int, int], what: str) -> tuple:
     """A d0 x d1 x d2 tensor in stored form: no zero entries, each entry a
     ``number`` of the field.  Each vector tensor[a][b] is given dense (d2
     scalars) or sparse (a dict {k: c}); a scalar of another field is a
     TypeError, as in ``field.coerce``.  A tensor already in stored form is
-    returned as it is, so a view handed on is shared, not copied."""
+    recognised by ``_is_stored`` and returned as it is, so a view handed on
+    is shared, not copied; any other tensor is normalized vector by vector."""
+    if _is_stored(tensor, shape, field.characteristic):
+        return tensor
     d0, d1, d2 = shape
     bad_shape = f"{what} shape is not {d0}x{d1}x{d2}"
     if len(tensor) != d0 or any(len(row) != d1 for row in tensor):
@@ -88,9 +119,7 @@ def _stored(field: Field, tensor, shape: tuple[int, int, int], what: str) -> tup
                 out[k] = c
         return out
 
-    rows = tuple(tuple(map(vector, row)) for row in tensor)
-    same = type(tensor) is tuple and all(type(r) is tuple and all(map(is_, a, r)) for a, r in zip(rows, tensor))
-    return tensor if same else rows
+    return tuple(tuple(map(vector, row)) for row in tensor)
 
 
 _EMPTY = frozenset()  # one key for every empty vector: most vectors of a sparse tensor are empty

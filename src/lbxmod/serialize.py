@@ -4,18 +4,28 @@ All scalars are exact: rationals as canonical strings ("3", "-2/5"),
 prime-field residues as integers in [0, p).  Structure tables are sparse and
 sorted, matrices dense with explicit shapes, so serialization is a bijection
 on canonical objects: ``from_json(to_json(x)) == x``.
+
+Action tensors, pairings, matrices and subspace bases are dense lists of
+mostly zeros, so they are read and written a whole tensor at a time.  A
+writer fills its lists from one zero token and writes only the nonzeros.
+A reader (``_Reader``, one memo per document) checks the shape and the type
+of every list and token over whole levels, looks every token up in the
+memo, parsing the unseen ones in document order, and places only the
+nonzeros; a document that fails a check is walked entry by entry to raise
+its first fault in document order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from itertools import chain, compress, islice, repeat
+from typing import Any, Callable, Iterator, Sequence
 
 from .action import ActionData
 from .algebra import LeibnizAlgebra, SparseTensor, _check_dim
 from .bider import ShortExactSequence
 from .fields import Field, InputDataError, Scalar
-from .linalg import Matrix, Number, Subspace, _sparse, number
+from .linalg import Matrix, Number, Subspace, number
 from .xaction import ActorMorphism, XModActionData
 from .xmod import CrossedModule, XModMorphism
 
@@ -32,21 +42,56 @@ def _is_int(x: Any) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _reader(field: Field) -> Callable[[Any], Scalar]:
-    """One document's scalar reader: ``field.parse_scalar`` once per distinct
-    JSON string or integer, typed first (true and 1.0 equal 1); anything else,
-    and a failed parse, is never kept.  Each top-level reader makes its own."""
-    parse, seen = field.parse_scalar, {}
+class _Reader(dict):
+    """One document's scalars: each distinct JSON string or integer maps to
+    its stored coefficient (``linalg.number``, or 0 for zero), parsed by
+    ``field.parse_scalar`` on first lookup.  A failed parse is never kept,
+    and a token of any other type (true and 1.0 equal 1) is parsed on its
+    own.  Each top-level reader makes its own."""
 
-    def read(x: Any) -> Scalar:
-        if type(x) is not str and type(x) is not int:
-            return parse(x)
-        v = seen.get(x)
-        if v is None:
-            v = seen[x] = parse(x)
-        return v
+    def __init__(self, field: Field) -> None:
+        super().__init__()
+        self.parse = field.parse_scalar
 
-    return read
+    def __missing__(self, x: Any) -> Number:
+        c = self[x] = number(self.parse(x))
+        return c
+
+    def scalar(self, x: Any) -> Number:
+        return self[x] if type(x) is str or type(x) is int else number(self.parse(x))
+
+    def dense(self, obj: list, levels: tuple[tuple[int, str], ...]) -> list[Number]:
+        """The coefficients of a dense nested list, flattened in document
+        order.  Below obj, level t holds lists of levels[t][0] entries, the
+        last level scalars; a list of another length raises levels[t][1].
+        The shapes and token types are checked over whole levels, and only
+        a document that fails them is walked entry by entry, to raise its
+        first fault in document order."""
+        items = obj
+        for n, _ in levels:
+            if not (set(map(type, items)) <= {list} and set(map(len, items)) <= {n}):
+                break
+            items = list(chain.from_iterable(items))
+        else:
+            if set(map(type, items)) <= {str, int}:
+                return list(map(self.__getitem__, items))
+        return list(map(self.scalar, _tokens(obj, levels)))
+
+
+def _tokens(items: list, levels: tuple[tuple[int, str], ...]) -> Iterator[Any]:
+    """The scalars of a dense nested list in document order, each list's
+    shape checked as it is reached."""
+    n, message = levels[0]
+    for item in items:
+        if not isinstance(item, list) or len(item) != n:
+            raise InputDataError(message)
+        yield from _tokens(item, levels[1:]) if len(levels) > 1 else item
+
+
+def _nonzeros(coeffs: list[Number]) -> Iterator[tuple[int, Number]]:
+    """(position, coefficient) of each nonzero coefficient."""
+    at = list(compress(range(len(coeffs)), coeffs))
+    return zip(at, map(coeffs.__getitem__, at))
 
 
 def _number_to_json(field: Field) -> Callable[[Number], Any]:
@@ -55,27 +100,30 @@ def _number_to_json(field: Field) -> Callable[[Number], Any]:
     return int if field.characteristic else str
 
 
-def _dense_json(field: Field, dim: int, vec: dict[int, Number], den: int = 1) -> list:
-    """The sparse vector vec / den as a dense JSON list of dim scalars."""
-    to_json, out = _number_to_json(field), [field.scalar_to_json(field.zero)] * dim
+def _filled(to_json: Callable[[Number], Any], dense: list, vec: dict[int, Number], den: int = 1) -> list:
+    """dense, a list of zero tokens, with the entries of vec / den written in."""
     for k, c in vec.items():
-        out[k] = to_json(c if den == 1 else Fraction(c, den))
-    return out
+        dense[k] = to_json(c if den == 1 else Fraction(c, den))
+    return dense
 
 
 # -- matrices and vectors -----------------------------------------------
 
 
 def matrix_to_json(m: Matrix) -> dict:
-    rows = m.transpose().sparse_columns
-    return {"rows": m.rows, "cols": m.cols, "entries": [_dense_json(m.field, m.cols, row) for row in rows]}
+    to_json = _number_to_json(m.field)
+    rows = list(map(list, repeat([to_json(0)] * m.cols, m.rows)))
+    for j, col in enumerate(m.sparse_columns):
+        for i, c in col.items():
+            rows[i][j] = to_json(c)
+    return {"rows": m.rows, "cols": m.cols, "entries": rows}
 
 
 def matrix_from_json(field: Field, obj: Any) -> Matrix:
-    return _matrix(field, _reader(field), obj)
+    return _matrix(field, _Reader(field), obj)
 
 
-def _matrix(field: Field, read: Callable, obj: Any) -> Matrix:
+def _matrix(field: Field, read: _Reader, obj: Any) -> Matrix:
     if not isinstance(obj, dict) or not {"rows", "cols", "entries"} <= set(obj):
         raise InputDataError("matrix object needs rows, cols and entries")
     rows, cols = obj["rows"], obj["cols"]
@@ -85,14 +133,11 @@ def _matrix(field: Field, read: Callable, obj: Any) -> Matrix:
     data = obj["entries"]
     if not isinstance(data, list) or len(data) != rows:
         raise InputDataError("matrix entries do not match the declared row count")
+    coeffs = read.dense(data, ((cols, "matrix entries do not match the declared column count"),))
     columns: tuple[dict[int, Number], ...] = tuple({} for _ in range(cols))
-    for i, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != cols:
-            raise InputDataError("matrix entries do not match the declared column count")
-        for j, x in enumerate(row):
-            c = read(x)
-            if c:
-                columns[j][i] = number(c)
+    for pos, c in _nonzeros(coeffs):
+        i, j = divmod(pos, cols)
+        columns[j][i] = c
     return Matrix(field, rows, cols, columns)
 
 
@@ -101,7 +146,9 @@ def vector_to_json(field: Field, v: Sequence[Scalar]) -> list:
 
 
 def subspace_to_json(s: Subspace) -> dict:
-    basis = [_dense_json(s.field, s.ambient, row, d) for row, d in s.scaled_rows]
+    to_json = _number_to_json(s.field)
+    zeros = [to_json(0)] * s.ambient
+    basis = [_filled(to_json, zeros.copy(), row, d) for row, d in s.scaled_rows]
     return {"ambient_dim": s.ambient, "dim": s.dim, "basis": basis}
 
 
@@ -120,10 +167,10 @@ def algebra_to_json(a: LeibnizAlgebra) -> dict:
 
 
 def algebra_from_json(field: Field, obj: Any) -> LeibnizAlgebra:
-    return _algebra(field, _reader(field), obj)
+    return _algebra(field, _Reader(field), obj)
 
 
-def _algebra(field: Field, read: Callable, obj: Any) -> LeibnizAlgebra:
+def _algebra(field: Field, read: _Reader, obj: Any) -> LeibnizAlgebra:
     if not isinstance(obj, dict) or "dim" not in obj or "brackets" not in obj:
         raise InputDataError("algebra object needs dim and brackets")
     dim = obj["dim"]
@@ -133,7 +180,7 @@ def _algebra(field: Field, read: Callable, obj: Any) -> LeibnizAlgebra:
     if names is not None:
         if not isinstance(names, list) or len(names) != dim or not all(isinstance(s, str) for s in names):
             raise InputDataError("algebra names must be a list of dim strings")
-    sparse: dict[tuple[int, int], dict[int, Scalar]] = {}
+    sparse: dict[tuple[int, int], dict[int, Number]] = {}
     if not isinstance(obj["brackets"], list):
         raise InputDataError("algebra brackets must be a list")
     for item in obj["brackets"]:
@@ -143,14 +190,14 @@ def _algebra(field: Field, read: Callable, obj: Any) -> LeibnizAlgebra:
         i, j, terms = item
         if (i, j) in sparse:
             raise InputDataError(f"duplicate bracket entry for ({i}, {j})")
-        parsed: dict[int, Scalar] = {}
+        parsed: dict[int, Number] = {}
         for term in terms:
             if not (isinstance(term, list) and len(term) == 2 and _is_int(term[0])):
                 raise InputDataError(f"bad bracket term {term!r}")
             k, c = term
             if k in parsed:
                 raise InputDataError(f"duplicate bracket target {k} in entry ({i}, {j})")
-            parsed[k] = read(c)
+            parsed[k] = read.scalar(c)
         sparse[(i, j)] = parsed
     return LeibnizAlgebra.from_brackets(field, dim, sparse, names)
 
@@ -160,25 +207,26 @@ def _algebra(field: Field, read: Callable, obj: Any) -> LeibnizAlgebra:
 
 def tensor_to_json(field: Field, view: SparseTensor, dim: int) -> list:
     """A stored tensor as dense JSON: each vector lists all dim coordinates."""
-    return [[_dense_json(field, dim, v) for v in row] for row in view]
+    to_json, vecs = _number_to_json(field), list(chain.from_iterable(view))
+    dense = list(map(list, repeat([to_json(0)] * dim, len(vecs))))
+    for vec, out in compress(zip(vecs, dense), vecs):
+        _filled(to_json, out, vec)
+    rows = iter(dense)
+    return [list(islice(rows, len(row))) for row in view]
 
 
-def _tensor(read: Callable, obj: Any, d0: int, d1: int, d2: int) -> SparseTensor:
-    """A dense JSON tensor read into a sparse view; every entry, zeros
-    included, goes through the reader."""
+def _tensor(read: _Reader, obj: Any, d0: int, d1: int, d2: int) -> SparseTensor:
+    """A dense JSON tensor read into a sparse view: every entry, zeros
+    included, is checked, and only the nonzeros are placed."""
     if not isinstance(obj, list) or len(obj) != d0:
         raise InputDataError(f"tensor must have {d0} outer entries")
-    out = []
-    for row in obj:
-        if not isinstance(row, list) or len(row) != d1:
-            raise InputDataError(f"tensor rows must have {d1} entries")
-        new_row = []
-        for vec in row:
-            if not isinstance(vec, list) or len(vec) != d2:
-                raise InputDataError(f"tensor vectors must have {d2} entries")
-            new_row.append(_sparse(map(read, vec)))
-        out.append(tuple(new_row))
-    return tuple(out)
+    coeffs = read.dense(obj, ((d1, f"tensor rows must have {d1} entries"),
+                              (d2, f"tensor vectors must have {d2} entries")))
+    vecs: list[dict[int, Number]] = [{} for _ in range(d0 * d1)]
+    for pos, c in _nonzeros(coeffs):
+        v, k = divmod(pos, d2)
+        vecs[v][k] = c
+    return tuple(tuple(vecs[i * d1:(i + 1) * d1]) for i in range(d0))
 
 
 def action_block_to_json(d: ActionData) -> dict:
@@ -186,7 +234,7 @@ def action_block_to_json(d: ActionData) -> dict:
     return {"left": tensor_to_json(f, d.sparse_left, n), "right": tensor_to_json(f, d.sparse_right, n)}
 
 
-def _action_block(read: Callable, obj: Any, actor: LeibnizAlgebra, target: LeibnizAlgebra) -> ActionData:
+def _action_block(read: _Reader, obj: Any, actor: LeibnizAlgebra, target: LeibnizAlgebra) -> ActionData:
     if not isinstance(obj, dict) or "left" not in obj or "right" not in obj:
         raise InputDataError("action block needs left and right tensors")
     left = _tensor(read, obj["left"], actor.dim, target.dim, target.dim)
@@ -201,7 +249,7 @@ def action_to_json(d: ActionData) -> dict:
 def action_from_json(field: Field, obj: Any) -> ActionData:
     if not isinstance(obj, dict) or not {"actor", "target", "left", "right"} <= set(obj):
         raise InputDataError("action object needs actor, target, left, right")
-    read = _reader(field)
+    read = _Reader(field)
     return _action_block(read, obj, _algebra(field, read, obj["actor"]), _algebra(field, read, obj["target"]))
 
 
@@ -218,10 +266,10 @@ def xmod_to_json(x: CrossedModule) -> dict:
 
 
 def xmod_from_json(field: Field, obj: Any) -> CrossedModule:
-    return _xmod(field, _reader(field), obj)
+    return _xmod(field, _Reader(field), obj)
 
 
-def _xmod(field: Field, read: Callable, obj: Any) -> CrossedModule:
+def _xmod(field: Field, read: _Reader, obj: Any) -> CrossedModule:
     if not isinstance(obj, dict) or not {"top", "base", "boundary", "action"} <= set(obj):
         raise InputDataError("crossed module object needs top, base, boundary, action")
     top = _algebra(field, read, obj["top"])
@@ -250,7 +298,7 @@ def xaction_from_json(field: Field, obj: Any) -> XModActionData:
     needed = {"actor_xmod", "target_xmod", "p_on_n", "p_on_q", "xi1", "xi2"}
     if not isinstance(obj, dict) or not needed <= set(obj):
         raise InputDataError("crossed-module action object needs " + ", ".join(sorted(needed)))
-    read = _reader(field)
+    read = _Reader(field)
     x = _xmod(field, read, obj["actor_xmod"])
     y = _xmod(field, read, obj["target_xmod"])
     pn = _action_block(read, obj["p_on_n"], x.base, y.top)
@@ -276,7 +324,7 @@ def actor_morphism_from_json(field: Field, obj: Any) -> ActorMorphism:
     needed = {"source", "actor_of", "top_map", "base_map"}
     if not isinstance(obj, dict) or not needed <= set(obj):
         raise InputDataError("morphism object needs " + ", ".join(sorted(needed)))
-    read = _reader(field)
+    read = _Reader(field)
     source = _xmod(field, read, obj["source"])
     around = _xmod(field, read, obj["actor_of"])
     top_map = _matrix(field, read, obj["top_map"])
@@ -302,7 +350,7 @@ def sequence_from_json(field: Field, obj: Any) -> ShortExactSequence:
     needed = {"first", "middle", "last", "include", "project"}
     if not isinstance(obj, dict) or not needed <= set(obj):
         raise InputDataError("sequence object needs " + ", ".join(sorted(needed)))
-    read = _reader(field)
+    read = _Reader(field)
     first = _xmod(field, read, obj["first"])
     middle = _xmod(field, read, obj["middle"])
     last = _xmod(field, read, obj["last"])

@@ -52,11 +52,23 @@ Direct sums and semidirect products assemble their stored tensors from the
 views of their parts, block by block.  The dense loops they replaced, which
 padded each dense vector by hand, are kept at the end as ``*_tensors``;
 ``test_sparse_stages.py`` compares them with the dense views of the new ones.
+
+``serialize`` reads and writes each dense JSON tensor and matrix whole: it
+checks shapes and token types over whole levels, looks every token up in
+one memo per document and places or writes only the nonzeros, and
+``linalg._stored`` recognises a tensor already in stored form the same way.
+The per-entry readers, the writers that filled each dense vector through
+``field.scalar_to_json`` and the per-vector stored-form check they replaced
+are kept at the end as ``read_*_by_entry``, ``*_to_json_by_row``,
+``tensor_to_json_by_vector`` and ``stored_by_vector``; ``test_serialize.py``
+and ``test_linalg.py`` compare them.
 """
 from __future__ import annotations
 
 import dataclasses
 import random
+from fractions import Fraction
+from operator import is_
 
 from lbxmod import algebra, xmod
 from lbxmod.action import ActionData
@@ -66,6 +78,7 @@ from lbxmod.algebra import (
     ValidationReport,
     Violation,
     _accumulate,
+    _check_dim,
     _evaluate,
     _quotient,
     _restricted,
@@ -102,6 +115,7 @@ from lbxmod.linalg import (
     nullspace,
     sparse_kernel,
 )
+from lbxmod.serialize import _is_int, _number_to_json
 from lbxmod.xaction import ActorMorphism, ConditionsNotMetError, InvalidMorphismError, XModActionData
 from lbxmod.xmod import (
     NO_CONDITION_WARNING,
@@ -1104,3 +1118,109 @@ def semidirect_xmod_tensors(d: XModActionData):
         right.append(tuple(row))
     return (semidirect_algebra_table(m_on_n), semidirect_algebra_table(d.act_on_base),
             tuple(left), tuple(right))
+
+
+# -- the dense JSON codec and the stored form, entry by entry ---------------------
+
+
+def _dense_json(field, dim, vec, den=1):
+    """The sparse vector vec / den as a dense JSON list of dim scalars."""
+    to_json, out = _number_to_json(field), [field.scalar_to_json(field.zero)] * dim
+    for k, c in vec.items():
+        out[k] = to_json(c if den == 1 else Fraction(c, den))
+    return out
+
+
+def matrix_to_json_by_row(m: Matrix) -> dict:
+    rows = m.transpose().sparse_columns
+    return {"rows": m.rows, "cols": m.cols, "entries": [_dense_json(m.field, m.cols, row) for row in rows]}
+
+
+def subspace_to_json_by_row(s: Subspace) -> dict:
+    basis = [_dense_json(s.field, s.ambient, row, d) for row, d in s.scaled_rows]
+    return {"ambient_dim": s.ambient, "dim": s.dim, "basis": basis}
+
+
+def tensor_to_json_by_vector(field, view, dim) -> list:
+    return [[_dense_json(field, dim, v) for v in row] for row in view]
+
+
+def read_matrix_by_entry(field, read, obj) -> Matrix:
+    """A dense JSON matrix read entry by entry; read(token) gives a scalar."""
+    if not isinstance(obj, dict) or not {"rows", "cols", "entries"} <= set(obj):
+        raise InputDataError("matrix object needs rows, cols and entries")
+    rows, cols = obj["rows"], obj["cols"]
+    if not (_is_int(rows) and _is_int(cols) and rows >= 0 and cols >= 0):
+        raise InputDataError("matrix dimensions must be non-negative integers")
+    _check_dim(cols)
+    data = obj["entries"]
+    if not isinstance(data, list) or len(data) != rows:
+        raise InputDataError("matrix entries do not match the declared row count")
+    columns = tuple({} for _ in range(cols))
+    for i, row in enumerate(data):
+        if not isinstance(row, list) or len(row) != cols:
+            raise InputDataError("matrix entries do not match the declared column count")
+        for j, x in enumerate(row):
+            c = read(x)
+            if c:
+                columns[j][i] = number(c)
+    return Matrix(field, rows, cols, columns)
+
+
+def read_tensor_by_entry(read, obj, d0, d1, d2):
+    """A dense JSON tensor read into a sparse view; every entry, zeros
+    included, goes through read(token), which gives a scalar."""
+    if not isinstance(obj, list) or len(obj) != d0:
+        raise InputDataError(f"tensor must have {d0} outer entries")
+    out = []
+    for row in obj:
+        if not isinstance(row, list) or len(row) != d1:
+            raise InputDataError(f"tensor rows must have {d1} entries")
+        new_row = []
+        for vec in row:
+            if not isinstance(vec, list) or len(vec) != d2:
+                raise InputDataError(f"tensor vectors must have {d2} entries")
+            new_row.append(_sparse(map(read, vec)))
+        out.append(tuple(new_row))
+    return tuple(out)
+
+
+def stored_by_vector(field, tensor, shape, what):
+    """``linalg._stored`` checking and normalizing one vector at a time: a
+    tensor already in stored form is recognised when every vector of it
+    comes back as itself."""
+    d0, d1, d2 = shape
+    bad_shape = f"{what} shape is not {d0}x{d1}x{d2}"
+    if len(tensor) != d0 or any(len(row) != d1 for row in tensor):
+        raise InputDataError(bad_shape)
+    p, coerce, scalar = field.characteristic, field.coerce, type(field.zero)
+
+    def kept(c) -> bool:
+        return type(c) is int and (0 < c < p if p else c != 0) or not p and type(c) is Fraction and c.denominator != 1
+
+    def vector(v):
+        if not isinstance(v, dict):
+            if len(v) != d2:
+                raise InputDataError(bad_shape)
+            items = enumerate(v)
+        elif type(v) is dict and (not v or all(type(k) is int and 0 <= k < d2 and kept(c) for k, c in v.items())):
+            return v
+        elif all(type(k) is int and 0 <= k < d2 for k in v):
+            items = v.items()
+        else:
+            raise InputDataError(f"{what} has an index outside [0, {d2})")
+        out = {}
+        for k, c in items:
+            if type(c) is not int:
+                if type(c) is not scalar or p and c.p != p:
+                    c = coerce(c)
+                c = number(c) if c else 0
+            if p:
+                c %= p
+            if c:
+                out[k] = c
+        return out
+
+    rows = tuple(tuple(map(vector, row)) for row in tensor)
+    same = type(tensor) is tuple and all(type(r) is tuple and all(map(is_, a, r)) for a, r in zip(rows, tensor))
+    return tensor if same else rows

@@ -14,12 +14,13 @@ import pytest
 from conftest import XMOD_IDS
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_stages import apply, reference_rref
-from strategies import VALUES, is_stored, matrices, respelled
+from reference_stages import apply, reference_rref, stored_by_vector
+from strategies import VALUES, is_stored, matrices, respelled, tensors
 
 from lbxmod import GF2, GF3, QQ, bider
 from lbxmod import serialize as ser
 from lbxmod.catalog import build_entry
+from lbxmod.fields import FpElement, InputDataError
 from lbxmod.linalg import (
     LinearSolveError,
     Matrix,
@@ -27,6 +28,7 @@ from lbxmod.linalg import (
     Subspace,
     _Preimages,
     _sparse,
+    _stored,
     column_space,
     nullspace,
     rref,
@@ -309,6 +311,65 @@ def test_dense_rows_and_sparse_columns_give_one_matrix(case):
     assert dense == sparse == m and hash(dense) == hash(sparse) == hash(m)
     assert is_stored(field, [sparse.sparse_columns]) and sparse.sparse_columns == dense.sparse_columns
     assert Subspace.from_rows(field, m.cols, m.entries) == Subspace.from_rows(field, m.cols, m.transpose().sparse_columns)
+
+
+def _stored_or_error(stored, field, tensor, shape):
+    try:
+        return stored(field, tensor, shape, "tensor")
+    except (InputDataError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=[f.tag for f in FIELDS])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_the_whole_tensor_stored_check_gives_the_per_vector_result(field, data):
+    """``_stored`` on a dense tensor, on its stored view, on that view in
+    lists or with a vector cut short or a key pushed out of range, and on
+    respelled sparse dicts: the same tensor or error as
+    ``reference_stages.stored_by_vector``, and the input itself exactly when
+    that returns it."""
+    d0, d1, d2 = (data.draw(st.integers(0, 3)) for _ in range(3))
+    dense = data.draw(tensors(field, d0, d1, d2))
+    view = _stored(field, dense, (d0, d1, d2), "tensor")
+    inputs = [dense, view, [list(row) for row in view], data.draw(respelled(field, dense))]
+    if d0 and d1:
+        bent = [list(row) for row in view]
+        bent[-1][-1] = data.draw(st.sampled_from(({d2: 1}, {True: 1}, dict(bent[-1][-1]), dense[-1][-1][:-1] or (0,))))
+        inputs.append(tuple(map(tuple, bent)))
+    for tensor in inputs:
+        new = _stored_or_error(_stored, field, tensor, (d0, d1, d2))
+        old = _stored_or_error(stored_by_vector, field, tensor, (d0, d1, d2))
+        assert new == old and (new is tensor) == (old is tensor)
+
+
+class _Dict(dict):
+    pass
+
+
+@pytest.mark.parametrize("field, tensor, stored", [
+    (QQ, (({0: Fraction(4, 2)},),), (({0: 2},),)),
+    (QQ, (({0: 1, 1: 0},),), (({0: 1},),)),
+    (GF3, (({0: 3, 1: -1},),), (({1: 2},),)),
+    (GF3, (({0: FpElement(2, 3), 1: 4},),), (({0: 2, 1: 1},),)),
+    (QQ, ((_Dict({1: 5}),),), (({1: 5},),)),
+    (QQ, [[{0: 1}]], (({0: 1},),)),
+], ids=["integral-fraction", "explicit-zero", "residue-p-and-minus-1", "fp-elements", "dict-subclass", "lists"])
+def test_the_stored_form_normalizes_what_is_not_stored(field, tensor, stored):
+    out = _stored(field, tensor, (1, 1, 2), "tensor")
+    assert out is not tensor and out == stored and type(out) is tuple and type(out[0]) is tuple and type(out[0][0]) is dict
+    assert all(type(c) is int for c in out[0][0].values())
+
+
+@pytest.mark.parametrize("key", (True, 2), ids=("bool", "d2"))
+def test_the_stored_form_refuses_a_key_outside_the_vector(key):
+    with pytest.raises(InputDataError, match=r"^tensor has an index outside \[0, 2\)$"):
+        _stored(QQ, (({key: 1},),), (1, 1, 2), "tensor")
+
+
+def test_a_stored_tuple_tensor_is_handed_back_as_it_is():
+    for field, tensor in ((QQ, (({0: Fraction(1, 2), 1: -3}, {}), ({}, {1: 1}))), (GF3, (({0: 2}, {1: 1}),))):
+        assert _stored(field, tensor, (len(tensor), 2, 2), "tensor") is tensor
 
 
 def dense_transpose(m):

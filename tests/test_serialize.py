@@ -2,23 +2,33 @@
 
 Each document is read through one scalar memo; the tests at the end check
 that it reads generated documents in any spelling as per-entry parsing
-does, and still refuses near misses of a scalar it has already read."""
+does, and still refuses near misses of a scalar it has already read.  Dense
+tensors and matrices are read and written a whole tensor at a time; the
+last tests compare that codec with the per-entry one kept in
+``reference_stages``, and check that a malformed tensor still reports its
+first fault in document order under any hash seed."""
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import pytest
+import reference_stages as ref
 from conftest import FIELDS, XMOD_IDS
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import actions, algebras, xactions, xmods
+from strategies import actions, algebras, matrices, xactions, xmods
 
 from lbxmod import InputDataError
 from lbxmod import serialize as ser
 from lbxmod.catalog import CATALOG, build_entry
 from lbxmod.cli import EXIT_BAD_INPUT, EXIT_OK, main
 from lbxmod.fields import GF3, QQ
+from lbxmod.linalg import Subspace, number
 from lbxmod.serialize import (
     action_from_json,
     action_to_json,
@@ -235,6 +245,41 @@ def test_a_malformed_zero_in_a_dense_action_tensor_is_refused(field, tensor, bad
     assert "error" in json.loads(capsys.readouterr().out)
 
 
+def _malformed_tensor_doc(tensor: str, faults) -> dict:
+    """The 2-dimensional crossed module of ``_xmod_doc`` with each (path,
+    value) of faults written into one of its action tensors."""
+    doc = _xmod_doc("tensor", 0)
+    for path, value in faults:
+        *outer, last = path
+        target = doc["action"][tensor]
+        for i in outer:
+            target = target[i]
+        target[last] = value
+    return doc
+
+
+# Each document's first fault in document order, and the report naming it.
+FIRST_FAULTS = [
+    (_malformed_tensor_doc("left", [((0, 1, 1), "x"), ((1, 0, 0), "1/0")]), "bad rational scalar 'x'"),
+    (_malformed_tensor_doc("right", [((0, 1, 0), "x"), ((1, 0), [0])]), "bad rational scalar 'x'"),
+    (_malformed_tensor_doc("right", [((0, 1), [0]), ((1, 0, 1), "x")]), "tensor vectors must have 2 entries"),
+]
+
+
+@pytest.mark.parametrize("seed", ("0", "1"))
+@pytest.mark.parametrize("doc, error", FIRST_FAULTS, ids=("two-bad-tokens", "token-then-short", "short-then-token"))
+def test_a_malformed_tensor_reports_its_first_fault_under_any_hash_seed(doc, error, seed, tmp_path):
+    """Whole tensors are checked at once, but the fault reported is the
+    first in document order, not the first in a set's hash order."""
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"), PYTHONHASHSEED=seed)
+    proc = subprocess.run([sys.executable, "-m", "lbxmod.cli", "validate", str(path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == EXIT_BAD_INPUT and proc.stderr == ""
+    assert json.loads(proc.stdout) == {"command": "validate", "field": "q", "input": str(path), "error": error}
+
+
 def _respelled(doc: dict, field, rng: random.Random) -> dict:
     """doc with each scalar in one of its equivalent spellings: Q integers as
     JSON strings or integers, fractions unreduced; residues as integers or
@@ -262,6 +307,13 @@ def _respelled(doc: dict, field, rng: random.Random) -> dict:
 GENERATED = {"algebra": algebras, "action": actions, "xmod": xmods, "xaction": xactions}
 
 
+class _Uncached(ser._Reader):
+    """The document reader's interface with no memo: every token is parsed."""
+
+    def __getitem__(self, x):
+        return number(self.parse(x))
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=[f.tag for f in FIELDS])
 @pytest.mark.parametrize("kind", sorted(GENERATED))
 @settings(max_examples=25, deadline=None)
@@ -271,9 +323,56 @@ def test_generated_documents_read_as_entry_by_entry(field, kind, data):
     text = json.dumps(TO_JSON[kind](obj))
     assert FROM_JSON[kind](field, json.loads(text)) == obj
     doc = _respelled(json.loads(text), field, random.Random(data.draw(st.integers(0, 2**16))))
-    with mock.patch.object(ser, "_reader", lambda f: f.parse_scalar):
+    with mock.patch.object(ser, "_Reader", _Uncached):
         expected = FROM_JSON[kind](field, doc)
     assert FROM_JSON[kind](field, doc) == expected == obj
+
+
+# -- the whole-tensor codec against the per-entry one ------------------------------
+#
+# ``reference_stages`` keeps the per-entry readers and the writers that filled
+# each dense vector through ``field.scalar_to_json``: documents must read to
+# equal objects and write to the same text.
+
+
+PER_ENTRY_READERS = {"_tensor": lambda read, *shape: ref.read_tensor_by_entry(read.parse, *shape),
+                     "_matrix": lambda f, read, obj: ref.read_matrix_by_entry(f, read.parse, obj)}
+PER_ENTRY_WRITERS = {"tensor_to_json": ref.tensor_to_json_by_vector, "matrix_to_json": ref.matrix_to_json_by_row}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=[f.tag for f in FIELDS])
+@pytest.mark.parametrize("kind", sorted(GENERATED))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_generated_documents_match_the_per_entry_codec(field, kind, data):
+    obj = data.draw(GENERATED[kind](field))
+    text = json.dumps(TO_JSON[kind](obj))
+    with mock.patch.multiple(ser, **PER_ENTRY_WRITERS):
+        assert json.dumps(TO_JSON[kind](obj)) == text
+    rng = random.Random(data.draw(st.integers(0, 2**16)))
+    for doc in (json.loads(text), _respelled(json.loads(text), field, rng)):
+        with mock.patch.multiple(ser, **PER_ENTRY_READERS):
+            expected = FROM_JSON[kind](field, doc)
+        assert FROM_JSON[kind](field, doc) == expected == obj
+
+
+@pytest.mark.parametrize("cid", sorted(CATALOG))
+def test_catalog_documents_write_as_the_per_entry_codec(cid, field):
+    obj, to_json = build_entry(cid, field), TO_JSON[CATALOG[cid].kind]
+    text = json.dumps(to_json(obj))
+    with mock.patch.multiple(ser, **PER_ENTRY_WRITERS):
+        assert json.dumps(to_json(obj)) == text
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=[f.tag for f in FIELDS])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_matrices_and_subspaces_write_as_row_by_row(field, data):
+    rows, cols = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    m = data.draw(matrices(field, rows, cols))
+    assert json.dumps(ser.matrix_to_json(m)) == json.dumps(ref.matrix_to_json_by_row(m))
+    s = Subspace.from_rows(field, cols, m.entries)
+    assert json.dumps(ser.subspace_to_json(s)) == json.dumps(ref.subspace_to_json_by_row(s))
 
 
 @pytest.mark.parametrize("cid", XMOD_IDS)
