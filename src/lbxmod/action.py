@@ -99,6 +99,13 @@ class SemidirectAlgebra:
     include_actor: Matrix   # actor -> sum, second block
 
 
+def _semidirect_table(d: ActionData) -> SparseTensor:
+    """The bracket table of target x| actor, the target block first."""
+    m, p = d.target, d.actor
+    return _blocks((m.dim, p.dim), (m.dim, p.dim),
+                   [[(m.sparse_table, 0), (d.sparse_right, 0)], [(d.sparse_left, 0), (p.sparse_table, m.dim)]])
+
+
 def semidirect_algebra(d: ActionData) -> SemidirectAlgebra:
     """Target-plus-actor algebra with bracket twisted by the action.
 
@@ -107,9 +114,6 @@ def semidirect_algebra(d: ActionData) -> SemidirectAlgebra:
     """
     m, p, f = d.target, d.actor, d.target.field
     n = m.dim + p.dim
-    tab = _blocks((m.dim, p.dim), (m.dim, p.dim),
-                  [[(m.sparse_table, 0), (d.sparse_right, 0)], [(d.sparse_left, 0), (p.sparse_table, m.dim)]])
-    alg = LeibnizAlgebra(f, n, tab)
     inc_m = Matrix(f, n, m.dim, tuple(_units(m.dim)))
     inc_p = Matrix(f, n, p.dim, tuple({m.dim + a: 1} for a in range(p.dim)))
-    return SemidirectAlgebra(alg, inc_m, inc_p)
+    return SemidirectAlgebra(LeibnizAlgebra(f, n, _semidirect_table(d)), inc_m, inc_p)

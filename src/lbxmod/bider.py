@@ -1,24 +1,27 @@
 """Biderivation spaces and the actor crossed module.
 
 The spaces are kernels of linear identity systems whose sparse rows
-{unknown: coefficient} are read straight off the structure constants by
-three reusable blocks: ``_pair_rows`` (a biderivation pair through an
-action), ``_boundary_rows`` (maps intertwine the boundary) and
-``_action_rows`` (a quadruple is compatible with the action).
+{unknown: coefficient} are read straight off the structure constants by two
+reusable blocks on maps given as column templates of unknowns:
+``_pair_rows`` (a biderivation pair at given index pairs of a bracket table
+acting on the maps' target) and ``_boundary_rows`` (maps intertwine the
+boundary).
 
 * ``bider_qn(x)`` — pairs (der, antider) of maps base -> top of a crossed
   module: the pair block through its action.
 * ``bider_algebra(a)`` — ``bider_qn`` of the identity crossed module on a.
 * ``bider_xmod(x)`` — quadruples (top_der, top_antider, base_der,
-  base_antider): a pair on each layer through its own bracket, solved first,
-  then the boundary and action blocks on the two pair spaces' coordinates;
-  on an identity crossed module, ``bider_qn(x)``'s pairs repeated, unsolved.
+  base_antider): the pair rows of top x| base within each layer, solved
+  first, then the boundary block and the pair rows across the layers on the
+  two pair spaces' coordinates; on an identity, ``bider_qn(x)``'s pairs.
 
 Each space carries an induced Leibniz bracket, the one ``_pair_bracket``
 taken on each pair of components: a quadruple's is the pair bracket on each
 layer with mu = id.  ``actor`` assembles the crossed module (pair space) ->
 (quadruple space) whose boundary sends a pair to its boundary-composed
-quadruple (on an identity, the identity on Bider).
+quadruple (on an identity, the identity on Bider), and whose action tables
+are pair brackets read by the same ``_bracket_table``: a quadruple is the
+pair (s1, t1) with mu-images (s2, t2), and a pair is its own mu-images.
 
 Every map built from the solved spaces is computed sparsely, on ints, and
 only ``MapSpace`` knows how a member is laid out as maps.
@@ -48,9 +51,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .action import ActionData
+from .action import ActionData, _semidirect_table
 from .algebra import LeibnizAlgebra, SparseTensor, SparseVector, _evaluate, _units
 from .fields import Field
 from .linalg import (
@@ -213,12 +216,14 @@ class MapSpace:
 # -- constraint blocks ----------------------------------------------------
 #
 # The unknowns of a system are the entries of a tuple of maps, concatenated
-# row-major.  A map is addressed by (offset of its first entry, rows, cols).
-# Every identity below is linear in the unknowns and vector valued; it is
-# emitted as one sparse row {unknown: coefficient} per output coordinate,
-# read straight off the sparse views of the structure constants.
+# row-major.  A map enters a block as its column template: column x lists
+# (k, u), the unknown u of its entry in row k, for every row k.  Every
+# identity below is linear in the unknowns and vector valued; it is emitted
+# as one sparse row {unknown: coefficient} per output coordinate, read
+# straight off the sparse views of the structure constants.
 
-_Map = tuple[int, int, int]
+_Map = tuple[int, int, int]  # (offset of its first entry, rows, cols)
+_Columns = list[list[tuple[int, int]]]
 _Row = dict[int, Number]
 
 
@@ -227,76 +232,61 @@ def _layout(shapes: tuple[tuple[int, int], ...]) -> list[_Map]:
     return [(off, r, c) for off, (r, c) in zip(offsets, shapes)]
 
 
-def _applied(m: _Map, vec: SparseVector):
-    """Coordinate k of M(v) for a fixed vector v: sum_c v[c] M[k][c]."""
+def _columns(m: _Map, shift: int = 0) -> _Columns:
+    """The column template of a map whose rows are numbered from shift."""
     off, rows, cols = m
-    return [(k, off + k * cols + c, t) for c, t in vec.items() for k in range(rows)]
+    return [[(shift + k, off + k * cols + c) for k in range(rows)] for c in range(cols)]
 
 
-def _sent(m: _Map, x: int, images: Sequence[SparseVector]):
+def _applied(m: _Columns, vec: SparseVector):
+    """Coordinate k of M(v) for a fixed vector v: sum_c v[c] M[k][c]."""
+    return [(k, u, t) for c, t in vec.items() for k, u in m[c]]
+
+
+def _sent(m: _Columns, x: int, images: Sequence[SparseVector]):
     """Coordinate k of T(M(e_x)) for a fixed linear T with T(e_i) = images[i]."""
-    off, _rows, cols = m
-    return [(k, off + i * cols + x, t) for i, img in enumerate(images) for k, t in img.items()]
+    return [(k, u, t) for i, u in m[x] for k, t in images[i].items()]
 
 
-def _collect(size: int, *terms) -> list[_Row]:
-    """The rows of sum(sign * term) = 0, one per output coordinate."""
-    rows: list[_Row] = [{} for _ in range(size)]
+def _collect(*terms) -> list[_Row]:
+    """The rows of sum(sign * term) = 0, one per output coordinate reached, in order."""
+    rows: dict[int, _Row] = {}
     for sign, contributions in terms:
         for k, u, t in contributions:
-            row = rows[k]
+            row = rows.get(k)
+            if row is None:
+                row = rows[k] = {}
             row[u] = row.get(u, 0) + sign * t
-    return [row for row in rows if row]
+    return [rows[k] for k in sorted(rows)]
 
 
-def _pair_rows(act: ActionData, d: _Map, dd: _Map) -> list[_Row]:
-    """(d, dd): actor -> target is a biderivation pair through the action:
+def _pair_rows(table: SparseTensor, left: SparseTensor, right: SparseTensor, d: _Columns, dd: _Columns,
+               blocks: Iterable[tuple[range, range]]) -> list[_Row]:
+    """(d, dd) is a biderivation pair at every index pair (a, b) in the
+    blocks A x B given: the maps go from the algebra with bracket ``table``
+    to a space on which it acts by left[a][i] = [e_a, m_i] and
+    right[i][b] = [m_i, e_b], and
 
     d([a, b]) = [d(a), b] + [a, d(b)],  dd([a, b]) = [dd(a), b] - [dd(b), a],
     [a, d(b) - dd(b)] = 0.
     """
-    src, n = act.actor.dim, act.target.dim
-    tab = act.actor.sparse_table
-    left_of = act.sparse_left                                                      # [e_a, e_i]
-    right_by = [[act.sparse_right[i][b] for i in range(n)] for b in range(src)]  # [e_i, e_b]
+    right_by = [[row[b] for row in right] for b in range(len(table))]  # [m_i, e_b]
     rows: list[_Row] = []
-    for a in range(src):
-        for b in range(src):
-            d_b = _sent(d, b, left_of[a])
-            rows += _collect(n, (1, _applied(d, tab[a][b])), (-1, _sent(d, a, right_by[b])), (-1, d_b))
-            rows += _collect(n, (1, _applied(dd, tab[a][b])), (-1, _sent(dd, a, right_by[b])),
-                             (1, _sent(dd, b, right_by[a])))
-            rows += _collect(n, (1, d_b), (-1, _sent(dd, b, left_of[a])))
+    for a, b in itertools.chain.from_iterable(itertools.starmap(itertools.product, blocks)):
+        d_b = _sent(d, b, left[a])
+        rows += _collect((1, _applied(d, table[a][b])), (-1, _sent(d, a, right_by[b])), (-1, d_b))
+        rows += _collect((1, _applied(dd, table[a][b])), (-1, _sent(dd, a, right_by[b])),
+                         (1, _sent(dd, b, right_by[a])))
+        rows += _collect((1, d_b), (-1, _sent(dd, b, left[a])))
     return rows
 
 
-def _boundary_rows(mu: Matrix, top: _Map, base: _Map) -> list[_Row]:
+def _boundary_rows(mu: Matrix, top: _Columns, base: _Columns) -> list[_Row]:
     """The boundary intertwines the maps: mu @ top = base @ mu."""
     mu_cols = mu.sparse_columns
     rows: list[_Row] = []
     for j in range(mu.cols):
-        rows += _collect(mu.rows, (1, _sent(top, j, mu_cols)), (-1, _applied(base, mu_cols[j])))
-    return rows
-
-
-def _action_rows(act: ActionData, s1: _Map, t1: _Map, s2: _Map, t2: _Map) -> list[_Row]:
-    """The quadruple is compatible with the action of the base on the top."""
-    q, n = act.actor.dim, act.target.dim
-    left_of, right_of = act.sparse_left, act.sparse_right                        # [e_a, e_j], [e_i, e_b]
-    left_on = [[left_of[b][i] for b in range(q)] for i in range(n)]              # [e_b, e_i]
-    right_by = [[right_of[j][a] for j in range(n)] for a in range(q)]            # [e_j, e_a]
-    rows: list[_Row] = []
-    for a in range(q):
-        for i in range(n):
-            la, ra = left_of[a][i], right_of[i][a]
-            s1_i, s2_a = _sent(s1, i, left_of[a]), _sent(s2, a, right_of[i])
-            t1_i, t2_a = _sent(t1, i, right_by[a]), _sent(t2, a, left_on[i])
-            rows += _collect(n, (1, _applied(s1, la)), (-1, _sent(s2, a, left_on[i])), (-1, s1_i))
-            rows += _collect(n, (1, _applied(s1, ra)), (-1, _sent(s1, i, right_by[a])), (-1, s2_a))
-            rows += _collect(n, (1, _applied(t1, la)), (-1, t2_a), (1, t1_i))
-            rows += _collect(n, (1, _applied(t1, ra)), (-1, t1_i), (1, t2_a))
-            rows += _collect(n, (1, s1_i), (-1, _sent(t1, i, left_of[a])))
-            rows += _collect(n, (1, s2_a), (-1, _sent(t2, a, right_of[i])))
+        rows += _collect((1, _sent(top, j, mu_cols)), (-1, _applied(base, mu_cols[j])))
     return rows
 
 
@@ -309,16 +299,21 @@ def _pair_bracket(u: Sequence[tuple], v: Sequence[tuple]) -> list[list[Product]]
     return terms + _pair_bracket(u[1:], v[1:]) if len(u) > 1 else terms
 
 
+def _bracket_table(space: MapSpace, us: Sequence[Sequence[tuple]], vs: Sequence[Sequence[tuple]],
+                   error: str) -> SparseTensor:
+    """Entry (s, t) is the ``_pair_bracket`` of us[s] and vs[t], read in space."""
+    return tuple(tuple(space.read_products(_pair_bracket(u, v), error) for v in vs) for u in us)
+
+
 def _space_with_algebra(shapes: tuple[tuple[int, int], ...], space: Subspace,
                         prepare: Callable[[ScaledMaps], tuple]) -> MapSpace:
     """The solved space with the bracket table read off its echelon basis:
-    entry (s, t) is ``_pair_bracket`` of prepare(basis[s]) and
-    prepare(basis[t]), which list one pair (d, dd, mu d, mu dd) per layer."""
+    the pair brackets of its members, prepare(basis[s]), which list one pair
+    (d, dd, mu d, mu dd) per layer."""
     field = space.field
     solved = MapSpace(field, shapes, space, LeibnizAlgebra.abelian(field, 0))
     members = [prepare(m) for m in solved.sparse_basis]
-    error = "bracket of two solutions left the solution space"
-    table = tuple(tuple(solved.read_products(_pair_bracket(u, v), error) for v in members) for u in members)
+    table = _bracket_table(solved, members, members, "bracket of two solutions left the solution space")
     return replace(solved, algebra=LeibnizAlgebra(field, solved.dim, table))
 
 
@@ -333,9 +328,11 @@ def bider_algebra(a: LeibnizAlgebra) -> MapSpace:
 @functools.lru_cache(maxsize=None)
 def bider_qn(x: CrossedModule) -> MapSpace:
     """Pairs of maps base -> top satisfying the pair identities through the action."""
-    shapes = ((x.top.dim, x.base.dim),) * 2
-    mu = _scaled_matrix(x.boundary)
-    space = sparse_kernel(x.top.field, 2 * x.top.dim * x.base.dim, _pair_rows(x.action, *_layout(shapes)))
+    nd, qd = x.top.dim, x.base.dim
+    shapes, act, mu = ((nd, qd),) * 2, x.action, _scaled_matrix(x.boundary)
+    rows = _pair_rows(x.base.sparse_table, act.sparse_left, act.sparse_right,
+                      *map(_columns, _layout(shapes)), [(range(qd), range(qd))])
+    space = sparse_kernel(x.top.field, 2 * nd * qd, rows)
     return _space_with_algebra(shapes, space, lambda pair: [(*pair, _compose(mu, pair[0]), _compose(mu, pair[1]))])
 
 
@@ -345,7 +342,9 @@ def bider_qn(x: CrossedModule) -> MapSpace:
 @functools.lru_cache(maxsize=None)
 def bider_xmod(x: CrossedModule) -> MapSpace:
     """Quadruples (s1, t1, s2, t2): pairs on the top and on the base that
-    intertwine the boundary and are compatible with the action.
+    intertwine the boundary and are compatible with the action: the
+    block-diagonal pair (s1 + s2, t1 + t2) on the semidirect product
+    top x| base is a pair through its bracket across the two layers.
 
     On an identity crossed module they are read off ``bider_qn(x)``: mu = id
     forces s1 = s2 and t1 = t2, the action rows are then the pair rows of
@@ -353,28 +352,30 @@ def bider_xmod(x: CrossedModule) -> MapSpace:
     pair bracket.  So each pair's scaled row is repeated at offset 2n^2, on
     the same pivots, with the pair space's algebra: no solve and no table.
 
-    Otherwise they are solved inside Bider(top) x Bider(base): one kernel
-    solves the pair spaces of the two layers, and the boundary and action
-    rows, pulled back to the stacked echelon rows (members) of the two,
-    leave a small system on dim Bider(top) + dim Bider(base) unknowns.  The
-    members have increasing pivots and vanish at each other's, so each
-    reduced kernel row times them is already a reduced echelon row; it is
-    only made primitive over Q.
+    Otherwise they are solved inside Bider(top) x Bider(base), the kernel of
+    the pair rows within each layer.  The boundary rows and the pair rows
+    across the layers, pulled back to the stacked echelon rows (members) of
+    the two, leave a small system on dim Bider(top) + dim Bider(base)
+    unknowns.  The members have increasing pivots and vanish at each other's,
+    so each reduced kernel row times them is already a reduced echelon row;
+    it is only made primitive over Q.
     """
     nd, qd = x.top.dim, x.base.dim
     shapes = ((nd, nd), (nd, nd), (qd, qd), (qd, qd))
-    s1, t1, s2, t2 = _layout(shapes)
     off, f = 2 * nd * nd, x.top.field
     if x.is_identity():
         pairs = bider_qn(x)
         rows = tuple((row | {off + u: c for u, c in row.items()}, d) for row, d in pairs.space.scaled_rows)
         return MapSpace(f, shapes, Subspace(f, 2 * off, rows, pairs.space.pivots), pairs.algebra)
-    pairs = sparse_kernel(f, off + 2 * qd * qd, _pair_rows(ActionData.by_bracket(x.top), s1, t1)
-                          + _pair_rows(ActionData.by_bracket(x.base), s2, t2))
+    maps = _layout(shapes)
+    s1, t1, s2, t2 = map(_columns, maps)
+    # the block-diagonal pair on top x| base, the base rows numbered after the top's
+    d, dd = s1 + _columns(maps[2], nd), t1 + _columns(maps[3], nd)
+    tab, top, base = _semidirect_table(x.action), range(nd), range(nd, nd + qd)
+    pairs = sparse_kernel(f, off + 2 * qd * qd, _pair_rows(tab, tab, tab, d, dd, [(top, top), (base, base)]))
     members, pivots = [row for row, _d in pairs.scaled_rows], pairs.pivots
-    rows = (_boundary_rows(x.boundary, s1, s2)
-            + _boundary_rows(x.boundary, t1, t2)
-            + _action_rows(x.action, s1, t1, s2, t2))
+    rows = (_boundary_rows(x.boundary, s1, s2) + _boundary_rows(x.boundary, t1, t2)
+            + _pair_rows(tab, tab, tab, d, dd, [(base, top), (top, base)]))
     on_members: SparseMatrix = {}  # unknown u -> {t: members[t][u]}
     for t, member in enumerate(members):
         for u, c in member.items():
@@ -413,18 +414,11 @@ def actor(x: CrossedModule) -> CrossedModule:
     pairs = bider_qn(x)
     quads = bider_xmod(x)
     error = "actor action left the pair space"
-
-    def read(components: list[list[Product]]) -> SparseVector:
-        return pairs.read_products(components, error)
-
     # [quadruple, pair] and [pair, quadruple] inside the actor's top layer
-    left = tuple(tuple(read([[(1, s1, d), (-1, d, s2)], [(1, t1, d), (-1, d, t2)]])
-                       for d, _dd in pairs.sparse_basis)
-                 for s1, t1, s2, t2 in quads.sparse_basis)
-    right = tuple(tuple(read([[(1, d, s2), (-1, s1, d)], [(1, dd, s2), (-1, s1, dd)]])
-                        for s1, _t1, s2, _t2 in quads.sparse_basis)
-                  for d, dd in pairs.sparse_basis)
-    act = ActionData(quads.algebra, pairs.algebra, left, right)
+    ps = [[(d, dd, d, dd)] for d, dd in pairs.sparse_basis]
+    qs = [[quad] for quad in quads.sparse_basis]
+    act = ActionData(quads.algebra, pairs.algebra, _bracket_table(pairs, qs, ps, error),
+                     _bracket_table(pairs, ps, qs, error))
     return CrossedModule(pairs.algebra, quads.algebra, delta(x), act)
 
 

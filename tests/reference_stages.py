@@ -22,12 +22,15 @@ it replaced, which pulled back every bracket of dense vectors on its own,
 is kept here under the same name.
 
 ``bider_xmod`` solves the quadruples inside the product of the two pair
-spaces, on the pair-space coordinates.  The one system it replaced, the pair
-rows of both layers beside the boundary and action rows on all 2n^2 + 2q^2
-map entries, is kept as ``one_system_bider_xmod``; ``test_bider.py``
-compares the two.  On an identity crossed module ``bider_xmod`` and
-``actor`` read their results off the pair space; the actor as built on any
-crossed module, on the one-system quadruples, is kept as ``general_actor``.
+spaces, on the pair-space coordinates, and reads the action rows as the pair
+rows of the block-diagonal pair on top x| base across its two layers.  The
+one system it replaced, the pair rows of both layers beside the boundary and
+six hand-written action rows on all 2n^2 + 2q^2 map entries, is kept as
+``one_system_bider_xmod``, on its own copy of those constraint blocks;
+``test_bider.py`` compares the two.  On an identity crossed module
+``bider_xmod`` and ``actor`` read their results off the pair space; the
+actor as built on any crossed module, on the one-system quadruples, with its
+action tables as hand-written products, is kept as ``general_actor``.
 
 On an identity crossed module with one subspace on both layers,
 ``sub_xmod`` and ``quotient_xmod`` return the identity on the subalgebra or
@@ -69,12 +72,14 @@ import dataclasses
 import random
 from fractions import Fraction
 from operator import is_
+from typing import Sequence
 
 from lbxmod import algebra, xmod
 from lbxmod.action import ActionData
 from lbxmod.algebra import (
     _ONE,
     LeibnizAlgebra,
+    SparseVector,
     ValidationReport,
     Violation,
     _accumulate,
@@ -89,10 +94,7 @@ from lbxmod.bider import (
     MapSpace,
     NotExactError,
     ShortExactSequence,
-    _action_rows,
-    _boundary_rows,
     _layout,
-    _pair_rows,
     _scaled_matrix,
     actor,
     bider_qn,
@@ -105,6 +107,7 @@ from lbxmod.fields import InputDataError
 from lbxmod.linalg import (
     LinearSolveError,
     Matrix,
+    Number,
     RrefResult,
     Subspace,
     _Preimages,
@@ -599,6 +602,87 @@ def rebase_xmod(x: CrossedModule, rng: random.Random, same_basis: bool = False) 
 
 
 # -- the quadruple space as one system ----------------------------------------------
+#
+# The constraint blocks as they stood before ``bider._pair_rows`` took a
+# bracket table and column templates: the pair rows through an action, the
+# boundary rows and the six action rows, each map addressed by (offset of its
+# first entry, rows, cols).
+
+_Map = tuple[int, int, int]
+_Row = dict[int, Number]
+
+
+def _applied(m: _Map, vec: SparseVector):
+    """Coordinate k of M(v) for a fixed vector v: sum_c v[c] M[k][c]."""
+    off, rows, cols = m
+    return [(k, off + k * cols + c, t) for c, t in vec.items() for k in range(rows)]
+
+
+def _sent(m: _Map, x: int, images: Sequence[SparseVector]):
+    """Coordinate k of T(M(e_x)) for a fixed linear T with T(e_i) = images[i]."""
+    off, _rows, cols = m
+    return [(k, off + i * cols + x, t) for i, img in enumerate(images) for k, t in img.items()]
+
+
+def _collect(size: int, *terms) -> list[_Row]:
+    """The rows of sum(sign * term) = 0, one per output coordinate."""
+    rows: list[_Row] = [{} for _ in range(size)]
+    for sign, contributions in terms:
+        for k, u, t in contributions:
+            row = rows[k]
+            row[u] = row.get(u, 0) + sign * t
+    return [row for row in rows if row]
+
+
+def _pair_rows(act: ActionData, d: _Map, dd: _Map) -> list[_Row]:
+    """(d, dd): actor -> target is a biderivation pair through the action:
+
+    d([a, b]) = [d(a), b] + [a, d(b)],  dd([a, b]) = [dd(a), b] - [dd(b), a],
+    [a, d(b) - dd(b)] = 0.
+    """
+    src, n = act.actor.dim, act.target.dim
+    tab = act.actor.sparse_table
+    left_of = act.sparse_left                                                      # [e_a, e_i]
+    right_by = [[act.sparse_right[i][b] for i in range(n)] for b in range(src)]  # [e_i, e_b]
+    rows: list[_Row] = []
+    for a in range(src):
+        for b in range(src):
+            d_b = _sent(d, b, left_of[a])
+            rows += _collect(n, (1, _applied(d, tab[a][b])), (-1, _sent(d, a, right_by[b])), (-1, d_b))
+            rows += _collect(n, (1, _applied(dd, tab[a][b])), (-1, _sent(dd, a, right_by[b])),
+                             (1, _sent(dd, b, right_by[a])))
+            rows += _collect(n, (1, d_b), (-1, _sent(dd, b, left_of[a])))
+    return rows
+
+
+def _boundary_rows(mu: Matrix, top: _Map, base: _Map) -> list[_Row]:
+    """The boundary intertwines the maps: mu @ top = base @ mu."""
+    mu_cols = mu.sparse_columns
+    rows: list[_Row] = []
+    for j in range(mu.cols):
+        rows += _collect(mu.rows, (1, _sent(top, j, mu_cols)), (-1, _applied(base, mu_cols[j])))
+    return rows
+
+
+def _action_rows(act: ActionData, s1: _Map, t1: _Map, s2: _Map, t2: _Map) -> list[_Row]:
+    """The quadruple is compatible with the action of the base on the top."""
+    q, n = act.actor.dim, act.target.dim
+    left_of, right_of = act.sparse_left, act.sparse_right                        # [e_a, e_j], [e_i, e_b]
+    left_on = [[left_of[b][i] for b in range(q)] for i in range(n)]              # [e_b, e_i]
+    right_by = [[right_of[j][a] for j in range(n)] for a in range(q)]            # [e_j, e_a]
+    rows: list[_Row] = []
+    for a in range(q):
+        for i in range(n):
+            la, ra = left_of[a][i], right_of[i][a]
+            s1_i, s2_a = _sent(s1, i, left_of[a]), _sent(s2, a, right_of[i])
+            t1_i, t2_a = _sent(t1, i, right_by[a]), _sent(t2, a, left_on[i])
+            rows += _collect(n, (1, _applied(s1, la)), (-1, _sent(s2, a, left_on[i])), (-1, s1_i))
+            rows += _collect(n, (1, _applied(s1, ra)), (-1, _sent(s1, i, right_by[a])), (-1, s2_a))
+            rows += _collect(n, (1, _applied(t1, la)), (-1, t2_a), (1, t1_i))
+            rows += _collect(n, (1, _applied(t1, ra)), (-1, t1_i), (1, t2_a))
+            rows += _collect(n, (1, s1_i), (-1, _sent(t1, i, left_of[a])))
+            rows += _collect(n, (1, s2_a), (-1, _sent(t2, a, right_of[i])))
+    return rows
 
 
 def one_system_bider_xmod(x: CrossedModule) -> MapSpace:

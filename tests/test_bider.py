@@ -24,7 +24,7 @@ from strategies import null_filiform, quadruple_inputs, sl2
 
 from lbxmod import GF3, QQ, bider
 from lbxmod.action import ActionData
-from lbxmod.algebra import LeibnizAlgebra, commutator, validate_leibniz
+from lbxmod.algebra import LeibnizAlgebra, annihilator, commutator, validate_leibniz
 from lbxmod.bider import (
     ShortExactSequence,
     actor,
@@ -330,10 +330,15 @@ def _staged_equals_one_system(x):
 def test_staged_quadruples_equal_the_one_system(field, data):
     """The quadruples are the one system's solutions, to the echelon row and
     the bracket table, whether read off the pair space (identity) or solved
-    inside the two pair spaces (one algebra or two), and in seeded bases too."""
+    inside the two pair spaces (one algebra or two), and in seeded bases too;
+    on the crossed modules among them, so is the actor, its action tables
+    included, the general construction's."""
     x = data.draw(quadruple_inputs(field))
     seed = data.draw(st.none() | st.integers(0, 2**16))
-    _staged_equals_one_system(x if seed is None else ref.rebase_xmod(x, random.Random(seed)))
+    x = x if seed is None else ref.rebase_xmod(x, random.Random(seed))
+    _staged_equals_one_system(x)
+    if validate_xmod(x).ok:
+        assert actor(x) == ref.general_actor(x)
 
 
 def test_staged_quadruples_of_one_algebra_by_its_bracket_off_the_identity_boundary(field, monkeypatch):
@@ -378,6 +383,40 @@ def test_identity_quadruples_and_actor_equal_the_general_construction(field, dat
     _staged_equals_one_system(x)
     assert actor(x) == ref.general_actor(x)
     assert delta(x) == Matrix.identity(field, bider_qn(x).dim)
+
+
+# -- the actor off the identity: equal to the general construction --
+
+
+def _one_algebra_xmods(field):
+    """A_2 on both layers, acting on itself by [e0, f0] = e1 alone, with a
+    zero boundary, or by [f0, e0] = -e1 and [e0, f0] = e1, with boundary
+    e0 -> f1 onto the part of the base that acts trivially."""
+    a = LeibnizAlgebra.abelian(field, 2)
+    right_only = ActionData(a, a, (({}, {}), ({}, {})), (({1: 1}, {}), ({}, {})))
+    lie = ActionData(a, a, (({1: -1}, {}), ({}, {})), (({1: 1}, {}), ({}, {})))
+    return [CrossedModule(a, a, Matrix.zeros(field, 2, 2), right_only),
+            CrossedModule(a, a, Matrix.from_rows(field, [[0, 0], [1, 0]]), lie)]
+
+
+def _off_the_identity(field):
+    """Ideal inclusions, one-algebra crossed modules, identities and catalog
+    entries rebased by two changes of basis, and the catalog entries."""
+    algebras = (null_filiform(field, 3), null_filiform(field, 4), sl2(field))
+    out = [CrossedModule.inclusion_of_ideal(a, ideal(a)) for a in algebras for ideal in (commutator, annihilator)]
+    out += _one_algebra_xmods(field)
+    out += [ref.rebase_xmod(CrossedModule.identity_on(a), random.Random(seed)) for a in algebras for seed in (3, 11)]
+    out += [ref.rebase_xmod(build_entry(cid, field), random.Random(seed)) for cid in XMOD_IDS for seed in (3, 11)]
+    return out + [build_entry(cid, field) for cid in XMOD_IDS]
+
+
+def test_the_actor_off_the_identity_equals_the_general_construction(field):
+    """The action tables, read as pair brackets, and the quadruples, whose
+    action rows are pair rows on top x| base, equal the hand-written
+    products and the one-system solve, on crossed modules of every kind."""
+    for x in _off_the_identity(field):
+        assert validate_xmod(x).ok
+        assert actor(x) == ref.general_actor(x)
 
 
 def _calls(monkeypatch, fn):

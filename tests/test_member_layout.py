@@ -8,8 +8,10 @@ given coordinates as the sparse columns of its maps, the inverse of
 range-walking version it replaced (``reference_stages``), and
 ``member_columns`` with the dense ``member_maps``, on pair and quadruple
 spaces over Q, F2 and F3, in standard and seeded bases, identity crossed
-modules included.  The quotient by a zero ideal is the algebra itself,
-read without projecting a single table entry.
+modules included.  The pair space is solved only on a crossed module, whose
+pair table closes; the quadruples are solved on any input.  The quotient by
+a zero ideal is the algebra itself, read without projecting a single table
+entry.
 """
 import random
 from fractions import Fraction
@@ -21,11 +23,14 @@ from hypothesis import strategies as st
 from strategies import algebras, null_filiform, quadruple_inputs, sl2
 
 import reference_stages as ref
+from lbxmod import linalg
+from lbxmod.action import ActionData
 from lbxmod.algebra import LeibnizAlgebra, _quotient
 from lbxmod.bider import bider_qn, bider_xmod
 from lbxmod.catalog import build_entry
+from lbxmod.fields import GF3, QQ
 from lbxmod.linalg import Matrix, Subspace, number
-from lbxmod.xmod import CrossedModule
+from lbxmod.xmod import CrossedModule, validate_xmod
 
 
 def _random_coords(space, rng):
@@ -64,16 +69,37 @@ def _layout_holds(space, rng):
 @given(st.sampled_from(FIELDS), st.data())
 @settings(max_examples=150, deadline=None)
 def test_the_member_layout_matches_the_range_walk(field, data):
-    """On the pair and quadruple spaces of drawn crossed modules, in their
-    standard basis and rebased: an identity by one change of basis of both
-    layers, so that it stays an identity, any other by one per layer."""
+    """On the quadruple spaces of drawn inputs, and the pair spaces of those
+    that are crossed modules, in their standard basis and rebased: an
+    identity by one change of basis of both layers, so that it stays an
+    identity, any other by one per layer."""
     x = data.draw(quadruple_inputs(field))
     seed = data.draw(st.none() | st.integers(0, 2**16))
     if seed is not None:
         x = ref.rebase_xmod(x, random.Random(seed), same_basis=x.is_identity())
     rng = random.Random(seed)
-    _layout_holds(bider_qn(x), rng)
+    if validate_xmod(x).ok:
+        _layout_holds(bider_qn(x), rng)
     _layout_holds(bider_xmod(x), rng)
+
+
+@pytest.mark.parametrize("field, left, right", [
+    (QQ, ({2: 1}, {}, {}), ({}, {}, {2: 1})),
+    (GF3, ({1: 1}, {0: 2, 1: 1, 2: 1}, {0: 1, 2: 2}), ({1: 1}, {}, {})),
+], ids=["q", "f3"])
+def test_the_quadruple_layout_of_input_that_is_no_crossed_module(field, left, right):
+    """Two draws on which the pair table does not close: an action of the
+    1-dimensional abelian base f0 on the 3-dimensional abelian top, with
+    boundary e2 -> f0, given by [f0, e_i] = left[i] and [e_i, f0] = right[i].
+    ``validate_xmod`` refuses them and solving the pair space raises, yet the
+    quadruples are solved, and their layout holds."""
+    top, base = LeibnizAlgebra.abelian(field, 3), LeibnizAlgebra.abelian(field, 1)
+    act = ActionData(base, top, (left,), tuple((v,) for v in right))
+    x = CrossedModule(top, base, Matrix.from_rows(field, [[0, 0, 1]]), act)
+    assert not validate_xmod(x).ok
+    with pytest.raises(linalg.LinearSolveError):
+        bider_qn(x)
+    _layout_holds(bider_xmod(x), random.Random(0))
 
 
 @pytest.mark.parametrize("make", [sl2, lambda f: null_filiform(f, 4), lambda f: LeibnizAlgebra.abelian(f, 2)],
