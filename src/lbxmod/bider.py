@@ -71,7 +71,9 @@ from .linalg import (
 from .xmod import (
     NO_CONDITION_WARNING,
     CrossedModule,
+    NotExactError,
     QuotientXMod,
+    ShortExactSequence,
     SubXMod,
     XModMorphism,
     check_conditions,
@@ -79,10 +81,6 @@ from .xmod import (
     quotient_xmod,
     validate_morphism,
 )
-
-
-class NotExactError(ValueError):
-    """A claimed short exact sequence fails one of its checks."""
 
 
 # A map held by its nonzero entries {row: {col: c}}, each c a
@@ -465,15 +463,6 @@ def outer_xmod(x: CrossedModule) -> QuotientXMod:
 
 
 # -- short exact sequences and lifting -----------------------------------
-
-
-@dataclass(frozen=True)
-class ShortExactSequence:
-    first: CrossedModule
-    middle: CrossedModule
-    last: CrossedModule
-    include: XModMorphism
-    project: XModMorphism
 
 
 def sequence_problems(s: ShortExactSequence) -> list[str]:

@@ -1,21 +1,23 @@
 """Built-in worked examples, addressable from the CLI as ``catalog:<id>``.
 
 Every entry is a builder parameterized by the scalar field, so the same
-fixture can be studied over the rationals or over a prime field.
+fixture can be studied over the rationals or over a prime field.  Only the
+builders of crossed-module actions import ``xaction``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .action import ActionData
 from .algebra import LeibnizAlgebra, direct_sum
-from .bider import ShortExactSequence
 from .fields import Field, InputDataError
 from .linalg import Matrix, Subspace
-from .xaction import XModActionData
-from .xmod import CrossedModule, XModMorphism
+from .xmod import CrossedModule, ShortExactSequence, XModMorphism
+
+if TYPE_CHECKING:
+    from .xaction import XModActionData
 
 
 def _l2(field: Field) -> LeibnizAlgebra:
@@ -51,6 +53,8 @@ def _l2_ann_incl(field: Field) -> CrossedModule:
 
 
 def _self_action(field: Field) -> XModActionData:
+    from .xaction import XModActionData
+
     x = CrossedModule.identity_on(_sl2(field))
     adjoint = ActionData.by_bracket(x.base)
     bracket_tensor = x.base.sparse_table
@@ -61,6 +65,8 @@ def _mixed_pair_break(field: Field) -> XModActionData:
     """A minimal action whose only axiom failures are the two mixed-pair
     sign identities (LbM6a, LbM6b); the compatible-pair map still exists
     once those are relaxed."""
+    from .xaction import XModActionData
+
     m = LeibnizAlgebra.abelian(field, 1, ("u",))
     p = LeibnizAlgebra.abelian(field, 2, ("p1", "p2"))
     eta = Matrix(field, 2, 1, ({0: 1},))

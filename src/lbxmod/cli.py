@@ -17,6 +17,9 @@ prints a single JSON report to stdout, and exits with
 
 Each command is declared once, as a row of ``_COMMANDS``: its help text, the
 input kinds it accepts, the checks each kind must pass first, and its report.
+Each report imports what it runs inside its own body, so only a command that
+solves a map space compiles ``bider``, and only one that handles an action
+of crossed modules compiles ``xaction``.
 Commands other than ``validate`` refuse an input crossed module that fails
 ``validate_xmod`` before computing anything, with exit 1 and the failing
 axiom labels; so do ``bider`` for an algebra that is not Leibniz,
@@ -36,15 +39,11 @@ from typing import Any, Callable, NamedTuple, Optional, Sequence
 from . import serialize as ser
 from .action import semidirect_algebra, validate_action
 from .algebra import ValidationReport, _prefixed, annihilator, commutator, validate_leibniz
-from .bider import (NotExactError, actor, bider_algebra, bider_qn, bider_xmod, canonical_morphism, delta, inner_xmod,
-                    lift_sequence, outer_xmod, sequence_problems)
 from .catalog import CATALOG, build_entry
 from .fields import Field, InputDataError, get_field
 from .linalg import LinearSolveError, rref
-from .xaction import (RELAXABLE_LABELS, ActionAxiomError, ConditionsNotMetError, InvalidMorphismError,
-                      action_from_morphism, morphism_from_action, semidirect_xmod, validate_xmod_action)
-from .xmod import (ConditionFlags, NotAnIdealError, center, condition_profile, kernel, validate_morphism,
-                   validate_xmod)
+from .xmod import (ActionAxiomError, ConditionFlags, ConditionsNotMetError, InvalidMorphismError, NotAnIdealError,
+                   NotExactError, center, condition_profile, kernel, validate_morphism, validate_xmod)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -64,6 +63,12 @@ class _Command(NamedTuple):
     report: Callable[[Optional[str], Any, Field], dict]
 
 
+def _xaction_checks(d) -> list:
+    from .xaction import validate_xmod_action
+
+    return [("", validate_xmod_action(d))]
+
+
 #: what ``validate`` checks on each input kind but a sequence, as (label
 #: prefix, report) pairs; the commands that refuse an invalid input reuse them
 _CHECKS = {
@@ -72,7 +77,7 @@ _CHECKS = {
     # both algebras Leibniz, then act1..act6
     "action": lambda d: [("actor:", validate_leibniz(d.actor)), ("target:", validate_leibniz(d.target)),
                          ("", validate_action(d))],
-    "xaction": lambda d: [("", validate_xmod_action(d))],
+    "xaction": _xaction_checks,
     "morphism": lambda fm: [("", validate_morphism(fm.as_xmod_morphism()))],
 }
 
@@ -93,6 +98,8 @@ def _violations_json(field: Field, report) -> list:
 
 def _validate_report(kind: str, obj, field: Field) -> dict:
     if kind == "sequence":
+        from .bider import sequence_problems
+
         problems = sequence_problems(obj)
         return {"ok": not problems, "kind": kind, "problems": problems}
     rep = ValidationReport(tuple(_prefixed(*_CHECKS[kind](obj))))
@@ -103,6 +110,24 @@ def _map_space_report(space) -> dict:
     """A solved pair or quadruple space: ``bider``, ``bider-qn``, ``bider-xmod``."""
     return {"dim": space.dim, "shapes": [list(s) for s in space.shapes],
             "basis": ser.subspace_to_json(space.space)["basis"], "algebra": ser.algebra_to_json(space.algebra)}
+
+
+def _bider_report(_kind, a, _field) -> dict:
+    from .bider import bider_algebra
+
+    return _map_space_report(bider_algebra(a))
+
+
+def _bider_qn_report(_kind, x, _field) -> dict:
+    from .bider import bider_qn
+
+    return _map_space_report(bider_qn(x))
+
+
+def _bider_xmod_report(_kind, x, _field) -> dict:
+    from .bider import bider_xmod
+
+    return _map_space_report(bider_xmod(x))
 
 
 def _sub_xmod_report(sub, warnings: bool) -> dict:
@@ -117,17 +142,29 @@ def _sub_xmod_report(sub, warnings: bool) -> dict:
     return report
 
 
+def _inner_report(_kind, x, _field) -> dict:
+    from .bider import inner_xmod
+
+    return _sub_xmod_report(inner_xmod(x), warnings=False)
+
+
 def _actor_report(_kind, x, _field) -> dict:
+    from .bider import actor
+
     act = actor(x)
     return {"top_dim": act.top.dim, "base_dim": act.base.dim, "actor": ser.xmod_to_json(act)}
 
 
 def _delta_report(_kind, x, _field) -> dict:
+    from .bider import delta
+
     mat = delta(x)
     return {"matrix": ser.matrix_to_json(mat), "bijective": rref(mat).rank == mat.rows and mat.rows == mat.cols}
 
 
 def _canonical_report(_kind, x, _field) -> dict:
+    from .bider import canonical_morphism
+
     f = canonical_morphism(x)
     ker = kernel(f)
     return {**ser.morphism_maps_to_json(f), "kernel_top_dim": ker.top_space.dim,
@@ -135,6 +172,8 @@ def _canonical_report(_kind, x, _field) -> dict:
 
 
 def _outer_report(_kind, x, _field) -> dict:
+    from .bider import outer_xmod
+
     quo = outer_xmod(x)
     return {"xmod": ser.xmod_to_json(quo.xmod), "top_project": ser.matrix_to_json(quo.top_project),
             "base_project": ser.matrix_to_json(quo.base_project)}
@@ -159,6 +198,9 @@ def _semidirect_report(_kind, d, _field) -> dict:
 
 
 def _semidirect_xmod_report(_kind, d, field: Field) -> dict:
+    from .bider import sequence_problems
+    from .xaction import semidirect_xmod, validate_xmod_action
+
     rep = validate_xmod_action(d)
     if not rep.ok:
         return {"ok": False, "violations": _violations_json(field, rep)}
@@ -175,6 +217,8 @@ def _semidirect_xmod_report(_kind, d, field: Field) -> dict:
 
 
 def _xaction_validate_report(_kind, d, field: Field) -> dict:
+    from .xaction import RELAXABLE_LABELS, validate_xmod_action
+
     rep = validate_xmod_action(d)
     labels = rep.labels()
     return {
@@ -186,11 +230,21 @@ def _xaction_validate_report(_kind, d, field: Field) -> dict:
 
 
 def _xaction_to_morphism_report(_kind, d, _field) -> dict:
+    from .xaction import morphism_from_action
+
     res = morphism_from_action(d)
     return {"morphism": ser.actor_morphism_to_json(res.morphism), "relaxed_failures": list(res.relaxed_failures)}
 
 
+def _morphism_to_xaction_report(_kind, fm, _field) -> dict:
+    from .xaction import action_from_morphism
+
+    return {"xaction": ser.xaction_to_json(action_from_morphism(fm))}
+
+
 def _lift_report(_kind, s, _field) -> dict:
+    from .bider import lift_sequence
+
     res = lift_sequence(s)
     return {
         **ser.morphism_maps_to_json(res.morphism),
@@ -214,17 +268,13 @@ _COMMANDS = {
                     lambda _kind, a, _field: {"annihilator": ser.subspace_to_json(annihilator(a))}),
     "comm": _Command("derived (commutator) subspace of an algebra", {"algebra": None},
                      lambda _kind, a, _field: {"commutator": ser.subspace_to_json(commutator(a))}),
-    "bider": _Command("biderivation pair space of an algebra", {"algebra": _CHECKS["algebra"]},
-                      lambda _kind, a, _field: _map_space_report(bider_algebra(a))),
-    "bider-qn": _Command("pair space base->top of a crossed module", _VALID_XMOD,
-                         lambda _kind, x, _field: _map_space_report(bider_qn(x))),
-    "bider-xmod": _Command("quadruple space of a crossed module", _VALID_XMOD,
-                           lambda _kind, x, _field: _map_space_report(bider_xmod(x))),
+    "bider": _Command("biderivation pair space of an algebra", {"algebra": _CHECKS["algebra"]}, _bider_report),
+    "bider-qn": _Command("pair space base->top of a crossed module", _VALID_XMOD, _bider_qn_report),
+    "bider-xmod": _Command("quadruple space of a crossed module", _VALID_XMOD, _bider_xmod_report),
     "actor": _Command("the actor crossed module", _VALID_XMOD, _actor_report),
     "delta": _Command("boundary matrix of the actor, pairs to quadruples", _VALID_XMOD, _delta_report),
     "canonical": _Command("canonical morphism of a crossed module into its actor", _VALID_XMOD, _canonical_report),
-    "inner": _Command("image of the canonical morphism inside the actor", _VALID_XMOD,
-                      lambda _kind, x, _field: _sub_xmod_report(inner_xmod(x), warnings=False)),
+    "inner": _Command("image of the canonical morphism inside the actor", _VALID_XMOD, _inner_report),
     "outer": _Command("actor modulo the inner part", _VALID_XMOD, _outer_report),
     "center": _Command("central sub-crossed-module", _VALID_XMOD,
                        lambda _kind, x, _field: _sub_xmod_report(center(x), warnings=True)),
@@ -238,9 +288,8 @@ _COMMANDS = {
                                  _xaction_validate_report),
     "xaction-to-morphism": _Command("turn action data into a morphism into the actor", {"xaction": None},
                                     _xaction_to_morphism_report),
-    "morphism-to-xaction": _Command(
-        "recover action data from a morphism into the actor", {"morphism": _actor_of_checks},
-        lambda _kind, fm, _field: {"xaction": ser.xaction_to_json(action_from_morphism(fm))}),
+    "morphism-to-xaction": _Command("recover action data from a morphism into the actor",
+                                    {"morphism": _actor_of_checks}, _morphism_to_xaction_report),
     "lift": _Command("extend a short exact sequence by the actor of its first part",
                      {"sequence": _sequence_checks}, _lift_report),
     "catalog": _Command("list the built-in examples", {}, lambda _kind, _obj, _field: {
@@ -257,15 +306,14 @@ def _parser() -> argparse.ArgumentParser:
         description="exact computations with Leibniz algebras, their crossed "
                     "modules, and actors",
     )
+    common = argparse.ArgumentParser(add_help=False)  # every subcommand's options, declared once
+    common.add_argument("--field", default="q", help="scalar field tag: q or f<p> (default: q)")
+    common.add_argument("--out", default=None, help="also write the report to this file")
     sub = p.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
-        sp = sub.add_parser(name, help=command.help, description=command.help)
+        sp = sub.add_parser(name, help=command.help, description=command.help, parents=[common])
         if command.inputs:
             sp.add_argument("input", help="JSON file path or catalog:<id>")
-        sp.add_argument("--field", default="q",
-                        help="scalar field tag: q or f<p> (default: q)")
-        sp.add_argument("--out", default=None,
-                        help="also write the report to this file")
     return p
 
 

@@ -12,22 +12,24 @@ A reader (``_Reader``, one memo per document) checks the shape and the type
 of every list and token over whole levels, looks every token up in the
 memo, parsing the unseen ones in document order, and places only the
 nonzeros; a document that fails a check is walked entry by entry to raise
-its first fault in document order.
+its first fault in document order.  Only the readers of crossed-module
+actions and of morphisms into the actor import ``xaction``, when called.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, compress, islice, repeat
-from typing import Any, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from .action import ActionData
 from .algebra import LeibnizAlgebra, SparseTensor, _check_dim
-from .bider import ShortExactSequence
 from .fields import Field, InputDataError, Scalar
 from .linalg import Matrix, Number, Subspace, number
-from .xaction import ActorMorphism, XModActionData
-from .xmod import CrossedModule, XModMorphism
+from .xmod import CrossedModule, ShortExactSequence, XModMorphism
+
+if TYPE_CHECKING:
+    from .xaction import ActorMorphism, XModActionData
 
 
 def check_field_tag(obj: Any, field: Field) -> None:
@@ -295,6 +297,8 @@ def xaction_to_json(d: XModActionData) -> dict:
 
 
 def xaction_from_json(field: Field, obj: Any) -> XModActionData:
+    from .xaction import XModActionData
+
     needed = {"actor_xmod", "target_xmod", "p_on_n", "p_on_q", "xi1", "xi2"}
     if not isinstance(obj, dict) or not needed <= set(obj):
         raise InputDataError("crossed-module action object needs " + ", ".join(sorted(needed)))
@@ -321,6 +325,8 @@ def actor_morphism_to_json(fm: ActorMorphism) -> dict:
 
 
 def actor_morphism_from_json(field: Field, obj: Any) -> ActorMorphism:
+    from .xaction import ActorMorphism
+
     needed = {"source", "actor_of", "top_map", "base_map"}
     if not isinstance(obj, dict) or not needed <= set(obj):
         raise InputDataError("morphism object needs " + ", ".join(sorted(needed)))

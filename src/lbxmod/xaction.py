@@ -11,13 +11,14 @@ Bracket conventions inside the identities: brackets of m with n or q go
 through eta (so [m, n] means [eta(m), n] and so on); [q, n]-style brackets are
 the target crossed module's own action.  The two pairings are stored as
 sparse views ``sparse_mq[i][a]`` and ``sparse_qm[a][i]`` with values in n;
-``cross_mq`` and ``cross_qm`` are their dense views.
+``cross_mq`` and ``cross_qm`` are their dense views.  Only the functions that
+solve for the actor's spaces import ``bider``, so validating an action and
+forming its semidirect product compile no biderivation code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .action import ActionData, semidirect_algebra, validate_action
 from .algebra import (
@@ -35,10 +36,13 @@ from .algebra import (
 )
 from .fields import Field, InputDataError
 from .linalg import Matrix, _stored_hash
-from .bider import ShortExactSequence, _induced_maps, actor, bider_qn, bider_xmod
 from .xmod import (
+    ActionAxiomError,
     ConditionFlags,
+    ConditionsNotMetError,
     CrossedModule,
+    InvalidMorphismError,
+    ShortExactSequence,
     XModMorphism,
     condition_profile,
     validate_morphism,
@@ -47,33 +51,6 @@ from .xmod import (
 
 #: labels that may fail while still permitting the morphism construction
 RELAXABLE_LABELS = ("LbM6a", "LbM6b", "p_on_n:act6", "p_on_q:act6")
-
-
-class ActionAxiomError(ValueError):
-    """The action data violates identities that the construction needs."""
-
-    def __init__(self, labels: Sequence[str]):
-        super().__init__("action data violates " + ", ".join(labels))
-        self.labels = tuple(labels)
-
-
-class InvalidMorphismError(ValueError):
-    """The given maps are not a morphism of crossed modules."""
-
-
-class ConditionsNotMetError(ValueError):
-    """Recovering an action from a morphism needs one support condition."""
-
-    def __init__(self, flags: ConditionFlags, profile: dict):
-        msg = (
-            "cannot recover an action: none of the support conditions hold "
-            f"(failed: {', '.join(flags.failed())}; top annihilator dim "
-            f"{profile['ann_top_dim']}, base annihilator dim {profile['ann_base_dim']}, "
-            f"top perfect: {profile['top_perfect']}, base perfect: {profile['base_perfect']})"
-        )
-        super().__init__(msg)
-        self.flags = flags
-        self.profile = profile
 
 
 @dataclass(frozen=True)
@@ -201,6 +178,8 @@ class ActorMorphism:
     base_map: Matrix  # into the quadruple space of `around`
 
     def as_xmod_morphism(self) -> XModMorphism:
+        from .bider import actor
+
         return XModMorphism(self.source, actor(self.around), self.top_map, self.base_map)
 
 
@@ -223,6 +202,8 @@ def morphism_from_action(d: XModActionData) -> ActionToMorphismResult:
         raise ActionAxiomError(hard)
     relaxed = tuple(sorted({v.axiom for v in report.violations} & set(RELAXABLE_LABELS)))
 
+    from .bider import _induced_maps
+
     x, y = d.actor_xmod, d.target_xmod
     top_map, base_map = _induced_maps(y, d.act_on_top, d.act_on_base, d.sparse_mq, d.sparse_qm)
     morphism = ActorMorphism(x, y, top_map, base_map)
@@ -244,6 +225,8 @@ def action_from_morphism(fm: ActorMorphism) -> XModActionData:
     if not rep.ok:
         raise InvalidMorphismError(
             "the given maps are not a morphism into the actor: " + ", ".join(rep.labels()))
+
+    from .bider import bider_qn, bider_xmod
 
     x = fm.source
     # (s1, t1, s2, t2) and (d, dd), each map as its sparse columns

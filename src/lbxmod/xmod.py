@@ -1,6 +1,7 @@
 """Crossed modules of Leibniz algebras: validation, sub/quotient objects,
-morphisms, kernels, images, centers and the support conditions used by the
-reconstruction theorems.
+morphisms, short exact sequences, kernels, images, centers and the support
+conditions used by the reconstruction theorems, with the errors that the
+constructions on them raise.
 
 A crossed module is a boundary homomorphism ``top -> base`` together with an
 action of the base on the top satisfying the two usual compatibility laws:
@@ -11,6 +12,7 @@ bracket (XLb2, the Peiffer identities).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from typing import Sequence
 
 from .action import ActionData, validate_action
 from .algebra import (
@@ -38,6 +40,37 @@ from .linalg import Matrix, Subspace, _stored_hash, column_space, nullspace, spa
 
 class NotAnIdealError(ValueError):
     """The requested sub-object is not a crossed-module ideal."""
+
+
+class NotExactError(ValueError):
+    """A claimed short exact sequence fails one of its checks."""
+
+
+class ActionAxiomError(ValueError):
+    """The action data violates identities that the construction needs."""
+
+    def __init__(self, labels: Sequence[str]):
+        super().__init__("action data violates " + ", ".join(labels))
+        self.labels = tuple(labels)
+
+
+class InvalidMorphismError(ValueError):
+    """The given maps are not a morphism of crossed modules."""
+
+
+class ConditionsNotMetError(ValueError):
+    """Recovering an action from a morphism needs one support condition."""
+
+    def __init__(self, flags: ConditionFlags, profile: dict):
+        msg = (
+            "cannot recover an action: none of the support conditions hold "
+            f"(failed: {', '.join(flags.failed())}; top annihilator dim "
+            f"{profile['ann_top_dim']}, base annihilator dim {profile['ann_base_dim']}, "
+            f"top perfect: {profile['top_perfect']}, base perfect: {profile['base_perfect']})"
+        )
+        super().__init__(msg)
+        self.flags = flags
+        self.profile = profile
 
 
 _LEFT_SUBSPACE = "vector left the subspace it was supposed to stay in"
@@ -115,6 +148,15 @@ class XModMorphism:
             raise InputDataError("top map has the wrong shape")
         if self.base_map.rows != self.target.base.dim or self.base_map.cols != self.source.base.dim:
             raise InputDataError("base map has the wrong shape")
+
+
+@dataclass(frozen=True)
+class ShortExactSequence:
+    first: CrossedModule
+    middle: CrossedModule
+    last: CrossedModule
+    include: XModMorphism
+    project: XModMorphism
 
 
 def identity_morphism(x: CrossedModule) -> XModMorphism:

@@ -65,9 +65,15 @@ The per-entry readers, the writers that filled each dense vector through
 are kept at the end as ``read_*_by_entry``, ``*_to_json_by_row``,
 ``tensor_to_json_by_vector`` and ``stored_by_vector``; ``test_serialize.py``
 and ``test_linalg.py`` compare them.
+
+The CLI declares ``--field`` and ``--out`` once, on a parent parser that
+every subcommand shares.  The parser that added both to each subcommand on
+its own is kept at the end as ``per_subcommand_parser``; ``test_cli.py``
+compares their help texts and usage errors.
 """
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import random
 from fractions import Fraction
@@ -103,6 +109,7 @@ from lbxmod.bider import (
     outer_xmod,
     sequence_problems,
 )
+from lbxmod.cli import _COMMANDS
 from lbxmod.fields import InputDataError
 from lbxmod.linalg import (
     LinearSolveError,
@@ -1308,3 +1315,22 @@ def stored_by_vector(field, tensor, shape, what):
     rows = tuple(tuple(map(vector, row)) for row in tensor)
     same = type(tensor) is tuple and all(type(r) is tuple and all(map(is_, a, r)) for a, r in zip(rows, tensor))
     return tensor if same else rows
+
+
+def per_subcommand_parser() -> argparse.ArgumentParser:
+    """The CLI's parser with ``--field`` and ``--out`` added to each subcommand."""
+    p = argparse.ArgumentParser(
+        prog="lbxmod",
+        description="exact computations with Leibniz algebras, their crossed "
+                    "modules, and actors",
+    )
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help, description=command.help)
+        if command.inputs:
+            sp.add_argument("input", help="JSON file path or catalog:<id>")
+        sp.add_argument("--field", default="q",
+                        help="scalar field tag: q or f<p> (default: q)")
+        sp.add_argument("--out", default=None,
+                        help="also write the report to this file")
+    return p

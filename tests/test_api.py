@@ -1,6 +1,7 @@
-"""The package surface: the public names resolve, no module keeps an
-import it never uses, no private module-level name goes unused, and only
-the stored form's hash writes into an object's ``__dict__``.
+"""The package surface: the public names resolve on first use, each command
+loads only the modules it runs, no module keeps an import it never uses, no
+private module-level name goes unused, and only the stored form's hash
+writes into an object's ``__dict__``.
 
 No linter is installed, so the checks walk the modules' syntax trees with
 ``ast``: a name counts as used when a module loads it anywhere (string
@@ -11,12 +12,20 @@ views are ``cached_property``s that each object fills for itself; the one
 hand-filled entry is the cached hash of ``linalg._stored_hash``.
 """
 import ast
+import json
+import pickle
+import subprocess
+import sys
 from collections import Counter
+from importlib import import_module
+from inspect import isclass, isfunction
 from pathlib import Path
 
 import pytest
 
 import lbxmod
+from lbxmod import QQ
+from lbxmod.catalog import build_entry
 
 SRC = Path(lbxmod.__file__).resolve().parent
 MODULES = sorted(p.name for p in SRC.glob("*.py"))
@@ -25,6 +34,116 @@ MODULES = sorted(p.name for p in SRC.glob("*.py"))
 def test_every_public_name_resolves_once():
     assert [name for name, n in Counter(lbxmod.__all__).items() if n > 1] == []
     assert [name for name in lbxmod.__all__ if not hasattr(lbxmod, name)] == []
+
+
+def test_every_public_name_is_the_object_its_defining_module_binds():
+    assert set(lbxmod.__all__) == {*lbxmod._HOME, "__version__"}
+    for name, module in lbxmod._HOME.items():
+        home = import_module(f"lbxmod.{module}")
+        obj = getattr(lbxmod, name)
+        assert obj is vars(home)[name], name
+        if isclass(obj) or isfunction(obj):
+            assert obj.__module__ == home.__name__, name
+
+
+def test_dir_lists_every_public_name():
+    assert set(lbxmod.__all__) <= set(dir(lbxmod))
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(lbxmod, "no_such_name")
+    assert not hasattr(lbxmod, "bider_qn_cache")
+    with pytest.raises(ImportError):
+        exec("from lbxmod import no_such_name", {})
+
+
+def test_a_short_exact_sequence_round_trips_through_pickle():
+    s = build_entry("sl2-seq", QQ)
+    assert pickle.loads(pickle.dumps(s)) == s
+
+
+def _loaded(code: str) -> list[str]:
+    """The lbxmod modules a fresh interpreter holds after running code."""
+    script = code + "\nimport sys, json\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('lbxmod'))))"
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def _running(*commands: tuple[str, ...]) -> str:
+    """Code that runs each command through ``cli.main`` and checks it succeeds."""
+    return ("import contextlib, io\nfrom lbxmod.cli import main\n"
+            f"for argv in {[list(c) for c in commands]!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n")
+
+
+def test_import_lbxmod_alone_loads_no_submodule():
+    assert _loaded("import lbxmod") == ["lbxmod"]
+
+
+def test_from_lbxmod_import_star_binds_every_public_name():
+    code = "from lbxmod import *\nimport lbxmod\nassert [n for n in lbxmod.__all__ if n not in globals()] == []"
+    assert {"lbxmod.bider", "lbxmod.xaction"} <= set(_loaded(code))
+
+
+def test_commands_that_solve_no_map_space_load_neither_bider_nor_xaction():
+    loaded = _loaded(_running(
+        ("validate", "catalog:sl2"), ("validate", "catalog:l2-ann-incl"), ("ann", "catalog:l2"),
+        ("comm", "catalog:r2"), ("center", "catalog:sl2-id"), ("conditions", "catalog:l2-ann-incl"),
+        ("semidirect", "catalog:sl2-adjoint"), ("catalog",)))
+    assert "lbxmod.cli" in loaded and not {"lbxmod.bider", "lbxmod.xaction"} & set(loaded)
+
+
+def test_commands_on_biderivations_load_no_xaction():
+    xmod_commands = ("bider-qn", "bider-xmod", "actor", "delta", "canonical", "inner", "outer")
+    loaded = _loaded(_running(("bider", "catalog:l2"), *((name, "catalog:l2-ann-incl") for name in xmod_commands),
+                              ("lift", "catalog:sl2-seq")))
+    assert "lbxmod.bider" in loaded and "lbxmod.xaction" not in loaded
+
+
+def _eager_imports(tree: ast.Module, module: str) -> dict[str, str]:
+    """Each import of ``bider`` or ``xaction`` that runs when the module is
+    imported, as "module:line" with the module it imports: every one outside
+    a function body and outside an ``if TYPE_CHECKING:`` block."""
+    out = {}
+
+    def visit(node) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            return
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING":
+            return
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [f"{node.module}.{a.name}" if node.module else a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            names = []
+        for name in names:
+            if name.rsplit(".", 1)[-1] in ("bider", "xaction"):
+                out[f"{module}:{node.lineno}"] = name.rsplit(".", 1)[-1]
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return out
+
+
+def test_no_module_imports_bider_or_xaction_when_it_is_imported():
+    eager = {}
+    for module in MODULES:
+        eager.update(_eager_imports(ast.parse((SRC / module).read_text(), module), module))
+    assert eager == {}
+
+
+def test_the_eager_import_check_sees_each_kind_of_import():
+    tree = ast.parse("from .bider import actor\nfrom . import xaction\nimport lbxmod.bider\n"
+                     "class C:\n    from .xaction import semidirect_xmod\n"
+                     "def f():\n    from .bider import bider_qn\n"
+                     "if TYPE_CHECKING:\n    from .xaction import XModActionData\n"
+                     "from .xmod import kernel\n")
+    assert _eager_imports(tree, "m.py") == {"m.py:1": "bider", "m.py:2": "xaction", "m.py:3": "bider",
+                                            "m.py:5": "xaction"}
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -55,7 +174,7 @@ def _used(tree: ast.Module) -> set[str]:
                 if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
                     used |= {n.id for n in ast.walk(ast.parse(sub.value, mode="eval")) if isinstance(n, ast.Name)}
         if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            used |= set(ast.literal_eval(node.value))
+            used |= {item.value for item in node.value.elts if isinstance(item, ast.Constant)}
     return used
 
 

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from lbxmod import QQ, algebra, cli
+import reference_stages as ref
+from lbxmod import QQ, algebra, bider, cli
 from lbxmod.action import ActionData
 from lbxmod.catalog import CATALOG, build_entry
 from lbxmod.cli import EXIT_BAD_INPUT, EXIT_FAIL, EXIT_INTERNAL, EXIT_OK, main
@@ -368,7 +369,7 @@ def test_linear_solve_error_is_an_internal_error(capsys, monkeypatch):
     def broken(x):
         raise LinearSolveError("solution left the space")
 
-    monkeypatch.setattr(cli, "actor", broken)
+    monkeypatch.setattr(bider, "actor", broken)  # the report imports it when it runs
     code, report = run_clean(capsys, "actor", "catalog:l2-id")
     assert code == EXIT_INTERNAL == 3
     assert report["ok"] is False
@@ -515,3 +516,22 @@ def test_the_readme_cli_table_names_every_command_once():
     rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2:])
     names = [name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
     assert sorted(names) == sorted([*cli._ACCEPTS, "catalog"])
+
+
+def _parsed(capsys, parser, argv) -> tuple:
+    """The exit code and the texts of a parse that stops: help, or a usage error."""
+    with pytest.raises(SystemExit) as stop:
+        parser.parse_args(argv)
+    out = capsys.readouterr()
+    return stop.value.code, out.out, out.err
+
+
+STOPPING_ARGV = [["--help"], *([name, "--help"] for name in cli._COMMANDS), [],
+                 *([name] for name, command in cli._COMMANDS.items() if command.inputs),
+                 ["actor", "catalog:l2-id", "--bogus"], ["nosuch"]]
+
+
+@pytest.mark.parametrize("argv", STOPPING_ARGV, ids=" ".join)
+def test_help_and_usage_errors_match_the_per_subcommand_parser(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _parsed(capsys, cli._parser(), argv) == _parsed(capsys, ref.per_subcommand_parser(), argv)
