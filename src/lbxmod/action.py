@@ -10,7 +10,6 @@ algebra brackets.  They are stored as ``sparse_left[a][i]`` = [p_a, m_i] and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import (
@@ -24,11 +23,11 @@ from .algebra import (
     _units,
     _violations,
 )
-from .fields import InputDataError, Scalar
+from .fields import InputDataError, Scalar, record
 from .linalg import Matrix, _stored_hash
 
 
-@dataclass(frozen=True)
+@record
 class ActionData:
     actor: LeibnizAlgebra
     target: LeibnizAlgebra
@@ -92,7 +91,7 @@ def validate_action(d: ActionData) -> ValidationReport:
     ])))
 
 
-@dataclass(frozen=True)
+@record
 class SemidirectAlgebra:
     algebra: LeibnizAlgebra
     include_target: Matrix  # target -> sum, first block

@@ -9,13 +9,12 @@ defining identity used throughout is the left version
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .fields import Field, InputDataError, Scalar
+from .fields import Field, InputDataError, Scalar, record
 from .linalg import Matrix, Number, ScaledVector, Subspace, _dense, _sparse, _stored, _stored_hash, sparse_kernel
 
 MAX_DIM = 64  # guard against accidentally huge inputs
@@ -52,7 +51,7 @@ _ONE: SparseVector = {0: 1}  # the left argument that turns the view (m.sparse_c
 
 
 def _store(obj, name: str, field: Field, shape: tuple[int, int, int], what: str) -> None:
-    """Replace a tensor field of a frozen dataclass by its stored form."""
+    """Replace a tensor field of a record by its stored form."""
     object.__setattr__(obj, name, _stored(field, getattr(obj, name), shape, what))
 
 
@@ -118,7 +117,7 @@ def _contract(field: Field, view: SparseTensor, x: Sequence[Scalar], y: Sequence
     return _dense(field, out_dim, _evaluate([(1, view, _sparse(x), _sparse(y))], field.characteristic))
 
 
-@dataclass(frozen=True)
+@record
 class LeibnizAlgebra:
     field: Field
     dim: int
@@ -162,7 +161,7 @@ class LeibnizAlgebra:
         return _contract(self.field, self.sparse_table, x, y, self.dim)
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
     axiom: str
     witness: tuple[int, ...]
@@ -170,9 +169,9 @@ class Violation:
     rhs: tuple[Scalar, ...]
 
 
-@dataclass(frozen=True)
+@record
 class ValidationReport:
-    violations: tuple[Violation, ...] = dc_field(default=())
+    violations: tuple[Violation, ...] = ()
 
     @property
     def ok(self) -> bool:

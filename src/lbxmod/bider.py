@@ -47,7 +47,6 @@ from __future__ import annotations
 import functools
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -55,7 +54,7 @@ from typing import Callable, Iterable, Sequence
 
 from .action import ActionData, _semidirect_table
 from .algebra import LeibnizAlgebra, SparseTensor, SparseVector, _evaluate, _units
-from .fields import Field
+from .fields import Field, record, replace
 from .linalg import (
     Matrix,
     Number,
@@ -120,7 +119,7 @@ def _compose(a: ScaledMap, b: ScaledMap) -> ScaledMap:
     return out, ad * bd
 
 
-@dataclass(frozen=True)
+@record
 class MapSpace:
     """A solution space of tuples of linear maps, with its induced bracket.
 
@@ -499,7 +498,7 @@ def _checked(s: ShortExactSequence) -> tuple[list[str], dict[str, tuple[_Preimag
     return problems, solvers
 
 
-@dataclass(frozen=True)
+@record
 class LiftResult:
     """(middle -> actor(first)) plus the induced (last -> outer) data."""
 

@@ -7,12 +7,11 @@ builders of crossed-module actions import ``xaction``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .action import ActionData
 from .algebra import LeibnizAlgebra, direct_sum
-from .fields import Field, InputDataError
+from .fields import Field, InputDataError, record
 from .linalg import Matrix, Subspace
 from .xmod import CrossedModule, ShortExactSequence, XModMorphism
 
@@ -94,7 +93,7 @@ def _sl2_sequence(field: Field) -> ShortExactSequence:
     return ShortExactSequence(first, middle, last, include, project)
 
 
-@dataclass(frozen=True)
+@record
 class CatalogEntry:
     id: str
     kind: str  # algebra | xmod | action | xaction | sequence

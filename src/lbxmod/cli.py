@@ -300,7 +300,9 @@ _COMMANDS = {
 _ACCEPTS = {name: tuple(command.inputs) for name, command in _COMMANDS.items() if command.inputs}
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser for argv: when argv starts with a command, one that knows
+    only that command, whose usage lines still list them all."""
     p = argparse.ArgumentParser(
         prog="lbxmod",
         description="exact computations with Leibniz algebras, their crossed "
@@ -309,8 +311,10 @@ def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)  # every subcommand's options, declared once
     common.add_argument("--field", default="q", help="scalar field tag: q or f<p> (default: q)")
     common.add_argument("--out", default=None, help="also write the report to this file")
-    sub = p.add_subparsers(dest="command", required=True)
-    for name, command in _COMMANDS.items():
+    one = bool(argv) and argv[0] in _COMMANDS
+    sub = p.add_subparsers(dest="command", required=True, metavar="{" + ",".join(_COMMANDS) + "}" if one else None)
+    for name in argv[:1] if one else _COMMANDS:
+        command = _COMMANDS[name]
         sp = sub.add_parser(name, help=command.help, description=command.help, parents=[common])
         if command.inputs:
             sp.add_argument("input", help="JSON file path or catalog:<id>")
@@ -356,7 +360,8 @@ def _emit(report: dict, out_path: Optional[str]) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parser(argv).parse_args(argv)
     base = {"command": args.command, "field": args.field}
     if args.out:
         try:

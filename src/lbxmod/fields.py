@@ -3,16 +3,17 @@
 Every linear-algebra and algebra routine in this package is generic over a
 *field object* that knows how to build, combine and serialize its scalars.
 Rationals are plain ``fractions.Fraction`` values; prime-field scalars are
-``FpElement`` instances that refuse to mix with anything else.
+``FpElement`` instances that refuse to mix with anything else.  The module
+also holds ``record``, which every module's value classes are built with.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter
 from typing import Any, Union
 
 #: prime fields are supported for p < 2^31; trial division stays cheap below it
@@ -28,12 +29,72 @@ class InputDataError(ValueError):
     """Malformed external data (bad JSON shapes, unknown tags, bad scalars)."""
 
 
-@dataclass(frozen=True)
+class FrozenRecordError(AttributeError):
+    """An assignment to, or deletion of, an attribute of a ``record``."""
+
+
+def _refuse(obj, name: str, *value) -> None:
+    raise FrozenRecordError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+def record(cls: type) -> type:
+    """Give cls the methods ``dataclass(frozen=True)`` would give it on the
+    fields it annotates, but for those cls defines itself.  They are closures,
+    not compiled source, which keeps a module of records cheap to import."""
+    names = tuple(cls.__annotations__)
+    n, numbered, post, put = len(names), tuple(enumerate(names)), hasattr(cls, "__post_init__"), object.__setattr__
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    tail = tuple(defaults.values())  # the defaults of the last fields, as in a dataclass
+    key = attrgetter(*names) if n > 1 else lambda obj, get=attrgetter(*names): (get(obj),)
+
+    def bind(args: tuple, kwargs: dict) -> tuple:
+        """The field values of a call, bound as a signature (names, defaults) would bind them."""
+        if not kwargs and n - len(tail) <= len(args) < n:  # the rest from the trailing defaults
+            return args + tail[len(args) - n:]
+        values = {**defaults, **dict(zip(names, args)), **kwargs}
+        if len(args) > n or len(values) < n or kwargs and not kwargs.keys() <= set(names[len(args):]):
+            raise TypeError(f"{cls.__qualname__}() takes each of {', '.join(names)} once; got "
+                            f"{len(args)} by position and {', '.join(kwargs) or 'none'} by keyword")
+        return tuple(map(values.__getitem__, names))
+
+    def __init__(self, *args, **kwargs) -> None:
+        if kwargs or len(args) != n:
+            args = bind(args, kwargs)
+        for i, name in numbered:  # cheaper than zipping names with args
+            put(self, name, args[i])
+        if post:
+            self.__post_init__()
+
+    def __eq__(self, other):
+        return key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in zip(names, key(self)))})"
+
+    methods = {"__init__": __init__, "__eq__": __eq__, "__hash__": lambda self: hash(key(self)), "__repr__": __repr__,
+               "__setattr__": _refuse, "__delattr__": _refuse, "__match_args__": names}
+    for name, method in methods.items():
+        if name not in cls.__dict__:
+            setattr(cls, name, method)
+    return cls
+
+
+def replace(obj, **changes):
+    """A copy of a record with the given fields changed, built by its class
+    as ``dataclasses.replace`` does, so any ``__post_init__`` runs again."""
+    return type(obj)(**{**{name: getattr(obj, name) for name in obj.__match_args__}, **changes})
+
+
+@record
 class FpElement:
     """A residue in Z/p for a prime p."""
 
     value: int
     p: int
+
+    def __init__(self, value: int, p: int) -> None:  # by hand: every F_p operation builds one
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "p", p)
 
     def _check(self, other: "FpElement") -> None:
         if not isinstance(other, FpElement) or other.p != self.p:
@@ -121,7 +182,7 @@ class Rationals:
         return hash("rationals")
 
 
-@dataclass(frozen=True)
+@record
 class PrimeField:
     """The field Z/p for a prime p < 2^31.  Scalars are ``FpElement``."""
 

@@ -27,7 +27,6 @@ and kept as it is.  ``_stored_hash`` hashes every class that holds it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain
@@ -35,7 +34,7 @@ from math import gcd, lcm
 from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .fields import Field, FpElement, InputDataError, Scalar
+from .fields import Field, FpElement, InputDataError, Scalar, record
 
 # A sparse coefficient: a rational (an int when integral), or an int read mod p.
 Number = Union[int, Fraction]
@@ -136,7 +135,7 @@ def _frozen(value):
 
 
 class _stored_hash:
-    """A frozen dataclass's ``__hash__``: the hash of its fields, each named
+    """A record's ``__hash__``: the hash of its fields, each named
     view (a stored value) by its ``_frozen`` key, built once and cached, as
     the memos in ``bider`` hash these objects on every lookup.  The class
     also gets a ``__getstate__`` without the cache: ``str`` hashes (as in an
@@ -149,14 +148,14 @@ class _stored_hash:
         def __hash__(obj) -> int:
             cached = obj.__dict__.get("_hash")
             if cached is None:
-                cached = obj.__dict__["_hash"] = hash(tuple(_frozen(getattr(obj, f.name)) if f.name in self.views
-                                                            else getattr(obj, f.name) for f in fields(obj)))
+                cached = obj.__dict__["_hash"] = hash(tuple(_frozen(getattr(obj, name)) if name in self.views
+                                                            else getattr(obj, name) for name in obj.__match_args__))
             return cached
 
         owner.__hash__, owner.__getstate__ = __hash__, lambda obj: {k: v for k, v in vars(obj).items() if k != "_hash"}
 
 
-@dataclass(frozen=True)
+@record
 class Matrix:
     """An r x c matrix held by its c sparse columns ``{row: number}``.
 
@@ -234,7 +233,7 @@ class Matrix:
         return out if p else {k: number(c) for k, c in out.items()}
 
 
-@dataclass(frozen=True)
+@record
 class RrefResult:
     matrix: Matrix
     pivots: tuple[int, ...]
@@ -254,7 +253,7 @@ def rref(m: Matrix) -> RrefResult:
     return RrefResult(Matrix(m.field, m.cols, m.rows, rows).transpose(), s.pivots)
 
 
-@dataclass(frozen=True)
+@record
 class Subspace:
     """A subspace of k^ambient, held by its unique reduced echelon basis:
     row t is ``I / d`` for ``(I, d) = scaled_rows[t]``, with ``I`` the

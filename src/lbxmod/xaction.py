@@ -18,7 +18,6 @@ forming its semidirect product compile no biderivation code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .action import ActionData, semidirect_algebra, validate_action
 from .algebra import (
@@ -34,7 +33,7 @@ from .algebra import (
     _units,
     _violations,
 )
-from .fields import Field, InputDataError
+from .fields import Field, InputDataError, record
 from .linalg import Matrix, _stored_hash
 from .xmod import (
     ActionAxiomError,
@@ -53,7 +52,7 @@ from .xmod import (
 RELAXABLE_LABELS = ("LbM6a", "LbM6b", "p_on_n:act6", "p_on_q:act6")
 
 
-@dataclass(frozen=True)
+@record
 class XModActionData:
     actor_xmod: CrossedModule   # (m, p, eta)
     target_xmod: CrossedModule  # (n, q, mu)
@@ -164,7 +163,7 @@ def validate_xmod_action(d: XModActionData) -> ValidationReport:
 # -- morphisms into the actor -------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ActorMorphism:
     """A morphism from ``source`` into the actor of ``around``.
 
@@ -183,7 +182,7 @@ class ActorMorphism:
         return XModMorphism(self.source, actor(self.around), self.top_map, self.base_map)
 
 
-@dataclass(frozen=True)
+@record
 class ActionToMorphismResult:
     morphism: ActorMorphism
     relaxed_failures: tuple[str, ...]  # relaxable labels that actually failed
@@ -247,7 +246,7 @@ def action_from_morphism(fm: ActorMorphism) -> XModActionData:
 # -- semidirect product of crossed modules --------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class SemidirectXMod:
     """The split extension built from crossed-module action data."""
 

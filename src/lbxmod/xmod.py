@@ -11,7 +11,6 @@ bracket (XLb2, the Peiffer identities).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
 from .action import ActionData, validate_action
@@ -34,7 +33,7 @@ from .algebra import (
     subalgebra_on,
     validate_leibniz,
 )
-from .fields import InputDataError
+from .fields import InputDataError, record
 from .linalg import Matrix, Subspace, _stored_hash, column_space, nullspace, sparse_kernel
 
 
@@ -76,7 +75,7 @@ class ConditionsNotMetError(ValueError):
 _LEFT_SUBSPACE = "vector left the subspace it was supposed to stay in"
 
 
-@dataclass(frozen=True)
+@record
 class CrossedModule:
     top: LeibnizAlgebra
     base: LeibnizAlgebra
@@ -136,7 +135,7 @@ def validate_xmod(x: CrossedModule, check=lambda validate, obj: validate(obj)) -
     return ValidationReport(tuple(bad))
 
 
-@dataclass(frozen=True)
+@record
 class XModMorphism:
     source: CrossedModule
     target: CrossedModule
@@ -150,7 +149,7 @@ class XModMorphism:
             raise InputDataError("base map has the wrong shape")
 
 
-@dataclass(frozen=True)
+@record
 class ShortExactSequence:
     first: CrossedModule
     middle: CrossedModule
@@ -203,7 +202,7 @@ def validate_morphism(f: XModMorphism) -> ValidationReport:
 # -- embedded sub-objects and quotients --------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class SubXMod:
     """A crossed module carried by a pair of subspaces of a parent."""
 
@@ -213,7 +212,7 @@ class SubXMod:
     base_space: Subspace
     top_include: Matrix
     base_include: Matrix
-    warnings: tuple[str, ...] = dc_field(default=())
+    warnings: tuple[str, ...] = ()
 
     def inclusion(self) -> XModMorphism:
         return XModMorphism(self.xmod, self.parent, self.top_include, self.base_include)
@@ -244,7 +243,7 @@ def image(f: XModMorphism) -> SubXMod:
     return sub_xmod(f.target, column_space(f.top_map), column_space(f.base_map))
 
 
-@dataclass(frozen=True)
+@record
 class QuotientXMod:
     parent: CrossedModule
     xmod: CrossedModule
@@ -302,7 +301,7 @@ def quotient_xmod(x: CrossedModule, top_space: Subspace, base_space: Subspace) -
 # -- support conditions and the center ---------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ConditionFlags:
     """The three alternative hypotheses for reconstructing actions from
     morphisms into the actor: con1 = both annihilators vanish, con2 = the

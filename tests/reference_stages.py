@@ -74,7 +74,6 @@ compares their help texts and usage errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import random
 from fractions import Fraction
 from operator import is_
@@ -110,7 +109,7 @@ from lbxmod.bider import (
     sequence_problems,
 )
 from lbxmod.cli import _COMMANDS
-from lbxmod.fields import InputDataError
+from lbxmod.fields import InputDataError, replace
 from lbxmod.linalg import (
     LinearSolveError,
     Matrix,
@@ -716,7 +715,7 @@ def one_system_bider_xmod(x: CrossedModule) -> MapSpace:
     members = solved.sparse_basis
     table = tuple(tuple(solved.read_products(bracket_terms(u, v), "bracket left the quadruples") for v in members)
                   for u in members)
-    return dataclasses.replace(solved, algebra=LeibnizAlgebra(f, solved.dim, table))
+    return replace(solved, algebra=LeibnizAlgebra(f, solved.dim, table))
 
 
 def general_actor(x: CrossedModule) -> CrossedModule:

@@ -1,7 +1,8 @@
 """The package surface: the public names resolve on first use, each command
 loads only the modules it runs, no module keeps an import it never uses, no
 private module-level name goes unused, and only the stored form's hash
-writes into an object's ``__dict__``.
+writes into an object's ``__dict__``.  No module imports ``dataclasses``,
+and a CLI process loads neither it nor ``inspect``.
 
 No linter is installed, so the checks walk the modules' syntax trees with
 ``ast``: a name counts as used when a module loads it anywhere (string
@@ -63,9 +64,9 @@ def test_a_short_exact_sequence_round_trips_through_pickle():
     assert pickle.loads(pickle.dumps(s)) == s
 
 
-def _loaded(code: str) -> list[str]:
-    """The lbxmod modules a fresh interpreter holds after running code."""
-    script = code + "\nimport sys, json\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('lbxmod'))))"
+def _loaded(code: str, prefix: str = "lbxmod") -> list[str]:
+    """The modules (the lbxmod ones by default) a fresh interpreter holds after running code."""
+    script = code + f"\nimport sys, json\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith({prefix!r}))))"
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True).stdout
     return json.loads(out.splitlines()[-1])
 
@@ -100,6 +101,41 @@ def test_commands_on_biderivations_load_no_xaction():
     loaded = _loaded(_running(("bider", "catalog:l2"), *((name, "catalog:l2-ann-incl") for name in xmod_commands),
                               ("lift", "catalog:sl2-seq")))
     assert "lbxmod.bider" in loaded and "lbxmod.xaction" not in loaded
+
+
+def _imported_by_cli(*argv: str) -> set[str]:
+    """Every module a ``python -m lbxmod.cli ARGV`` process imports, as ``-X importtime`` lists them."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "lbxmod.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+
+
+def test_the_cli_loads_neither_dataclasses_nor_inspect():
+    """Each costs a CLI process milliseconds of import: ``dataclasses`` pulls
+    in ``inspect``, ``ast``, ``dis`` and ``tokenize``."""
+    assert not {"dataclasses", "inspect"} & set(_loaded("import lbxmod.cli", prefix=""))
+    for argv in (("validate", "catalog:sl2-id"), ("actor", "catalog:sl2-id"), ("xaction-validate", "catalog:sl2-self")):
+        imported = _imported_by_cli(*argv)
+        assert {"lbxmod.serialize", "argparse", "json"} <= imported and not {"dataclasses", "inspect"} & imported, argv
+
+
+def _absolute_imports(tree: ast.Module) -> set[str]:
+    """The top-level name of every absolute module an import statement names."""
+    return {name.split(".")[0] for node in ast.walk(tree)
+            for name in ([a.name for a in node.names] if isinstance(node, ast.Import)
+                         else [node.module] if isinstance(node, ast.ImportFrom) and not node.level else [])}
+
+
+def test_no_module_imports_dataclasses():
+    assert [module for module in MODULES
+            if "dataclasses" in _absolute_imports(ast.parse((SRC / module).read_text(), module))] == []
+
+
+def test_the_dataclasses_check_sees_each_kind_of_import():
+    tree = ast.parse("import dataclasses as dc\nfrom .fields import record\n"
+                     "def f():\n    from dataclasses import replace\nimport os.path\n")
+    assert _absolute_imports(tree) == {"dataclasses", "os"}
 
 
 def _eager_imports(tree: ast.Module, module: str) -> dict[str, str]:

@@ -528,10 +528,21 @@ def _parsed(capsys, parser, argv) -> tuple:
 
 STOPPING_ARGV = [["--help"], *([name, "--help"] for name in cli._COMMANDS), [],
                  *([name] for name, command in cli._COMMANDS.items() if command.inputs),
-                 ["actor", "catalog:l2-id", "--bogus"], ["nosuch"]]
+                 *([name, *(["catalog:l2-id"] if command.inputs else []), "--bogus"]
+                   for name, command in cli._COMMANDS.items()),
+                 *([name, "--field"] for name in cli._COMMANDS), ["nosuch"], ["--field", "f3", "actor"]]
 
 
 @pytest.mark.parametrize("argv", STOPPING_ARGV, ids=" ".join)
 def test_help_and_usage_errors_match_the_per_subcommand_parser(capsys, monkeypatch, argv):
+    """``main`` builds ``_parser(argv)``: for a command, a parser that knows only that one."""
     monkeypatch.setenv("COLUMNS", "80")
-    assert _parsed(capsys, cli._parser(), argv) == _parsed(capsys, ref.per_subcommand_parser(), argv)
+    assert _parsed(capsys, cli._parser(argv), argv) == _parsed(capsys, ref.per_subcommand_parser(), argv)
+
+
+@pytest.mark.parametrize("argv, known", [(["actor", "catalog:l2-id"], ["actor"]), (["catalog"], ["catalog"]),
+                                         ([], list(cli._COMMANDS)), (["--help"], list(cli._COMMANDS)),
+                                         (["nosuch", "actor"], list(cli._COMMANDS))])
+def test_a_command_gets_a_parser_that_knows_only_that_command(argv, known):
+    command, = (action for action in cli._parser(argv)._actions if action.dest == "command")
+    assert list(command.choices) == known

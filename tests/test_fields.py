@@ -86,6 +86,15 @@ def test_fp_elements_refuse_to_mix():
         FpElement(1, 2) + 1  # type: ignore[operator]
 
 
+def test_fp_reprs_and_mixing_errors_keep_their_own_text():
+    """The record decorator keeps the reprs the two classes define."""
+    assert repr(FpElement(2, 3)) == "2:F3" and repr(GF3) == "F3" and repr(PrimeField(7)) == "F7"
+    with pytest.raises(TypeError, match=r"^cannot mix F3 scalars with 1:F2$"):
+        FpElement(1, 3) * FpElement(1, 2)
+    with pytest.raises(TypeError, match=r"^cannot mix F3 scalars with 1:F5$"):
+        FpElement(2, 3) / FpElement(1, 5)
+
+
 def test_coerce_rationals_into_prime_fields():
     assert GF3.coerce(Fraction(1, 2)) == FpElement(2, 3)  # 1/2 = 2 mod 3
     assert GF2.coerce(7) == GF2.one
