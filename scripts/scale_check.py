@@ -7,7 +7,8 @@ command line:
 * ``A<n>``    the identity on the abelian algebra of dimension n;
 * ``NF<n>``   the identity on the null-filiform algebra, [e_i, e_1] = e_{i+1};
 * ``sl2^<k>`` the identity on the direct sum of k copies of sl2;
-* ``NF<n>c``  the inclusion of the ideal [NF_n, NF_n] into NF_n.
+* ``NF<n>c``  the inclusion of the ideal [NF_n, NF_n] into NF_n;
+* ``NF<n>q``  NF_n mapped onto NF_n / ann(NF_n), acting through its bracket.
 
 For each subject and field the script prints the wall time of a cold
 ``actor`` and then of ``outer_xmod``, and the ``tracemalloc`` peak of each
@@ -29,10 +30,13 @@ differs from the known one:
 * ``NF_n``: the actor has layers of dimension 2n - 1 and the outer part n;
 * ``sl2^k`` over Q: the actor has layers of dimension 3k, all of it inner.
 
-``NF<n>c`` has no pinned dimensions; it keeps the general quadruple solve
-and the actor's tables in view.  Times are for reading, not gated.  Example::
+``NF<n>c`` and ``NF<n>q`` have no pinned dimensions; they keep the actor's
+tables in view, and the quadruples of the two ways ``bider_xmod`` solves
+them off an identity: one kernel on the injective boundary of ``NF<n>c``,
+and the pair spaces and then the small system on the boundary of
+``NF<n>q``, whose kernel is ann(NF_n).  Times are for reading, not gated.  Example::
 
-    PYTHONPATH=src python3 scripts/scale_check.py A6 NF12 NF8c --field q --field f3
+    PYTHONPATH=src python3 scripts/scale_check.py A6 NF12 NF8c NF8q --field q --field f3
 """
 from __future__ import annotations
 
@@ -44,11 +48,12 @@ import time
 import tracemalloc
 
 from lbxmod import bider
-from lbxmod.algebra import MAX_DIM, LeibnizAlgebra, commutator
+from lbxmod.algebra import MAX_DIM, LeibnizAlgebra, annihilator, commutator
 from lbxmod.bider import actor, bider_qn, bider_xmod, canonical_morphism, outer_xmod
 from lbxmod.fields import get_field
+from lbxmod.linalg import Subspace
 from lbxmod.serialize import xmod_from_json, xmod_to_json
-from lbxmod.xmod import CrossedModule, center, kernel, validate_morphism, validate_xmod
+from lbxmod.xmod import CrossedModule, center, kernel, quotient_xmod, validate_morphism, validate_xmod
 
 SL2 = {(0, 1): {0: -2}, (1, 0): {0: 2}, (0, 2): {1: 1}, (2, 0): {1: -1}, (1, 2): {2: -2}, (2, 1): {2: 2}}
 
@@ -56,18 +61,21 @@ SL2 = {(0, 1): {0: -2}, (1, 0): {0: 2}, (0, 2): {1: 1}, (2, 0): {1: -1}, (1, 2):
 def subject(spec: str, field) -> tuple[CrossedModule, tuple[int, int] | None]:
     """The crossed module a spec names, with the (actor, outer) layer
     dimension theory gives for it, or None where none is pinned."""
-    m = re.fullmatch(r"A(\d+)|NF(\d+)(c?)|sl2\^(\d+)", spec)
+    m = re.fullmatch(r"A(\d+)|NF(\d+)([cq]?)|sl2\^(\d+)", spec)
     if m is None:
-        raise SystemExit(f"unknown subject {spec!r}: use A<n>, NF<n>, NF<n>c or sl2^<k>")
+        raise SystemExit(f"unknown subject {spec!r}: use A<n>, NF<n>, NF<n>c, NF<n>q or sl2^<k>")
     if m[1]:
         n = int(m[1])
         return CrossedModule.identity_on(LeibnizAlgebra.abelian(field, n)), (2 * n * n, 2 * n * n)
     if m[2]:
         n = int(m[2])
         a = LeibnizAlgebra.from_brackets(field, n, {(i, 0): {i + 1: 1} for i in range(n - 1)})
-        if m[3]:
+        if m[3] == "c":
             return CrossedModule.inclusion_of_ideal(a, commutator(a)), None
-        return CrossedModule.identity_on(a), (2 * n - 1, n)
+        x = CrossedModule.identity_on(a)
+        if m[3] == "q":
+            return quotient_xmod(x, Subspace.zero(field, n), annihilator(a)).xmod, None
+        return x, (2 * n - 1, n)
     k = int(m[4])
     blocks = {(3 * c + i, 3 * c + j): {3 * c + t: v for t, v in terms.items()}
               for c in range(k) for (i, j), terms in SL2.items()}
@@ -112,7 +120,7 @@ def peak(fn):
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("subjects", nargs="+", help="A<n>, NF<n>, NF<n>c or sl2^<k>")
+    ap.add_argument("subjects", nargs="+", help="A<n>, NF<n>, NF<n>c, NF<n>q or sl2^<k>")
     ap.add_argument("--field", action="append", help="q, f2, f3 or f<p> (repeatable; default q)")
     args = ap.parse_args(argv)
     failed = False

@@ -11,9 +11,11 @@ boundary).
   module: the pair block through its action.
 * ``bider_algebra(a)`` — ``bider_qn`` of the identity crossed module on a.
 * ``bider_xmod(x)`` — quadruples (top_der, top_antider, base_der,
-  base_antider): the pair rows of top x| base within each layer, solved
-  first, then the boundary block and the pair rows across the layers on the
-  two pair spaces' coordinates; on an identity, ``bider_qn(x)``'s pairs.
+  base_antider): on an identity, ``bider_qn(x)``'s pairs; when the boundary
+  is injective, a homomorphism and equivariant, one kernel of the base's
+  pair rows and the boundary block; otherwise the pair rows of top x| base
+  within each layer, solved first, then the boundary block and the pair
+  rows across the layers on the two pair spaces' coordinates.
 
 Each space carries an induced Leibniz bracket, the one ``_pair_bracket``
 taken on each pair of components: a quadruple's is the pair bracket on each
@@ -53,7 +55,7 @@ from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from .action import ActionData, _semidirect_table
-from .algebra import LeibnizAlgebra, SparseTensor, SparseVector, _evaluate, _units
+from .algebra import _ONE, LeibnizAlgebra, SparseTensor, SparseVector, _evaluate, _units
 from .fields import Field, record, replace
 from .linalg import (
     Matrix,
@@ -68,14 +70,13 @@ from .linalg import (
     sparse_kernel,
 )
 from .xmod import (
-    NO_CONDITION_WARNING,
     CrossedModule,
     NotExactError,
     QuotientXMod,
     ShortExactSequence,
     SubXMod,
     XModMorphism,
-    check_conditions,
+    _condition_warnings,
     image,
     quotient_xmod,
     validate_morphism,
@@ -336,6 +337,23 @@ def bider_qn(x: CrossedModule) -> MapSpace:
 # -- quadruple spaces on a crossed module --------------------------------
 
 
+def _pulls_back(x: CrossedModule) -> bool:
+    """Whether mu is injective, a homomorphism and equivariant (``hom``,
+    ``XLb1-left`` and ``XLb1-right``), summed at every basis witness and
+    stopping at the first nonzero sum."""
+    if column_space(x.boundary).dim != x.top.dim:
+        return False
+    cols, mt, bt = x.boundary.sparse_columns, x.top.sparse_table, x.base.sparse_table
+    left, right, eta = x.action.sparse_left, x.action.sparse_right, (cols,)
+    ns, qs = range(x.top.dim), list(enumerate(_units(x.base.dim)))
+    sums = itertools.chain(
+        ([(1, eta, _ONE, mt[i][j]), (-1, bt, cols[i], cols[j])] for i in ns for j in ns),
+        ([(1, eta, _ONE, left[a][i]), (-1, bt, e, cols[i])] for a, e in qs for i in ns),
+        ([(1, eta, _ONE, right[i][a]), (-1, bt, cols[i], e)] for a, e in qs for i in ns))
+    p = x.top.field.characteristic
+    return not any(_evaluate(terms, p) for terms in sums)
+
+
 @functools.lru_cache(maxsize=None)
 def bider_xmod(x: CrossedModule) -> MapSpace:
     """Quadruples (s1, t1, s2, t2): pairs on the top and on the base that
@@ -348,6 +366,17 @@ def bider_xmod(x: CrossedModule) -> MapSpace:
     (s1, t1) through the bracket action, and the quadruple bracket is the
     pair bracket.  So each pair's scaled row is repeated at offset 2n^2, on
     the same pivots, with the pair space's algebra: no solve and no table.
+
+    When mu is injective and passes ``hom`` and ``XLb1`` (``_pulls_back``),
+    as on every ideal inclusion, the base pair rows and the boundary rows
+    alone are the system: mu applied to each pair identity of the top, or
+    across the layers, is a base pair identity at (mu m, mu m'), (p, mu m)
+    or (mu m, p).  For instance mu s1([m, m']) = s2([mu m, mu m']) =
+    [s2 mu m, mu m'] + [mu m, s2 mu m'] = mu([s1 m, m'] + [m, s1 m']) by
+    ``hom`` and the boundary rows, and mu s1([p, m]) = s2([p, mu m]) =
+    [s2 p, mu m] + [p, s2 mu m] = mu([s2 p, m] + [p, s1 m]) by ``XLb1``;
+    ``XLb2`` is never used.  Injectivity pulls each identity back to the
+    top, so one kernel is the quadruple space, its canonical basis included.
 
     Otherwise they are solved inside Bider(top) x Bider(base), the kernel of
     the pair rows within each layer.  The boundary rows and the pair rows
@@ -366,20 +395,25 @@ def bider_xmod(x: CrossedModule) -> MapSpace:
         return MapSpace(f, shapes, Subspace(f, 2 * off, rows, pairs.space.pivots), pairs.algebra)
     maps = _layout(shapes)
     s1, t1, s2, t2 = map(_columns, maps)
-    # the block-diagonal pair on top x| base, the base rows numbered after the top's
-    d, dd = s1 + _columns(maps[2], nd), t1 + _columns(maps[3], nd)
-    tab, top, base = _semidirect_table(x.action), range(nd), range(nd, nd + qd)
-    pairs = sparse_kernel(f, off + 2 * qd * qd, _pair_rows(tab, tab, tab, d, dd, [(top, top), (base, base)]))
-    members, pivots = [row for row, _d in pairs.scaled_rows], pairs.pivots
-    rows = (_boundary_rows(x.boundary, s1, s2) + _boundary_rows(x.boundary, t1, t2)
-            + _pair_rows(tab, tab, tab, d, dd, [(base, top), (top, base)]))
-    on_members: SparseMatrix = {}  # unknown u -> {t: members[t][u]}
-    for t, member in enumerate(members):
-        for u, c in member.items():
-            on_members.setdefault(u, {})[t] = c
-    small = sparse_kernel(f, len(members), _compose((dict(enumerate(rows)), 1), (on_members, 1))[0].values())
-    combos, _ = _compose((dict(enumerate(row for row, _e in small.scaled_rows)), 1), (dict(enumerate(members)), 1))
-    space = _echelon_subspace(f, off + 2 * qd * qd, combos.values(), tuple(pivots[t] for t in small.pivots))
+    rows = _boundary_rows(x.boundary, s1, s2) + _boundary_rows(x.boundary, t1, t2)
+    if _pulls_back(x):
+        bt, base = x.base.sparse_table, range(qd)
+        space = sparse_kernel(f, off + 2 * qd * qd, _pair_rows(bt, bt, bt, s2, t2, [(base, base)]) + rows)
+    else:
+        # the block-diagonal pair on top x| base, the base rows numbered after the top's
+        d, dd = s1 + _columns(maps[2], nd), t1 + _columns(maps[3], nd)
+        tab, top, base = _semidirect_table(x.action), range(nd), range(nd, nd + qd)
+        pairs = sparse_kernel(f, off + 2 * qd * qd, _pair_rows(tab, tab, tab, d, dd, [(top, top), (base, base)]))
+        members, pivots = [row for row, _d in pairs.scaled_rows], pairs.pivots
+        rows += _pair_rows(tab, tab, tab, d, dd, [(base, top), (top, base)])
+        on_members: SparseMatrix = {}  # unknown u -> {t: members[t][u]}
+        for t, member in enumerate(members):
+            for u, c in member.items():
+                on_members.setdefault(u, {})[t] = c
+        small = sparse_kernel(f, len(members), _compose((dict(enumerate(rows)), 1), (on_members, 1))[0].values())
+        combos, _ = _compose((dict(enumerate(row for row, _e in small.scaled_rows)), 1),
+                             (dict(enumerate(members)), 1))
+        space = _echelon_subspace(f, off + 2 * qd * qd, combos.values(), tuple(pivots[t] for t in small.pivots))
 
     # mu = id on each layer, so its pair (s, t) is given as (s, t, s, t)
     return _space_with_algebra(shapes, space, lambda quad: [quad[:2] * 2, quad[2:] * 2])
@@ -550,5 +584,4 @@ def lift_sequence(s: ShortExactSequence) -> LiftResult:
     induced_top = induced(pull_top, alpha, out.top_project, s.project.top_map.rows)
     induced_base = induced(pull_base, beta, out.base_project, s.project.base_map.rows)
 
-    warnings = () if check_conditions(x).any_holds else (NO_CONDITION_WARNING,)
-    return LiftResult(morphism, out, induced_top, induced_base, warnings)
+    return LiftResult(morphism, out, induced_top, induced_base, _condition_warnings(x))

@@ -350,6 +350,21 @@ NO_CONDITION_WARNING = (
 )
 
 
+def _condition_warnings(x: CrossedModule) -> tuple[str, ...]:
+    """(NO_CONDITION_WARNING,) unless ``check_conditions(x).any_holds``,
+    decided from as few facts as decide it: ann(top) = 0 first, then
+    whether the base is perfect, then the rest; one algebra on both layers
+    is asked once."""
+    def perfect(a: LeibnizAlgebra) -> bool:
+        return commutator(a).dim == a.dim
+
+    if not annihilator(x.top).dim:  # con1 or con2 holds: ann(base) = 0 or the base is perfect
+        holds = x.base == x.top or perfect(x.base) or not annihilator(x.base).dim
+    else:  # only con3 can hold: both layers are perfect
+        holds = perfect(x.base) and (x.top == x.base or perfect(x.top))
+    return () if holds else (NO_CONDITION_WARNING,)
+
+
 def invariant_top_subspace(x: CrossedModule) -> Subspace:
     """{v in top : [q, v] = 0 = [v, q] for the whole base}."""
     left, right, n, q = x.action.sparse_left, x.action.sparse_right, range(x.top.dim), range(x.base.dim)
@@ -373,5 +388,4 @@ def center(x: CrossedModule) -> SubXMod:
     the base that acts trivially and annihilates the base algebra."""
     top_space = invariant_top_subspace(x)
     base_space = sparse_kernel(x.base.field, x.base.dim, _trivially_acting_rows(x) + _annihilator_rows(x.base))
-    warnings = () if check_conditions(x).any_holds else (NO_CONDITION_WARNING,)
-    return sub_xmod(x, top_space, base_space, warnings)
+    return sub_xmod(x, top_space, base_space, _condition_warnings(x))

@@ -1,7 +1,10 @@
 """Crossed modules: validity, morphisms, subobjects, conditions, center."""
 import pytest
-from conftest import XMOD_IDS
+from conftest import FIELDS, XMOD_IDS
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference_stages import column
+from strategies import quadruple_inputs, xmods
 
 from lbxmod import GF2, QQ, InputDataError
 from lbxmod.action import ActionData
@@ -173,6 +176,40 @@ def test_condition_profile_of_an_identity_solves_its_one_layer_once(cid, monkeyp
     assert condition_profile(x) == expected
     assert sorted(calls) == ["annihilator", "commutator"]
     assert check_conditions(x) == ConditionFlags.from_profile(expected)
+
+
+def _warned(x) -> bool:
+    """Whether ``center`` and ``lift_sequence`` warn that no support
+    condition holds."""
+    return xmod._condition_warnings(x) == (NO_CONDITION_WARNING,)
+
+
+@given(st.sampled_from(FIELDS), st.data())
+@settings(max_examples=150, deadline=None)
+def test_the_condition_warning_follows_the_flags(field, data):
+    """The warning of ``center`` and ``lift_sequence``, decided from as few
+    facts as decide it, is there exactly when no condition holds."""
+    x = data.draw(xmods(field) | quadruple_inputs(field))
+    assert xmod._condition_warnings(x) in ((), (NO_CONDITION_WARNING,))
+    assert _warned(x) == (not check_conditions(x).any_holds)
+
+
+@pytest.mark.parametrize("cid", XMOD_IDS)
+def test_the_condition_warning_of_each_catalog_entry_follows_the_flags(cid, field):
+    x = build_entry(cid, field)
+    assert _warned(x) == (not check_conditions(x).any_holds)
+
+
+@pytest.mark.parametrize("top, base, warned", [
+    ("sl2", "sl2", False), ("sl2", "a1", True), ("a1", "sl2", True), ("a1", "a1", True)])
+def test_the_condition_warning_decides_each_branch(top, base, warned):
+    """Zero action and boundary between sl2 (centerless, perfect) and A_1:
+    ann(top) = 0 with base perfect or ann(base) = 0, and ann(top) != 0,
+    where both layers must be perfect."""
+    make = {"sl2": lambda: build_entry("sl2-id", QQ).top, "a1": lambda: LeibnizAlgebra.abelian(QQ, 1)}
+    t, b = make[top](), make[base]()
+    x = CrossedModule(t, b, Matrix.zeros(QQ, b.dim, t.dim), ActionData.zero(b, t))
+    assert _warned(x) == warned == (not check_conditions(x).any_holds)
 
 
 def test_center_of_identity_on_sl2_is_zero():
