@@ -31,10 +31,11 @@ differs from the known one:
 * ``sl2^k`` over Q: the actor has layers of dimension 3k, all of it inner.
 
 ``NF<n>c`` and ``NF<n>q`` have no pinned dimensions; they keep the actor's
-tables in view, and the quadruples of the two ways ``bider_xmod`` solves
-them off an identity: one kernel on the injective boundary of ``NF<n>c``,
-and the pair spaces and then the small system on the boundary of
-``NF<n>q``, whose kernel is ann(NF_n).  Times are for reading, not gated.  Example::
+tables in view, and the two row sets of the one kernel ``bider_xmod``
+solves off an identity: the base's pair rows and the boundary rows on the
+injective boundary of ``NF<n>c``, and the pair rows of top x| base with the
+boundary rows on the boundary of ``NF<n>q``, whose kernel is ann(NF_n).
+Times are for reading, not gated.  Example::
 
     PYTHONPATH=src python3 scripts/scale_check.py A6 NF12 NF8c NF8q --field q --field f3
 """

@@ -3,19 +3,18 @@
 The spaces are kernels of linear identity systems whose sparse rows
 {unknown: coefficient} are read straight off the structure constants by two
 reusable blocks on maps given as column templates of unknowns:
-``_pair_rows`` (a biderivation pair at given index pairs of a bracket table
-acting on the maps' target) and ``_boundary_rows`` (maps intertwine the
+``_pair_rows`` (a biderivation pair at every index pair of a range of a
+bracket table acting on the maps' target) and ``_boundary_rows`` (maps intertwine the
 boundary).
 
 * ``bider_qn(x)`` — pairs (der, antider) of maps base -> top of a crossed
   module: the pair block through its action.
 * ``bider_algebra(a)`` — ``bider_qn`` of the identity crossed module on a.
 * ``bider_xmod(x)`` — quadruples (top_der, top_antider, base_der,
-  base_antider): on an identity, ``bider_qn(x)``'s pairs; when the boundary
-  is injective, a homomorphism and equivariant, one kernel of the base's
-  pair rows and the boundary block; otherwise the pair rows of top x| base
-  within each layer, solved first, then the boundary block and the pair
-  rows across the layers on the two pair spaces' coordinates.
+  base_antider): on an identity, ``bider_qn(x)``'s pairs; otherwise one
+  kernel of the boundary block and the pair rows, those of the base alone
+  when the boundary is injective, a homomorphism and equivariant, else
+  those of top x| base within and across its two layers.
 
 Each space carries an induced Leibniz bracket, the one ``_pair_bracket``
 taken on each pair of components: a quadruple's is the pair bracket on each
@@ -52,7 +51,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .action import ActionData, _semidirect_table
 from .algebra import _ONE, LeibnizAlgebra, SparseTensor, SparseVector, _evaluate, _units
@@ -62,7 +61,6 @@ from .linalg import (
     Number,
     ScaledVector,
     Subspace,
-    _echelon_subspace,
     _Preimages,
     _rescale,
     column_space,
@@ -259,10 +257,10 @@ def _collect(*terms) -> list[_Row]:
 
 
 def _pair_rows(table: SparseTensor, left: SparseTensor, right: SparseTensor, d: _Columns, dd: _Columns,
-               blocks: Iterable[tuple[range, range]]) -> list[_Row]:
-    """(d, dd) is a biderivation pair at every index pair (a, b) in the
-    blocks A x B given: the maps go from the algebra with bracket ``table``
-    to a space on which it acts by left[a][i] = [e_a, m_i] and
+               indices: range) -> list[_Row]:
+    """(d, dd) is a biderivation pair at every index pair (a, b) of the
+    indices given: the maps go from the algebra with bracket ``table`` to a
+    space on which it acts by left[a][i] = [e_a, m_i] and
     right[i][b] = [m_i, e_b], and
 
     d([a, b]) = [d(a), b] + [a, d(b)],  dd([a, b]) = [dd(a), b] - [dd(b), a],
@@ -270,7 +268,7 @@ def _pair_rows(table: SparseTensor, left: SparseTensor, right: SparseTensor, d: 
     """
     right_by = [[row[b] for row in right] for b in range(len(table))]  # [m_i, e_b]
     rows: list[_Row] = []
-    for a, b in itertools.chain.from_iterable(itertools.starmap(itertools.product, blocks)):
+    for a, b in itertools.product(indices, repeat=2):
         d_b = _sent(d, b, left[a])
         rows += _collect((1, _applied(d, table[a][b])), (-1, _sent(d, a, right_by[b])), (-1, d_b))
         rows += _collect((1, _applied(dd, table[a][b])), (-1, _sent(dd, a, right_by[b])),
@@ -329,7 +327,7 @@ def bider_qn(x: CrossedModule) -> MapSpace:
     nd, qd = x.top.dim, x.base.dim
     shapes, act, mu = ((nd, qd),) * 2, x.action, _scaled_matrix(x.boundary)
     rows = _pair_rows(x.base.sparse_table, act.sparse_left, act.sparse_right,
-                      *map(_columns, _layout(shapes)), [(range(qd), range(qd))])
+                      *map(_columns, _layout(shapes)), range(qd))
     space = sparse_kernel(x.top.field, 2 * nd * qd, rows)
     return _space_with_algebra(shapes, space, lambda pair: [(*pair, _compose(mu, pair[0]), _compose(mu, pair[1]))])
 
@@ -376,15 +374,11 @@ def bider_xmod(x: CrossedModule) -> MapSpace:
     ``hom`` and the boundary rows, and mu s1([p, m]) = s2([p, mu m]) =
     [s2 p, mu m] + [p, s2 mu m] = mu([s2 p, m] + [p, s1 m]) by ``XLb1``;
     ``XLb2`` is never used.  Injectivity pulls each identity back to the
-    top, so one kernel is the quadruple space, its canonical basis included.
+    top, so these rows have the quadruples as their kernel.
 
-    Otherwise they are solved inside Bider(top) x Bider(base), the kernel of
-    the pair rows within each layer.  The boundary rows and the pair rows
-    across the layers, pulled back to the stacked echelon rows (members) of
-    the two, leave a small system on dim Bider(top) + dim Bider(base)
-    unknowns.  The members have increasing pivots and vanish at each other's,
-    so each reduced kernel row times them is already a reduced echelon row;
-    it is only made primitive over Q.
+    Otherwise the rows are the boundary rows and the pair rows of the
+    block-diagonal pair at every index pair of top x| base.  Either way one
+    kernel is the quadruple space, its canonical basis included.
     """
     nd, qd = x.top.dim, x.base.dim
     shapes = ((nd, nd), (nd, nd), (qd, qd), (qd, qd))
@@ -395,25 +389,13 @@ def bider_xmod(x: CrossedModule) -> MapSpace:
         return MapSpace(f, shapes, Subspace(f, 2 * off, rows, pairs.space.pivots), pairs.algebra)
     maps = _layout(shapes)
     s1, t1, s2, t2 = map(_columns, maps)
-    rows = _boundary_rows(x.boundary, s1, s2) + _boundary_rows(x.boundary, t1, t2)
     if _pulls_back(x):
-        bt, base = x.base.sparse_table, range(qd)
-        space = sparse_kernel(f, off + 2 * qd * qd, _pair_rows(bt, bt, bt, s2, t2, [(base, base)]) + rows)
-    else:
-        # the block-diagonal pair on top x| base, the base rows numbered after the top's
+        tab, d, dd, indices = x.base.sparse_table, s2, t2, range(qd)
+    else:  # the block-diagonal pair on top x| base, the base rows numbered after the top's
+        tab, indices = _semidirect_table(x.action), range(nd + qd)
         d, dd = s1 + _columns(maps[2], nd), t1 + _columns(maps[3], nd)
-        tab, top, base = _semidirect_table(x.action), range(nd), range(nd, nd + qd)
-        pairs = sparse_kernel(f, off + 2 * qd * qd, _pair_rows(tab, tab, tab, d, dd, [(top, top), (base, base)]))
-        members, pivots = [row for row, _d in pairs.scaled_rows], pairs.pivots
-        rows += _pair_rows(tab, tab, tab, d, dd, [(base, top), (top, base)])
-        on_members: SparseMatrix = {}  # unknown u -> {t: members[t][u]}
-        for t, member in enumerate(members):
-            for u, c in member.items():
-                on_members.setdefault(u, {})[t] = c
-        small = sparse_kernel(f, len(members), _compose((dict(enumerate(rows)), 1), (on_members, 1))[0].values())
-        combos, _ = _compose((dict(enumerate(row for row, _e in small.scaled_rows)), 1),
-                             (dict(enumerate(members)), 1))
-        space = _echelon_subspace(f, off + 2 * qd * qd, combos.values(), tuple(pivots[t] for t in small.pivots))
+    rows = _pair_rows(tab, tab, tab, d, dd, indices) + _boundary_rows(x.boundary, s1, s2)
+    space = sparse_kernel(f, off + 2 * qd * qd, rows + _boundary_rows(x.boundary, t1, t2))
 
     # mu = id on each layer, so its pair (s, t) is given as (s, t, s, t)
     return _space_with_algebra(shapes, space, lambda quad: [quad[:2] * 2, quad[2:] * 2])

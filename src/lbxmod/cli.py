@@ -41,7 +41,7 @@ from .action import semidirect_algebra, validate_action
 from .algebra import ValidationReport, _prefixed, annihilator, commutator, validate_leibniz
 from .catalog import CATALOG, build_entry
 from .fields import Field, InputDataError, get_field
-from .linalg import LinearSolveError, rref
+from .linalg import LinearSolveError, column_space
 from .xmod import (ActionAxiomError, ConditionFlags, ConditionsNotMetError, InvalidMorphismError, NotAnIdealError,
                    NotExactError, center, condition_profile, kernel, validate_morphism, validate_xmod)
 
@@ -159,7 +159,7 @@ def _delta_report(_kind, x, _field) -> dict:
     from .bider import delta
 
     mat = delta(x)
-    return {"matrix": ser.matrix_to_json(mat), "bijective": rref(mat).rank == mat.rows and mat.rows == mat.cols}
+    return {"matrix": ser.matrix_to_json(mat), "bijective": column_space(mat).dim == mat.rows and mat.rows == mat.cols}
 
 
 def _canonical_report(_kind, x, _field) -> dict:

@@ -547,7 +547,8 @@ def sparse_kernel(field: Field, ncols: int, rows: Iterable[Mapping[int, Number]]
     ``nullspace`` gives for the dense matrix of the rows.  With each echelon
     row (I, d) pivoted at its last nonzero column, the generator
     e_f - sum(I[f] / d * e_lead) of free column f has its other entries after
-    f, so the generators are already the kernel's reduced echelon rows.
+    f, so the generators are already the kernel's reduced echelon rows: over
+    F_p they hold residues, over Q they are made primitive integer rows.
     """
     p = field.characteristic
     red = _sparse_rref(rows, p, max)
@@ -556,15 +557,7 @@ def sparse_kernel(field: Field, ncols: int, rows: Iterable[Mapping[int, Number]]
         d = row[lead]
         for c, v in row.items():
             if c != lead:
-                gens[c][lead] = -v if d == 1 else Fraction(-v, d)
-    return _echelon_subspace(field, ncols, gens.values(), tuple(gens))
-
-
-def _echelon_subspace(field: Field, ncols: int, rows: Iterable[Mapping[int, Number]],
-                      pivots: tuple[int, ...]) -> Subspace:
-    """The ``Subspace`` whose reduced echelon rows lie on the lines of rows,
-    with the pivots given in increasing order; over F_p each row must be 1
-    at its pivot already, over Q it is made a primitive integer row."""
-    p = field.characteristic
-    rows = [{u: c % p for u, c in row.items() if c % p} if p else _integer_row(row) for row in rows]
-    return Subspace(field, ncols, tuple((row, row[u]) for row, u in zip(rows, pivots)), pivots)
+                gens[c][lead] = -v % p if p else -v if d == 1 else Fraction(-v, d)
+    if not p:
+        gens = {f: _integer_row(gen) for f, gen in gens.items()}
+    return Subspace(field, ncols, tuple((gen, gen[f]) for f, gen in gens.items()), tuple(gens))

@@ -324,51 +324,51 @@ def test_a_nonzero_composite_is_not_exact_though_the_ranks_add_up():
     assert problems == ref.sequence_problems(broken)
 
 
-def _staged_equals_one_system(x):
-    staged, one = bider_xmod(x), ref.one_system_bider_xmod(x)
-    assert staged.space.scaled_rows == one.space.scaled_rows
-    assert staged.space.pivots == one.space.pivots
-    assert staged.algebra.sparse_table == one.algebra.sparse_table
-    assert staged.sparse_basis == one.sparse_basis
+def _equals_one_system(x):
+    solved, one = bider_xmod(x), ref.one_system_bider_xmod(x)
+    assert solved.space.scaled_rows == one.space.scaled_rows
+    assert solved.space.pivots == one.space.pivots
+    assert solved.algebra.sparse_table == one.algebra.sparse_table
+    assert solved.sparse_basis == one.sparse_basis
 
 
 @given(st.sampled_from(FIELDS), st.data())
 @settings(max_examples=200, deadline=None)
-def test_staged_quadruples_equal_the_one_system(field, data):
+def test_quadruples_equal_the_one_system(field, data):
     """The quadruples are the one system's solutions, to the echelon row and
     the bracket table, whether read off the pair space (identity) or solved
-    inside the two pair spaces (one algebra or two), and in seeded bases too;
+    in one kernel (one algebra or two), and in seeded bases too;
     on the crossed modules among them, so is the actor, its action tables
     included, the general construction's."""
     x = data.draw(quadruple_inputs(field))
     seed = data.draw(st.none() | st.integers(0, 2**16))
     x = x if seed is None else ref.rebase_xmod(x, random.Random(seed))
-    _staged_equals_one_system(x)
+    _equals_one_system(x)
     if validate_xmod(x).ok:
         assert actor(x) == ref.general_actor(x)
 
 
-def test_staged_quadruples_of_one_algebra_by_its_bracket_off_the_identity_boundary(field, monkeypatch):
+def test_quadruples_of_one_algebra_by_its_bracket_off_the_identity_boundary(field, monkeypatch):
     """[e0, e1] = e0 acting on itself by its bracket, with boundary e0 -> e1,
     is no crossed module: its pair space's table does not close, so the
     quadruples may not start from it, though its action is the bracket.
-    It is no identity crossed module, and its quadruples are solved."""
+    It is no identity crossed module, and its quadruples are one kernel."""
     a = LeibnizAlgebra.from_brackets(field, 2, {(0, 1): {0: 1}})
     x = CrossedModule(a, a, Matrix.from_rows(field, [[0, 0], [1, 0]]), ActionData.by_bracket(a))
     assert not validate_xmod(x).ok
     with pytest.raises(linalg.LinearSolveError):
         bider_qn(x)
-    assert not x.is_identity() and _quadruple_kernels(x, monkeypatch) == 2
-    _staged_equals_one_system(x)
+    assert not x.is_identity() and _quadruple_kernels(x, monkeypatch) == 1
+    _equals_one_system(x)
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_staged_quadruples_in_seeded_bases_of_sl2_and_nf3(field, seed):
-    """In these bases the pair spaces' echelon rows have pivot entries other
-    than 1, and over Q some mapped-back rows have a common factor to divide."""
+def test_quadruples_in_seeded_bases_of_sl2_and_nf3(field, seed):
+    """In these bases the echelon rows have pivot entries other than 1, and
+    over Q the kernel's generators have rational entries to clear."""
     for a in (null_filiform(field, 3), sl2(field)):
         for x in (CrossedModule.identity_on(a), CrossedModule.inclusion_of_ideal(a, commutator(a))):
-            _staged_equals_one_system(ref.rebase_xmod(x, random.Random(seed)))
+            _equals_one_system(ref.rebase_xmod(x, random.Random(seed)))
 
 
 # -- the identity crossed module: quadruples and actor read off the pair space --
@@ -387,7 +387,7 @@ def test_identity_quadruples_and_actor_equal_the_general_construction(field, dat
     if seed is not None:
         x = ref.rebase_xmod(x, random.Random(seed), same_basis=True)
     assert x.is_identity()
-    _staged_equals_one_system(x)
+    _equals_one_system(x)
     assert actor(x) == ref.general_actor(x)
     assert delta(x) == Matrix.identity(field, bider_qn(x).dim)
 
@@ -467,12 +467,31 @@ def test_a_cold_identity_actor_solves_and_multiplies_only_for_its_pair_space(fie
     assert actor(x).top is actor(x).base is bider_qn(x).algebra is bider_xmod(x).algebra
 
 
-def _quadruple_kernels(x, monkeypatch) -> int:
-    """The sparse_kernel calls of a cold bider_xmod(x): one on an injective,
-    equivariant boundary, two (the pair spaces, then the small system) on
-    the staged path."""
+def _quadruple_system(x, monkeypatch):
+    """The row lists a cold bider_xmod(x) hands its kernels, and the number
+    of semidirect tables it builds."""
+    systems, tables = [], []
+    kernel, semidirect = bider.sparse_kernel, bider._semidirect_table
+
+    def kept_kernel(field, ncols, system):
+        systems.append(system)
+        return kernel(field, ncols, system)
+
+    def counted_semidirect(act):
+        tables.append(act)
+        return semidirect(act)
+
     _clear_memos()
-    return _calls(monkeypatch, lambda: bider_xmod(x)).count("sparse_kernel")
+    with monkeypatch.context() as m:
+        m.setattr(bider, "sparse_kernel", kept_kernel)
+        m.setattr(bider, "_semidirect_table", counted_semidirect)
+        bider_xmod(x)
+    return systems, len(tables)
+
+
+def _quadruple_kernels(x, monkeypatch) -> int:
+    """The sparse_kernel calls of a cold bider_xmod(x): one off the identity."""
+    return len(_quadruple_system(x, monkeypatch)[0])
 
 
 def _onto_the_quotient_by_the_annihilator(a):
@@ -481,38 +500,61 @@ def _onto_the_quotient_by_the_annihilator(a):
     return quotient_xmod(CrossedModule.identity_on(a), Subspace.zero(a.field, a.dim), annihilator(a)).xmod
 
 
-@pytest.mark.parametrize("field", [QQ, GF3], ids=["q", "f3"])
-def test_ideal_inclusions_solve_their_quadruples_in_one_kernel(field, monkeypatch):
-    """The base pair rows and the boundary rows are the whole system on an
-    ideal inclusion; a zero boundary and NF_4 onto NF_4 / ann stay staged."""
+def _pulled_back_and_not(field):
+    """Ideal inclusions, whose boundary pulls back, and a zero boundary and
+    NF_4 onto NF_4 / ann, whose boundaries are not injective."""
     nf4 = null_filiform(field, 4)
-    for x in (build_entry("l2-ann-incl", field), CrossedModule.inclusion_of_ideal(nf4, commutator(nf4))):
-        assert _quadruple_kernels(x, monkeypatch) == 1
-        _staged_equals_one_system(x)
     a = LeibnizAlgebra.abelian(field, 2)
     zero = CrossedModule(a, a, Matrix.zeros(field, 2, 2), ActionData.by_bracket(a))
-    for x in (zero, _onto_the_quotient_by_the_annihilator(nf4)):
+    return ([build_entry("l2-ann-incl", field), CrossedModule.inclusion_of_ideal(nf4, commutator(nf4))],
+            [zero, _onto_the_quotient_by_the_annihilator(nf4)])
+
+
+@pytest.mark.parametrize("field", [QQ, GF3], ids=["q", "f3"])
+def test_ideal_inclusions_solve_their_quadruples_in_one_kernel(field, monkeypatch):
+    """Whether the boundary pulls back (ideal inclusions) or not (a zero
+    boundary, NF_4 onto NF_4 / ann), the quadruples are one kernel."""
+    pulled, not_pulled = _pulled_back_and_not(field)
+    for x in pulled + not_pulled:
         assert validate_xmod(x).ok and not x.is_identity()
-        assert _quadruple_kernels(x, monkeypatch) == 2
-        _staged_equals_one_system(x)
+        assert _quadruple_kernels(x, monkeypatch) == 1
+        _equals_one_system(x)
+
+
+@pytest.mark.parametrize("field", [QQ, GF3], ids=["q", "f3"])
+def test_a_pulled_back_boundary_solves_the_base_pair_rows_and_the_boundary_rows(field, monkeypatch):
+    """Where the boundary pulls back, the kernel gets the base's own pair
+    rows, then the boundary rows of (s1, s2) and of (t1, t2), and no
+    semidirect table is built; elsewhere the pair rows are those of the
+    one semidirect table top x| base."""
+    pulled, not_pulled = _pulled_back_and_not(field)
+    for x in pulled:
+        nd, qd = x.top.dim, x.base.dim
+        s1, t1, s2, t2 = map(bider._columns, bider._layout(((nd, nd), (nd, nd), (qd, qd), (qd, qd))))
+        bt = x.base.sparse_table
+        expected = (bider._pair_rows(bt, bt, bt, s2, t2, range(qd)) + bider._boundary_rows(x.boundary, s1, s2)
+                    + bider._boundary_rows(x.boundary, t1, t2))
+        assert _quadruple_system(x, monkeypatch) == ([expected], 0)
+    for x in not_pulled:
+        assert _quadruple_system(x, monkeypatch)[1] == 1
 
 
 @pytest.mark.parametrize("field", [QQ, GF3], ids=["q", "f3"])
 @pytest.mark.parametrize("seed", range(5))
-def test_two_basis_rebases_of_an_identity_solve_one_kernel_unless_mu_is_not_injective(field, seed, monkeypatch):
+def test_two_basis_rebases_of_an_identity_or_a_quotient_solve_one_kernel(field, seed, monkeypatch):
     """Rebased by two changes of basis that differ, the identity on NF_3 or
-    sl2 is no identity crossed module, but its boundary is invertible: its
-    quadruples are one kernel.  NF_3 onto NF_3 / ann, rebased the same way,
-    stays staged.  (Over F2 the signs vanish, and the two changes of basis
-    can coincide.)"""
+    sl2 is no identity crossed module, but its boundary is invertible; NF_3
+    onto NF_3 / ann, rebased the same way, has a boundary that is not
+    injective.  The quadruples of each are one kernel.  (Over F2 the signs
+    vanish, and the two changes of basis can coincide.)"""
     for a in (null_filiform(field, 3), sl2(field)):
         x = ref.rebase_xmod(CrossedModule.identity_on(a), random.Random(seed))
         assert x.top != x.base and not x.is_identity()
         assert _quadruple_kernels(x, monkeypatch) == 1
-        _staged_equals_one_system(x)
+        _equals_one_system(x)
     x = ref.rebase_xmod(_onto_the_quotient_by_the_annihilator(null_filiform(field, 3)), random.Random(seed))
-    assert _quadruple_kernels(x, monkeypatch) == 2
-    _staged_equals_one_system(x)
+    assert _quadruple_kernels(x, monkeypatch) == 1
+    _equals_one_system(x)
 
 
 def _invertible_but_not_pulled_back(field, broken):
@@ -530,15 +572,17 @@ def _invertible_but_not_pulled_back(field, broken):
 
 @pytest.mark.parametrize("field", [QQ, GF3], ids=["q", "f3"])
 @pytest.mark.parametrize("broken", ["hom", "XLb1-left", "XLb1-right"])
-def test_an_invertible_boundary_that_breaks_hom_or_xlb1_stays_staged(field, broken, monkeypatch):
+def test_an_invertible_boundary_that_breaks_hom_or_xlb1_is_not_pulled_back(field, broken, monkeypatch):
     """The boundary is invertible but no homomorphism, or not equivariant on
     one side: the base pair rows with the boundary rows would leave a
-    2-dimensional space where the quadruples are 0-dimensional."""
+    2-dimensional space where the quadruples are 0-dimensional, so the one
+    kernel takes the pair rows of top x| base."""
     x = _invertible_but_not_pulled_back(field, broken)
     assert broken in validate_xmod(x).labels() and not x.is_identity()
-    assert _quadruple_kernels(x, monkeypatch) == 2
+    assert _quadruple_kernels(x, monkeypatch) == 1
+    assert _quadruple_system(x, monkeypatch)[1] == 1
     assert bider_xmod(x).dim == 0
-    _staged_equals_one_system(x)
+    _equals_one_system(x)
 
 
 @given(st.sampled_from(FIELDS), st.data())
