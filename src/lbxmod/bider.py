@@ -267,13 +267,27 @@ def _pair_rows(table: SparseTensor, left: SparseTensor, right: SparseTensor, d: 
     [a, d(b) - dd(b)] = 0.
     """
     right_by = [[row[b] for row in right] for b in range(len(table))]  # [m_i, e_b]
-    rows: list[_Row] = []
-    for a, b in itertools.product(indices, repeat=2):
+
+    def block(a: int, b: int, dd_ab: list, dd_ba: list) -> list[_Row]:
+        """The rows at (a, b), given [dd(a), b] and [dd(b), a]."""
         d_b = _sent(d, b, left[a])
-        rows += _collect((1, _applied(d, table[a][b])), (-1, _sent(d, a, right_by[b])), (-1, d_b))
-        rows += _collect((1, _applied(dd, table[a][b])), (-1, _sent(dd, a, right_by[b])),
-                         (1, _sent(dd, b, right_by[a])))
-        rows += _collect((1, d_b), (-1, _sent(dd, b, left[a])))
+        return (_collect((1, _applied(d, table[a][b])), (-1, _sent(d, a, right_by[b])), (-1, d_b))
+                + _collect((1, _applied(dd, table[a][b])), (-1, dd_ab), (1, dd_ba))
+                + _collect((1, d_b), (-1, _sent(dd, b, left[a]))))
+
+    # [dd(a), b] and [dd(b), a] enter the rows at (a, b) and at (b, a), so
+    # both blocks are built at once, the later one kept until its turn
+    rows: list[_Row] = []
+    later: dict[tuple[int, int], list[_Row]] = {}
+    for a, b in itertools.product(indices, repeat=2):
+        if b < a:
+            rows += later.pop((a, b))
+            continue
+        dd_ab = _sent(dd, a, right_by[b])
+        dd_ba = _sent(dd, b, right_by[a]) if b != a else dd_ab
+        rows += block(a, b, dd_ab, dd_ba)
+        if b != a:
+            later[(b, a)] = block(b, a, dd_ba, dd_ab)
     return rows
 
 

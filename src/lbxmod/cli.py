@@ -19,7 +19,11 @@ Each command is declared once, as a row of ``_COMMANDS``: its help text, the
 input kinds it accepts, the checks each kind must pass first, and its report.
 Each report imports what it runs inside its own body, so only a command that
 solves a map space compiles ``bider``, and only one that handles an action
-of crossed modules compiles ``xaction``.
+of crossed modules compiles ``xaction``.  Likewise only an input file loads
+the JSON readers (``lbxmod.readers``), and only an argv outside the
+documented form ``lbxmod <command> [<input>] [--field F] [--out PATH]``
+loads ``argparse``: ``main`` reads that form itself (``_plain_args``) and
+hands every other argv, help and usage errors included, to ``_parser``.
 Commands other than ``validate`` refuse an input crossed module that fails
 ``validate_xmod`` before computing anything, with exit 1 and the failing
 axiom labels; so do ``bider`` for an algebra that is not Leibniz,
@@ -30,11 +34,10 @@ an invalid crossed module.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
-from typing import Any, Callable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Sequence
 
 from . import serialize as ser
 from .action import semidirect_algebra, validate_action
@@ -44,6 +47,9 @@ from .fields import Field, InputDataError, get_field
 from .linalg import LinearSolveError, column_space
 from .xmod import (ActionAxiomError, ConditionFlags, ConditionsNotMetError, InvalidMorphismError, NotAnIdealError,
                    NotExactError, center, condition_profile, kernel, validate_morphism, validate_xmod)
+
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -300,9 +306,45 @@ _COMMANDS = {
 _ACCEPTS = {name: tuple(command.inputs) for name, command in _COMMANDS.items() if command.inputs}
 
 
+class _Args(NamedTuple):
+    """A command line as ``main`` reads it: what ``_parser(argv).parse_args(argv)`` gives."""
+
+    command: str
+    input: Optional[str] = None
+    field: str = "q"
+    out: Optional[str] = None
+
+
+def _plain_args(argv: Sequence[str]) -> Optional[_Args]:
+    """argv in the documented form ``<command> [<input>] [--field F] [--out
+    PATH]``, read without argparse: each option and its value as separate
+    tokens, in any order and any number of times (the last one counts), and
+    as many positionals as the command takes.  None for every other argv,
+    and for any token or value that starts with "-": ``main`` hands those to
+    argparse, the one source of help texts and usage errors."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    positionals, options, tokens = [], {}, iter(argv[1:])
+    for token in tokens:
+        if token in ("--field", "--out"):
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+            options[token[2:]] = value
+        elif token.startswith("-"):
+            return None
+        else:
+            positionals.append(token)
+    if len(positionals) != bool(_COMMANDS[argv[0]].inputs):
+        return None
+    return _Args(argv[0], *positionals, **options)
+
+
 def _parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     """The parser for argv: when argv starts with a command, one that knows
     only that command, whose usage lines still list them all."""
+    import argparse
+
     p = argparse.ArgumentParser(
         prog="lbxmod",
         description="exact computations with Leibniz algebras, their crossed "
@@ -336,7 +378,9 @@ def _load(spec: str, field: Field, accepted: Sequence[str]):
             raise InputDataError(f"{spec} is not valid JSON: nested too deeply to read") from exc
         except OSError as exc:
             raise InputDataError(f"cannot read {spec}: {exc}") from exc
-        kind, obj = ser.load_any(field, data)
+        from .readers import load_any
+
+        kind, obj = load_any(field, data)
     if kind not in accepted:
         raise InputDataError(
             f"this command needs {' or '.join(accepted)} input, got {kind}")
@@ -361,7 +405,7 @@ def _emit(report: dict, out_path: Optional[str]) -> None:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _parser(argv).parse_args(argv)
+    args = _plain_args(argv) or _parser(argv).parse_args(argv)
     base = {"command": args.command, "field": args.field}
     if args.out:
         try:

@@ -20,9 +20,11 @@ from typing import Any, Union
 MAX_PRIME = 2**31
 # the scalar forms the input format documents, in ASCII digits: residues "[-]a",
 # rationals "[-]a" and "[-]a/b"; int() and Fraction() alone would also read
-# "1_0", " 5", "+5" and other scripts' digits, and Fraction() "1e5000" and "1.5"
-_INTEGER = re.compile(r"-?[0-9]+")
-_RATIONAL = re.compile(rf"{_INTEGER.pattern}(?:/[0-9]+)?")
+# "1_0", " 5", "+5" and other scripts' digits, and Fraction() "1e5000" and "1.5".
+# Only the JSON readers parse scalars, so ``re.fullmatch`` compiles these
+# patterns on first use and keeps them in its own cache
+_INTEGER = r"-?[0-9]+"
+_RATIONAL = rf"{_INTEGER}(?:/[0-9]+)?"
 
 
 class InputDataError(ValueError):
@@ -161,7 +163,7 @@ class Rationals:
             raise InputDataError(f"bad rational scalar {v!r}")
         if isinstance(v, int):
             return Fraction(v)
-        if isinstance(v, str) and _RATIONAL.fullmatch(v):
+        if isinstance(v, str) and re.fullmatch(_RATIONAL, v):
             num, _, den = v.partition("/")  # int() is cheaper than Fraction's own parser
             try:
                 return Fraction(int(num), int(den)) if den else Fraction(int(num))
@@ -230,7 +232,7 @@ class PrimeField:
             raise InputDataError(f"bad F{self.p} scalar {v!r}")
         if isinstance(v, int):
             return FpElement(v % self.p, self.p)
-        if isinstance(v, str) and _INTEGER.fullmatch(v):
+        if isinstance(v, str) and re.fullmatch(_INTEGER, v):
             try:
                 return FpElement(int(v) % self.p, self.p)
             except ValueError as exc:  # more digits than int() converts

@@ -31,6 +31,9 @@ six hand-written action rows on all 2n^2 + 2q^2 map entries, is kept as
 ``bider_xmod`` and ``actor`` read their results off the pair space; the
 actor as built on any crossed module, on the one-system quadruples, with its
 action tables as hand-written products, is kept as ``general_actor``.
+``bider._pair_rows`` builds each list [dd(x), y] once, for the rows at (x, y)
+and at (y, x); the block that built it at both is kept as
+``pair_rows_sent_twice``, and ``test_bider.py`` compares their rows.
 
 On an identity crossed module with one subspace on both layers,
 ``sub_xmod`` and ``quotient_xmod`` return the identity on the subalgebra or
@@ -56,10 +59,11 @@ views of their parts, block by block.  The dense loops they replaced, which
 padded each dense vector by hand, are kept at the end as ``*_tensors``;
 ``test_sparse_stages.py`` compares them with the dense views of the new ones.
 
-``serialize`` reads and writes each dense JSON tensor and matrix whole: it
-checks shapes and token types over whole levels, looks every token up in
-one memo per document and places or writes only the nonzeros, and
-``linalg._stored`` recognises a tensor already in stored form the same way.
+``readers`` and ``serialize`` read and write each dense JSON tensor and
+matrix whole: they check shapes and token types over whole levels, look
+every token up in one memo per document and place or write only the
+nonzeros, and ``linalg._stored`` recognises a tensor already in stored form
+the same way.
 The per-entry readers, the writers that filled each dense vector through
 ``field.scalar_to_json`` and the per-vector stored-form check they replaced
 are kept at the end as ``read_*_by_entry``, ``*_to_json_by_row``,
@@ -79,7 +83,7 @@ from fractions import Fraction
 from operator import is_
 from typing import Sequence
 
-from lbxmod import algebra, xmod
+from lbxmod import algebra, bider, xmod
 from lbxmod.action import ActionData
 from lbxmod.algebra import (
     _ONE,
@@ -124,7 +128,8 @@ from lbxmod.linalg import (
     nullspace,
     sparse_kernel,
 )
-from lbxmod.serialize import _is_int, _number_to_json
+from lbxmod.readers import _is_int
+from lbxmod.serialize import _number_to_json
 from lbxmod.xaction import ActorMorphism, ConditionsNotMetError, InvalidMorphismError, XModActionData
 from lbxmod.xmod import (
     NO_CONDITION_WARNING,
@@ -716,6 +721,23 @@ def one_system_bider_xmod(x: CrossedModule) -> MapSpace:
     table = tuple(tuple(solved.read_products(bracket_terms(u, v), "bracket left the quadruples") for v in members)
                   for u in members)
     return replace(solved, algebra=LeibnizAlgebra(f, solved.dim, table))
+
+
+def pair_rows_sent_twice(table, left, right, d, dd, indices: range) -> list[dict]:
+    """``bider._pair_rows`` as it stood before it built each [dd(x), y] once:
+    five ``bider._sent`` lists at every index pair, [dd(a), b] and [dd(b), a]
+    among them, which the rows at (b, a) build again."""
+    right_by = [[row[b] for row in right] for b in range(len(table))]  # [m_i, e_b]
+    rows: list[dict] = []
+    for a in indices:
+        for b in indices:
+            d_b = bider._sent(d, b, left[a])
+            rows += bider._collect((1, bider._applied(d, table[a][b])), (-1, bider._sent(d, a, right_by[b])),
+                                   (-1, d_b))
+            rows += bider._collect((1, bider._applied(dd, table[a][b])), (-1, bider._sent(dd, a, right_by[b])),
+                                   (1, bider._sent(dd, b, right_by[a])))
+            rows += bider._collect((1, d_b), (-1, bider._sent(dd, b, left[a])))
+    return rows
 
 
 def general_actor(x: CrossedModule) -> CrossedModule:

@@ -2,7 +2,9 @@
 loads only the modules it runs, no module keeps an import it never uses, no
 private module-level name goes unused, and only the stored form's hash
 writes into an object's ``__dict__``.  No module imports ``dataclasses``,
-and a CLI process loads neither it nor ``inspect``.
+and a CLI process loads neither it nor ``inspect``; one in the documented
+argv form loads no ``argparse``, and one on a ``catalog:`` input loads no
+``lbxmod.readers``.
 
 No linter is installed, so the checks walk the modules' syntax trees with
 ``ast``: a name counts as used when a module loads it anywhere (string
@@ -26,6 +28,7 @@ import pytest
 
 import lbxmod
 from lbxmod import QQ
+from lbxmod import serialize as ser
 from lbxmod.catalog import build_entry
 
 SRC = Path(lbxmod.__file__).resolve().parent
@@ -62,6 +65,20 @@ def test_an_unknown_name_raises_attribute_error():
 def test_a_short_exact_sequence_round_trips_through_pickle():
     s = build_entry("sl2-seq", QQ)
     assert pickle.loads(pickle.dumps(s)) == s
+
+
+def test_serialize_resolves_every_reader_on_first_use():
+    """``serialize`` names each public function of ``readers`` and binds it
+    on first use; importing ``serialize`` loads no ``readers``."""
+    from lbxmod import readers
+
+    defined = {name for name, obj in vars(readers).items()
+               if not name.startswith("_") and getattr(obj, "__module__", None) == readers.__name__}
+    assert defined == set(ser._READERS) and set(ser._READERS) <= set(dir(ser))
+    assert all(getattr(ser, name) is getattr(readers, name) for name in ser._READERS)
+    with pytest.raises(AttributeError, match="_Reader"):
+        getattr(ser, "_Reader")
+    assert "lbxmod.readers" not in _loaded("import lbxmod.serialize")
 
 
 def _loaded(code: str, prefix: str = "lbxmod") -> list[str]:
@@ -103,11 +120,11 @@ def test_commands_on_biderivations_load_no_xaction():
     assert "lbxmod.bider" in loaded and "lbxmod.xaction" not in loaded
 
 
-def _imported_by_cli(*argv: str) -> set[str]:
+def _imported_by_cli(*argv: str, code: int = 0) -> set[str]:
     """Every module a ``python -m lbxmod.cli ARGV`` process imports, as ``-X importtime`` lists them."""
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "lbxmod.cli", *argv],
                           capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
 
 
@@ -117,7 +134,30 @@ def test_the_cli_loads_neither_dataclasses_nor_inspect():
     assert not {"dataclasses", "inspect"} & set(_loaded("import lbxmod.cli", prefix=""))
     for argv in (("validate", "catalog:sl2-id"), ("actor", "catalog:sl2-id"), ("xaction-validate", "catalog:sl2-self")):
         imported = _imported_by_cli(*argv)
-        assert {"lbxmod.serialize", "argparse", "json"} <= imported and not {"dataclasses", "inspect"} & imported, argv
+        assert {"lbxmod.serialize", "json"} <= imported and not {"dataclasses", "inspect"} & imported, argv
+
+
+def test_a_plain_catalog_command_loads_neither_argparse_nor_the_readers(tmp_path):
+    """``main`` reads the documented argv form itself, and a ``catalog:``
+    input is built, not read, so argparse (with ``gettext`` and ``locale``)
+    and ``lbxmod.readers`` are never compiled."""
+    for argv in (("center", "catalog:sl2-id", "--field", "f3"), ("catalog",),
+                 ("actor", "--out", str(tmp_path / "out.json"), "catalog:l2-id", "--field", "q")):
+        assert not {"argparse", "lbxmod.readers"} & _imported_by_cli(*argv), argv
+
+
+def test_help_and_usage_errors_load_argparse():
+    assert "argparse" in _imported_by_cli("--help")
+    assert "argparse" in _imported_by_cli("center", "--help")
+    assert "argparse" in _imported_by_cli("center", code=2)
+    assert "argparse" in _imported_by_cli("center", "--field=f3", "catalog:l2-id")
+
+
+def test_a_file_input_loads_the_readers(tmp_path):
+    path = tmp_path / "l2.json"
+    path.write_text(json.dumps(ser.algebra_to_json(build_entry("l2", QQ))), encoding="utf-8")
+    imported = _imported_by_cli("validate", str(path))
+    assert "lbxmod.readers" in imported and "argparse" not in imported
 
 
 def _absolute_imports(tree: ast.Module) -> set[str]:

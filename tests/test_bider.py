@@ -5,6 +5,7 @@ and double-checked against the mod-2 enumerations in test_acceptance.
 """
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import reference_stages as ref
@@ -537,6 +538,47 @@ def test_a_pulled_back_boundary_solves_the_base_pair_rows_and_the_boundary_rows(
         assert _quadruple_system(x, monkeypatch) == ([expected], 0)
     for x in not_pulled:
         assert _quadruple_system(x, monkeypatch)[1] == 1
+
+
+def _pair_row_arguments(x):
+    """The ``_pair_rows`` arguments of each system the solvers build on x:
+    the pairs base -> top through the action, the base's own pair rows, and
+    the pair rows of top x| base across its two layers."""
+    nd, qd = x.top.dim, x.base.dim
+    act, bt, sd = x.action, x.base.sparse_table, bider._semidirect_table(x.action)
+    d, dd = map(bider._columns, bider._layout(((nd, qd),) * 2))
+    maps = bider._layout(((nd, nd), (nd, nd), (qd, qd), (qd, qd)))
+    s1, t1, s2, t2 = map(bider._columns, maps)
+    return [(bt, act.sparse_left, act.sparse_right, d, dd, range(qd)), (bt, bt, bt, s2, t2, range(qd)),
+            (sd, sd, sd, s1 + bider._columns(maps[2], nd), t1 + bider._columns(maps[3], nd), range(nd + qd))]
+
+
+@given(st.sampled_from(FIELDS), st.data())
+@settings(max_examples=100, deadline=None)
+def test_pair_rows_build_each_list_once_and_equal_the_block_that_built_it_twice(field, data):
+    """On generated crossed modules, in the standard basis or a seeded one,
+    ``_pair_rows`` makes four ``_sent`` lists per index pair where the
+    reference makes five, and its rows are the reference's, in the same
+    order, each with its entries in the same order."""
+    x = data.draw(quadruple_inputs(field))
+    seed = data.draw(st.none() | st.integers(0, 2**16))
+    x = x if seed is None else ref.rebase_xmod(x, random.Random(seed))
+    calls, sent = [], bider._sent
+
+    def counted(*args):
+        calls.append(args)
+        return sent(*args)
+
+    with mock.patch.object(bider, "_sent", counted):
+        for args in _pair_row_arguments(x):
+            pairs = len(args[-1]) ** 2
+            calls.clear()
+            rows = bider._pair_rows(*args)
+            assert len(calls) == 4 * pairs
+            calls.clear()
+            expected = ref.pair_rows_sent_twice(*args)
+            assert len(calls) == 5 * pairs
+            assert [list(row.items()) for row in rows] == [list(row.items()) for row in expected]
 
 
 @pytest.mark.parametrize("field", [QQ, GF3], ids=["q", "f3"])

@@ -1,13 +1,19 @@
 """The command-line surface: reports, exit codes, determinism."""
+import contextlib
+import io
 import itertools
 import json
+import os
 import re
 import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_stages as ref
 from lbxmod import QQ, algebra, bider, cli
@@ -546,3 +552,83 @@ def test_help_and_usage_errors_match_the_per_subcommand_parser(capsys, monkeypat
 def test_a_command_gets_a_parser_that_knows_only_that_command(argv, known):
     command, = (action for action in cli._parser(argv)._actions if action.dest == "command")
     assert list(command.choices) == known
+
+
+# -- the plain argv reader against argparse ----------------------------------------
+#
+# ``main`` reads the documented form itself (``cli._plain_args``) and hands
+# every other argv to argparse.  The argvs below mix that form with the ones
+# only argparse reads: "=" forms, abbreviations, "-h", "--", values that
+# start with "-", a missing or extra positional, and options before the
+# command.
+
+ARGV_INPUTS = ("catalog:l2", "catalog:l2-id", "catalog:sl2-adjoint", "catalog:sl2-self", "catalog:sl2-seq",
+               "catalog:nosuch", "l2.json", "missing.json", "")
+ARGV_VALUES = ("q", "f3", "F2", "f4", "", "-1", "--out", "report.json", "catalog:l2")
+OPTION_PAIRS = st.tuples(st.sampled_from(("--field", "--out")), st.sampled_from(ARGV_VALUES)).map(list)
+SPELLINGS = st.sampled_from(("--field", "--out", "--fie", "--fi", "--o", "--ou"))
+ARGV_PIECES = st.one_of(
+    OPTION_PAIRS,
+    st.tuples(SPELLINGS, st.sampled_from(ARGV_VALUES)).map(list),
+    st.sampled_from(ARGV_INPUTS).map(lambda token: [token]),
+    st.builds("{}={}".format, SPELLINGS, st.sampled_from(ARGV_VALUES)).map(lambda token: [token]),
+    st.sampled_from(("--field", "--out", "--fie", "-h", "--help", "--", "-", "-x", "--bogus")).map(lambda token: [token]))
+COMMAND_NAMES = st.sampled_from(list(cli._COMMANDS))
+
+
+@st.composite
+def documented_argvs(draw):
+    """``<command> [<input>] [--field F] [--out PATH]``, the options in any order and repeated."""
+    name, options = draw(COMMAND_NAMES), draw(st.lists(OPTION_PAIRS, max_size=3))
+    if cli._COMMANDS[name].inputs:
+        options.insert(draw(st.integers(0, len(options))), [draw(st.sampled_from(ARGV_INPUTS))])
+    return [name, *itertools.chain.from_iterable(options)]
+
+
+ARGVS = documented_argvs() | st.builds(
+    lambda head, pieces: [*head, *itertools.chain.from_iterable(pieces)],
+    COMMAND_NAMES.map(lambda name: [name]) | st.sampled_from(([], ["nosuch"], ["--field", "q"], ["-h"])),
+    st.lists(ARGV_PIECES, max_size=5))
+
+
+@settings(max_examples=400, deadline=None)
+@given(ARGVS)
+def test_an_argv_the_plain_reader_accepts_parses_as_argparse_parses_it(argv):
+    args = cli._plain_args(argv)
+    if args is not None:
+        ns = ref.per_subcommand_parser().parse_args(argv)
+        assert tuple(args) == (ns.command, getattr(ns, "input", None), ns.field, ns.out)
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    """A directory holding l2.json, the file input the drawn argvs name."""
+    path = tmp_path_factory.mktemp("argv")
+    (path / "l2.json").write_text(json.dumps(algebra_to_json(build_entry("l2", QQ))), encoding="utf-8")
+    return path
+
+
+def _outcome(argv) -> tuple:
+    """main(argv)'s exit code, standard output and standard error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as stop:
+            code = stop.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(ARGVS)
+def test_main_gives_what_argparse_alone_gives(argv_dir, argv):
+    """Accepted or declined by the plain reader, every argv ends as it does
+    when argparse reads it: the same exit code, output and errors."""
+    cwd = os.getcwd()
+    os.chdir(argv_dir)
+    try:
+        got = _outcome(argv)
+        with mock.patch.object(cli, "_plain_args", lambda argv: None):
+            assert got == _outcome(argv)
+    finally:
+        os.chdir(cwd)

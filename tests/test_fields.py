@@ -1,4 +1,5 @@
 """Scalar fields: parsing, arithmetic, and the tag registry."""
+import re
 from fractions import Fraction
 
 import pytest
@@ -32,7 +33,7 @@ def test_rational_reader_agrees_with_fraction(v):
     """The reader builds the Fraction from int() parts; on every string of
     the documented form it gives what Fraction(v) gives, and it refuses
     every other string."""
-    if _RATIONAL.fullmatch(v):
+    if re.fullmatch(_RATIONAL, v):
         try:
             want = Fraction(v)
         except (ValueError, ZeroDivisionError):

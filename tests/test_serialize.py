@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import actions, algebras, matrices, xactions, xmods
 
-from lbxmod import InputDataError
+from lbxmod import InputDataError, readers
 from lbxmod import serialize as ser
 from lbxmod.catalog import CATALOG, build_entry
 from lbxmod.cli import EXIT_BAD_INPUT, EXIT_OK, main
@@ -307,7 +307,7 @@ def _respelled(doc: dict, field, rng: random.Random) -> dict:
 GENERATED = {"algebra": algebras, "action": actions, "xmod": xmods, "xaction": xactions}
 
 
-class _Uncached(ser._Reader):
+class _Uncached(readers._Reader):
     """The document reader's interface with no memo: every token is parsed."""
 
     def __getitem__(self, x):
@@ -323,7 +323,7 @@ def test_generated_documents_read_as_entry_by_entry(field, kind, data):
     text = json.dumps(TO_JSON[kind](obj))
     assert FROM_JSON[kind](field, json.loads(text)) == obj
     doc = _respelled(json.loads(text), field, random.Random(data.draw(st.integers(0, 2**16))))
-    with mock.patch.object(ser, "_Reader", _Uncached):
+    with mock.patch.object(readers, "_Reader", _Uncached):
         expected = FROM_JSON[kind](field, doc)
     assert FROM_JSON[kind](field, doc) == expected == obj
 
@@ -351,7 +351,7 @@ def test_generated_documents_match_the_per_entry_codec(field, kind, data):
         assert json.dumps(TO_JSON[kind](obj)) == text
     rng = random.Random(data.draw(st.integers(0, 2**16)))
     for doc in (json.loads(text), _respelled(json.loads(text), field, rng)):
-        with mock.patch.multiple(ser, **PER_ENTRY_READERS):
+        with mock.patch.multiple(readers, **PER_ENTRY_READERS):
             expected = FROM_JSON[kind](field, doc)
         assert FROM_JSON[kind](field, doc) == expected == obj
 
