@@ -4,7 +4,9 @@
 Re-runs the enumerations behind the acceptance suite and prints the counts:
 for each solved space, every candidate bit vector is tested against the raw
 defining identities (implemented independently in tests/oracles.py) and the
-verdict is compared with subspace membership.  Exits 1 if any count of
+verdict is compared with subspace membership; the action validator and the
+validators of identity crossed modules and bracket actions are compared with
+the same identities the same way.  Exits 1 if any count of
 disagreements is nonzero, so CI can run it as a check.
 """
 from __future__ import annotations
@@ -19,8 +21,10 @@ import oracles as O  # noqa: E402
 
 from lbxmod import GF2  # noqa: E402
 from lbxmod.action import ActionData, validate_action  # noqa: E402
+from lbxmod.algebra import LeibnizAlgebra  # noqa: E402
 from lbxmod.bider import bider_algebra, bider_qn, bider_xmod  # noqa: E402
 from lbxmod.catalog import build_entry  # noqa: E402
+from lbxmod.xmod import CrossedModule, validate_xmod  # noqa: E402
 
 
 def check_pairs(aid: str) -> int:
@@ -91,7 +95,25 @@ def check_action_validator() -> int:
     return disagreements
 
 
+def check_bracket_validators() -> int:
+    """Every 2-dimensional table over F2: its identity crossed module is valid
+    and its bracket an action on itself exactly when the table is Leibniz."""
+    leibniz = actions = disagreements = 0
+    for bits in itertools.product((0, 1), repeat=8):
+        table = tuple(tuple(bits[4 * i + 2 * j:4 * i + 2 * j + 2] for j in range(2)) for i in range(2))
+        a = LeibnizAlgebra(GF2, 2, table)
+        xmod_ok = validate_xmod(CrossedModule.identity_on(a)).ok
+        action_ok = validate_action(ActionData.by_bracket(a)).ok
+        disagreements += xmod_ok != O.is_leibniz(table, 2)
+        disagreements += action_ok != O.is_action(table, table, table, table, 2, 2)
+        leibniz += xmod_ok
+        actions += action_ok
+    print(f"identity xmods(F2^2 tables): {leibniz}/256 valid, bracket actions: {actions}/256 valid, "
+          f"{disagreements} disagreements")
+    return disagreements
+
+
 if __name__ == "__main__":
     disagreements = sum(check_pairs(aid) for aid in ("a2", "l2", "r2"))
-    disagreements += check_inclusion_spaces() + check_action_validator()
+    disagreements += check_inclusion_spaces() + check_action_validator() + check_bracket_validators()
     sys.exit(1 if disagreements else 0)

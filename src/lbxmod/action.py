@@ -19,9 +19,11 @@ from .algebra import (
     _blocks,
     _contract,
     _dense_view,
+    _direct,
     _store,
     _units,
     _violations,
+    validate_leibniz,
 )
 from .fields import InputDataError, Scalar, record
 from .linalg import Matrix, _stored_hash
@@ -65,16 +67,25 @@ class ActionData:
         return _contract(self.target.field, self.sparse_right, mvec, pvec, self.target.dim)
 
 
-def validate_action(d: ActionData) -> ValidationReport:
+def validate_action(d: ActionData, check=_direct) -> ValidationReport:
     """Check the six mixed identities on all basis triples.
 
     Labels act1..act6 pick out which identity failed; the witness tuple
     lists the basis indices in the order the identity quantifies them
     (a, b index the actor, i, j the target).
+
+    An algebra acting on itself through its own table (``by_bracket``, or
+    equal views) is an action exactly when the algebra is Leibniz (Loday and
+    Pirashvili 1993): act1..act6 are then the Leibniz identity at permuted
+    witnesses.  So the target's Leibniz check, ``check(validate_leibniz,
+    d.target)``, decides when it passes; when it fails, the six identities
+    are evaluated.
     """
     p, m = d.actor, d.target
     n, pt, mt = m.dim, p.sparse_table, m.sparse_table
     left, right = d.sparse_left, d.sparse_right  # [p, m], [m, p]
+    if left == mt and right == mt and pt == mt and check(validate_leibniz, m).ok:
+        return ValidationReport()
     return ValidationReport(tuple(_violations(m.field, {"a": p.dim, "b": p.dim, "i": n, "j": n}, [
         ("act1", "aij", "aij", n, [(1, left, "a", (mt, "ij"))],
          [(1, mt, (left, "ai"), "j"), (-1, mt, (left, "aj"), "i")]),

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .fields import Field, InputDataError, Scalar, record
 from .linalg import Matrix, Number, ScaledVector, Subspace, _dense, _sparse, _stored, _stored_hash, sparse_kernel
@@ -196,7 +196,13 @@ class ValidationReport:
 # numbers sort as nested loops run.  Identities declared in a row with one
 # loop order form a block whose violations come in loop order and, at one
 # witness, in declaration order: the order of nested loops over basis
-# elements.
+# elements.  A call checks each block's loop letters once and each term's
+# letters against them, and builds each grouping of a family or a view (by
+# outermost value, by coordinate, by row or column) once, on first use.  The
+# validators call it only for identities that can fail: an identity crossed
+# module and an algebra acting on itself by its bracket are decided by the
+# algebra's Leibniz identity when that holds (``validate_xmod``,
+# ``validate_action``).
 
 Identity = tuple[str, str, str, int, Sequence[tuple], Sequence[tuple]]
 
@@ -213,13 +219,15 @@ def _members(entries, strides: tuple[int, ...]) -> Iterable[tuple[int, SparseVec
         yield from ((a * s + b * t, vec) for a, row in enumerate(entries) for b, vec in enumerate(row) if vec)
 
 
-def _grouped(memo: dict, key: tuple, pairs: Iterable[tuple]) -> dict:
-    """The values v of the pairs (k, v) listed by k, made once per key."""
-    if key not in memo:
+def _grouped(memo: dict, key: tuple, pairs: Callable[[], Iterable[tuple]]) -> dict:
+    """The values v of the pairs (k, v) that pairs() lists, by k; pairs is
+    called only the first time a key is asked for."""
+    out = memo.get(key)
+    if out is None:
         out = memo[key] = {}
-        for k, v in pairs:
+        for k, v in pairs():
             out.setdefault(k, []).append(v)
-    return memo[key]
+    return out
 
 
 def _plan(sign: int, term: tuple, loop: str, units: Mapping[str, list], strides: Mapping[str, int],
@@ -230,18 +238,18 @@ def _plan(sign: int, term: tuple, loop: str, units: Mapping[str, list], strides:
     argument.  A member carries its part of the witness number."""
     t_sign, view, x, y = term
     (xe, xv), (ye, yv) = ((units[a], a) if isinstance(a, str) else a for a in (x, y))
-    assert len(loop) > 1 and sorted(xv + yv) == sorted(loop) and len(set(loop)) == len(loop), (xv, yv, loop)
+    assert sorted(xv + yv) == sorted(loop), (xv, yv, loop)
     left = loop[0] in xv
     (fe, fv), (oe, ov) = ((xe, xv), (ye, yv)) if left else ((ye, yv), (xe, xv))
     f_strides, o_strides = tuple(strides[v] for v in fv), tuple(strides[v] for v in ov)
     outer = strides[loop[0]]
     groups = _grouped(memo, (id(fe), f_strides, outer),
-                      ((k // outer, (k, vec)) for k, vec in _members(fe, f_strides)))
+                      lambda: ((k // outer, (k, vec)) for k, vec in _members(fe, f_strides)))
     index = _grouped(memo, (id(oe), o_strides),
-                     ((d, (k, c)) for k, vec in _members(oe, o_strides) for d, c in vec.items()))
+                     lambda: ((d, (k, c)) for k, vec in _members(oe, o_strides) for d, c in vec.items()))
     lines = _grouped(memo, (id(view), "rows" if left else "columns"),
-                     ((c, (d, t)) if left else (d, (c, t))
-                      for c, row in enumerate(view) for d, t in enumerate(row) if t))
+                     lambda: ((c, (d, t)) if left else (d, (c, t))
+                              for c, row in enumerate(view) for d, t in enumerate(row) if t))
     return sign * t_sign, groups, index, lines
 
 
@@ -271,6 +279,7 @@ def _violations(field: Field, dims: Mapping[str, int], identities: Sequence[Iden
     p, bad, memo = field.characteristic, [], {}
     units = {v: _units(n) for v, n in dims.items()}
     for loop, block in groupby(identities, key=itemgetter(2)):
+        assert len(loop) > 1 and len(set(loop)) == len(loop), loop
         block, strides, size = list(block), {}, 1
         for w in reversed(loop):
             strides[w], size = size, size * dims[w]
@@ -299,6 +308,12 @@ def _violations(field: Field, dims: Mapping[str, int], identities: Sequence[Iden
 def _prefixed(*reports: tuple[str, ValidationReport]) -> list[Violation]:
     """The violations of each report, their labels prefixed."""
     return [Violation(prefix + v.axiom, v.witness, v.lhs, v.rhs) for prefix, rep in reports for v in rep.violations]
+
+
+def _direct(validate, obj) -> ValidationReport:
+    """The default ``check`` of the validators that check components: run
+    the component's validator."""
+    return validate(obj)
 
 
 def validate_leibniz(a: LeibnizAlgebra) -> ValidationReport:

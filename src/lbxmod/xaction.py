@@ -86,7 +86,9 @@ def validate_xmod_action(d: XModActionData) -> ValidationReport:
     Component checks (both crossed modules and both algebra actions) get
     prefixed labels; the mixed identities use their own labels LbEQ*,
     LbCOM*, LbM*.  A component shared by several roles (as in a crossed
-    module acting on itself) is checked once and reported under each.
+    module acting on itself) is checked once and reported under each; an
+    algebra's Leibniz check also serves the actions on it
+    (``validate_action``).
     """
     reports: dict[int, ValidationReport] = {}  # this call's, by identity: one validator per object
 
@@ -98,9 +100,12 @@ def validate_xmod_action(d: XModActionData) -> ValidationReport:
     def xmod_report(c: CrossedModule) -> ValidationReport:
         return validate_xmod(c, check=once)
 
+    def action_report(a: ActionData) -> ValidationReport:
+        return validate_action(a, check=once)
+
     bad = _prefixed(("x:", once(xmod_report, d.actor_xmod)), ("y:", once(xmod_report, d.target_xmod)),
-                    ("p_on_n:", once(validate_action, d.act_on_top)),
-                    ("p_on_q:", once(validate_action, d.act_on_base)))
+                    ("p_on_n:", once(action_report, d.act_on_top)),
+                    ("p_on_q:", once(action_report, d.act_on_base)))
 
     x, y = d.actor_xmod, d.target_xmod
     m, p, n, q = x.top, x.base, y.top, y.base

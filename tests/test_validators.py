@@ -8,9 +8,14 @@ F3.  Most generated objects break several identities at once, so the order
 across labels of one block is compared too.  Generated valid crossed modules
 (identity crossed modules and ideal inclusions on direct sums of NF_n, sl2
 and abelian algebras, in seeded integer bases) must pass every validator,
-and so must their actor and canonical morphism.
+and so must their actor and canonical morphism.  Where a passing Leibniz
+check decides (identity crossed modules, bracket actions), the reports are
+compared the same way, with and without a bumped constant, and the
+identities each call evaluates are counted.
 """
 import random
+import re
+from importlib import import_module
 
 import pytest
 from conftest import FIELDS
@@ -19,11 +24,12 @@ from hypothesis import strategies as st
 
 import reference_stages as ref
 from strategies import actions, algebras, matrices, morphisms, tensors, xactions, xmods
+from lbxmod import QQ
 from lbxmod.action import ActionData, validate_action
 from lbxmod.algebra import _ONE, LeibnizAlgebra, _violations, annihilator, commutator, direct_sum, validate_leibniz
 from lbxmod.bider import actor, canonical_morphism
 from lbxmod.catalog import build_entry
-from lbxmod.linalg import Subspace
+from lbxmod.linalg import Matrix, Subspace
 from lbxmod.xaction import XModActionData, validate_xmod_action
 from lbxmod.xmod import CrossedModule, identity_morphism, validate_morphism, validate_xmod
 
@@ -110,20 +116,14 @@ def test_mutated_self_actions_match_reference(field, data):
     a = SUMMANDS[data.draw(st.sampled_from(sorted(SUMMANDS)))](field)
     n = a.dim
     i, j, k = (data.draw(st.integers(0, n - 1)) for _ in range(3))
-    one = field.one
-
-    def bump(t):
-        return tuple(tuple(tuple(c + one if (r, s, u) == (i, j, k) else c for u, c in enumerate(vec))
-                           for s, vec in enumerate(row)) for r, row in enumerate(t))
-
     where = data.draw(st.sampled_from(("algebra", "action left", "action right", "none")))
     if where == "algebra":
-        a = LeibnizAlgebra(field, n, bump(a.table))
+        a = LeibnizAlgebra(field, n, bumped(field, a.table, (i, j, k)))
     x = CrossedModule.identity_on(a)
     if where.startswith("action"):
         act = x.action
-        act = ActionData(a, a, bump(act.left), act.right) if where == "action left" else \
-            ActionData(a, a, act.left, bump(act.right))
+        act = ActionData(a, a, bumped(field, act.left, (i, j, k)), act.right) if where == "action left" else \
+            ActionData(a, a, act.left, bumped(field, act.right, (i, j, k)))
         x = CrossedModule(a, a, x.boundary, act)
     d = XModActionData(x, x, x.action, x.action, a.table, a.table)
     got = validate_xmod_action(d)
@@ -138,6 +138,127 @@ def test_a_term_must_use_every_loop_variable_once():
         _violations(a.field, dict.fromkeys("ij", 3), [("bad", "ij", "ij", 3, [(1, t, "i", "i")], [])])
     with pytest.raises(AssertionError):
         _violations(a.field, dict.fromkeys("ij", 3), [("bad", "ij", "ij", 3, [(1, t, (_ONE, ""), "i")], [])])
+
+
+# -- the Leibniz check that decides ------------------------------------------------
+#
+# On an identity crossed module, validate_xmod returns the top's passing Leibniz
+# report; on an algebra acting on itself by its bracket, validate_action returns
+# the empty report once the algebra's Leibniz check passes.  A failing check, or
+# a boundary other than the identity, falls back to evaluating every identity.
+
+
+def bumped(field, t, at):
+    """The dense tensor t with one added to its entry at = (r, s, u)."""
+    return tuple(tuple(tuple(c + field.one if (r, s, u) == at else c for u, c in enumerate(vec))
+                       for s, vec in enumerate(row)) for r, row in enumerate(t))
+
+
+@st.composite
+def one_algebras(draw, field):
+    """A generated or a SUMMANDS algebra, with zero or one structure constant bumped."""
+    a = draw(algebras(field) | st.sampled_from(sorted(SUMMANDS)).map(lambda name: SUMMANDS[name](field)))
+    if a.dim and draw(st.booleans()):
+        a = LeibnizAlgebra(field, a.dim, bumped(field, a.table, tuple(draw(st.integers(0, a.dim - 1))
+                                                                       for _ in range(3))))
+    return a
+
+
+@st.composite
+def identity_xmods(draw, field):
+    """The identity crossed module of ``one_algebras``, in the standard basis or
+    in a seeded integer one, where its layers and views are equal copies."""
+    x = CrossedModule.identity_on(draw(one_algebras(field)))
+    seed = draw(st.none() | st.integers(0, 2**16))
+    return x if seed is None else ref.rebase_xmod(x, random.Random(seed), same_basis=True)
+
+
+@st.composite
+def shared_layer_xmods(draw, field):
+    """One algebra on both layers (the base the top or an equal copy), acting
+    by its bracket or by a drawn action, with a boundary other than the identity."""
+    a = draw(one_algebras(field).filter(lambda a: a.dim))
+    base = draw(st.sampled_from((a, LeibnizAlgebra(field, a.dim, a.sparse_table, a.names))))
+    act = draw(st.just(ActionData.by_bracket(a)) | actions(field, base, a))
+    mu = draw(matrices(field, a.dim, a.dim).filter(lambda m: m != Matrix.identity(field, a.dim)))
+    return CrossedModule(a, base, mu, act)
+
+
+@BY_FIELD
+@RANDOM
+@given(data=st.data())
+def test_identity_xmod_reports_match_reference(field, data):
+    x = data.draw(identity_xmods(field))
+    assert x.is_identity()
+    assert validate_xmod(x) == ref.validate_xmod(x)
+    assert validate_action(x.action) == ref.validate_action(x.action)
+
+
+@BY_FIELD
+@RANDOM
+@given(data=st.data())
+def test_shared_layer_xmod_reports_match_reference(field, data):
+    x = data.draw(shared_layer_xmods(field))
+    assert not x.is_identity()
+    assert validate_xmod(x) == ref.validate_xmod(x)
+    assert validate_action(x.action) == ref.validate_action(x.action)
+
+
+@BY_FIELD
+def test_a_bracket_action_off_the_identity_boundary_is_no_crossed_module(field):
+    """[e0, e1] = e0 acting on itself by its bracket, with boundary e0 -> e1:
+    the algebra is Leibniz and the action passes, but XLb1 and XLb2 fail."""
+    a = LeibnizAlgebra.from_brackets(field, 2, {(0, 1): {0: 1}})
+    x = CrossedModule(a, a, Matrix.from_rows(field, [[0, 0], [1, 0]]), ActionData.by_bracket(a))
+    assert validate_leibniz(a).ok and validate_action(x.action).ok
+    got = validate_xmod(x)
+    assert not got.ok and got == ref.validate_xmod(x)
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """The labels of the identities of each ``_violations`` call, a tuple a call."""
+    calls = []
+
+    def counted(field, dims, identities):
+        calls.append(tuple(identity[0] for identity in identities))
+        return _violations(field, dims, identities)
+
+    for module in ("algebra", "action", "xmod", "xaction"):
+        monkeypatch.setattr(import_module(f"lbxmod.{module}"), "_violations", counted)
+    return calls
+
+
+ACT = ("act1", "act2", "act3", "act4", "act5", "act6")
+XLB = ("hom", "XLb1-left", "XLb1-right", "XLb2-left", "XLb2-right")
+
+
+@BY_FIELD
+def test_a_valid_identity_xmod_makes_one_leibniz_check(field, evaluated):
+    nf4 = CrossedModule.identity_on(nf(field, 4))
+    for x in (build_entry("sl2-id", field), nf4, ref.rebase_xmod(nf4, random.Random(0), same_basis=True)):
+        del evaluated[:]
+        assert validate_xmod(x).ok and evaluated == [("leibniz",)]
+        del evaluated[:]
+        assert validate_action(x.action).ok and evaluated == [("leibniz",)]
+
+
+@BY_FIELD
+def test_a_bumped_identity_xmod_evaluates_every_identity(field, evaluated):
+    x = CrossedModule.identity_on(LeibnizAlgebra(field, 3, bumped(field, build_entry("sl2", field).table, (0, 1, 2))))
+    got = validate_xmod(x)
+    assert evaluated == [("leibniz",), ACT, XLB]
+    assert not got.ok and got == ref.validate_xmod(x)
+    del evaluated[:]
+    assert validate_action(x.action) == ref.validate_action(x.action)
+    assert evaluated == [("leibniz",), ACT]
+
+
+def test_a_self_action_still_evaluates_its_mixed_identities(evaluated):
+    d = build_entry("sl2-self", QQ)
+    assert validate_xmod_action(d).ok
+    assert evaluated[0] == ("leibniz",) and len(evaluated) == 2
+    assert {re.match("Lb[A-Z]+", label)[0] for label in evaluated[1]} == {"LbEQ", "LbCOM", "LbM"}
 
 
 # -- generated valid crossed modules -----------------------------------------------
