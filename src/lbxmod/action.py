@@ -10,6 +10,7 @@ algebra brackets.  They are stored as ``sparse_left[a][i]`` = [p_a, m_i] and
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 from .algebra import (
@@ -19,14 +20,14 @@ from .algebra import (
     _blocks,
     _contract,
     _dense_view,
-    _direct,
+    _once,
     _store,
     _units,
     _violations,
     validate_leibniz,
 )
 from .fields import InputDataError, Scalar, record
-from .linalg import Matrix, _stored_hash
+from .linalg import Matrix
 
 
 @record
@@ -44,7 +45,6 @@ class ActionData:
             if p != m or getattr(self, view) is not self.target.sparse_table:  # by_bracket's is stored
                 _store(self, view, f, shape, "action tensor")
 
-    __hash__ = _stored_hash("sparse_left", "sparse_right")
     left = _dense_view("sparse_left", lambda d: (d.target.field, d.target.dim))
     right = _dense_view("sparse_right", lambda d: (d.target.field, d.target.dim))
 
@@ -67,7 +67,7 @@ class ActionData:
         return _contract(self.target.field, self.sparse_right, mvec, pvec, self.target.dim)
 
 
-def validate_action(d: ActionData, check=_direct) -> ValidationReport:
+def validate_action(d: ActionData, check=None) -> ValidationReport:
     """Check the six mixed identities on all basis triples.
 
     Labels act1..act6 pick out which identity failed; the witness tuple
@@ -79,8 +79,9 @@ def validate_action(d: ActionData, check=_direct) -> ValidationReport:
     Pirashvili 1993): act1..act6 are then the Leibniz identity at permuted
     witnesses.  So the target's Leibniz check, ``check(validate_leibniz,
     d.target)``, decides when it passes; when it fails, the six identities
-    are evaluated.
+    are evaluated.  ``check`` is a caller's memo (``algebra._once``), if any.
     """
+    check = check or partial(_once, {})
     p, m = d.actor, d.target
     n, pt, mt = m.dim, p.sparse_table, m.sparse_table
     left, right = d.sparse_left, d.sparse_right  # [p, m], [m, p]

@@ -15,7 +15,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .fields import Field, InputDataError, Scalar, record
-from .linalg import Matrix, Number, ScaledVector, Subspace, _dense, _sparse, _stored, _stored_hash, sparse_kernel
+from .linalg import Matrix, Number, ScaledVector, Subspace, _dense, _sparse, _stored, sparse_kernel
 
 MAX_DIM = 64  # guard against accidentally huge inputs
 
@@ -129,7 +129,6 @@ class LeibnizAlgebra:
         if self.names is not None and len(self.names) != self.dim:
             raise InputDataError("basis name list does not match dimension")
 
-    __hash__ = _stored_hash("sparse_table")
     table = _dense_view("sparse_table", lambda a: (a.field, a.dim))  # table[i][j] = [e_i, e_j], dense
 
     # -- construction -------------------------------------------------
@@ -202,7 +201,8 @@ class ValidationReport:
 # validators call it only for identities that can fail: an identity crossed
 # module and an algebra acting on itself by its bracket are decided by the
 # algebra's Leibniz identity when that holds (``validate_xmod``,
-# ``validate_action``).
+# ``validate_action``).  The validators that check components share one memo
+# of their reports per call (``_once``).
 
 Identity = tuple[str, str, str, int, Sequence[tuple], Sequence[tuple]]
 
@@ -310,10 +310,13 @@ def _prefixed(*reports: tuple[str, ValidationReport]) -> list[Violation]:
     return [Violation(prefix + v.axiom, v.witness, v.lhs, v.rhs) for prefix, rep in reports for v in rep.violations]
 
 
-def _direct(validate, obj) -> ValidationReport:
-    """The default ``check`` of the validators that check components: run
-    the component's validator."""
-    return validate(obj)
+def _once(reports: dict, validate, obj) -> ValidationReport:
+    """The ``check(validate, component)`` of one validation call, started by
+    a validator called without one: each component's report, kept by the
+    component's value, so equal components are checked once."""
+    if obj not in reports:
+        reports[obj] = validate(obj)
+    return reports[obj]
 
 
 def validate_leibniz(a: LeibnizAlgebra) -> ValidationReport:

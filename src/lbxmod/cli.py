@@ -23,7 +23,9 @@ of crossed modules compiles ``xaction``.  Likewise only an input file loads
 the JSON readers (``lbxmod.readers``), and only an argv outside the
 documented form ``lbxmod <command> [<input>] [--field F] [--out PATH]``
 loads ``argparse``: ``main`` reads that form itself (``_plain_args``) and
-hands every other argv, help and usage errors included, to ``_parser``.
+hands every other argv, help and usage errors included, to the one parser
+``_parser``.  The checks of one input share one memo of component reports
+(``algebra._once``), so an algebra in several roles is checked once.
 Commands other than ``validate`` refuse an input crossed module that fails
 ``validate_xmod`` before computing anything, with exit 1 and the failing
 axiom labels; so do ``bider`` for an algebra that is not Leibniz,
@@ -37,11 +39,12 @@ from __future__ import annotations
 import json
 import os
 import sys
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Sequence
 
 from . import serialize as ser
 from .action import semidirect_algebra, validate_action
-from .algebra import ValidationReport, _prefixed, annihilator, commutator, validate_leibniz
+from .algebra import ValidationReport, _once, _prefixed, annihilator, commutator, validate_leibniz
 from .catalog import CATALOG, build_entry
 from .fields import Field, InputDataError, get_field
 from .linalg import LinearSolveError, column_space
@@ -75,14 +78,19 @@ def _xaction_checks(d) -> list:
     return [("", validate_xmod_action(d))]
 
 
+def _action_checks(d) -> list:
+    """Both algebras Leibniz, then act1..act6, on one memo."""
+    check = partial(_once, {})
+    return [("actor:", check(validate_leibniz, d.actor)), ("target:", check(validate_leibniz, d.target)),
+            ("", validate_action(d, check))]
+
+
 #: what ``validate`` checks on each input kind but a sequence, as (label
 #: prefix, report) pairs; the commands that refuse an invalid input reuse them
 _CHECKS = {
     "algebra": lambda a: [("", validate_leibniz(a))],
     "xmod": lambda x: [("", validate_xmod(x))],
-    # both algebras Leibniz, then act1..act6
-    "action": lambda d: [("actor:", validate_leibniz(d.actor)), ("target:", validate_leibniz(d.target)),
-                         ("", validate_action(d))],
+    "action": _action_checks,
     "xaction": _xaction_checks,
     "morphism": lambda fm: [("", validate_morphism(fm.as_xmod_morphism()))],
 }
@@ -94,7 +102,8 @@ def _actor_of_checks(fm) -> list:
 
 
 def _sequence_checks(s) -> list:
-    return [(role + ":", validate_xmod(x)) for role, x in (("first", s.first), ("middle", s.middle), ("last", s.last))]
+    check = partial(_once, {})
+    return [(role + ":", validate_xmod(getattr(s, role), check)) for role in ("first", "middle", "last")]
 
 
 def _violations_json(field: Field, report) -> list:
@@ -307,7 +316,7 @@ _ACCEPTS = {name: tuple(command.inputs) for name, command in _COMMANDS.items() i
 
 
 class _Args(NamedTuple):
-    """A command line as ``main`` reads it: what ``_parser(argv).parse_args(argv)`` gives."""
+    """A command line as ``main`` reads it: what ``_parser().parse_args(argv)`` gives."""
 
     command: str
     input: Optional[str] = None
@@ -340,9 +349,7 @@ def _plain_args(argv: Sequence[str]) -> Optional[_Args]:
     return _Args(argv[0], *positionals, **options)
 
 
-def _parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """The parser for argv: when argv starts with a command, one that knows
-    only that command, whose usage lines still list them all."""
+def _parser() -> argparse.ArgumentParser:
     import argparse
 
     p = argparse.ArgumentParser(
@@ -353,10 +360,8 @@ def _parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)  # every subcommand's options, declared once
     common.add_argument("--field", default="q", help="scalar field tag: q or f<p> (default: q)")
     common.add_argument("--out", default=None, help="also write the report to this file")
-    one = bool(argv) and argv[0] in _COMMANDS
-    sub = p.add_subparsers(dest="command", required=True, metavar="{" + ",".join(_COMMANDS) + "}" if one else None)
-    for name in argv[:1] if one else _COMMANDS:
-        command = _COMMANDS[name]
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
         sp = sub.add_parser(name, help=command.help, description=command.help, parents=[common])
         if command.inputs:
             sp.add_argument("input", help="JSON file path or catalog:<id>")
@@ -405,7 +410,7 @@ def _emit(report: dict, out_path: Optional[str]) -> None:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _plain_args(argv) or _parser(argv).parse_args(argv)
+    args = _plain_args(argv) or _parser().parse_args(argv)
     base = {"command": args.command, "field": args.field}
     if args.out:
         try:

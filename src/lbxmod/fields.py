@@ -4,7 +4,8 @@ Every linear-algebra and algebra routine in this package is generic over a
 *field object* that knows how to build, combine and serialize its scalars.
 Rationals are plain ``fractions.Fraction`` values; prime-field scalars are
 ``FpElement`` instances that refuse to mix with anything else.  The module
-also holds ``record``, which every module's value classes are built with.
+also holds ``record``, which every module's value classes are built with,
+and the one rule they all hash by (``_frozen``).
 """
 
 from __future__ import annotations
@@ -39,10 +40,26 @@ def _refuse(obj, name: str, *value) -> None:
     raise FrozenRecordError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
 
+_EMPTY = frozenset()  # one key for every empty vector: most vectors of a sparse tensor are empty
+
+
+def _frozen(value):
+    """A hashable key of a field value: a dict becomes the frozenset of its
+    items, a tuple the tuple of its parts' keys.  Equal values give equal keys."""
+    if isinstance(value, dict):
+        return frozenset(value.items()) if value else _EMPTY
+    if isinstance(value, tuple):
+        return tuple(map(_frozen, value))
+    return value
+
+
 def record(cls: type) -> type:
     """Give cls the methods ``dataclass(frozen=True)`` would give it on the
     fields it annotates, but for those cls defines itself.  They are closures,
-    not compiled source, which keeps a module of records cheap to import."""
+    not compiled source, which keeps a module of records cheap to import.
+    A record hashes the ``_frozen`` key of its fields once, as the memos keyed
+    on records hash them on every lookup, and caches it in ``__dict__["_hash"]``,
+    which it pickles without: ``str`` hashes (as in ``names``) differ between processes."""
     names = tuple(cls.__annotations__)
     n, numbered, post, put = len(names), tuple(enumerate(names)), hasattr(cls, "__post_init__"), object.__setattr__
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
@@ -70,10 +87,17 @@ def record(cls: type) -> type:
     def __eq__(self, other):
         return key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented
 
+    def __hash__(self) -> int:
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = self.__dict__["_hash"] = hash(tuple(map(_frozen, key(self))))
+        return cached
+
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in zip(names, key(self)))})"
 
-    methods = {"__init__": __init__, "__eq__": __eq__, "__hash__": lambda self: hash(key(self)), "__repr__": __repr__,
+    methods = {"__init__": __init__, "__eq__": __eq__, "__hash__": __hash__, "__repr__": __repr__,
+               "__getstate__": lambda self: {k: v for k, v in vars(self).items() if k != "_hash"},
                "__setattr__": _refuse, "__delattr__": _refuse, "__match_args__": names}
     for name, method in methods.items():
         if name not in cls.__dict__:

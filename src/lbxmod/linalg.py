@@ -22,7 +22,8 @@ over Q an int when integral, else a Fraction, never zero.  ``_stored`` makes
 that form from dense or sparse input, for matrices here and for the
 structure tensors of ``algebra``; a tensor already in that form (as the
 JSON readers and most stages build it) is recognised by whole-tensor passes
-and kept as it is.  ``_stored_hash`` hashes every class that holds it.
+and kept as it is.  A class that holds it hashes by ``fields.record``'s one
+rule, a dict by the frozenset of its items.
 """
 
 from __future__ import annotations
@@ -121,40 +122,6 @@ def _stored(field: Field, tensor, shape: tuple[int, int, int], what: str) -> tup
     return tuple(tuple(map(vector, row)) for row in tensor)
 
 
-_EMPTY = frozenset()  # one key for every empty vector: most vectors of a sparse tensor are empty
-
-
-def _frozen(value):
-    """A hashable key of a stored value: a dict becomes the frozenset of its
-    items, a tuple the tuple of its parts' keys.  Equal values give equal keys."""
-    if isinstance(value, dict):
-        return frozenset(value.items()) if value else _EMPTY
-    if isinstance(value, tuple):
-        return tuple(map(_frozen, value))
-    return value
-
-
-class _stored_hash:
-    """A record's ``__hash__``: the hash of its fields, each named
-    view (a stored value) by its ``_frozen`` key, built once and cached, as
-    the memos in ``bider`` hash these objects on every lookup.  The class
-    also gets a ``__getstate__`` without the cache: ``str`` hashes (as in an
-    algebra's ``names``) differ between processes."""
-
-    def __init__(self, *views: str) -> None:
-        self.views = views
-
-    def __set_name__(self, owner: type, _name: str) -> None:
-        def __hash__(obj) -> int:
-            cached = obj.__dict__.get("_hash")
-            if cached is None:
-                cached = obj.__dict__["_hash"] = hash(tuple(_frozen(getattr(obj, name)) if name in self.views
-                                                            else getattr(obj, name) for name in obj.__match_args__))
-            return cached
-
-        owner.__hash__, owner.__getstate__ = __hash__, lambda obj: {k: v for k, v in vars(obj).items() if k != "_hash"}
-
-
 @record
 class Matrix:
     """An r x c matrix held by its c sparse columns ``{row: number}``.
@@ -178,8 +145,6 @@ class Matrix:
             data = tuple(tuple(r[j] for r in data) for j in range(self.cols))
         stored = _stored(self.field, (data,), (1, self.cols, self.rows), "matrix")[0]
         object.__setattr__(self, "sparse_columns", stored)
-
-    __hash__ = _stored_hash("sparse_columns")
 
     @cached_property
     def entries(self) -> tuple[tuple[Scalar, ...], ...]:
@@ -264,8 +229,6 @@ class Subspace:
     ambient: int
     scaled_rows: tuple[ScaledVector, ...]
     pivots: tuple[int, ...]
-
-    __hash__ = _stored_hash("scaled_rows")
 
     @classmethod
     def from_rows(cls, field: Field, ambient: int, rows: Iterable) -> "Subspace":

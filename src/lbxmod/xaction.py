@@ -18,6 +18,7 @@ forming its semidirect product compile no biderivation code.
 
 from __future__ import annotations
 
+from functools import partial
 
 from .action import ActionData, semidirect_algebra, validate_action
 from .algebra import (
@@ -28,13 +29,14 @@ from .algebra import (
     _blocks,
     _dense_view,
     _evaluate,
+    _once,
     _prefixed,
     _store,
     _units,
     _violations,
 )
 from .fields import Field, InputDataError, record
-from .linalg import Matrix, _stored_hash
+from .linalg import Matrix
 from .xmod import (
     ActionAxiomError,
     ConditionFlags,
@@ -71,7 +73,6 @@ class XModActionData:
         _store(self, "sparse_mq", n.field, (m.dim, q.dim, n.dim), "m-q pairing tensor")
         _store(self, "sparse_qm", n.field, (q.dim, m.dim, n.dim), "q-m pairing tensor")
 
-    __hash__ = _stored_hash("sparse_mq", "sparse_qm")
     cross_mq = _dense_view("sparse_mq", lambda d: (d.field, d.target_xmod.top.dim))
     cross_qm = _dense_view("sparse_qm", lambda d: (d.field, d.target_xmod.top.dim))
 
@@ -85,27 +86,16 @@ def validate_xmod_action(d: XModActionData) -> ValidationReport:
 
     Component checks (both crossed modules and both algebra actions) get
     prefixed labels; the mixed identities use their own labels LbEQ*,
-    LbCOM*, LbM*.  A component shared by several roles (as in a crossed
-    module acting on itself) is checked once and reported under each; an
-    algebra's Leibniz check also serves the actions on it
+    LbCOM*, LbM*.  The components share one memo (``algebra._once``): a
+    component shared by several roles, or equal to another (as in a crossed
+    module acting on itself), is checked once and reported under each, and
+    an algebra's Leibniz check also serves the actions on it
     (``validate_action``).
     """
-    reports: dict[int, ValidationReport] = {}  # this call's, by identity: one validator per object
-
-    def once(validate, obj) -> ValidationReport:
-        if id(obj) not in reports:
-            reports[id(obj)] = validate(obj)
-        return reports[id(obj)]
-
-    def xmod_report(c: CrossedModule) -> ValidationReport:
-        return validate_xmod(c, check=once)
-
-    def action_report(a: ActionData) -> ValidationReport:
-        return validate_action(a, check=once)
-
-    bad = _prefixed(("x:", once(xmod_report, d.actor_xmod)), ("y:", once(xmod_report, d.target_xmod)),
-                    ("p_on_n:", once(action_report, d.act_on_top)),
-                    ("p_on_q:", once(action_report, d.act_on_base)))
+    check = partial(_once, {})
+    xmod, action = partial(validate_xmod, check=check), partial(validate_action, check=check)
+    bad = _prefixed(("x:", check(xmod, d.actor_xmod)), ("y:", check(xmod, d.target_xmod)),
+                    ("p_on_n:", check(action, d.act_on_top)), ("p_on_q:", check(action, d.act_on_base)))
 
     x, y = d.actor_xmod, d.target_xmod
     m, p, n, q = x.top, x.base, y.top, y.base

@@ -11,6 +11,7 @@ bracket (XLb2, the Peiffer identities).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 from .action import ActionData, validate_action
@@ -21,8 +22,8 @@ from .algebra import (
     Violation,
     _annihilator_rows,
     _closed,
-    _direct,
     _image_rows,
+    _once,
     _prefixed,
     _quotient,
     _restricted,
@@ -35,7 +36,7 @@ from .algebra import (
     validate_leibniz,
 )
 from .fields import InputDataError, record
-from .linalg import Matrix, Subspace, _stored_hash, column_space, nullspace, sparse_kernel
+from .linalg import Matrix, Subspace, column_space, nullspace, sparse_kernel
 
 
 class NotAnIdealError(ValueError):
@@ -91,8 +92,6 @@ class CrossedModule:
         if self.action.target is not self.top and self.action.target != self.top:
             raise InputDataError("action target is not the top algebra")
 
-    __hash__ = _stored_hash()  # the memos in ``bider`` are keyed on crossed modules
-
     def is_identity(self) -> bool:
         """The base is the top, acting on itself by its bracket, and the
         boundary is the identity; evaluated on every call, never cached.
@@ -116,27 +115,24 @@ class CrossedModule:
         return cls(sub, a, incl, ActionData(a, sub, left, right))
 
 
-def validate_xmod(x: CrossedModule, check=_direct) -> ValidationReport:
+def validate_xmod(x: CrossedModule, check=None) -> ValidationReport:
     """Full validity check; labels are prefixed with the failing layer.
     Components are checked by ``check(validator, component)``, the top
-    algebra first.
+    algebra first: a caller's memo (``algebra._once``), or this call's own.
 
     On an identity crossed module (``is_identity``) hom, XLb1 and XLb2 hold
     by construction and act1..act6 are the Leibniz identity, so a passing
     top decides: its empty report is returned.  Otherwise the base, the
     action (``validate_action``) and the five identities hom, XLb1 and XLb2
     are checked; a base or an action target equal to the top reuses the
-    top's report, under its own prefix.
+    top's report from the memo, under its own prefix.
     """
+    check = check or partial(_once, {})
     top = check(validate_leibniz, x.top)
     if top.ok and x.is_identity():
         return top
-
-    def layer(validate, a) -> ValidationReport:  # an algebra equal to the top is checked once
-        return top if a == x.top else check(validate, a)
-
-    bad = _prefixed(("top:", top), ("base:", layer(validate_leibniz, x.base)),
-                    ("action:", check(lambda d: validate_action(d, layer), x.action)))
+    bad = _prefixed(("top:", top), ("base:", check(validate_leibniz, x.base)),
+                    ("action:", check(partial(validate_action, check=check), x.action)))
 
     m, p = x.top, x.base
     mt, pt = m.sparse_table, p.sparse_table

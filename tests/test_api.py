@@ -1,6 +1,6 @@
 """The package surface: the public names resolve on first use, each command
 loads only the modules it runs, no module keeps an import it never uses, no
-private module-level name goes unused, and only the stored form's hash
+private module-level name goes unused, and only a record's cached hash
 writes into an object's ``__dict__``.  No module imports ``dataclasses``,
 and a CLI process loads neither it nor ``inspect``; one in the documented
 argv form loads no ``argparse``, and one on a ``catalog:`` input loads no
@@ -12,7 +12,7 @@ annotations included) or lists it in its ``__all__``.  An import must be
 used by its own module; a private name (one underscore) that a module
 defines at top level must be used by some module of the package.  Cached
 views are ``cached_property``s that each object fills for itself; the one
-hand-filled entry is the cached hash of ``linalg._stored_hash``.
+hand-filled entry is the cached hash that ``fields.record`` gives every record.
 """
 import ast
 import json
@@ -333,7 +333,7 @@ def test_only_the_stored_hash_writes_into_an_object_dict():
     writes = {}
     for module in MODULES:
         writes.update(_writes_into_dict(ast.parse((SRC / module).read_text(), module), module))
-    assert set(writes) == {"linalg.py:_stored_hash"}
+    assert set(writes) == {"fields.py:record"}
 
 
 def test_the_dict_write_check_sees_each_kind_of_write():

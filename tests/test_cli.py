@@ -541,17 +541,9 @@ STOPPING_ARGV = [["--help"], *([name, "--help"] for name in cli._COMMANDS), [],
 
 @pytest.mark.parametrize("argv", STOPPING_ARGV, ids=" ".join)
 def test_help_and_usage_errors_match_the_per_subcommand_parser(capsys, monkeypatch, argv):
-    """``main`` builds ``_parser(argv)``: for a command, a parser that knows only that one."""
+    """``main`` hands every argv it does not read itself to the one parser ``_parser()``."""
     monkeypatch.setenv("COLUMNS", "80")
-    assert _parsed(capsys, cli._parser(argv), argv) == _parsed(capsys, ref.per_subcommand_parser(), argv)
-
-
-@pytest.mark.parametrize("argv, known", [(["actor", "catalog:l2-id"], ["actor"]), (["catalog"], ["catalog"]),
-                                         ([], list(cli._COMMANDS)), (["--help"], list(cli._COMMANDS)),
-                                         (["nosuch", "actor"], list(cli._COMMANDS))])
-def test_a_command_gets_a_parser_that_knows_only_that_command(argv, known):
-    command, = (action for action in cli._parser(argv)._actions if action.dest == "command")
-    assert list(command.choices) == known
+    assert _parsed(capsys, cli._parser(), argv) == _parsed(capsys, ref.per_subcommand_parser(), argv)
 
 
 # -- the plain argv reader against argparse ----------------------------------------

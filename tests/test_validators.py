@@ -11,11 +11,14 @@ and abelian algebras, in seeded integer bases) must pass every validator,
 and so must their actor and canonical morphism.  Where a passing Leibniz
 check decides (identity crossed modules, bracket actions), the reports are
 compared the same way, with and without a bumped constant, and the
-identities each call evaluates are counted.
+identities each call evaluates are counted, also for the CLI's checks of
+one input, whose components share one memo of reports.
 """
+import json
 import random
 import re
 from importlib import import_module
+from pathlib import Path
 
 import pytest
 from conftest import FIELDS
@@ -24,14 +27,15 @@ from hypothesis import strategies as st
 
 import reference_stages as ref
 from strategies import actions, algebras, matrices, morphisms, tensors, xactions, xmods
-from lbxmod import QQ
+from lbxmod import QQ, cli
 from lbxmod.action import ActionData, validate_action
 from lbxmod.algebra import _ONE, LeibnizAlgebra, _violations, annihilator, commutator, direct_sum, validate_leibniz
 from lbxmod.bider import actor, canonical_morphism
 from lbxmod.catalog import build_entry
 from lbxmod.linalg import Matrix, Subspace
 from lbxmod.xaction import XModActionData, validate_xmod_action
-from lbxmod.xmod import CrossedModule, identity_morphism, validate_morphism, validate_xmod
+from lbxmod.serialize import action_to_json, xaction_to_json
+from lbxmod.xmod import CrossedModule, ShortExactSequence, identity_morphism, validate_morphism, validate_xmod
 
 BY_FIELD = pytest.mark.parametrize("field", FIELDS, ids=[f.tag for f in FIELDS])
 RANDOM = settings(max_examples=25, deadline=None)
@@ -259,6 +263,41 @@ def test_a_self_action_still_evaluates_its_mixed_identities(evaluated):
     assert validate_xmod_action(d).ok
     assert evaluated[0] == ("leibniz",) and len(evaluated) == 2
     assert {re.match("Lb[A-Z]+", label)[0] for label in evaluated[1]} == {"LbEQ", "LbCOM", "LbM"}
+
+
+# One memo per validation: a CLI check of one input validates each component
+# once, found by its value, so the equal but distinct layers a JSON reader
+# builds share one Leibniz check as the shared objects of a catalog entry do.
+WRITERS = {"sl2-adjoint": action_to_json, "sl2-self": xaction_to_json}
+MEMO_CASES = [("validate", "sl2-adjoint"), ("semidirect", "sl2-adjoint"), ("validate", "sl2-self"),
+              ("xaction-validate", "sl2-self")]
+
+
+@pytest.mark.parametrize("source", ["catalog", "file"])
+@pytest.mark.parametrize("command, entry", MEMO_CASES, ids=[" ".join(case) for case in MEMO_CASES])
+def test_one_cli_input_makes_one_leibniz_check(command, entry, source, evaluated, tmp_path, capsys):
+    spec = f"catalog:{entry}"
+    if source == "file":
+        spec = str(tmp_path / f"{entry}.json")
+        Path(spec).write_text(json.dumps(WRITERS[entry](build_entry(entry, QQ))), encoding="utf-8")
+    assert cli.main([command, spec]) == 0 and json.loads(capsys.readouterr().out)["ok"]
+    assert evaluated.count(("leibniz",)) == 1
+
+
+def _dense_copy(x: CrossedModule) -> CrossedModule:
+    """An equal crossed module that shares no object with x."""
+    top = LeibnizAlgebra(x.top.field, x.top.dim, x.top.table, x.top.names)
+    return CrossedModule(top, top, Matrix.from_rows(top.field, x.boundary.entries),
+                         ActionData(top, top, x.action.left, x.action.right))
+
+
+def test_a_sequence_check_validates_equal_crossed_modules_once(evaluated):
+    x = build_entry("sl2-id", QQ)
+    y = _dense_copy(x)
+    assert x == y and x.top is not y.top
+    checks = cli._sequence_checks(ShortExactSequence(x, y, x, identity_morphism(x), identity_morphism(x)))
+    assert [(role, report.ok) for role, report in checks] == [("first:", True), ("middle:", True), ("last:", True)]
+    assert evaluated == [("leibniz",)]
 
 
 # -- generated valid crossed modules -----------------------------------------------
