@@ -5,9 +5,9 @@ Re-runs the enumerations behind the acceptance suite and prints the counts:
 for each solved space, every candidate bit vector is tested against the raw
 defining identities (implemented independently in tests/oracles.py) and the
 verdict is compared with subspace membership; the action validator and the
-validators of identity crossed modules and bracket actions are compared with
-the same identities the same way.  Exits 1 if any count of
-disagreements is nonzero, so CI can run it as a check.
+validators of identity crossed modules, bracket actions and conjugation
+actions are compared with the same identities the same way.  Exits 1 if any
+count of disagreements is nonzero, so CI can run it as a check.
 """
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ from lbxmod.action import ActionData, validate_action  # noqa: E402
 from lbxmod.algebra import LeibnizAlgebra  # noqa: E402
 from lbxmod.bider import bider_algebra, bider_qn, bider_xmod  # noqa: E402
 from lbxmod.catalog import build_entry  # noqa: E402
+from lbxmod.xaction import XModActionData, validate_xmod_action  # noqa: E402
 from lbxmod.xmod import CrossedModule, validate_xmod  # noqa: E402
 
 
@@ -96,21 +97,28 @@ def check_action_validator() -> int:
 
 
 def check_bracket_validators() -> int:
-    """Every 2-dimensional table over F2: its identity crossed module is valid
-    and its bracket an action on itself exactly when the table is Leibniz."""
-    leibniz = actions = disagreements = 0
+    """Every 2-dimensional table over F2: its identity crossed module is valid,
+    its bracket an action on itself, and that crossed module's conjugation
+    action on itself a crossed-module action, exactly when the table is Leibniz."""
+    leibniz = actions = conjugations = disagreements = conjugation_disagreements = 0
     for bits in itertools.product((0, 1), repeat=8):
         table = tuple(tuple(bits[4 * i + 2 * j:4 * i + 2 * j + 2] for j in range(2)) for i in range(2))
         a = LeibnizAlgebra(GF2, 2, table)
-        xmod_ok = validate_xmod(CrossedModule.identity_on(a)).ok
+        x = CrossedModule.identity_on(a)
+        xmod_ok = validate_xmod(x).ok
         action_ok = validate_action(ActionData.by_bracket(a)).ok
+        conjugation_ok = validate_xmod_action(XModActionData.conjugation(x)).ok
         disagreements += xmod_ok != O.is_leibniz(table, 2)
         disagreements += action_ok != O.is_action(table, table, table, table, 2, 2)
+        conjugation_disagreements += conjugation_ok != O.is_leibniz(table, 2)
         leibniz += xmod_ok
         actions += action_ok
+        conjugations += conjugation_ok
     print(f"identity xmods(F2^2 tables): {leibniz}/256 valid, bracket actions: {actions}/256 valid, "
           f"{disagreements} disagreements")
-    return disagreements
+    print(f"conjugation actions of identity xmods(F2^2 tables): {conjugations}/256 valid, "
+          f"{conjugation_disagreements} disagreements")
+    return disagreements + conjugation_disagreements
 
 
 if __name__ == "__main__":

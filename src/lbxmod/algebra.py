@@ -14,7 +14,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .fields import Field, InputDataError, Scalar, record
+from .fields import Field, InputDataError, Scalar, record, replace
 from .linalg import Matrix, Number, ScaledVector, Subspace, _dense, _sparse, _stored, sparse_kernel
 
 MAX_DIM = 64  # guard against accidentally huge inputs
@@ -201,8 +201,10 @@ class ValidationReport:
 # validators call it only for identities that can fail: an identity crossed
 # module and an algebra acting on itself by its bracket are decided by the
 # algebra's Leibniz identity when that holds (``validate_xmod``,
-# ``validate_action``).  The validators that check components share one memo
-# of their reports per call (``_once``).
+# ``validate_action``), and a crossed module acting on itself by conjugation
+# by its own component checks when they pass (``validate_xmod_action``).  The
+# validators that check components share one memo of their reports per call
+# (``_once``).
 
 Identity = tuple[str, str, str, int, Sequence[tuple], Sequence[tuple]]
 
@@ -313,10 +315,13 @@ def _prefixed(*reports: tuple[str, ValidationReport]) -> list[Violation]:
 def _once(reports: dict, validate, obj) -> ValidationReport:
     """The ``check(validate, component)`` of one validation call, started by
     a validator called without one: each component's report, kept by the
-    component's value, so equal components are checked once."""
-    if obj not in reports:
-        reports[obj] = validate(obj)
-    return reports[obj]
+    component's value, so equal components are checked once.  An algebra is
+    kept by its field, dimension and table alone, as no check reads its
+    basis names."""
+    key = replace(obj, names=None) if type(obj) is LeibnizAlgebra and obj.names is not None else obj
+    if key not in reports:
+        reports[key] = validate(obj)
+    return reports[key]
 
 
 def validate_leibniz(a: LeibnizAlgebra) -> ValidationReport:

@@ -54,10 +54,7 @@ def _l2_ann_incl(field: Field) -> CrossedModule:
 def _self_action(field: Field) -> XModActionData:
     from .xaction import XModActionData
 
-    x = CrossedModule.identity_on(_sl2(field))
-    adjoint = ActionData.by_bracket(x.base)
-    bracket_tensor = x.base.sparse_table
-    return XModActionData(x, x, adjoint, adjoint, bracket_tensor, bracket_tensor)
+    return XModActionData.conjugation(CrossedModule.identity_on(_sl2(field)))
 
 
 def _mixed_pair_break(field: Field) -> XModActionData:

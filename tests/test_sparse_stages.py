@@ -312,10 +312,8 @@ def _sequences(x):
     semidirect product of x's action on itself."""
     cen = center(x)
     quo = quotient_xmod(x, cen.top_space, cen.base_space)
-    self_action = XModActionData(x, x, x.action, ActionData.by_bracket(x.base),
-                                 x.action.sparse_right, x.action.sparse_left)
     return [ShortExactSequence(cen.xmod, x, quo.xmod, cen.inclusion(), quo.projection()),
-            semidirect_xmod(self_action).sequence()]
+            semidirect_xmod(XModActionData.conjugation(x)).sequence()]
 
 
 def _lift_parts(lift, s):

@@ -8,11 +8,12 @@ F3.  Most generated objects break several identities at once, so the order
 across labels of one block is compared too.  Generated valid crossed modules
 (identity crossed modules and ideal inclusions on direct sums of NF_n, sl2
 and abelian algebras, in seeded integer bases) must pass every validator,
-and so must their actor and canonical morphism.  Where a passing Leibniz
-check decides (identity crossed modules, bracket actions), the reports are
-compared the same way, with and without a bumped constant, and the
-identities each call evaluates are counted, also for the CLI's checks of
-one input, whose components share one memo of reports.
+and so must their actor and canonical morphism, which is the morphism of
+their conjugation action.  Where passing checks decide (identity crossed
+modules, bracket actions, conjugation actions), the reports are compared
+the same way, with and without a bumped constant, and the identities each
+call evaluates are counted, also for the CLI's checks of one input, whose
+components share one memo of reports, one per distinct algebra table.
 """
 import json
 import random
@@ -21,7 +22,7 @@ from importlib import import_module
 from pathlib import Path
 
 import pytest
-from conftest import FIELDS
+from conftest import FIELDS, XMOD_IDS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,8 +33,9 @@ from lbxmod.action import ActionData, validate_action
 from lbxmod.algebra import _ONE, LeibnizAlgebra, _violations, annihilator, commutator, direct_sum, validate_leibniz
 from lbxmod.bider import actor, canonical_morphism
 from lbxmod.catalog import build_entry
+from lbxmod.fields import replace
 from lbxmod.linalg import Matrix, Subspace
-from lbxmod.xaction import XModActionData, validate_xmod_action
+from lbxmod.xaction import XModActionData, morphism_from_action, validate_xmod_action
 from lbxmod.serialize import action_to_json, xaction_to_json
 from lbxmod.xmod import CrossedModule, ShortExactSequence, identity_morphism, validate_morphism, validate_xmod
 
@@ -258,11 +260,42 @@ def test_a_bumped_identity_xmod_evaluates_every_identity(field, evaluated):
     assert evaluated == [("leibniz",), ACT]
 
 
-def test_a_self_action_still_evaluates_its_mixed_identities(evaluated):
-    d = build_entry("sl2-self", QQ)
-    assert validate_xmod_action(d).ok
-    assert evaluated[0] == ("leibniz",) and len(evaluated) == 2
-    assert {re.match("Lb[A-Z]+", label)[0] for label in evaluated[1]} == {"LbEQ", "LbCOM", "LbM"}
+@BY_FIELD
+def test_a_conjugation_action_makes_only_its_component_checks(field, evaluated):
+    """sl2-self and the conjugation actions of NF_4's identity crossed module
+    and of l2-ann-incl pass on their component checks alone: one Leibniz
+    check for an identity crossed module, no mixed identity for any."""
+    nf4 = CrossedModule.identity_on(nf(field, 4))
+    cases = [(build_entry("sl2-self", field), [("leibniz",)]),
+             (XModActionData.conjugation(nf4), [("leibniz",)]),
+             (XModActionData.conjugation(build_entry("l2-ann-incl", field)), [("leibniz",), ("leibniz",), ACT, XLB])]
+    for d, checks in cases:
+        del evaluated[:]
+        assert validate_xmod_action(d).ok and evaluated == checks
+
+
+@BY_FIELD
+def test_a_bumped_conjugation_action_evaluates_its_mixed_identities(field, evaluated):
+    """A bumped x, or a valid x with one pairing constant bumped, evaluates
+    LbEQ, LbCOM and LbM, and reports as the per-witness reference does."""
+    x = CrossedModule.identity_on(LeibnizAlgebra(field, 3, bumped(field, build_entry("sl2", field).table, (0, 1, 2))))
+    conj = XModActionData.conjugation(build_entry("sl2-id", field))
+    for d in (XModActionData.conjugation(x),
+              replace(conj, sparse_mq=bumped(field, conj.cross_mq, (0, 1, 2))),
+              replace(conj, sparse_qm=bumped(field, conj.cross_qm, (2, 1, 0)))):
+        del evaluated[:]
+        got = validate_xmod_action(d)
+        assert {re.match("Lb[A-Z]+", label)[0] for label in evaluated[-1]} == {"LbEQ", "LbCOM", "LbM"}
+        assert not got.ok and got == ref.validate_xmod_action(d)
+
+
+def test_algebras_differing_only_in_names_share_one_leibniz_check(evaluated):
+    """One report per distinct table: basis names are not checked."""
+    u, v = LeibnizAlgebra.abelian(QQ, 1, ("u",)), LeibnizAlgebra.abelian(QQ, 1, ("v",))
+    assert u != v
+    x, y = CrossedModule.identity_on(u), CrossedModule.identity_on(v)
+    checks = cli._sequence_checks(ShortExactSequence(x, y, x, identity_morphism(x), identity_morphism(x)))
+    assert all(report.ok for _role, report in checks) and evaluated == [("leibniz",)]
 
 
 # One memo per validation: a CLI check of one input validates each component
@@ -282,6 +315,22 @@ def test_one_cli_input_makes_one_leibniz_check(command, entry, source, evaluated
         Path(spec).write_text(json.dumps(WRITERS[entry](build_entry(entry, QQ))), encoding="utf-8")
     assert cli.main([command, spec]) == 0 and json.loads(capsys.readouterr().out)["ok"]
     assert evaluated.count(("leibniz",)) == 1
+
+
+NAMED_CASES = ["validate", "xaction-validate", "semidirect-xmod", "xaction-to-morphism"]
+
+
+@pytest.mark.parametrize("source", ["catalog", "file"])
+@pytest.mark.parametrize("command", NAMED_CASES)
+def test_one_cli_input_makes_one_leibniz_check_per_table(command, source, evaluated, tmp_path, capsys):
+    """mixed-pair-break's u, v and w have one zero table, its p another."""
+    spec = "catalog:mixed-pair-break"
+    if source == "file":
+        spec = str(tmp_path / "mixed-pair-break.json")
+        Path(spec).write_text(json.dumps(xaction_to_json(build_entry("mixed-pair-break", QQ))), encoding="utf-8")
+    cli.main([command, spec])
+    capsys.readouterr()
+    assert evaluated.count(("leibniz",)) == 2
 
 
 def _dense_copy(x: CrossedModule) -> CrossedModule:
@@ -336,10 +385,43 @@ def valid_xmods(draw, field):
     return ref.rebase_xmod(x, random.Random(draw(st.integers(0, 2**16))))
 
 
-def conjugation(x: CrossedModule) -> XModActionData:
-    """A crossed module acting on itself: the base by its action and its
-    bracket, the pairings by the action."""
-    return XModActionData(x, x, x.action, ActionData.by_bracket(x.base), x.action.right, x.action.left)
+def zero_into_l2(field, k):
+    """The abelian algebra of dimension k mapping by zero into l2, acted on trivially."""
+    l2, top = build_entry("l2", field), LeibnizAlgebra.abelian(field, k)
+    return CrossedModule(top, l2, Matrix.zeros(field, 2, k), ActionData.zero(l2, top))
+
+
+@st.composite
+def conjugation_actions(draw, field):
+    """The conjugation action of ``valid_xmods`` or of ``zero_into_l2``, with
+    zero or one constant bumped in x's two tables, action or boundary, or in
+    one of the action's two pairings."""
+    x = draw(valid_xmods(field) | st.integers(0, 2).map(lambda k: zero_into_l2(field, k)))
+    n, q = x.top.dim, x.base.dim
+    shapes = {"top": (n, n, n), "base": (q, q, q), "left": (q, n, n), "right": (n, q, n), "boundary": (q, n),
+              "mq": (n, q, n), "qm": (q, n, n)}
+    where = draw(st.sampled_from(["none"] + [w for w, shape in shapes.items() if all(shape)]))
+    at = tuple(draw(st.integers(0, d - 1)) for d in shapes.get(where, ()))
+    parts = {"top": x.top.table, "base": x.base.table, "left": x.action.left, "right": x.action.right,
+             "boundary": (x.boundary.entries,)}
+    if where in parts:
+        parts[where] = bumped(field, parts[where], (0,) + at if where == "boundary" else at)
+    top, base = (LeibnizAlgebra(field, a.dim, parts[w]) for a, w in ((x.top, "top"), (x.base, "base")))
+    act = ActionData(base, top, parts["left"], parts["right"])
+    d = XModActionData.conjugation(CrossedModule(top, base, Matrix.from_rows(field, parts["boundary"][0]), act))
+    if where in ("mq", "qm"):
+        d = replace(d, **{f"sparse_{where}": bumped(field, getattr(d, f"cross_{where}"), at)})
+    return where, d
+
+
+@BY_FIELD
+@RANDOM
+@given(data=st.data())
+def test_conjugation_action_reports_match_reference(field, data):
+    where, d = data.draw(conjugation_actions(field))
+    got = validate_xmod_action(d)
+    assert got == ref.validate_xmod_action(d)
+    assert got.ok or where != "none"
 
 
 @BY_FIELD
@@ -351,6 +433,31 @@ def test_generated_valid_xmods_pass_every_validator(field, data):
     assert validate_action(x.action).ok
     assert validate_xmod(x).ok
     assert validate_morphism(identity_morphism(x)).ok
-    assert validate_xmod_action(conjugation(x)).ok
+    assert ref.validate_xmod_action(XModActionData.conjugation(x)).ok  # validate_xmod_action decides it from x's checks
     assert validate_xmod(actor(x)).ok
     assert validate_morphism(canonical_morphism(x)).ok
+
+
+# -- the canonical map x -> Act(x) ----------------------------------------------------
+#
+# The paper's canonical morphism, whose kernel is the center, is the morphism
+# of x's conjugation action on itself.
+
+
+def assert_canonical_is_conjugation_morphism(x: CrossedModule) -> None:
+    got, can = morphism_from_action(XModActionData.conjugation(x)), canonical_morphism(x)
+    assert got.relaxed_failures == ()
+    assert (got.morphism.top_map, got.morphism.base_map) == (can.top_map, can.base_map)
+
+
+@BY_FIELD
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_generated_canonical_morphisms_are_conjugation_morphisms(field, data):
+    assert_canonical_is_conjugation_morphism(data.draw(valid_xmods(field)))
+
+
+@BY_FIELD
+@pytest.mark.parametrize("cid", XMOD_IDS)
+def test_catalog_canonical_morphisms_are_conjugation_morphisms(field, cid):
+    assert_canonical_is_conjugation_morphism(build_entry(cid, field))

@@ -10,6 +10,7 @@ from reference_stages import column
 from strategies import actions, is_stored, respelled, tensors, xmods
 
 from lbxmod import GF3, QQ, FpElement, InputDataError
+from lbxmod.action import ActionData
 from lbxmod.serialize import xaction_from_json, xaction_to_json
 from lbxmod.bider import actor, sequence_problems
 from lbxmod.catalog import build_entry
@@ -31,6 +32,13 @@ from lbxmod.xmod import validate_morphism, validate_xmod
 
 def test_self_action_of_sl2_satisfies_every_law(field):
     assert validate_xmod_action(build_entry("sl2-self", field)).ok
+
+
+def test_self_action_of_sl2_is_its_conjugation_action(field):
+    """sl2 acting on itself by its bracket in every role."""
+    x = build_entry("sl2-id", field)
+    adjoint, bracket = ActionData.by_bracket(x.base), x.base.sparse_table
+    assert build_entry("sl2-self", field) == XModActionData(x, x, adjoint, adjoint, bracket, bracket)
 
 
 def test_mixed_pairing_fixture_fails_exactly_the_two_relaxable_laws(field):
