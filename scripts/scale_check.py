@@ -20,10 +20,11 @@ It then checks the canonical morphism x -> Act(x), whose maps are held as
 sparse columns like every map: it must pass ``validate_morphism``, and its
 kernel must have the layer dimensions of ``center(x)``.  When both layers
 of the actor are at most ``MAX_DIM`` (larger ones are refused on read), it
-times the actor's JSON round trip, ``xmod_to_json``, JSON text and
-``xmod_from_json``, and checks that the copy equals the actor.  It exits 1
-if a check fails, if ``validate_xmod`` fails on the actor or if a dimension
-differs from the known one:
+times the actor's JSON round trip in three parts, the write
+(``xmod_to_json``), the JSON text (``json.dumps`` and ``json.loads``) and
+the read (``xmod_from_json``), and checks that the copy equals the actor.
+It exits 1 if a check fails, if ``validate_xmod`` fails on the actor or if
+a dimension differs from the known one:
 
 * ``A_n``: the actor and the outer part both have layers of dimension 2n^2
   (every map is a biderivation and the inner part is zero);
@@ -140,8 +141,10 @@ def main(argv=None) -> int:
             if (ker.top_space.dim, ker.base_space.dim) != (cen.top_space.dim, cen.base_space.dim):
                 problems.append("the kernel of the canonical morphism is not the center")
             if max(act.top.dim, act.base.dim) <= MAX_DIM:
-                copy, t_json = timed(lambda: xmod_from_json(field, json.loads(json.dumps(xmod_to_json(act)))))
-                trip = f"JSON round trip {t_json:.3f} s"
+                blob, t_write = timed(lambda: xmod_to_json(act))
+                doc, t_text = timed(lambda: json.loads(json.dumps(blob)))
+                copy, t_read = timed(lambda: xmod_from_json(field, doc))
+                trip = f"JSON write {t_write:.4f} s, text {t_text:.4f} s, read {t_read:.4f} s"
                 if copy != act:
                     problems.append("the actor read back from JSON differs from the actor")
             else:

@@ -21,9 +21,10 @@ A coefficient is stored as a ``number``: an int residue in [0, p) over F_p;
 over Q an int when integral, else a Fraction, never zero.  ``_stored`` makes
 that form from dense or sparse input, for matrices here and for the
 structure tensors of ``algebra``; a tensor already in that form (as the
-JSON readers and most stages build it) is recognised by whole-tensor passes
-and kept as it is.  A class that holds it hashes by ``fields.record``'s one
-rule, a dict by the frozenset of its items.
+JSON readers and most stages build it) is recognised by whole-tensor passes,
+which read keys and values from its nonempty vectors only, and kept as it
+is.  A class that holds it hashes by ``fields.record``'s one rule, a dict by
+the frozenset of its items.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ class LinearSolveError(RuntimeError):
 def _is_stored(tensor, shape: tuple[int, int, int], p: int) -> bool:
     """Whether a tensor is in stored form: a tuple of d0 tuples of d1 dicts,
     each key an int in [0, d2) and each value a ``number`` other than 0.
-    Checked over the whole tensor at once, one pass per property."""
+    Checked over the whole tensor at once, one pass per property; once every
+    vector is a dict, the keys and values come from the nonempty ones only."""
     d0, d1, d2 = shape
     if not (type(tensor) is tuple and len(tensor) == d0
             and set(map(type, tensor)) <= {tuple} and set(map(len, tensor)) <= {d1}):
@@ -63,9 +65,10 @@ def _is_stored(tensor, shape: tuple[int, int, int], p: int) -> bool:
     vecs = list(chain.from_iterable(tensor))
     if not set(map(type, vecs)) <= {dict}:
         return False
-    keys = list(chain.from_iterable(vecs))
-    if not keys:
+    vecs = list(filter(None, vecs))
+    if not vecs:
         return True
+    keys = list(chain.from_iterable(vecs))
     if set(map(type, keys)) != {int} or min(keys) < 0 or max(keys) >= d2:
         return False
     values = list(chain.from_iterable(map(dict.values, vecs)))

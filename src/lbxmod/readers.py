@@ -1,20 +1,26 @@
 """JSON readers for every object the CLI reads: the inverses of the writers
 in ``serialize``, which resolves each of their names on first use.
 
-A reader (``_Reader``, one memo per document) checks the shape and the type
-of every list and token over whole levels, looks every token up in the
-memo, parsing the unseen ones in document order, and places only the
-nonzeros; a document that fails a check is walked entry by entry to raise
-its first fault in document order.  Only the readers of crossed-module
-actions and of morphisms into the actor import ``xaction``, when called.
-The CLI imports this module only for an input file, never for a
-``catalog:`` input.
+A reader (``_Reader``) keeps one memo per document: of its scalars, then of
+the tensors, matrices and algebras built from it.  It checks the shape and
+the type of every list and token over whole levels, looks every token up in
+the scalar memo, parsing the unseen ones in document order, and places only
+the nonzeros.  A dense part whose tokens are all JSON strings and integers
+is built once per distinct shape and token sequence, and an algebra once
+per distinct parsed value, so what a document repeats (a crossed module's
+top as its base, an action by the bracket, one crossed module twice) is
+built once and shared; an action tensor equal to the target's table is that
+table.  A dense part that fails the whole-level checks is walked entry by
+entry, to raise its first fault in document order, and is never kept.  Only
+the readers of crossed-module actions and of morphisms into the actor import
+``xaction``, when called.  The CLI imports this module only for an input
+file, never for a ``catalog:`` input.
 """
 
 from __future__ import annotations
 
 from itertools import chain, compress
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from .action import ActionData
 from .algebra import LeibnizAlgebra, SparseTensor, _check_dim
@@ -39,15 +45,21 @@ def _is_int(x: Any) -> bool:
 
 
 class _Reader(dict):
-    """One document's scalars: each distinct JSON string or integer maps to
-    its stored coefficient (``linalg.number``, or 0 for zero), parsed by
-    ``field.parse_scalar`` on first lookup.  A failed parse is never kept,
-    and a token of any other type (true and 1.0 equal 1) is parsed on its
-    own.  Each top-level reader makes its own."""
+    """One document's memos.  As a dict, its scalars: each distinct JSON
+    string or integer maps to its stored coefficient (``linalg.number``, or
+    0 for zero), parsed by ``field.parse_scalar`` on first lookup.  A failed
+    parse is never kept, and a token of any other type (true and 1.0 equal
+    1) is parsed on its own.  Then ``parts``: the tensors, matrices and
+    algebras built from the document, by kind (a shape of two entries for a
+    matrix, three for a tensor; an algebra's dimension), each with the
+    value it was built from: its tokens (``dense``), or an algebra's parsed
+    names and brackets.  Equal values of one kind build equal parts.  Each
+    top-level reader makes its own."""
 
     def __init__(self, field: Field) -> None:
         super().__init__()
         self.parse = field.parse_scalar
+        self.parts: dict[tuple, list[tuple[Any, Any]]] = {}
 
     def __missing__(self, x: Any) -> Number:
         c = self[x] = number(self.parse(x))
@@ -56,22 +68,38 @@ class _Reader(dict):
     def scalar(self, x: Any) -> Number:
         return self[x] if type(x) is str or type(x) is int else number(self.parse(x))
 
-    def dense(self, obj: list, levels: tuple[tuple[int, str], ...]) -> list[Number]:
-        """The coefficients of a dense nested list, flattened in document
-        order.  Below obj, level t holds lists of levels[t][0] entries, the
-        last level scalars; a list of another length raises levels[t][1].
-        The shapes and token types are checked over whole levels, and only
-        a document that fails them is walked entry by entry, to raise its
-        first fault in document order."""
+    def part(self, kind: tuple, value: Any, build: Callable[[], Any]) -> Any:
+        """The part of the given kind built from value: build() on the first
+        request, the same object after.  A document holds few parts of one
+        kind, so they are found by comparing values, which stops at the
+        first difference, rather than by hashing every value whole."""
+        parts = self.parts.setdefault(kind, [])
+        for seen, part in parts:
+            if seen == value:
+                return part
+        part = build()
+        parts.append((value, part))
+        return part
+
+    def dense(self, obj: list, shape: tuple[int, ...], levels: tuple[tuple[int, str], ...],
+              build: Callable[[list[Number]], Any]) -> Any:
+        """build(coefficients) of a dense nested list of the given shape,
+        its coefficients flattened in document order.  Below obj, level t
+        holds lists of levels[t][0] entries, the last level scalars; a list
+        of another length raises levels[t][1].  The shapes and token types
+        are checked over whole levels: a list whose tokens are all exactly
+        ``str`` or ``int`` is built once per shape and token sequence, and
+        only one that fails the checks is walked entry by entry, to raise
+        its first fault in document order, and built on its own."""
         items = obj
         for n, _ in levels:
             if not (set(map(type, items)) <= {list} and set(map(len, items)) <= {n}):
                 break
             items = list(chain.from_iterable(items))
         else:
-            if set(map(type, items)) <= {str, int}:
-                return list(map(self.__getitem__, items))
-        return list(map(self.scalar, _tokens(obj, levels)))
+            if set(map(type, items)) <= {str, int}:  # so equal token lists are equal documents
+                return self.part(shape, items, lambda: build(list(map(self.__getitem__, items))))
+        return build(list(map(self.scalar, _tokens(obj, levels))))
 
 
 def _tokens(items: list, levels: tuple[tuple[int, str], ...]) -> Iterator[Any]:
@@ -107,12 +135,15 @@ def _matrix(field: Field, read: _Reader, obj: Any) -> Matrix:
     data = obj["entries"]
     if not isinstance(data, list) or len(data) != rows:
         raise InputDataError("matrix entries do not match the declared row count")
-    coeffs = read.dense(data, ((cols, "matrix entries do not match the declared column count"),))
-    columns: tuple[dict[int, Number], ...] = tuple({} for _ in range(cols))
-    for pos, c in _nonzeros(coeffs):
-        i, j = divmod(pos, cols)
-        columns[j][i] = c
-    return Matrix(field, rows, cols, columns)
+
+    def build(coeffs: list[Number]) -> Matrix:
+        columns: tuple[dict[int, Number], ...] = tuple({} for _ in range(cols))
+        for pos, c in _nonzeros(coeffs):
+            i, j = divmod(pos, cols)
+            columns[j][i] = c
+        return Matrix(field, rows, cols, columns)
+
+    return read.dense(data, (rows, cols), ((cols, "matrix entries do not match the declared column count"),), build)
 
 
 # -- algebras -------------------------------------------------------------
@@ -135,23 +166,31 @@ def _algebra(field: Field, read: _Reader, obj: Any) -> LeibnizAlgebra:
     sparse: dict[tuple[int, int], dict[int, Number]] = {}
     if not isinstance(obj["brackets"], list):
         raise InputDataError("algebra brackets must be a list")
-    for item in obj["brackets"]:
-        if not (isinstance(item, list) and len(item) == 3 and _is_int(item[0])
-                and _is_int(item[1]) and isinstance(item[2], list)):
+    for item in obj["brackets"]:  # type(x) is int: the common case, without a call
+        if not (isinstance(item, list) and len(item) == 3 and (type(item[0]) is int or _is_int(item[0]))
+                and (type(item[1]) is int or _is_int(item[1])) and isinstance(item[2], list)):
             raise InputDataError(f"bad bracket entry {item!r}")
         i, j, terms = item
         if (i, j) in sparse:
             raise InputDataError(f"duplicate bracket entry for ({i}, {j})")
         parsed: dict[int, Number] = {}
         for term in terms:
-            if not (isinstance(term, list) and len(term) == 2 and _is_int(term[0])):
+            if not (isinstance(term, list) and len(term) == 2 and (type(term[0]) is int or _is_int(term[0]))):
                 raise InputDataError(f"bad bracket term {term!r}")
             k, c = term
             if k in parsed:
                 raise InputDataError(f"duplicate bracket target {k} in entry ({i}, {j})")
             parsed[k] = read.scalar(c)
         sparse[(i, j)] = parsed
-    return LeibnizAlgebra.from_brackets(field, dim, sparse, names)
+    def build() -> LeibnizAlgebra:
+        return LeibnizAlgebra.from_brackets(field, dim, sparse, names)
+
+    # Found by the parsed value, never by the JSON tokens, among which true ==
+    # 1 == 1.0.  A target of an int subclass equals its int, but the table
+    # refuses it, so such an algebra is built on its own.
+    if set(map(type, chain.from_iterable(sparse.values()))) <= {int}:
+        return read.part(("algebra", dim), (names, sparse), build)
+    return build()
 
 
 # -- action tensors --------------------------------------------------------
@@ -162,13 +201,16 @@ def _tensor(read: _Reader, obj: Any, d0: int, d1: int, d2: int) -> SparseTensor:
     included, is checked, and only the nonzeros are placed."""
     if not isinstance(obj, list) or len(obj) != d0:
         raise InputDataError(f"tensor must have {d0} outer entries")
-    coeffs = read.dense(obj, ((d1, f"tensor rows must have {d1} entries"),
-                              (d2, f"tensor vectors must have {d2} entries")))
-    vecs: list[dict[int, Number]] = [{} for _ in range(d0 * d1)]
-    for pos, c in _nonzeros(coeffs):
-        v, k = divmod(pos, d2)
-        vecs[v][k] = c
-    return tuple(tuple(vecs[i * d1:(i + 1) * d1]) for i in range(d0))
+
+    def build(coeffs: list[Number]) -> SparseTensor:
+        vecs: list[dict[int, Number]] = [{} for _ in range(d0 * d1)]
+        for pos, c in _nonzeros(coeffs):
+            v, k = divmod(pos, d2)
+            vecs[v][k] = c
+        return tuple(tuple(vecs[i * d1:(i + 1) * d1]) for i in range(d0))
+
+    return read.dense(obj, (d0, d1, d2), ((d1, f"tensor rows must have {d1} entries"),
+                                          (d2, f"tensor vectors must have {d2} entries")), build)
 
 
 def _action_block(read: _Reader, obj: Any, actor: LeibnizAlgebra, target: LeibnizAlgebra) -> ActionData:
@@ -176,6 +218,9 @@ def _action_block(read: _Reader, obj: Any, actor: LeibnizAlgebra, target: Leibni
         raise InputDataError("action block needs left and right tensors")
     left = _tensor(read, obj["left"], actor.dim, target.dim, target.dim)
     right = _tensor(read, obj["right"], target.dim, actor.dim, target.dim)
+    if actor.dim == target.dim:  # a tensor equal to the target's table is that table, stored already
+        table = target.sparse_table
+        left, right = (table if view == table else view for view in (left, right))
     return ActionData(actor, target, left, right)
 
 

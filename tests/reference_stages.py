@@ -63,12 +63,14 @@ padded each dense vector by hand, are kept at the end as ``*_tensors``;
 matrix whole: they check shapes and token types over whole levels, look
 every token up in one memo per document and place or write only the
 nonzeros, and ``linalg._stored`` recognises a tensor already in stored form
-the same way.
+the same way, from the nonempty vectors alone once every vector is a dict.
 The per-entry readers, the writers that filled each dense vector through
 ``field.scalar_to_json`` and the per-vector stored-form check they replaced
 are kept at the end as ``read_*_by_entry``, ``*_to_json_by_row``,
-``tensor_to_json_by_vector`` and ``stored_by_vector``; ``test_serialize.py``
-and ``test_linalg.py`` compare them.
+``tensor_to_json_by_vector`` and ``stored_by_vector``, and the whole-tensor
+recognizer that gathered keys and values from every vector, empty ones
+included, as ``is_stored_from_every_vector``; ``test_serialize.py`` and
+``test_linalg.py`` compare them.
 
 The CLI declares ``--field`` and ``--out`` once, on a parent parser that
 every subcommand shares.  The parser that added both to each subcommand on
@@ -85,7 +87,8 @@ from __future__ import annotations
 import argparse
 import random
 from fractions import Fraction
-from operator import is_
+from itertools import chain
+from operator import attrgetter, is_
 from typing import Sequence
 
 from lbxmod import algebra, bider, xmod
@@ -1341,6 +1344,29 @@ def stored_by_vector(field, tensor, shape, what):
     rows = tuple(tuple(map(vector, row)) for row in tensor)
     same = type(tensor) is tuple and all(type(r) is tuple and all(map(is_, a, r)) for a, r in zip(rows, tensor))
     return tensor if same else rows
+
+
+def is_stored_from_every_vector(tensor, shape, p) -> bool:
+    """``linalg._is_stored`` gathering the keys and values of every vector,
+    the empty ones included."""
+    d0, d1, d2 = shape
+    if not (type(tensor) is tuple and len(tensor) == d0
+            and set(map(type, tensor)) <= {tuple} and set(map(len, tensor)) <= {d1}):
+        return False
+    vecs = list(chain.from_iterable(tensor))
+    if not set(map(type, vecs)) <= {dict}:
+        return False
+    keys = list(chain.from_iterable(vecs))
+    if not keys:
+        return True
+    if set(map(type, keys)) != {int} or min(keys) < 0 or max(keys) >= d2:
+        return False
+    values = list(chain.from_iterable(map(dict.values, vecs)))
+    kinds = list(map(type, values))
+    if p:
+        return set(kinds) == {int} and min(values) > 0 and max(values) < p
+    return (set(kinds) <= {int, Fraction} and 0 not in values
+            and list(map(attrgetter("denominator"), values)).count(1) == kinds.count(int))
 
 
 def per_subcommand_parser() -> argparse.ArgumentParser:

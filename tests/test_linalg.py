@@ -14,7 +14,7 @@ import pytest
 from conftest import XMOD_IDS
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_stages import apply, reference_rref, stored_by_vector
+from reference_stages import apply, is_stored_from_every_vector, reference_rref, stored_by_vector
 from strategies import VALUES, is_stored, matrices, respelled, tensors
 
 from lbxmod import GF2, GF3, QQ, bider
@@ -26,6 +26,7 @@ from lbxmod.linalg import (
     Matrix,
     RrefResult,
     Subspace,
+    _is_stored,
     _Preimages,
     _sparse,
     _stored,
@@ -370,6 +371,45 @@ def test_the_stored_form_refuses_a_key_outside_the_vector(key):
 def test_a_stored_tuple_tensor_is_handed_back_as_it_is():
     for field, tensor in ((QQ, (({0: Fraction(1, 2), 1: -3}, {}), ({}, {1: 1}))), (GF3, (({0: 2}, {1: 1}),))):
         assert _stored(field, tensor, (len(tensor), 2, 2), "tensor") is tensor
+
+
+def _odd_vectors(p: int, d2: int) -> tuple:
+    """Vectors at the edge of the stored form: empty ones that are not dicts
+    or are dict subclasses, bool keys, keys -1 and d2, the value 0, an
+    integral Fraction, the residues 0 and p, and a few in stored form."""
+    return ([], (), _Dict(), _Dict({0: 1}), {}, {True: 1}, {False: 1}, {-1: 1}, {d2: 1}, {0: 0}, {0: Fraction(2, 1)},
+            {0: Fraction(1, 2)}, {0: p}, {0: p - 1 if p else -1}, {0: 1}, {d2 - 1: 1, 0: 2})
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=[f.tag for f in FIELDS])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_stored_form_recognition_skips_empty_vectors_to_the_same_answer(field, data):
+    """``_is_stored``, which gathers keys and values from the nonempty
+    vectors only, gives ``reference_stages.is_stored_from_every_vector``'s
+    answer on stored views with a few vectors replaced by edge cases, in
+    tuples or in lists."""
+    d0, d1, d2 = (data.draw(st.integers(0, 3)) for _ in range(3))
+    p = field.characteristic
+    rows = [list(row) for row in _stored(field, data.draw(tensors(field, d0, d1, d2)), (d0, d1, d2), "tensor")]
+    if d0 and d1 and d2:
+        for _ in range(data.draw(st.integers(0, 3))):
+            a, b = data.draw(st.integers(0, d0 - 1)), data.draw(st.integers(0, d1 - 1))
+            rows[a][b] = data.draw(st.sampled_from(_odd_vectors(p, d2)))
+    tensor = data.draw(st.sampled_from((tuple, list)))(map(data.draw(st.sampled_from((tuple, list))), rows))
+    assert _is_stored(tensor, (d0, d1, d2), p) == is_stored_from_every_vector(tensor, (d0, d1, d2), p)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=[f.tag for f in FIELDS])
+@pytest.mark.parametrize("index", range(len(_odd_vectors(0, 2))))
+def test_each_edge_vector_is_recognised_as_by_every_vector(field, index):
+    """Each edge case of ``_odd_vectors`` among empty vectors, alone and
+    beside a stored vector, gets the reference's answer."""
+    p = field.characteristic
+    odd = _odd_vectors(p, 2)[index]
+    for tensor in (((odd,),), (({}, odd), ({}, {})), (({1: 1}, odd), ({}, {})), ((odd, {}), ({0: 1}, {}))):
+        shape = (len(tensor), len(tensor[0]), 2)
+        assert _is_stored(tensor, shape, p) == is_stored_from_every_vector(tensor, shape, p)
 
 
 def dense_transpose(m):

@@ -1,8 +1,10 @@
 """JSON round trips for every object kind, plus rejection of bad payloads.
 
-Each document is read through one scalar memo; the tests at the end check
-that it reads generated documents in any spelling as per-entry parsing
-does, and still refuses near misses of a scalar it has already read.  Dense
+Each document is read through one memo of scalars and one of built parts;
+the tests at the end check that it reads generated documents in any
+spelling as per-entry parsing does, still refuses near misses of a scalar
+it has already read, reads a near copy of a repeated part as with no memo,
+and builds each repeated part once.  Dense
 tensors and matrices are read and written a whole tensor at a time; the
 last tests compare that codec with the per-entry one kept in
 ``reference_stages``, and check that a malformed tensor still reports its
@@ -47,7 +49,8 @@ from lbxmod.serialize import (
     xmod_from_json,
     xmod_to_json,
 )
-from lbxmod.xaction import morphism_from_action
+from lbxmod.algebra import LeibnizAlgebra
+from lbxmod.xaction import XModActionData, morphism_from_action
 
 TO_JSON = {
     "algebra": algebra_to_json,
@@ -181,8 +184,6 @@ def test_algebra_names_survive_the_round_trip():
     blob = algebra_to_json(sl2)
     assert blob["names"] == ["e", "h", "f"]
     assert algebra_from_json(QQ, blob).names == ("e", "h", "f")
-    from lbxmod.algebra import LeibnizAlgebra
-
     nameless = LeibnizAlgebra.from_brackets(QQ, 2, {})
     assert "names" not in algebra_to_json(nameless)
 
@@ -308,10 +309,14 @@ GENERATED = {"algebra": algebras, "action": actions, "xmod": xmods, "xaction": x
 
 
 class _Uncached(readers._Reader):
-    """The document reader's interface with no memo: every token is parsed."""
+    """The document reader's interface with no memo: every token is parsed
+    and every part built."""
 
     def __getitem__(self, x):
         return number(self.parse(x))
+
+    def part(self, kind, value, build):
+        return build()
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=[f.tag for f in FIELDS])
@@ -326,6 +331,101 @@ def test_generated_documents_read_as_entry_by_entry(field, kind, data):
     with mock.patch.object(readers, "_Reader", _Uncached):
         expected = FROM_JSON[kind](field, doc)
     assert FROM_JSON[kind](field, doc) == expected == obj
+
+
+# -- one memo of built parts per document -------------------------------------------
+#
+# A document's repeated tensors, matrices and algebras are built once and
+# shared.  A later copy that differs from an earlier one in one token that
+# compares equal to it (true == 1 == 1.0, false == 0) or spells it another
+# way, or in a tuple where a list was, must be read, or refused with the same
+# message, as with no memo at all and as by the per-entry readers.
+
+NEAR_COPIES = (True, False, 1.0, "1")
+
+
+class _Int(int):
+    """An int subclass, as a Python caller may pass: equal to its int, read
+    as it everywhere but as a bracket target, which the table refuses."""
+
+
+def _conjugation_doc(field, cid="l2-id") -> dict:
+    """The conjugation action of a catalog crossed module on itself, as JSON
+    text read back: its two crossed modules are one document twice, and its
+    action tensors repeat."""
+    return json.loads(json.dumps(xaction_to_json(XModActionData.conjugation(build_entry(cid, field)))))
+
+
+def _variants(doc):
+    """(variant, refused): doc with one token replaced by each of
+    NEAR_COPIES and an integer by its ``_Int``, or one list by a tuple, at
+    every site in document order.  No reader takes a bool, a float or a
+    tuple anywhere, so these variants must be refused."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            for new, refused in _variants(value):
+                yield {**doc, key: new}, refused
+    elif isinstance(doc, list):
+        yield tuple(doc), True
+        for i, value in enumerate(doc):
+            for new, refused in _variants(value):
+                yield doc[:i] + [new] + doc[i + 1:], refused
+    else:
+        for new in NEAR_COPIES:
+            yield new, new != "1"
+        if type(doc) is int:
+            yield _Int(doc), False
+
+
+def _outcome(field, doc):
+    try:
+        return xaction_from_json(field, doc)
+    except InputDataError as exc:
+        return str(exc)
+
+
+def test_a_near_copy_of_a_repeated_part_reads_as_with_no_memo(field):
+    """Every one-site near copy of the conjugation document of ``l2-id`` is
+    read to an equal object, or refused with the same message, by the
+    memoised reader, by one with no memo and by the per-entry readers; one
+    with a bool, a float or a tuple is refused by each."""
+    variants = list(_variants(_conjugation_doc(field)))
+    for doc, refused in variants:
+        got = _outcome(field, doc)
+        with mock.patch.object(readers, "_Reader", _Uncached):
+            uncached = _outcome(field, doc)
+        with mock.patch.multiple(readers, **PER_ENTRY_READERS):
+            per_entry = _outcome(field, doc)
+        assert got == uncached == per_entry and (not refused or isinstance(got, str)), doc
+    assert len(variants) > 400 and not all(refused for _, refused in variants)
+
+
+@pytest.mark.parametrize("cid", ("l2-id", "sl2-id"))
+def test_a_document_builds_each_repeated_part_once(field, cid):
+    """The conjugation document of an identity crossed module holds one
+    algebra, one tensor (its table) and one matrix: they are built once, and
+    every place they repeat holds the same object, every action tensor the
+    algebra's table itself."""
+    doc = _conjugation_doc(field, cid)
+    real = LeibnizAlgebra.from_brackets.__func__
+    built = []
+
+    def counted(cls, *args):
+        built.append(args[1])
+        return real(cls, *args)
+
+    with mock.patch.object(LeibnizAlgebra, "from_brackets", classmethod(counted)), \
+            mock.patch.object(readers, "_nonzeros", wraps=readers._nonzeros) as dense:
+        d = xaction_from_json(field, doc)
+    x = d.actor_xmod
+    assert d == XModActionData.conjugation(build_entry(cid, field))
+    assert len(built) == 1 and dense.call_count == 2  # the table and the identity matrix
+    assert x.top is x.base is d.target_xmod.top is d.target_xmod.base
+    assert x.boundary is d.target_xmod.boundary
+    table = x.top.sparse_table
+    for act in (x.action, d.target_xmod.action, d.act_on_top, d.act_on_base):
+        assert act.sparse_left is act.sparse_right is table
+    assert d.sparse_mq is d.sparse_qm and d.sparse_mq == table  # one tensor, read where no table is at hand
 
 
 # -- the whole-tensor codec against the per-entry one ------------------------------
