@@ -8,7 +8,12 @@ command line:
 * ``NF<n>``   the identity on the null-filiform algebra, [e_i, e_1] = e_{i+1};
 * ``sl2^<k>`` the identity on the direct sum of k copies of sl2;
 * ``NF<n>c``  the inclusion of the ideal [NF_n, NF_n] into NF_n;
-* ``NF<n>q``  NF_n mapped onto NF_n / ann(NF_n), acting through its bracket.
+* ``NF<n>q``  NF_n mapped onto NF_n / ann(NF_n), acting through its bracket;
+* ``<spec>@<seed>`` any of these with each layer rebased by its own seeded
+  integer change of basis whose inverse is integral too, so it is exact
+  over every field.  A rebased identity is no identity crossed module but
+  has an invertible boundary, so its quadruples come from the pull-back,
+  on dense structure constants.
 
 For each subject and field the script prints the wall time of a cold
 ``actor`` and then of ``outer_xmod``, and the ``tracemalloc`` peak of each
@@ -31,41 +36,75 @@ a dimension differs from the known one:
 * ``NF_n``: the actor has layers of dimension 2n - 1 and the outer part n;
 * ``sl2^k`` over Q: the actor has layers of dimension 3k, all of it inner.
 
-``NF<n>c`` and ``NF<n>q`` have no pinned dimensions; they keep the actor's
-tables in view, and the two row sets of the one kernel ``bider_xmod``
-solves off an identity: the base's pair rows and the boundary rows on the
-injective boundary of ``NF<n>c``, and the pair rows of top x| base with the
-boundary rows on the boundary of ``NF<n>q``, whose kernel is ann(NF_n).
+The dimensions do not depend on the basis, so they are pinned for a
+rebased subject too.  ``NF<n>c`` and ``NF<n>q`` have no pinned dimensions;
+they keep the actor's tables in view, and the two index ranges of the one
+table of top x| base whose pair rows, with the boundary rows, make the one
+kernel ``bider_xmod`` solves off an identity: its base block on the
+injective boundary of ``NF<n>c`` (the pull-back), and every index pair on
+the boundary of ``NF<n>q``, whose kernel is ann(NF_n).
 Times are for reading, not gated.  Example::
 
-    PYTHONPATH=src python3 scripts/scale_check.py A6 NF12 NF8c NF8q --field q --field f3
+    PYTHONPATH=src python3 scripts/scale_check.py A6 NF12 NF8c NF8q NF12@1 --field q --field f3
 """
 from __future__ import annotations
 
 import argparse
 import json
+import random
 import re
 import sys
 import time
 import tracemalloc
 
 from lbxmod import bider
-from lbxmod.algebra import MAX_DIM, LeibnizAlgebra, annihilator, commutator
+from lbxmod.action import ActionData
+from lbxmod.algebra import MAX_DIM, LeibnizAlgebra, _evaluate, annihilator, commutator
 from lbxmod.bider import actor, bider_qn, bider_xmod, canonical_morphism, outer_xmod
 from lbxmod.fields import get_field
-from lbxmod.linalg import Subspace
+from lbxmod.linalg import Matrix, Subspace
 from lbxmod.serialize import xmod_from_json, xmod_to_json
 from lbxmod.xmod import CrossedModule, center, kernel, quotient_xmod, validate_morphism, validate_xmod
 
 SL2 = {(0, 1): {0: -2}, (1, 0): {0: 2}, (0, 2): {1: 1}, (2, 0): {1: -1}, (1, 2): {2: -2}, (2, 1): {2: 2}}
 
 
+def change_of_basis(field, rng: random.Random, n: int) -> tuple[Matrix, Matrix]:
+    """P = U Q and its inverse: U is upper unitriangular with every entry
+    above the diagonal 1, so column c of U is e_0 + ... + e_c and row c of
+    its inverse is e_c - e_{c+1}, and Q is a seeded signed permutation."""
+    perm, signs = rng.sample(range(n), n), [rng.choice((-1, 1)) for _ in range(n)]
+    p = Matrix(field, n, n, tuple({i: s for i in range(c + 1)} for c, s in zip(perm, signs)))
+    inverse_rows = [[s * ((k == c) - (k == c + 1)) for k in range(n)] for c, s in zip(perm, signs)]
+    return p, Matrix.from_rows(field, inverse_rows, n)
+
+
+def rebase(x: CrossedModule, seed: int) -> CrossedModule:
+    """x with each layer in its own seeded basis, the top's drawn first."""
+    f, rng = x.top.field, random.Random(seed)
+    (pt, ti), (pb, bi) = change_of_basis(f, rng, x.top.dim), change_of_basis(f, rng, x.base.dim)
+
+    def moved(view, pa: Matrix, pc: Matrix, inverse: Matrix):
+        """Entry (i, j) is view(pa e_i, pc e_j) read back in the new basis."""
+        return tuple(tuple(inverse.apply(_evaluate([(1, view, u, v)], f.characteristic)) for v in pc.sparse_columns)
+                     for u in pa.sparse_columns)
+
+    top = LeibnizAlgebra(f, x.top.dim, moved(x.top.sparse_table, pt, pt, ti))
+    base = LeibnizAlgebra(f, x.base.dim, moved(x.base.sparse_table, pb, pb, bi))
+    act = ActionData(base, top, moved(x.action.sparse_left, pb, pt, ti), moved(x.action.sparse_right, pt, pb, ti))
+    return CrossedModule(top, base, bi @ x.boundary @ pt, act)
+
+
 def subject(spec: str, field) -> tuple[CrossedModule, tuple[int, int] | None]:
     """The crossed module a spec names, with the (actor, outer) layer
     dimension theory gives for it, or None where none is pinned."""
-    m = re.fullmatch(r"A(\d+)|NF(\d+)([cq]?)|sl2\^(\d+)", spec)
+    m = re.fullmatch(r"(?:A(\d+)|NF(\d+)([cq]?)|sl2\^(\d+))(?:@(\d+))?", spec)
     if m is None:
-        raise SystemExit(f"unknown subject {spec!r}: use A<n>, NF<n>, NF<n>c, NF<n>q or sl2^<k>")
+        raise SystemExit(f"unknown subject {spec!r}: use A<n>, NF<n>, NF<n>c, NF<n>q or sl2^<k>, "
+                         "each optionally followed by @<seed>")
+    if m[5] is not None:
+        x, dims = subject(spec.partition("@")[0], field)
+        return rebase(x, int(m[5])), dims
     if m[1]:
         n = int(m[1])
         return CrossedModule.identity_on(LeibnizAlgebra.abelian(field, n)), (2 * n * n, 2 * n * n)
@@ -122,7 +161,7 @@ def peak(fn):
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("subjects", nargs="+", help="A<n>, NF<n>, NF<n>c, NF<n>q or sl2^<k>")
+    ap.add_argument("subjects", nargs="+", help="A<n>, NF<n>, NF<n>c, NF<n>q or sl2^<k>, each optionally @<seed>")
     ap.add_argument("--field", action="append", help="q, f2, f3 or f<p> (repeatable; default q)")
     args = ap.parse_args(argv)
     failed = False

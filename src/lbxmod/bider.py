@@ -12,9 +12,10 @@ boundary).
 * ``bider_algebra(a)`` — ``bider_qn`` of the identity crossed module on a.
 * ``bider_xmod(x)`` — quadruples (top_der, top_antider, base_der,
   base_antider): on an identity, ``bider_qn(x)``'s pairs; otherwise one
-  kernel of the boundary block and the pair rows, those of the base alone
-  when the boundary is injective, a homomorphism and equivariant, else
-  those of top x| base within and across its two layers.
+  kernel of the boundary block and the pair rows on the one table of
+  top x| base, at every index pair, or at those of its base block alone
+  when mu is injective and (m, p) -> mu m + p a homomorphism to the base
+  (the pull-back).
 
 Each space carries an induced Leibniz bracket, the one ``_pair_bracket``
 taken on each pair of components: a quadruple's is the pair bracket on each
@@ -265,29 +266,18 @@ def _pair_rows(table: SparseTensor, left: SparseTensor, right: SparseTensor, d: 
 
     d([a, b]) = [d(a), b] + [a, d(b)],  dd([a, b]) = [dd(a), b] - [dd(b), a],
     [a, d(b) - dd(b)] = 0.
+
+    On top x| base the base block alone, ``range(nd, nd + qd)``, gives the
+    base's own pair rows, each output coordinate numbered after the top's.
     """
-    right_by = [[row[b] for row in right] for b in range(len(table))]  # [m_i, e_b]
-
-    def block(a: int, b: int, dd_ab: list, dd_ba: list) -> list[_Row]:
-        """The rows at (a, b), given [dd(a), b] and [dd(b), a]."""
-        d_b = _sent(d, b, left[a])
-        return (_collect((1, _applied(d, table[a][b])), (-1, _sent(d, a, right_by[b])), (-1, d_b))
-                + _collect((1, _applied(dd, table[a][b])), (-1, dd_ab), (1, dd_ba))
-                + _collect((1, d_b), (-1, _sent(dd, b, left[a]))))
-
-    # [dd(a), b] and [dd(b), a] enter the rows at (a, b) and at (b, a), so
-    # both blocks are built at once, the later one kept until its turn
+    right_by = {b: [row[b] for row in right] for b in indices}  # [m_i, e_b]
     rows: list[_Row] = []
-    later: dict[tuple[int, int], list[_Row]] = {}
     for a, b in itertools.product(indices, repeat=2):
-        if b < a:
-            rows += later.pop((a, b))
-            continue
-        dd_ab = _sent(dd, a, right_by[b])
-        dd_ba = _sent(dd, b, right_by[a]) if b != a else dd_ab
-        rows += block(a, b, dd_ab, dd_ba)
-        if b != a:
-            later[(b, a)] = block(b, a, dd_ba, dd_ab)
+        d_b = _sent(d, b, left[a])
+        rows += _collect((1, _applied(d, table[a][b])), (-1, _sent(d, a, right_by[b])), (-1, d_b))
+        rows += _collect((1, _applied(dd, table[a][b])), (-1, _sent(dd, a, right_by[b])),
+                         (1, _sent(dd, b, right_by[a])))
+        rows += _collect((1, d_b), (-1, _sent(dd, b, left[a])))
     return rows
 
 
@@ -337,7 +327,12 @@ def bider_algebra(a: LeibnizAlgebra) -> MapSpace:
 
 @functools.lru_cache(maxsize=None)
 def bider_qn(x: CrossedModule) -> MapSpace:
-    """Pairs of maps base -> top satisfying the pair identities through the action."""
+    """Pairs of maps base -> top satisfying the pair identities through the action.
+
+    The solving entry points (this, ``bider_xmod``, ``actor``,
+    ``canonical_morphism`` and ``lift_sequence``) expect a valid crossed
+    module; on other input the bracket table read off the solved space may
+    raise ``LinearSolveError``."""
     nd, qd = x.top.dim, x.base.dim
     shapes, act, mu = ((nd, qd),) * 2, x.action, _scaled_matrix(x.boundary)
     rows = _pair_rows(x.base.sparse_table, act.sparse_left, act.sparse_right,
@@ -349,21 +344,19 @@ def bider_qn(x: CrossedModule) -> MapSpace:
 # -- quadruple spaces on a crossed module --------------------------------
 
 
-def _pulls_back(x: CrossedModule) -> bool:
-    """Whether mu is injective, a homomorphism and equivariant (``hom``,
-    ``XLb1-left`` and ``XLb1-right``), summed at every basis witness and
-    stopping at the first nonzero sum."""
-    if column_space(x.boundary).dim != x.top.dim:
+def _pulls_back(x: CrossedModule, tab: SparseTensor) -> bool:
+    """Whether mu is injective and (m, p) -> mu(m) + p is a homomorphism
+    from top x| base, whose bracket table is tab, to the base: at (m, m')
+    that is ``hom``, at (p, m) ``XLb1-left``, at (m, p) ``XLb1-right``, and
+    at (p, p') it holds by itself.  Summed at every index pair with a top
+    index, stopping at the first nonzero sum."""
+    nd = x.top.dim
+    if column_space(x.boundary).dim != nd:
         return False
-    cols, mt, bt = x.boundary.sparse_columns, x.top.sparse_table, x.base.sparse_table
-    left, right, eta = x.action.sparse_left, x.action.sparse_right, (cols,)
-    ns, qs = range(x.top.dim), list(enumerate(_units(x.base.dim)))
-    sums = itertools.chain(
-        ([(1, eta, _ONE, mt[i][j]), (-1, bt, cols[i], cols[j])] for i in ns for j in ns),
-        ([(1, eta, _ONE, left[a][i]), (-1, bt, e, cols[i])] for a, e in qs for i in ns),
-        ([(1, eta, _ONE, right[i][a]), (-1, bt, cols[i], e)] for a, e in qs for i in ns))
-    p = x.top.field.characteristic
-    return not any(_evaluate(terms, p) for terms in sums)
+    phi, bt = [*x.boundary.sparse_columns, *_units(x.base.dim)], x.base.sparse_table
+    p, ns = x.top.field.characteristic, range(len(tab))
+    return not any(_evaluate([(1, (phi,), _ONE, tab[i][j]), (-1, bt, phi[i], phi[j])], p)
+                   for i in ns for j in ns if min(i, j) < nd)
 
 
 @functools.lru_cache(maxsize=None)
@@ -379,20 +372,17 @@ def bider_xmod(x: CrossedModule) -> MapSpace:
     pair bracket.  So each pair's scaled row is repeated at offset 2n^2, on
     the same pivots, with the pair space's algebra: no solve and no table.
 
-    When mu is injective and passes ``hom`` and ``XLb1`` (``_pulls_back``),
-    as on every ideal inclusion, the base pair rows and the boundary rows
-    alone are the system: mu applied to each pair identity of the top, or
-    across the layers, is a base pair identity at (mu m, mu m'), (p, mu m)
-    or (mu m, p).  For instance mu s1([m, m']) = s2([mu m, mu m']) =
-    [s2 mu m, mu m'] + [mu m, s2 mu m'] = mu([s1 m, m'] + [m, s1 m']) by
-    ``hom`` and the boundary rows, and mu s1([p, m]) = s2([p, mu m]) =
-    [s2 p, mu m] + [p, s2 mu m] = mu([s2 p, m] + [p, s1 m]) by ``XLb1``;
-    ``XLb2`` is never used.  Injectivity pulls each identity back to the
-    top, so these rows have the quadruples as their kernel.
-
-    Otherwise the rows are the boundary rows and the pair rows of the
-    block-diagonal pair at every index pair of top x| base.  Either way one
-    kernel is the quadruple space, its canonical basis included.
+    Otherwise one kernel is the quadruple space, its canonical basis
+    included: the boundary rows and the pair rows of the block-diagonal
+    pair on the one table of top x| base, at every index pair, or at those
+    of its base block alone when ``_pulls_back`` holds, as on every ideal
+    inclusion.  Then phi(m, p) = mu m + p is a homomorphism onto the base,
+    and the boundary rows make s2 phi = phi (s1 + s2), so phi takes each
+    pair identity at (u, v) to the base one at (phi u, phi v); for instance
+    mu s1([p, m]) = s2([p, mu m]) = [s2 p, mu m] + [p, s2 mu m] =
+    mu([s2 p, m] + [p, s1 m]) by ``XLb1``, and ``XLb2`` is never used.  The
+    base part of each identity is a base row, and mu, injective, pulls the
+    top part back.
     """
     nd, qd = x.top.dim, x.base.dim
     shapes = ((nd, nd), (nd, nd), (qd, qd), (qd, qd))
@@ -403,11 +393,10 @@ def bider_xmod(x: CrossedModule) -> MapSpace:
         return MapSpace(f, shapes, Subspace(f, 2 * off, rows, pairs.space.pivots), pairs.algebra)
     maps = _layout(shapes)
     s1, t1, s2, t2 = map(_columns, maps)
-    if _pulls_back(x):
-        tab, d, dd, indices = x.base.sparse_table, s2, t2, range(qd)
-    else:  # the block-diagonal pair on top x| base, the base rows numbered after the top's
-        tab, indices = _semidirect_table(x.action), range(nd + qd)
-        d, dd = s1 + _columns(maps[2], nd), t1 + _columns(maps[3], nd)
+    # the block-diagonal pair on top x| base, the base rows numbered after the top's
+    tab = _semidirect_table(x.action)
+    d, dd = s1 + _columns(maps[2], nd), t1 + _columns(maps[3], nd)
+    indices = range(nd, nd + qd) if _pulls_back(x, tab) else range(nd + qd)
     rows = _pair_rows(tab, tab, tab, d, dd, indices) + _boundary_rows(x.boundary, s1, s2)
     space = sparse_kernel(f, off + 2 * qd * qd, rows + _boundary_rows(x.boundary, t1, t2))
 
@@ -435,7 +424,9 @@ def actor(x: CrossedModule) -> CrossedModule:
     crossed module it is the identity on Bider(x): the quadruples are the
     repeated pairs (``bider_xmod``), so ``delta``, a pair composed with
     mu = id, is the identity, and [quadruple, pair] and [pair, quadruple]
-    are the pair bracket, so the action is the bracket."""
+    are the pair bracket, so the action is the bracket.  x must be a valid
+    crossed module: on other input the table read may raise
+    ``LinearSolveError`` (see ``bider_qn``)."""
     if x.is_identity():
         return CrossedModule.identity_on(bider_qn(x).algebra)
     pairs = bider_qn(x)

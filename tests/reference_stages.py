@@ -31,9 +31,15 @@ six hand-written action rows on all 2n^2 + 2q^2 map entries, is kept as
 ``bider_xmod`` and ``actor`` read their results off the pair space; the
 actor as built on any crossed module, on the one-system quadruples, with its
 action tables as hand-written products, is kept as ``general_actor``.
-``bider._pair_rows`` builds each list [dd(x), y] once, for the rows at (x, y)
-and at (y, x); the block that built it at both is kept as
-``pair_rows_sent_twice``, and ``test_bider.py`` compares their rows.
+Off the identity ``bider_xmod`` reads its pair rows from the one table of
+top x| base, at the index pairs of its base block alone when the boundary
+pulls back, and ``bider._pair_rows`` builds five lists at every index pair.
+The two-branch row choice it replaced, whose pulled-back rows were the
+base's own pair rows on the base's own table, decided by ``hom`` and
+``XLb1`` summed on their own, is kept as ``two_table_quadruple_rows`` and
+``pulls_back_by_identities``, on the block that built each [dd(x), y] once
+for the rows at (x, y) and at (y, x), ``pair_rows_built_once``;
+``test_bider.py`` compares their rows.
 
 On an identity crossed module with one subspace on both layers,
 ``sub_xmod`` and ``quotient_xmod`` return the identity on the subalgebra or
@@ -731,21 +737,64 @@ def one_system_bider_xmod(x: CrossedModule) -> MapSpace:
     return replace(solved, algebra=LeibnizAlgebra(f, solved.dim, table))
 
 
-def pair_rows_sent_twice(table, left, right, d, dd, indices: range) -> list[dict]:
-    """``bider._pair_rows`` as it stood before it built each [dd(x), y] once:
-    five ``bider._sent`` lists at every index pair, [dd(a), b] and [dd(b), a]
-    among them, which the rows at (b, a) build again."""
+def pair_rows_built_once(table, left, right, d, dd, indices: range) -> list[dict]:
+    """``bider._pair_rows`` as it stood when it built each [dd(x), y] once:
+    the rows at (a, b) and at (b, a) from the same two ``bider._sent``
+    lists, the later block kept until its turn."""
     right_by = [[row[b] for row in right] for b in range(len(table))]  # [m_i, e_b]
+
+    def block(a, b, dd_ab, dd_ba):
+        d_b = bider._sent(d, b, left[a])
+        return (bider._collect((1, bider._applied(d, table[a][b])), (-1, bider._sent(d, a, right_by[b])), (-1, d_b))
+                + bider._collect((1, bider._applied(dd, table[a][b])), (-1, dd_ab), (1, dd_ba))
+                + bider._collect((1, d_b), (-1, bider._sent(dd, b, left[a]))))
+
     rows: list[dict] = []
+    later: dict = {}
     for a in indices:
         for b in indices:
-            d_b = bider._sent(d, b, left[a])
-            rows += bider._collect((1, bider._applied(d, table[a][b])), (-1, bider._sent(d, a, right_by[b])),
-                                   (-1, d_b))
-            rows += bider._collect((1, bider._applied(dd, table[a][b])), (-1, bider._sent(dd, a, right_by[b])),
-                                   (1, bider._sent(dd, b, right_by[a])))
-            rows += bider._collect((1, d_b), (-1, bider._sent(dd, b, left[a])))
+            if b < a:
+                rows += later.pop((a, b))
+                continue
+            dd_ab = bider._sent(dd, a, right_by[b])
+            dd_ba = bider._sent(dd, b, right_by[a]) if b != a else dd_ab
+            rows += block(a, b, dd_ab, dd_ba)
+            if b != a:
+                later[(b, a)] = block(b, a, dd_ba, dd_ab)
     return rows
+
+
+def pulls_back_by_identities(x: CrossedModule) -> bool:
+    """``bider._pulls_back`` as it stood before it read top x| base: mu of
+    full column rank, then ``hom``, ``XLb1-left`` and ``XLb1-right`` summed
+    at every basis witness."""
+    if column_space(x.boundary).dim != x.top.dim:
+        return False
+    cols, mt, bt = x.boundary.sparse_columns, x.top.sparse_table, x.base.sparse_table
+    left, right, eta = x.action.sparse_left, x.action.sparse_right, (cols,)
+    ns, qs = range(x.top.dim), list(enumerate(_units(x.base.dim)))
+    sums = chain(([(1, eta, _ONE, mt[i][j]), (-1, bt, cols[i], cols[j])] for i in ns for j in ns),
+                 ([(1, eta, _ONE, left[a][i]), (-1, bt, e, cols[i])] for a, e in qs for i in ns),
+                 ([(1, eta, _ONE, right[i][a]), (-1, bt, cols[i], e)] for a, e in qs for i in ns))
+    return not any(_evaluate(terms, x.top.field.characteristic) for terms in sums)
+
+
+def two_table_quadruple_rows(x: CrossedModule) -> list[dict]:
+    """The rows ``bider_xmod`` handed its kernel off the identity when a
+    pulled-back boundary had a table of its own: the base's pair rows on the
+    base's table when ``pulls_back_by_identities`` holds, else the pair rows
+    of top x| base at every index pair, then the boundary rows of (s1, s2)
+    and of (t1, t2), each block built as ``pair_rows_built_once``."""
+    nd, qd = x.top.dim, x.base.dim
+    maps = _layout(((nd, nd), (nd, nd), (qd, qd), (qd, qd)))
+    s1, t1, s2, t2 = map(bider._columns, maps)
+    if pulls_back_by_identities(x):
+        tab, d, dd, indices = x.base.sparse_table, s2, t2, range(qd)
+    else:
+        tab, indices = bider._semidirect_table(x.action), range(nd + qd)
+        d, dd = s1 + bider._columns(maps[2], nd), t1 + bider._columns(maps[3], nd)
+    return (pair_rows_built_once(tab, tab, tab, d, dd, indices) + bider._boundary_rows(x.boundary, s1, s2)
+            + bider._boundary_rows(x.boundary, t1, t2))
 
 
 def general_actor(x: CrossedModule) -> CrossedModule:

@@ -41,7 +41,7 @@ from lbxmod.bider import (
 )
 from lbxmod.catalog import build_entry
 from lbxmod import linalg
-from lbxmod.linalg import Matrix, Subspace, _dense
+from lbxmod.linalg import Matrix, Subspace, _dense, column_space
 from lbxmod.xmod import (
     CrossedModule,
     _condition_warnings,
@@ -349,7 +349,7 @@ def test_quadruples_equal_the_one_system(field, data):
         assert actor(x) == ref.general_actor(x)
 
 
-def test_quadruples_of_one_algebra_by_its_bracket_off_the_identity_boundary(field, monkeypatch):
+def test_quadruples_of_one_algebra_by_its_bracket_off_the_identity_boundary(field):
     """[e0, e1] = e0 acting on itself by its bracket, with boundary e0 -> e1,
     is no crossed module: its pair space's table does not close, so the
     quadruples may not start from it, though its action is the bracket.
@@ -359,7 +359,7 @@ def test_quadruples_of_one_algebra_by_its_bracket_off_the_identity_boundary(fiel
     assert not validate_xmod(x).ok
     with pytest.raises(linalg.LinearSolveError):
         bider_qn(x)
-    assert not x.is_identity() and _quadruple_kernels(x, monkeypatch) == 1
+    assert not x.is_identity() and _quadruple_kernels(x) == 1
     _equals_one_system(x)
 
 
@@ -468,7 +468,7 @@ def test_a_cold_identity_actor_solves_and_multiplies_only_for_its_pair_space(fie
     assert actor(x).top is actor(x).base is bider_qn(x).algebra is bider_xmod(x).algebra
 
 
-def _quadruple_system(x, monkeypatch):
+def _quadruple_system(x):
     """The row lists a cold bider_xmod(x) hands its kernels, and the number
     of semidirect tables it builds."""
     systems, tables = [], []
@@ -483,16 +483,15 @@ def _quadruple_system(x, monkeypatch):
         return semidirect(act)
 
     _clear_memos()
-    with monkeypatch.context() as m:
-        m.setattr(bider, "sparse_kernel", kept_kernel)
-        m.setattr(bider, "_semidirect_table", counted_semidirect)
+    with mock.patch.object(bider, "sparse_kernel", kept_kernel), \
+            mock.patch.object(bider, "_semidirect_table", counted_semidirect):
         bider_xmod(x)
     return systems, len(tables)
 
 
-def _quadruple_kernels(x, monkeypatch) -> int:
+def _quadruple_kernels(x) -> int:
     """The sparse_kernel calls of a cold bider_xmod(x): one off the identity."""
-    return len(_quadruple_system(x, monkeypatch)[0])
+    return len(_quadruple_system(x)[0])
 
 
 def _onto_the_quotient_by_the_annihilator(a):
@@ -512,22 +511,22 @@ def _pulled_back_and_not(field):
 
 
 @pytest.mark.parametrize("field", [QQ, GF3], ids=["q", "f3"])
-def test_ideal_inclusions_solve_their_quadruples_in_one_kernel(field, monkeypatch):
+def test_ideal_inclusions_solve_their_quadruples_in_one_kernel(field):
     """Whether the boundary pulls back (ideal inclusions) or not (a zero
     boundary, NF_4 onto NF_4 / ann), the quadruples are one kernel."""
     pulled, not_pulled = _pulled_back_and_not(field)
     for x in pulled + not_pulled:
         assert validate_xmod(x).ok and not x.is_identity()
-        assert _quadruple_kernels(x, monkeypatch) == 1
+        assert _quadruple_kernels(x) == 1
         _equals_one_system(x)
 
 
 @pytest.mark.parametrize("field", [QQ, GF3], ids=["q", "f3"])
-def test_a_pulled_back_boundary_solves_the_base_pair_rows_and_the_boundary_rows(field, monkeypatch):
+def test_a_pulled_back_boundary_solves_the_base_pair_rows_and_the_boundary_rows(field):
     """Where the boundary pulls back, the kernel gets the base's own pair
-    rows, then the boundary rows of (s1, s2) and of (t1, t2), and no
-    semidirect table is built; elsewhere the pair rows are those of the
-    one semidirect table top x| base."""
+    rows, then the boundary rows of (s1, s2) and of (t1, t2); they are read
+    off the base block of the one semidirect table top x| base, which every
+    solve off the identity builds once."""
     pulled, not_pulled = _pulled_back_and_not(field)
     for x in pulled:
         nd, qd = x.top.dim, x.base.dim
@@ -535,55 +534,83 @@ def test_a_pulled_back_boundary_solves_the_base_pair_rows_and_the_boundary_rows(
         bt = x.base.sparse_table
         expected = (bider._pair_rows(bt, bt, bt, s2, t2, range(qd)) + bider._boundary_rows(x.boundary, s1, s2)
                     + bider._boundary_rows(x.boundary, t1, t2))
-        assert _quadruple_system(x, monkeypatch) == ([expected], 0)
+        assert _quadruple_system(x) == ([expected], 1)
     for x in not_pulled:
-        assert _quadruple_system(x, monkeypatch)[1] == 1
+        assert _quadruple_system(x)[1] == 1
 
 
 def _pair_row_arguments(x):
     """The ``_pair_rows`` arguments of each system the solvers build on x:
-    the pairs base -> top through the action, the base's own pair rows, and
-    the pair rows of top x| base across its two layers."""
+    the pairs base -> top through the action, and the pair rows of top x| base
+    at the index pairs of its base block and at all of them."""
     nd, qd = x.top.dim, x.base.dim
     act, bt, sd = x.action, x.base.sparse_table, bider._semidirect_table(x.action)
     d, dd = map(bider._columns, bider._layout(((nd, qd),) * 2))
     maps = bider._layout(((nd, nd), (nd, nd), (qd, qd), (qd, qd)))
-    s1, t1, s2, t2 = map(bider._columns, maps)
-    return [(bt, act.sparse_left, act.sparse_right, d, dd, range(qd)), (bt, bt, bt, s2, t2, range(qd)),
-            (sd, sd, sd, s1 + bider._columns(maps[2], nd), t1 + bider._columns(maps[3], nd), range(nd + qd))]
+    s1, t1 = map(bider._columns, maps[:2])
+    quad = (sd, sd, sd, s1 + bider._columns(maps[2], nd), t1 + bider._columns(maps[3], nd))
+    return [(bt, act.sparse_left, act.sparse_right, d, dd, range(qd)), quad + (range(nd, nd + qd),),
+            quad + (range(nd + qd),)]
+
+
+def _drawn_basis(x, data):
+    """x in the standard basis, or rebased by one seeded change of basis of
+    both layers (when they have one dimension) or by one for each."""
+    basis = data.draw(st.sampled_from(("standard", "one", "two")))
+    if basis == "standard":
+        return x
+    same = basis == "one" and x.top.dim == x.base.dim
+    return ref.rebase_xmod(x, random.Random(data.draw(st.integers(0, 2**16))), same_basis=same)
 
 
 @given(st.sampled_from(FIELDS), st.data())
 @settings(max_examples=100, deadline=None)
-def test_pair_rows_build_each_list_once_and_equal_the_block_that_built_it_twice(field, data):
+def test_pair_rows_equal_the_block_that_built_each_list_once(field, data):
     """On generated crossed modules, in the standard basis or a seeded one,
-    ``_pair_rows`` makes four ``_sent`` lists per index pair where the
-    reference makes five, and its rows are the reference's, in the same
-    order, each with its entries in the same order."""
-    x = data.draw(quadruple_inputs(field))
-    seed = data.draw(st.none() | st.integers(0, 2**16))
-    x = x if seed is None else ref.rebase_xmod(x, random.Random(seed))
-    calls, sent = [], bider._sent
+    the rows of ``_pair_rows`` are those of the block that built each
+    [dd(x), y] once, in the same order, each with its entries in the same
+    order."""
+    x = _drawn_basis(data.draw(quadruple_inputs(field)), data)
+    for args in _pair_row_arguments(x):
+        rows, expected = bider._pair_rows(*args), ref.pair_rows_built_once(*args)
+        assert [list(row.items()) for row in rows] == [list(row.items()) for row in expected]
 
-    def counted(*args):
-        calls.append(args)
-        return sent(*args)
 
-    with mock.patch.object(bider, "_sent", counted):
-        for args in _pair_row_arguments(x):
-            pairs = len(args[-1]) ** 2
-            calls.clear()
-            rows = bider._pair_rows(*args)
-            assert len(calls) == 4 * pairs
-            calls.clear()
-            expected = ref.pair_rows_sent_twice(*args)
-            assert len(calls) == 5 * pairs
-            assert [list(row.items()) for row in rows] == [list(row.items()) for row in expected]
+@given(st.sampled_from(FIELDS), st.data())
+@settings(max_examples=100, deadline=None)
+def test_the_quadruple_rows_equal_the_two_table_rows(field, data):
+    """On generated crossed modules, valid or not, in the standard basis or
+    rebased by one change of basis or two, the one row list ``bider_xmod``
+    hands ``sparse_kernel`` off the identity, read from the one table of
+    top x| base, is the one the base's own table gave where the boundary
+    pulls back, in the same order and with its entries in the same order;
+    an identity builds no table and solves its pair space alone."""
+    x = _drawn_basis(data.draw(quadruple_inputs(field)), data)
+    systems, tables = _quadruple_system(x)
+    if x.is_identity():
+        assert tables == 0 and len(systems) == 1
+        return
+    assert tables == 1 and len(systems) == 1
+    expected = ref.two_table_quadruple_rows(x)
+    assert [list(row.items()) for row in systems[0]] == [list(row.items()) for row in expected]
+
+
+@given(st.sampled_from(FIELDS), st.data())
+@settings(max_examples=400, deadline=None)
+def test_the_pull_back_gate_agrees_with_the_validator(field, data):
+    """``_pulls_back`` holds exactly when mu is injective and the validator
+    finds no ``hom``, ``XLb1-left`` or ``XLb1-right`` violation, on
+    generated crossed modules, valid or not, standard or rebased."""
+    x = _drawn_basis(data.draw(quadruple_inputs(field)), data)
+    found = set(validate_xmod(x).labels()) & {"hom", "XLb1-left", "XLb1-right"}
+    expected = column_space(x.boundary).dim == x.top.dim and not found
+    assert bider._pulls_back(x, bider._semidirect_table(x.action)) == expected
+    assert expected == ref.pulls_back_by_identities(x)
 
 
 @pytest.mark.parametrize("field", [QQ, GF3], ids=["q", "f3"])
 @pytest.mark.parametrize("seed", range(5))
-def test_two_basis_rebases_of_an_identity_or_a_quotient_solve_one_kernel(field, seed, monkeypatch):
+def test_two_basis_rebases_of_an_identity_or_a_quotient_solve_one_kernel(field, seed):
     """Rebased by two changes of basis that differ, the identity on NF_3 or
     sl2 is no identity crossed module, but its boundary is invertible; NF_3
     onto NF_3 / ann, rebased the same way, has a boundary that is not
@@ -592,10 +619,10 @@ def test_two_basis_rebases_of_an_identity_or_a_quotient_solve_one_kernel(field, 
     for a in (null_filiform(field, 3), sl2(field)):
         x = ref.rebase_xmod(CrossedModule.identity_on(a), random.Random(seed))
         assert x.top != x.base and not x.is_identity()
-        assert _quadruple_kernels(x, monkeypatch) == 1
+        assert _quadruple_kernels(x) == 1
         _equals_one_system(x)
     x = ref.rebase_xmod(_onto_the_quotient_by_the_annihilator(null_filiform(field, 3)), random.Random(seed))
-    assert _quadruple_kernels(x, monkeypatch) == 1
+    assert _quadruple_kernels(x) == 1
     _equals_one_system(x)
 
 
@@ -614,15 +641,15 @@ def _invertible_but_not_pulled_back(field, broken):
 
 @pytest.mark.parametrize("field", [QQ, GF3], ids=["q", "f3"])
 @pytest.mark.parametrize("broken", ["hom", "XLb1-left", "XLb1-right"])
-def test_an_invertible_boundary_that_breaks_hom_or_xlb1_is_not_pulled_back(field, broken, monkeypatch):
+def test_an_invertible_boundary_that_breaks_hom_or_xlb1_is_not_pulled_back(field, broken):
     """The boundary is invertible but no homomorphism, or not equivariant on
     one side: the base pair rows with the boundary rows would leave a
     2-dimensional space where the quadruples are 0-dimensional, so the one
     kernel takes the pair rows of top x| base."""
     x = _invertible_but_not_pulled_back(field, broken)
     assert broken in validate_xmod(x).labels() and not x.is_identity()
-    assert _quadruple_kernels(x, monkeypatch) == 1
-    assert _quadruple_system(x, monkeypatch)[1] == 1
+    assert _quadruple_kernels(x) == 1
+    assert _quadruple_system(x)[1] == 1
     assert bider_xmod(x).dim == 0
     _equals_one_system(x)
 
